@@ -68,6 +68,17 @@ def _hsvi_kw(args) -> dict:
     return kw
 
 
+class _UnconvergedWarnings:
+    """Sweep log sink: one stderr line per solve that stopped above its gap
+    target, printed as the solve finishes; no solver result is kept."""
+
+    def append(self, entry) -> None:
+        label, res = entry
+        if not res.converged:
+            print(f"warning: {label} unconverged after {res.iterations} "
+                  f"iterations, root gap {res.root_gap:.6g}", file=sys.stderr)
+
+
 def cmd_validate(args) -> int:
     cfg = _load_config(args.config)
     compiled = compile_scenario(cfg)
@@ -148,7 +159,8 @@ def cmd_sweep_power(args) -> int:
             raise ConfigError(f"unknown policy kind {kind!r}")
     rows = sweep_power(cfg, budgets, policies=policies,
                        episodes=args.episodes, horizon=args.horizon,
-                       eps=args.eps, seed=args.seed, **_hsvi_kw(args))
+                       eps=args.eps, seed=args.seed,
+                       log_sink=_UnconvergedWarnings(), **_hsvi_kw(args))
     _write_output(args.out, cfg.scenario_hash(), rows_to_csv(rows))
     print(f"wrote {args.out}: {len(rows)} rows")
     return EXIT_OK
@@ -159,7 +171,9 @@ def cmd_sweep_antennas(args) -> int:
     n_r_list = _int_list(args.n_r)
     rows, results = sweep_antennas(cfg, n_r_list, episodes=args.episodes,
                                    horizon=args.horizon, eps=args.eps,
-                                   seed=args.seed, **_hsvi_kw(args))
+                                   seed=args.seed,
+                                   log_sink=_UnconvergedWarnings(),
+                                   **_hsvi_kw(args))
     cols = CSV_COLUMNS + ("effective_power_w", "effective_power_ci")
     lines = [",".join(cols)]
     for row, run in zip(rows, results):

@@ -10,7 +10,8 @@ frozen, then mask selection with the power policy frozen.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 from scipy import sparse
@@ -245,29 +246,30 @@ class Policy:
         return eff.used_units
 
 
+def _level_product(space, qe_pairs, level_pmfs) -> np.ndarray:
+    """Joint distribution of independent users, user u at its exact
+    ``qe_pairs[u] = (q, e)`` with channel levels distributed as
+    ``level_pmfs[u]``: the Kronecker product of the per-user vectors."""
+    vecs = []
+    for (q, e), pmf in zip(qe_pairs, level_pmfs):
+        v = np.zeros((space.q_max + 1, space.e_max + 1, space.n_levels))
+        v[q, e] = pmf
+        vecs.append(v.ravel())
+    return reduce(np.kron, vecs)
+
+
 def _obs_belief(compiled: CompiledScenario, obs: int) -> np.ndarray:
     """Posterior over states given an observation and the stationary level
     prior: queue/energy are read exactly, levels via Bayes through the
     confusion matrix."""
-    space = compiled.space
     level = compiled.level
-    users_obs = space.decode(obs)
+    users_obs = compiled.space.decode(obs)
     posts = []
     for (_q, _e, ol) in users_obs:
         w = level.probs * level.obs_confusion[:, ol]
         posts.append(w / w.sum())
-    b = np.zeros(space.size)
-    import itertools
-    for combo in itertools.product(*(range(space.n_levels)
-                                     for _ in range(space.n_users))):
-        p = 1.0
-        users = []
-        for u, lv in enumerate(combo):
-            q, e, _ = users_obs[u]
-            users.append((q, e, lv))
-            p *= posts[u][lv]
-        b[space.encode(tuple(users))] = p
-    return b
+    return _level_product(compiled.space, [(q, e) for q, e, _ in users_obs],
+                          posts)
 
 
 def greedy_policy(compiled: CompiledScenario, lower_bound,
@@ -306,17 +308,8 @@ def uniform_initial_belief(compiled: CompiledScenario,
     the stationary level distribution."""
     space = compiled.space
     e0 = space.e_max if e0 is None else e0
-    b = np.zeros(space.size)
-    import itertools
-    for combo in itertools.product(*(range(space.n_levels)
-                                     for _ in range(space.n_users))):
-        p = 1.0
-        users = []
-        for lv in combo:
-            users.append((q0, e0, lv))
-            p *= compiled.level.probs[lv]
-        b[space.encode(tuple(users))] = p
-    return b
+    return _level_product(space, [(q0, e0)] * space.n_users,
+                          [compiled.level.probs] * space.n_users)
 
 
 def solve_inner_beamforming(compiled: CompiledScenario, mask_id: int,
@@ -400,26 +393,14 @@ def full_solve(compiled: CompiledScenario, spec: ConstraintSpec,
     Violations are measured by Monte Carlo rollouts; if no feasible iterate
     appears within the budget, the least-violating policy is returned with
     a diagnostic."""
-    from .harness import monte_carlo          # deferred: harness uses Policy
+    # deferred: harness uses Policy
+    from .harness import monte_carlo, solve_two_layer
 
     nu = Multipliers.zeros(compiled.space.n_users, varrho)
-    mask_ids = sorted({eff.mask_id for eff in compiled.effects})
     trace, viols = [], []
     best = None
     for n_round in range(1, rounds + 1):
-        cost_table = build_cost_table(compiled, nu, spec)
-        inner = {}
-        for m in mask_ids:
-            pol, _res, _ids = solve_inner_beamforming(
-                compiled, m, nu, spec, eps=eps, cost_table=cost_table,
-                **hsvi_kw)
-            inner[m] = pol
-        if len(mask_ids) == 1:
-            policy = inner[mask_ids[0]]
-        else:
-            policy, _res, _ = solve_outer_selection(
-                compiled, inner, nu, spec, eps=eps, cost_table=cost_table,
-                **hsvi_kw)
+        policy = solve_two_layer(compiled, nu, spec, "d-opt", eps, **hsvi_kw)
         run = monte_carlo(policy, compiled, episodes=episodes,
                           horizon=horizon, base_seed=seed)
         metrics = {"delay_raw": run.delay_slots,

@@ -1,14 +1,16 @@
 """Data-queue and energy-buffer dynamics and the controlled transition kernel.
 
-The per-slot recursions are exact integer maps; the kernel factorizes the
-joint next-state law into independent channel-level, energy and queue factors
-per user, with levels drawn i.i.d. each slot (block fading).
+The per-slot recursions are exact integer maps. Users evolve independently
+given the joint action, with levels drawn i.i.d. each slot (block fading), so
+the joint kernel and the observation matrix are Kronecker products of
+per-user matrices over one user's (queue, energy, level) triples. They are
+built that way; the joint state space is never enumerated.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 from scipy import sparse, stats
@@ -231,34 +233,43 @@ def _user_next_pmf(q: int, e: int, lv: int, effect: ActionEffect, user: int,
     return out
 
 
-def build_kernel(space: StateSpace, arrivals: ArrivalModel, level: LevelModel,
-                 effects, max_states: int = 20000) -> TransitionKernel:
-    """Controlled kernel with rows equal to the product of independent
-    per-user channel, energy and queue factors."""
+def check_state_budget(space: StateSpace, max_states: int) -> None:
     if space.size > max_states:
         raise StateSpaceBudgetError(
             f"state space size {space.size} exceeds budget {max_states}")
+
+
+def _kron_users(factors, fmt: str):
+    """Kronecker product of per-user matrices, user 0 most significant (the
+    StateSpace digit order), entries multiplied left to right. Converting
+    from COO leaves the result canonical: sorted indices, no duplicates."""
+    return reduce(lambda a, b: sparse.kron(a, b, format="coo"),
+                  factors).asformat(fmt)
+
+
+def build_kernel(space: StateSpace, arrivals: ArrivalModel, level: LevelModel,
+                 effects, max_states: int = 20000) -> TransitionKernel:
+    """Controlled kernel, per action the Kronecker product ``T_a^(1) ⊗ ...
+    ⊗ T_a^(k)`` of per-user kernels tabulated from :func:`_user_next_pmf`.
+
+    Bit-identical (CSR ``indptr``, ``indices``, ``data``) to multiplying the
+    per-user probabilities of every joint transition in user order."""
+    check_state_budget(space, max_states)
     pmf_arr = arrival_pmf(arrivals)
+    one = StateSpace(n_users=1, q_max=space.q_max, e_max=space.e_max,
+                     n_levels=space.n_levels)
     mats = []
     for effect in effects:
-        rows, cols, vals = [], [], []
-        for idx, users in space.states():
-            supports = [
-                _user_next_pmf(q, e, lv, effect, u, pmf_arr, level, space)
-                for u, (q, e, lv) in enumerate(users)
-            ]
-            for combo in itertools.product(*supports):
-                p = 1.0
-                for _, pu in combo:
-                    p *= pu
-                nxt = space.encode(tuple(c[0] for c in combo))
-                rows.append(idx)
-                cols.append(nxt)
-                vals.append(p)
-        m = sparse.csr_matrix((vals, (rows, cols)),
-                              shape=(space.size, space.size))
-        m.sum_duplicates()
-        mats.append(m)
+        factors = []
+        for u in range(space.n_users):
+            rows, cols, vals = zip(*(
+                (idx, one.encode((nxt,)), p)
+                for idx, ((q, e, lv),) in one.states()
+                for nxt, p in _user_next_pmf(q, e, lv, effect, u, pmf_arr,
+                                             level, space)))
+            factors.append(sparse.coo_matrix((vals, (rows, cols)),
+                                             shape=(one.size, one.size)))
+        mats.append(_kron_users(factors, "csr"))
     return TransitionKernel(space=space, matrices=mats)
 
 
@@ -267,23 +278,12 @@ def build_observation_matrix(space: StateSpace, level: LevelModel) -> sparse.csc
     level read through the estimation confusion matrix.
 
     Observations share the state enumeration (the level digit indexes the
-    observed level). Action-independent.
+    observed level). Action-independent. The Kronecker product of per-user
+    ``I_{(q, e)} ⊗ confusion`` (zeros dropped), bit-identical to the product
+    form per joint state.
     """
-    conf = level.obs_confusion
-    rows, cols, vals = [], [], []
-    for idx, users in space.states():
-        choices = []
-        for (q, e, lv) in users:
-            choices.append([((q, e, ol), conf[lv, ol])
-                            for ol in range(space.n_levels) if conf[lv, ol] > 0])
-        for combo in itertools.product(*choices):
-            p = 1.0
-            for _, pu in combo:
-                p *= pu
-            obs = space.encode(tuple(c[0] for c in combo))
-            rows.append(idx)
-            cols.append(obs)
-            vals.append(p)
-    m = sparse.csc_matrix((vals, (rows, cols)), shape=(space.size, space.size))
-    m.sum_duplicates()
-    return m
+    conf = sparse.coo_matrix(level.obs_confusion)
+    per_user = sparse.kron(sparse.identity((space.q_max + 1)
+                                           * (space.e_max + 1)), conf,
+                           format="coo")
+    return _kron_users([per_user] * space.n_users, "csc")

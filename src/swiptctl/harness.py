@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .control import (ConstraintSpec, Multipliers, Policy, build_cost_table,
-                      effective_effect, greedy_policy, solve_inner_beamforming,
-                      solve_outer_selection, uniform_initial_belief)
+                      effective_effect, solve_inner_beamforming,
+                      solve_outer_selection)
 from .dynamics import arrival_pmf
 from .scenario import (CompiledScenario, ScenarioConfig, compile_scenario,
                        with_budget)
@@ -168,9 +168,13 @@ def monte_carlo(policy: Policy, compiled: CompiledScenario, episodes: int,
 BASELINE_KINDS = ("d-opt", "j-opt", "p-opt")
 
 
-def _solve_kind(compiled: CompiledScenario, nu: Multipliers,
-                spec: ConstraintSpec, kind: str, eps: float,
-                extra_action_cost=None, log_sink=None, **hsvi_kw) -> Policy:
+def solve_two_layer(compiled: CompiledScenario, nu: Multipliers,
+                    spec: ConstraintSpec, kind: str, eps: float,
+                    extra_action_cost=None, log_sink=None,
+                    log_prefix: str = "", **hsvi_kw) -> Policy:
+    """Inner power-level solve per antenna mask, then, with more than one
+    mask, the outer mask-selection solve; each ``(label, HsviResult)`` goes
+    to ``log_sink``, its label prefixed with ``log_prefix``."""
     cost_table = build_cost_table(compiled, nu, spec,
                                   extra_action_cost=extra_action_cost)
     mask_ids = sorted({eff.mask_id for eff in compiled.effects})
@@ -180,7 +184,7 @@ def _solve_kind(compiled: CompiledScenario, nu: Multipliers,
             compiled, m, nu, spec, eps=eps, cost_table=cost_table, **hsvi_kw)
         inner[m] = pol
         if log_sink is not None:
-            log_sink.append((f"inner mask {m}", res))
+            log_sink.append((f"{log_prefix}inner mask {m}", res))
     if len(mask_ids) == 1:
         policy = inner[mask_ids[0]]
     else:
@@ -188,7 +192,7 @@ def _solve_kind(compiled: CompiledScenario, nu: Multipliers,
             compiled, inner, nu, spec, eps=eps, cost_table=cost_table,
             **hsvi_kw)
         if log_sink is not None:
-            log_sink.append(("outer selection", res))
+            log_sink.append((f"{log_prefix}outer selection", res))
     policy.kind = kind
     return policy
 
@@ -214,8 +218,8 @@ def baseline_policy(kind: str, compiled: CompiledScenario,
     spec = default_constraints(compiled.config) if spec is None else spec
     n_users = compiled.space.n_users
     if kind == "d-opt":
-        return _solve_kind(compiled, Multipliers.zeros(n_users), spec,
-                           kind, eps, **hsvi_kw)
+        return solve_two_layer(compiled, Multipliers.zeros(n_users), spec,
+                               kind, eps, **hsvi_kw)
     if kind == "j-opt":
         nu = Multipliers(nu={"p_up": np.full(n_users, j_power_weight),
                              "p_down": np.full(n_users, j_power_weight)},
@@ -225,8 +229,8 @@ def baseline_policy(kind: str, compiled: CompiledScenario,
             j_power_weight * cfg.circuit_w_per_antenna
             * compiled.calibration.mask_sizes[eff.mask_id]
             for eff in compiled.effects])
-        return _solve_kind(compiled, nu, spec, kind, eps,
-                           extra_action_cost=circuit, **hsvi_kw)
+        return solve_two_layer(compiled, nu, spec, kind, eps,
+                               extra_action_cost=circuit, **hsvi_kw)
     if kind == "p-opt":
         return _p_opt_policy(compiled, spec)
     raise ValueError(f"unknown baseline kind {kind!r}")
@@ -277,12 +281,6 @@ def _p_opt_policy(compiled: CompiledScenario, spec: ConstraintSpec) -> Policy:
 SWEEP_HSVI_KW = {"max_iterations": 8, "depth_cap": 25, "time_budget_s": 120.0}
 
 
-def _sweep_kw(hsvi_kw: dict) -> dict:
-    out = dict(SWEEP_HSVI_KW)
-    out.update(hsvi_kw)
-    return out
-
-
 def rows_to_csv(rows) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
@@ -301,19 +299,21 @@ def sweep_power(cfg: ScenarioConfig, budgets, policies=("d-opt", "j-opt",
     the same configuration."""
     if list(budgets) != sorted(budgets):
         raise ValueError("budgets must be increasing")
-    hsvi_kw = _sweep_kw(hsvi_kw)
+    hsvi_kw = {**SWEEP_HSVI_KW, **hsvi_kw}
     rows = []
     for budget in budgets:
+        models = {}             # compiled once per distinct config
         for kind in policies:
-            if kind == "hd":
-                sub = with_budget(replace(cfg, duplex="hd"), budget)
-                compiled = compile_scenario(sub)
-                policy = baseline_policy("d-opt", compiled, eps=eps,
-                                         **hsvi_kw)
-                policy.kind = "hd"
-            else:
-                compiled = compile_scenario(with_budget(cfg, budget))
-                policy = baseline_policy(kind, compiled, eps=eps, **hsvi_kw)
+            sub = with_budget(replace(cfg, duplex="hd") if kind == "hd"
+                              else cfg, budget)
+            if sub not in models:
+                models[sub] = compile_scenario(sub)
+            compiled = models[sub]
+            policy = baseline_policy("d-opt" if kind == "hd" else kind,
+                                     compiled, eps=eps,
+                                     log_prefix=f"{kind} {budget:g} W: ",
+                                     **hsvi_kw)
+            policy.kind = kind
             run = monte_carlo(policy, compiled, episodes=episodes,
                               horizon=horizon, base_seed=seed)
             rows.append(run.to_row(budget_w=budget))
@@ -330,7 +330,7 @@ def sweep_antennas(cfg: ScenarioConfig, n_r_list, episodes: int = 30,
     the delay columns' place semantics (rows keep the fixed CSV schema, the
     effective power is reported through ``p_up_w``/``p_down_w`` aggregation
     plus dedicated fields on the returned RunResults)."""
-    hsvi_kw = _sweep_kw(hsvi_kw)
+    hsvi_kw = {**SWEEP_HSVI_KW, **hsvi_kw}
     rows = []
     results = []
     for n_r in n_r_list:
@@ -347,9 +347,11 @@ def sweep_antennas(cfg: ScenarioConfig, n_r_list, episodes: int = 30,
                                  ("full", (n_r,))):
             sub = replace(cfg, n_r=n_r, n_t=n_r, mask_sizes=masks)
             compiled = compile_scenario(sub)
+            kind = f"{selection}-n{n_r}"
             policy = baseline_policy("j-opt", compiled, eps=eps,
-                                     j_power_weight=j_power_weight, **hsvi_kw)
-            policy.kind = f"{selection}-n{n_r}"
+                                     j_power_weight=j_power_weight,
+                                     log_prefix=f"{kind}: ", **hsvi_kw)
+            policy.kind = kind
             run = monte_carlo(policy, compiled, episodes=episodes,
                               horizon=horizon, base_seed=seed)
             row = run.to_row(budget_w=float(n_r))

@@ -79,10 +79,6 @@ class PomdpModel:
         """Predictive next-state distribution sum_S Pr(S'|S,a) b(S)."""
         return self.transitions[a].T.dot(b)
 
-    def obs_column(self, a: int, o: int):
-        """Sparse column Pr(o | ., a) over next states."""
-        return self._obs_csc[a][:, o]
-
     def obs_col_arrays(self, a: int, o: int):
         """(next-state indices, probabilities) of column o without the
         sparse-indexing overhead."""

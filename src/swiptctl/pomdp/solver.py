@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .bounds import AlphaVector, BoundPair, LowerBound, UpperBound
 from .model import PomdpModel, check_belief, observation_distribution, update_belief
@@ -205,6 +205,7 @@ class HsviResult:
     converged: bool
     root_value: float
     iterations: int
+    root_gap: float           # final upper minus lower bound at b0
 
     def log_lines(self, include_wall: bool = False):
         """Line-delimited iteration records; wall clock is excluded by
@@ -234,7 +235,8 @@ def solve_hsvi(model: PomdpModel, b0: np.ndarray, eps: float,
     log = []
     converged = gap0 <= eps
     last_gap = gap0
-    witness_extra = [b0]
+    # the witness prune reads only the most recently visited beliefs
+    witness_extra = deque([b0], maxlen=200)
     it = 0
     for it in range(1, max_iterations + 1):
         if converged:
@@ -245,7 +247,7 @@ def solve_hsvi(model: PomdpModel, b0: np.ndarray, eps: float,
         if prune_every and it % prune_every == 0:
             bounds.lower.prune_pointwise()
             corners = np.eye(model.n_states)
-            wit = np.vstack([corners] + [w.reshape(1, -1) for w in witness_extra[-200:]])
+            wit = np.vstack([corners] + [w.reshape(1, -1) for w in witness_extra])
             bounds.lower.prune_witness(wit)
             bounds.upper.prune()
         lo, hi = bounds.lower.value(b0), bounds.upper.value(b0)
@@ -259,6 +261,7 @@ def solve_hsvi(model: PomdpModel, b0: np.ndarray, eps: float,
             converged = True
         if time_budget_s is not None and time.perf_counter() - start > time_budget_s:
             break
-    root = 0.5 * (bounds.lower.value(b0) + bounds.upper.value(b0))
+    lo, hi = bounds.lower.value(b0), bounds.upper.value(b0)
     return HsviResult(bounds=bounds, log=log, converged=converged,
-                      root_value=root, iterations=it)
+                      root_value=0.5 * (lo + hi), iterations=it,
+                      root_gap=hi - lo)

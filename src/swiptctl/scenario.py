@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .channel import (AntennaSelection, BeamformerSet, Dims, achievable_rate,
                       harvested_energy, split_received, uplink_sinr)
 from .dynamics import (ActionEffect, ArrivalModel, LevelModel, StateSpace,
                        TransitionKernel, build_kernel,
-                       build_observation_matrix)
+                       build_observation_matrix, check_state_budget)
 
 
 class ConfigError(ValueError):
@@ -331,9 +331,12 @@ class CompiledScenario:
 
 def compile_scenario(cfg: ScenarioConfig,
                      max_states: int = 20000) -> CompiledScenario:
-    calib = calibrate(cfg)
+    """Calibrate, then build the kernel and the observation matrix; an
+    oversized state space fails before the calibration runs."""
     space = StateSpace(n_users=cfg.k, q_max=cfg.q_max, e_max=cfg.e_max,
                        n_levels=cfg.n_levels)
+    check_state_budget(space, max_states)
+    calib = calibrate(cfg)
     arrivals = ArrivalModel(cfg.lam_slot)
     kernel = build_kernel(space, arrivals, calib.level, calib.effects,
                           max_states=max_states)

@@ -117,3 +117,28 @@ def test_sweep_antennas_csv(cfg_file, tmp_path):
     header = lines[1].split(",")
     assert header[-2:] == ["effective_power_w", "effective_power_ci"]
     assert len(lines) == 4          # header + select + full rows
+
+
+def test_sweep_warns_on_unconverged_solves(tmp_path, capsys):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(desk_scenario(calib_draws=80, q_max=1, e_max=1).to_json())
+    out = tmp_path / "sweep.csv"
+    assert run("sweep-power", "--config", str(cfg), "--budgets", "1.05",
+               "--policies", "j-opt", "--out", str(out), "--episodes", "2",
+               "--horizon", "10", "--eps", "1e-9",
+               "--max-iterations", "1") == 0
+    warnings = [ln for ln in capsys.readouterr().err.splitlines()
+                if ln.startswith("warning: ")]
+    assert len(warnings) == 1
+    assert "j-opt 1.05 W: inner mask 0 unconverged after 1 iterations" \
+        in warnings[0]
+    assert float(warnings[0].rsplit("root gap ", 1)[1]) > 1e-9
+
+
+def test_sweep_quiet_when_solves_converge(tmp_path, capsys):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(desk_scenario(calib_draws=80, q_max=1, e_max=1).to_json())
+    assert run("sweep-power", "--config", str(cfg), "--budgets", "1.05",
+               "--policies", "d-opt,p-opt", "--out", str(tmp_path / "s.csv"),
+               "--episodes", "2", "--horizon", "10") == 0
+    assert "warning" not in capsys.readouterr().err

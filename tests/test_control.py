@@ -1,5 +1,7 @@
 """Lagrangian stage costs, multiplier updates, and the two-layer solve."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -258,14 +260,34 @@ def test_effective_spend_never_exceeds_energy(desk_compiled):
     np.testing.assert_array_equal(spend, [0, 0])
 
 
+def enumerated_level_product(space, qe_pairs, level_pmfs):
+    """Reference joint vector: users at exact (q, e), levels independent with
+    the given pmfs, filled one joint level combination at a time."""
+    b = np.zeros(space.size)
+    for combo in itertools.product(range(space.n_levels),
+                                   repeat=space.n_users):
+        p = 1.0
+        for u, lv in enumerate(combo):
+            p *= level_pmfs[u][lv]
+        b[space.encode(tuple((q, e, lv) for (q, e), lv
+                             in zip(qe_pairs, combo)))] = p
+    return b
+
+
 def test_obs_belief_is_consistent_posterior(desk_compiled):
     space = desk_compiled.space
-    obs = space.encode(((3, 2, 1), (1, 4, 0)))
-    b = _obs_belief(desk_compiled, obs)
+    level = desk_compiled.level
+    users_obs = ((3, 2, 1), (1, 4, 0))
+    b = _obs_belief(desk_compiled, space.encode(users_obs))
     assert b.sum() == pytest.approx(1.0)
     for s in np.flatnonzero(b):
         users = space.decode(int(s))
         assert (users[0][:2], users[1][:2]) == ((3, 2), (1, 4))
+    posts = [level.probs * level.obs_confusion[:, ol]
+             for _q, _e, ol in users_obs]
+    ref = enumerated_level_product(space, [(3, 2), (1, 4)],
+                                   [w / w.sum() for w in posts])
+    np.testing.assert_array_equal(b, ref)
 
 
 def test_uniform_initial_belief(desk_compiled):
@@ -275,6 +297,25 @@ def test_uniform_initial_belief(desk_compiled):
     for s in np.flatnonzero(b):
         for q, e, _lv in space.decode(int(s)):
             assert q == 0 and e == space.e_max
+    ref = enumerated_level_product(space, [(0, space.e_max)] * space.n_users,
+                                   [desk_compiled.level.probs] * space.n_users)
+    np.testing.assert_array_equal(b, ref)
+
+
+def test_beliefs_match_enumeration_three_users():
+    compiled = compile_scenario(desk_scenario(k=3, q_max=1, e_max=2,
+                                              calib_draws=80))
+    space, level = compiled.space, compiled.level
+    ref = enumerated_level_product(space, [(1, 0)] * 3, [level.probs] * 3)
+    np.testing.assert_array_equal(
+        uniform_initial_belief(compiled, q0=1, e0=0), ref)
+    users_obs = ((1, 2, 0), (0, 1, 1), (1, 0, 1))
+    posts = [level.probs * level.obs_confusion[:, ol]
+             for _q, _e, ol in users_obs]
+    ref = enumerated_level_product(space, [u[:2] for u in users_obs],
+                                   [w / w.sum() for w in posts])
+    np.testing.assert_array_equal(
+        _obs_belief(compiled, space.encode(users_obs)), ref)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import sparse, stats
 
 from swiptctl.dynamics import (ActionEffect, ArrivalModel,
                                InadmissibleActionError, LevelModel,
-                               StateSpace, StateSpaceBudgetError, arrival_pmf,
-                               build_kernel, build_observation_matrix,
-                               default_arrival_cap, step_energy, step_queue)
+                               StateSpace, StateSpaceBudgetError,
+                               _user_next_pmf, arrival_pmf, build_kernel,
+                               build_observation_matrix, default_arrival_cap,
+                               step_energy, step_queue)
 
 
 class TestRecursions:
@@ -124,6 +127,60 @@ def simple_setup(n_users=1, q_max=3, e_max=2, lam=0.5):
     return sp, arrivals, level, (idle, tx)
 
 
+def enumerated_kernel(space, arrivals, level, effects):
+    """Reference kernel: every joint transition's probability as the product
+    of the per-user factors, in user order, one joint state at a time."""
+    pmf_arr = arrival_pmf(arrivals)
+    mats = []
+    for effect in effects:
+        rows, cols, vals = [], [], []
+        for idx, users in space.states():
+            supports = [
+                _user_next_pmf(q, e, lv, effect, u, pmf_arr, level, space)
+                for u, (q, e, lv) in enumerate(users)
+            ]
+            for combo in itertools.product(*supports):
+                p = 1.0
+                for _, pu in combo:
+                    p *= pu
+                rows.append(idx)
+                cols.append(space.encode(tuple(c[0] for c in combo)))
+                vals.append(p)
+        m = sparse.csr_matrix((vals, (rows, cols)),
+                              shape=(space.size, space.size))
+        m.sum_duplicates()
+        mats.append(m)
+    return mats
+
+
+def enumerated_observations(space, level):
+    """Reference Pr(O | S'), one joint state at a time."""
+    conf = level.obs_confusion
+    rows, cols, vals = [], [], []
+    for idx, users in space.states():
+        choices = [[((q, e, ol), conf[lv, ol])
+                    for ol in range(space.n_levels) if conf[lv, ol] > 0]
+                   for (q, e, lv) in users]
+        for combo in itertools.product(*choices):
+            p = 1.0
+            for _, pu in combo:
+                p *= pu
+            rows.append(idx)
+            cols.append(space.encode(tuple(c[0] for c in combo)))
+            vals.append(p)
+    m = sparse.csc_matrix((vals, (rows, cols)), shape=(space.size, space.size))
+    m.sum_duplicates()
+    return m
+
+
+def assert_same_arrays(got, ref):
+    assert got.format == ref.format
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
 class TestKernel:
     def test_rows_stochastic(self):
         sp, arr, level, effects = simple_setup(n_users=2)
@@ -155,18 +212,28 @@ class TestKernel:
         np.testing.assert_allclose(kern.row(s, 1), kern.row(s, 0), atol=1e-15)
 
     def test_factorization_product_form(self):
-        # two-user row equals the outer product of one-user rows
-        sp1, arr, level, effects1 = simple_setup(n_users=1)
-        sp2, _, _, effects2 = simple_setup(n_users=2)
-        k1 = build_kernel(sp1, arr, level, effects1)
-        k2 = build_kernel(sp2, arr, level, effects2)
-        u_a, u_b = (1, 2, 0), (3, 0, 1)
-        row_a = k1.row(sp1.encode((u_a,)), 1)
-        row_b = k1.row(sp1.encode((u_b,)), 1)
-        joint = k2.row(sp2.encode((u_a, u_b)), 1)
-        np.testing.assert_allclose(
-            joint.reshape(sp1.size, sp1.size), np.outer(row_a, row_b),
-            atol=1e-14)
+        # the Kronecker build equals the joint enumeration bit for bit
+        for n_users, q_max in ((2, 3), (3, 1)):
+            sp, arr, level, effects = simple_setup(n_users=n_users,
+                                                   q_max=q_max)
+            kern = build_kernel(sp, arr, level, effects)
+            ref = enumerated_kernel(sp, arr, level, effects)
+            assert len(kern.matrices) == len(ref)
+            for got, want in zip(kern.matrices, ref):
+                assert_same_arrays(got, want)
+
+    def test_factorization_per_user_effects(self):
+        # users with different service and harvest tables, one of them
+        # unable to pay for the action at low energy
+        sp, arr, level, _ = simple_setup(n_users=2)
+        eff = ActionEffect(served=np.array([[1, 2], [0, 3]]),
+                           harvested=np.array([[0, 1], [2, 0]]),
+                           used_units=np.array([1, 2]),
+                           p_up=np.ones(2), p_down=np.ones(2),
+                           rate_up=np.ones(2), rate_down=np.ones(2))
+        kern = build_kernel(sp, arr, level, (eff,))
+        assert_same_arrays(kern.matrices[0],
+                           enumerated_kernel(sp, arr, level, (eff,))[0])
 
     def test_budget_guard(self):
         sp = StateSpace(n_users=2, q_max=30, e_max=10, n_levels=3)
@@ -202,6 +269,22 @@ class TestObservations:
                 oq, oe, ol = sp.decode(int(obs))[0]
                 assert (oq, oe) == (q, e)
                 assert row[obs] == pytest.approx(level.obs_confusion[lv, ol])
+
+    def test_matches_joint_enumeration(self):
+        for n_users, q_max in ((2, 3), (3, 1)):
+            sp, _, level, _ = simple_setup(n_users=n_users, q_max=q_max)
+            assert_same_arrays(build_observation_matrix(sp, level),
+                               enumerated_observations(sp, level))
+
+    def test_zero_confusion_entries_dropped(self):
+        sp = StateSpace(n_users=2, q_max=1, e_max=1, n_levels=3)
+        level = LevelModel(probs=np.full(3, 1 / 3),
+                           obs_confusion=np.array([[0.8, 0.2, 0.0],
+                                                   [0.1, 0.8, 0.1],
+                                                   [0.0, 0.3, 0.7]]))
+        z = build_observation_matrix(sp, level)
+        assert (z.data > 0).all()
+        assert_same_arrays(z, enumerated_observations(sp, level))
 
     def test_identity_confusion_is_identity(self):
         sp = StateSpace(n_users=1, q_max=2, e_max=1, n_levels=2)

@@ -7,6 +7,7 @@ from swiptctl.control import HashMismatchError, Policy
 from swiptctl.harness import (CSV_COLUMNS, baseline_policy,
                               default_constraints, episode_rng, monte_carlo,
                               rows_to_csv, run_episode, sweep_power)
+from swiptctl.scenario import desk_scenario
 
 
 @pytest.fixture(scope="module")
@@ -201,3 +202,23 @@ def test_sweep_power_row_per_pair(desk_cfg):
     assert len(rows) == 1
     assert rows[0]["policy"] == "p-opt"
     assert tuple(rows[0]) == CSV_COLUMNS
+
+
+def test_sweep_power_compiles_each_config_once(monkeypatch):
+    # d-opt and p-opt share the full-duplex model of each budget; hd has its
+    # own half-duplex config
+    import swiptctl.harness as harness
+    compiled = []
+    real = harness.compile_scenario
+
+    def counting(cfg, *args, **kwargs):
+        compiled.append(cfg)
+        return real(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "compile_scenario", counting)
+    cfg = desk_scenario(calib_draws=80, q_max=1, e_max=1)
+    rows = sweep_power(cfg, [0.55, 1.05], policies=("d-opt", "p-opt", "hd"),
+                       episodes=2, horizon=10, max_iterations=1)
+    assert [r["policy"] for r in rows] == ["d-opt", "p-opt", "hd"] * 2
+    assert [c.duplex for c in compiled] == ["fd", "hd"] * 2
+    assert len(set(compiled)) == 4

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from swiptctl.dynamics import StateSpaceBudgetError
 from swiptctl.scenario import (Calibration, ConfigError, ScenarioConfig,
                                calibrate, compile_scenario, desk_scenario,
                                with_budget)
@@ -225,3 +226,16 @@ def test_effect_rates_reads_tables(tiny_compiled):
 def test_state_count_guard():
     with pytest.raises(ValueError):
         compile_scenario(desk_scenario(calib_draws=80), max_states=10)
+
+
+@pytest.mark.parametrize("cfg", [ScenarioConfig(), desk_scenario(k=3)],
+                         ids=["reference", "desk-k3"])
+def test_state_count_guard_runs_before_calibration(cfg, monkeypatch):
+    import swiptctl.scenario as scenario
+
+    def no_calibration(_cfg):
+        raise AssertionError("calibrated an oversized model")
+
+    monkeypatch.setattr(scenario, "calibrate", no_calibration)
+    with pytest.raises(StateSpaceBudgetError):
+        compile_scenario(cfg)
