@@ -240,11 +240,6 @@ class Policy:
         return cls(action_of=np.asarray(d["action_of"], dtype=int),
                    scenario_hash=d["scenario_hash"], kind=d.get("kind", ""))
 
-    def effective_spend(self, compiled: CompiledScenario, obs: int,
-                        energies) -> np.ndarray:
-        eff = effective_effect(compiled.effects[self.action(obs)], energies)
-        return eff.used_units
-
 
 def _level_product(space, qe_pairs, level_pmfs) -> np.ndarray:
     """Joint distribution of independent users, user u at its exact

@@ -196,16 +196,6 @@ class TransitionKernel:
             if (m.data < 0).any():
                 raise ValueError("negative transition probability")
 
-    def row(self, state: int, action: int) -> np.ndarray:
-        return np.asarray(self.matrices[action].getrow(state).todense()).ravel()
-
-    def export_triplets(self, path, action: int = 0) -> None:
-        """Write (state_index, next_index, prob) lines for one action."""
-        coo = self.matrices[action].tocoo()
-        with open(path, "w") as fh:
-            for s, sp, p in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{s} {sp} {p:.17g}\n")
-
 
 def _user_next_pmf(q: int, e: int, lv: int, effect: ActionEffect, user: int,
                    pmf_arr: np.ndarray, level: LevelModel, space: StateSpace):

@@ -9,15 +9,14 @@ one. Reported metrics are converted back to costs by the callers.
 from .model import (ImpossibleObservationError, OracleScaleError, PomdpModel,
                     observation_prob, update_belief)
 from .bounds import AlphaVector, BoundPair, LowerBound, UpperBound
-from .solver import (HsviResult, backup, bellman_value, excess_uncertainty,
-                     explore, initial_bounds, solve_hsvi, ssea_sample)
+from .solver import (HsviResult, backup, excess_uncertainty, explore,
+                     initial_bounds, q_values, solve_hsvi)
 from .exact import ExactSolution, exact_value_iteration
 
 __all__ = [
     "AlphaVector", "BoundPair", "ExactSolution", "HsviResult",
     "ImpossibleObservationError", "LowerBound", "OracleScaleError",
-    "PomdpModel", "UpperBound", "backup", "bellman_value",
-    "excess_uncertainty", "exact_value_iteration", "explore",
-    "initial_bounds", "observation_prob", "solve_hsvi", "ssea_sample",
-    "update_belief",
+    "PomdpModel", "UpperBound", "backup", "excess_uncertainty",
+    "exact_value_iteration", "explore", "initial_bounds", "observation_prob",
+    "q_values", "solve_hsvi", "update_belief",
 ]

@@ -112,10 +112,3 @@ def observation_prob(o: int, a: int, b: np.ndarray, model: PomdpModel) -> float:
     tau = model.propagate(check_belief(b), a)
     idx, vals = model.obs_col_arrays(a, o)
     return float(vals @ tau[idx])
-
-
-def observation_distribution(b_or_tau: np.ndarray, a: int, model: PomdpModel,
-                             propagated: bool = False) -> np.ndarray:
-    """Vector of Pr(O | A=a, b) over all observations."""
-    tau = b_or_tau if propagated else model.propagate(check_belief(b_or_tau), a)
-    return model.observations[a].T.dot(tau)

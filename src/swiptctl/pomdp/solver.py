@@ -1,5 +1,10 @@
 """Point-based HSVI: bound initialization, backups, guided exploration.
 
+Each belief that exploration backs up is expanded once: one propagation per
+action gives the stage rewards and every successor posterior. The upper-bound
+lookahead, the lower-bound backup and the upper-bound update after the
+recursion all read that one record.
+
 All tie-breaks (actions, observations, alphas) resolve to the lowest index,
 so identical inputs yield identical iteration logs.
 """
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import AlphaVector, BoundPair, LowerBound, UpperBound
-from .model import PomdpModel, check_belief, observation_distribution, update_belief
+from .model import PomdpModel, check_belief
 
 
 def _mdp_value(model: PomdpModel, tol: float = 1e-9, max_iter: int = 100000) -> np.ndarray:
@@ -65,15 +70,36 @@ def _successor_posts(model: PomdpModel, a: int, tau: np.ndarray):
     return active, p_o[active], posts
 
 
-def backup(b: np.ndarray, bounds: BoundPair, model: PomdpModel) -> AlphaVector:
-    """Point-based backup at b: per action, stage reward plus the discounted
-    best-alpha cross-sum over observations; extremal action at b wins."""
-    b = check_belief(b)
+def _expand(b: np.ndarray, model: PomdpModel) -> list:
+    """Expansion of belief b: per action, (expected stage reward at b,
+    active observation ids, their probabilities, posterior rows). The
+    posteriors do not depend on the bounds, so one record serves the
+    lookahead, the backup and the upper-bound update."""
+    return [(float(model.reward[:, a] @ b),)
+            + _successor_posts(model, a, model.propagate(b, a))
+            for a in range(model.n_actions)]
+
+
+def q_values(expansion: list, bound, discount: float):
+    """One-step Q-values of an expansion against a bound (lower or upper),
+    reward orientation; also returns each action's successor bound values."""
+    q = np.empty(len(expansion))
+    succ_vals = []
+    for a, (r, active, p_act, posts) in enumerate(expansion):
+        v = bound.value_many(posts) if active.size else np.zeros(0)
+        q[a] = r + discount * float(p_act @ v)
+        succ_vals.append(v)
+    return q, succ_vals
+
+
+def backup(b: np.ndarray, bounds: BoundPair, model: PomdpModel,
+           expansion: list) -> AlphaVector:
+    """Point-based backup at b from its expansion: per action, stage reward
+    plus the discounted best-alpha cross-sum over observations; extremal
+    action at b wins."""
     alpha_mat = bounds.lower.matrix()
     best_val, best_vec, best_a = -np.inf, None, 0
-    for a in range(model.n_actions):
-        tau = model.propagate(b, a)
-        active, _p_act, posts = _successor_posts(model, a, tau)
+    for a, (_r, active, _p_act, posts) in enumerate(expansion):
         # argmax is invariant to the positive per-row normalization
         best_idx = np.asarray(posts @ alpha_mat.T).argmax(axis=1)
         g = np.zeros(model.n_states)
@@ -86,32 +112,6 @@ def backup(b: np.ndarray, bounds: BoundPair, model: PomdpModel) -> AlphaVector:
         if val > best_val + 1e-15:
             best_val, best_vec, best_a = val, vec, a
     return AlphaVector(values=best_vec, action=best_a)
-
-
-def _q_upper(b, a, model, bounds, tau=None):
-    tau = model.propagate(b, a) if tau is None else tau
-    active, p_act, posts = _successor_posts(model, a, tau)
-    total = float(model.reward[:, a] @ b)
-    if active.size:
-        total += model.discount * float(
-            p_act @ bounds.upper.value_many(posts))
-    return total
-
-
-def bellman_value(b: np.ndarray, bounds: BoundPair, model: PomdpModel,
-                  use_upper: bool = True):
-    """One-step Bellman value at b against the chosen bound; returns
-    (value, best action), reward orientation (best action minimizes cost)."""
-    b = check_belief(b)
-    vals = np.empty(model.n_actions)
-    for a in range(model.n_actions):
-        tau = model.propagate(b, a)
-        active, p_act, posts = _successor_posts(model, a, tau)
-        bound = bounds.upper if use_upper else bounds.lower
-        acc = float(p_act @ bound.value_many(posts)) if active.size else 0.0
-        vals[a] = float(model.reward[:, a] @ b) + model.discount * acc
-    a_star = int(np.argmax(vals))
-    return float(vals[a_star]), a_star
 
 
 def excess_uncertainty(b: np.ndarray, bounds: BoundPair, t: int, eps: float,
@@ -142,60 +142,27 @@ def explore(b: np.ndarray, t: int, bounds: BoundPair, model: PomdpModel,
     if t >= depth_cap:
         stats.truncations += 1
         return bounds
+    expansion = _expand(b, model)
     # action by optimistic (upper bound) one-step lookahead
-    q_vals = np.empty(model.n_actions)
-    succ = []
-    for a in range(model.n_actions):
-        tau = model.propagate(b, a)
-        active, p_act, posts = _successor_posts(model, a, tau)
-        up = bounds.upper.value_many(posts) if active.size else np.zeros(0)
-        q_vals[a] = float(model.reward[:, a] @ b) \
-            + model.discount * float(p_act @ up)
-        succ.append((p_act, posts, up))
-    a_star = int(np.argmax(q_vals))
+    q_up, up_vals = q_values(expansion, bounds.upper, model.discount)
+    a_star = int(np.argmax(q_up))
     # observation maximizing weighted excess at the successor
-    p_act, posts, up = succ[a_star]
+    _r, _active, p_act, posts = expansion[a_star]
     if p_act.size:
         lo = bounds.lower.value_many(posts)
-        scores = p_act * (up - lo - eps / model.discount ** (t + 1))
+        scores = p_act * (up_vals[a_star] - lo
+                          - eps / model.discount ** (t + 1))
         i_star = int(np.argmax(scores))
         if scores[i_star] > 0.0:
             explore(np.asarray(posts.getrow(i_star).todense()).ravel(),
                     t + 1, bounds, model, eps, depth_cap, stats)
-    bounds.lower.add(backup(b, bounds, model))
-    bounds.upper.add(b, max(_q_upper(b, a, model, bounds)
-                            for a in range(model.n_actions)))
+    bounds.lower.add(backup(b, bounds, model, expansion))
+    # the upper bound moved during the recursion; the posteriors did not
+    q_up, _ = q_values(expansion, bounds.upper, model.discount)
+    bounds.upper.add(b, float(q_up.max()))
     stats.backups += 1
     stats.visited.append(b)
     return bounds
-
-
-def ssea_sample(belief_set, model: PomdpModel, rng: np.random.Generator):
-    """Explorative-action sampling: one sampled observation per action,
-    candidate successors by Bayes update, greedily add the candidate
-    farthest (L1) from the current set.
-
-    Returns (new belief, distance) or None; adds at most one point per call.
-    """
-    beliefs = [check_belief(b) for b in belief_set]
-    if not beliefs:
-        raise ValueError("belief set must be nonempty")
-    candidates = []
-    for b in beliefs:
-        for a in range(model.n_actions):
-            p_o = observation_distribution(b, a, model)
-            if p_o.sum() <= 0:
-                continue
-            o = int(rng.choice(p_o.size, p=p_o / p_o.sum()))
-            candidates.append(update_belief(b, a, o, model))
-    best, best_d = None, 0.0
-    for cand in candidates:
-        d = min(float(np.abs(cand - b).sum()) for b in beliefs)
-        if d > best_d + 1e-15:
-            best, best_d = cand, d
-    if best is None:
-        return None
-    return best, best_d
 
 
 @dataclass

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from swiptctl.control import (ConstraintSpec, HashMismatchError, Multipliers,
-                              Policy, SolveReport, _obs_belief, belief_cost,
+                              Policy, SolveReport, _make_model, _obs_belief,
+                              belief_cost,
                               build_cost_table, constraint_violations,
                               effective_effect, full_solve,
                               solve_inner_beamforming, solve_outer_selection,
@@ -14,6 +15,8 @@ from swiptctl.control import (ConstraintSpec, HashMismatchError, Multipliers,
                               uniform_initial_belief, update_multipliers)
 from swiptctl.dynamics import ActionEffect, InadmissibleActionError
 from swiptctl.harness import default_constraints
+from swiptctl.pomdp import exact_value_iteration, initial_bounds, solve_hsvi
+from swiptctl.pomdp.exact import DEFAULT_PRUNE_MARGIN
 from swiptctl.scenario import compile_scenario, desk_scenario
 
 
@@ -254,10 +257,8 @@ def test_policy_hash_check(desk_compiled):
 def test_effective_spend_never_exceeds_energy(desk_compiled):
     a = desk_compiled.n_actions - 1
     assert np.all(desk_compiled.effects[a].used_units > 0)
-    pol = Policy(action_of=np.full(desk_compiled.space.size, a),
-                 scenario_hash=desk_compiled.scenario_hash)
-    spend = pol.effective_spend(desk_compiled, obs=0, energies=[0, 0])
-    np.testing.assert_array_equal(spend, [0, 0])
+    eff = effective_effect(desk_compiled.effects[a], [0, 0])
+    np.testing.assert_array_equal(eff.used_units, [0, 0])
 
 
 def enumerated_level_product(space, qe_pairs, level_pmfs):
@@ -375,3 +376,30 @@ def test_full_solve_tight_power_cap_raises_multiplier(desk_compiled):
                         episodes=4, horizon=100, max_iterations=4)
     assert len(report.multiplier_trace) >= 2
     assert np.all(report.multiplier_trace[1].nu["p_up"] > 0)
+
+
+def test_hsvi_brackets_exact_oracle_on_compiled_jopt():
+    # 1 user, q_max = e_max = 1: 8 states, small enough for the exact oracle
+    compiled = compile_scenario(desk_scenario(k=1, q_max=1, e_max=1))
+    w = 2.0                                   # j-opt weights, as baseline_policy
+    nu = Multipliers(nu={"p_up": np.full(1, w), "p_down": np.full(1, w)},
+                     varrho=np.ones(1))
+    circuit = np.array([w * compiled.config.circuit_w_per_antenna
+                        * compiled.calibration.mask_sizes[eff.mask_id]
+                        for eff in compiled.effects])
+    cost = build_cost_table(compiled, nu, default_constraints(compiled.config),
+                            extra_action_cost=circuit)
+    model = _make_model(compiled, cost, range(compiled.n_actions))
+    b0 = uniform_initial_belief(compiled)
+    assert (model.n_states, model.n_actions) == (8, 4)
+    assert initial_bounds(model).gap(b0) > 1.0    # HSVI has to explore
+    res = solve_hsvi(model, b0, eps=1.0)
+    assert res.converged and res.iterations > 1
+    horizon = 100
+    v_exact = exact_value_iteration(model, horizon).value(b0)
+    g = model.discount
+    # finite-horizon truncation plus the oracle's per-step prune margin
+    delta = (g ** horizon * np.abs(cost).max()
+             + DEFAULT_PRUNE_MARGIN) / (1.0 - g)
+    lo, hi = res.bounds.lower.value(b0), res.bounds.upper.value(b0)
+    assert lo - delta <= v_exact <= hi + delta

@@ -194,7 +194,7 @@ class TestKernel:
         sp, arr, level, effects = simple_setup()
         kern = build_kernel(sp, arr, level, effects)
         pmf = arrival_pmf(arr)
-        row = kern.row(sp.encode(((2, 1, 0),)), 1)
+        row = kern.matrices[1][sp.encode(((2, 1, 0),))].toarray().ravel()
         expected = np.zeros(sp.size)
         for a_n, p_a in enumerate(pmf):
             qn = min(1 + a_n, 3)
@@ -209,7 +209,8 @@ class TestKernel:
         sp, arr, level, effects = simple_setup()
         kern = build_kernel(sp, arr, level, effects)
         s = sp.encode(((2, 0, 0),))
-        np.testing.assert_allclose(kern.row(s, 1), kern.row(s, 0), atol=1e-15)
+        np.testing.assert_allclose(kern.matrices[1][s].toarray(),
+                                   kern.matrices[0][s].toarray(), atol=1e-15)
 
     def test_factorization_product_form(self):
         # the Kronecker build equals the joint enumeration bit for bit
@@ -240,17 +241,6 @@ class TestKernel:
         _, arr, level, effects = simple_setup()
         with pytest.raises(StateSpaceBudgetError):
             build_kernel(sp, arr, level, effects, max_states=1000)
-
-    def test_export_triplets_roundtrip(self, tmp_path):
-        sp, arr, level, effects = simple_setup()
-        kern = build_kernel(sp, arr, level, effects)
-        path = tmp_path / "kernel.txt"
-        kern.export_triplets(path, action=1)
-        total = np.zeros(sp.size)
-        for line in path.read_text().splitlines():
-            s, nxt, p = line.split()
-            total[int(s)] += float(p)
-        np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
 
 class TestObservations:

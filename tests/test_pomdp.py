@@ -3,10 +3,11 @@ import pytest
 
 from swiptctl.pomdp import (AlphaVector, BoundPair, ImpossibleObservationError,
                             LowerBound, OracleScaleError, PomdpModel,
-                            UpperBound, backup, bellman_value,
-                            exact_value_iteration, excess_uncertainty,
-                            initial_bounds, observation_prob, solve_hsvi,
-                            ssea_sample, update_belief)
+                            UpperBound, backup, exact_value_iteration,
+                            excess_uncertainty, initial_bounds,
+                            observation_prob, q_values, solve_hsvi,
+                            update_belief)
+from swiptctl.pomdp import solver
 
 
 def tiger_model(discount=0.6):
@@ -160,27 +161,32 @@ class TestSolverPieces:
         bounds = initial_bounds(m)
         b = np.array([0.5, 0.5])
         before = bounds.lower.value(b)
-        alpha = backup(b, bounds, m)
+        alpha = backup(b, bounds, m, solver._expand(b, m))
         after = float(alpha.values @ b)
         assert after >= before - 1e-12
         assert after <= bounds.upper.value(b) + 1e-8
 
     def test_bellman_value_against_brute_force(self):
         m = tiger_model()
-        bounds = initial_bounds(m)
+        # a short solve leaves a sawtooth upper bound and several alphas
+        bounds = solve_hsvi(m, np.array([0.5, 0.5]), eps=1e-3,
+                            max_iterations=3).bounds
+        assert len(bounds.lower) > 1 and bounds.upper.points
         b = np.array([0.3, 0.7])
-        val, a_star = bellman_value(b, bounds, m, use_upper=False)
-        brute = []
-        for a in range(3):
-            acc = float(m.reward[:, a] @ b)
-            for o in range(2):
-                p = observation_prob(o, a, b, m)
-                if p > 0:
-                    acc += m.discount * p * bounds.lower.value(
-                        update_belief(b, a, o, m))
-            brute.append(acc)
-        assert val == pytest.approx(max(brute), abs=1e-12)
-        assert a_star == int(np.argmax(brute))
+        expansion = solver._expand(b, m)
+        for bound in (bounds.lower, bounds.upper):
+            q, _ = q_values(expansion, bound, m.discount)
+            brute = []
+            for a in range(3):
+                acc = float(m.reward[:, a] @ b)
+                for o in range(2):
+                    p = observation_prob(o, a, b, m)
+                    if p > 0:
+                        acc += m.discount * p * bound.value(
+                            update_belief(b, a, o, m))
+                brute.append(acc)
+            np.testing.assert_allclose(q, brute, rtol=0, atol=1e-12)
+            assert int(np.argmax(q)) == int(np.argmax(brute))
 
     def test_excess_uncertainty_formula(self):
         m = tiger_model()
@@ -193,14 +199,6 @@ class TestSolverPieces:
             == pytest.approx(gap - 0.1 / m.discount ** 3)
         with pytest.raises(ValueError):
             excess_uncertainty(b, bounds, -1, 0.1, m.discount)
-
-    def test_ssea_adds_distant_belief(self):
-        m = tiger_model()
-        res = ssea_sample([np.array([0.5, 0.5])], m, np.random.default_rng(2))
-        assert res is not None
-        cand, dist = res
-        assert dist > 0
-        assert abs(cand.sum() - 1.0) < 1e-12
 
 
 class TestExactOracle:
@@ -277,3 +275,22 @@ class TestHsvi:
         res = solve_hsvi(m, np.array([1.0, 0.0, 0.0]), eps=1e-6)
         assert res.converged
         assert res.root_value == pytest.approx(-1.9, abs=1e-5)
+
+    def test_each_backup_propagates_once_per_action(self, monkeypatch):
+        m = tiger_model(discount=0.6)
+        calls = {"propagate": 0, "backup": 0}
+        propagate, backup_ = PomdpModel.propagate, solver.backup
+
+        def counting_propagate(self, b, a):
+            calls["propagate"] += 1
+            return propagate(self, b, a)
+
+        def counting_backup(*args):
+            calls["backup"] += 1
+            return backup_(*args)
+
+        monkeypatch.setattr(PomdpModel, "propagate", counting_propagate)
+        monkeypatch.setattr(solver, "backup", counting_backup)
+        solve_hsvi(m, np.array([0.5, 0.5]), eps=1e-3)
+        assert calls["backup"] > 0
+        assert calls["propagate"] == m.n_actions * calls["backup"]
