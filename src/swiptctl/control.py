@@ -5,6 +5,12 @@ constraint terms (power caps, minimum rates, delay cap). Multipliers adapt
 by projected subgradient ascent on measured rollout violations. Policies
 are solved in two layers: beamforming power levels with the antenna mask
 frozen, then mask selection with the power policy frozen.
+
+Users are independent given the action, so the tables are built per user:
+the cost table spreads per-user terms over the joint states, the greedy
+policy scores the Kronecker-factored observation posteriors in one matrix
+product, and the outer layer gathers its kernel rows per action, with no
+loop over joint states.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from functools import reduce
 import numpy as np
 from scipy import sparse
 
-from .dynamics import ActionEffect, InadmissibleActionError
+from .dynamics import ActionEffect, level_map_matrix
 from .pomdp import PomdpModel, solve_hsvi
 from .scenario import CompiledScenario
 
@@ -95,64 +101,42 @@ def effective_effect(effect: ActionEffect, energies) -> ActionEffect:
                    rate_up=rate_up)
 
 
-def _stage_terms(nu: Multipliers, users, effect: ActionEffect,
-                 spec: ConstraintSpec, lam_slot: float) -> float:
-    total = 0.0
-    for u, (q, _e, lv) in enumerate(users):
-        delay = q / lam_slot
-        total += nu.varrho[u] * delay
-        total += nu.nu["p_up"][u] * (float(effect.p_up[u]) - spec.p_max_up)
-        total += nu.nu["p_down"][u] * (float(effect.p_down[u]) - spec.p_max_down)
-        total += nu.nu["r_up"][u] * (spec.r_min_up - float(effect.served[u, lv]))
-        total += nu.nu["r_down"][u] * (spec.r_min_down - float(effect.rate_down[u]))
-        total += nu.nu["delay"][u] * (delay - spec.tau_up)
-    return total
-
-
-def stage_cost(nu: Multipliers, users, effect: ActionEffect,
-               spec: ConstraintSpec, lam_slot: float) -> float:
-    """Lagrangian cost of one (state, action) pair.
-
-    ``users`` is the decoded per-user (q, e, level) tuple. The delay proxy
-    is q / mean-arrivals-per-slot (queue length in units of arrival
-    interarrival times)."""
-    energies = [e for (_q, e, _lv) in users]
-    if not effect.admissible(energies):
-        raise InadmissibleActionError(
-            f"action {effect.label!r} inadmissible at energies {energies}")
-    return _stage_terms(nu, users, effect, spec, lam_slot)
-
-
-def belief_cost(nu: Multipliers, b, action: int, compiled: CompiledScenario,
-                spec: ConstraintSpec) -> float:
-    """Belief-weighted stage cost; inadmissible support states contribute
-    their degraded-action cost (the cost the kernel semantics realize)."""
-    b = np.asarray(b, dtype=float)
-    effect = compiled.effects[action]
-    total = 0.0
-    for s in np.flatnonzero(b > 0.0):
-        users = compiled.space.decode(int(s))
-        eff = effective_effect(effect, [e for (_q, e, _l) in users])
-        total += b[s] * _stage_terms(nu, users, eff, spec,
-                                     compiled.config.lam_slot)
-    return total
-
-
 def build_cost_table(compiled: CompiledScenario, nu: Multipliers,
                      spec: ConstraintSpec,
                      extra_action_cost=None) -> np.ndarray:
-    """(n_states, n_actions) table of degraded-action stage costs.
+    """(n_states, n_actions) table of Lagrangian stage costs under the
+    degraded action (:func:`effective_effect`).
 
+    The cost sums per-user terms, and each user's terms depend only on that
+    user's (q, e, level) and on whether it can pay the action's price. They
+    are tabulated over one user's states and spread over the joint states,
+    added user by user in the order varrho * delay, p_up, p_down, r_up,
+    r_down, delay cap. The delay proxy is q / mean-arrivals-per-slot.
     ``extra_action_cost`` is an optional per-action constant (e.g. weighted
     circuit power of the active mask) added to every state's cost."""
-    n = compiled.space.size
-    table = np.empty((n, compiled.n_actions))
-    decoded = [compiled.space.decode(s) for s in range(n)]
-    for a, effect in enumerate(compiled.effects):
-        for s, users in enumerate(decoded):
-            eff = effective_effect(effect, [e for (_q, e, _l) in users])
-            table[s, a] = _stage_terms(nu, users, eff, spec,
-                                       compiled.config.lam_slot)
+    space = compiled.space
+    effects = compiled.effects
+    q, e, lv = space.user_digits()
+    delay = (q / compiled.config.lam_slot)[:, None]
+    shape = (space.per_user, compiled.n_actions)
+    table = np.zeros((space.size, compiled.n_actions))
+    for u in range(space.n_users):
+        # a user who cannot pay the price neither transmits nor is served
+        pays = e[:, None] >= np.array([eff.used_units[u] for eff in effects])
+        p_up = np.where(pays, np.array([eff.p_up[u] for eff in effects],
+                                       dtype=float), 0.0)
+        served = np.where(
+            pays, np.array([eff.served[u] for eff in effects])[:, lv].T, 0)
+        p_down = np.array([eff.p_down[u] for eff in effects], dtype=float)
+        r_down = np.array([eff.rate_down[u] for eff in effects], dtype=float)
+        terms = (nu.varrho[u] * delay,
+                 nu.nu["p_up"][u] * (p_up - spec.p_max_up),
+                 nu.nu["p_down"][u] * (p_down - spec.p_max_down),
+                 nu.nu["r_up"][u] * (spec.r_min_up - served),
+                 nu.nu["r_down"][u] * (spec.r_min_down - r_down),
+                 nu.nu["delay"][u] * (delay - spec.tau_up))
+        for term in terms:
+            table += space.spread(u, np.broadcast_to(term, shape))
     if extra_action_cost is not None:
         table += np.asarray(extra_action_cost, dtype=float)[None, :]
     return table
@@ -161,25 +145,6 @@ def build_cost_table(compiled: CompiledScenario, nu: Multipliers,
 # ---------------------------------------------------------------------------
 # measured metrics and multiplier adaptation
 # ---------------------------------------------------------------------------
-
-def trajectory_metrics(traj, varrho, lam_slot: float) -> dict:
-    """Time averages over one rollout: weighted delay proxy, per-user powers
-    and realized rates. ``traj`` is a sequence of per-slot records with
-    ``queues``, ``p_up``, ``p_down``, ``rate_up``, ``rate_down`` arrays."""
-    if not traj:
-        raise ValueError("trajectory must be nonempty")
-    varrho = np.asarray(varrho, dtype=float)
-    qs = np.array([rec["queues"] for rec in traj], dtype=float)
-    raw_delay = (qs / lam_slot).mean(axis=0)
-    return {
-        "delay": raw_delay * varrho,
-        "delay_raw": raw_delay,
-        "p_up": np.array([rec["p_up"] for rec in traj]).mean(axis=0),
-        "p_down": np.array([rec["p_down"] for rec in traj]).mean(axis=0),
-        "r_up": np.array([rec["rate_up"] for rec in traj]).mean(axis=0),
-        "r_down": np.array([rec["rate_down"] for rec in traj]).mean(axis=0),
-    }
-
 
 def constraint_violations(metrics: dict, spec: ConstraintSpec) -> dict:
     """Signed violations, positive when the constraint is broken."""
@@ -241,44 +206,29 @@ class Policy:
                    scenario_hash=d["scenario_hash"], kind=d.get("kind", ""))
 
 
-def _level_product(space, qe_pairs, level_pmfs) -> np.ndarray:
-    """Joint distribution of independent users, user u at its exact
-    ``qe_pairs[u] = (q, e)`` with channel levels distributed as
-    ``level_pmfs[u]``: the Kronecker product of the per-user vectors."""
-    vecs = []
-    for (q, e), pmf in zip(qe_pairs, level_pmfs):
-        v = np.zeros((space.q_max + 1, space.e_max + 1, space.n_levels))
-        v[q, e] = pmf
-        vecs.append(v.ravel())
-    return reduce(np.kron, vecs)
-
-
-def _obs_belief(compiled: CompiledScenario, obs: int) -> np.ndarray:
-    """Posterior over states given an observation and the stationary level
-    prior: queue/energy are read exactly, levels via Bayes through the
-    confusion matrix."""
+def _obs_posteriors(compiled: CompiledScenario) -> sparse.csr_matrix:
+    """Row o is the belief after observation o under the stationary level
+    prior: queue and energy are read exactly, each user's level via Bayes
+    through the confusion matrix (per user ``I_(q,e) ⊗ posterior``)."""
     level = compiled.level
-    users_obs = compiled.space.decode(obs)
-    posts = []
-    for (_q, _e, ol) in users_obs:
-        w = level.probs * level.obs_confusion[:, ol]
-        posts.append(w / w.sum())
-    return _level_product(compiled.space, [(q, e) for q, e, _ in users_obs],
-                          posts)
+    posterior = np.array([w / w.sum()
+                          for w in level.probs * level.obs_confusion.T])
+    return level_map_matrix(compiled.space, posterior, "csr")
 
 
 def greedy_policy(compiled: CompiledScenario, lower_bound,
                   action_map=None, kind: str = "d-opt") -> Policy:
     """Greedy policy of a PWLC lower bound, tabulated per observation.
 
-    ``action_map`` translates sub-model action indices back to joint action
-    indices when the bound was solved on an action subset."""
-    n = compiled.space.size
-    table = np.empty(n, dtype=int)
-    for obs in range(n):
-        b = _obs_belief(compiled, obs)
-        _, a, _ = lower_bound.best(b)
-        table[obs] = action_map[a] if action_map is not None else a
+    One product scores every alpha at every observation posterior; the
+    lowest index wins ties. ``action_map`` translates sub-model action
+    indices back to joint action indices when the bound was solved on an
+    action subset."""
+    scores = _obs_posteriors(compiled) @ lower_bound.matrix().T
+    actions = np.array([alpha.action for alpha in lower_bound.alphas])
+    table = actions[np.argmax(scores, axis=1)]
+    if action_map is not None:
+        table = np.asarray(action_map)[table]
     return Policy(action_of=table, scenario_hash=compiled.scenario_hash,
                   kind=kind)
 
@@ -303,14 +253,14 @@ def uniform_initial_belief(compiled: CompiledScenario,
     the stationary level distribution."""
     space = compiled.space
     e0 = space.e_max if e0 is None else e0
-    return _level_product(space, [(q0, e0)] * space.n_users,
-                          [compiled.level.probs] * space.n_users)
+    q, e, lv = space.user_digits()
+    user = np.where((q == q0) & (e == e0), compiled.level.probs[lv], 0.0)
+    return reduce(np.kron, [user] * space.n_users)
 
 
 def solve_inner_beamforming(compiled: CompiledScenario, mask_id: int,
-                            nu: Multipliers, spec: ConstraintSpec,
-                            eps: float = 0.5, b0=None,
-                            cost_table=None, **hsvi_kw):
+                            cost_table: np.ndarray, eps: float = 0.5,
+                            **hsvi_kw):
     """Power-level HSVI with the antenna mask frozen.
 
     Returns (policy restricted to this mask's actions, solver result,
@@ -319,19 +269,16 @@ def solve_inner_beamforming(compiled: CompiledScenario, mask_id: int,
            if eff.mask_id == mask_id]
     if not ids:
         raise ValueError(f"no actions for mask {mask_id}")
-    if cost_table is None:
-        cost_table = build_cost_table(compiled, nu, spec)
     model = _make_model(compiled, cost_table, ids)
-    b0 = uniform_initial_belief(compiled) if b0 is None else b0
-    result = solve_hsvi(model, b0, eps=eps, **hsvi_kw)
+    result = solve_hsvi(model, uniform_initial_belief(compiled), eps=eps,
+                        **hsvi_kw)
     policy = greedy_policy(compiled, result.bounds.lower, action_map=ids)
     return policy, result, ids
 
 
 def solve_outer_selection(compiled: CompiledScenario, inner_policies: dict,
-                          nu: Multipliers, spec: ConstraintSpec,
-                          eps: float = 0.5, b0=None,
-                          cost_table=None, **hsvi_kw):
+                          cost_table: np.ndarray, eps: float = 0.5,
+                          **hsvi_kw):
     """Mask-level HSVI with the power policy frozen per mask.
 
     Each outer action plays mask m with the power level the inner policy
@@ -341,32 +288,26 @@ def solve_outer_selection(compiled: CompiledScenario, inner_policies: dict,
     Returns (joint policy, solver result, mask ids)."""
     if not inner_policies:
         raise ValueError("need at least one inner policy")
-    if cost_table is None:
-        cost_table = build_cost_table(compiled, nu, spec)
     mask_ids = sorted(inner_policies)
-    n = compiled.space.size
-    outer_t, outer_cost, chosen = [], [], []
-    for m in mask_ids:
-        inner = inner_policies[m]
-        acts = inner.action_of           # state index == obs index proxy
-        rows = sparse.vstack([compiled.kernel.matrices[acts[s]].getrow(s)
-                              for s in range(n)]).tocsr()
-        outer_t.append(rows)
-        outer_cost.append(cost_table[np.arange(n), acts])
-        chosen.append(acts)
+    states = np.arange(compiled.space.size)
+    chosen = np.array([inner_policies[m].action_of for m in mask_ids])
+    outer_t = []
+    for acts in chosen:                  # state index == obs index proxy
+        used = np.unique(acts)
+        groups = [np.flatnonzero(acts == a) for a in used]
+        rows = sparse.vstack([compiled.kernel.matrices[a][g]
+                              for a, g in zip(used, groups)], format="csr")
+        outer_t.append(rows[np.argsort(np.concatenate(groups))])
     model = PomdpModel(transitions=outer_t,
                        observations=[compiled.obs_matrix] * len(mask_ids),
-                       cost=np.column_stack(outer_cost),
+                       cost=cost_table[states[:, None], chosen.T],
                        discount=compiled.config.discount,
                        action_labels=[f"mask{m}" for m in mask_ids])
-    b0 = uniform_initial_belief(compiled) if b0 is None else b0
-    result = solve_hsvi(model, b0, eps=eps, **hsvi_kw)
+    result = solve_hsvi(model, uniform_initial_belief(compiled), eps=eps,
+                        **hsvi_kw)
     mask_choice = greedy_policy(compiled, result.bounds.lower)
-    joint = np.empty(n, dtype=int)
-    for obs in range(n):
-        m = mask_ids[mask_choice.action_of[obs]]
-        joint[obs] = chosen[mask_ids.index(m)][obs]
-    policy = Policy(action_of=joint, scenario_hash=compiled.scenario_hash)
+    policy = Policy(action_of=chosen[mask_choice.action_of, states],
+                    scenario_hash=compiled.scenario_hash)
     return policy, result, mask_ids
 
 

@@ -131,6 +131,25 @@ class StateSpace:
         for idx in range(self.size):
             yield idx, self.decode(idx)
 
+    def user_digits(self) -> tuple:
+        """(q, e, level) integer arrays over one user's ``per_user`` states,
+        in index order."""
+        return tuple(np.indices((self.q_max + 1, self.e_max + 1,
+                                 self.n_levels)).reshape(3, -1))
+
+    def spread(self, user: int, values) -> np.ndarray:
+        """Joint-state array holding, at each joint state, the entry of
+        ``values`` (first axis over one user's states, indexed as
+        :meth:`user_digits`) at ``user``'s own digits. Trailing axes pass
+        through."""
+        values = np.asarray(values)
+        axes = [1] * self.n_users
+        axes[user] = self.per_user
+        tail = values.shape[1:]
+        return np.broadcast_to(
+            values.reshape((*axes, *tail)),
+            (self.per_user,) * self.n_users + tail).reshape(self.size, *tail)
+
 
 @dataclass(frozen=True)
 class LevelModel:
@@ -263,6 +282,16 @@ def build_kernel(space: StateSpace, arrivals: ArrivalModel, level: LevelModel,
     return TransitionKernel(space=space, matrices=mats)
 
 
+def level_map_matrix(space: StateSpace, block, fmt: str):
+    """Joint matrix of a per-user (level x level) map that leaves queue and
+    energy alone: the Kronecker product over users of ``I_{(q, e)} ⊗ block``,
+    zeros dropped."""
+    per_user = sparse.kron(sparse.identity((space.q_max + 1)
+                                           * (space.e_max + 1)),
+                           sparse.coo_matrix(block), format="coo")
+    return _kron_users([per_user] * space.n_users, fmt)
+
+
 def build_observation_matrix(space: StateSpace, level: LevelModel) -> sparse.csc_matrix:
     """Pr(O | S') with queue and energy observed exactly and the channel
     level read through the estimation confusion matrix.
@@ -272,8 +301,4 @@ def build_observation_matrix(space: StateSpace, level: LevelModel) -> sparse.csc
     ``I_{(q, e)} ⊗ confusion`` (zeros dropped), bit-identical to the product
     form per joint state.
     """
-    conf = sparse.coo_matrix(level.obs_confusion)
-    per_user = sparse.kron(sparse.identity((space.q_max + 1)
-                                           * (space.e_max + 1)), conf,
-                           format="coo")
-    return _kron_users([per_user] * space.n_users, "csc")
+    return level_map_matrix(space, level.obs_confusion, "csc")

@@ -181,7 +181,7 @@ def solve_two_layer(compiled: CompiledScenario, nu: Multipliers,
     inner = {}
     for m in mask_ids:
         pol, res, _ids = solve_inner_beamforming(
-            compiled, m, nu, spec, eps=eps, cost_table=cost_table, **hsvi_kw)
+            compiled, m, cost_table, eps=eps, **hsvi_kw)
         inner[m] = pol
         if log_sink is not None:
             log_sink.append((f"{log_prefix}inner mask {m}", res))
@@ -189,8 +189,7 @@ def solve_two_layer(compiled: CompiledScenario, nu: Multipliers,
         policy = inner[mask_ids[0]]
     else:
         policy, res, _ = solve_outer_selection(
-            compiled, inner, nu, spec, eps=eps, cost_table=cost_table,
-            **hsvi_kw)
+            compiled, inner, cost_table, eps=eps, **hsvi_kw)
         if log_sink is not None:
             log_sink.append((f"{log_prefix}outer selection", res))
     policy.kind = kind
@@ -237,37 +236,33 @@ def baseline_policy(kind: str, compiled: CompiledScenario,
 
 
 def _p_opt_policy(compiled: CompiledScenario, spec: ConstraintSpec) -> Policy:
-    """CSI/ESI-only minimum-power controller, constant across queue states."""
+    """CSI/ESI-only minimum-power controller, constant across queue states.
+
+    Per observation: the cheapest payable action (total power ascending,
+    ties by index) that meets every user's rate floors at its observed
+    level; failing that, the payable action with the most service (ties by
+    index); failing that, action 0."""
     space = compiled.space
-    table = np.empty(space.size, dtype=int)
-    # rank actions by total power, ascending; ties by index
-    order = sorted(range(compiled.n_actions),
-                   key=lambda a: (float(np.sum(compiled.effects[a].p_up)
-                                        + np.sum(compiled.effects[a].p_down)),
-                                  a))
-    for obs in range(space.size):
-        users = space.decode(obs)
-        energies = [e for (_q, e, _l) in users]
-        chosen = None
-        for a in order:
-            eff = compiled.effects[a]
-            if not eff.admissible(energies):
-                continue
-            ok = all(eff.served[u, lv] >= spec.r_min_up
-                     and eff.rate_down[u] >= spec.r_min_down
-                     for u, (_q, _e, lv) in enumerate(users))
-            if ok:
-                chosen = a
-                break
-        if chosen is None:
-            # no admissible action meets the rates; fall back to the
-            # highest-service admissible one
-            feas = [a for a in order
-                    if compiled.effects[a].admissible(energies)]
-            chosen = max(feas, key=lambda a: (
-                float(np.sum(compiled.effects[a].served)), -a)) if feas \
-                else 0
-        table[obs] = chosen
+    effects = compiled.effects
+    _q, e, lv = space.user_digits()
+    pays = meets = True
+    for u in range(space.n_users):
+        pays = pays & space.spread(u, e[:, None] >= np.array(
+            [eff.used_units[u] for eff in effects]))
+        meets = meets & space.spread(u, np.array(
+            [(eff.served[u, lv] >= spec.r_min_up)
+             & (eff.rate_down[u] >= spec.r_min_down) for eff in effects]).T)
+    by_power = sorted(range(compiled.n_actions),
+                      key=lambda a: (float(np.sum(effects[a].p_up)
+                                           + np.sum(effects[a].p_down)), a))
+    by_service = sorted(range(compiled.n_actions),
+                        key=lambda a: (-float(np.sum(effects[a].served)), a))
+    ok = (pays & meets)[:, by_power]
+    fallback = pays[:, by_service]
+    table = np.where(
+        ok.any(axis=1), np.array(by_power)[ok.argmax(axis=1)],
+        np.where(fallback.any(axis=1),
+                 np.array(by_service)[fallback.argmax(axis=1)], 0))
     return Policy(action_of=table, scenario_hash=compiled.scenario_hash,
                   kind="p-opt")
 

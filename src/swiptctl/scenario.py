@@ -205,16 +205,26 @@ def calibrate(cfg: ScenarioConfig) -> Calibration:
                         np.linspace(0, 1, cfg.n_levels + 1))
     edges[0], edges[-1] = 0.0, np.inf
 
-    def bin_of(g):
-        return int(np.clip(np.searchsorted(edges, g, side="right") - 1,
-                           0, cfg.n_levels - 1))
+    def bins(g):
+        return np.clip(np.searchsorted(edges, g, side="right") - 1,
+                       0, cfg.n_levels - 1)
 
+    level_true = bins(gains_true)              # (calib_draws, k)
     counts = np.zeros((cfg.n_levels, cfg.n_levels))
-    for gt, ge in zip(gains_true.ravel(), gains_est.ravel()):
-        counts[bin_of(gt), bin_of(ge)] += 1.0
+    np.add.at(counts, (level_true.ravel(), bins(gains_est).ravel()), 1.0)
     conf = counts / counts.sum(axis=1, keepdims=True)
     probs = counts.sum(axis=1) / counts.sum()
     level = LevelModel(probs=probs, obs_confusion=conf)
+
+    # the per-level sample counts, and the uplink precoders of each draw,
+    # are the same for every action
+    hits = np.maximum([np.bincount(level_true[:, u], minlength=cfg.n_levels)
+                       for u in range(cfg.k)], 1.0)
+    w_up = [tuple((lambda w: w / np.linalg.norm(w))(
+                crandn(channel_stream(cfg.seed, slot=d_i, user=u, link=3),
+                       dims.n_u, dims.n_u))
+                  for u in range(cfg.k))
+            for d_i in range(cfg.calib_draws)]
 
     mask_sizes = cfg.resolved_mask_sizes()
     power_pairs = [(pu, pd) for pu, pd in zip(cfg.power_levels_up,
@@ -222,19 +232,19 @@ def calibrate(cfg: ScenarioConfig) -> Calibration:
     effects, action_meta = [], []
     for m_id, n_active in enumerate(mask_sizes):
         sel = AntennaSelection.first(cfg.n_r, n_active)
+        w_down = [_mrt_precoders(dims, sel, chans) for chans in draws]
+        # received downlink gain |h_u^H w_u|^2 per draw and user
+        rx_gain = [[float(np.linalg.norm(sel.select(chans[u].h_true)
+                                         .conj().T @ w[u]) ** 2)
+                    for u in range(cfg.k)]
+                   for chans, w in zip(draws, w_down)]
         for p_id, (p_up, p_down) in enumerate(power_pairs):
             sinr_up = np.zeros((cfg.k, cfg.n_levels))
             sinr_dn = np.zeros((cfg.k, cfg.n_levels))
             eh_power = np.zeros((cfg.k, cfg.n_levels))
-            hits = np.zeros((cfg.k, cfg.n_levels))
             for d_i, chans in enumerate(draws):
-                w_up = tuple(
-                    (lambda w: w / np.linalg.norm(w))(
-                        crandn(channel_stream(cfg.seed, slot=d_i, user=u,
-                                              link=3), dims.n_u, dims.n_u))
-                    for u in range(cfg.k))
                 bf = BeamformerSet(
-                    w_up=w_up, w_down=_mrt_precoders(dims, sel, chans),
+                    w_up=w_up[d_i], w_down=w_down[d_i],
                     p_up=np.full(cfg.k, p_up), p_down=np.full(cfg.k, p_down))
                 up = None
                 if p_up > 0:
@@ -246,17 +256,13 @@ def calibrate(cfg: ScenarioConfig) -> Calibration:
                                        noise_d=cfg.noise_w,
                                        noise_s=cfg.noise_w)
                 for u in range(cfg.k):
-                    lv = bin_of(gains_true[d_i, u])
-                    hits[u, lv] += 1.0
+                    lv = level_true[d_i, u]
                     if up is not None:
                         sinr_up[u, lv] += float(np.mean(up.uplink[u]))
                     if dn is not None:
                         sinr_dn[u, lv] += float(dn.downlink[u])
-                        rcv = p_down * float(
-                            np.linalg.norm(sel.select(chans[u].h_true)
-                                           .conj().T @ bf.w_down[u]) ** 2)
+                        rcv = p_down * rx_gain[d_i][u]
                         eh_power[u, lv] += split_received(rcv, cfg.rho).eh_power
-            hits = np.maximum(hits, 1.0)
             sinr_up /= hits
             sinr_dn /= hits
             eh_power /= hits
@@ -319,14 +325,6 @@ class CompiledScenario:
     @property
     def n_actions(self) -> int:
         return len(self.calibration.effects)
-
-    def effect_rates(self, action: int, levels) -> tuple:
-        """(uplink, downlink) packets/slot per user at the given true levels."""
-        eff = self.effects[action]
-        up = np.array([eff.served[u, lv] for u, lv in enumerate(levels)],
-                      dtype=float)
-        dn = np.array([eff.rate_down[u] for u in range(len(levels))])
-        return up, dn
 
 
 def compile_scenario(cfg: ScenarioConfig,

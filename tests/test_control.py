@@ -1,20 +1,21 @@
 """Lagrangian stage costs, multiplier updates, and the two-layer solve."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from swiptctl.control import (ConstraintSpec, HashMismatchError, Multipliers,
-                              Policy, SolveReport, _make_model, _obs_belief,
-                              belief_cost,
-                              build_cost_table, constraint_violations,
-                              effective_effect, full_solve,
+from swiptctl.control import (FAMILIES, ConstraintSpec, HashMismatchError,
+                              Multipliers, Policy, SolveReport, _make_model,
+                              _obs_posteriors, build_cost_table,
+                              constraint_violations, effective_effect,
+                              full_solve, greedy_policy,
                               solve_inner_beamforming, solve_outer_selection,
-                              stage_cost, trajectory_metrics,
                               uniform_initial_belief, update_multipliers)
-from swiptctl.dynamics import ActionEffect, InadmissibleActionError
-from swiptctl.harness import default_constraints
+from swiptctl.dynamics import ActionEffect
+from swiptctl.harness import baseline_policy, default_constraints
 from swiptctl.pomdp import exact_value_iteration, initial_bounds, solve_hsvi
 from swiptctl.pomdp.exact import DEFAULT_PRUNE_MARGIN
 from swiptctl.scenario import compile_scenario, desk_scenario
@@ -85,27 +86,82 @@ def test_effective_effect_degrades_only_broke_users():
 
 
 # ---------------------------------------------------------------------------
-# stage cost
+# stage cost and cost table
 # ---------------------------------------------------------------------------
 
-def test_stage_cost_zero_multipliers_is_weighted_delay():
+def reference_stage_terms(nu, users, effect, spec, lam_slot):
+    """Lagrangian cost of one decoded joint state under ``effect``, one
+    user and one term at a time."""
+    total = 0.0
+    for u, (q, _e, lv) in enumerate(users):
+        delay = q / lam_slot
+        total += nu.varrho[u] * delay
+        total += nu.nu["p_up"][u] * (float(effect.p_up[u]) - spec.p_max_up)
+        total += nu.nu["p_down"][u] * (float(effect.p_down[u])
+                                       - spec.p_max_down)
+        total += nu.nu["r_up"][u] * (spec.r_min_up
+                                     - float(effect.served[u, lv]))
+        total += nu.nu["r_down"][u] * (spec.r_min_down
+                                       - float(effect.rate_down[u]))
+        total += nu.nu["delay"][u] * (delay - spec.tau_up)
+    return total
+
+
+def reference_cost_table(compiled, nu, spec):
+    """The cost table state by state, each action degraded at the state's
+    own energies."""
+    space = compiled.space
+    table = np.empty((space.size, compiled.n_actions))
+    for s, users in space.states():
+        for a, effect in enumerate(compiled.effects):
+            eff = effective_effect(effect, [e for (_q, e, _l) in users])
+            table[s, a] = reference_stage_terms(nu, users, eff, spec,
+                                                compiled.config.lam_slot)
+    return table
+
+
+def random_multipliers(n_users, seed):
+    rng = np.random.default_rng(seed)
+    return Multipliers(nu={f: rng.uniform(0.1, 3.0, n_users)
+                           for f in FAMILIES},
+                       varrho=rng.uniform(0.5, 2.0, n_users))
+
+
+def with_effects(compiled, effects):
+    """The compiled scenario with its calibrated effects replaced."""
+    return replace(compiled, calibration=replace(compiled.calibration,
+                                                 effects=tuple(effects)))
+
+
+@pytest.fixture(scope="module")
+def three_user_compiled():
+    return compile_scenario(desk_scenario(k=3, q_max=1, e_max=2,
+                                          calib_draws=80))
+
+
+def test_stage_cost_zero_multipliers_is_weighted_delay(desk_compiled):
+    compiled = with_effects(desk_compiled, [hand_effect()])
+    assert compiled.config.lam_slot == 0.5
     nu = Multipliers.zeros(2, varrho=[1.0, 2.0])
     users = ((3, 2, 1), (4, 1, 0))
-    got = stage_cost(nu, users, hand_effect(), hand_spec(), lam_slot=0.5)
+    table = build_cost_table(compiled, nu, hand_spec())
+    got = table[compiled.space.encode(users), 0]
     assert got == pytest.approx(1.0 * 3 / 0.5 + 2.0 * 4 / 0.5)
 
 
-def test_stage_cost_full_arithmetic():
+def test_stage_cost_full_arithmetic(desk_compiled):
+    compiled = with_effects(desk_compiled, [hand_effect()])
     spec = hand_spec()
     eff = hand_effect()
-    lam = 0.5
+    lam = compiled.config.lam_slot
     nu = Multipliers(
         nu={"p_up": [1.0, 0.0], "p_down": [0.0, 2.0],
             "r_up": [3.0, 0.0], "r_down": [0.0, 4.0],
             "delay": [0.5, 0.0]},
         varrho=np.array([1.0, 1.0]))
-    users = ((3, 2, 1), (4, 1, 0))
-    got = stage_cost(nu, users, eff, spec, lam_slot=lam)
+    users = ((3, 2, 1), (4, 1, 0))       # energies (2, 1) pay (2, 1)
+    got = build_cost_table(compiled, nu, spec)[
+        compiled.space.encode(users), 0]
     # independent term-by-term evaluation
     want = 0.0
     want += 3 / lam + 4 / lam                              # delay proxies
@@ -117,59 +173,24 @@ def test_stage_cost_full_arithmetic():
     assert got == pytest.approx(want)
 
 
-def test_stage_cost_rejects_inadmissible():
-    nu = Multipliers.zeros(2)
-    users = ((3, 1, 1), (4, 0, 0))       # energies (1, 0) < used (2, 1)
-    with pytest.raises(InadmissibleActionError):
-        stage_cost(nu, users, hand_effect(), hand_spec(), lam_slot=0.5)
-
-
-# ---------------------------------------------------------------------------
-# belief cost and cost table
-# ---------------------------------------------------------------------------
-
-def test_belief_cost_linear_in_belief(desk_compiled):
-    nu = Multipliers.zeros(desk_compiled.space.n_users)
-    spec = default_constraints(desk_compiled.config)
-    s1 = desk_compiled.space.encode(((2, 4, 0),) * 2)
-    s2 = desk_compiled.space.encode(((5, 1, 1),) * 2)
-    a = desk_compiled.n_actions - 1
-    n = desk_compiled.space.size
-    b1, b2 = np.zeros(n), np.zeros(n)
-    b1[s1] = 1.0
-    b2[s2] = 1.0
-    mix = 0.3 * b1 + 0.7 * b2
-    c1 = belief_cost(nu, b1, a, desk_compiled, spec)
-    c2 = belief_cost(nu, b2, a, desk_compiled, spec)
-    assert belief_cost(nu, mix, a, desk_compiled, spec) == \
-        pytest.approx(0.3 * c1 + 0.7 * c2)
-
-
-def test_belief_cost_point_mass_matches_stage_cost(desk_compiled):
-    nu = Multipliers.zeros(desk_compiled.space.n_users)
-    spec = default_constraints(desk_compiled.config)
-    users = ((3, 4, 1),) * 2             # full buffers: any action admissible
-    s = desk_compiled.space.encode(users)
-    a = desk_compiled.n_actions - 1
-    b = np.zeros(desk_compiled.space.size)
-    b[s] = 1.0
-    want = stage_cost(nu, users, desk_compiled.effects[a], spec,
-                      desk_compiled.config.lam_slot)
-    assert belief_cost(nu, b, a, desk_compiled, spec) == pytest.approx(want)
-
-
 def test_build_cost_table_matches_pointwise(desk_compiled):
-    nu = Multipliers.zeros(desk_compiled.space.n_users)
+    nu = random_multipliers(desk_compiled.space.n_users, seed=0)
     spec = default_constraints(desk_compiled.config)
     table = build_cost_table(desk_compiled, nu, spec)
     assert table.shape == (desk_compiled.space.size, desk_compiled.n_actions)
-    rng = np.random.default_rng(0)
-    for s in rng.integers(0, desk_compiled.space.size, size=20):
-        b = np.zeros(desk_compiled.space.size)
-        b[s] = 1.0
-        for a in range(desk_compiled.n_actions):
-            want = belief_cost(nu, b, a, desk_compiled, spec)
-            assert table[s, a] == pytest.approx(want)
+    np.testing.assert_array_equal(
+        table, reference_cost_table(desk_compiled, nu, spec))
+
+
+def test_build_cost_table_matches_pointwise_three_users(three_user_compiled):
+    compiled = three_user_compiled
+    nu = random_multipliers(3, seed=1)
+    spec = hand_spec()
+    # the 2-unit top level is unaffordable below a full buffer
+    assert max(eff.used_units.max() for eff in compiled.effects) \
+        > compiled.space.e_max - 1
+    np.testing.assert_array_equal(build_cost_table(compiled, nu, spec),
+                                  reference_cost_table(compiled, nu, spec))
 
 
 def test_build_cost_table_extra_action_cost(desk_compiled):
@@ -187,37 +208,19 @@ def test_build_cost_table_extra_action_cost(desk_compiled):
 # measured metrics and updates
 # ---------------------------------------------------------------------------
 
-def fake_traj():
-    return [
-        {"queues": np.array([2.0, 4.0]), "p_up": np.array([0.1, 0.0]),
-         "p_down": np.array([0.5, 0.5]), "rate_up": np.array([1.0, 0.0]),
-         "rate_down": np.array([2.0, 2.0])},
-        {"queues": np.array([4.0, 0.0]), "p_up": np.array([0.3, 0.2]),
-         "p_down": np.array([0.5, 0.1]), "rate_up": np.array([3.0, 2.0]),
-         "rate_down": np.array([0.0, 0.0])},
-    ]
-
-
-def test_trajectory_metrics_hand_arithmetic():
-    m = trajectory_metrics(fake_traj(), varrho=[1.0, 2.0], lam_slot=0.5)
-    np.testing.assert_allclose(m["delay_raw"], [6.0, 4.0])
-    np.testing.assert_allclose(m["delay"], [6.0, 8.0])
-    np.testing.assert_allclose(m["p_up"], [0.2, 0.1])
-    np.testing.assert_allclose(m["p_down"], [0.5, 0.3])
-    np.testing.assert_allclose(m["r_up"], [2.0, 1.0])
-    np.testing.assert_allclose(m["r_down"], [1.0, 1.0])
-
-
-def test_trajectory_metrics_rejects_empty():
-    with pytest.raises(ValueError):
-        trajectory_metrics([], varrho=[1.0], lam_slot=0.5)
+def hand_metrics():
+    # time averages of two slots: queues (2, 4) then (4, 0) at 0.5
+    # arrivals per slot, and the per-slot powers and rates averaged
+    return {"delay_raw": np.array([6.0, 4.0]),
+            "delay": np.array([6.0, 4.0]),
+            "p_up": np.array([0.2, 0.1]), "p_down": np.array([0.5, 0.3]),
+            "r_up": np.array([2.0, 1.0]), "r_down": np.array([1.0, 1.0])}
 
 
 def test_constraint_violation_signs():
-    m = trajectory_metrics(fake_traj(), varrho=[1.0, 1.0], lam_slot=0.5)
     spec = ConstraintSpec(p_max_up=0.15, p_max_down=1.0, tau_up=5.0,
                           r_min_up=1.5, r_min_down=0.5)
-    v = constraint_violations(m, spec)
+    v = constraint_violations(hand_metrics(), spec)
     np.testing.assert_allclose(v["p_up"], [0.05, -0.05])   # broken iff > 0
     np.testing.assert_allclose(v["r_up"], [-0.5, 0.5])
     np.testing.assert_allclose(v["delay"], [1.0, -1.0])
@@ -225,7 +228,7 @@ def test_constraint_violation_signs():
 
 def test_update_multipliers_projected_ascent():
     nu = Multipliers.zeros(2)
-    m = trajectory_metrics(fake_traj(), varrho=[1.0, 1.0], lam_slot=0.5)
+    m = hand_metrics()
     spec = ConstraintSpec(p_max_up=0.15, p_max_down=1.0, tau_up=5.0,
                           r_min_up=1.5, r_min_down=0.5)
     new = update_multipliers(nu, m, spec, step=2.0)
@@ -275,11 +278,16 @@ def enumerated_level_product(space, qe_pairs, level_pmfs):
     return b
 
 
+def obs_belief(compiled, obs):
+    """Row ``obs`` of the greedy policy's observation posteriors."""
+    return _obs_posteriors(compiled)[obs].toarray().ravel()
+
+
 def test_obs_belief_is_consistent_posterior(desk_compiled):
     space = desk_compiled.space
     level = desk_compiled.level
     users_obs = ((3, 2, 1), (1, 4, 0))
-    b = _obs_belief(desk_compiled, space.encode(users_obs))
+    b = obs_belief(desk_compiled, space.encode(users_obs))
     assert b.sum() == pytest.approx(1.0)
     for s in np.flatnonzero(b):
         users = space.decode(int(s))
@@ -303,9 +311,8 @@ def test_uniform_initial_belief(desk_compiled):
     np.testing.assert_array_equal(b, ref)
 
 
-def test_beliefs_match_enumeration_three_users():
-    compiled = compile_scenario(desk_scenario(k=3, q_max=1, e_max=2,
-                                              calib_draws=80))
+def test_beliefs_match_enumeration_three_users(three_user_compiled):
+    compiled = three_user_compiled
     space, level = compiled.space, compiled.level
     ref = enumerated_level_product(space, [(1, 0)] * 3, [level.probs] * 3)
     np.testing.assert_array_equal(
@@ -316,7 +323,7 @@ def test_beliefs_match_enumeration_three_users():
     ref = enumerated_level_product(space, [u[:2] for u in users_obs],
                                    [w / w.sum() for w in posts])
     np.testing.assert_array_equal(
-        _obs_belief(compiled, space.encode(users_obs)), ref)
+        obs_belief(compiled, space.encode(users_obs)), ref)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +333,9 @@ def test_beliefs_match_enumeration_three_users():
 def test_inner_solve_stays_inside_mask(desk_compiled):
     nu = Multipliers.zeros(desk_compiled.space.n_users)
     spec = default_constraints(desk_compiled.config)
+    cost = build_cost_table(desk_compiled, nu, spec)
     policy, result, ids = solve_inner_beamforming(
-        desk_compiled, 0, nu, spec, eps=5.0, max_iterations=4)
+        desk_compiled, 0, cost, eps=5.0, max_iterations=4)
     assert set(np.unique(policy.action_of)) <= set(ids)
     assert result.root_value <= 0.0      # reward orientation: minus cost
     policy.check_hash(desk_compiled)
@@ -339,22 +347,103 @@ def two_mask_compiled():
                                           mask_sizes=(8, 16)))
 
 
-def test_outer_selection_composes_inner_policies(two_mask_compiled):
+def test_outer_selection_composes_inner_policies(two_mask_compiled,
+                                                 monkeypatch):
+    import swiptctl.control as control
     compiled = two_mask_compiled
-    nu = Multipliers.zeros(compiled.space.n_users)
-    spec = default_constraints(compiled.config)
+    cost = jopt_cost(compiled)
     inner = {}
     for m in (0, 1):
         pol, _res, ids = solve_inner_beamforming(
-            compiled, m, nu, spec, eps=5.0, max_iterations=3)
+            compiled, m, cost, eps=5.0, max_iterations=3)
         inner[m] = pol
+    models = []
+
+    def capture(model, *args, **kwargs):
+        models.append(model)
+        return solve_hsvi(model, *args, **kwargs)
+
+    monkeypatch.setattr(control, "solve_hsvi", capture)
     joint, _res, mask_ids = solve_outer_selection(
-        compiled, inner, nu, spec, eps=5.0, max_iterations=3)
+        compiled, inner, cost, eps=5.0, max_iterations=3)
     assert mask_ids == [0, 1]
     for obs in range(0, compiled.space.size, 97):
         a = joint.action(obs)
         m = compiled.effects[a].mask_id
         assert a == inner[m].action(obs)
+    # outer action m plays inner[m] at every state: its kernel rows and
+    # costs are that action's, state by state
+    (outer,) = models
+    for i, m in enumerate(mask_ids):
+        acts = inner[m].action_of
+        assert len(np.unique(acts)) > 1
+        want = sparse.vstack([compiled.kernel.matrices[acts[s]].getrow(s)
+                              for s in range(compiled.space.size)]).tocsr()
+        got = outer.transitions[i]
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, attr),
+                                          getattr(want, attr))
+        np.testing.assert_array_equal(
+            outer.cost[:, i], cost[np.arange(compiled.space.size), acts])
+
+
+def reference_greedy(compiled, lower, action_map=None):
+    """Greedy table one observation at a time: the enumerated posterior,
+    then the bound's own best alpha."""
+    space, level = compiled.space, compiled.level
+    table = np.empty(space.size, dtype=int)
+    for obs, users_obs in space.states():
+        posts = [level.probs * level.obs_confusion[:, ol]
+                 for _q, _e, ol in users_obs]
+        b = enumerated_level_product(space, [u[:2] for u in users_obs],
+                                     [w / w.sum() for w in posts])
+        _, a, _ = lower.best(b)
+        table[obs] = a if action_map is None else action_map[a]
+    return table
+
+
+def jopt_cost(compiled, w=2.0):
+    """j-opt costs, as baseline_policy builds them."""
+    n = compiled.space.n_users
+    nu = Multipliers(nu={"p_up": np.full(n, w), "p_down": np.full(n, w)},
+                     varrho=np.ones(n))
+    circuit = np.array([w * compiled.config.circuit_w_per_antenna
+                        * compiled.calibration.mask_sizes[eff.mask_id]
+                        for eff in compiled.effects])
+    return build_cost_table(compiled, nu, default_constraints(compiled.config),
+                            extra_action_cost=circuit)
+
+
+@pytest.mark.parametrize("mask", [None, 1])
+def test_greedy_policy_matches_per_observation_loop(two_mask_compiled, mask):
+    compiled = two_mask_compiled
+    ids = [a for a, eff in enumerate(compiled.effects)
+           if mask is None or eff.mask_id == mask]
+    model = _make_model(compiled, jopt_cost(compiled), ids)
+    res = solve_hsvi(model, uniform_initial_belief(compiled), eps=0.5,
+                     max_iterations=3)
+    lower = res.bounds.lower
+    assert len(lower) > 2
+    action_map = None if mask is None else ids
+    got = greedy_policy(compiled, lower, action_map=action_map)
+    want = reference_greedy(compiled, lower, action_map)
+    np.testing.assert_array_equal(got.action_of, want)
+    assert len(np.unique(want)) > 1
+
+
+def test_two_layer_solve_and_p_opt_decode_no_joint_state(two_mask_compiled,
+                                                          monkeypatch):
+    from swiptctl.dynamics import StateSpace
+
+    def refuse(self, idx):
+        raise AssertionError("joint state decoded")
+
+    monkeypatch.setattr(StateSpace, "decode", refuse)
+    jopt = baseline_policy("j-opt", two_mask_compiled, eps=5.0,
+                           max_iterations=2)
+    popt = baseline_policy("p-opt", two_mask_compiled)
+    assert jopt.action_of.shape == popt.action_of.shape \
+        == (two_mask_compiled.space.size,)
 
 
 def test_full_solve_loose_constraints_converges(desk_compiled):
@@ -381,14 +470,7 @@ def test_full_solve_tight_power_cap_raises_multiplier(desk_compiled):
 def test_hsvi_brackets_exact_oracle_on_compiled_jopt():
     # 1 user, q_max = e_max = 1: 8 states, small enough for the exact oracle
     compiled = compile_scenario(desk_scenario(k=1, q_max=1, e_max=1))
-    w = 2.0                                   # j-opt weights, as baseline_policy
-    nu = Multipliers(nu={"p_up": np.full(1, w), "p_down": np.full(1, w)},
-                     varrho=np.ones(1))
-    circuit = np.array([w * compiled.config.circuit_w_per_antenna
-                        * compiled.calibration.mask_sizes[eff.mask_id]
-                        for eff in compiled.effects])
-    cost = build_cost_table(compiled, nu, default_constraints(compiled.config),
-                            extra_action_cost=circuit)
+    cost = jopt_cost(compiled)
     model = _make_model(compiled, cost, range(compiled.n_actions))
     b0 = uniform_initial_belief(compiled)
     assert (model.n_states, model.n_actions) == (8, 4)

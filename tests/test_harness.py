@@ -1,5 +1,7 @@
 """Rollout mechanics, Monte Carlo aggregation, baselines and sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,39 @@ def test_p_opt_prefers_cheapest_feasible(desk_compiled, p_opt):
                  and np.all(eff.rate_down >= spec.r_min_down))
         if meets:
             assert float(np.sum(eff.p_up) + np.sum(eff.p_down)) >= price
+
+
+def reference_p_opt(compiled, spec):
+    """The p-opt table one decoded observation at a time."""
+    space = compiled.space
+    effects = compiled.effects
+    order = sorted(range(compiled.n_actions),
+                   key=lambda a: (float(np.sum(effects[a].p_up)
+                                        + np.sum(effects[a].p_down)), a))
+    table = np.empty(space.size, dtype=int)
+    for obs, users in space.states():
+        energies = [e for (_q, e, _l) in users]
+        feas = [a for a in order if effects[a].admissible(energies)]
+        meets = [a for a in feas
+                 if all(effects[a].served[u, lv] >= spec.r_min_up
+                        and effects[a].rate_down[u] >= spec.r_min_down
+                        for u, (_q, _e, lv) in enumerate(users))]
+        if meets:
+            table[obs] = meets[0]
+        else:
+            table[obs] = max(feas, key=lambda a: (
+                float(np.sum(effects[a].served)), -a)) if feas else 0
+    return table
+
+
+@pytest.mark.parametrize("floors", [(1e-6, 1e-6), (2.0, 1.0), (1e3, 1e3)],
+                         ids=["default", "binding", "unreachable"])
+def test_p_opt_matches_per_observation_loop(desk_compiled, floors):
+    spec = replace(default_constraints(desk_compiled.config),
+                   r_min_up=floors[0], r_min_down=floors[1])
+    got = baseline_policy("p-opt", desk_compiled, spec=spec)
+    np.testing.assert_array_equal(got.action_of,
+                                  reference_p_opt(desk_compiled, spec))
 
 
 # ---------------------------------------------------------------------------

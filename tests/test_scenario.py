@@ -214,15 +214,6 @@ def test_compiled_hash_matches_config(tiny_cfg, tiny_compiled):
     assert tiny_compiled.scenario_hash == tiny_cfg.scenario_hash()
 
 
-def test_effect_rates_reads_tables(tiny_compiled):
-    a = tiny_compiled.n_actions - 1
-    eff = tiny_compiled.effects[a]
-    levels = [1] * tiny_compiled.space.n_users
-    up, dn = tiny_compiled.effect_rates(a, levels)
-    np.testing.assert_array_equal(up, eff.served[:, 1].astype(float))
-    np.testing.assert_array_equal(dn, eff.rate_down)
-
-
 def test_state_count_guard():
     with pytest.raises(ValueError):
         compile_scenario(desk_scenario(calib_draws=80), max_states=10)
