@@ -16,13 +16,13 @@ loop over joint states.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 from scipy import sparse
 
-from .dynamics import ActionEffect, level_map_matrix
+from .dynamics import level_map_matrix
 from .pomdp import PomdpModel, solve_hsvi
 from .scenario import CompiledScenario
 
@@ -82,30 +82,12 @@ class Multipliers:
                            varrho=self.varrho.copy())
 
 
-def effective_effect(effect: ActionEffect, energies) -> ActionEffect:
-    """Per-user degraded action: users who cannot pay the energy price fall
-    back to no transmission (matches the kernel's fallback semantics)."""
-    if effect.admissible(energies):
-        return effect
-    served = effect.served.copy()
-    used = effect.used_units.copy()
-    p_up = np.asarray(effect.p_up, dtype=float).copy()
-    rate_up = np.asarray(effect.rate_up, dtype=float).copy()
-    for u, e in enumerate(energies):
-        if effect.used_units[u] > e:
-            served[u, :] = 0
-            used[u] = 0
-            p_up[u] = 0.0
-            rate_up[u] = 0.0
-    return replace(effect, served=served, used_units=used, p_up=p_up,
-                   rate_up=rate_up)
-
-
 def build_cost_table(compiled: CompiledScenario, nu: Multipliers,
                      spec: ConstraintSpec,
                      extra_action_cost=None) -> np.ndarray:
     """(n_states, n_actions) table of Lagrangian stage costs under the
-    degraded action (:func:`effective_effect`).
+    degraded action: a user who cannot pay the action's energy price
+    neither transmits nor is served (the kernel's fallback).
 
     The cost sums per-user terms, and each user's terms depend only on that
     user's (q, e, level) and on whether it can pay the action's price. They

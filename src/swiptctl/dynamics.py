@@ -192,9 +192,6 @@ class ActionEffect:
     power_id: int = 0
     label: str = ""
 
-    def admissible(self, energies) -> bool:
-        return all(self.used_units[u] <= energies[u] for u in range(len(energies)))
-
 
 # ---------------------------------------------------------------------------
 # transition kernel

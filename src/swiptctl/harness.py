@@ -2,7 +2,8 @@
 
 Episodes execute the exact integer queue/energy recursions under a policy,
 with per-episode counter-based random streams so results are reproducible
-and episode-order independent. Sweeps emit fixed-column CSV rows.
+and episode-order independent; all episodes are stepped together, slot by
+slot (:func:`run_episodes`). Sweeps emit fixed-column CSV rows.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .control import (ConstraintSpec, Multipliers, Policy, build_cost_table,
-                      effective_effect, solve_inner_beamforming,
-                      solve_outer_selection)
+                      solve_inner_beamforming, solve_outer_selection)
 from .dynamics import arrival_pmf
 from .scenario import (CompiledScenario, ScenarioConfig, compile_scenario,
                        with_budget)
@@ -28,57 +28,78 @@ def episode_rng(base_seed: int, episode: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[base_seed, episode]))
 
 
-def run_episode(policy: Policy, compiled: CompiledScenario, horizon: int,
-                seed: int, episode: int = 0) -> list:
-    """One rollout; returns per-slot records of state, action and metrics.
+def _choice(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """What ``Generator.choice`` with probabilities ``p`` (last axis) returns
+    for the uniform ``u``: the right-sided insertion index of u in the
+    normalized cumulative sum of p."""
+    cdf = np.cumsum(p, axis=-1)
+    return (cdf / cdf[..., -1:] <= u[..., None]).sum(axis=-1)
 
-    Conservation holds exactly per user: total harvested minus total spent
-    equals the buffer delta plus overflow-discarded units."""
+
+def run_episodes(policy: Policy, compiled: CompiledScenario, episodes: int,
+                 horizon: int, seed: int) -> dict:
+    """Episodes 0..episodes-1 stepped side by side; returns per-slot arrays
+    shaped (episode, slot, user), or (episode, slot) for ``obs``,
+    ``action`` and ``n_active``.
+
+    ``Generator.choice`` draws one uniform per sample, so a per-user,
+    per-slot sampler reads 3 x n_users uniforms a slot, always in the
+    order true levels, observed levels, arrivals. One
+    ``random((horizon, 3, n_users))`` from ``episode_rng(seed, ep)``,
+    inverted by :func:`_choice`, is that stream.
+
+    A user who cannot pay the action's energy price neither transmits nor
+    is served (the kernel's fallback). Conservation holds exactly per
+    user: total harvested minus total spent equals the buffer delta plus
+    overflow-discarded units."""
     policy.check_hash(compiled)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    cfg = compiled.config
     space = compiled.space
-    level = compiled.level
-    rng = episode_rng(seed, episode)
-    pmf = arrival_pmf(compiled.arrivals)
-    n_users = space.n_users
-    q = np.zeros(n_users, dtype=int)
-    e = np.full(n_users, space.e_max, dtype=int)
-    mask_sizes = compiled.calibration.mask_sizes
-    traj = []
-    for _t in range(horizon):
-        levels = rng.choice(level.probs.size, size=n_users, p=level.probs)
-        obs_levels = np.array([
-            rng.choice(level.probs.size, p=level.obs_confusion[lv])
-            for lv in levels])
-        obs = space.encode(tuple((int(q[u]), int(e[u]), int(obs_levels[u]))
-                                 for u in range(n_users)))
-        a = policy.action(obs)
-        eff = effective_effect(compiled.effects[a], e)
-        served = np.array([min(int(eff.served[u, levels[u]]), int(q[u]))
-                           for u in range(n_users)])
-        harvested = np.array([int(eff.harvested[u, levels[u]])
-                              for u in range(n_users)])
-        used = np.asarray(eff.used_units, dtype=int)
-        arrived = rng.choice(pmf.size, size=n_users, p=pmf)
-        e_inter = e - used
-        discarded = np.maximum(e_inter + harvested - space.e_max, 0)
-        rate_down = np.array([float(eff.rate_down[u])
-                              for u in range(n_users)])
-        traj.append({
-            "queues": q.copy(), "energies": e.copy(), "levels": levels,
-            "obs": obs, "action": a,
-            "n_active": mask_sizes[compiled.effects[a].mask_id],
-            "p_up": np.asarray(eff.p_up, dtype=float).copy(),
-            "p_down": np.asarray(eff.p_down, dtype=float).copy(),
-            "served": served, "arrived": arrived,
-            "harvested": harvested, "used": used, "discarded": discarded,
-            "rate_up": served.astype(float), "rate_down": rate_down,
-        })
-        q = np.minimum(np.maximum(q - served, 0) + arrived, space.q_max)
-        e = np.minimum(e_inter + harvested, space.e_max)
-    return traj
+    users = np.arange(space.n_users)
+
+    def per_action(name):
+        return np.array([getattr(eff, name) for eff in compiled.effects])
+
+    served_of, used_of = per_action("served"), per_action("used_units")
+    harvested_of = per_action("harvested")
+    u = np.array([episode_rng(seed, ep).random((horizon, 3, space.n_users))
+                  for ep in range(episodes)])
+    levels = _choice(compiled.level.probs, u[:, :, 0])
+    obs_levels = _choice(compiled.level.obs_confusion[levels], u[:, :, 1])
+    arrived = _choice(arrival_pmf(compiled.arrivals), u[:, :, 2])
+    place = space.per_user ** users[::-1]      # mixed-radix digit weights
+    queues, energies, served, used = (np.empty(levels.shape, dtype=int)
+                                      for _ in range(4))
+    obs = np.empty((episodes, horizon), dtype=int)
+    q = np.zeros((episodes, space.n_users), dtype=int)
+    e = np.full_like(q, space.e_max)
+    for t in range(horizon):
+        queues[:, t], energies[:, t] = q, e
+        obs[:, t] = ((q * (space.e_max + 1) + e) * space.n_levels
+                     + obs_levels[:, t]) @ place
+        a = policy.action_of[obs[:, t]][:, None]
+        pays = used_of[a, users] <= e
+        served[:, t] = np.minimum(
+            np.where(pays, served_of[a, users, levels[:, t]], 0), q)
+        used[:, t] = np.where(pays, used_of[a, users], 0)
+        q = np.minimum(q - served[:, t] + arrived[:, t], space.q_max)
+        e = np.minimum(e - used[:, t] + harvested_of[a, users, levels[:, t]],
+                       space.e_max)
+    action = policy.action_of[obs]
+    harvested = harvested_of[action[..., None], users, levels]
+    pays = used_of[action] <= energies
+    mask_sizes = np.array(compiled.calibration.mask_sizes)
+    return {
+        "queues": queues, "energies": energies, "levels": levels,
+        "obs": obs, "action": action, "arrived": arrived, "served": served,
+        "used": used, "harvested": harvested,
+        "discarded": np.maximum(energies - used + harvested - space.e_max, 0),
+        "p_up": np.where(pays, per_action("p_up")[action], 0.0),
+        "p_down": per_action("p_down")[action],
+        "rate_down": per_action("rate_down")[action],
+        "n_active": mask_sizes[per_action("mask_id")][action],
+    }
 
 
 @dataclass
@@ -113,49 +134,32 @@ class RunResult:
         }
 
 
-def _episode_summary(traj, cfg: ScenarioConfig) -> dict:
-    qs = np.array([rec["queues"] for rec in traj], dtype=float)
-    delay_slots = qs.mean(axis=0) / cfg.lam_slot
-    tx = np.array([np.sum(rec["p_up"]) + np.sum(rec["p_down"])
-                   for rec in traj])
-    frac = np.array([rec["n_active"] / cfg.n_r for rec in traj])
-    circ = np.array([rec["n_active"] * cfg.circuit_w_per_antenna
-                     for rec in traj])
-    return {
-        "delay_slots": delay_slots,
-        "p_up": np.array([rec["p_up"] for rec in traj]).mean(axis=0),
-        "p_down": np.array([rec["p_down"] for rec in traj]).mean(axis=0),
-        "rate_up": np.array([rec["rate_up"] for rec in traj]).mean(axis=0),
-        "rate_down": np.array([rec["rate_down"] for rec in traj]).mean(axis=0),
-        "effective_power": float(np.mean(tx * frac + circ)),
-    }
-
-
 def monte_carlo(policy: Policy, compiled: CompiledScenario, episodes: int,
                 horizon: int, base_seed: int = 0) -> RunResult:
     """Means and 95% half-widths over independent seeded episodes."""
     if episodes < 2:
         raise ValueError("need at least 2 episodes")
     cfg = compiled.config
-    sums = []
-    for ep in range(episodes):
-        traj = run_episode(policy, compiled, horizon, base_seed, episode=ep)
-        sums.append(_episode_summary(traj, cfg))
-    delay_ms = np.array([float(np.sum(s["delay_slots"])) * cfg.slot_s * 1e3
-                         for s in sums])
-    eff_p = np.array([s["effective_power"] for s in sums])
+    traj = run_episodes(policy, compiled, episodes, horizon, base_seed)
+    # per-episode means over the slots, then means over the episodes
+    delay_slots = traj["queues"].astype(float).mean(axis=1) / cfg.lam_slot
+    delay_ms = delay_slots.sum(axis=1) * cfg.slot_s * 1e3
+    n_active = traj["n_active"]
+    tx = traj["p_up"].sum(axis=2) + traj["p_down"].sum(axis=2)
+    eff_p = (tx * (n_active / cfg.n_r)
+             + n_active * cfg.circuit_w_per_antenna).mean(axis=1)
     half = 1.96 / np.sqrt(episodes)
     return RunResult(
         scenario_hash=compiled.scenario_hash,
         policy_kind=policy.kind,
         episodes=episodes,
-        delay_slots=np.mean([s["delay_slots"] for s in sums], axis=0),
+        delay_slots=delay_slots.mean(axis=0),
         delay_ms_mean=float(delay_ms.mean()),
         delay_ms_ci=float(half * delay_ms.std(ddof=1)),
-        p_up_w=np.mean([s["p_up"] for s in sums], axis=0),
-        p_down_w=np.mean([s["p_down"] for s in sums], axis=0),
-        rate_up=np.mean([s["rate_up"] for s in sums], axis=0),
-        rate_down=np.mean([s["rate_down"] for s in sums], axis=0),
+        p_up_w=traj["p_up"].mean(axis=1).mean(axis=0),
+        p_down_w=traj["p_down"].mean(axis=1).mean(axis=0),
+        rate_up=traj["served"].astype(float).mean(axis=1).mean(axis=0),
+        rate_down=traj["rate_down"].mean(axis=1).mean(axis=0),
         effective_power_w=float(eff_p.mean()),
         effective_power_ci=float(half * eff_p.std(ddof=1)),
     )

@@ -87,12 +87,14 @@ class LowerBound:
         return removed
 
     def prune_witness(self, witnesses: np.ndarray) -> int:
-        """Keep alphas achieving the max at some witness belief (corners
-        plus sampled beliefs); returns removed count."""
+        """Keep alphas achieving the max at some corner belief or at some
+        row of ``witnesses`` (sampled beliefs); returns removed count. An
+        alpha's score at corner s is its entry s, so the corners need no
+        belief rows."""
         m = self.matrix()
-        scores = m @ witnesses.T           # (n_alpha, n_wit)
         useful = np.zeros(len(self.alphas), dtype=bool)
-        useful[np.argmax(scores, axis=0)] = True
+        useful[np.argmax(m, axis=0)] = True
+        useful[np.argmax(m @ witnesses.T, axis=0)] = True
         removed = int((~useful).sum())
         if removed:
             self.alphas = [a for a, k in zip(self.alphas, useful) if k]
@@ -100,53 +102,61 @@ class LowerBound:
         return removed
 
 
+def _sawtooth(base: np.ndarray, beliefs: np.ndarray, points) -> np.ndarray:
+    """Sawtooth values at the rows of ``beliefs`` against ``points``.
+
+    ``base`` holds the rows' corner-interpolated values. Point j lowers a
+    row to ``base + c_j * gain_j``, where the coefficient c_j is the least
+    ratio of the row to the point's belief over the point's support. The
+    points are taken in groups of equal support size: a group is one
+    (rows, size, points) ratio array and one min over its size axis. The
+    minimum over the points does not depend on their order."""
+    groups = {}
+    for bp, _v, sup, gain in points:
+        if gain < 0.0:
+            groups.setdefault(sup.size, []).append((bp, sup, gain))
+    best = base
+    for group in groups.values():
+        sup = np.array([s for _bp, s, _g in group]).T
+        ratio = beliefs[:, sup] / np.array([bp[s] for bp, s, _g in group]).T
+        gain = np.array([g for _bp, _s, g in group])
+        best = np.minimum(
+            best, (base[:, None] + ratio.min(axis=1) * gain).min(axis=1))
+    return best
+
+
 class UpperBound:
-    """Sawtooth (Jensen-style) upper bound anchored at corner beliefs."""
+    """Sawtooth (Jensen-style) upper bound anchored at corner beliefs.
+
+    ``points`` is a list of (belief, value, support indices, gain) tuples,
+    the gain being the value minus the corner interpolation at the belief.
+    :meth:`value`, :meth:`value_many` and :meth:`prune` share one evaluator,
+    :func:`_sawtooth`, with one array pass per distinct support size (Smith
+    & Simmons, UAI 2005). Min is exact and each element's arithmetic is
+    that of a per-point loop, so the values equal that loop's bit for bit."""
 
     def __init__(self, corner_values: np.ndarray):
         self.corner = np.asarray(corner_values, dtype=float)
         if not np.all(np.isfinite(self.corner)):
             raise ValueError("corner values must be finite")
-        self.points: list = []   # (belief, value, support indices)
+        self.points: list = []
 
     def __len__(self):
         return len(self.points) + self.corner.size
 
+    def _value_against(self, b: np.ndarray, points) -> float:
+        return float(_sawtooth(np.array([self.corner @ b]), b[None, :],
+                               points)[0])
+
     def value(self, b: np.ndarray) -> float:
         """Corner-weighted baseline minus the best single-point improvement."""
-        base = float(self.corner @ b)
-        best = base
-        for (bp, vp, sup, gain) in self.points:
-            if gain >= 0.0:
-                continue
-            c = np.min(b[sup] / bp[sup])
-            cand = base + c * gain
-            if cand < best:
-                best = cand
-        return best
+        return self._value_against(b, self.points)
 
     def value_many(self, posts) -> np.ndarray:
-        """Sawtooth values at many beliefs at once.
-
-        ``posts`` is a sparse (m, n_states) matrix whose rows are beliefs;
-        returns the m values. The per-point interpolation coefficient is
-        evaluated over the point's (small) support only."""
-        base = np.asarray(posts @ self.corner).ravel()
-        best = base.copy()
-        live = [(bp, sup, gain) for (bp, _vp, sup, gain) in self.points
-                if gain < 0.0]
-        if live:
-            pc = posts.tocsc()
-            indptr, indices, data = pc.indptr, pc.indices, pc.data
-            m = base.size
-            for (bp, sup, gain) in live:
-                block = np.zeros((m, sup.size))
-                for jj, s in enumerate(sup):
-                    lo, hi = indptr[s], indptr[s + 1]
-                    block[indices[lo:hi], jj] = data[lo:hi]
-                c = (block / bp[sup]).min(axis=1)
-                np.minimum(best, base + c * gain, out=best)
-        return best
+        """Sawtooth values at the rows of the sparse (m, n_states) belief
+        matrix ``posts``."""
+        return _sawtooth(np.asarray(posts @ self.corner).ravel(),
+                         posts.toarray(), self.points)
 
     def add(self, b: np.ndarray, v: float) -> bool:
         """Insert (b, v) if it improves the interpolated bound at b."""
@@ -160,14 +170,10 @@ class UpperBound:
     def prune(self) -> int:
         """Drop points no longer improving on the rest; returns removed count."""
         kept = []
-        removed = 0
-        for i, pt in enumerate(self.points):
-            others = UpperBound(self.corner)
-            others.points = kept + self.points[i + 1:]
-            if pt[1] < others.value(pt[0]) - 1e-12:
-                kept.append(pt)
-            else:
-                removed += 1
+        for i, (bp, vp, _sup, _gain) in enumerate(self.points):
+            if vp < self._value_against(bp, kept + self.points[i + 1:]) - 1e-12:
+                kept.append(self.points[i])
+        removed = len(self.points) - len(kept)
         self.points = kept
         return removed
 

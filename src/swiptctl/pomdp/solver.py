@@ -213,9 +213,7 @@ def solve_hsvi(model: PomdpModel, b0: np.ndarray, eps: float,
         witness_extra.extend(stats.visited)
         if prune_every and it % prune_every == 0:
             bounds.lower.prune_pointwise()
-            corners = np.eye(model.n_states)
-            wit = np.vstack([corners] + [w.reshape(1, -1) for w in witness_extra])
-            bounds.lower.prune_witness(wit)
+            bounds.lower.prune_witness(np.array(witness_extra))
             bounds.upper.prune()
         lo, hi = bounds.lower.value(b0), bounds.upper.value(b0)
         gap = hi - lo

@@ -90,6 +90,11 @@ class ScenarioConfig:
             raise ConfigError("discount must lie in (0, 1)")
         if min(self.q_max, self.e_max) < 1:
             raise ConfigError("q_max and e_max must be at least 1")
+        # calibrate and with_budget pair the two grids level by level
+        up, down = self.power_levels_up, self.power_levels_down
+        if not up or len(up) != len(down) or min(*up, *down) < 0:
+            raise ConfigError("power_levels_up and power_levels_down must be "
+                              "nonempty, nonnegative and of equal length")
         for sz in self.mask_sizes:
             if not self.k * self.n_u <= sz <= self.n_r:
                 raise ConfigError(f"mask size {sz} infeasible for ZF")

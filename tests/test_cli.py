@@ -33,6 +33,15 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_unpaired_power_grids_exit_2(tmp_path, capsys):
+    cfg = json.loads(desk_scenario().to_json())
+    cfg["power_levels_down"] = cfg["power_levels_down"][:-1]
+    path = tmp_path / "unpaired.json"
+    path.write_text(json.dumps(cfg))
+    assert run("validate", "--config", str(path)) == 2
+    assert "equal length" in capsys.readouterr().err
+
+
 def test_missing_config_exits_2(tmp_path):
     assert run("validate", "--config", str(tmp_path / "nope.json")) == 2
 

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from oracles import effective_effect
 from swiptctl.control import (FAMILIES, ConstraintSpec, HashMismatchError,
                               Multipliers, Policy, SolveReport, _make_model,
                               _obs_posteriors, build_cost_table,
-                              constraint_violations, effective_effect,
-                              full_solve, greedy_policy,
+                              constraint_violations, full_solve, greedy_policy,
                               solve_inner_beamforming, solve_outer_selection,
                               uniform_initial_belief, update_multipliers)
 from swiptctl.dynamics import ActionEffect

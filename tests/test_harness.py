@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import admissible, reference_monte_carlo, reference_run_episode
 from swiptctl.control import HashMismatchError, Policy
 from swiptctl.harness import (CSV_COLUMNS, baseline_policy,
                               default_constraints, episode_rng, monte_carlo,
-                              rows_to_csv, run_episode, sweep_power)
-from swiptctl.scenario import desk_scenario
+                              rows_to_csv, run_episodes, sweep_power)
+from swiptctl.scenario import compile_scenario, desk_scenario
 
 
 @pytest.fixture(scope="module")
@@ -36,67 +37,144 @@ def test_episode_rng_reproducible_and_independent():
 
 
 # ---------------------------------------------------------------------------
-# single episodes
+# episodes
 # ---------------------------------------------------------------------------
 
 def test_run_episode_deterministic(desk_compiled, p_opt):
-    t1 = run_episode(p_opt, desk_compiled, horizon=60, seed=1, episode=2)
-    t2 = run_episode(p_opt, desk_compiled, horizon=60, seed=1, episode=2)
-    for r1, r2 in zip(t1, t2):
-        np.testing.assert_array_equal(r1["queues"], r2["queues"])
-        assert r1["action"] == r2["action"]
+    t1 = run_episodes(p_opt, desk_compiled, episodes=3, horizon=60, seed=1)
+    t2 = run_episodes(p_opt, desk_compiled, episodes=3, horizon=60, seed=1)
+    assert t1.keys() == t2.keys()
+    for key in t1:
+        np.testing.assert_array_equal(t1[key], t2[key])
 
 
 def test_run_episode_guards(desk_compiled, p_opt):
     with pytest.raises(ValueError):
-        run_episode(p_opt, desk_compiled, horizon=0, seed=0)
+        run_episodes(p_opt, desk_compiled, episodes=1, horizon=0, seed=0)
     alien = Policy(action_of=p_opt.action_of, scenario_hash="feedface")
     with pytest.raises(HashMismatchError):
-        run_episode(alien, desk_compiled, horizon=10, seed=0)
+        run_episodes(alien, desk_compiled, episodes=1, horizon=10, seed=0)
 
 
 def test_idle_policy_drains_nothing(desk_compiled, idle_policy):
-    traj = run_episode(idle_policy, desk_compiled, horizon=300, seed=0)
-    assert all(np.all(rec["served"] == 0) for rec in traj)
-    assert all(np.all(rec["harvested"] == 0) for rec in traj)
+    traj = run_episodes(idle_policy, desk_compiled, episodes=2, horizon=300,
+                        seed=0)
+    assert np.all(traj["served"] == 0)
+    assert np.all(traj["harvested"] == 0)
     # queue saturates at its cap under sustained arrivals
-    assert traj[-1]["queues"].max() == desk_compiled.space.q_max
+    assert np.all(traj["queues"][:, -1].max(axis=1)
+                  == desk_compiled.space.q_max)
     # no spending: buffers stay full
-    assert all(np.all(rec["energies"] == desk_compiled.space.e_max)
-               for rec in traj)
+    assert np.all(traj["energies"] == desk_compiled.space.e_max)
 
 
 def test_bookkeeping_recursions_hold_exactly(desk_compiled, p_opt):
     space = desk_compiled.space
-    traj = run_episode(p_opt, desk_compiled, horizon=200, seed=3)
-    for prev, nxt in zip(traj, traj[1:]):
-        want_q = np.minimum(prev["queues"] - prev["served"]
-                            + prev["arrived"], space.q_max)
-        np.testing.assert_array_equal(nxt["queues"], want_q)
-        want_e = (prev["energies"] - prev["used"] + prev["harvested"]
-                  - prev["discarded"])
-        np.testing.assert_array_equal(nxt["energies"], want_e)
-        assert np.all(nxt["energies"] >= 0)
-        assert np.all(nxt["energies"] <= space.e_max)
+    traj = run_episodes(p_opt, desk_compiled, episodes=2, horizon=200,
+                        seed=3)
+    prev = {key: v[:, :-1] for key, v in traj.items()}
+    want_q = np.minimum(prev["queues"] - prev["served"] + prev["arrived"],
+                        space.q_max)
+    np.testing.assert_array_equal(traj["queues"][:, 1:], want_q)
+    want_e = (prev["energies"] - prev["used"] + prev["harvested"]
+              - prev["discarded"])
+    np.testing.assert_array_equal(traj["energies"][:, 1:], want_e)
+    assert np.all(traj["energies"] >= 0)
+    assert np.all(traj["energies"] <= space.e_max)
 
 
 def test_energy_conservation_identity(desk_compiled, p_opt):
     space = desk_compiled.space
-    traj = run_episode(p_opt, desk_compiled, horizon=200, seed=4)
-    harvested = sum(rec["harvested"] for rec in traj)
-    used = sum(rec["used"] for rec in traj)
-    discarded = sum(rec["discarded"] for rec in traj)
-    e_final = (traj[-1]["energies"] - traj[-1]["used"]
-               + traj[-1]["harvested"] - traj[-1]["discarded"])
-    delta = e_final - np.full(space.n_users, space.e_max)
+    traj = run_episodes(p_opt, desk_compiled, episodes=2, horizon=200,
+                        seed=4)
+    harvested, used, discarded = (traj[key].sum(axis=1)
+                                  for key in ("harvested", "used",
+                                              "discarded"))
+    last = {key: v[:, -1] for key, v in traj.items()}
+    e_final = (last["energies"] - last["used"] + last["harvested"]
+               - last["discarded"])
+    delta = e_final - space.e_max
     np.testing.assert_array_equal(harvested - used, delta + discarded)
 
 
 def test_served_never_exceeds_queue_or_energy(desk_compiled, p_opt):
-    traj = run_episode(p_opt, desk_compiled, horizon=200, seed=5)
-    for rec in traj:
-        assert np.all(rec["served"] <= rec["queues"])
-        assert np.all(rec["used"] <= rec["energies"])
+    traj = run_episodes(p_opt, desk_compiled, episodes=2, horizon=200,
+                        seed=5)
+    assert np.all(traj["served"] <= traj["queues"])
+    assert np.all(traj["used"] <= traj["energies"])
+
+
+@pytest.fixture(scope="module")
+def three_user_compiled():
+    return compile_scenario(desk_scenario(k=3, q_max=1, e_max=2,
+                                          calib_draws=80))
+
+
+def unpayable_case(compiled):
+    """The top action at every observation, with the harvest halved and
+    the users' energy prices doubled and tripled: user 1 can never pay it,
+    user 0 only every other slot."""
+    effects = tuple(replace(eff, used_units=eff.used_units * [2, 3],
+                            harvested=eff.harvested // 2)
+                    for eff in compiled.effects)
+    compiled = replace(compiled, calibration=replace(compiled.calibration,
+                                                     effects=effects))
+    policy = Policy(action_of=np.full(compiled.space.size,
+                                      compiled.n_actions - 1),
+                    scenario_hash=compiled.scenario_hash, kind="top")
+    return policy, compiled
+
+
+@pytest.fixture(params=["p-opt", "idle", "unpayable", "p-opt-3-users"])
+def rollout_case(request, desk_compiled, idle_policy, p_opt,
+                 three_user_compiled):
+    """(policy, compiled scenario) pairs for the reference comparisons."""
+    if request.param == "unpayable":
+        return unpayable_case(desk_compiled)
+    if request.param == "p-opt-3-users":
+        return baseline_policy("p-opt", three_user_compiled), \
+            three_user_compiled
+    return {"p-opt": p_opt, "idle": idle_policy}[request.param], \
+        desk_compiled
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_run_episodes_match_per_slot_loop(rollout_case, seed):
+    policy, compiled = rollout_case
+    traj = run_episodes(policy, compiled, episodes=4, horizon=80, seed=seed)
+    ref = [reference_run_episode(policy, compiled, 80, seed, ep)
+           for ep in range(4)]
+    assert set(traj) == set(ref[0][0]) - {"rate_up"}
+    for key, got in traj.items():
+        want = np.array([[rec[key] for rec in episode] for episode in ref])
+        assert got.dtype == want.dtype, key
+        np.testing.assert_array_equal(got, want, err_msg=key)
+
+
+def test_unpayable_action_falls_back_per_user(desk_compiled):
+    policy, compiled = unpayable_case(desk_compiled)
+    traj = run_episodes(policy, compiled, episodes=4, horizon=80, seed=0)
+    price = np.array([eff.used_units for eff in compiled.effects])[
+        traj["action"]]
+    broke = price > traj["energies"]
+    assert broke[..., 1].all()
+    assert broke[..., 0].any() and not broke[..., 0].all()
+    assert np.all(traj["used"][broke] == 0)
+    assert np.all(traj["served"][broke] == 0)
+    assert np.all(traj["p_up"][broke] == 0.0)
+    np.testing.assert_array_equal(traj["used"][~broke], price[~broke])
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_monte_carlo_matches_per_episode_loop(rollout_case, seed):
+    policy, compiled = rollout_case
+    got = monte_carlo(policy, compiled, episodes=5, horizon=80,
+                      base_seed=seed)
+    want = reference_monte_carlo(policy, compiled, 5, 80, base_seed=seed)
+    assert (got.scenario_hash, got.policy_kind, got.episodes) \
+        == (compiled.scenario_hash, policy.kind, 5)
+    for key, value in want.items():
+        assert np.array_equal(getattr(got, key), value), key
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +246,7 @@ def test_p_opt_meets_rate_floors_when_payable(desk_compiled, p_opt):
     full = tuple((0, space.e_max, 1) for _ in range(space.n_users))
     a = p_opt.action(space.encode(full))
     eff = desk_compiled.effects[a]
-    assert eff.admissible([space.e_max] * space.n_users)
+    assert admissible(eff, [space.e_max] * space.n_users)
     assert np.all(eff.served[:, 1] >= spec.r_min_up)
     assert np.all(eff.rate_down >= spec.r_min_down)
 
@@ -181,7 +259,7 @@ def test_p_opt_prefers_cheapest_feasible(desk_compiled, p_opt):
     chosen = desk_compiled.effects[p_opt.action(space.encode(full))]
     price = float(np.sum(chosen.p_up) + np.sum(chosen.p_down))
     for eff in desk_compiled.effects:
-        meets = (eff.admissible([space.e_max] * space.n_users)
+        meets = (admissible(eff, [space.e_max] * space.n_users)
                  and np.all(eff.served[:, 1] >= spec.r_min_up)
                  and np.all(eff.rate_down >= spec.r_min_down))
         if meets:
@@ -198,7 +276,7 @@ def reference_p_opt(compiled, spec):
     table = np.empty(space.size, dtype=int)
     for obs, users in space.states():
         energies = [e for (_q, e, _l) in users]
-        feas = [a for a in order if effects[a].admissible(energies)]
+        feas = [a for a in order if admissible(effects[a], energies)]
         meets = [a for a in feas
                  if all(effects[a].served[u, lv] >= spec.r_min_up
                         and effects[a].rate_down[u] >= spec.r_min_down

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from swiptctl.pomdp import (AlphaVector, BoundPair, ImpossibleObservationError,
                             LowerBound, OracleScaleError, PomdpModel,
@@ -8,6 +9,7 @@ from swiptctl.pomdp import (AlphaVector, BoundPair, ImpossibleObservationError,
                             observation_prob, q_values, solve_hsvi,
                             update_belief)
 from swiptctl.pomdp import solver
+from swiptctl.scenario import compile_scenario, desk_scenario
 
 
 def tiger_model(discount=0.6):
@@ -137,6 +139,159 @@ class TestBounds:
         with pytest.raises(AssertionError):
             pair.audit(np.array([0.5, 0.5]))
         assert pair.worst_violation == pytest.approx(5.0)
+
+    def test_prune_witness_matches_stacked_corners(self):
+        # integer entries make ties; the kept set and order must equal the
+        # argmax over the corner beliefs stacked above the witnesses
+        rng = np.random.default_rng(3)
+        vals = rng.integers(0, 3, size=(12, 5)).astype(float)
+        wit = rng.dirichlet(np.ones(5), size=4)
+        lb = LowerBound([AlphaVector(v, i) for i, v in enumerate(vals)])
+        best = np.argmax(vals @ np.vstack([np.eye(5), wit]).T, axis=0)
+        removed = lb.prune_witness(wit)
+        assert [a.action for a in lb.alphas] == sorted(set(best))
+        assert removed == 12 - len(set(best))
+
+
+def reference_value(ub, b, points):
+    """Sawtooth value at b, one point at a time."""
+    base = float(ub.corner @ b)
+    best = base
+    for (bp, _vp, sup, gain) in points:
+        if gain >= 0.0:
+            continue
+        c = np.min(b[sup] / bp[sup])
+        cand = base + c * gain
+        if cand < best:
+            best = cand
+    return best
+
+
+def reference_value_many(ub, posts):
+    """Sawtooth values at the rows of sparse ``posts``, one dense
+    (rows, support) block per point."""
+    base = np.asarray(posts @ ub.corner).ravel()
+    best = base.copy()
+    pc = posts.tocsc()
+    for (bp, _vp, sup, gain) in ub.points:
+        if gain >= 0.0:
+            continue
+        block = np.zeros((base.size, sup.size))
+        for jj, s in enumerate(sup):
+            lo, hi = pc.indptr[s], pc.indptr[s + 1]
+            block[pc.indices[lo:hi], jj] = pc.data[lo:hi]
+        c = (block / bp[sup]).min(axis=1)
+        np.minimum(best, base + c * gain, out=best)
+    return best
+
+
+def reference_prune(ub):
+    """The points prune keeps, each tested against the kept ones before it
+    and all the points after it."""
+    kept = []
+    for i, pt in enumerate(ub.points):
+        if pt[1] < reference_value(ub, pt[0], kept + ub.points[i + 1:]) \
+                - 1e-12:
+            kept.append(pt)
+    return kept
+
+
+@pytest.fixture(scope="module")
+def tiger_case():
+    m = tiger_model()
+    res = solve_hsvi(m, np.array([0.5, 0.5]), eps=1e-3, max_iterations=8)
+    grid = np.linspace(0.0, 1.0, 41)
+    beliefs = np.vstack([np.column_stack([grid, 1.0 - grid])]
+                        + [p[0] for p in res.bounds.upper.points])
+    return res.bounds.upper, beliefs
+
+
+@pytest.fixture(scope="module")
+def desk_jopt_case():
+    """Upper bound of a 3-iteration j-opt solve on the 1600-state desk
+    model, with posteriors, point beliefs and corner beliefs to test."""
+    from swiptctl.control import (Multipliers, _make_model, build_cost_table,
+                                  uniform_initial_belief)
+    from swiptctl.harness import default_constraints
+    compiled = compile_scenario(desk_scenario(q_max=4, e_max=3))
+    cfg = compiled.config
+    n = compiled.space.n_users
+    nu = Multipliers(nu={"p_up": np.full(n, 2.0), "p_down": np.full(n, 2.0)},
+                     varrho=np.ones(n))
+    cost = build_cost_table(
+        compiled, nu, default_constraints(cfg),
+        extra_action_cost=np.full(compiled.n_actions,
+                                  2.0 * cfg.circuit_w_per_antenna * cfg.n_r))
+    model = _make_model(compiled, cost, range(compiled.n_actions))
+    b0 = uniform_initial_belief(compiled)
+    upper = solve_hsvi(model, b0, eps=5.0, max_iterations=3).bounds.upper
+    assert model.n_states == 1600 and len(upper.points) >= 3
+    points = np.array([p[0] for p in upper.points])
+    wide = next(p for p in upper.points if p[2].size > 1)
+    # corners inside a multi-state support: coefficient 0 for that point
+    corners = np.eye(model.n_states)[wide[2][:3]]
+    posts = [rows for b in (b0, points[0], points[-1])
+             for (_r, _a, _p, rows) in solver._expand(b, model)]
+    beliefs = sparse.vstack(posts + [sparse.csr_matrix(points),
+                                     sparse.csr_matrix(corners)]).tocsr()
+    return upper, beliefs
+
+
+@pytest.fixture(scope="module")
+def mixed_support_case():
+    """Hand-built points on 4 states with supports of 1 to 4 states."""
+    rng = np.random.default_rng(5)
+    upper = UpperBound(rng.uniform(5.0, 10.0, 4))
+    for size in (1, 2, 3, 4, 2, 3, 1):
+        b = np.zeros(4)
+        b[rng.choice(4, size, replace=False)] = rng.dirichlet(np.ones(size))
+        upper.add(b, float(upper.corner @ b) - rng.uniform(0.5, 2.0))
+    assert len({p[2].size for p in upper.points}) == 4
+    beliefs = np.vstack([rng.dirichlet(np.ones(4), 30), np.eye(4)]
+                        + [p[0] for p in upper.points])
+    return upper, beliefs
+
+
+@pytest.fixture(params=["tiger", "desk-jopt", "mixed-supports"])
+def sawtooth_case(request, tiger_case, desk_jopt_case, mixed_support_case):
+    upper, beliefs = {"tiger": tiger_case, "desk-jopt": desk_jopt_case,
+                      "mixed-supports": mixed_support_case}[request.param]
+    return upper, sparse.csr_matrix(beliefs)
+
+
+class TestSawtoothAgainstPerPointLoop:
+    def test_value_many(self, sawtooth_case):
+        upper, beliefs = sawtooth_case
+        got = upper.value_many(beliefs)
+        np.testing.assert_array_equal(got,
+                                      reference_value_many(upper, beliefs))
+        # some rows gain from a point, some sit on the corner baseline
+        base = beliefs @ upper.corner
+        assert (got < base).any() and (got == base).any()
+
+    def test_value(self, sawtooth_case):
+        upper, beliefs = sawtooth_case
+        for b in beliefs.toarray():
+            assert upper.value(b) == reference_value(upper, b, upper.points)
+
+    def test_prune_keeps_the_same_points_in_order(self, sawtooth_case):
+        upper, _ = sawtooth_case
+        points = list(upper.points)
+        # a redundant copy, 0.5 above, after every other point
+        padded = []
+        for i, (bp, vp, sup, gain) in enumerate(points):
+            padded.append(points[i])
+            if i % 2 == 0:
+                padded.append((bp, vp + 0.5, sup, gain + 0.5))
+        for pts in (points, padded):
+            ub = UpperBound(upper.corner)
+            ub.points = list(pts)
+            want = reference_prune(ub)
+            removed = ub.prune()
+            assert removed == len(pts) - len(want)
+            assert len(ub.points) == len(want)
+            assert all(a is b for a, b in zip(ub.points, want))
+        assert removed >= len(points) // 2
 
 
 class TestSolverPieces:

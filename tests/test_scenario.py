@@ -43,6 +43,12 @@ def test_default_config_is_valid():
     {"q_max": 0},
     {"mask_sizes": (2,), "k": 3, "n_u": 2},   # below ZF minimum 6
     {"mask_sizes": (40,)},                    # above the array size
+    {"power_levels_up": (0.0, 0.005),         # unpaired grids
+     "power_levels_down": (0.0, 0.125, 0.25)},
+    {"power_levels_up": (0.0, 0.005, 0.01), "power_levels_down": (0.0,)},
+    {"power_levels_up": (), "power_levels_down": ()},
+    {"power_levels_up": (0.0, -0.005), "power_levels_down": (0.0, 0.125)},
+    {"power_levels_up": (0.0, 0.005), "power_levels_down": (-0.1, 0.125)},
 ])
 def test_invalid_configs_rejected(kw):
     with pytest.raises(ConfigError):
