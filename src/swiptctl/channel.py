@@ -5,6 +5,14 @@ zero-forcing equalization, uplink/downlink SINR, power-splitting ID/EH
 branches, harvested energy and per-slot achievable rate, plus the
 closed-form SINR density evaluators used by the distribution checks.
 
+The calibration uses the stacked forms: :func:`draw_channel_stack` and the
+power-independent link geometry of many draws at once
+(:func:`zf_noise_gains`, :func:`mrt_precoders`, :func:`link_gains`). The
+per-draw functions (:func:`draw_channel`, :func:`uplink_sinr`,
+:func:`downlink_sinr` and the equalizers) have no production caller; they
+are the reference that the stacked forms equal bit for bit. The
+closed-form densities are the sampler's goodness-of-fit oracles.
+
 All randomness enters through explicit ``numpy.random.Generator`` handles;
 every function here is a pure function of its inputs.
 """
@@ -88,8 +96,10 @@ class AntennaSelection:
         return int(self.mask.sum())
 
     def select(self, h: np.ndarray) -> np.ndarray:
-        """Apply the implied selection matrix V (row subset)."""
-        return h[self.mask, :]
+        """Apply the implied selection matrix V (row subset); a stack of
+        channels keeps its leading axes. The result is C-contiguous, so a
+        stack's matrices have the strides that a single matrix's have."""
+        return np.ascontiguousarray(h[..., self.mask, :])
 
     @staticmethod
     def all_on(n_r: int) -> "AntennaSelection":
@@ -204,12 +214,29 @@ def draw_channel(dims: Dims, alpha: float, rng: np.random.Generator) -> ChannelP
     return ChannelPair(h_true=h_true, h_est=h_est, delta=delta, alpha=alpha)
 
 
+def draw_channel_stack(dims: Dims, alpha: float, rng: np.random.Generator,
+                       n: int) -> tuple:
+    """(h_true, h_est, delta) stacks of shape (n, k, n_r, n_u): the pairs of
+    ``n * k`` successive :func:`draw_channel` calls, read from the stream in
+    one call and in the same order, so they are equal bit for bit."""
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError("alpha must lie in [0, 1)")
+    # per pair: h_est's real and imaginary parts, then delta's
+    z = rng.standard_normal((n, dims.k, 4, dims.n_r, dims.n_u))
+    h_est = (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)
+    delta = (z[:, :, 2] + 1j * z[:, :, 3]) / np.sqrt(2.0)
+    h_true = np.sqrt(1.0 - alpha ** 2) * h_est + alpha * delta
+    return h_true, h_est, delta
+
+
 # ---------------------------------------------------------------------------
 # zero forcing and SINR
 # ---------------------------------------------------------------------------
 
 def zf_equalizer(h_check: np.ndarray, d_k: int) -> np.ndarray:
-    """ZF receive filter [I_{d_k} 0] @ inv(h_check) for a square stacked channel."""
+    """ZF receive filter [I_{d_k} 0] @ inv(h_check) for a square stacked channel.
+
+    Per-draw reference with no production caller."""
     h_check = np.asarray(h_check)
     if h_check.ndim != 2 or h_check.shape[0] != h_check.shape[1]:
         raise ValueError("h_check must be square; use the stacked channel")
@@ -222,11 +249,14 @@ def zf_equalizer(h_check: np.ndarray, d_k: int) -> np.ndarray:
 
 
 def _check_conditioning(m: np.ndarray) -> None:
+    """Raise :class:`ConditioningError` unless every matrix over the last two
+    axes of ``m`` has a 2-norm condition number of at most ``COND_CAP``."""
     sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > COND_CAP:
-        raise ConditioningError(
-            f"condition number {np.inf if sv[-1] == 0 else sv[0] / sv[-1]:.3e} "
-            f"exceeds cap {COND_CAP:.1e}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(sv[..., -1] == 0.0, np.inf, sv[..., 0] / sv[..., -1])
+    if np.any(cond > COND_CAP):
+        raise ConditioningError(f"condition number {np.max(cond):.3e} "
+                                f"exceeds cap {COND_CAP:.1e}")
 
 
 def _stack_uplink(channels, sel: AntennaSelection, bf: BeamformerSet, k: int,
@@ -255,7 +285,8 @@ def uplink_equalizer(channels, sel: AntennaSelection, bf: BeamformerSet, k: int,
     """ZF receive filter for user k's n_u desired streams.
 
     Uses the square inverse when the stack is square, the left pseudo-inverse
-    otherwise; either way ``U @ h_check = [I 0]`` exactly.
+    otherwise; either way ``U @ h_check = [I 0]`` exactly. Per-draw
+    reference with no production caller.
     """
     h_check = _stack_uplink(channels, sel, bf, k, si_column)
     n_u = channels[k].h_est.shape[1]
@@ -275,6 +306,10 @@ def uplink_sinr(channels, sel: AntennaSelection, bf: BeamformerSet,
     estimation-error power alpha^2 * sum_i p_i ||w_i||^2 (plus the residual
     self-interference power ``p_si`` when present) and thermal noise, both
     projected through the stream-wise diagonal of inv(H^H H).
+
+    Per-draw reference with no production caller: the calibration uses
+    :func:`zf_noise_gains` and applies the powers itself, and equals a loop
+    over this function bit for bit.
     """
     if noise < 0:
         raise ValueError("noise variance must be nonnegative")
@@ -310,6 +345,10 @@ def downlink_sinr(channels, sel: AntennaSelection, bf: BeamformerSet,
 
     ``channels`` are the downlink pairs (F); ``xtalk`` is an optional list of
     per-user SU-to-SU cross channels g_k (shape (n_u, n_u) per interferer).
+
+    Per-draw reference with no production caller: the calibration uses
+    :func:`mrt_precoders` and :func:`link_gains` and applies the powers
+    itself, and equals a loop over this function bit for bit.
     """
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie in (0, 1)")
@@ -339,6 +378,74 @@ def downlink_sinr(channels, sel: AntennaSelection, bf: BeamformerSet,
         den += noise_s / (rho * (1.0 - alpha ** 2) * p_d)
         out[k] = num / den
     return SinrReport(downlink=out, noise={"sigma_d": noise_d, "sigma_s": noise_s})
+
+
+# ---------------------------------------------------------------------------
+# link geometry of stacked draws
+# ---------------------------------------------------------------------------
+# Stacks carry the users on axis -3: channels (..., k, n_active, n_u),
+# uplink precoders (..., k, n_u, n_u). These are the power-independent parts
+# of the two SINR maps above, one array pass per stack. Every matrix goes
+# through the LAPACK or BLAS routine, with the strides, that the per-draw
+# functions use, so the results equal theirs bit for bit.
+
+def _fro_norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix over the last two axes of complex x.
+
+    Like ``np.linalg.norm`` it adds the dot products of the real and the
+    imaginary parts; a (1, n) @ (n, 1) matmul calls the same BLAS dot."""
+    flat = x.reshape(*x.shape[:-2], 1, -1)
+    re, im = flat.real, flat.imag
+    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return np.sqrt(sq[..., 0, 0])
+
+
+def sq_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(m) ** 2`` of every matrix m over the last two axes
+    of complex x. The square goes through C ``pow``, as the scalar
+    ``** 2`` does; ``np.square`` can differ from it in the last bit."""
+    nrm = _fro_norms(x)
+    return np.array([v ** 2 for v in nrm.ravel().tolist()]).reshape(nrm.shape)
+
+
+def normalized(x: np.ndarray) -> np.ndarray:
+    """Every matrix over the last two axes of complex x divided by its
+    Frobenius norm."""
+    return x / _fro_norms(x)[..., None, None]
+
+
+def link_gains(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """||a^H w||_F^2 for stacked channels a and precoders w, both
+    (..., n_active, n_u); leading axes broadcast."""
+    return sq_norms(np.conj(a).swapaxes(-1, -2) @ w)
+
+
+def mrt_precoders(h_sel: np.ndarray) -> np.ndarray:
+    """Unit-norm MRT downlink precoders conj(h) of stacked selected
+    estimated channels."""
+    return normalized(np.conj(h_sel))
+
+
+def zf_noise_gains(h_sel: np.ndarray, w_up: np.ndarray) -> np.ndarray:
+    """Per user, the n_u stream entries of diag(inv(H^H H)) that
+    :func:`uplink_sinr` projects the noise through, shape (..., k, n_u).
+
+    H is user k's stacked ZF channel without a self-interference column:
+    its selected estimated channel, then every other user's effective
+    column h_i w_i. Raises :class:`ConditioningError` as
+    :func:`uplink_sinr` does when any stack is too ill-conditioned."""
+    k, n_u = h_sel.shape[-3], h_sel.shape[-1]
+    cols = h_sel @ w_up
+    out = np.empty(h_sel.shape[:-2] + (n_u,))
+    for u in range(k):
+        h_check = np.concatenate([h_sel[..., u, :, :]]
+                                 + [cols[..., i, :, :]
+                                    for i in range(k) if i != u], axis=-1)
+        _check_conditioning(h_check)
+        gram_inv = np.linalg.inv(h_check.conj().swapaxes(-1, -2) @ h_check)
+        diag = np.diagonal(gram_inv, axis1=-2, axis2=-1)
+        out[..., u, :] = diag[..., :n_u].real
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +490,8 @@ def beta2_moment_match(n_t: int, k: int, alpha: float, power_ratio: float,
     """Moment-matching chain producing the Beta-II degrees of freedom.
 
     ``power_ratio`` is p_u / p_d before the (1 - alpha^2) normalization;
-    ``sigma_d0`` is the combined normalized noise constant.
+    ``sigma_d0`` is the combined normalized noise constant. A goodness-of-fit
+    oracle for the sampler, with no production caller.
     """
     if n_t <= 0 or k <= 0 or sigma_d0 <= 0 or power_ratio < 0:
         raise ValueError("inputs must be positive")
@@ -431,7 +539,8 @@ def beta2_pdf(gamma, params: BetaIIParams, n_u: int = 1) -> float:
     """Matrix-variate Beta-II density (scalar Beta-prime for n_u = 1).
 
     det(G)^{(2 N1 - n_u - 1)/2} det(I + G)^{-(N1+N2)} / beta(N1, N2) with the
-    multivariate-Gamma normalizer.
+    multivariate-Gamma normalizer. A goodness-of-fit oracle for the
+    sampler, with no production caller.
     """
     n1, n2 = params.n1, params.n2
     log_beta = _multigammaln(n1, n_u) + _multigammaln(n2, n_u) \
@@ -461,6 +570,7 @@ def uplink_eta(dims: Dims, alpha: float, p_up: float, noise: float,
     (d_k (a^2 P_err + sigma^2)) with an extra 1/2 reconciling the density's
     real-Wishart normalization against unit-variance complex channel entries.
     ``err_power`` defaults to the single-user trace term p_u ||w||^2.
+    A goodness-of-fit oracle for the sampler, with no production caller.
     """
     if err_power is None:
         err_power = p_up * w_norm_sq
@@ -475,6 +585,7 @@ def uplink_sinr_pdf(gamma: float, eta: float, dims: Dims) -> float:
 
     gamma^{(2 n_r - n_u - 1)/2} exp(-gamma / (2 eta^2)) over the
     2^{n_r} Gamma(n_r) (eta^2)^{n_r} normalizer; a Gamma(n_r, 2 eta^2) law.
+    A goodness-of-fit oracle for the sampler, with no production caller.
     """
     if dims.n_u != 1:
         raise NotImplementedError("density evaluator supports n_u = 1 only")

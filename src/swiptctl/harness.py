@@ -276,8 +276,9 @@ def _p_opt_policy(compiled: CompiledScenario, spec: ConstraintSpec) -> Policy:
 # ---------------------------------------------------------------------------
 
 # light solver budget for the qualitative sweeps; policies stabilize well
-# before full convergence at desk scale
-SWEEP_HSVI_KW = {"max_iterations": 8, "depth_cap": 25, "time_budget_s": 120.0}
+# before full convergence at desk scale. Iteration and depth caps only: a
+# wall-clock cap would let a slow host change the CSVs
+SWEEP_HSVI_KW = {"max_iterations": 8, "depth_cap": 25}
 
 
 def rows_to_csv(rows) -> str:

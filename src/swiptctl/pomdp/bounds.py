@@ -102,7 +102,8 @@ class LowerBound:
         return removed
 
 
-def _sawtooth(base: np.ndarray, beliefs: np.ndarray, points) -> np.ndarray:
+def _sawtooth(base: np.ndarray, beliefs: np.ndarray, points,
+              cols: np.ndarray | None = None) -> np.ndarray:
     """Sawtooth values at the rows of ``beliefs`` against ``points``.
 
     ``base`` holds the rows' corner-interpolated values. Point j lowers a
@@ -110,7 +111,9 @@ def _sawtooth(base: np.ndarray, beliefs: np.ndarray, points) -> np.ndarray:
     ratio of the row to the point's belief over the point's support. The
     points are taken in groups of equal support size: a group is one
     (rows, size, points) ratio array and one min over its size axis. The
-    minimum over the points does not depend on their order."""
+    minimum over the points does not depend on their order. ``cols``, when
+    given, holds the sorted state ids of the columns of ``beliefs``, which
+    then need cover only the points' supports."""
     groups = {}
     for bp, _v, sup, gain in points:
         if gain < 0.0:
@@ -118,11 +121,24 @@ def _sawtooth(base: np.ndarray, beliefs: np.ndarray, points) -> np.ndarray:
     best = base
     for group in groups.values():
         sup = np.array([s for _bp, s, _g in group]).T
-        ratio = beliefs[:, sup] / np.array([bp[s] for bp, s, _g in group]).T
+        at = sup if cols is None else np.searchsorted(cols, sup)
+        ratio = beliefs[:, at] / np.array([bp[s] for bp, s, _g in group]).T
         gain = np.array([g for _bp, _s, g in group])
         best = np.minimum(
             best, (base[:, None] + ratio.min(axis=1) * gain).min(axis=1))
     return best
+
+
+def _dense_columns(rows, cols: np.ndarray) -> np.ndarray:
+    """Dense (m, cols.size) block of the sparse CSR matrix ``rows`` at the
+    sorted column ids ``cols``; the other columns are never made dense."""
+    idx = rows.indices
+    j = np.minimum(np.searchsorted(cols, idx), cols.size - 1)
+    hit = cols[j] == idx
+    row_of = np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr))
+    out = np.zeros((rows.shape[0], cols.size))
+    out[row_of[hit], j[hit]] = rows.data[hit]
+    return out
 
 
 class UpperBound:
@@ -154,9 +170,14 @@ class UpperBound:
 
     def value_many(self, posts) -> np.ndarray:
         """Sawtooth values at the rows of the sparse (m, n_states) belief
-        matrix ``posts``."""
-        return _sawtooth(np.asarray(posts @ self.corner).ravel(),
-                         posts.toarray(), self.points)
+        matrix ``posts``; only the points' support columns are gathered."""
+        base = np.asarray(posts @ self.corner).ravel()
+        sups = [sup for _bp, _v, sup, gain in self.points if gain < 0.0]
+        if not sups:
+            return base
+        cols = np.unique(np.concatenate(sups))
+        return _sawtooth(base, _dense_columns(posts.tocsr(), cols),
+                         self.points, cols)
 
     def add(self, b: np.ndarray, v: float) -> bool:
         """Insert (b, v) if it improves the interpolated bound at b."""

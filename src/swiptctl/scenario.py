@@ -19,9 +19,11 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .channel import (AntennaSelection, BeamformerSet, Dims, achievable_rate,
-                      channel_stream, crandn, downlink_sinr, draw_channel,
-                      harvested_energy, split_received, uplink_sinr)
+from .channel import (AntennaSelection, Dims, achievable_rate, channel_stream,
+                      crandn, draw_channel_stack, harvested_energy, link_gains,
+                      mrt_precoders, normalized, sq_norms, zf_noise_gains)
+# no caller here: perfbench/spans.py traces these three names in this module
+from .channel import downlink_sinr, draw_channel, uplink_sinr  # noqa: F401
 from .dynamics import (ActionEffect, ArrivalModel, LevelModel, StateSpace,
                        TransitionKernel, build_kernel,
                        build_observation_matrix, check_state_budget)
@@ -173,39 +175,31 @@ class Calibration:
     mask_sizes: tuple
 
 
-def _mrt_precoders(dims: Dims, sel: AntennaSelection, chans) -> tuple:
-    out = []
-    for ch in chans:
-        f = sel.select(ch.h_est)
-        w = f[:, :dims.n_u].conj() if f.shape[1] >= dims.n_u else f.conj()
-        out.append(w / np.linalg.norm(w))
-    return tuple(out)
-
-
-def _draw_set(cfg: ScenarioConfig, rng) -> tuple:
-    return tuple(draw_channel(cfg.dims(), cfg.alpha, rng)
-                 for _ in range(cfg.k))
-
-
 def calibrate(cfg: ScenarioConfig) -> Calibration:
-    """Seeded Monte Carlo pass over channel draws.
+    """Seeded Monte Carlo pass over channel draws, in array passes.
 
     Levels are equal-mass quantile bins of the true per-user channel gain;
     the confusion matrix counts how often the estimated gain falls in a
     different bin. Service, harvest and rate tables are per-level sample
     means of the SINR maps, discretized to packets and energy units.
+
+    All draws are stacked. Per antenna mask, the power-independent link
+    geometry (ZF noise gains, MRT precoders, received and cross gains) is
+    computed once; each power level is then scalar algebra over the draws.
+    The result equals the per-draw ``uplink_sinr``/``downlink_sinr`` loop
+    bit for bit: the same operations in the same order on the same values.
     """
     rng = channel_stream(cfg.seed, slot=0, user=0, link=2)
     dims = cfg.dims()
+    a2 = cfg.alpha ** 2
     duplex_frac = 0.5 if cfg.duplex == "hd" else 1.0
     slot_link = cfg.slot_s * duplex_frac
     si = 0.0 if cfg.duplex == "hd" else cfg.si_power_w
 
-    draws = [_draw_set(cfg, rng) for _ in range(cfg.calib_draws)]
-    gains_true = np.array([[np.linalg.norm(ch.h_true) ** 2 for ch in d]
-                           for d in draws])
-    gains_est = np.array([[np.linalg.norm(ch.h_est) ** 2 for ch in d]
-                          for d in draws])
+    h_true, h_est, delta = draw_channel_stack(dims, cfg.alpha, rng,
+                                              cfg.calib_draws)
+    gains_true = sq_norms(h_true)
+    gains_est = sq_norms(h_est)
     edges = np.quantile(gains_true.ravel(),
                         np.linspace(0, 1, cfg.n_levels + 1))
     edges[0], edges[-1] = 0.0, np.inf
@@ -225,11 +219,19 @@ def calibrate(cfg: ScenarioConfig) -> Calibration:
     # are the same for every action
     hits = np.maximum([np.bincount(level_true[:, u], minlength=cfg.n_levels)
                        for u in range(cfg.k)], 1.0)
-    w_up = [tuple((lambda w: w / np.linalg.norm(w))(
-                crandn(channel_stream(cfg.seed, slot=d_i, user=u, link=3),
-                       dims.n_u, dims.n_u))
-                  for u in range(cfg.k))
-            for d_i in range(cfg.calib_draws)]
+    w_up = normalized(np.array([[crandn(channel_stream(cfg.seed, slot=d_i,
+                                                       user=u, link=3),
+                                        dims.n_u, dims.n_u)
+                                 for u in range(cfg.k)]
+                                for d_i in range(cfg.calib_draws)]))
+    w_up_sq = sq_norms(w_up)
+
+    def level_means(x):
+        """Per-user per-level means of x (calib_draws, k); bincount adds
+        the weights in draw order, as the per-draw loop did."""
+        return np.array([np.bincount(level_true[:, u], weights=x[:, u],
+                                     minlength=cfg.n_levels)
+                         for u in range(cfg.k)]) / hits
 
     mask_sizes = cfg.resolved_mask_sizes()
     power_pairs = [(pu, pd) for pu, pd in zip(cfg.power_levels_up,
@@ -237,40 +239,34 @@ def calibrate(cfg: ScenarioConfig) -> Calibration:
     effects, action_meta = [], []
     for m_id, n_active in enumerate(mask_sizes):
         sel = AntennaSelection.first(cfg.n_r, n_active)
-        w_down = [_mrt_precoders(dims, sel, chans) for chans in draws]
-        # received downlink gain |h_u^H w_u|^2 per draw and user
-        rx_gain = [[float(np.linalg.norm(sel.select(chans[u].h_true)
-                                         .conj().T @ w[u]) ** 2)
-                    for u in range(cfg.k)]
-                   for chans, w in zip(draws, w_down)]
+        f_hat = sel.select(h_est)
+        zf_gain = zf_noise_gains(f_hat, w_up)  # (calib_draws, k, n_u)
+        w_down = mrt_precoders(f_hat)
+        # |f_u^H w_i|^2 for every user pair, the estimation-error terms
+        # |delta_i^H w_i|^2 and the harvester's received gain |h_u^H w_u|^2;
+        # Python's sum adds the terms in user order, as the per-draw loop
+        cross = link_gains(f_hat[:, :, None], w_down[:, None])
+        err = sum(link_gains(sel.select(delta), w_down).T)
+        rx_gain = link_gains(sel.select(h_true), w_down)
+        dn_signal = np.diagonal(cross, axis1=1, axis2=2)
+        dn_interf = np.stack(
+            [sum(cross[:, u, i] for i in range(cfg.k) if i != u)
+             + a2 / (1.0 - a2) * err for u in range(cfg.k)], axis=1)
         for p_id, (p_up, p_down) in enumerate(power_pairs):
             sinr_up = np.zeros((cfg.k, cfg.n_levels))
             sinr_dn = np.zeros((cfg.k, cfg.n_levels))
             eh_power = np.zeros((cfg.k, cfg.n_levels))
-            for d_i, chans in enumerate(draws):
-                bf = BeamformerSet(
-                    w_up=w_up[d_i], w_down=w_down[d_i],
-                    p_up=np.full(cfg.k, p_up), p_down=np.full(cfg.k, p_down))
-                up = None
-                if p_up > 0:
-                    up = uplink_sinr(chans, sel, bf, noise=cfg.noise_w,
-                                     p_si=si * p_up)
-                dn = None
-                if p_down > 0:
-                    dn = downlink_sinr(chans, sel, bf, rho=cfg.rho,
-                                       noise_d=cfg.noise_w,
-                                       noise_s=cfg.noise_w)
-                for u in range(cfg.k):
-                    lv = level_true[d_i, u]
-                    if up is not None:
-                        sinr_up[u, lv] += float(np.mean(up.uplink[u]))
-                    if dn is not None:
-                        sinr_dn[u, lv] += float(dn.downlink[u])
-                        rcv = p_down * rx_gain[d_i][u]
-                        eh_power[u, lv] += split_received(rcv, cfg.rho).eh_power
-            sinr_up /= hits
-            sinr_dn /= hits
-            eh_power /= hits
+            if p_up > 0:
+                up_err = a2 * (sum(p_up * w_up_sq.T) + si * p_up)
+                num = (1.0 - a2) * p_up * w_up_sq / dims.n_u
+                sinr = num[..., None] / ((up_err + cfg.noise_w)[:, None, None]
+                                         * zf_gain)
+                sinr_up = level_means(np.maximum(sinr, 0.0).mean(axis=-1))
+            if p_down > 0:
+                den = dn_interf + cfg.noise_w / ((1.0 - a2) * p_down)
+                den = den + cfg.noise_w / (cfg.rho * (1.0 - a2) * p_down)
+                sinr_dn = level_means(dn_signal / den)
+                eh_power = level_means((1.0 - cfg.rho) * (p_down * rx_gain))
             served = np.zeros((cfg.k, cfg.n_levels), dtype=int)
             harvested = np.zeros((cfg.k, cfg.n_levels), dtype=int)
             rate_dn = np.zeros((cfg.k, cfg.n_levels))

@@ -2,16 +2,22 @@
 
 Each function is the earlier, one-item-at-a-time form of a production
 routine: the per-action degraded effect, the per-slot rollout and its
-per-episode reduction. Tests compare the production arrays with these
-using exact equality.
+per-episode reduction, and the per-draw link calibration. Tests compare the
+production arrays with these using exact equality.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
-from swiptctl.dynamics import arrival_pmf
+from swiptctl.channel import (AntennaSelection, BeamformerSet, Dims,
+                              achievable_rate, channel_stream, crandn,
+                              downlink_sinr, draw_channel, harvested_energy,
+                              split_received, uplink_sinr)
+from swiptctl.dynamics import ActionEffect, LevelModel, arrival_pmf
 from swiptctl.harness import episode_rng
+from swiptctl.scenario import Calibration, ScenarioConfig
 
 
 def admissible(effect, energies) -> bool:
@@ -124,3 +130,133 @@ def reference_monte_carlo(policy, compiled, episodes, horizon, base_seed=0):
         "effective_power_w": float(eff_p.mean()),
         "effective_power_ci": float(half * eff_p.std(ddof=1)),
     }
+
+
+def _mrt_precoders(dims: Dims, sel: AntennaSelection, chans) -> tuple:
+    out = []
+    for ch in chans:
+        f = sel.select(ch.h_est)
+        w = f[:, :dims.n_u].conj() if f.shape[1] >= dims.n_u else f.conj()
+        out.append(w / np.linalg.norm(w))
+    return tuple(out)
+
+
+def _draw_set(cfg: ScenarioConfig, rng) -> tuple:
+    return tuple(draw_channel(cfg.dims(), cfg.alpha, rng)
+                 for _ in range(cfg.k))
+
+
+def reference_calibrate(cfg: ScenarioConfig) -> Calibration:
+    """Seeded Monte Carlo pass over channel draws, one ``uplink_sinr`` and
+    one ``downlink_sinr`` call per draw and action.
+
+    Levels are equal-mass quantile bins of the true per-user channel gain;
+    the confusion matrix counts how often the estimated gain falls in a
+    different bin. Service, harvest and rate tables are per-level sample
+    means of the SINR maps, discretized to packets and energy units.
+    """
+    rng = channel_stream(cfg.seed, slot=0, user=0, link=2)
+    dims = cfg.dims()
+    duplex_frac = 0.5 if cfg.duplex == "hd" else 1.0
+    slot_link = cfg.slot_s * duplex_frac
+    si = 0.0 if cfg.duplex == "hd" else cfg.si_power_w
+
+    draws = [_draw_set(cfg, rng) for _ in range(cfg.calib_draws)]
+    gains_true = np.array([[np.linalg.norm(ch.h_true) ** 2 for ch in d]
+                           for d in draws])
+    gains_est = np.array([[np.linalg.norm(ch.h_est) ** 2 for ch in d]
+                          for d in draws])
+    edges = np.quantile(gains_true.ravel(),
+                        np.linspace(0, 1, cfg.n_levels + 1))
+    edges[0], edges[-1] = 0.0, np.inf
+
+    def bins(g):
+        return np.clip(np.searchsorted(edges, g, side="right") - 1,
+                       0, cfg.n_levels - 1)
+
+    level_true = bins(gains_true)              # (calib_draws, k)
+    counts = np.zeros((cfg.n_levels, cfg.n_levels))
+    np.add.at(counts, (level_true.ravel(), bins(gains_est).ravel()), 1.0)
+    conf = counts / counts.sum(axis=1, keepdims=True)
+    probs = counts.sum(axis=1) / counts.sum()
+    level = LevelModel(probs=probs, obs_confusion=conf)
+
+    # the per-level sample counts, and the uplink precoders of each draw,
+    # are the same for every action
+    hits = np.maximum([np.bincount(level_true[:, u], minlength=cfg.n_levels)
+                       for u in range(cfg.k)], 1.0)
+    w_up = [tuple((lambda w: w / np.linalg.norm(w))(
+                crandn(channel_stream(cfg.seed, slot=d_i, user=u, link=3),
+                       dims.n_u, dims.n_u))
+                  for u in range(cfg.k))
+            for d_i in range(cfg.calib_draws)]
+
+    mask_sizes = cfg.resolved_mask_sizes()
+    power_pairs = [(pu, pd) for pu, pd in zip(cfg.power_levels_up,
+                                              cfg.power_levels_down)]
+    effects, action_meta = [], []
+    for m_id, n_active in enumerate(mask_sizes):
+        sel = AntennaSelection.first(cfg.n_r, n_active)
+        w_down = [_mrt_precoders(dims, sel, chans) for chans in draws]
+        # received downlink gain |h_u^H w_u|^2 per draw and user
+        rx_gain = [[float(np.linalg.norm(sel.select(chans[u].h_true)
+                                         .conj().T @ w[u]) ** 2)
+                    for u in range(cfg.k)]
+                   for chans, w in zip(draws, w_down)]
+        for p_id, (p_up, p_down) in enumerate(power_pairs):
+            sinr_up = np.zeros((cfg.k, cfg.n_levels))
+            sinr_dn = np.zeros((cfg.k, cfg.n_levels))
+            eh_power = np.zeros((cfg.k, cfg.n_levels))
+            for d_i, chans in enumerate(draws):
+                bf = BeamformerSet(
+                    w_up=w_up[d_i], w_down=w_down[d_i],
+                    p_up=np.full(cfg.k, p_up), p_down=np.full(cfg.k, p_down))
+                up = None
+                if p_up > 0:
+                    up = uplink_sinr(chans, sel, bf, noise=cfg.noise_w,
+                                     p_si=si * p_up)
+                dn = None
+                if p_down > 0:
+                    dn = downlink_sinr(chans, sel, bf, rho=cfg.rho,
+                                       noise_d=cfg.noise_w,
+                                       noise_s=cfg.noise_w)
+                for u in range(cfg.k):
+                    lv = level_true[d_i, u]
+                    if up is not None:
+                        sinr_up[u, lv] += float(np.mean(up.uplink[u]))
+                    if dn is not None:
+                        sinr_dn[u, lv] += float(dn.downlink[u])
+                        rcv = p_down * rx_gain[d_i][u]
+                        eh_power[u, lv] += split_received(rcv, cfg.rho).eh_power
+            sinr_up /= hits
+            sinr_dn /= hits
+            eh_power /= hits
+            served = np.zeros((cfg.k, cfg.n_levels), dtype=int)
+            harvested = np.zeros((cfg.k, cfg.n_levels), dtype=int)
+            rate_dn = np.zeros((cfg.k, cfg.n_levels))
+            for u in range(cfg.k):
+                for lv in range(cfg.n_levels):
+                    served[u, lv] = achievable_rate(
+                        sinr_up[u, lv], cfg.bandwidth_hz, slot_link,
+                        cfg.packet_bits)
+                    harvested[u, lv] = harvested_energy(
+                        eh_power[u, lv], cfg.eta, slot_link, cfg.delta_e_j,
+                        cap=cfg.e_max)
+                    rate_dn[u, lv] = achievable_rate(
+                        sinr_dn[u, lv], cfg.bandwidth_hz, slot_link,
+                        cfg.packet_bits)
+            used = int(math.ceil(p_up * slot_link / cfg.delta_e_j)) \
+                if p_up > 0 else 0
+            effects.append(ActionEffect(
+                served=served, harvested=harvested,
+                used_units=np.full(cfg.k, used, dtype=int),
+                p_up=np.full(cfg.k, p_up * duplex_frac),
+                p_down=np.full(cfg.k, p_down * duplex_frac),
+                rate_up=served.astype(float) @ level.probs,
+                rate_down=rate_dn @ level.probs,
+                mask_id=m_id, power_id=p_id,
+                label=f"m{n_active}_p{p_id}"))
+            action_meta.append((m_id, p_id))
+    return Calibration(level=level, effects=tuple(effects),
+                       gain_edges=edges, actions=tuple(action_meta),
+                       mask_sizes=mask_sizes)

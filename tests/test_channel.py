@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from swiptctl import channel
 from swiptctl.channel import (AntennaSelection, BeamformerSet, ChannelPair,
                               ConditioningError, DegenerateParameterError,
                               Dims, achievable_rate, beta2_moment_match,
                               beta2_pdf, channel_stream, crandn, downlink_sinr,
-                              draw_channel, harvested_energy, split_received,
+                              draw_channel, draw_channel_stack,
+                              harvested_energy, link_gains, mrt_precoders,
+                              normalized, split_received, sq_norms,
                               uplink_equalizer, uplink_eta, uplink_sinr,
-                              uplink_sinr_pdf, zf_equalizer)
+                              uplink_sinr_pdf, zf_equalizer, zf_noise_gains)
 
 
 def unit_precoder(shape, rng=None, seed=0):
@@ -89,6 +92,59 @@ class TestZf:
         h[2, :] = 0.0
         with pytest.raises(ConditioningError):
             zf_equalizer(h, 2)
+
+
+class TestStackedGeometry:
+    """The stacked forms equal the per-draw computation element for
+    element, under a partial antenna mask."""
+
+    @pytest.fixture(params=[(2, 1, 16, 10), (3, 2, 8, 6)],
+                    ids=["k2-nu1", "k3-nu2"])
+    def case(self, request):
+        k, n_u, n_r, n_active = request.param
+        dims = Dims(n_t=n_r, n_r=n_r, n_u=n_u, k=k)
+        rng = channel_stream(4, 0, 0, 0)
+        draws = [[draw_channel(dims, 0.3, rng) for _ in range(k)]
+                 for _ in range(5)]
+        stack = draw_channel_stack(dims, 0.3, channel_stream(4, 0, 0, 0), 5)
+        w_up = normalized(crandn(np.random.default_rng(1), 5, k, n_u, n_u))
+        return draws, stack, w_up, AntennaSelection.first(n_r, n_active)
+
+    def test_draws(self, case):
+        draws, stack, _w, _sel = case
+        for name, arr in zip(("h_true", "h_est", "delta"), stack):
+            want = [[getattr(ch, name) for ch in d] for d in draws]
+            np.testing.assert_array_equal(arr, np.array(want))
+
+    def test_sq_norms_round_as_the_scalar_square(self):
+        # np.square differs from the scalar ``norm(m) ** 2`` on about one
+        # matrix in 2000
+        x = crandn(np.random.default_rng(0), 20000, 3, 1)
+        np.testing.assert_array_equal(
+            sq_norms(x), [np.linalg.norm(m) ** 2 for m in x])
+
+    def test_geometry(self, case):
+        draws, (h_true, h_est, _d), w_up, sel = case
+        f_hat = sel.select(h_est)
+        w_down = mrt_precoders(f_hat)
+        cross = link_gains(f_hat[:, :, None], w_down[:, None])
+        zf = zf_noise_gains(f_hat, w_up)
+        np.testing.assert_array_equal(sq_norms(h_true), [
+            [np.linalg.norm(ch.h_true) ** 2 for ch in d] for d in draws])
+        for d_i, chans in enumerate(draws):
+            f = [sel.select(ch.h_est) for ch in chans]
+            w = [fu.conj() / np.linalg.norm(fu.conj()) for fu in f]
+            np.testing.assert_array_equal(w_down[d_i], np.array(w))
+            np.testing.assert_array_equal(cross[d_i], [
+                [np.linalg.norm(fu.conj().T @ wi) ** 2 for wi in w]
+                for fu in f])
+            bf = BeamformerSet(w_up=tuple(w_up[d_i]), w_down=tuple(w),
+                               p_up=np.ones(len(f)), p_down=np.ones(len(f)))
+            for u in range(len(f)):
+                h = channel._stack_uplink(chans, sel, bf, u, None)
+                diag = np.diag(np.linalg.inv(h.conj().T @ h))
+                np.testing.assert_array_equal(zf[d_i, u],
+                                              diag[:h_est.shape[-1]].real)
 
 
 class TestUplinkSinr:

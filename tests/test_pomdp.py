@@ -268,6 +268,11 @@ class TestSawtoothAgainstPerPointLoop:
         # some rows gain from a point, some sit on the corner baseline
         base = beliefs @ upper.corner
         assert (got < base).any() and (got == base).any()
+        # the support columns are gathered from any sparse format
+        np.testing.assert_array_equal(upper.value_many(beliefs.tocsc()), got)
+        # without an improving point every row sits on the baseline
+        np.testing.assert_array_equal(
+            UpperBound(upper.corner).value_many(beliefs), base)
 
     def test_value(self, sawtooth_case):
         upper, beliefs = sawtooth_case

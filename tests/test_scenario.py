@@ -1,11 +1,14 @@
 """Configuration round-trips, calibration statistics, and compilation."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from oracles import reference_calibrate
 
+from swiptctl import channel
 from swiptctl.dynamics import StateSpaceBudgetError
 from swiptctl.scenario import (Calibration, ConfigError, ScenarioConfig,
                                calibrate, compile_scenario, desk_scenario,
@@ -199,6 +202,62 @@ def test_calibration_deterministic(tiny_cfg):
         np.testing.assert_array_equal(ea.served, eb.served)
         np.testing.assert_array_equal(ea.harvested, eb.harvested)
     np.testing.assert_array_equal(a.level.obs_confusion, b.level.obs_confusion)
+
+
+BENCH_DESK = {"q_max": 4, "e_max": 3}
+REFERENCE_CASES = {
+    "masks-4-8-16": desk_scenario(**BENCH_DESK, mask_sizes=(4, 8, 16)),
+    "4-actions": desk_scenario(**BENCH_DESK),
+    "hd": desk_scenario(**BENCH_DESK, duplex="hd"),
+    "3-users-3-levels": desk_scenario(**BENCH_DESK, k=3, n_levels=3),
+    "nu2-k3": ScenarioConfig(k=3, n_u=2, calib_draws=60),
+    "fd-self-interference": desk_scenario(**BENCH_DESK, si_power_w=0.3),
+}
+
+
+def assert_fields_identical(got, want, path="calibration"):
+    """Every dataclass field equal, arrays with equal dtype and values."""
+    if dataclasses.is_dataclass(want):
+        assert type(got) is type(want), path
+        for f in dataclasses.fields(want):
+            assert_fields_identical(getattr(got, f.name),
+                                    getattr(want, f.name), f"{path}.{f.name}")
+    elif isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype, path
+        np.testing.assert_array_equal(got, want, err_msg=path)
+    elif isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_fields_identical(g, w, f"{path}[{i}]")
+    else:
+        assert got == want and type(got) is type(want), path
+
+
+# packets and energy units so small that the tables hold about 1e16 units:
+# a last-bit difference in any per-level SINR or harvest mean then changes
+# an integer entry, where the benchmark's units would floor it away
+FINE_UNITS = {"packet_bits": 1e-11, "delta_e_j": 1e-19, "e_max": 2 ** 62}
+
+
+@pytest.mark.parametrize("units", ["bench-units", "fine-units"])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_calibrate_matches_per_draw_reference(case, seed, units):
+    """The array-pass calibration equals the per-draw uplink_sinr /
+    downlink_sinr loop bit for bit, in every field."""
+    cfg = dataclasses.replace(REFERENCE_CASES[case], seed=seed,
+                              **(FINE_UNITS if units == "fine-units" else {}))
+    assert_fields_identical(calibrate(cfg), reference_calibrate(cfg))
+
+
+def test_calibrate_keeps_the_conditioning_check(monkeypatch):
+    cfg = desk_scenario(**BENCH_DESK, calib_draws=20)
+    calibrate(cfg)                      # the default cap admits these draws
+    monkeypatch.setattr(channel, "COND_CAP", 1.0)
+    with pytest.raises(channel.ConditioningError):
+        reference_calibrate(cfg)
+    with pytest.raises(channel.ConditioningError):
+        calibrate(cfg)
 
 
 # ---------------------------------------------------------------------------
