@@ -57,6 +57,14 @@ class PomdpModel:
             err = np.abs(np.asarray(m.sum(axis=1)).ravel() - 1.0).max()
             if err > STOCH_TOL:
                 raise ValueError(f"rows must be stochastic (off by {err:.2e})")
+        # sorted column ids: a row's nonzeros then run in observation order
+        rows = {}
+        for z in self.observations:
+            z.sort_indices()
+            if id(z) not in rows:
+                rows[id(z)] = np.repeat(np.arange(n), np.diff(z.indptr))
+        # next-state id of each stored entry, one array per distinct matrix
+        self.obs_rows = [rows[id(z)] for z in self.observations]
         self._obs_csc = [z.tocsc() for z in self.observations]
 
     @property

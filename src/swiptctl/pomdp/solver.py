@@ -17,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .bounds import AlphaVector, BoundPair, LowerBound, UpperBound
 from .model import PomdpModel, check_belief
@@ -96,17 +97,27 @@ def backup(b: np.ndarray, bounds: BoundPair, model: PomdpModel,
            expansion: list) -> AlphaVector:
     """Point-based backup at b from its expansion: per action, stage reward
     plus the discounted best-alpha cross-sum over observations; extremal
-    action at b wins."""
+    action at b wins.
+
+    The cross-sum is one pass over the stored entries of the observation
+    matrix: entry (s', o) contributes Z[s',o] * alpha_pick(o)(s'), and a
+    CSR product with ones sums each row in column order, the order of a
+    loop over the observations."""
     alpha_mat = bounds.lower.matrix()
+    ones = np.ones(model.n_obs)
     best_val, best_vec, best_a = -np.inf, None, 0
     for a, (_r, active, _p_act, posts) in enumerate(expansion):
+        z = model.observations[a]
+        pick = np.zeros(model.n_obs, dtype=np.intp)
         # argmax is invariant to the positive per-row normalization
-        best_idx = np.asarray(posts @ alpha_mat.T).argmax(axis=1)
-        g = np.zeros(model.n_states)
-        for o, i in zip(active, best_idx):
-            idx, vals = model.obs_col_arrays(a, o)
-            # accumulate Z[s',o] * alpha_best(o)(s') over s'
-            g[idx] += vals * alpha_mat[i, idx]
+        pick[active] = np.asarray(posts @ alpha_mat.T).argmax(axis=1)
+        emitted = np.zeros(model.n_obs, dtype=bool)
+        emitted[active] = True
+        terms = np.where(emitted[z.indices],
+                         z.data * alpha_mat[pick[z.indices], model.obs_rows[a]],
+                         0.0)
+        g = sparse.csr_matrix((terms, z.indices, z.indptr),
+                              shape=z.shape) @ ones
         vec = model.reward[:, a] + model.discount * model.transitions[a].dot(g)
         val = float(vec @ b)
         if val > best_val + 1e-15:
