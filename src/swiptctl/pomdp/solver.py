@@ -101,8 +101,11 @@ def backup(b: np.ndarray, bounds: BoundPair, model: PomdpModel,
 
     The cross-sum is one pass over the stored entries of the observation
     matrix: entry (s', o) contributes Z[s',o] * alpha_pick(o)(s'), and a
-    CSR product with ones sums each row in column order, the order of a
-    loop over the observations."""
+    CSR product with ones sums each row in column order. Every observation
+    takes an alpha, also one that b cannot emit: the new alpha is used at
+    every belief, and a state that can emit o would otherwise get 0 in
+    place of a value, which overshoots where values are negative. Any alpha
+    keeps the backup a valid lower bound there, so those take alpha 0."""
     alpha_mat = bounds.lower.matrix()
     ones = np.ones(model.n_obs)
     best_val, best_vec, best_a = -np.inf, None, 0
@@ -111,11 +114,7 @@ def backup(b: np.ndarray, bounds: BoundPair, model: PomdpModel,
         pick = np.zeros(model.n_obs, dtype=np.intp)
         # argmax is invariant to the positive per-row normalization
         pick[active] = np.asarray(posts @ alpha_mat.T).argmax(axis=1)
-        emitted = np.zeros(model.n_obs, dtype=bool)
-        emitted[active] = True
-        terms = np.where(emitted[z.indices],
-                         z.data * alpha_mat[pick[z.indices], model.obs_rows[a]],
-                         0.0)
+        terms = z.data * alpha_mat[pick[z.indices], model.obs_rows[a]]
         g = sparse.csr_matrix((terms, z.indices, z.indptr),
                               shape=z.shape) @ ones
         vec = model.reward[:, a] + model.discount * model.transitions[a].dot(g)

@@ -33,6 +33,17 @@ def chain_model(discount=0.9):
                       discount=discount)
 
 
+def hidden_pair_model(discount=0.8):
+    """States 0 and 1 look alike and swap at random; state 2 is absorbing
+    and costly, and only it emits observation 1. From a belief on {0, 1}
+    observation 1 cannot occur, although state 2 emits it."""
+    T = [np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])] * 2
+    Z = [np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])] * 2
+    cost = np.array([[-1.0, 1.0], [1.0, -1.0], [10.0, 10.0]])
+    return PomdpModel(transitions=T, observations=Z, cost=cost,
+                      discount=discount)
+
+
 class TestModel:
     def test_validation(self):
         T = [np.array([[0.6, 0.5], [0.5, 0.5]])]
@@ -347,6 +358,21 @@ class TestSolverPieces:
                 brute.append(acc)
             np.testing.assert_allclose(q, brute, rtol=0, atol=1e-12)
             assert int(np.argmax(q)) == int(np.argmax(brute))
+
+    def test_backup_alphas_stay_below_the_exact_value(self):
+        # a backup at a belief on {0, 1} must still price state 2, which
+        # only emits the observation that belief cannot produce
+        m = hidden_pair_model()
+        res = solve_hsvi(m, np.full(3, 1.0 / 3.0), eps=1e-3,
+                         max_iterations=50)
+        horizon = 80
+        exact = exact_value_iteration(m, horizon)
+        truncation = m.discount ** horizon * np.abs(m.cost).max() \
+            / (1.0 - m.discount)
+        over = exact.grid @ res.bounds.lower.matrix().T \
+            - exact.grid_values[:, None]
+        assert len(res.bounds.lower) > m.n_actions
+        assert over.max() <= truncation + 1e-9
 
     def test_excess_uncertainty_formula(self):
         m = tiger_model()
