@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy import sparse, stats
+from scipy import sparse, special
 
 ROW_SUM_TOL = 1e-10
 
@@ -71,9 +71,9 @@ class ArrivalModel:
 
 
 def default_arrival_cap(lam: float, tail: float = 1e-9) -> int:
-    """Smallest n with P(A > n) < tail."""
-    n = int(stats.poisson.isf(tail, lam))
-    while stats.poisson.sf(n, lam) >= tail:
+    """Smallest n with P(A > n) < tail; ``pdtrc`` is the Poisson tail."""
+    n = 0
+    while special.pdtrc(n, lam) >= tail:
         n += 1
     return n
 
@@ -83,7 +83,11 @@ def arrival_pmf(model: ArrivalModel) -> np.ndarray:
     cap = model.resolved_cap()
     if cap == 0:
         return np.array([1.0])
-    pmf = stats.poisson.pmf(np.arange(cap + 1), model.lam)
+    # the Poisson log-pmf as scipy.stats evaluates it, without importing
+    # scipy.stats (most of the CLI's start-up time)
+    k = np.arange(cap + 1)
+    pmf = np.exp(special.xlogy(k, model.lam) - special.gammaln(k + 1)
+                 - model.lam)
     return pmf / pmf.sum()
 
 

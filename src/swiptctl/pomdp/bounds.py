@@ -36,11 +36,23 @@ class LowerBound:
         if not self.alphas:
             raise ValueError("alpha set must be nonempty")
         self._matrix = None
+        self._by_state = None
 
     def matrix(self) -> np.ndarray:
         if self._matrix is None or self._matrix.shape[0] != len(self.alphas):
             self._matrix = np.array([a.values for a in self.alphas])
+            self._by_state = None
         return self._matrix
+
+    def scores(self, posts) -> np.ndarray:
+        """(m, n_alphas) values of every alpha at the rows of the sparse
+        (m, n_states) matrix ``posts``. The product reads a C-contiguous
+        transpose of the alpha matrix, kept until the alphas change, so no
+        call copies the matrix."""
+        m = self.matrix()
+        if self._by_state is None:
+            self._by_state = np.ascontiguousarray(m.T)
+        return np.asarray(posts @ self._by_state)
 
     def __len__(self):
         return len(self.alphas)
@@ -61,7 +73,7 @@ class LowerBound:
 
     def value_many(self, posts) -> np.ndarray:
         """Envelope values at many beliefs (rows of a sparse matrix)."""
-        return np.asarray(posts @ self.matrix().T).max(axis=1)
+        return self.scores(posts).max(axis=1)
 
     def add(self, alpha: AlphaVector) -> None:
         self.alphas.append(alpha)
@@ -102,28 +114,36 @@ class LowerBound:
         return removed
 
 
-def _sawtooth(base: np.ndarray, beliefs: np.ndarray, points,
-              cols: np.ndarray | None = None) -> np.ndarray:
-    """Sawtooth values at the rows of ``beliefs`` against ``points``.
-
-    ``base`` holds the rows' corner-interpolated values. Point j lowers a
-    row to ``base + c_j * gain_j``, where the coefficient c_j is the least
-    ratio of the row to the point's belief over the point's support. The
-    points are taken in groups of equal support size: a group is one
-    (rows, size, points) ratio array and one min over its size axis. The
-    minimum over the points does not depend on their order. ``cols``, when
-    given, holds the sorted state ids of the columns of ``beliefs``, which
-    then need cover only the points' supports."""
+def _group(points) -> list:
+    """The improving points (gain < 0) in groups of equal support size: per
+    group the (size, points) support ids, the points' beliefs on them and
+    the (points,) gains."""
     groups = {}
     for bp, _v, sup, gain in points:
         if gain < 0.0:
             groups.setdefault(sup.size, []).append((bp, sup, gain))
+    return [(np.array([s for _bp, s, _g in group]).T,
+             np.array([bp[s] for bp, s, _g in group]).T,
+             np.array([g for _bp, _s, g in group]))
+            for group in groups.values()]
+
+
+def _sawtooth(base: np.ndarray, beliefs: np.ndarray, groups,
+              cols: np.ndarray | None = None) -> np.ndarray:
+    """Sawtooth values at the rows of ``beliefs`` against the point groups
+    of :func:`_group`.
+
+    ``base`` holds the rows' corner-interpolated values. Point j lowers a
+    row to ``base + c_j * gain_j``, where the coefficient c_j is the least
+    ratio of the row to the point's belief over the point's support. A
+    group is one (rows, size, points) ratio array and one min over its size
+    axis. The minimum over the points does not depend on their order.
+    ``cols``, when given, holds the sorted state ids of the columns of
+    ``beliefs``, which then need cover only the points' supports."""
     best = base
-    for group in groups.values():
-        sup = np.array([s for _bp, s, _g in group]).T
+    for sup, bp_sup, gain in groups:
         at = sup if cols is None else np.searchsorted(cols, sup)
-        ratio = beliefs[:, at] / np.array([bp[s] for bp, s, _g in group]).T
-        gain = np.array([g for _bp, _s, g in group])
+        ratio = beliefs[:, at] / bp_sup
         best = np.minimum(
             best, (base[:, None] + ratio.min(axis=1) * gain).min(axis=1))
     return best
@@ -148,36 +168,46 @@ class UpperBound:
     the gain being the value minus the corner interpolation at the belief.
     :meth:`value`, :meth:`value_many` and :meth:`prune` share one evaluator,
     :func:`_sawtooth`, with one array pass per distinct support size (Smith
-    & Simmons, UAI 2005). Min is exact and each element's arithmetic is
-    that of a per-point loop, so the values equal that loop's bit for bit."""
+    & Simmons, UAI 2005). :meth:`add` and :meth:`prune` regroup the points;
+    evaluations reuse those groups. Min is exact and each element's
+    arithmetic is that of a per-point loop, so the values equal that loop's
+    bit for bit. Change ``points`` only through :meth:`add` and
+    :meth:`prune`, or call :meth:`prune` after changing it."""
 
     def __init__(self, corner_values: np.ndarray):
         self.corner = np.asarray(corner_values, dtype=float)
         if not np.all(np.isfinite(self.corner)):
             raise ValueError("corner values must be finite")
         self.points: list = []
+        self._regroup()
 
     def __len__(self):
         return len(self.points) + self.corner.size
 
-    def _value_against(self, b: np.ndarray, points) -> float:
+    def _regroup(self) -> None:
+        """Rebuild the evaluator's point groups and their support columns;
+        the points change only in :meth:`add` and :meth:`prune`."""
+        self._groups = _group(self.points)
+        self._cols = (np.unique(np.concatenate([sup.ravel() for sup, _b, _g
+                                                in self._groups]))
+                      if self._groups else None)
+
+    def _value_against(self, b: np.ndarray, groups) -> float:
         return float(_sawtooth(np.array([self.corner @ b]), b[None, :],
-                               points)[0])
+                               groups)[0])
 
     def value(self, b: np.ndarray) -> float:
         """Corner-weighted baseline minus the best single-point improvement."""
-        return self._value_against(b, self.points)
+        return self._value_against(b, self._groups)
 
     def value_many(self, posts) -> np.ndarray:
         """Sawtooth values at the rows of the sparse (m, n_states) belief
         matrix ``posts``; only the points' support columns are gathered."""
         base = np.asarray(posts @ self.corner).ravel()
-        sups = [sup for _bp, _v, sup, gain in self.points if gain < 0.0]
-        if not sups:
+        if self._cols is None:
             return base
-        cols = np.unique(np.concatenate(sups))
-        return _sawtooth(base, _dense_columns(posts.tocsr(), cols),
-                         self.points, cols)
+        return _sawtooth(base, _dense_columns(posts.tocsr(), self._cols),
+                         self._groups, self._cols)
 
     def add(self, b: np.ndarray, v: float) -> bool:
         """Insert (b, v) if it improves the interpolated bound at b."""
@@ -186,16 +216,19 @@ class UpperBound:
         sup = np.flatnonzero(b > 0.0)
         gain = float(v) - float(self.corner[sup] @ b[sup])
         self.points.append((b.copy(), float(v), sup, gain))
+        self._regroup()
         return True
 
     def prune(self) -> int:
         """Drop points no longer improving on the rest; returns removed count."""
         kept = []
         for i, (bp, vp, _sup, _gain) in enumerate(self.points):
-            if vp < self._value_against(bp, kept + self.points[i + 1:]) - 1e-12:
+            rest = _group(kept + self.points[i + 1:])
+            if vp < self._value_against(bp, rest) - 1e-12:
                 kept.append(self.points[i])
         removed = len(self.points) - len(kept)
         self.points = kept
+        self._regroup()
         return removed
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .model import OracleScaleError, PomdpModel, check_belief
 
@@ -43,6 +42,9 @@ def _witness(v: np.ndarray, others: np.ndarray,
              margin: float = DEFAULT_PRUNE_MARGIN):
     """Belief where v beats every row of others by more than ``margin``, or
     None if no such belief exists."""
+    # imported here: scipy.optimize is a slow import that only the oracle needs
+    from scipy.optimize import linprog
+
     n = v.size
     if others.shape[0] == 0:
         return np.ones(n) / n

@@ -57,15 +57,12 @@ class PomdpModel:
             err = np.abs(np.asarray(m.sum(axis=1)).ravel() - 1.0).max()
             if err > STOCH_TOL:
                 raise ValueError(f"rows must be stochastic (off by {err:.2e})")
-        # sorted column ids: a row's nonzeros then run in observation order
-        rows = {}
+        # sorted column ids: a row's entries then run in observation order
         for z in self.observations:
             z.sort_indices()
-            if id(z) not in rows:
-                rows[id(z)] = np.repeat(np.arange(n), np.diff(z.indptr))
-        # next-state id of each stored entry, one array per distinct matrix
-        self.obs_rows = [rows[id(z)] for z in self.observations]
-        self._obs_csc = [z.tocsc() for z in self.observations]
+        # the next-state id of each stored entry
+        self.obs_rows = [np.repeat(np.arange(n), np.diff(z.indptr))
+                         for z in self.observations]
 
     @property
     def n_states(self) -> int:
@@ -87,12 +84,9 @@ class PomdpModel:
         """Predictive next-state distribution sum_S Pr(S'|S,a) b(S)."""
         return self.transitions[a].T.dot(b)
 
-    def obs_col_arrays(self, a: int, o: int):
-        """(next-state indices, probabilities) of column o without the
-        sparse-indexing overhead."""
-        z = self._obs_csc[a]
-        lo, hi = z.indptr[o], z.indptr[o + 1]
-        return z.indices[lo:hi], z.data[lo:hi]
+    def obs_column(self, a: int, o: int) -> np.ndarray:
+        """Pr(o | S', a) over the next states S', as a dense vector."""
+        return self.observations[a][:, [o]].toarray().ravel()
 
 
 def check_belief(b: np.ndarray) -> np.ndarray:
@@ -105,9 +99,7 @@ def check_belief(b: np.ndarray) -> np.ndarray:
 def update_belief(b: np.ndarray, a: int, o: int, model: PomdpModel) -> np.ndarray:
     """Bayes posterior b'(S') = Pr(o|S',a) sum_S Pr(S'|S,a) b(S), normalized."""
     tau = model.propagate(check_belief(b), a)
-    idx, vals = model.obs_col_arrays(a, o)
-    post = np.zeros(model.n_states)
-    post[idx] = vals * tau[idx]
+    post = model.obs_column(a, o) * tau
     z = post.sum()
     if z <= 0.0:
         raise ImpossibleObservationError(
@@ -118,5 +110,4 @@ def update_belief(b: np.ndarray, a: int, o: int, model: PomdpModel) -> np.ndarra
 def observation_prob(o: int, a: int, b: np.ndarray, model: PomdpModel) -> float:
     """Pr(O=o | A=a, b) = sum_{S,S'} Pr(o|S',a) Pr(S'|S,a) b(S)."""
     tau = model.propagate(check_belief(b), a)
-    idx, vals = model.obs_col_arrays(a, o)
-    return float(vals @ tau[idx])
+    return float(model.obs_column(a, o) @ tau)

@@ -18,45 +18,81 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .bounds import AlphaVector, BoundPair, LowerBound, UpperBound
 from .model import PomdpModel, check_belief
 
 
-def _mdp_value(model: PomdpModel, tol: float = 1e-9, max_iter: int = 100000) -> np.ndarray:
-    """Fully-observed MDP value (reward orientation); upper-bounds the POMDP."""
-    r = model.reward
-    v = np.zeros(model.n_states)
-    for _ in range(max_iter):
-        q = np.column_stack([r[:, a] + model.discount * model.transitions[a].dot(v)
-                             for a in range(model.n_actions)])
-        v_new = q.max(axis=1)
-        if np.abs(v_new - v).max() < tol * (1.0 - model.discount):
-            return v_new
-        v = v_new
-    return v
+# bicgstab stops at this residual, relative to the right-hand side; the
+# residual certificate, not this tolerance, makes each bound valid
+KRYLOV_RTOL = 1e-14
+# policy iteration switches a state's action only on a gain above this, so
+# that evaluation round-off cannot make it cycle
+SWITCH_GAIN = 1e-12
+# policy iteration ends in a few rounds on every model tried; should a
+# round-off cycle ever reach this cap, the certificate keeps the corners valid
+MAX_POLICY_ROUNDS = 100
 
 
-def _blind_alphas(model: PomdpModel, tol: float = 1e-9,
-                  max_iter: int = 100000) -> list:
-    """Stationary single-action policy values; each is a valid lower bound."""
+def _evaluate(step, reward: np.ndarray, discount: float,
+              x0: np.ndarray) -> np.ndarray:
+    """Value of a stationary policy whose transition matvec is ``step``:
+    one matrix-free Krylov solve of (I - discount P) v = reward, started at
+    ``x0``. The solve may stop short; callers certify what it returns."""
+    n = reward.size
+    op = LinearOperator((n, n), dtype=float,
+                        matvec=lambda v: v - discount * step(v))
+    return bicgstab(op, reward, x0=x0, rtol=KRYLOV_RTOL, atol=0.0)[0]
+
+
+def _blind_alphas(model: PomdpModel) -> list:
+    """Stationary single-action policy values, each shifted down by its
+    residual certificate: for stochastic T the error of v is at most
+    ||r + gamma T v - v||_inf / (1 - gamma), so the shifted v is a valid
+    lower bound however far the solver got."""
+    g = model.discount
     out = []
     for a in range(model.n_actions):
-        r_a = model.reward[:, a]
-        v = np.full(model.n_states, r_a.min() / (1.0 - model.discount))
-        for _ in range(max_iter):
-            v_new = r_a + model.discount * model.transitions[a].dot(v)
-            if np.abs(v_new - v).max() < tol * (1.0 - model.discount):
-                break
-            v = v_new
-        out.append(AlphaVector(values=v, action=a))
+        r_a, t_a = model.reward[:, a], model.transitions[a]
+        v = _evaluate(t_a.dot, r_a, g, r_a / (1.0 - g))
+        res = np.abs(r_a + g * t_a.dot(v) - v).max()
+        out.append(AlphaVector(values=v - res / (1.0 - g), action=a))
     return out
 
 
+def _mdp_corners(model: PomdpModel, blind: list) -> np.ndarray:
+    """Fully-observed MDP value (reward orientation), which upper-bounds the
+    POMDP, by policy iteration from the best blind action per state. The
+    result is V + ||BV - V||_inf / (1 - gamma), B the Bellman operator: a
+    certified upper bound on the MDP value, however inexact V is."""
+    g, r = model.discount, model.reward
+    states = np.arange(model.n_states)
+
+    def successors(v):
+        return np.column_stack([t.dot(v) for t in model.transitions])
+
+    blind_vals = np.array([alpha.values for alpha in blind])
+    pi = blind_vals.argmax(axis=0)
+    v = blind_vals[pi, states]
+    for _ in range(MAX_POLICY_ROUNDS):
+        v = _evaluate(lambda x: successors(x)[states, pi], r[states, pi], g, v)
+        q = r + g * successors(v)
+        best = q.argmax(axis=1)
+        switch = q[states, best] > q[states, pi] + SWITCH_GAIN
+        if not switch.any():
+            break
+        pi = np.where(switch, best, pi)
+    return v + np.abs(q.max(axis=1) - v).max() / (1.0 - g)
+
+
 def initial_bounds(model: PomdpModel) -> BoundPair:
-    """Blind-policy alpha set below, fully-observed MDP corners above."""
-    return BoundPair(lower=LowerBound(_blind_alphas(model)),
-                     upper=UpperBound(_mdp_value(model)))
+    """Blind-policy alpha set below, fully-observed MDP corners above, both
+    from certified matrix-free solves (HSVI2 seeds its bounds from policy
+    evaluations too)."""
+    blind = _blind_alphas(model)
+    return BoundPair(lower=LowerBound(blind),
+                     upper=UpperBound(_mdp_corners(model, blind)))
 
 
 def _successor_posts(model: PomdpModel, a: int, tau: np.ndarray):
@@ -113,7 +149,7 @@ def backup(b: np.ndarray, bounds: BoundPair, model: PomdpModel,
         z = model.observations[a]
         pick = np.zeros(model.n_obs, dtype=np.intp)
         # argmax is invariant to the positive per-row normalization
-        pick[active] = np.asarray(posts @ alpha_mat.T).argmax(axis=1)
+        pick[active] = bounds.lower.scores(posts).argmax(axis=1)
         terms = z.data * alpha_mat[pick[z.indices], model.obs_rows[a]]
         g = sparse.csr_matrix((terms, z.indices, z.indptr),
                               shape=z.shape) @ ones
@@ -132,11 +168,16 @@ def excess_uncertainty(b: np.ndarray, bounds: BoundPair, t: int, eps: float,
     return bounds.gap(b) - eps / discount ** t
 
 
+# the witness prune reads only this many most recently backed-up beliefs
+WITNESS_SLOTS = 200
+
+
 @dataclass
 class ExploreStats:
     backups: int = 0
     truncations: int = 0
-    visited: list = field(default_factory=list)
+    visited: deque = field(
+        default_factory=lambda: deque(maxlen=WITNESS_SLOTS))
 
 
 def explore(b: np.ndarray, t: int, bounds: BoundPair, model: PomdpModel,
@@ -212,18 +253,17 @@ def solve_hsvi(model: PomdpModel, b0: np.ndarray, eps: float,
     log = []
     converged = gap0 <= eps
     last_gap = gap0
-    # the witness prune reads only the most recently visited beliefs
-    witness_extra = deque([b0], maxlen=200)
+    witnesses = deque([b0], maxlen=WITNESS_SLOTS)
     it = 0
     for it in range(1, max_iterations + 1):
         if converged:
             break
-        stats = ExploreStats()
+        # exploration pushes each backed-up belief into the witness slots
+        stats = ExploreStats(visited=witnesses)
         explore(b0, 0, bounds, model, eps, depth_cap, stats)
-        witness_extra.extend(stats.visited)
         if prune_every and it % prune_every == 0:
             bounds.lower.prune_pointwise()
-            bounds.lower.prune_witness(np.array(witness_extra))
+            bounds.lower.prune_witness(np.array(witnesses))
             bounds.upper.prune()
         lo, hi = bounds.lower.value(b0), bounds.upper.value(b0)
         gap = hi - lo

@@ -2,14 +2,16 @@
 
 Each function is the earlier, one-item-at-a-time form of a production
 routine: the per-action degraded effect, the per-slot rollout and its
-per-episode reduction, and the per-draw link calibration. Tests compare the
-production arrays with these using exact equality.
+per-episode reduction, the per-draw link calibration and the
+value-iteration HSVI bounds. Tests compare the production arrays with
+these, using exact equality where the arithmetic is the same.
 """
 
 import math
 from dataclasses import replace
 
 import numpy as np
+from scipy import sparse
 
 from swiptctl.channel import (AntennaSelection, BeamformerSet, Dims,
                               achievable_rate, channel_stream, crandn,
@@ -17,6 +19,7 @@ from swiptctl.channel import (AntennaSelection, BeamformerSet, Dims,
                               split_received, uplink_sinr)
 from swiptctl.dynamics import ActionEffect, LevelModel, arrival_pmf
 from swiptctl.harness import episode_rng
+from swiptctl.pomdp import AlphaVector, BoundPair, LowerBound, UpperBound
 from swiptctl.scenario import Calibration, ScenarioConfig
 
 
@@ -260,3 +263,57 @@ def reference_calibrate(cfg: ScenarioConfig) -> Calibration:
     return Calibration(level=level, effects=tuple(effects),
                        gain_edges=edges, actions=tuple(action_meta),
                        mask_sizes=mask_sizes)
+
+
+def reference_initial_bounds(model, tol=1e-9, max_iter=100000):
+    """HSVI's initial bounds by plain value iteration, stopped at a
+    ``tol * (1 - gamma)`` step: each blind alpha climbs from
+    ``min r_a / (1 - gamma)``, so it stops below the blind-policy value,
+    and the MDP corners climb from 0, so they stop below the MDP value
+    where that is positive, which leaves them no upper bound there."""
+    g, r = model.discount, model.reward
+    blind = []
+    for a in range(model.n_actions):
+        v = np.full(model.n_states, r[:, a].min() / (1.0 - g))
+        for _ in range(max_iter):
+            v_new = r[:, a] + g * model.transitions[a].dot(v)
+            if np.abs(v_new - v).max() < tol * (1.0 - g):
+                break
+            v = v_new
+        blind.append(AlphaVector(values=v, action=a))
+    v = np.zeros(model.n_states)
+    for _ in range(max_iter):
+        v_new = np.column_stack([r[:, a] + g * model.transitions[a].dot(v)
+                                 for a in range(model.n_actions)]).max(axis=1)
+        if np.abs(v_new - v).max() < tol * (1.0 - g):
+            v = v_new
+            break
+        v = v_new
+    return BoundPair(lower=LowerBound(blind), upper=UpperBound(v))
+
+
+def dense_policy_value(model, policy):
+    """Exact value of the fully-observed stationary policy that takes
+    action ``policy[s]`` in state s: one dense ``numpy.linalg.solve``."""
+    policy = np.asarray(policy)
+    p = sum(sparse.diags((policy == a).astype(float)) @ t
+            for a, t in enumerate(model.transitions))
+    return np.linalg.solve(
+        np.eye(model.n_states) - model.discount * p.toarray(),
+        model.reward[np.arange(model.n_states), policy])
+
+
+def dense_mdp_value(model):
+    """Exact fully-observed MDP value by policy iteration on dense
+    evaluations (reward orientation)."""
+    g, r = model.discount, model.reward
+    states = np.arange(model.n_states)
+    pi = np.zeros(model.n_states, dtype=int)
+    while True:
+        v = dense_policy_value(model, pi)
+        q = r + g * np.column_stack([t.dot(v) for t in model.transitions])
+        best = q.argmax(axis=1)
+        switch = q[states, best] > q[states, pi] + 1e-12
+        if not switch.any():
+            return v
+        pi = np.where(switch, best, pi)

@@ -1,6 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy import sparse
+
+from oracles import (dense_mdp_value, dense_policy_value,
+                     reference_initial_bounds)
 
 from swiptctl.pomdp import (AlphaVector, BoundPair, ImpossibleObservationError,
                             LowerBound, OracleScaleError, PomdpModel,
@@ -42,6 +47,28 @@ def hidden_pair_model(discount=0.8):
     cost = np.array([[-1.0, 1.0], [1.0, -1.0], [10.0, 10.0]])
     return PomdpModel(transitions=T, observations=Z, cost=cost,
                       discount=discount)
+
+
+def positive_chain_model(discount=0.9):
+    """The chain with negative costs: every value is positive, so value
+    iteration that climbs from 0 stops below the MDP value."""
+    m = chain_model(discount)
+    return PomdpModel(transitions=m.transitions, observations=m.observations,
+                      cost=m.cost - 3.0, discount=discount)
+
+
+def value_tol(v) -> float:
+    """Round-off allowance when comparing computed values: the residual
+    certificates and the dense solves are exact only to about a few
+    hundred ulps of the largest value."""
+    return 1e-13 * max(1.0, float(np.abs(v).max()))
+
+
+def exact_mdp_values(m):
+    """(exact blind-policy values, one row per action; exact MDP value)."""
+    blind = np.array([dense_policy_value(m, np.full(m.n_states, a))
+                      for a in range(m.n_actions)])
+    return blind, dense_mdp_value(m)
 
 
 class TestModel:
@@ -218,9 +245,8 @@ def tiger_case():
 
 
 @pytest.fixture(scope="module")
-def desk_jopt_case():
-    """Upper bound of a 3-iteration j-opt solve on the 1600-state desk
-    model, with posteriors, point beliefs and corner beliefs to test."""
+def desk_jopt_model():
+    """The 1600-state desk j-opt model and its uniform initial belief."""
     from swiptctl.control import (Multipliers, _make_model, build_cost_table,
                                   uniform_initial_belief)
     from swiptctl.harness import default_constraints
@@ -234,7 +260,14 @@ def desk_jopt_case():
         extra_action_cost=np.full(compiled.n_actions,
                                   2.0 * cfg.circuit_w_per_antenna * cfg.n_r))
     model = _make_model(compiled, cost, range(compiled.n_actions))
-    b0 = uniform_initial_belief(compiled)
+    return model, uniform_initial_belief(compiled)
+
+
+@pytest.fixture(scope="module")
+def desk_jopt_case(desk_jopt_model):
+    """Upper bound of a 3-iteration j-opt solve on the 1600-state desk
+    model, with posteriors, point beliefs and corner beliefs to test."""
+    model, b0 = desk_jopt_model
     upper = solve_hsvi(model, b0, eps=5.0, max_iterations=3).bounds.upper
     assert model.n_states == 1600 and len(upper.points) >= 3
     points = np.array([p[0] for p in upper.points])
@@ -291,7 +324,7 @@ class TestSawtoothAgainstPerPointLoop:
             assert upper.value(b) == reference_value(upper, b, upper.points)
 
     def test_prune_keeps_the_same_points_in_order(self, sawtooth_case):
-        upper, _ = sawtooth_case
+        upper, beliefs = sawtooth_case
         points = list(upper.points)
         # a redundant copy, 0.5 above, after every other point
         padded = []
@@ -307,7 +340,56 @@ class TestSawtoothAgainstPerPointLoop:
             assert removed == len(pts) - len(want)
             assert len(ub.points) == len(want)
             assert all(a is b for a, b in zip(ub.points, want))
+            # evaluations after the prune read the regrouped points
+            np.testing.assert_array_equal(ub.value_many(beliefs),
+                                          reference_value_many(ub, beliefs))
         assert removed >= len(points) // 2
+
+
+@pytest.fixture(params=["tiger", "chain", "hidden-pair", "positive-chain",
+                        "desk-jopt"])
+def bound_model(request, desk_jopt_model):
+    if request.param == "desk-jopt":
+        return desk_jopt_model[0]
+    return {"tiger": tiger_model, "chain": chain_model,
+            "hidden-pair": hidden_pair_model,
+            "positive-chain": positive_chain_model}[request.param]()
+
+
+class TestInitialBounds:
+    def test_certified_against_value_iteration_and_exact(self, bound_model):
+        m = bound_model
+        bounds, ref = initial_bounds(m), reference_initial_bounds(m)
+        blind, mdp = exact_mdp_values(m)
+        tol = value_tol(mdp)
+        alphas = bounds.lower.matrix()
+        assert [a.action for a in bounds.lower.alphas] == \
+            list(range(m.n_actions))
+        # at least as tight as value iteration, and still below the values
+        assert (alphas >= ref.lower.matrix() - tol).all()
+        assert (alphas <= blind + tol).all()
+        # above the MDP value, where value iteration can stop below it
+        assert (bounds.upper.corner >= mdp - tol).all()
+        assert (bounds.upper.corner <= mdp + tol).all()
+
+    def test_value_iteration_corners_undershoot_positive_values(self):
+        m = positive_chain_model()
+        mdp = exact_mdp_values(m)[1]
+        assert (mdp > 0.0).all()
+        assert (reference_initial_bounds(m).upper.corner < mdp - 1e-10).any()
+
+    def test_certificates_alone_keep_the_bounds_valid(self, desk_jopt_model,
+                                                      monkeypatch):
+        m = desk_jopt_model[0]
+        monkeypatch.setattr(solver, "bicgstab",
+                            functools.partial(solver.bicgstab, maxiter=1))
+        capped = initial_bounds(m)
+        blind, mdp = exact_mdp_values(m)
+        # one Krylov step leaves residuals of order one: the shifted
+        # bounds are loose, and valid
+        assert (capped.lower.matrix() <= blind).all()
+        assert (capped.upper.corner >= mdp).all()
+        assert (capped.upper.corner - mdp).min() > 1.0
 
 
 class TestSolverPieces:

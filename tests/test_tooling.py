@@ -1,11 +1,16 @@
-"""The benchmark's trace wrappers still find every name they patch.
+"""Guards for the benchmark's trace wrappers and the CLI's start-up.
 
 ``perfbench/run.py --trace 1`` wraps each ``SPAN_SITES`` entry by module (or
 class) and attribute name; a refactor that moves or renames one of them
-would make the traced pass fail with ``AttributeError``.
+would make the traced pass fail with ``AttributeError``. Every CLI call
+pays for the modules that ``swiptctl.cli`` imports.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +35,17 @@ def test_span_site_resolves(site, attr, name):
     owner = spans._resolve(site)
     assert callable(getattr(owner, attr, None)), f"{site}.{attr} ({name})"
     assert name.split(".", 1)[0] in spans.LAYERS
+
+
+def test_cli_import_leaves_out_slow_scipy_modules():
+    # scipy.stats alone once took about 0.7 s of a 1.3 s start-up; only
+    # the tests' exact oracle needs scipy.optimize
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import json, sys, swiptctl.cli; print(json.dumps(sorted("
+            "{m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    loaded = json.loads(out)
+    assert "stats" not in loaded and "optimize" not in loaded, loaded
