@@ -204,6 +204,22 @@ def channel_stream(seed: int, slot: int, user: int, link: int) -> np.random.Gene
                                                 counter=[0, slot, user, link]))
 
 
+def rewind_stream(gen: np.random.Generator, seed: int, slot: int, user: int,
+                  link: int) -> np.random.Generator:
+    """Set the Philox generator ``gen`` to the start of the
+    :func:`channel_stream` stream (seed, slot, user, link) and return it:
+    the draws are the same, and one generator serves many streams. A new
+    Philox reads OS entropy even when its key is given, and costs more
+    than a short draw."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([0, slot, user, link], dtype=np.uint64),
+                  "key": np.array([seed, 0], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return gen
+
+
 def draw_channel(dims: Dims, alpha: float, rng: np.random.Generator) -> ChannelPair:
     """Draw one (h_true, h_est) pair of shape (n_r, n_u) tied by alpha."""
     if not (0.0 <= alpha < 1.0):

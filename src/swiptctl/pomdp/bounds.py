@@ -244,11 +244,14 @@ class BoundPair:
     def gap(self, b: np.ndarray) -> float:
         return self.upper.value(b) - self.lower.value(b)
 
-    def audit(self, b: np.ndarray) -> None:
-        """Record the sandwich invariant lower <= upper + tol at b."""
-        v = self.lower.value(b) - self.upper.value(b)
+    def audit(self, b: np.ndarray) -> float:
+        """Record the sandwich invariant lower <= upper + tol at b; returns
+        the gap at b, equal to :meth:`gap`, from the same two evaluations."""
+        lo, up = self.lower.value(b), self.upper.value(b)
+        v = lo - up
         self.audits += 1
         if v > self.worst_violation:
             self.worst_violation = v
         if v > SANDWICH_TOL:
             raise AssertionError(f"bound sandwich violated by {v:.3e}")
+        return up - lo

@@ -23,6 +23,17 @@ def _as_csr(m) -> sparse.csr_matrix:
     return m.tocsr() if sparse.issparse(m) else sparse.csr_matrix(np.asarray(m, dtype=float))
 
 
+def row_entries(m: sparse.csr_matrix, rows: np.ndarray):
+    """Positions in ``m.data`` of the stored entries of the CSR rows
+    ``rows``, row after row in stored order, and the row id of each."""
+    starts = m.indptr[rows]
+    counts = m.indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    pos = np.arange(ends[-1] if ends.size else 0) \
+        + np.repeat(starts - (ends - counts), counts)
+    return pos, np.repeat(rows, counts)
+
+
 @dataclass
 class PomdpModel:
     """Finite POMDP with stage costs.
@@ -81,8 +92,16 @@ class PomdpModel:
         return -self.cost
 
     def propagate(self, b: np.ndarray, a: int) -> np.ndarray:
-        """Predictive next-state distribution sum_S Pr(S'|S,a) b(S)."""
-        return self.transitions[a].T.dot(b)
+        """Predictive next-state distribution sum_S Pr(S'|S,a) b(S).
+
+        Only the rows of T at b's support are read. ``bincount`` adds each
+        next state's terms from 0 in source-state order, the order of
+        scipy's CSC matvec with ``T.T``, so the result is the same bit for
+        bit."""
+        t = self.transitions[a]
+        pos, src = row_entries(t, np.flatnonzero(b))
+        return np.bincount(t.indices[pos], weights=t.data[pos] * b[src],
+                           minlength=self.n_states)
 
     def obs_column(self, a: int, o: int) -> np.ndarray:
         """Pr(o | S', a) over the next states S', as a dense vector."""

@@ -21,7 +21,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .bounds import AlphaVector, BoundPair, LowerBound, UpperBound
-from .model import PomdpModel, check_belief
+from .model import PomdpModel, check_belief, row_entries
 
 
 # bicgstab stops at this residual, relative to the right-hand side; the
@@ -98,13 +98,33 @@ def initial_bounds(model: PomdpModel) -> BoundPair:
 def _successor_posts(model: PomdpModel, a: int, tau: np.ndarray):
     """All Bayes posteriors reachable under action a from the propagated
     belief tau: (active observation ids, their probabilities, posterior rows
-    as a sparse (m, n_states) matrix)."""
-    w = model.observations[a].multiply(tau.reshape(-1, 1)).tocsc()
-    p_o = np.asarray(w.sum(axis=0)).ravel()
-    active = np.flatnonzero(p_o > 0.0)
-    posts = w[:, active].T.tocsr()
-    posts.data /= np.repeat(p_o[active], np.diff(posts.indptr))
-    return active, p_o[active], posts
+    as a sparse (m, n_states) matrix).
+
+    Only the rows of Z at tau's support are read. A stable sort groups the
+    weighted entries by observation, each group in next-state order, and
+    ``np.add.reduceat`` sums each group as scipy sums a CSC column."""
+    z = model.observations[a]
+    pos, nxt = row_entries(z, np.flatnonzero(tau))
+    obs = z.indices[pos]
+    order = np.argsort(obs, kind="stable")
+    pos, nxt, obs = pos[order], nxt[order], obs[order]
+    w = z.data[pos] * tau[nxt]
+    # offsets of the observation groups' first entries, then the end
+    edge = np.flatnonzero(np.concatenate(([True], obs[1:] != obs[:-1],
+                                          [True])))
+    p_o = np.add.reduceat(w, edge[:-1])
+    live = p_o > 0.0
+    sizes = np.diff(edge)
+    keep = np.repeat(live, sizes)
+    p_act, sizes = p_o[live], sizes[live]
+    # Z's index type holds every state id, as Z stores an entry in every
+    # row; index arrays of that type spare the constructor a range scan
+    idx = z.indices.dtype
+    posts = sparse.csr_matrix(
+        (w[keep] / np.repeat(p_act, sizes), nxt[keep].astype(idx),
+         np.concatenate(([0], np.cumsum(sizes))).astype(idx)),
+        shape=(p_act.size, model.n_states))
+    return obs[edge[:-1][live]], p_act, posts
 
 
 def _expand(b: np.ndarray, model: PomdpModel) -> list:
@@ -136,14 +156,14 @@ def backup(b: np.ndarray, bounds: BoundPair, model: PomdpModel,
     action at b wins.
 
     The cross-sum is one pass over the stored entries of the observation
-    matrix: entry (s', o) contributes Z[s',o] * alpha_pick(o)(s'), and a
-    CSR product with ones sums each row in column order. Every observation
-    takes an alpha, also one that b cannot emit: the new alpha is used at
-    every belief, and a state that can emit o would otherwise get 0 in
-    place of a value, which overshoots where values are negative. Any alpha
-    keeps the backup a valid lower bound there, so those take alpha 0."""
+    matrix: entry (s', o) contributes Z[s',o] * alpha_pick(o)(s'), and
+    ``bincount`` sums each row from 0 in column order, as a CSR product
+    with ones does. Every observation takes an alpha, also one that b
+    cannot emit: the new alpha is used at every belief, and a state that
+    can emit o would otherwise get 0 in place of a value, which overshoots
+    where values are negative. Any alpha keeps the backup a valid lower
+    bound there, so those take alpha 0."""
     alpha_mat = bounds.lower.matrix()
-    ones = np.ones(model.n_obs)
     best_val, best_vec, best_a = -np.inf, None, 0
     for a, (_r, active, _p_act, posts) in enumerate(expansion):
         z = model.observations[a]
@@ -151,8 +171,8 @@ def backup(b: np.ndarray, bounds: BoundPair, model: PomdpModel,
         # argmax is invariant to the positive per-row normalization
         pick[active] = bounds.lower.scores(posts).argmax(axis=1)
         terms = z.data * alpha_mat[pick[z.indices], model.obs_rows[a]]
-        g = sparse.csr_matrix((terms, z.indices, z.indptr),
-                              shape=z.shape) @ ones
+        g = np.bincount(model.obs_rows[a], weights=terms,
+                        minlength=model.n_states)
         vec = model.reward[:, a] + model.discount * model.transitions[a].dot(g)
         val = float(vec @ b)
         if val > best_val + 1e-15:
@@ -160,12 +180,13 @@ def backup(b: np.ndarray, bounds: BoundPair, model: PomdpModel,
     return AlphaVector(values=best_vec, action=best_a)
 
 
-def excess_uncertainty(b: np.ndarray, bounds: BoundPair, t: int, eps: float,
+def excess_uncertainty(gap: float, t: int, eps: float,
                        discount: float) -> float:
-    """Bound gap at b minus the depth-discounted convergence threshold."""
+    """Bound gap at a depth-t belief minus the depth-discounted convergence
+    threshold."""
     if t < 0:
         raise ValueError("depth must be nonnegative")
-    return bounds.gap(b) - eps / discount ** t
+    return gap - eps / discount ** t
 
 
 # the witness prune reads only this many most recently backed-up beliefs
@@ -187,8 +208,7 @@ def explore(b: np.ndarray, t: int, bounds: BoundPair, model: PomdpModel,
     non-fatal)."""
     stats = stats if stats is not None else ExploreStats()
     b = check_belief(b)
-    bounds.audit(b)
-    if excess_uncertainty(b, bounds, t, eps, model.discount) <= 0.0:
+    if excess_uncertainty(bounds.audit(b), t, eps, model.discount) <= 0.0:
         return bounds
     if t >= depth_cap:
         stats.truncations += 1
@@ -205,8 +225,10 @@ def explore(b: np.ndarray, t: int, bounds: BoundPair, model: PomdpModel,
                           - eps / model.discount ** (t + 1))
         i_star = int(np.argmax(scores))
         if scores[i_star] > 0.0:
-            explore(np.asarray(posts.getrow(i_star).todense()).ravel(),
-                    t + 1, bounds, model, eps, depth_cap, stats)
+            lo_i, hi_i = posts.indptr[i_star], posts.indptr[i_star + 1]
+            succ = np.zeros(model.n_states)
+            succ[posts.indices[lo_i:hi_i]] = posts.data[lo_i:hi_i]
+            explore(succ, t + 1, bounds, model, eps, depth_cap, stats)
     bounds.lower.add(backup(b, bounds, model, expansion))
     # the upper bound moved during the recursion; the posteriors did not
     q_up, _ = q_values(expansion, bounds.upper, model.discount)

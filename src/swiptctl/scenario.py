@@ -21,7 +21,8 @@ import numpy as np
 
 from .channel import (AntennaSelection, Dims, achievable_rate, channel_stream,
                       crandn, draw_channel_stack, harvested_energy, link_gains,
-                      mrt_precoders, normalized, sq_norms, zf_noise_gains)
+                      mrt_precoders, normalized, rewind_stream, sq_norms,
+                      zf_noise_gains)
 # no caller here: perfbench/spans.py traces these three names in this module
 from .channel import downlink_sinr, draw_channel, uplink_sinr  # noqa: F401
 from .dynamics import (ActionEffect, ArrivalModel, LevelModel, StateSpace,
@@ -219,8 +220,10 @@ def calibrate(cfg: ScenarioConfig) -> Calibration:
     # are the same for every action
     hits = np.maximum([np.bincount(level_true[:, u], minlength=cfg.n_levels)
                        for u in range(cfg.k)], 1.0)
-    w_up = normalized(np.array([[crandn(channel_stream(cfg.seed, slot=d_i,
-                                                       user=u, link=3),
+    # one generator, rewound to the (draw, user) stream of each precoder
+    gen = channel_stream(cfg.seed, slot=0, user=0, link=3)
+    w_up = normalized(np.array([[crandn(rewind_stream(gen, cfg.seed,
+                                                      d_i, u, 3),
                                         dims.n_u, dims.n_u)
                                  for u in range(cfg.k)]
                                 for d_i in range(cfg.calib_draws)]))

@@ -2,9 +2,10 @@
 
 Each function is the earlier, one-item-at-a-time form of a production
 routine: the per-action degraded effect, the per-slot rollout and its
-per-episode reduction, the per-draw link calibration and the
-value-iteration HSVI bounds. Tests compare the production arrays with
-these, using exact equality where the arithmetic is the same.
+per-episode reduction, the per-draw link calibration, the value-iteration
+HSVI bounds and the sparse-matrix belief expansion and backup. Tests
+compare the production arrays with these, using exact equality where the
+arithmetic is the same.
 """
 
 import math
@@ -317,3 +318,41 @@ def dense_mdp_value(model):
         if not switch.any():
             return v
         pi = np.where(switch, best, pi)
+
+
+def reference_propagate(model, b, a):
+    """Predictive next-state distribution by scipy's matvec with T.T."""
+    return model.transitions[a].T.dot(b)
+
+
+def reference_successor_posts(model, a, tau):
+    """Successor posteriors by the sparse-matrix chain: scale Z's rows by
+    tau, sum its columns, keep the observations of positive probability
+    and normalize their columns. Scaling keeps Z(s', o) * 0 as a stored
+    zero for every next state s' outside tau's support."""
+    w = model.observations[a].multiply(tau.reshape(-1, 1)).tocsc()
+    p_o = np.asarray(w.sum(axis=0)).ravel()
+    active = np.flatnonzero(p_o > 0.0)
+    posts = w[:, active].T.tocsr()
+    posts.data /= np.repeat(p_o[active], np.diff(posts.indptr))
+    return active, p_o[active], posts
+
+
+def reference_backup(b, bounds, model, expansion):
+    """The one-pass backup with its row sums taken by a CSR product with
+    ones."""
+    alpha_mat = bounds.lower.matrix()
+    ones = np.ones(model.n_obs)
+    best_val, best_vec, best_a = -np.inf, None, 0
+    for a, (_r, active, _p_act, posts) in enumerate(expansion):
+        z = model.observations[a]
+        pick = np.zeros(model.n_obs, dtype=np.intp)
+        pick[active] = bounds.lower.scores(posts).argmax(axis=1)
+        terms = z.data * alpha_mat[pick[z.indices], model.obs_rows[a]]
+        g = sparse.csr_matrix((terms, z.indices, z.indptr),
+                              shape=z.shape) @ ones
+        vec = model.reward[:, a] + model.discount * model.transitions[a].dot(g)
+        val = float(vec @ b)
+        if val > best_val + 1e-15:
+            best_val, best_vec, best_a = val, vec, a
+    return AlphaVector(values=best_vec, action=best_a)

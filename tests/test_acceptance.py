@@ -342,7 +342,7 @@ def test_tight_power_cap_activates_multiplier(small_compiled):
                           r_min_down=loose.r_min_down)
     report = full_solve(small_compiled, spec, rounds=10, step0=200.0,
                         eps=0.5, episodes=10, horizon=200, seed=0,
-                        max_iterations=6, depth_cap=20, time_budget_s=60.0)
+                        max_iterations=6, depth_cap=20)
     nu_final = report.multiplier_trace[-1].nu["p_up"]
     assert float(np.max(nu_final)) > 0.0
     run = monte_carlo(report.policy, small_compiled, episodes=20,
@@ -359,7 +359,7 @@ def test_slack_caps_leave_multipliers_at_zero(small_compiled):
     spec = default_constraints(small_compiled.config)
     report = full_solve(small_compiled, spec, rounds=3, eps=0.5,
                         episodes=8, horizon=150, seed=0,
-                        max_iterations=6, depth_cap=20, time_budget_s=60.0)
+                        max_iterations=6, depth_cap=20)
     assert report.converged
     nus = report.multiplier_trace[-1].nu
     worst = max(float(np.max(v)) for v in nus.values())

@@ -11,9 +11,10 @@ from swiptctl.channel import (AntennaSelection, BeamformerSet, ChannelPair,
                               beta2_pdf, channel_stream, crandn, downlink_sinr,
                               draw_channel, draw_channel_stack,
                               harvested_energy, link_gains, mrt_precoders,
-                              normalized, split_received, sq_norms,
-                              uplink_equalizer, uplink_eta, uplink_sinr,
-                              uplink_sinr_pdf, zf_equalizer, zf_noise_gains)
+                              normalized, rewind_stream, split_received,
+                              sq_norms, uplink_equalizer, uplink_eta,
+                              uplink_sinr, uplink_sinr_pdf, zf_equalizer,
+                              zf_noise_gains)
 
 
 def unit_precoder(shape, rng=None, seed=0):
@@ -63,6 +64,17 @@ class TestDraws:
         a = draw_channel(dims, 0.2, channel_stream(7, slot=3, user=1, link=0))
         b = draw_channel(dims, 0.2, channel_stream(7, slot=3, user=1, link=0))
         np.testing.assert_array_equal(a.h_true, b.h_true)
+
+    def test_rewound_stream_draws_as_a_fresh_one(self):
+        # a used generator, rewound, repeats a fresh stream's draws; the
+        # uint32 draws leave a half-used word that the rewind must drop
+        gen = channel_stream(7, slot=0, user=0, link=3)
+        for slot, user in [(0, 0), (5, 1), (399, 0), (2, 1)]:
+            gen.integers(0, 10, 3, dtype=np.uint32)
+            gen.random(3)
+            np.testing.assert_array_equal(
+                crandn(rewind_stream(gen, 7, slot, user, 3), 2, 2),
+                crandn(channel_stream(7, slot, user, 3), 2, 2))
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from oracles import (dense_mdp_value, dense_policy_value,
-                     reference_initial_bounds)
+from oracles import (dense_mdp_value, dense_policy_value, reference_backup,
+                     reference_initial_bounds, reference_propagate,
+                     reference_successor_posts)
+from test_acceptance import SPARSE_Z_MEMBER, ZOO_DIMS, _zoo_pomdp
 
 from swiptctl.pomdp import (AlphaVector, BoundPair, ImpossibleObservationError,
                             LowerBound, OracleScaleError, PomdpModel,
@@ -177,6 +179,11 @@ class TestBounds:
         with pytest.raises(AssertionError):
             pair.audit(np.array([0.5, 0.5]))
         assert pair.worst_violation == pytest.approx(5.0)
+
+    def test_audit_returns_the_gap(self):
+        pair = initial_bounds(tiger_model())
+        for b in np.random.default_rng(2).dirichlet([1, 1], size=5):
+            assert pair.audit(b) == pair.gap(b)
 
     def test_prune_witness_matches_stacked_corners(self):
         # integer entries make ties; the kept set and order must equal the
@@ -461,12 +468,99 @@ class TestSolverPieces:
         bounds = initial_bounds(m)
         b = np.array([0.5, 0.5])
         gap = bounds.gap(b)
-        assert excess_uncertainty(b, bounds, 0, 0.1, m.discount) \
+        assert excess_uncertainty(gap, 0, 0.1, m.discount) \
             == pytest.approx(gap - 0.1)
-        assert excess_uncertainty(b, bounds, 3, 0.1, m.discount) \
+        assert excess_uncertainty(gap, 3, 0.1, m.discount) \
             == pytest.approx(gap - 0.1 / m.discount ** 3)
         with pytest.raises(ValueError):
-            excess_uncertainty(b, bounds, -1, 0.1, m.discount)
+            excess_uncertainty(gap, -1, 0.1, m.discount)
+
+
+def assert_expansion_matches_chain(model, b, bounds):
+    """At belief b, per action: the propagation, the successor posteriors
+    and the backup equal the sparse-matrix chain of ``oracles`` bit for
+    bit."""
+    expansion = solver._expand(b, model)
+    for a, (_r, active, p_act, posts) in enumerate(expansion):
+        tau = model.propagate(b, a)
+        assert np.array_equal(tau, reference_propagate(model, b, a))
+        ref_active, ref_p, ref_posts = reference_successor_posts(model, a, tau)
+        # the chain stores Z(s', o) * 0 for the next states outside tau's
+        # support; the gather never reads those rows
+        ref_posts.eliminate_zeros()
+        assert np.array_equal(active, ref_active)
+        assert np.array_equal(p_act, ref_p)
+        assert posts.shape == ref_posts.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(posts, part),
+                                  getattr(ref_posts, part)), part
+    alpha = backup(b, bounds, model, expansion)
+    ref = reference_backup(b, bounds, model, expansion)
+    assert alpha.action == ref.action
+    assert np.array_equal(alpha.values, ref.values)
+    return expansion
+
+
+def short_solve_bounds(model, b0, eps):
+    """Bounds of a 3-iteration solve, so the backups pick among several
+    alphas."""
+    return solve_hsvi(model, b0, eps=eps, max_iterations=3).bounds
+
+
+class TestSupportGatherExpansion:
+    """The support gathers of ``propagate``, ``_successor_posts`` and the
+    backup's row sums against the sparse-matrix chain they replace."""
+
+    def test_tiger(self):
+        m = tiger_model()
+        bounds = short_solve_bounds(m, np.array([0.5, 0.5]), 1e-3)
+        # full support, a corner (the chain stores zeros there) and a tilt
+        for b in ([0.5, 0.5], [1.0, 0.0], [0.3, 0.7]):
+            assert_expansion_matches_chain(m, np.array(b), bounds)
+
+    @pytest.mark.parametrize(
+        "member", range(len(ZOO_DIMS)),
+        ids=lambda i: "sparse-z" if i == SPARSE_Z_MEMBER else str(i))
+    def test_zoo_member(self, member):
+        m = _zoo_pomdp(member)
+        b0 = np.full(m.n_states, 1.0 / m.n_states)
+        bounds = short_solve_bounds(m, b0, 1e-3)
+        rng = np.random.default_rng(member)
+        for b in (b0, np.eye(m.n_states)[0],
+                  rng.dirichlet(np.ones(m.n_states))):
+            assert_expansion_matches_chain(m, b, bounds)
+
+    def test_hidden_pair_with_an_impossible_observation(self):
+        m = hidden_pair_model()
+        b0 = np.full(3, 1.0 / 3.0)
+        bounds = short_solve_bounds(m, b0, 1e-3)
+        expansion = assert_expansion_matches_chain(
+            m, np.array([0.5, 0.5, 0.0]), bounds)
+        # observation 1 has probability 0 from this belief
+        assert all(list(active) == [0] for _r, active, _p, _posts
+                   in expansion)
+        assert_expansion_matches_chain(m, b0, bounds)
+        # a negative entry within the belief tolerance gives observation 1
+        # a negative weight; it stays out of the active set
+        expansion = assert_expansion_matches_chain(
+            m, np.array([0.5 + 1e-11, 0.5, -1e-11]), bounds)
+        assert all(list(active) == [0] for _r, active, _p, _posts
+                   in expansion)
+
+    def test_desk_jopt_random_walk(self, desk_jopt_model):
+        m, b0 = desk_jopt_model
+        bounds = short_solve_bounds(m, b0, 5.0)
+        rng = np.random.default_rng(11)
+        full = rng.dirichlet(np.ones(m.n_states))
+        assert np.count_nonzero(full) == m.n_states
+        assert_expansion_matches_chain(m, full, bounds)
+        b = b0
+        for _ in range(12):
+            expansion = assert_expansion_matches_chain(m, b, bounds)
+            _r, active, p_act, posts = expansion[rng.integers(m.n_actions)]
+            assert active.size < m.n_obs
+            b = posts[rng.choice(active.size, p=p_act / p_act.sum())] \
+                .toarray().ravel()
 
 
 class TestExactOracle:
