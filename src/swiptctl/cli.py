@@ -5,8 +5,8 @@ can always be traced back to the exact configuration that produced them;
 given the same config file and seed, outputs are byte-identical across runs.
 
 Exit codes: 0 on success, 2 on configuration errors (including policy/
-scenario hash mismatches), 3 when the solver budget is exhausted before
-convergence and ``--require-convergence`` was given.
+scenario hash mismatches and malformed policy tables), 3 when the solver's
+iteration budget runs out before convergence under --require-convergence.
 """
 
 from __future__ import annotations
@@ -60,12 +60,8 @@ def _int_list(text: str) -> list:
 
 
 def _hsvi_kw(args) -> dict:
-    kw = {}
-    if args.max_iterations is not None:
-        kw["max_iterations"] = args.max_iterations
-    if args.time_budget_s is not None:
-        kw["time_budget_s"] = args.time_budget_s
-    return kw
+    return ({} if args.max_iterations is None
+            else {"max_iterations": args.max_iterations})
 
 
 class _UnconvergedWarnings:
@@ -200,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--eps", type=float, default=5.0,
                            help="target root bound gap")
             p.add_argument("--max-iterations", type=int, default=None)
-            p.add_argument("--time-budget-s", type=float, default=None)
         if rollout:
             p.add_argument("--episodes", type=int, default=30)
             p.add_argument("--horizon", type=int, default=300)

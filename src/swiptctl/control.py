@@ -22,7 +22,7 @@ from functools import reduce
 import numpy as np
 from scipy import sparse
 
-from .dynamics import level_map_matrix
+from .dynamics import level_map_matrix, user_action_table
 from .pomdp import PomdpModel, solve_hsvi
 from .scenario import CompiledScenario
 
@@ -87,34 +87,29 @@ def build_cost_table(compiled: CompiledScenario, nu: Multipliers,
                      extra_action_cost=None) -> np.ndarray:
     """(n_states, n_actions) table of Lagrangian stage costs under the
     degraded action: a user who cannot pay the action's energy price
-    neither transmits nor is served (the kernel's fallback).
+    neither transmits nor is served (the kernel's fallback, read from
+    :func:`user_action_table`).
 
     The cost sums per-user terms, and each user's terms depend only on that
-    user's (q, e, level) and on whether it can pay the action's price. They
-    are tabulated over one user's states and spread over the joint states,
-    added user by user in the order varrho * delay, p_up, p_down, r_up,
-    r_down, delay cap. The delay proxy is q / mean-arrivals-per-slot.
-    ``extra_action_cost`` is an optional per-action constant (e.g. weighted
-    circuit power of the active mask) added to every state's cost."""
+    user's (q, e, level) and the action. They are tabulated over one user's
+    states and spread over the joint states, added user by user in the
+    order varrho * delay, p_up, p_down, r_up, r_down, delay cap. The delay
+    proxy is q / mean-arrivals-per-slot. ``extra_action_cost`` is an
+    optional per-action constant (e.g. weighted circuit power of the active
+    mask) added to every state's cost."""
     space = compiled.space
     effects = compiled.effects
-    q, e, lv = space.user_digits()
-    delay = (q / compiled.config.lam_slot)[:, None]
+    acts = user_action_table(space, effects)
+    delay = (space.user_digits()[0] / compiled.config.lam_slot)[:, None]
     shape = (space.per_user, compiled.n_actions)
     table = np.zeros((space.size, compiled.n_actions))
     for u in range(space.n_users):
-        # a user who cannot pay the price neither transmits nor is served
-        pays = e[:, None] >= np.array([eff.used_units[u] for eff in effects])
-        p_up = np.where(pays, np.array([eff.p_up[u] for eff in effects],
-                                       dtype=float), 0.0)
-        served = np.where(
-            pays, np.array([eff.served[u] for eff in effects])[:, lv].T, 0)
         p_down = np.array([eff.p_down[u] for eff in effects], dtype=float)
         r_down = np.array([eff.rate_down[u] for eff in effects], dtype=float)
         terms = (nu.varrho[u] * delay,
-                 nu.nu["p_up"][u] * (p_up - spec.p_max_up),
+                 nu.nu["p_up"][u] * (acts.p_up[u] - spec.p_max_up),
                  nu.nu["p_down"][u] * (p_down - spec.p_max_down),
-                 nu.nu["r_up"][u] * (spec.r_min_up - served),
+                 nu.nu["r_up"][u] * (spec.r_min_up - acts.served[u]),
                  nu.nu["r_down"][u] * (spec.r_min_down - r_down),
                  nu.nu["delay"][u] * (delay - spec.tau_up))
         for term in terms:
@@ -170,10 +165,19 @@ class Policy:
         return int(self.action_of[obs])
 
     def check_hash(self, compiled: CompiledScenario) -> None:
+        """Refuse a policy solved for another scenario, or whose table is
+        not one integer action id in [0, n_actions) per observation."""
         if self.scenario_hash != compiled.scenario_hash:
             raise HashMismatchError(
                 f"policy hash {self.scenario_hash} != scenario "
                 f"{compiled.scenario_hash}")
+        table = np.asarray(self.action_of)
+        if (table.dtype.kind not in "iu"
+                or table.shape != (compiled.space.size,)
+                or table.min() < 0 or table.max() >= compiled.n_actions):
+            raise ValueError(
+                f"policy table must hold {compiled.space.size} integer "
+                f"action ids in [0, {compiled.n_actions})")
 
     def to_json(self) -> str:
         return json.dumps({"scenario_hash": self.scenario_hash,
@@ -183,8 +187,11 @@ class Policy:
 
     @classmethod
     def from_json(cls, text: str) -> "Policy":
-        d = json.loads(text)
-        return cls(action_of=np.asarray(d["action_of"], dtype=int),
+        d = json.loads(text)      # ids keep their JSON type for check_hash
+        if not isinstance(d, dict) or not {"action_of",
+                                           "scenario_hash"} <= d.keys():
+            raise ValueError("policy file needs action_of and scenario_hash")
+        return cls(action_of=np.asarray(d["action_of"]),
                    scenario_hash=d["scenario_hash"], kind=d.get("kind", ""))
 
 

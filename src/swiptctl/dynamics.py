@@ -2,13 +2,16 @@
 
 The per-slot recursions are exact integer maps. Users evolve independently
 given the joint action, with levels drawn i.i.d. each slot (block fading), so
-the joint kernel and the observation matrix are Kronecker products of
-per-user matrices over one user's (queue, energy, level) triples. They are
-built that way; the joint state space is never enumerated.
+each user's slot under each action is tabulated once over one user's
+(queue, energy, level) triples (:func:`user_action_table`, the one place the
+energy-causality fallback is applied). The joint kernel and the observation
+matrix are Kronecker products of per-user matrices; the joint state space is
+never enumerated.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -18,35 +21,8 @@ from scipy import sparse, special
 ROW_SUM_TOL = 1e-10
 
 
-class InadmissibleActionError(ValueError):
-    """Action spends more energy units than the buffer holds."""
-
-
 class StateSpaceBudgetError(ValueError):
     """Enumerated joint state space exceeds the configured budget."""
-
-
-# ---------------------------------------------------------------------------
-# per-slot recursions
-# ---------------------------------------------------------------------------
-
-def step_queue(q: int, served: int, arrived: int, q_max: int) -> int:
-    """Next queue length min([q - served]^+ + arrived, q_max)."""
-    if min(q, served, arrived, q_max) < 0:
-        raise ValueError("queue arguments must be nonnegative")
-    return min(max(q - served, 0) + arrived, q_max)
-
-
-def step_energy(e: int, used: int, harvested: int, e_max: int) -> int:
-    """Next buffer level min(max(e - used, 0) + harvested, e_max).
-
-    Spending more than the stored energy is inadmissible.
-    """
-    if min(e, used, harvested, e_max) < 0:
-        raise ValueError("energy arguments must be nonnegative")
-    if used > e:
-        raise InadmissibleActionError(f"used {used} units with only {e} stored")
-    return min(max(e - used, 0) + harvested, e_max)
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +93,14 @@ class StateSpace:
         return self.per_user ** self.n_users
 
     def encode(self, users: tuple) -> int:
+        """Joint index of (q, e, level) triples; the tests' index reference."""
         idx = 0
         for (q, e, lv) in users:
             idx = idx * self.per_user + ((q * (self.e_max + 1) + e) * self.n_levels + lv)
         return idx
 
     def decode(self, idx: int) -> tuple:
+        """(q, e, level) triples of a joint index; the tests' reference."""
         out = []
         for _ in range(self.n_users):
             idx, rem = divmod(idx, self.per_user)
@@ -132,6 +110,7 @@ class StateSpace:
         return tuple(reversed(out))
 
     def states(self):
+        """Every (index, triples) pair; the tests' reference enumeration."""
         for idx in range(self.size):
             yield idx, self.decode(idx)
 
@@ -198,6 +177,43 @@ class ActionEffect:
 
 
 # ---------------------------------------------------------------------------
+# per-user action table
+# ---------------------------------------------------------------------------
+
+UserActionTable = namedtuple(
+    "UserActionTable", "pays served used p_up harvested q_post e_next")
+
+
+def user_action_table(space: StateSpace, effects) -> UserActionTable:
+    """Each user's slot under each joint action, after the energy-causality
+    fallback: a user who cannot pay the action's price (more units than it
+    has stored) neither transmits nor is served, and still harvests.
+
+    Every array is shaped (n_users, per_user, n_actions); the middle axis
+    runs over one user's states with the true level, indexed as
+    :meth:`StateSpace.user_digits`: ``(q * (e_max + 1) + e) * L + level``.
+    ``served`` is the service capacity, not clipped to the queue;
+    ``q_post`` is the queue after service and ``e_next`` the next energy
+    level, ``min(e - used + harvested, e_max)``."""
+    q, e, lv = space.user_digits()
+
+    def stack(name):                # one effect field, actions last
+        return np.moveaxis(np.array([getattr(eff, name) for eff in effects]),
+                           0, -1)
+
+    price = stack("used_units")[:, None, :]
+    pays = e[:, None] >= price
+    served = np.where(pays, stack("served")[:, lv], 0)
+    used = np.where(pays, price, 0)
+    harvested = stack("harvested")[:, lv]
+    return UserActionTable(
+        pays=pays, served=served, used=used,
+        p_up=np.where(pays, stack("p_up").astype(float)[:, None, :], 0.0),
+        harvested=harvested, q_post=np.maximum(q[:, None] - served, 0),
+        e_next=np.minimum(e[:, None] - used + harvested, space.e_max))
+
+
+# ---------------------------------------------------------------------------
 # transition kernel
 # ---------------------------------------------------------------------------
 
@@ -217,32 +233,6 @@ class TransitionKernel:
                 raise ValueError("negative transition probability")
 
 
-def _user_next_pmf(q: int, e: int, lv: int, effect: ActionEffect, user: int,
-                   pmf_arr: np.ndarray, level: LevelModel, space: StateSpace):
-    """Support/probability pairs of the next (q, e, l) triple for one user.
-
-    Inadmissible energy expenditure degrades to a no-transmit fallback for
-    that user (nothing served, nothing spent); harvesting is unaffected.
-    """
-    used = int(effect.used_units[user])
-    served = int(effect.served[user, lv])
-    if used > e:
-        used, served = 0, 0
-    e_next = step_energy(e, used, int(effect.harvested[user, lv]), space.e_max)
-    q_inter = max(q - served, 0)
-    sup_q = np.minimum(q_inter + np.arange(pmf_arr.size), space.q_max)
-    q_pmf: dict[int, float] = {}
-    for qn, p in zip(sup_q, pmf_arr):
-        q_pmf[int(qn)] = q_pmf.get(int(qn), 0.0) + float(p)
-    out = []
-    for lv_next, p_l in enumerate(level.probs):
-        if p_l == 0.0:
-            continue
-        for qn, p_q in q_pmf.items():
-            out.append(((qn, e_next, lv_next), p_l * p_q))
-    return out
-
-
 def check_state_budget(space: StateSpace, max_states: int) -> None:
     if space.size > max_states:
         raise StateSpaceBudgetError(
@@ -260,27 +250,37 @@ def _kron_users(factors, fmt: str):
 def build_kernel(space: StateSpace, arrivals: ArrivalModel, level: LevelModel,
                  effects, max_states: int = 20000) -> TransitionKernel:
     """Controlled kernel, per action the Kronecker product ``T_a^(1) ⊗ ...
-    ⊗ T_a^(k)`` of per-user kernels tabulated from :func:`_user_next_pmf`.
+    ⊗ T_a^(k)`` of per-user kernels.
 
-    Bit-identical (CSR ``indptr``, ``indices``, ``data``) to multiplying the
-    per-user probabilities of every joint transition in user order."""
+    User u moves from (q, e, l) to (min(q_post + arrivals, q_max), e_next,
+    l') with probability Pr(q') p(l'), read from :func:`user_action_table`;
+    only reachable q' and levels with p(l') > 0 are stored. Bit-identical
+    (CSR arrays) to multiplying the per-user probabilities of every joint
+    transition in user order."""
     check_state_budget(space, max_states)
-    pmf_arr = arrival_pmf(arrivals)
-    one = StateSpace(n_users=1, q_max=space.q_max, e_max=space.e_max,
-                     n_levels=space.n_levels)
-    mats = []
-    for effect in effects:
-        factors = []
-        for u in range(space.n_users):
-            rows, cols, vals = zip(*(
-                (idx, one.encode((nxt,)), p)
-                for idx, ((q, e, lv),) in one.states()
-                for nxt, p in _user_next_pmf(q, e, lv, effect, u, pmf_arr,
-                                             level, space)))
-            factors.append(sparse.coo_matrix((vals, (rows, cols)),
-                                             shape=(one.size, one.size)))
-        mats.append(_kron_users(factors, "csr"))
-    return TransitionKernel(space=space, matrices=mats)
+    pmf = arrival_pmf(arrivals)
+    table = user_action_table(space, effects)
+    n_qe = (space.q_max + 1) * (space.e_max + 1)
+    q_next = np.minimum(table.q_post[..., None] + np.arange(pmf.size),
+                        space.q_max)
+    # (state, next (q, e)) bin per user, state, action and arrival count;
+    # raveled row-major over (state, arrival), so that bincount adds each
+    # bin's probabilities in arrival order from 0.0
+    bins = (np.arange(space.per_user)[:, None, None] * n_qe
+            + q_next * (space.e_max + 1) + table.e_next[..., None])
+    weights = np.tile(pmf, space.per_user)
+    levels = sparse.coo_matrix(level.probs[None, :])   # p(l') = 0 dropped
+
+    def factor(u, a):
+        hit = np.flatnonzero(np.bincount(bins[u, :, a].ravel()))
+        p_q = np.bincount(bins[u, :, a].ravel(), weights)[hit]
+        return sparse.kron(sparse.coo_matrix((p_q, divmod(hit, n_qe)),
+                                             shape=(space.per_user, n_qe)),
+                           levels, format="coo")
+
+    return TransitionKernel(space=space, matrices=[
+        _kron_users([factor(u, a) for u in range(space.n_users)], "csr")
+        for a in range(len(effects))])
 
 
 def level_map_matrix(space: StateSpace, block, fmt: str):

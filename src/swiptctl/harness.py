@@ -14,7 +14,7 @@ import numpy as np
 
 from .control import (ConstraintSpec, Multipliers, Policy, build_cost_table,
                       solve_inner_beamforming, solve_outer_selection)
-from .dynamics import arrival_pmf
+from .dynamics import arrival_pmf, user_action_table
 from .scenario import (CompiledScenario, ScenarioConfig, compile_scenario,
                        with_budget)
 
@@ -48,54 +48,52 @@ def run_episodes(policy: Policy, compiled: CompiledScenario, episodes: int,
     ``random((horizon, 3, n_users))`` from ``episode_rng(seed, ep)``,
     inverted by :func:`_choice`, is that stream.
 
-    A user who cannot pay the action's energy price neither transmits nor
-    is served (the kernel's fallback). Conservation holds exactly per
-    user: total harvested minus total spent equals the buffer delta plus
-    overflow-discarded units."""
+    Each user's slot, with the fallback for a user who cannot pay, is read
+    from :func:`user_action_table` at the user's own state index.
+    Conservation holds exactly per user: total harvested minus total spent
+    equals the buffer delta plus overflow-discarded units."""
     policy.check_hash(compiled)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     space = compiled.space
     users = np.arange(space.n_users)
+    acts = user_action_table(space, compiled.effects)
 
     def per_action(name):
         return np.array([getattr(eff, name) for eff in compiled.effects])
 
-    served_of, used_of = per_action("served"), per_action("used_units")
-    harvested_of = per_action("harvested")
     u = np.array([episode_rng(seed, ep).random((horizon, 3, space.n_users))
                   for ep in range(episodes)])
     levels = _choice(compiled.level.probs, u[:, :, 0])
     obs_levels = _choice(compiled.level.obs_confusion[levels], u[:, :, 1])
     arrived = _choice(arrival_pmf(compiled.arrivals), u[:, :, 2])
     place = space.per_user ** users[::-1]      # mixed-radix digit weights
-    queues, energies, served, used = (np.empty(levels.shape, dtype=int)
-                                      for _ in range(4))
+    queues, energies, served, used, state = (np.empty(levels.shape, dtype=int)
+                                             for _ in range(5))
     obs = np.empty((episodes, horizon), dtype=int)
     q = np.zeros((episodes, space.n_users), dtype=int)
     e = np.full_like(q, space.e_max)
     for t in range(horizon):
         queues[:, t], energies[:, t] = q, e
-        obs[:, t] = ((q * (space.e_max + 1) + e) * space.n_levels
-                     + obs_levels[:, t]) @ place
-        a = policy.action_of[obs[:, t]][:, None]
-        pays = used_of[a, users] <= e
-        served[:, t] = np.minimum(
-            np.where(pays, served_of[a, users, levels[:, t]], 0), q)
-        used[:, t] = np.where(pays, used_of[a, users], 0)
-        q = np.minimum(q - served[:, t] + arrived[:, t], space.q_max)
-        e = np.minimum(e - used[:, t] + harvested_of[a, users, levels[:, t]],
-                       space.e_max)
+        qe = (q * (space.e_max + 1) + e) * space.n_levels
+        obs[:, t] = (qe + obs_levels[:, t]) @ place
+        state[:, t] = qe + levels[:, t]        # each user's own state index
+        at = (users, state[:, t], policy.action_of[obs[:, t]][:, None])
+        q_post = acts.q_post[at]
+        served[:, t] = q - q_post
+        used[:, t] = acts.used[at]
+        q = np.minimum(q_post + arrived[:, t], space.q_max)
+        e = acts.e_next[at]
     action = policy.action_of[obs]
-    harvested = harvested_of[action[..., None], users, levels]
-    pays = used_of[action] <= energies
+    at = (users, state, action[..., None])
+    harvested = acts.harvested[at]
     mask_sizes = np.array(compiled.calibration.mask_sizes)
     return {
         "queues": queues, "energies": energies, "levels": levels,
         "obs": obs, "action": action, "arrived": arrived, "served": served,
         "used": used, "harvested": harvested,
         "discarded": np.maximum(energies - used + harvested - space.e_max, 0),
-        "p_up": np.where(pays, per_action("p_up")[action], 0.0),
+        "p_up": acts.p_up[at],
         "p_down": per_action("p_down")[action],
         "rate_down": per_action("rate_down")[action],
         "n_active": mask_sizes[per_action("mask_id")][action],
@@ -248,14 +246,13 @@ def _p_opt_policy(compiled: CompiledScenario, spec: ConstraintSpec) -> Policy:
     index); failing that, action 0."""
     space = compiled.space
     effects = compiled.effects
-    _q, e, lv = space.user_digits()
+    acts = user_action_table(space, effects)
+    rate_down = np.array([eff.rate_down for eff in effects]).T
     pays = meets = True
     for u in range(space.n_users):
-        pays = pays & space.spread(u, e[:, None] >= np.array(
-            [eff.used_units[u] for eff in effects]))
-        meets = meets & space.spread(u, np.array(
-            [(eff.served[u, lv] >= spec.r_min_up)
-             & (eff.rate_down[u] >= spec.r_min_down) for eff in effects]).T)
+        pays = pays & space.spread(u, acts.pays[u])
+        meets = meets & space.spread(u, (acts.served[u] >= spec.r_min_up)
+                                     & (rate_down[u] >= spec.r_min_down))
     by_power = sorted(range(compiled.n_actions),
                       key=lambda a: (float(np.sum(effects[a].p_up)
                                            + np.sum(effects[a].p_down)), a))
@@ -276,8 +273,7 @@ def _p_opt_policy(compiled: CompiledScenario, spec: ConstraintSpec) -> Policy:
 # ---------------------------------------------------------------------------
 
 # light solver budget for the qualitative sweeps; policies stabilize well
-# before full convergence at desk scale. Iteration and depth caps only: a
-# wall-clock cap would let a slow host change the CSVs
+# before full convergence at desk scale
 SWEEP_HSVI_KW = {"max_iterations": 8, "depth_cap": 25}
 
 

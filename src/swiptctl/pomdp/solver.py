@@ -191,6 +191,8 @@ def excess_uncertainty(gap: float, t: int, eps: float,
 
 # the witness prune reads only this many most recently backed-up beliefs
 WITNESS_SLOTS = 200
+# both bounds are pruned after every this many explorations
+PRUNE_EVERY = 10
 
 
 @dataclass
@@ -256,10 +258,11 @@ class HsviResult:
 
 
 def solve_hsvi(model: PomdpModel, b0: np.ndarray, eps: float,
-               max_iterations: int = 1000, time_budget_s: float | None = None,
-               depth_cap: int | None = None, prune_every: int = 10) -> HsviResult:
+               max_iterations: int = 1000,
+               depth_cap: int | None = None) -> HsviResult:
     """Repeat guided exploration from b0 until the root gap drops below eps
-    or the iteration/time budget runs out."""
+    or the iteration budget runs out (no wall-clock limit, so that the
+    result does not depend on the host's speed)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     b0 = check_belief(b0)
@@ -283,7 +286,7 @@ def solve_hsvi(model: PomdpModel, b0: np.ndarray, eps: float,
         # exploration pushes each backed-up belief into the witness slots
         stats = ExploreStats(visited=witnesses)
         explore(b0, 0, bounds, model, eps, depth_cap, stats)
-        if prune_every and it % prune_every == 0:
+        if it % PRUNE_EVERY == 0:
             bounds.lower.prune_pointwise()
             bounds.lower.prune_witness(np.array(witnesses))
             bounds.upper.prune()
@@ -296,8 +299,6 @@ def solve_hsvi(model: PomdpModel, b0: np.ndarray, eps: float,
                     (time.perf_counter() - start) * 1e3))
         if gap <= eps:
             converged = True
-        if time_budget_s is not None and time.perf_counter() - start > time_budget_s:
-            break
     lo, hi = bounds.lower.value(b0), bounds.upper.value(b0)
     return HsviResult(bounds=bounds, log=log, converged=converged,
                       root_value=0.5 * (lo + hi), iterations=it,

@@ -1,7 +1,8 @@
 """Reference loops that the vectorized production code must match exactly.
 
 Each function is the earlier, one-item-at-a-time form of a production
-routine: the per-action degraded effect, the per-slot rollout and its
+routine: the scalar slot recursions and one user's next-state pmf, the
+per-action degraded effect, the per-slot rollout and its
 per-episode reduction, the per-draw link calibration, the value-iteration
 HSVI bounds and the sparse-matrix belief expansion and backup. Tests
 compare the production arrays with these, using exact equality where the
@@ -22,6 +23,55 @@ from swiptctl.dynamics import ActionEffect, LevelModel, arrival_pmf
 from swiptctl.harness import episode_rng
 from swiptctl.pomdp import AlphaVector, BoundPair, LowerBound, UpperBound
 from swiptctl.scenario import Calibration, ScenarioConfig
+
+
+class InadmissibleActionError(ValueError):
+    """Action spends more energy units than the buffer holds."""
+
+
+def step_queue(q: int, served: int, arrived: int, q_max: int) -> int:
+    """Next queue length min([q - served]^+ + arrived, q_max)."""
+    if min(q, served, arrived, q_max) < 0:
+        raise ValueError("queue arguments must be nonnegative")
+    return min(max(q - served, 0) + arrived, q_max)
+
+
+def step_energy(e: int, used: int, harvested: int, e_max: int) -> int:
+    """Next buffer level min(max(e - used, 0) + harvested, e_max).
+
+    Spending more than the stored energy is inadmissible.
+    """
+    if min(e, used, harvested, e_max) < 0:
+        raise ValueError("energy arguments must be nonnegative")
+    if used > e:
+        raise InadmissibleActionError(f"used {used} units with only {e} stored")
+    return min(max(e - used, 0) + harvested, e_max)
+
+
+def user_next_pmf(q: int, e: int, lv: int, effect, user: int,
+                  pmf_arr: np.ndarray, level: LevelModel, space):
+    """Support/probability pairs of the next (q, e, l) triple for one user.
+
+    Inadmissible energy expenditure degrades to a no-transmit fallback for
+    that user (nothing served, nothing spent); harvesting is unaffected.
+    """
+    used = int(effect.used_units[user])
+    served = int(effect.served[user, lv])
+    if used > e:
+        used, served = 0, 0
+    e_next = step_energy(e, used, int(effect.harvested[user, lv]), space.e_max)
+    q_inter = max(q - served, 0)
+    sup_q = np.minimum(q_inter + np.arange(pmf_arr.size), space.q_max)
+    q_pmf: dict[int, float] = {}
+    for qn, p in zip(sup_q, pmf_arr):
+        q_pmf[int(qn)] = q_pmf.get(int(qn), 0.0) + float(p)
+    out = []
+    for lv_next, p_l in enumerate(level.probs):
+        if p_l == 0.0:
+            continue
+        for qn, p_q in q_pmf.items():
+            out.append(((qn, e_next, lv_next), p_l * p_q))
+    return out
 
 
 def admissible(effect, energies) -> bool:

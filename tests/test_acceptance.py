@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import InadmissibleActionError, step_energy, step_queue
 from swiptctl.channel import (AntennaSelection, BeamformerSet, ChannelPair,
                               Dims, beta2_moment_match, crandn, downlink_sinr,
                               draw_channel, uplink_equalizer, uplink_eta,
                               uplink_sinr)
 from swiptctl.cli import main as cli_main
 from swiptctl.control import ConstraintSpec, full_solve
-from swiptctl.dynamics import InadmissibleActionError, step_energy, step_queue
+from swiptctl.dynamics import ActionEffect, StateSpace, user_action_table
 from swiptctl.harness import (default_constraints, monte_carlo, sweep_antennas,
                               sweep_power)
 from swiptctl.pomdp.model import PomdpModel
@@ -114,24 +115,58 @@ def test_bounds_stay_sandwiched_and_gap_is_monotone(zoo_results):
             f"{worst_violation:.2e} <= 1e-8, root gaps monotone")
 
 
+def exhaustive_action_table(q_bound, e_bound):
+    """One user's action table in which level l serves l packets and
+    harvests min(l, e_bound) units, and action a costs a units: every
+    (q, served) and (e, used, harvested) triple of the ranges below."""
+    n_levels = q_bound + 1
+    space = StateSpace(n_users=1, q_max=q_bound, e_max=e_bound,
+                       n_levels=n_levels)
+    levels = np.arange(n_levels)[None, :]
+    effects = [ActionEffect(served=levels,
+                            harvested=np.minimum(levels, e_bound),
+                            used_units=np.array([used]), p_up=np.ones(1),
+                            p_down=np.ones(1), rate_up=np.ones(1),
+                            rate_down=np.ones(1))
+               for used in range(e_bound + 1)]
+    return space, user_action_table(space, effects)
+
+
 def test_slot_recursions_match_exhaustive_enumeration(desk_compiled):
+    # the scalar recursions, and the action table that the kernel, the
+    # cost table and the rollout read, on every tuple of the ranges
     q_bound, e_bound = 30, 10
+    space, table = exhaustive_action_table(q_bound, e_bound)
+
+    def at(q, e, level, used):
+        s = (q * (e_bound + 1) + e) * space.n_levels + level
+        return table.q_post[0, s, used], table.e_next[0, s, used]
+
     checked = 0
     for q in range(q_bound + 1):
         for served in range(q_bound + 1):
+            q_post = at(q, 0, served, 0)[0]     # free action: served in full
             for arrived in range(q_bound + 1):
                 expect = min(max(q - served, 0) + arrived, q_bound)
                 assert step_queue(q, served, arrived, q_bound) == expect
+                assert min(q_post + arrived, q_bound) == expect
                 checked += 1
     for e in range(e_bound + 1):
         for used in range(e_bound + 1):
             for harvested in range(e_bound + 1):
+                q_post, e_next = at(q_bound, e, harvested, used)
                 if used > e:
                     with pytest.raises(InadmissibleActionError):
                         step_energy(e, used, harvested, e_bound)
+                    # the no-transmit fallback: nothing spent or served
+                    assert e_next == step_energy(e, 0, harvested, e_bound)
+                    assert q_post == q_bound
                 else:
                     expect = min(e - used + harvested, e_bound)
                     assert step_energy(e, used, harvested, e_bound) == expect
+                    assert e_next == expect
+                    assert q_post == step_queue(q_bound, harvested, 0,
+                                                q_bound)
                 checked += 1
     row_err = 0.0
     for mat in desk_compiled.kernel.matrices:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from swiptctl.cli import main
-from swiptctl.scenario import desk_scenario
+from swiptctl.scenario import compile_scenario, desk_scenario
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +89,82 @@ def test_evaluate_refuses_foreign_policy(cfg_file, tmp_path, capsys):
                "--horizon", "10") == 2
     assert "hash" in capsys.readouterr().err
     assert not res.exists()
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """A q_max = e_max = 1 config file and its compiled scenario."""
+    cfg = desk_scenario(calib_draws=80, q_max=1, e_max=1)
+    path = tmp_path_factory.mktemp("tiny") / "tiny.json"
+    path.write_text(cfg.to_json())
+    return str(path), compile_scenario(cfg)
+
+
+def write_policy(path, compiled, action_of):
+    path.write_text(json.dumps({"scenario_hash": compiled.scenario_hash,
+                                "kind": "hand", "action_of": action_of}))
+    return str(path)
+
+
+def test_evaluate_accepts_hand_written_table(tiny, tmp_path):
+    cfg_path, compiled = tiny
+    pol = write_policy(tmp_path / "pol.json", compiled,
+                       [compiled.n_actions - 1] * compiled.space.size)
+    assert run("evaluate", "--config", cfg_path, "--policy", pol,
+               "--out", str(tmp_path / "res.json"), "--episodes", "2",
+               "--horizon", "5") == 0
+
+
+# tables with the right hash that are not one integer action id in
+# [0, n_actions) per observation, as functions of (n_obs, n_actions)
+BAD_TABLES = {
+    "negative": lambda n_obs, n_act: [-1] * n_obs,
+    "short": lambda n_obs, n_act: [0] * 5,
+    "long": lambda n_obs, n_act: [0] * (n_obs + 1),
+    "id-99": lambda n_obs, n_act: [0] * (n_obs - 1) + [99],
+    "id-n-actions": lambda n_obs, n_act: [n_act] * n_obs,
+    "float": lambda n_obs, n_act: [1.0] * n_obs,
+    "fraction": lambda n_obs, n_act: [0.5] * n_obs,
+    "nested": lambda n_obs, n_act: [[0] * n_obs],
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_TABLES))
+def test_evaluate_refuses_malformed_table(tiny, tmp_path, capsys, name):
+    cfg_path, compiled = tiny
+    pol = write_policy(tmp_path / "pol.json", compiled, BAD_TABLES[name](
+        compiled.space.size, compiled.n_actions))
+    res = tmp_path / "res.json"
+    assert run("evaluate", "--config", cfg_path, "--policy", pol,
+               "--out", str(res), "--episodes", "2", "--horizon", "5") == 2
+    assert "policy" in capsys.readouterr().err
+    assert not res.exists()
+
+
+def test_evaluate_refuses_policy_without_table(tiny, tmp_path, capsys):
+    cfg_path, compiled = tiny
+    pol = tmp_path / "pol.json"
+    pol.write_text(json.dumps({"scenario_hash": compiled.scenario_hash}))
+    assert run("evaluate", "--config", cfg_path, "--policy", str(pol),
+               "--out", str(tmp_path / "res.json")) == 2
+    assert "action_of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ("solve", "--out", "pol.json"),
+    ("sweep-power", "--budgets", "1.05", "--out", "s.csv"),
+    ("sweep-antennas", "--n-r", "4", "--out", "a.csv"),
+])
+def test_time_budget_option_is_gone(tiny, tmp_path, capsys, command):
+    # solves stop on iteration and depth caps only, so that host speed
+    # cannot change the outputs
+    name, *rest = command
+    rest = [str(tmp_path / arg) if arg.endswith((".json", ".csv")) else arg
+            for arg in rest]
+    with pytest.raises(SystemExit) as exc:
+        run(name, "--config", tiny[0], *rest, "--time-budget-s", "60")
+    assert exc.value.code == 2
+    assert "--time-budget-s" in capsys.readouterr().err
 
 
 def test_require_convergence_exits_3(cfg_file, tmp_path, capsys):

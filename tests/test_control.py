@@ -133,12 +133,6 @@ def with_effects(compiled, effects):
                                                  effects=tuple(effects)))
 
 
-@pytest.fixture(scope="module")
-def three_user_compiled():
-    return compile_scenario(desk_scenario(k=3, q_max=1, e_max=2,
-                                          calib_draws=80))
-
-
 def test_stage_cost_zero_multipliers_is_weighted_delay(desk_compiled):
     compiled = with_effects(desk_compiled, [hand_effect()])
     assert compiled.config.lam_slot == 0.5

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse, stats
 
-from swiptctl.dynamics import (ActionEffect, ArrivalModel,
-                               InadmissibleActionError, LevelModel,
-                               StateSpace, StateSpaceBudgetError,
-                               _user_next_pmf, arrival_pmf, build_kernel,
-                               build_observation_matrix, default_arrival_cap,
-                               step_energy, step_queue)
+from oracles import (InadmissibleActionError, effective_effect,
+                     step_energy, step_queue, user_next_pmf)
+from swiptctl.dynamics import (ActionEffect, ArrivalModel, LevelModel,
+                               StateSpace, StateSpaceBudgetError, arrival_pmf,
+                               build_kernel, build_observation_matrix,
+                               default_arrival_cap, user_action_table)
 
 
 class TestRecursions:
@@ -136,7 +136,7 @@ def enumerated_kernel(space, arrivals, level, effects):
         rows, cols, vals = [], [], []
         for idx, users in space.states():
             supports = [
-                _user_next_pmf(q, e, lv, effect, u, pmf_arr, level, space)
+                user_next_pmf(q, e, lv, effect, u, pmf_arr, level, space)
                 for u, (q, e, lv) in enumerate(users)
             ]
             for combo in itertools.product(*supports):
@@ -241,6 +241,41 @@ class TestKernel:
         _, arr, level, effects = simple_setup()
         with pytest.raises(StateSpaceBudgetError):
             build_kernel(sp, arr, level, effects, max_states=1000)
+
+
+@pytest.fixture(params=["unpayable", "three-users"])
+def table_case(request, unpayable, three_user_compiled):
+    """A compiled scenario whose users cannot always pay."""
+    if request.param == "unpayable":
+        return unpayable[1]
+    return three_user_compiled
+
+
+def test_action_table_matches_scalar_recursions(table_case):
+    # every (user, state, action) entry against the degraded effect and
+    # the scalar slot recursions
+    space, effects = table_case.space, table_case.effects
+    table = user_action_table(space, effects)
+    shape = (space.n_users, space.per_user, len(effects))
+    for name, values in table._asdict().items():
+        assert values.shape == shape, name
+    assert table.pays.any() and not table.pays.all()
+    one = StateSpace(n_users=1, q_max=space.q_max, e_max=space.e_max,
+                     n_levels=space.n_levels)
+    for (u, s, a), pays in np.ndenumerate(table.pays):
+        ((q, e, lv),) = one.decode(s)
+        energies = [space.e_max] * space.n_users
+        energies[u] = e
+        eff = effective_effect(effects[a], energies)
+        served, used = int(eff.served[u, lv]), int(eff.used_units[u])
+        harvested = int(eff.harvested[u, lv])
+        assert pays == (effects[a].used_units[u] <= e)
+        assert (table.served[u, s, a], table.used[u, s, a],
+                table.harvested[u, s, a]) == (served, used, harvested)
+        assert table.p_up[u, s, a] == float(eff.p_up[u])
+        assert table.q_post[u, s, a] == step_queue(q, served, 0, space.q_max)
+        assert table.e_next[u, s, a] == step_energy(e, used, harvested,
+                                                    space.e_max)
 
 
 class TestObservations:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from oracles import admissible, reference_monte_carlo, reference_run_episode
-from swiptctl.control import HashMismatchError, Policy
+from swiptctl.control import (HashMismatchError, Multipliers, Policy,
+                              build_cost_table)
+from swiptctl.dynamics import StateSpace
 from swiptctl.harness import (CSV_COLUMNS, baseline_policy,
                               default_constraints, episode_rng, monte_carlo,
                               rows_to_csv, run_episodes, sweep_power)
@@ -104,33 +106,12 @@ def test_served_never_exceeds_queue_or_energy(desk_compiled, p_opt):
     assert np.all(traj["used"] <= traj["energies"])
 
 
-@pytest.fixture(scope="module")
-def three_user_compiled():
-    return compile_scenario(desk_scenario(k=3, q_max=1, e_max=2,
-                                          calib_draws=80))
-
-
-def unpayable_case(compiled):
-    """The top action at every observation, with the harvest halved and
-    the users' energy prices doubled and tripled: user 1 can never pay it,
-    user 0 only every other slot."""
-    effects = tuple(replace(eff, used_units=eff.used_units * [2, 3],
-                            harvested=eff.harvested // 2)
-                    for eff in compiled.effects)
-    compiled = replace(compiled, calibration=replace(compiled.calibration,
-                                                     effects=effects))
-    policy = Policy(action_of=np.full(compiled.space.size,
-                                      compiled.n_actions - 1),
-                    scenario_hash=compiled.scenario_hash, kind="top")
-    return policy, compiled
-
-
 @pytest.fixture(params=["p-opt", "idle", "unpayable", "p-opt-3-users"])
 def rollout_case(request, desk_compiled, idle_policy, p_opt,
-                 three_user_compiled):
+                 three_user_compiled, unpayable):
     """(policy, compiled scenario) pairs for the reference comparisons."""
     if request.param == "unpayable":
-        return unpayable_case(desk_compiled)
+        return unpayable
     if request.param == "p-opt-3-users":
         return baseline_policy("p-opt", three_user_compiled), \
             three_user_compiled
@@ -151,8 +132,8 @@ def test_run_episodes_match_per_slot_loop(rollout_case, seed):
         np.testing.assert_array_equal(got, want, err_msg=key)
 
 
-def test_unpayable_action_falls_back_per_user(desk_compiled):
-    policy, compiled = unpayable_case(desk_compiled)
+def test_unpayable_action_falls_back_per_user(unpayable):
+    policy, compiled = unpayable
     traj = run_episodes(policy, compiled, episodes=4, horizon=80, seed=0)
     price = np.array([eff.used_units for eff in compiled.effects])[
         traj["action"]]
@@ -163,6 +144,24 @@ def test_unpayable_action_falls_back_per_user(desk_compiled):
     assert np.all(traj["served"][broke] == 0)
     assert np.all(traj["p_up"][broke] == 0.0)
     np.testing.assert_array_equal(traj["used"][~broke], price[~broke])
+
+
+def test_compile_and_rollout_never_walk_joint_states(monkeypatch):
+    # the program works on per-user arrays; StateSpace's one-index-at-a-time
+    # walk is the tests' reference only
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a program path walks the joint states")
+
+    for name in ("states", "decode", "encode"):
+        monkeypatch.setattr(StateSpace, name, refuse)
+    compiled = compile_scenario(desk_scenario(calib_draws=80, q_max=1,
+                                              e_max=1))
+    spec = default_constraints(compiled.config)
+    build_cost_table(compiled, Multipliers.zeros(compiled.space.n_users),
+                     spec)
+    policy = baseline_policy("p-opt", compiled, spec=spec)
+    traj = run_episodes(policy, compiled, episodes=2, horizon=10, seed=0)
+    assert traj["queues"].shape == (2, 10, compiled.space.n_users)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
