@@ -97,20 +97,18 @@ def build_cost_table(compiled: CompiledScenario, nu: Multipliers,
     proxy is q / mean-arrivals-per-slot. ``extra_action_cost`` is an
     optional per-action constant (e.g. weighted circuit power of the active
     mask) added to every state's cost."""
-    space = compiled.space
-    effects = compiled.effects
-    acts = user_action_table(space, effects)
+    space, actions = compiled.space, compiled.actions
+    acts = user_action_table(space, actions)
     delay = (space.user_digits()[0] / compiled.config.lam_slot)[:, None]
     shape = (space.per_user, compiled.n_actions)
     table = np.zeros((space.size, compiled.n_actions))
     for u in range(space.n_users):
-        p_down = np.array([eff.p_down[u] for eff in effects], dtype=float)
-        r_down = np.array([eff.rate_down[u] for eff in effects], dtype=float)
         terms = (nu.varrho[u] * delay,
                  nu.nu["p_up"][u] * (acts.p_up[u] - spec.p_max_up),
-                 nu.nu["p_down"][u] * (p_down - spec.p_max_down),
+                 nu.nu["p_down"][u] * (actions.p_down[:, u] - spec.p_max_down),
                  nu.nu["r_up"][u] * (spec.r_min_up - acts.served[u]),
-                 nu.nu["r_down"][u] * (spec.r_min_down - r_down),
+                 nu.nu["r_down"][u] * (spec.r_min_down
+                                       - actions.rate_down[:, u]),
                  nu.nu["delay"][u] * (delay - spec.tau_up))
         for term in terms:
             table += space.spread(u, np.broadcast_to(term, shape))
@@ -206,7 +204,7 @@ def _obs_posteriors(compiled: CompiledScenario) -> sparse.csr_matrix:
 
 
 def greedy_policy(compiled: CompiledScenario, lower_bound,
-                  action_map=None, kind: str = "d-opt") -> Policy:
+                  action_map=None) -> Policy:
     """Greedy policy of a PWLC lower bound, tabulated per observation.
 
     One product scores every alpha at every observation posterior; the
@@ -218,8 +216,7 @@ def greedy_policy(compiled: CompiledScenario, lower_bound,
     table = actions[np.argmax(scores, axis=1)]
     if action_map is not None:
         table = np.asarray(action_map)[table]
-    return Policy(action_of=table, scenario_hash=compiled.scenario_hash,
-                  kind=kind)
+    return Policy(action_of=table, scenario_hash=compiled.scenario_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +229,7 @@ def _make_model(compiled: CompiledScenario, cost_table: np.ndarray,
         transitions=[compiled.kernel.matrices[a] for a in action_ids],
         observations=[compiled.obs_matrix] * len(action_ids),
         cost=cost_table[:, list(action_ids)],
-        discount=compiled.config.discount,
-        action_labels=[compiled.effects[a].label for a in action_ids])
+        discount=compiled.config.discount)
 
 
 def uniform_initial_belief(compiled: CompiledScenario,
@@ -254,9 +250,8 @@ def solve_inner_beamforming(compiled: CompiledScenario, mask_id: int,
 
     Returns (policy restricted to this mask's actions, solver result,
     action id map)."""
-    ids = [a for a, eff in enumerate(compiled.effects)
-           if eff.mask_id == mask_id]
-    if not ids:
+    ids = np.flatnonzero(compiled.actions.mask_id == mask_id)
+    if not ids.size:
         raise ValueError(f"no actions for mask {mask_id}")
     model = _make_model(compiled, cost_table, ids)
     result = solve_hsvi(model, uniform_initial_belief(compiled), eps=eps,
@@ -290,59 +285,10 @@ def solve_outer_selection(compiled: CompiledScenario, inner_policies: dict,
     model = PomdpModel(transitions=outer_t,
                        observations=[compiled.obs_matrix] * len(mask_ids),
                        cost=cost_table[states[:, None], chosen.T],
-                       discount=compiled.config.discount,
-                       action_labels=[f"mask{m}" for m in mask_ids])
+                       discount=compiled.config.discount)
     result = solve_hsvi(model, uniform_initial_belief(compiled), eps=eps,
                         **hsvi_kw)
     mask_choice = greedy_policy(compiled, result.bounds.lower)
     policy = Policy(action_of=chosen[mask_choice.action_of, states],
                     scenario_hash=compiled.scenario_hash)
     return policy, result, mask_ids
-
-
-@dataclass
-class SolveReport:
-    policy: Policy
-    multiplier_trace: list
-    violation_trace: list
-    converged: bool
-    diagnostic: str = ""
-
-
-def full_solve(compiled: CompiledScenario, spec: ConstraintSpec,
-               varrho=None, rounds: int = 8, step0: float = 1.0,
-               eps: float = 0.5, episodes: int = 10, horizon: int = 200,
-               tol: float = 0.05, seed: int = 0, **hsvi_kw) -> SolveReport:
-    """Alternate two-layer solves with projected multiplier ascent.
-
-    Violations are measured by Monte Carlo rollouts; if no feasible iterate
-    appears within the budget, the least-violating policy is returned with
-    a diagnostic."""
-    # deferred: harness uses Policy
-    from .harness import monte_carlo, solve_two_layer
-
-    nu = Multipliers.zeros(compiled.space.n_users, varrho)
-    trace, viols = [], []
-    best = None
-    for n_round in range(1, rounds + 1):
-        policy = solve_two_layer(compiled, nu, spec, "d-opt", eps, **hsvi_kw)
-        run = monte_carlo(policy, compiled, episodes=episodes,
-                          horizon=horizon, base_seed=seed)
-        metrics = {"delay_raw": run.delay_slots,
-                   "delay": run.delay_slots * nu.varrho,
-                   "p_up": run.p_up_w, "p_down": run.p_down_w,
-                   "r_up": run.rate_up, "r_down": run.rate_down}
-        viol = constraint_violations(metrics, spec)
-        worst = max(float(np.max(v)) for v in viol.values())
-        trace.append(nu.copy())
-        viols.append(viol)
-        if best is None or worst < best[0]:
-            best = (worst, policy)
-        if worst <= tol * max(spec.p_max_up, 1e-12):
-            return SolveReport(policy=policy, multiplier_trace=trace,
-                               violation_trace=viols, converged=True)
-        nu = update_multipliers(nu, metrics, spec, step0 / np.sqrt(n_round))
-    return SolveReport(policy=best[1], multiplier_trace=trace,
-                       violation_trace=viols, converged=False,
-                       diagnostic=(f"worst residual {best[0]:.4g} after "
-                                   f"{rounds} rounds"))

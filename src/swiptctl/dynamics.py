@@ -19,6 +19,8 @@ import numpy as np
 from scipy import sparse, special
 
 ROW_SUM_TOL = 1e-10
+# largest joint state space that is compiled into a kernel
+MAX_STATES = 20000
 
 
 class StateSpaceBudgetError(ValueError):
@@ -156,12 +158,16 @@ class LevelModel:
 
 
 @dataclass(frozen=True)
-class ActionEffect:
-    """Physical effect of one joint action, tabulated per user and true level.
+class ActionTable:
+    """Physical effect of every joint action on every user, actions on the
+    first axis.
 
-    ``served``/``harvested`` are integer packet/energy-unit tables of shape
-    (n_users, L); ``used_units`` integer per user; powers in watts and rates
-    in packets/slot feed the cost and the rollout metrics.
+    ``served``/``harvested`` are integer packet/energy-unit tables per true
+    level, (n_actions, n_users, L); ``used_units`` is each user's integer
+    energy price, (n_actions, n_users); powers in watts and the downlink
+    rate in packets/slot, (n_actions, n_users), feed the cost and the
+    rollout metrics; ``mask_id`` and ``n_active`` (n_actions,) name each
+    action's antenna mask and its active-antenna count.
     """
 
     served: np.ndarray
@@ -169,11 +175,12 @@ class ActionEffect:
     used_units: np.ndarray
     p_up: np.ndarray
     p_down: np.ndarray
-    rate_up: np.ndarray
     rate_down: np.ndarray
-    mask_id: int = 0
-    power_id: int = 0
-    label: str = ""
+    mask_id: np.ndarray
+    n_active: np.ndarray
+
+    def __len__(self) -> int:
+        return self.mask_id.size
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +191,8 @@ UserActionTable = namedtuple(
     "UserActionTable", "pays served used p_up harvested q_post e_next")
 
 
-def user_action_table(space: StateSpace, effects) -> UserActionTable:
+def user_action_table(space: StateSpace,
+                      actions: ActionTable) -> UserActionTable:
     """Each user's slot under each joint action, after the energy-causality
     fallback: a user who cannot pay the action's price (more units than it
     has stored) neither transmits nor is served, and still harvests.
@@ -196,19 +204,17 @@ def user_action_table(space: StateSpace, effects) -> UserActionTable:
     ``q_post`` is the queue after service and ``e_next`` the next energy
     level, ``min(e - used + harvested, e_max)``."""
     q, e, lv = space.user_digits()
-
-    def stack(name):                # one effect field, actions last
-        return np.moveaxis(np.array([getattr(eff, name) for eff in effects]),
-                           0, -1)
-
-    price = stack("used_units")[:, None, :]
-    pays = e[:, None] >= price
-    served = np.where(pays, stack("served")[:, lv], 0)
-    used = np.where(pays, price, 0)
-    harvested = stack("harvested")[:, lv]
+    # the table's fields with the users first and the actions last
+    price, capacity, harvest, p_up = (
+        np.moveaxis(x, 0, -1) for x in (actions.used_units, actions.served,
+                                        actions.harvested, actions.p_up))
+    pays = e[:, None] >= price[:, None, :]
+    served = np.where(pays, capacity[:, lv], 0)
+    used = np.where(pays, price[:, None, :], 0)
+    harvested = harvest[:, lv]
     return UserActionTable(
         pays=pays, served=served, used=used,
-        p_up=np.where(pays, stack("p_up").astype(float)[:, None, :], 0.0),
+        p_up=np.where(pays, p_up[:, None, :], 0.0),
         harvested=harvested, q_post=np.maximum(q[:, None] - served, 0),
         e_next=np.minimum(e[:, None] - used + harvested, space.e_max))
 
@@ -233,10 +239,10 @@ class TransitionKernel:
                 raise ValueError("negative transition probability")
 
 
-def check_state_budget(space: StateSpace, max_states: int) -> None:
-    if space.size > max_states:
+def check_state_budget(space: StateSpace) -> None:
+    if space.size > MAX_STATES:
         raise StateSpaceBudgetError(
-            f"state space size {space.size} exceeds budget {max_states}")
+            f"state space size {space.size} exceeds budget {MAX_STATES}")
 
 
 def _kron_users(factors, fmt: str):
@@ -248,7 +254,7 @@ def _kron_users(factors, fmt: str):
 
 
 def build_kernel(space: StateSpace, arrivals: ArrivalModel, level: LevelModel,
-                 effects, max_states: int = 20000) -> TransitionKernel:
+                 actions: ActionTable) -> TransitionKernel:
     """Controlled kernel, per action the Kronecker product ``T_a^(1) ⊗ ...
     ⊗ T_a^(k)`` of per-user kernels.
 
@@ -257,9 +263,9 @@ def build_kernel(space: StateSpace, arrivals: ArrivalModel, level: LevelModel,
     only reachable q' and levels with p(l') > 0 are stored. Bit-identical
     (CSR arrays) to multiplying the per-user probabilities of every joint
     transition in user order."""
-    check_state_budget(space, max_states)
+    check_state_budget(space)
     pmf = arrival_pmf(arrivals)
-    table = user_action_table(space, effects)
+    table = user_action_table(space, actions)
     n_qe = (space.q_max + 1) * (space.e_max + 1)
     q_next = np.minimum(table.q_post[..., None] + np.arange(pmf.size),
                         space.q_max)
@@ -280,7 +286,7 @@ def build_kernel(space: StateSpace, arrivals: ArrivalModel, level: LevelModel,
 
     return TransitionKernel(space=space, matrices=[
         _kron_users([factor(u, a) for u in range(space.n_users)], "csr")
-        for a in range(len(effects))])
+        for a in range(len(actions))])
 
 
 def level_map_matrix(space: StateSpace, block, fmt: str):

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .control import (ConstraintSpec, Multipliers, Policy, build_cost_table,
-                      solve_inner_beamforming, solve_outer_selection)
+                      constraint_violations, solve_inner_beamforming,
+                      solve_outer_selection, update_multipliers)
 from .dynamics import arrival_pmf, user_action_table
 from .scenario import (CompiledScenario, ScenarioConfig, compile_scenario,
                        with_budget)
@@ -57,11 +58,8 @@ def run_episodes(policy: Policy, compiled: CompiledScenario, episodes: int,
         raise ValueError("horizon must be at least 1")
     space = compiled.space
     users = np.arange(space.n_users)
-    acts = user_action_table(space, compiled.effects)
-
-    def per_action(name):
-        return np.array([getattr(eff, name) for eff in compiled.effects])
-
+    actions = compiled.actions
+    acts = user_action_table(space, actions)
     u = np.array([episode_rng(seed, ep).random((horizon, 3, space.n_users))
                   for ep in range(episodes)])
     levels = _choice(compiled.level.probs, u[:, :, 0])
@@ -87,16 +85,15 @@ def run_episodes(policy: Policy, compiled: CompiledScenario, episodes: int,
     action = policy.action_of[obs]
     at = (users, state, action[..., None])
     harvested = acts.harvested[at]
-    mask_sizes = np.array(compiled.calibration.mask_sizes)
     return {
         "queues": queues, "energies": energies, "levels": levels,
         "obs": obs, "action": action, "arrived": arrived, "served": served,
         "used": used, "harvested": harvested,
         "discarded": np.maximum(energies - used + harvested - space.e_max, 0),
         "p_up": acts.p_up[at],
-        "p_down": per_action("p_down")[action],
-        "rate_down": per_action("rate_down")[action],
-        "n_active": mask_sizes[per_action("mask_id")][action],
+        "p_down": actions.p_down[action],
+        "rate_down": actions.rate_down[action],
+        "n_active": actions.n_active[action],
     }
 
 
@@ -179,7 +176,7 @@ def solve_two_layer(compiled: CompiledScenario, nu: Multipliers,
     to ``log_sink``, its label prefixed with ``log_prefix``."""
     cost_table = build_cost_table(compiled, nu, spec,
                                   extra_action_cost=extra_action_cost)
-    mask_ids = sorted({eff.mask_id for eff in compiled.effects})
+    mask_ids = np.unique(compiled.actions.mask_id).tolist()
     inner = {}
     for m in mask_ids:
         pol, res, _ids = solve_inner_beamforming(
@@ -196,6 +193,51 @@ def solve_two_layer(compiled: CompiledScenario, nu: Multipliers,
             log_sink.append((f"{log_prefix}outer selection", res))
     policy.kind = kind
     return policy
+
+
+@dataclass
+class SolveReport:
+    policy: Policy
+    multiplier_trace: list
+    violation_trace: list
+    converged: bool
+    diagnostic: str = ""
+
+
+def full_solve(compiled: CompiledScenario, spec: ConstraintSpec,
+               varrho=None, rounds: int = 8, step0: float = 1.0,
+               eps: float = 0.5, episodes: int = 10, horizon: int = 200,
+               tol: float = 0.05, seed: int = 0, **hsvi_kw) -> SolveReport:
+    """Alternate two-layer solves with projected multiplier ascent.
+
+    Violations are measured by Monte Carlo rollouts; if no feasible iterate
+    appears within the budget, the least-violating policy is returned with
+    a diagnostic."""
+    nu = Multipliers.zeros(compiled.space.n_users, varrho)
+    trace, viols = [], []
+    best = None
+    for n_round in range(1, rounds + 1):
+        policy = solve_two_layer(compiled, nu, spec, "d-opt", eps, **hsvi_kw)
+        run = monte_carlo(policy, compiled, episodes=episodes,
+                          horizon=horizon, base_seed=seed)
+        metrics = {"delay_raw": run.delay_slots,
+                   "delay": run.delay_slots * nu.varrho,
+                   "p_up": run.p_up_w, "p_down": run.p_down_w,
+                   "r_up": run.rate_up, "r_down": run.rate_down}
+        viol = constraint_violations(metrics, spec)
+        worst = max(float(np.max(v)) for v in viol.values())
+        trace.append(nu.copy())
+        viols.append(viol)
+        if best is None or worst < best[0]:
+            best = (worst, policy)
+        if worst <= tol * max(spec.p_max_up, 1e-12):
+            return SolveReport(policy=policy, multiplier_trace=trace,
+                               violation_trace=viols, converged=True)
+        nu = update_multipliers(nu, metrics, spec, step0 / np.sqrt(n_round))
+    return SolveReport(policy=best[1], multiplier_trace=trace,
+                       violation_trace=viols, converged=False,
+                       diagnostic=(f"worst residual {best[0]:.4g} after "
+                                   f"{rounds} rounds"))
 
 
 def default_constraints(cfg: ScenarioConfig) -> ConstraintSpec:
@@ -225,11 +267,8 @@ def baseline_policy(kind: str, compiled: CompiledScenario,
         nu = Multipliers(nu={"p_up": np.full(n_users, j_power_weight),
                              "p_down": np.full(n_users, j_power_weight)},
                          varrho=np.ones(n_users))
-        cfg = compiled.config
-        circuit = np.array([
-            j_power_weight * cfg.circuit_w_per_antenna
-            * compiled.calibration.mask_sizes[eff.mask_id]
-            for eff in compiled.effects])
+        circuit = (j_power_weight * compiled.config.circuit_w_per_antenna
+                   * compiled.actions.n_active)
         return solve_two_layer(compiled, nu, spec, kind, eps,
                                extra_action_cost=circuit, **hsvi_kw)
     if kind == "p-opt":
@@ -244,26 +283,23 @@ def _p_opt_policy(compiled: CompiledScenario, spec: ConstraintSpec) -> Policy:
     ties by index) that meets every user's rate floors at its observed
     level; failing that, the payable action with the most service (ties by
     index); failing that, action 0."""
-    space = compiled.space
-    effects = compiled.effects
-    acts = user_action_table(space, effects)
-    rate_down = np.array([eff.rate_down for eff in effects]).T
+    space, actions = compiled.space, compiled.actions
+    acts = user_action_table(space, actions)
     pays = meets = True
     for u in range(space.n_users):
         pays = pays & space.spread(u, acts.pays[u])
         meets = meets & space.spread(u, (acts.served[u] >= spec.r_min_up)
-                                     & (rate_down[u] >= spec.r_min_down))
-    by_power = sorted(range(compiled.n_actions),
-                      key=lambda a: (float(np.sum(effects[a].p_up)
-                                           + np.sum(effects[a].p_down)), a))
-    by_service = sorted(range(compiled.n_actions),
-                        key=lambda a: (-float(np.sum(effects[a].served)), a))
+                                     & (actions.rate_down[:, u]
+                                        >= spec.r_min_down))
+    by_power = np.argsort(actions.p_up.sum(axis=1)
+                          + actions.p_down.sum(axis=1), kind="stable")
+    by_service = np.argsort(-actions.served.sum(axis=(1, 2)), kind="stable")
     ok = (pays & meets)[:, by_power]
     fallback = pays[:, by_service]
     table = np.where(
-        ok.any(axis=1), np.array(by_power)[ok.argmax(axis=1)],
-        np.where(fallback.any(axis=1),
-                 np.array(by_service)[fallback.argmax(axis=1)], 0))
+        ok.any(axis=1), by_power[ok.argmax(axis=1)],
+        np.where(fallback.any(axis=1), by_service[fallback.argmax(axis=1)],
+                 0))
     return Policy(action_of=table, scenario_hash=compiled.scenario_hash,
                   kind="p-opt")
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -47,7 +47,6 @@ class PomdpModel:
     observations: list
     cost: np.ndarray
     discount: float
-    action_labels: list = field(default_factory=list)
 
     def __post_init__(self):
         self.transitions = [_as_csr(t) for t in self.transitions]

@@ -25,7 +25,7 @@ from .channel import (AntennaSelection, Dims, achievable_rate, channel_stream,
                       zf_noise_gains)
 # no caller here: perfbench/spans.py traces these three names in this module
 from .channel import downlink_sinr, draw_channel, uplink_sinr  # noqa: F401
-from .dynamics import (ActionEffect, ArrivalModel, LevelModel, StateSpace,
+from .dynamics import (ActionTable, ArrivalModel, LevelModel, StateSpace,
                        TransitionKernel, build_kernel,
                        build_observation_matrix, check_state_budget)
 
@@ -165,24 +165,16 @@ def desk_scenario(**overrides) -> ScenarioConfig:
 # link-layer calibration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Calibration:
-    """Monte Carlo link statistics: level model plus per-action effects."""
-
-    level: LevelModel
-    effects: tuple                 # ActionEffect per joint action
-    gain_edges: np.ndarray         # channel-gain quantile edges
-    actions: tuple                 # (mask_id, power_id) per joint action
-    mask_sizes: tuple
-
-
-def calibrate(cfg: ScenarioConfig) -> Calibration:
-    """Seeded Monte Carlo pass over channel draws, in array passes.
+def calibrate(cfg: ScenarioConfig) -> tuple:
+    """Seeded Monte Carlo pass over channel draws, in array passes; returns
+    the ``(LevelModel, ActionTable)`` pair.
 
     Levels are equal-mass quantile bins of the true per-user channel gain;
     the confusion matrix counts how often the estimated gain falls in a
     different bin. Service, harvest and rate tables are per-level sample
     means of the SINR maps, discretized to packets and energy units.
+    Actions run mask-major: action ``m * n_powers + p`` plays mask m at
+    power level p.
 
     All draws are stacked. Per antenna mask, the power-independent link
     geometry (ZF noise gains, MRT precoders, received and cross gains) is
@@ -237,9 +229,17 @@ def calibrate(cfg: ScenarioConfig) -> Calibration:
                          for u in range(cfg.k)]) / hits
 
     mask_sizes = cfg.resolved_mask_sizes()
-    power_pairs = [(pu, pd) for pu, pd in zip(cfg.power_levels_up,
-                                              cfg.power_levels_down)]
-    effects, action_meta = [], []
+    power_pairs = list(zip(cfg.power_levels_up, cfg.power_levels_down))
+    n_actions = len(mask_sizes) * len(power_pairs)
+    table = ActionTable(
+        served=np.zeros((n_actions, cfg.k, cfg.n_levels), dtype=int),
+        harvested=np.zeros((n_actions, cfg.k, cfg.n_levels), dtype=int),
+        used_units=np.zeros((n_actions, cfg.k), dtype=int),
+        p_up=np.zeros((n_actions, cfg.k)),
+        p_down=np.zeros((n_actions, cfg.k)),
+        rate_down=np.zeros((n_actions, cfg.k)),
+        mask_id=np.repeat(np.arange(len(mask_sizes)), len(power_pairs)),
+        n_active=np.repeat(mask_sizes, len(power_pairs)))
     for m_id, n_active in enumerate(mask_sizes):
         sel = AntennaSelection.first(cfg.n_r, n_active)
         f_hat = sel.select(h_est)
@@ -256,6 +256,7 @@ def calibrate(cfg: ScenarioConfig) -> Calibration:
             [sum(cross[:, u, i] for i in range(cfg.k) if i != u)
              + a2 / (1.0 - a2) * err for u in range(cfg.k)], axis=1)
         for p_id, (p_up, p_down) in enumerate(power_pairs):
+            a = m_id * len(power_pairs) + p_id
             sinr_up = np.zeros((cfg.k, cfg.n_levels))
             sinr_dn = np.zeros((cfg.k, cfg.n_levels))
             eh_power = np.zeros((cfg.k, cfg.n_levels))
@@ -265,40 +266,29 @@ def calibrate(cfg: ScenarioConfig) -> Calibration:
                 sinr = num[..., None] / ((up_err + cfg.noise_w)[:, None, None]
                                          * zf_gain)
                 sinr_up = level_means(np.maximum(sinr, 0.0).mean(axis=-1))
+                table.used_units[a] = math.ceil(p_up * slot_link
+                                                / cfg.delta_e_j)
             if p_down > 0:
                 den = dn_interf + cfg.noise_w / ((1.0 - a2) * p_down)
                 den = den + cfg.noise_w / (cfg.rho * (1.0 - a2) * p_down)
                 sinr_dn = level_means(dn_signal / den)
                 eh_power = level_means((1.0 - cfg.rho) * (p_down * rx_gain))
-            served = np.zeros((cfg.k, cfg.n_levels), dtype=int)
-            harvested = np.zeros((cfg.k, cfg.n_levels), dtype=int)
             rate_dn = np.zeros((cfg.k, cfg.n_levels))
             for u in range(cfg.k):
                 for lv in range(cfg.n_levels):
-                    served[u, lv] = achievable_rate(
+                    table.served[a, u, lv] = achievable_rate(
                         sinr_up[u, lv], cfg.bandwidth_hz, slot_link,
                         cfg.packet_bits)
-                    harvested[u, lv] = harvested_energy(
+                    table.harvested[a, u, lv] = harvested_energy(
                         eh_power[u, lv], cfg.eta, slot_link, cfg.delta_e_j,
                         cap=cfg.e_max)
                     rate_dn[u, lv] = achievable_rate(
                         sinr_dn[u, lv], cfg.bandwidth_hz, slot_link,
                         cfg.packet_bits)
-            used = int(math.ceil(p_up * slot_link / cfg.delta_e_j)) \
-                if p_up > 0 else 0
-            effects.append(ActionEffect(
-                served=served, harvested=harvested,
-                used_units=np.full(cfg.k, used, dtype=int),
-                p_up=np.full(cfg.k, p_up * duplex_frac),
-                p_down=np.full(cfg.k, p_down * duplex_frac),
-                rate_up=served.astype(float) @ level.probs,
-                rate_down=rate_dn @ level.probs,
-                mask_id=m_id, power_id=p_id,
-                label=f"m{n_active}_p{p_id}"))
-            action_meta.append((m_id, p_id))
-    return Calibration(level=level, effects=tuple(effects),
-                       gain_edges=edges, actions=tuple(action_meta),
-                       mask_sizes=mask_sizes)
+            table.p_up[a] = p_up * duplex_frac
+            table.p_down[a] = p_down * duplex_frac
+            table.rate_down[a] = rate_dn @ level.probs
+    return level, table
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +303,7 @@ class CompiledScenario:
     space: StateSpace
     arrivals: ArrivalModel
     level: LevelModel
-    calibration: Calibration
+    actions: ActionTable
     kernel: TransitionKernel
     obs_matrix: object            # sparse, Pr(O | S'), action-independent
     scenario_hash: str = ""
@@ -323,29 +313,23 @@ class CompiledScenario:
             self.scenario_hash = self.config.scenario_hash()
 
     @property
-    def effects(self) -> tuple:
-        return self.calibration.effects
-
-    @property
     def n_actions(self) -> int:
-        return len(self.calibration.effects)
+        return len(self.actions)
 
 
-def compile_scenario(cfg: ScenarioConfig,
-                     max_states: int = 20000) -> CompiledScenario:
-    """Calibrate, then build the kernel and the observation matrix; an
-    oversized state space fails before the calibration runs."""
+def compile_scenario(cfg: ScenarioConfig) -> CompiledScenario:
+    """Calibrate, then build the kernel and the observation matrix; a state
+    space above ``dynamics.MAX_STATES`` fails before the calibration runs."""
     space = StateSpace(n_users=cfg.k, q_max=cfg.q_max, e_max=cfg.e_max,
                        n_levels=cfg.n_levels)
-    check_state_budget(space, max_states)
-    calib = calibrate(cfg)
+    check_state_budget(space)
+    level, actions = calibrate(cfg)
     arrivals = ArrivalModel(cfg.lam_slot)
-    kernel = build_kernel(space, arrivals, calib.level, calib.effects,
-                          max_states=max_states)
-    z = build_observation_matrix(space, calib.level)
+    kernel = build_kernel(space, arrivals, level, actions)
+    z = build_observation_matrix(space, level)
     return CompiledScenario(config=cfg, space=space, arrivals=arrivals,
-                            level=calib.level, calibration=calib,
-                            kernel=kernel, obs_matrix=z)
+                            level=level, actions=actions, kernel=kernel,
+                            obs_matrix=z)
 
 
 def with_budget(cfg: ScenarioConfig, budget_w: float) -> ScenarioConfig:

@@ -28,11 +28,10 @@ def unpayable(desk_compiled):
     """The top action at every observation, with the harvest halved and
     the users' energy prices doubled and tripled: user 1 can never pay it,
     user 0 only every other slot. A (policy, compiled scenario) pair."""
-    effects = tuple(replace(eff, used_units=eff.used_units * [2, 3],
-                            harvested=eff.harvested // 2)
-                    for eff in desk_compiled.effects)
-    compiled = replace(desk_compiled, calibration=replace(
-        desk_compiled.calibration, effects=effects))
+    actions = desk_compiled.actions
+    compiled = replace(desk_compiled, actions=replace(
+        actions, used_units=actions.used_units * [2, 3],
+        harvested=actions.harvested // 2))
     policy = Policy(action_of=np.full(compiled.space.size,
                                       compiled.n_actions - 1),
                     scenario_hash=compiled.scenario_hash, kind="top")

@@ -10,7 +10,7 @@ arithmetic is the same.
 """
 
 import math
-from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
@@ -19,10 +19,10 @@ from swiptctl.channel import (AntennaSelection, BeamformerSet, Dims,
                               achievable_rate, channel_stream, crandn,
                               downlink_sinr, draw_channel, harvested_energy,
                               split_received, uplink_sinr)
-from swiptctl.dynamics import ActionEffect, LevelModel, arrival_pmf
+from swiptctl.dynamics import ActionTable, LevelModel, arrival_pmf
 from swiptctl.harness import episode_rng
 from swiptctl.pomdp import AlphaVector, BoundPair, LowerBound, UpperBound
-from swiptctl.scenario import Calibration, ScenarioConfig
+from swiptctl.scenario import ScenarioConfig
 
 
 class InadmissibleActionError(ValueError):
@@ -48,18 +48,20 @@ def step_energy(e: int, used: int, harvested: int, e_max: int) -> int:
     return min(max(e - used, 0) + harvested, e_max)
 
 
-def user_next_pmf(q: int, e: int, lv: int, effect, user: int,
+def user_next_pmf(q: int, e: int, lv: int, actions, a: int, user: int,
                   pmf_arr: np.ndarray, level: LevelModel, space):
-    """Support/probability pairs of the next (q, e, l) triple for one user.
+    """Support/probability pairs of the next (q, e, l) triple for one user
+    under action ``a`` of the table ``actions``.
 
     Inadmissible energy expenditure degrades to a no-transmit fallback for
     that user (nothing served, nothing spent); harvesting is unaffected.
     """
-    used = int(effect.used_units[user])
-    served = int(effect.served[user, lv])
+    used = int(actions.used_units[a, user])
+    served = int(actions.served[a, user, lv])
     if used > e:
         used, served = 0, 0
-    e_next = step_energy(e, used, int(effect.harvested[user, lv]), space.e_max)
+    e_next = step_energy(e, used, int(actions.harvested[a, user, lv]),
+                         space.e_max)
     q_inter = max(q - served, 0)
     sup_q = np.minimum(q_inter + np.arange(pmf_arr.size), space.q_max)
     q_pmf: dict[int, float] = {}
@@ -74,29 +76,28 @@ def user_next_pmf(q: int, e: int, lv: int, effect, user: int,
     return out
 
 
-def admissible(effect, energies) -> bool:
-    """Every user can pay the action's energy price."""
-    return all(effect.used_units[u] <= energies[u]
+def admissible(actions, a: int, energies) -> bool:
+    """Every user can pay action a's energy price."""
+    return all(actions.used_units[a, u] <= energies[u]
                for u in range(len(energies)))
 
 
-def effective_effect(effect, energies):
-    """Per-user degraded action: users who cannot pay the energy price fall
-    back to no transmission (the kernel's fallback)."""
-    if admissible(effect, energies):
-        return effect
-    served = effect.served.copy()
-    used = effect.used_units.copy()
-    p_up = np.asarray(effect.p_up, dtype=float).copy()
-    rate_up = np.asarray(effect.rate_up, dtype=float).copy()
+def effective_effect(actions, a: int, energies):
+    """Action a's per-user fields (served, harvested, used_units, p_up,
+    p_down, rate_down), copied from the table, with the per-user fallback:
+    users who cannot pay the energy price do not transmit (the kernel's
+    fallback)."""
+    eff = SimpleNamespace(**{
+        name: np.array(getattr(actions, name)[a], dtype=dtype)
+        for name, dtype in (("served", int), ("harvested", int),
+                            ("used_units", int), ("p_up", float),
+                            ("p_down", float), ("rate_down", float))})
     for u, e in enumerate(energies):
-        if effect.used_units[u] > e:
-            served[u, :] = 0
-            used[u] = 0
-            p_up[u] = 0.0
-            rate_up[u] = 0.0
-    return replace(effect, served=served, used_units=used, p_up=p_up,
-                   rate_up=rate_up)
+        if eff.used_units[u] > e:
+            eff.served[u, :] = 0
+            eff.used_units[u] = 0
+            eff.p_up[u] = 0.0
+    return eff
 
 
 def reference_run_episode(policy, compiled, horizon, seed, episode=0):
@@ -109,7 +110,7 @@ def reference_run_episode(policy, compiled, horizon, seed, episode=0):
     n_users = space.n_users
     q = np.zeros(n_users, dtype=int)
     e = np.full(n_users, space.e_max, dtype=int)
-    mask_sizes = compiled.calibration.mask_sizes
+    actions = compiled.actions
     traj = []
     for _t in range(horizon):
         levels = rng.choice(level.probs.size, size=n_users, p=level.probs)
@@ -119,7 +120,7 @@ def reference_run_episode(policy, compiled, horizon, seed, episode=0):
         obs = space.encode(tuple((int(q[u]), int(e[u]), int(obs_levels[u]))
                                  for u in range(n_users)))
         a = policy.action(obs)
-        eff = effective_effect(compiled.effects[a], e)
+        eff = effective_effect(actions, a, e)
         served = np.array([min(int(eff.served[u, levels[u]]), int(q[u]))
                            for u in range(n_users)])
         harvested = np.array([int(eff.harvested[u, levels[u]])
@@ -133,7 +134,7 @@ def reference_run_episode(policy, compiled, horizon, seed, episode=0):
         traj.append({
             "queues": q.copy(), "energies": e.copy(), "levels": levels,
             "obs": obs, "action": a,
-            "n_active": mask_sizes[compiled.effects[a].mask_id],
+            "n_active": int(actions.n_active[a]),
             "p_up": np.asarray(eff.p_up, dtype=float).copy(),
             "p_down": np.asarray(eff.p_down, dtype=float).copy(),
             "served": served, "arrived": arrived,
@@ -200,9 +201,11 @@ def _draw_set(cfg: ScenarioConfig, rng) -> tuple:
                  for _ in range(cfg.k))
 
 
-def reference_calibrate(cfg: ScenarioConfig) -> Calibration:
+def reference_calibrate(cfg: ScenarioConfig) -> tuple:
     """Seeded Monte Carlo pass over channel draws, one ``uplink_sinr`` and
-    one ``downlink_sinr`` call per draw and action.
+    one ``downlink_sinr`` call per draw and action; returns the
+    ``(LevelModel, ActionTable)`` pair, the table stacked from one record
+    per action.
 
     Levels are equal-mass quantile bins of the true per-user channel gain;
     the confusion matrix counts how often the estimated gain falls in a
@@ -248,7 +251,7 @@ def reference_calibrate(cfg: ScenarioConfig) -> Calibration:
     mask_sizes = cfg.resolved_mask_sizes()
     power_pairs = [(pu, pd) for pu, pd in zip(cfg.power_levels_up,
                                               cfg.power_levels_down)]
-    effects, action_meta = [], []
+    rows = []
     for m_id, n_active in enumerate(mask_sizes):
         sel = AntennaSelection.first(cfg.n_r, n_active)
         w_down = [_mrt_precoders(dims, sel, chans) for chans in draws]
@@ -257,7 +260,7 @@ def reference_calibrate(cfg: ScenarioConfig) -> Calibration:
                                          .conj().T @ w[u]) ** 2)
                     for u in range(cfg.k)]
                    for chans, w in zip(draws, w_down)]
-        for p_id, (p_up, p_down) in enumerate(power_pairs):
+        for p_up, p_down in power_pairs:
             sinr_up = np.zeros((cfg.k, cfg.n_levels))
             sinr_dn = np.zeros((cfg.k, cfg.n_levels))
             eh_power = np.zeros((cfg.k, cfg.n_levels))
@@ -301,19 +304,15 @@ def reference_calibrate(cfg: ScenarioConfig) -> Calibration:
                         cfg.packet_bits)
             used = int(math.ceil(p_up * slot_link / cfg.delta_e_j)) \
                 if p_up > 0 else 0
-            effects.append(ActionEffect(
+            rows.append(dict(
                 served=served, harvested=harvested,
                 used_units=np.full(cfg.k, used, dtype=int),
                 p_up=np.full(cfg.k, p_up * duplex_frac),
                 p_down=np.full(cfg.k, p_down * duplex_frac),
-                rate_up=served.astype(float) @ level.probs,
                 rate_down=rate_dn @ level.probs,
-                mask_id=m_id, power_id=p_id,
-                label=f"m{n_active}_p{p_id}"))
-            action_meta.append((m_id, p_id))
-    return Calibration(level=level, effects=tuple(effects),
-                       gain_edges=edges, actions=tuple(action_meta),
-                       mask_sizes=mask_sizes)
+                mask_id=m_id, n_active=n_active))
+    return level, ActionTable(**{name: np.array([row[name] for row in rows])
+                                 for name in rows[0]})
 
 
 def reference_initial_bounds(model, tol=1e-9, max_iter=100000):

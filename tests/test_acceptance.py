@@ -19,10 +19,10 @@ from swiptctl.channel import (AntennaSelection, BeamformerSet, ChannelPair,
                               draw_channel, uplink_equalizer, uplink_eta,
                               uplink_sinr)
 from swiptctl.cli import main as cli_main
-from swiptctl.control import ConstraintSpec, full_solve
-from swiptctl.dynamics import ActionEffect, StateSpace, user_action_table
-from swiptctl.harness import (default_constraints, monte_carlo, sweep_antennas,
-                              sweep_power)
+from swiptctl.control import ConstraintSpec
+from swiptctl.dynamics import ActionTable, StateSpace, user_action_table
+from swiptctl.harness import (default_constraints, full_solve, monte_carlo,
+                              sweep_antennas, sweep_power)
 from swiptctl.pomdp.model import PomdpModel
 from swiptctl.pomdp.exact import exact_value_iteration
 from swiptctl.pomdp.solver import solve_hsvi
@@ -122,14 +122,16 @@ def exhaustive_action_table(q_bound, e_bound):
     n_levels = q_bound + 1
     space = StateSpace(n_users=1, q_max=q_bound, e_max=e_bound,
                        n_levels=n_levels)
-    levels = np.arange(n_levels)[None, :]
-    effects = [ActionEffect(served=levels,
-                            harvested=np.minimum(levels, e_bound),
-                            used_units=np.array([used]), p_up=np.ones(1),
-                            p_down=np.ones(1), rate_up=np.ones(1),
-                            rate_down=np.ones(1))
-               for used in range(e_bound + 1)]
-    return space, user_action_table(space, effects)
+    n_actions = e_bound + 1
+    levels = np.broadcast_to(np.arange(n_levels), (n_actions, 1, n_levels))
+    ones = np.ones((n_actions, 1))
+    actions = ActionTable(served=levels,
+                          harvested=np.minimum(levels, e_bound),
+                          used_units=np.arange(n_actions)[:, None],
+                          p_up=ones, p_down=ones, rate_down=ones,
+                          mask_id=np.zeros(n_actions, int),
+                          n_active=np.ones(n_actions, int))
+    return space, user_action_table(space, actions)
 
 
 def test_slot_recursions_match_exhaustive_enumeration(desk_compiled):

@@ -9,28 +9,29 @@ from scipy import sparse
 
 from oracles import effective_effect
 from swiptctl.control import (FAMILIES, ConstraintSpec, HashMismatchError,
-                              Multipliers, Policy, SolveReport, _make_model,
+                              Multipliers, Policy, _make_model,
                               _obs_posteriors, build_cost_table,
-                              constraint_violations, full_solve, greedy_policy,
+                              constraint_violations, greedy_policy,
                               solve_inner_beamforming, solve_outer_selection,
                               uniform_initial_belief, update_multipliers)
-from swiptctl.dynamics import ActionEffect
-from swiptctl.harness import baseline_policy, default_constraints
+from swiptctl.dynamics import ActionTable
+from swiptctl.harness import (SolveReport, baseline_policy,
+                              default_constraints, full_solve)
 from swiptctl.pomdp import exact_value_iteration, initial_bounds, solve_hsvi
 from swiptctl.pomdp.exact import DEFAULT_PRUNE_MARGIN
 from swiptctl.scenario import compile_scenario, desk_scenario
 
 
-def hand_effect():
-    return ActionEffect(
-        served=np.array([[1, 2], [0, 1]]),
-        harvested=np.array([[0, 1], [1, 2]]),
-        used_units=np.array([2, 1]),
-        p_up=np.array([0.01, 0.02]),
-        p_down=np.array([0.2, 0.3]),
-        rate_up=np.array([1.5, 0.5]),
-        rate_down=np.array([0.8, 1.2]),
-        label="hand")
+def hand_actions():
+    """A one-action table for two users."""
+    return ActionTable(
+        served=np.array([[[1, 2], [0, 1]]]),
+        harvested=np.array([[[0, 1], [1, 2]]]),
+        used_units=np.array([[2, 1]]),
+        p_up=np.array([[0.01, 0.02]]),
+        p_down=np.array([[0.2, 0.3]]),
+        rate_down=np.array([[0.8, 1.2]]),
+        mask_id=np.zeros(1, int), n_active=np.full(1, 16))
 
 
 def hand_spec():
@@ -69,20 +70,23 @@ def test_multipliers_reject_negative():
 # ---------------------------------------------------------------------------
 
 def test_effective_effect_passthrough_when_admissible():
-    eff = hand_effect()
-    assert effective_effect(eff, [2, 1]) is eff
+    actions = hand_actions()
+    out = effective_effect(actions, 0, [2, 1])
+    for name, values in vars(out).items():
+        np.testing.assert_array_equal(values, getattr(actions, name)[0])
 
 
 def test_effective_effect_degrades_only_broke_users():
-    eff = hand_effect()
-    out = effective_effect(eff, [2, 0])    # user 1 cannot pay 1 unit
-    assert np.all(out.served[0] == eff.served[0])
+    actions = hand_actions()
+    out = effective_effect(actions, 0, [2, 0])  # user 1 cannot pay 1 unit
+    assert np.all(out.served[0] == actions.served[0, 0])
     assert np.all(out.served[1] == 0)
     assert out.used_units[1] == 0 and out.used_units[0] == 2
-    assert out.p_up[1] == 0.0 and out.rate_up[1] == 0.0
+    assert out.p_up[1] == 0.0 and out.p_up[0] == actions.p_up[0, 0]
     # harvesting and downlink are not gated by stored energy
-    np.testing.assert_array_equal(out.harvested, eff.harvested)
-    np.testing.assert_array_equal(out.p_down, eff.p_down)
+    np.testing.assert_array_equal(out.harvested, actions.harvested[0])
+    np.testing.assert_array_equal(out.p_down, actions.p_down[0])
+    np.testing.assert_array_equal(out.rate_down, actions.rate_down[0])
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +117,9 @@ def reference_cost_table(compiled, nu, spec):
     space = compiled.space
     table = np.empty((space.size, compiled.n_actions))
     for s, users in space.states():
-        for a, effect in enumerate(compiled.effects):
-            eff = effective_effect(effect, [e for (_q, e, _l) in users])
+        for a in range(compiled.n_actions):
+            eff = effective_effect(compiled.actions, a,
+                                   [e for (_q, e, _l) in users])
             table[s, a] = reference_stage_terms(nu, users, eff, spec,
                                                 compiled.config.lam_slot)
     return table
@@ -127,14 +132,8 @@ def random_multipliers(n_users, seed):
                        varrho=rng.uniform(0.5, 2.0, n_users))
 
 
-def with_effects(compiled, effects):
-    """The compiled scenario with its calibrated effects replaced."""
-    return replace(compiled, calibration=replace(compiled.calibration,
-                                                 effects=tuple(effects)))
-
-
 def test_stage_cost_zero_multipliers_is_weighted_delay(desk_compiled):
-    compiled = with_effects(desk_compiled, [hand_effect()])
+    compiled = replace(desk_compiled, actions=hand_actions())
     assert compiled.config.lam_slot == 0.5
     nu = Multipliers.zeros(2, varrho=[1.0, 2.0])
     users = ((3, 2, 1), (4, 1, 0))
@@ -144,9 +143,8 @@ def test_stage_cost_zero_multipliers_is_weighted_delay(desk_compiled):
 
 
 def test_stage_cost_full_arithmetic(desk_compiled):
-    compiled = with_effects(desk_compiled, [hand_effect()])
+    compiled = replace(desk_compiled, actions=hand_actions())
     spec = hand_spec()
-    eff = hand_effect()
     lam = compiled.config.lam_slot
     nu = Multipliers(
         nu={"p_up": [1.0, 0.0], "p_down": [0.0, 2.0],
@@ -161,8 +159,8 @@ def test_stage_cost_full_arithmetic(desk_compiled):
     want += 3 / lam + 4 / lam                              # delay proxies
     want += 1.0 * (0.01 - spec.p_max_up)                   # user 0 uplink cap
     want += 2.0 * (0.3 - spec.p_max_down)                  # user 1 downlink cap
-    want += 3.0 * (spec.r_min_up - eff.served[0, 1])       # user 0 rate floor
-    want += 4.0 * (spec.r_min_down - eff.rate_down[1])     # user 1 rate floor
+    want += 3.0 * (spec.r_min_up - 2)                      # user 0 rate floor
+    want += 4.0 * (spec.r_min_down - 1.2)                  # user 1 rate floor
     want += 0.5 * (3 / lam - spec.tau_up)                  # user 0 delay cap
     assert got == pytest.approx(want)
 
@@ -181,8 +179,7 @@ def test_build_cost_table_matches_pointwise_three_users(three_user_compiled):
     nu = random_multipliers(3, seed=1)
     spec = hand_spec()
     # the 2-unit top level is unaffordable below a full buffer
-    assert max(eff.used_units.max() for eff in compiled.effects) \
-        > compiled.space.e_max - 1
+    assert compiled.actions.used_units.max() > compiled.space.e_max - 1
     np.testing.assert_array_equal(build_cost_table(compiled, nu, spec),
                                   reference_cost_table(compiled, nu, spec))
 
@@ -253,8 +250,8 @@ def test_policy_hash_check(desk_compiled):
 
 def test_effective_spend_never_exceeds_energy(desk_compiled):
     a = desk_compiled.n_actions - 1
-    assert np.all(desk_compiled.effects[a].used_units > 0)
-    eff = effective_effect(desk_compiled.effects[a], [0, 0])
+    assert np.all(desk_compiled.actions.used_units[a] > 0)
+    eff = effective_effect(desk_compiled.actions, a, [0, 0])
     np.testing.assert_array_equal(eff.used_units, [0, 0])
 
 
@@ -363,7 +360,7 @@ def test_outer_selection_composes_inner_policies(two_mask_compiled,
     assert mask_ids == [0, 1]
     for obs in range(0, compiled.space.size, 97):
         a = joint.action(obs)
-        m = compiled.effects[a].mask_id
+        m = compiled.actions.mask_id[a]
         assert a == inner[m].action(obs)
     # outer action m plays inner[m] at every state: its kernel rows and
     # costs are that action's, state by state
@@ -401,9 +398,8 @@ def jopt_cost(compiled, w=2.0):
     n = compiled.space.n_users
     nu = Multipliers(nu={"p_up": np.full(n, w), "p_down": np.full(n, w)},
                      varrho=np.ones(n))
-    circuit = np.array([w * compiled.config.circuit_w_per_antenna
-                        * compiled.calibration.mask_sizes[eff.mask_id]
-                        for eff in compiled.effects])
+    circuit = np.array([w * compiled.config.circuit_w_per_antenna * int(n)
+                        for n in compiled.actions.n_active])
     return build_cost_table(compiled, nu, default_constraints(compiled.config),
                             extra_action_cost=circuit)
 
@@ -411,8 +407,8 @@ def jopt_cost(compiled, w=2.0):
 @pytest.mark.parametrize("mask", [None, 1])
 def test_greedy_policy_matches_per_observation_loop(two_mask_compiled, mask):
     compiled = two_mask_compiled
-    ids = [a for a, eff in enumerate(compiled.effects)
-           if mask is None or eff.mask_id == mask]
+    ids = [a for a in range(compiled.n_actions)
+           if mask is None or compiled.actions.mask_id[a] == mask]
     model = _make_model(compiled, jopt_cost(compiled), ids)
     res = solve_hsvi(model, uniform_initial_belief(compiled), eps=0.5,
                      max_iterations=3)

@@ -8,10 +8,12 @@ from scipy import sparse, stats
 
 from oracles import (InadmissibleActionError, effective_effect,
                      step_energy, step_queue, user_next_pmf)
-from swiptctl.dynamics import (ActionEffect, ArrivalModel, LevelModel,
-                               StateSpace, StateSpaceBudgetError, arrival_pmf,
-                               build_kernel, build_observation_matrix,
-                               default_arrival_cap, user_action_table)
+from swiptctl import dynamics
+from swiptctl.dynamics import (ActionTable, ArrivalModel, LevelModel,
+                               StateSpace, StateSpaceBudgetError,
+                               TransitionKernel, arrival_pmf, build_kernel,
+                               build_observation_matrix, default_arrival_cap,
+                               user_action_table)
 
 
 class TestRecursions:
@@ -111,32 +113,31 @@ def simple_setup(n_users=1, q_max=3, e_max=2, lam=0.5):
     level = LevelModel(probs=np.array([0.7, 0.3]),
                        obs_confusion=np.array([[0.9, 0.1], [0.2, 0.8]]))
     arrivals = ArrivalModel(lam, cap=3)
-    L = 2
-    idle = ActionEffect(served=np.zeros((n_users, L), int),
-                        harvested=np.zeros((n_users, L), int),
-                        used_units=np.zeros(n_users, int),
-                        p_up=np.zeros(n_users), p_down=np.zeros(n_users),
-                        rate_up=np.zeros(n_users), rate_down=np.zeros(n_users),
-                        label="idle")
-    tx = ActionEffect(served=np.tile([1, 2], (n_users, 1)),
-                      harvested=np.tile([0, 1], (n_users, 1)),
-                      used_units=np.ones(n_users, int),
-                      p_up=np.ones(n_users), p_down=np.ones(n_users),
-                      rate_up=np.full(n_users, 1.5), rate_down=np.ones(n_users),
-                      label="tx")
-    return sp, arrivals, level, (idle, tx)
+    # action 0 idles; action 1 pays one unit to serve 1 or 2 packets and
+    # harvests 0 or 1 unit, at level 0 or 1
+    idle, tx = np.zeros(n_users, int), np.ones(n_users, int)
+    actions = ActionTable(
+        served=np.array([np.zeros((n_users, 2), int),
+                         np.tile([1, 2], (n_users, 1))]),
+        harvested=np.array([np.zeros((n_users, 2), int),
+                            np.tile([0, 1], (n_users, 1))]),
+        used_units=np.array([idle, tx]), p_up=np.array([idle, tx], float),
+        p_down=np.array([idle, tx], float),
+        rate_down=np.array([idle, tx], float),
+        mask_id=np.zeros(2, int), n_active=np.full(2, 16))
+    return sp, arrivals, level, actions
 
 
-def enumerated_kernel(space, arrivals, level, effects):
+def enumerated_kernel(space, arrivals, level, actions):
     """Reference kernel: every joint transition's probability as the product
     of the per-user factors, in user order, one joint state at a time."""
     pmf_arr = arrival_pmf(arrivals)
     mats = []
-    for effect in effects:
+    for a in range(len(actions)):
         rows, cols, vals = [], [], []
         for idx, users in space.states():
             supports = [
-                user_next_pmf(q, e, lv, effect, u, pmf_arr, level, space)
+                user_next_pmf(q, e, lv, actions, a, u, pmf_arr, level, space)
                 for u, (q, e, lv) in enumerate(users)
             ]
             for combo in itertools.product(*supports):
@@ -183,16 +184,16 @@ def assert_same_arrays(got, ref):
 
 class TestKernel:
     def test_rows_stochastic(self):
-        sp, arr, level, effects = simple_setup(n_users=2)
-        kern = build_kernel(sp, arr, level, effects)
+        sp, arr, level, actions = simple_setup(n_users=2)
+        kern = build_kernel(sp, arr, level, actions)
         for m in kern.matrices:
             np.testing.assert_allclose(
                 np.asarray(m.sum(axis=1)).ravel(), 1.0, atol=1e-12)
 
     def test_single_user_row_hand_computed(self):
         # state (q=2, e=1, l=0), action tx: served=1, used=1, harvested=0
-        sp, arr, level, effects = simple_setup()
-        kern = build_kernel(sp, arr, level, effects)
+        sp, arr, level, actions = simple_setup()
+        kern = build_kernel(sp, arr, level, actions)
         pmf = arrival_pmf(arr)
         row = kern.matrices[1][sp.encode(((2, 1, 0),))].toarray().ravel()
         expected = np.zeros(sp.size)
@@ -206,8 +207,8 @@ class TestKernel:
         # e=0 cannot pay used=1: nothing served or spent (harvesting is a
         # separate physical process; at level 0 the tx action harvests 0,
         # so the whole row collapses onto the idle row)
-        sp, arr, level, effects = simple_setup()
-        kern = build_kernel(sp, arr, level, effects)
+        sp, arr, level, actions = simple_setup()
+        kern = build_kernel(sp, arr, level, actions)
         s = sp.encode(((2, 0, 0),))
         np.testing.assert_allclose(kern.matrices[1][s].toarray(),
                                    kern.matrices[0][s].toarray(), atol=1e-15)
@@ -215,10 +216,10 @@ class TestKernel:
     def test_factorization_product_form(self):
         # the Kronecker build equals the joint enumeration bit for bit
         for n_users, q_max in ((2, 3), (3, 1)):
-            sp, arr, level, effects = simple_setup(n_users=n_users,
+            sp, arr, level, actions = simple_setup(n_users=n_users,
                                                    q_max=q_max)
-            kern = build_kernel(sp, arr, level, effects)
-            ref = enumerated_kernel(sp, arr, level, effects)
+            kern = build_kernel(sp, arr, level, actions)
+            ref = enumerated_kernel(sp, arr, level, actions)
             assert len(kern.matrices) == len(ref)
             for got, want in zip(kern.matrices, ref):
                 assert_same_arrays(got, want)
@@ -227,20 +228,36 @@ class TestKernel:
         # users with different service and harvest tables, one of them
         # unable to pay for the action at low energy
         sp, arr, level, _ = simple_setup(n_users=2)
-        eff = ActionEffect(served=np.array([[1, 2], [0, 3]]),
-                           harvested=np.array([[0, 1], [2, 0]]),
-                           used_units=np.array([1, 2]),
-                           p_up=np.ones(2), p_down=np.ones(2),
-                           rate_up=np.ones(2), rate_down=np.ones(2))
-        kern = build_kernel(sp, arr, level, (eff,))
+        actions = ActionTable(served=np.array([[[1, 2], [0, 3]]]),
+                              harvested=np.array([[[0, 1], [2, 0]]]),
+                              used_units=np.array([[1, 2]]),
+                              p_up=np.ones((1, 2)), p_down=np.ones((1, 2)),
+                              rate_down=np.ones((1, 2)),
+                              mask_id=np.zeros(1, int),
+                              n_active=np.full(1, 16))
+        kern = build_kernel(sp, arr, level, actions)
         assert_same_arrays(kern.matrices[0],
-                           enumerated_kernel(sp, arr, level, (eff,))[0])
+                           enumerated_kernel(sp, arr, level, actions)[0])
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         sp = StateSpace(n_users=2, q_max=30, e_max=10, n_levels=3)
-        _, arr, level, effects = simple_setup()
+        _, arr, level, actions = simple_setup()
+        monkeypatch.setattr(dynamics, "MAX_STATES", 1000)
         with pytest.raises(StateSpaceBudgetError):
-            build_kernel(sp, arr, level, effects, max_states=1000)
+            build_kernel(sp, arr, level, actions)
+
+    @pytest.mark.parametrize("entries,message", [
+        ([0.6, 0.4 + 2e-10], "row sums"),
+        ([1.2, -0.2], "negative"),
+    ], ids=["row-off-by-2e-10", "negative-entry"])
+    def test_refuses_a_matrix_that_is_not_stochastic(self, entries,
+                                                     message):
+        sp = StateSpace(n_users=1, q_max=0, e_max=0, n_levels=2)
+        good = sparse.csr_matrix(np.full((2, 2), 0.5))
+        bad = sparse.csr_matrix(np.array([entries, [0.5, 0.5]]))
+        TransitionKernel(space=sp, matrices=[good])
+        with pytest.raises(ValueError, match=message):
+            TransitionKernel(space=sp, matrices=[good, bad])
 
 
 @pytest.fixture(params=["unpayable", "three-users"])
@@ -254,9 +271,9 @@ def table_case(request, unpayable, three_user_compiled):
 def test_action_table_matches_scalar_recursions(table_case):
     # every (user, state, action) entry against the degraded effect and
     # the scalar slot recursions
-    space, effects = table_case.space, table_case.effects
-    table = user_action_table(space, effects)
-    shape = (space.n_users, space.per_user, len(effects))
+    space, actions = table_case.space, table_case.actions
+    table = user_action_table(space, actions)
+    shape = (space.n_users, space.per_user, len(actions))
     for name, values in table._asdict().items():
         assert values.shape == shape, name
     assert table.pays.any() and not table.pays.all()
@@ -266,10 +283,10 @@ def test_action_table_matches_scalar_recursions(table_case):
         ((q, e, lv),) = one.decode(s)
         energies = [space.e_max] * space.n_users
         energies[u] = e
-        eff = effective_effect(effects[a], energies)
+        eff = effective_effect(actions, a, energies)
         served, used = int(eff.served[u, lv]), int(eff.used_units[u])
         harvested = int(eff.harvested[u, lv])
-        assert pays == (effects[a].used_units[u] <= e)
+        assert pays == (actions.used_units[a, u] <= e)
         assert (table.served[u, s, a], table.used[u, s, a],
                 table.harvested[u, s, a]) == (served, used, harvested)
         assert table.p_up[u, s, a] == float(eff.p_up[u])

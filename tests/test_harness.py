@@ -135,8 +135,7 @@ def test_run_episodes_match_per_slot_loop(rollout_case, seed):
 def test_unpayable_action_falls_back_per_user(unpayable):
     policy, compiled = unpayable
     traj = run_episodes(policy, compiled, episodes=4, horizon=80, seed=0)
-    price = np.array([eff.used_units for eff in compiled.effects])[
-        traj["action"]]
+    price = compiled.actions.used_units[traj["action"]]
     broke = price > traj["energies"]
     assert broke[..., 1].all()
     assert broke[..., 0].any() and not broke[..., 0].all()
@@ -244,10 +243,10 @@ def test_p_opt_meets_rate_floors_when_payable(desk_compiled, p_opt):
     spec = default_constraints(desk_compiled.config)
     full = tuple((0, space.e_max, 1) for _ in range(space.n_users))
     a = p_opt.action(space.encode(full))
-    eff = desk_compiled.effects[a]
-    assert admissible(eff, [space.e_max] * space.n_users)
-    assert np.all(eff.served[:, 1] >= spec.r_min_up)
-    assert np.all(eff.rate_down >= spec.r_min_down)
+    actions = desk_compiled.actions
+    assert admissible(actions, a, [space.e_max] * space.n_users)
+    assert np.all(actions.served[a, :, 1] >= spec.r_min_up)
+    assert np.all(actions.rate_down[a] >= spec.r_min_down)
 
 
 def test_p_opt_prefers_cheapest_feasible(desk_compiled, p_opt):
@@ -255,36 +254,37 @@ def test_p_opt_prefers_cheapest_feasible(desk_compiled, p_opt):
     space = desk_compiled.space
     spec = default_constraints(desk_compiled.config)
     full = tuple((0, space.e_max, 1) for _ in range(space.n_users))
-    chosen = desk_compiled.effects[p_opt.action(space.encode(full))]
-    price = float(np.sum(chosen.p_up) + np.sum(chosen.p_down))
-    for eff in desk_compiled.effects:
-        meets = (admissible(eff, [space.e_max] * space.n_users)
-                 and np.all(eff.served[:, 1] >= spec.r_min_up)
-                 and np.all(eff.rate_down >= spec.r_min_down))
+    actions = desk_compiled.actions
+    total = [float(np.sum(actions.p_up[a]) + np.sum(actions.p_down[a]))
+             for a in range(desk_compiled.n_actions)]
+    price = total[p_opt.action(space.encode(full))]
+    for a in range(desk_compiled.n_actions):
+        meets = (admissible(actions, a, [space.e_max] * space.n_users)
+                 and np.all(actions.served[a, :, 1] >= spec.r_min_up)
+                 and np.all(actions.rate_down[a] >= spec.r_min_down))
         if meets:
-            assert float(np.sum(eff.p_up) + np.sum(eff.p_down)) >= price
+            assert total[a] >= price
 
 
 def reference_p_opt(compiled, spec):
     """The p-opt table one decoded observation at a time."""
-    space = compiled.space
-    effects = compiled.effects
+    space, actions = compiled.space, compiled.actions
     order = sorted(range(compiled.n_actions),
-                   key=lambda a: (float(np.sum(effects[a].p_up)
-                                        + np.sum(effects[a].p_down)), a))
+                   key=lambda a: (float(np.sum(actions.p_up[a])
+                                        + np.sum(actions.p_down[a])), a))
     table = np.empty(space.size, dtype=int)
     for obs, users in space.states():
         energies = [e for (_q, e, _l) in users]
-        feas = [a for a in order if admissible(effects[a], energies)]
+        feas = [a for a in order if admissible(actions, a, energies)]
         meets = [a for a in feas
-                 if all(effects[a].served[u, lv] >= spec.r_min_up
-                        and effects[a].rate_down[u] >= spec.r_min_down
+                 if all(actions.served[a, u, lv] >= spec.r_min_up
+                        and actions.rate_down[a, u] >= spec.r_min_down
                         for u, (_q, _e, lv) in enumerate(users))]
         if meets:
             table[obs] = meets[0]
         else:
             table[obs] = max(feas, key=lambda a: (
-                float(np.sum(effects[a].served)), -a)) if feas else 0
+                float(np.sum(actions.served[a])), -a)) if feas else 0
     return table
 
 

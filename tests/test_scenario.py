@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 from oracles import reference_calibrate
 
-from swiptctl import channel
-from swiptctl.dynamics import StateSpaceBudgetError
-from swiptctl.scenario import (Calibration, ConfigError, ScenarioConfig,
-                               calibrate, compile_scenario, desk_scenario,
-                               with_budget)
+from swiptctl import channel, dynamics
+from swiptctl.dynamics import ActionTable, LevelModel, StateSpaceBudgetError
+from swiptctl.scenario import (ConfigError, ScenarioConfig, calibrate,
+                               compile_scenario, desk_scenario, with_budget)
 
 
 @pytest.fixture(scope="module")
@@ -145,63 +144,72 @@ def test_calibration_level_model_is_stochastic(tiny_compiled):
 
 
 def test_calibration_action_grid(tiny_cfg, tiny_compiled):
-    calib = tiny_compiled.calibration
-    n_masks = len(tiny_cfg.resolved_mask_sizes())
+    # mask-major: action m * n_powers + p plays mask m at power level p
+    actions = tiny_compiled.actions
+    masks = tiny_cfg.resolved_mask_sizes()
     n_powers = len(tiny_cfg.power_levels_up)
-    assert len(calib.effects) == n_masks * n_powers
-    assert calib.actions == tuple((m, p) for m in range(n_masks)
-                                  for p in range(n_powers))
+    assert tiny_compiled.n_actions == len(actions) == len(masks) * n_powers
+    np.testing.assert_array_equal(
+        actions.mask_id, np.repeat(np.arange(len(masks)), n_powers))
+    np.testing.assert_array_equal(actions.n_active,
+                                  np.repeat(masks, n_powers))
+    shapes = {name: getattr(actions, name).shape
+              for name in ActionTable.__dataclass_fields__}
+    k, n_levels = tiny_cfg.k, tiny_cfg.n_levels
+    assert shapes == {"served": (len(actions), k, n_levels),
+                      "harvested": (len(actions), k, n_levels),
+                      **dict.fromkeys(("used_units", "p_up", "p_down",
+                                       "rate_down"), (len(actions), k)),
+                      "mask_id": (len(actions),),
+                      "n_active": (len(actions),)}
 
 
 def test_zero_power_action_is_inert(tiny_compiled):
-    idle = tiny_compiled.effects[0]
-    assert np.all(idle.served == 0)
-    assert np.all(idle.harvested == 0)
-    assert np.all(idle.used_units == 0)
-    assert np.all(idle.p_up == 0) and np.all(idle.p_down == 0)
+    actions = tiny_compiled.actions
+    assert np.all(actions.served[0] == 0)
+    assert np.all(actions.harvested[0] == 0)
+    assert np.all(actions.used_units[0] == 0)
+    assert np.all(actions.p_up[0] == 0) and np.all(actions.p_down[0] == 0)
 
 
 def test_energy_units_spent_matches_ceiling(tiny_cfg, tiny_compiled):
-    for eff in tiny_compiled.effects:
-        p_up = tiny_cfg.power_levels_up[eff.power_id]
+    n_powers = len(tiny_cfg.power_levels_up)
+    for a, used in enumerate(tiny_compiled.actions.used_units):
+        p_up = tiny_cfg.power_levels_up[a % n_powers]
         want = math.ceil(p_up * tiny_cfg.slot_s / tiny_cfg.delta_e_j) \
             if p_up > 0 else 0
-        assert np.all(eff.used_units == want)
+        assert np.all(used == want)
 
 
 def test_service_monotone_in_power(tiny_compiled):
-    served = [eff.served.sum() for eff in tiny_compiled.effects]
+    served = tiny_compiled.actions.served.sum(axis=(1, 2)).tolist()
     assert served == sorted(served)
 
 
 def test_service_monotone_in_level(tiny_compiled):
     # higher channel-gain level never serves fewer packets
-    for eff in tiny_compiled.effects:
-        diffs = np.diff(eff.served, axis=1)
-        assert np.all(diffs >= 0)
+    assert np.all(np.diff(tiny_compiled.actions.served, axis=2) >= 0)
 
 
 def test_half_duplex_halves_link_time(tiny_cfg):
     from dataclasses import replace
-    hd = calibrate(replace(tiny_cfg, duplex="hd"))
-    fd = calibrate(tiny_cfg)
+    _, hd = calibrate(replace(tiny_cfg, duplex="hd"))
+    _, fd = calibrate(tiny_cfg)
     last = len(tiny_cfg.power_levels_up) - 1
     p_up = tiny_cfg.power_levels_up[last]
     # the radio is on for half the slot: average power and energy spent halve
-    np.testing.assert_allclose(hd.effects[last].p_up,
-                               0.5 * fd.effects[last].p_up)
+    np.testing.assert_allclose(hd.p_up[last], 0.5 * fd.p_up[last])
     want = math.ceil(p_up * tiny_cfg.slot_s / 2 / tiny_cfg.delta_e_j)
-    assert np.all(hd.effects[last].used_units == want)
+    assert np.all(hd.used_units[last] == want)
 
 
 def test_calibration_deterministic(tiny_cfg):
-    a = calibrate(tiny_cfg)
-    b = calibrate(tiny_cfg)
-    assert isinstance(a, Calibration)
-    for ea, eb in zip(a.effects, b.effects):
-        np.testing.assert_array_equal(ea.served, eb.served)
-        np.testing.assert_array_equal(ea.harvested, eb.harvested)
-    np.testing.assert_array_equal(a.level.obs_confusion, b.level.obs_confusion)
+    level_a, a = calibrate(tiny_cfg)
+    level_b, b = calibrate(tiny_cfg)
+    assert isinstance(level_a, LevelModel) and isinstance(a, ActionTable)
+    np.testing.assert_array_equal(a.served, b.served)
+    np.testing.assert_array_equal(a.harvested, b.harvested)
+    np.testing.assert_array_equal(level_a.obs_confusion, level_b.obs_confusion)
 
 
 BENCH_DESK = {"q_max": 4, "e_max": 3}
@@ -279,9 +287,10 @@ def test_compiled_hash_matches_config(tiny_cfg, tiny_compiled):
     assert tiny_compiled.scenario_hash == tiny_cfg.scenario_hash()
 
 
-def test_state_count_guard():
+def test_state_count_guard(monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_STATES", 10)
     with pytest.raises(ValueError):
-        compile_scenario(desk_scenario(calib_draws=80), max_states=10)
+        compile_scenario(desk_scenario(calib_draws=80))
 
 
 @pytest.mark.parametrize("cfg", [ScenarioConfig(), desk_scenario(k=3)],

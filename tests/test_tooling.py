@@ -2,8 +2,10 @@
 
 ``perfbench/run.py --trace 1`` wraps each ``SPAN_SITES`` entry by module (or
 class) and attribute name; a refactor that moves or renames one of them
-would make the traced pass fail with ``AttributeError``. Every CLI call
-pays for the modules that ``swiptctl.cli`` imports.
+would make the traced pass fail with ``AttributeError``, and one that
+changes a traced function's signature can break the notes that read its
+arguments. Every CLI call pays for the modules that ``swiptctl.cli``
+imports.
 """
 
 import importlib.util
@@ -14,6 +16,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from swiptctl import cli
+from swiptctl.scenario import desk_scenario
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -35,6 +40,36 @@ def test_span_site_resolves(site, attr, name):
     owner = spans._resolve(site)
     assert callable(getattr(owner, attr, None)), f"{site}.{attr} ({name})"
     assert name.split(".", 1)[0] in spans.LAYERS
+
+
+def test_traced_solve_and_evaluate_report_layer_metrics(tmp_path):
+    cfg = desk_scenario(q_max=1, e_max=1, calib_draws=20)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json())
+    policy, episodes, horizon = tmp_path / "policy.json", 3, 40
+    tracer = spans.Tracer("tooling")
+    solves = []
+    patches = spans.Patches()
+    spans.install_spans(patches, tracer,
+                        lambda _attrs, _args, _kwargs, res: solves.append(res))
+    try:
+        codes = [cli.main(["solve", "--config", str(cfg_path), "--kind",
+                           "j-opt", "--out", str(policy),
+                           "--max-iterations", "2"]),
+                 cli.main(["evaluate", "--config", str(cfg_path),
+                           "--policy", str(policy),
+                           "--out", str(tmp_path / "results.json"),
+                           "--episodes", str(episodes),
+                           "--horizon", str(horizon)])]
+    finally:
+        patches.restore()
+    assert codes == [0, 0]
+    assert solves
+    metrics = spans.layer_metrics(tracer, untraced_wall_s=1.0)
+    per_user = (cfg.q_max + 1) * (cfg.e_max + 1) * cfg.n_levels
+    assert metrics["dynamics.states"] == per_user ** cfg.k
+    assert metrics["harness.rollout_slots"] == episodes * horizon
+    assert metrics["scenario.compiles"] == 2
 
 
 def test_cli_import_leaves_out_slow_scipy_modules():
