@@ -248,8 +248,7 @@ def solve_inner_beamforming(compiled: CompiledScenario, mask_id: int,
                             **hsvi_kw):
     """Power-level HSVI with the antenna mask frozen.
 
-    Returns (policy restricted to this mask's actions, solver result,
-    action id map)."""
+    Returns (policy restricted to this mask's actions, solver result)."""
     ids = np.flatnonzero(compiled.actions.mask_id == mask_id)
     if not ids.size:
         raise ValueError(f"no actions for mask {mask_id}")
@@ -257,7 +256,7 @@ def solve_inner_beamforming(compiled: CompiledScenario, mask_id: int,
     result = solve_hsvi(model, uniform_initial_belief(compiled), eps=eps,
                         **hsvi_kw)
     policy = greedy_policy(compiled, result.bounds.lower, action_map=ids)
-    return policy, result, ids
+    return policy, result
 
 
 def solve_outer_selection(compiled: CompiledScenario, inner_policies: dict,

@@ -179,7 +179,7 @@ def solve_two_layer(compiled: CompiledScenario, nu: Multipliers,
     mask_ids = np.unique(compiled.actions.mask_id).tolist()
     inner = {}
     for m in mask_ids:
-        pol, res, _ids = solve_inner_beamforming(
+        pol, res = solve_inner_beamforming(
             compiled, m, cost_table, eps=eps, **hsvi_kw)
         inner[m] = pol
         if log_sink is not None:

@@ -61,11 +61,12 @@ def _blind_alphas(model: PomdpModel) -> list:
     return out
 
 
-def _mdp_corners(model: PomdpModel, blind: list) -> np.ndarray:
+def _mdp_corners(model: PomdpModel, blind: list):
     """Fully-observed MDP value (reward orientation), which upper-bounds the
     POMDP, by policy iteration from the best blind action per state. The
     result is V + ||BV - V||_inf / (1 - gamma), B the Bellman operator: a
-    certified upper bound on the MDP value, however inexact V is."""
+    certified upper bound on the MDP value, however inexact V is. Also
+    returns the (n_states, n_actions) Q-table of the final evaluation."""
     g, r = model.discount, model.reward
     states = np.arange(model.n_states)
 
@@ -83,16 +84,59 @@ def _mdp_corners(model: PomdpModel, blind: list) -> np.ndarray:
         if not switch.any():
             break
         pi = np.where(switch, best, pi)
-    return v + np.abs(q.max(axis=1) - v).max() / (1.0 - g)
+    return v + np.abs(q.max(axis=1) - v).max() / (1.0 - g), q
 
 
-def initial_bounds(model: PomdpModel) -> BoundPair:
+def _observation_policy(model: PomdpModel, q: np.ndarray) -> np.ndarray:
+    """QMDP action per observation: pi(o) = argmax_b sum_a sum_s Z_a(s, o)
+    Q(s, b), the lowest index winning ties."""
+    scores = sum(z.T for z in model.observations) @ q
+    return np.asarray(scores).argmax(axis=1)
+
+
+def _policy_alphas(model: PomdpModel, pi: np.ndarray,
+                   guess: np.ndarray) -> list:
+    """Values of "play a, then follow the observation policy pi", one alpha
+    per action, shifted down by their residual certificate.
+
+    They solve alpha_a = r_a + gamma T_a sum_b (D_ab * alpha_b), with
+    D_ab(s') = sum_{o: pi(o) = b} Z_a(s', o): one Krylov solve over the
+    stacked (n_actions * n_states) values, started at the columns of the
+    (n_states, n_actions) table ``guess``. The stacked operator is
+    row-stochastic, so the shift of :func:`_blind_alphas` certifies the
+    result, and every pi gives alphas below the POMDP value."""
+    g, n, n_a = model.discount, model.n_states, model.n_actions
+    # d[a] is (n_actions, n_states): row b holds D_ab
+    d = np.array([np.bincount(pi[z.indices] * n + rows, weights=z.data,
+                              minlength=n_a * n).reshape(n_a, n)
+                  for z, rows in zip(model.observations, model.obs_rows)])
+
+    def step(x):
+        x = x.reshape(n_a, n)
+        return np.concatenate([t.dot((d_a * x).sum(axis=0))
+                               for t, d_a in zip(model.transitions, d)])
+
+    r = model.reward.T.ravel()
+    v = _evaluate(step, r, g, guess.T.ravel())
+    res = np.abs(r + g * step(v) - v).max()
+    v = (v - res / (1.0 - g)).reshape(n_a, n)
+    return [AlphaVector(values=v[a], action=a) for a in range(n_a)]
+
+
+def initial_bounds(model: PomdpModel, b0: np.ndarray | None = None,
+                   eps: float = 0.0) -> BoundPair:
     """Blind-policy alpha set below, fully-observed MDP corners above, both
     from certified matrix-free solves (HSVI2 seeds its bounds from policy
-    evaluations too)."""
+    evaluations too). Given a root belief ``b0`` where these leave a gap
+    above ``eps``, the lower bound also takes the alphas of "play a, then
+    follow the QMDP observation policy", with the MDP Q as the guess."""
     blind = _blind_alphas(model)
-    return BoundPair(lower=LowerBound(blind),
-                     upper=UpperBound(_mdp_corners(model, blind)))
+    corners, q = _mdp_corners(model, blind)
+    bounds = BoundPair(lower=LowerBound(blind), upper=UpperBound(corners))
+    if b0 is not None and bounds.gap(b0) > eps:
+        for alpha in _policy_alphas(model, _observation_policy(model, q), q):
+            bounds.lower.add(alpha)
+    return bounds
 
 
 def _successor_posts(model: PomdpModel, a: int, tau: np.ndarray):
@@ -266,7 +310,7 @@ def solve_hsvi(model: PomdpModel, b0: np.ndarray, eps: float,
     if eps <= 0:
         raise ValueError("eps must be positive")
     b0 = check_belief(b0)
-    bounds = initial_bounds(model)
+    bounds = initial_bounds(model, b0, eps)
     start = time.perf_counter()
     gap0 = bounds.gap(b0)
     if depth_cap is None:
@@ -280,9 +324,8 @@ def solve_hsvi(model: PomdpModel, b0: np.ndarray, eps: float,
     last_gap = gap0
     witnesses = deque([b0], maxlen=WITNESS_SLOTS)
     it = 0
-    for it in range(1, max_iterations + 1):
-        if converged:
-            break
+    while not converged and it < max_iterations:
+        it += 1
         # exploration pushes each backed-up belief into the witness slots
         stats = ExploreStats(visited=witnesses)
         explore(b0, 0, bounds, model, eps, depth_cap, stats)
@@ -291,14 +334,11 @@ def solve_hsvi(model: PomdpModel, b0: np.ndarray, eps: float,
             bounds.lower.prune_witness(np.array(witnesses))
             bounds.upper.prune()
         lo, hi = bounds.lower.value(b0), bounds.upper.value(b0)
-        gap = hi - lo
         # root gap log is monotone non-increasing by construction
-        gap = min(gap, last_gap)
-        last_gap = gap
+        last_gap = min(hi - lo, last_gap)
         log.append((it, lo, hi, len(bounds.lower), len(bounds.upper),
                     (time.perf_counter() - start) * 1e3))
-        if gap <= eps:
-            converged = True
+        converged = last_gap <= eps
     lo, hi = bounds.lower.value(b0), bounds.upper.value(b0)
     return HsviResult(bounds=bounds, log=log, converged=converged,
                       root_value=0.5 * (lo + hi), iterations=it,

@@ -7,6 +7,10 @@ per-episode reduction, the per-draw link calibration, the value-iteration
 HSVI bounds and the sparse-matrix belief expansion and backup. Tests
 compare the production arrays with these, using exact equality where the
 arithmetic is the same.
+
+Two exact evaluations check the solver's values from outside: the
+(state, observation)-pair chain of an observation-feedback policy, and
+the observation MDP that a compiled scenario's POMDP reduces to.
 """
 
 import math
@@ -14,11 +18,13 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from swiptctl.channel import (AntennaSelection, BeamformerSet, Dims,
                               achievable_rate, channel_stream, crandn,
                               downlink_sinr, draw_channel, harvested_energy,
                               split_received, uplink_sinr)
+from swiptctl.control import _obs_posteriors
 from swiptctl.dynamics import ActionTable, LevelModel, arrival_pmf
 from swiptctl.harness import episode_rng
 from swiptctl.pomdp import AlphaVector, BoundPair, LowerBound, UpperBound
@@ -405,3 +411,121 @@ def reference_backup(b, bounds, model, expansion):
         if val > best_val + 1e-15:
             best_val, best_vec, best_a = val, vec, a
     return AlphaVector(values=best_vec, action=best_a)
+
+
+def pair_policy_alphas(model, pi):
+    """Exact values of "play a, then follow the observation policy pi",
+    one row per action, from the chain over (state, last observation)
+    pairs: pair (s, o) plays pi(o) and moves to (s', o') with probability
+    T_pi(o)(s, s') Z_pi(o)(s', o'). Only the pairs that some action emits
+    are kept; one direct sparse solve gives the pairs' values W, and
+    alpha_a = r_a + gamma T_a (Z_a * W summed over o')."""
+    n, g = model.n_states, model.discount
+    pi = np.asarray(pi)
+    s_of, o_of = sum(z for z in model.observations).nonzero()
+    # (n_states, n_pairs) matrices: Z_a(s', o') at pair (s', o')
+    emit = [sparse.csr_matrix((np.asarray(z[s_of, o_of]).ravel(),
+                               (s_of, np.arange(s_of.size))),
+                              shape=(n, s_of.size))
+            for z in model.observations]
+    plays = pi[o_of]
+    chain = sum(sparse.diags((plays == a).astype(float)) @ (t @ e)[s_of]
+                for a, (t, e) in enumerate(zip(model.transitions, emit)))
+    w = spsolve(sparse.identity(s_of.size, format="csc")
+                - g * chain.tocsc(), model.reward[s_of, plays])
+    return np.array([model.reward[:, a] + g * (t @ (e @ w))
+                     for a, (t, e) in enumerate(zip(model.transitions,
+                                                    emit))])
+
+
+class ClosureError(ValueError):
+    """The belief after an observation depends on more than that
+    observation, so the POMDP is no MDP over its observations."""
+
+
+class ObservationMdp:
+    """A compiled scenario's POMDP as a finite MDP over its observations.
+
+    Queue and energy are observed exactly and each user's next level is
+    drawn afresh from the stationary prior, so the belief after
+    observation o is row o of ``control._obs_posteriors`` (P), whatever
+    the history. The construction checks that closure on every action,
+    and refuses the model where it fails. The MDP moves by P T_a Z and
+    pays P r_a; its values are those of the POMDP at the rows of P."""
+
+    def __init__(self, compiled, model, tol=1e-12):
+        self.model = model
+        self.first_obs = compiled.obs_matrix
+        self.post = _obs_posteriors(compiled).tocsr()
+        for a in range(model.n_actions):
+            self._check_closure(a, tol)
+        self.trans = [(self.post @ t @ z).tocsr() for t, z
+                      in zip(model.transitions, model.observations)]
+        self.reward = np.asarray(self.post @ model.reward)
+
+    def _check_closure(self, a, tol):
+        """Every Bayes posterior after (P row o, action a, observation o')
+        equals P row o'. Each entry of P_o T_a at next state s' times
+        Z_a(s', o'), over their product (P_o T_a Z_a)(o, o'), must equal
+        P(o', s'); these ratios sum to 1 over s' for each (o, o'), so P
+        row o' then has no mass off the posterior's support."""
+        z = self.model.observations[a]
+        reach = (self.post @ self.model.transitions[a]).tocsr()
+        norm = (reach @ z).toarray()
+        post = self.post.toarray()
+        o_of = np.repeat(np.arange(reach.shape[0]), np.diff(reach.indptr))
+        s_of, w = reach.indices, reach.data
+        # positions in z.data of the row entries of each s_of, in order
+        starts = z.indptr[s_of]
+        counts = z.indptr[s_of + 1] - starts
+        parent = np.repeat(np.arange(s_of.size), counts)
+        pos = np.arange(counts.sum()) + np.repeat(
+            starts - (np.cumsum(counts) - counts), counts)
+        o_next = z.indices[pos]
+        ratio = w[parent] * z.data[pos] / norm[o_of[parent], o_next]
+        err = np.abs(ratio - post[o_next, s_of[parent]]).max()
+        if not err <= tol:          # a 0/0 ratio fails too
+            raise ClosureError(
+                f"action {a}: a posterior's successor is off a row of the "
+                f"posterior table by {err:.2e}")
+
+    def policy_value(self, pi):
+        """Exact values over the observations of the observation policy
+        pi, by one direct sparse solve."""
+        pi = np.asarray(pi)
+        n = pi.size
+        step = sum(sparse.diags((pi == a).astype(float)) @ t
+                   for a, t in enumerate(self.trans))
+        return spsolve(sparse.identity(n, format="csc")
+                       - self.model.discount * step.tocsc(),
+                       self.reward[np.arange(n), pi])
+
+    def solve(self):
+        """Optimal values and policy by policy iteration; an action
+        changes only on a gain above 1e-12."""
+        obs = np.arange(self.reward.shape[0])
+        pi = self.reward.argmax(axis=1)
+        for _ in range(100):
+            v = self.policy_value(pi)
+            q = self.reward + self.model.discount * np.column_stack(
+                [t @ v for t in self.trans])
+            best = q.argmax(axis=1)
+            switch = q[obs, best] > q[obs, pi] + 1e-12
+            if not switch.any():
+                return v, pi
+            pi = np.where(switch, best, pi)
+        raise RuntimeError("policy iteration did not settle")
+
+    def executed_root(self, b0, pi):
+        """Value at belief b0 of the observation policy pi, which reads
+        the first observation before it acts, as a rollout does."""
+        return float(b0 @ (self.first_obs @ self.policy_value(pi)))
+
+    def root(self, b0, v):
+        """Value at belief b0 when b0 picks the first action and v values
+        the observations that follow it: the POMDP value at b0 for the
+        optimal v."""
+        m = self.model
+        return max(float(b0 @ (m.reward[:, a] + m.discount
+                               * (m.transitions[a] @ (m.observations[a] @ v))))
+                   for a in range(m.n_actions))

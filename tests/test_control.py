@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from oracles import effective_effect
+from oracles import ClosureError, ObservationMdp, effective_effect
 from swiptctl.control import (FAMILIES, ConstraintSpec, HashMismatchError,
                               Multipliers, Policy, _make_model,
                               _obs_posteriors, build_cost_table,
@@ -15,9 +15,10 @@ from swiptctl.control import (FAMILIES, ConstraintSpec, HashMismatchError,
                               solve_inner_beamforming, solve_outer_selection,
                               uniform_initial_belief, update_multipliers)
 from swiptctl.dynamics import ActionTable
-from swiptctl.harness import (SolveReport, baseline_policy,
+from swiptctl.harness import (SWEEP_HSVI_KW, SolveReport, baseline_policy,
                               default_constraints, full_solve)
-from swiptctl.pomdp import exact_value_iteration, initial_bounds, solve_hsvi
+from swiptctl.pomdp import (PomdpModel, exact_value_iteration, initial_bounds,
+                            solve_hsvi)
 from swiptctl.pomdp.exact import DEFAULT_PRUNE_MARGIN
 from swiptctl.scenario import compile_scenario, desk_scenario
 
@@ -321,15 +322,16 @@ def test_beliefs_match_enumeration_three_users(three_user_compiled):
 # two-layer solve
 # ---------------------------------------------------------------------------
 
-def test_inner_solve_stays_inside_mask(desk_compiled):
-    nu = Multipliers.zeros(desk_compiled.space.n_users)
-    spec = default_constraints(desk_compiled.config)
-    cost = build_cost_table(desk_compiled, nu, spec)
-    policy, result, ids = solve_inner_beamforming(
-        desk_compiled, 0, cost, eps=5.0, max_iterations=4)
-    assert set(np.unique(policy.action_of)) <= set(ids)
+def test_inner_solve_stays_inside_mask(two_mask_compiled):
+    compiled = two_mask_compiled
+    nu = Multipliers.zeros(compiled.space.n_users)
+    spec = default_constraints(compiled.config)
+    cost = build_cost_table(compiled, nu, spec)
+    policy, result = solve_inner_beamforming(
+        compiled, 1, cost, eps=5.0, max_iterations=4)
+    assert (compiled.actions.mask_id[policy.action_of] == 1).all()
     assert result.root_value <= 0.0      # reward orientation: minus cost
-    policy.check_hash(desk_compiled)
+    policy.check_hash(compiled)
 
 
 @pytest.fixture(scope="module")
@@ -345,7 +347,7 @@ def test_outer_selection_composes_inner_policies(two_mask_compiled,
     cost = jopt_cost(compiled)
     inner = {}
     for m in (0, 1):
-        pol, _res, ids = solve_inner_beamforming(
+        pol, _res = solve_inner_beamforming(
             compiled, m, cost, eps=5.0, max_iterations=3)
         inner[m] = pol
     models = []
@@ -464,8 +466,9 @@ def test_hsvi_brackets_exact_oracle_on_compiled_jopt():
     model = _make_model(compiled, cost, range(compiled.n_actions))
     b0 = uniform_initial_belief(compiled)
     assert (model.n_states, model.n_actions) == (8, 4)
-    assert initial_bounds(model).gap(b0) > 1.0    # HSVI has to explore
-    res = solve_hsvi(model, b0, eps=1.0)
+    assert initial_bounds(model).gap(b0) > 1.0
+    # the seeded bounds certify the root at eps 1; eps 0.1 explores
+    res = solve_hsvi(model, b0, eps=0.1)
     assert res.converged and res.iterations > 1
     horizon = 100
     v_exact = exact_value_iteration(model, horizon).value(b0)
@@ -475,3 +478,78 @@ def test_hsvi_brackets_exact_oracle_on_compiled_jopt():
              + DEFAULT_PRUNE_MARGIN) / (1.0 - g)
     lo, hi = res.bounds.lower.value(b0), res.bounds.upper.value(b0)
     assert lo - delta <= v_exact <= hi + delta
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's solves against the exact observation MDP
+# ---------------------------------------------------------------------------
+
+# the executed select-n16 policy's exact value before the policy alphas
+# seeded the lower bound (seed 0)
+SELECT_N16_BEFORE = 125.835
+
+
+def captured_jopt(compiled, **hsvi_kw):
+    """j-opt policy of ``compiled`` at eps 5, with each (model, result)
+    pair that its HSVI solves saw."""
+    import swiptctl.control as control
+    solves = []
+
+    def capture(model, *args, **kwargs):
+        res = solve_hsvi(model, *args, **kwargs)
+        solves.append((model, res))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(control, "solve_hsvi", capture)
+        policy = baseline_policy("j-opt", compiled, eps=5.0, **hsvi_kw)
+    return policy, solves
+
+
+@pytest.fixture(scope="module")
+def bench_solves():
+    """The solve-jopt solve and the sweep-antennas selection solves (three
+    inner, one outer) of the benchmark at seed 0: per workload the compiled
+    scenario, the executed policy and the captured solves."""
+    cfg = desk_scenario(q_max=4, e_max=3, seed=0)
+    jopt = compile_scenario(cfg)
+    select = compile_scenario(replace(cfg, mask_sizes=(4, 8, 16)))
+    return {"solve-jopt": (jopt,) + captured_jopt(jopt),
+            "select-n16": (select,) + captured_jopt(select, **SWEEP_HSVI_KW)}
+
+
+def test_hsvi_root_bounds_bracket_the_observation_mdp(bench_solves):
+    solves = [(compiled, model, res) for compiled, _pol, caught
+              in bench_solves.values() for model, res in caught]
+    assert len(solves) == 5
+    for compiled, model, res in solves:
+        b0 = uniform_initial_belief(compiled)
+        exact = ObservationMdp(compiled, model)
+        root = exact.root(b0, exact.solve()[0])
+        lo, hi = res.bounds.lower.value(b0), res.bounds.upper.value(b0)
+        tol = 1e-9 * abs(root)
+        assert lo - tol <= root <= hi + tol
+
+
+def test_executed_selection_policy_against_the_joint_optimum(bench_solves):
+    compiled, policy, _caught = bench_solves["select-n16"]
+    model = _make_model(compiled, jopt_cost(compiled),
+                        range(compiled.n_actions))
+    exact = ObservationMdp(compiled, model)
+    b0 = uniform_initial_belief(compiled)
+    optimum = exact.root(b0, exact.solve()[0])
+    executed = exact.executed_root(b0, policy.action_of)
+    assert SELECT_N16_BEFORE <= executed <= optimum + 1e-9 * abs(optimum)
+
+
+def test_observation_mdp_refuses_a_model_without_closure(desk_compiled):
+    # states observed exactly: the posterior is a point mass, not a row
+    # of the level-posterior table
+    model = _make_model(desk_compiled, jopt_cost(desk_compiled),
+                        range(desk_compiled.n_actions))
+    exact = PomdpModel(
+        transitions=model.transitions,
+        observations=[sparse.identity(model.n_states)] * model.n_actions,
+        cost=model.cost, discount=model.discount)
+    with pytest.raises(ClosureError):
+        ObservationMdp(desk_compiled, exact)

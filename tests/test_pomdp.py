@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from oracles import (dense_mdp_value, dense_policy_value, reference_backup,
-                     reference_initial_bounds, reference_propagate,
-                     reference_successor_posts)
+from oracles import (dense_mdp_value, dense_policy_value, pair_policy_alphas,
+                     reference_backup, reference_initial_bounds,
+                     reference_propagate, reference_successor_posts)
 from test_acceptance import SPARSE_Z_MEMBER, ZOO_DIMS, _zoo_pomdp
 
 from swiptctl.pomdp import (AlphaVector, BoundPair, ImpossibleObservationError,
@@ -273,9 +273,11 @@ def desk_jopt_model():
 @pytest.fixture(scope="module")
 def desk_jopt_case(desk_jopt_model):
     """Upper bound of a 3-iteration j-opt solve on the 1600-state desk
-    model, with posteriors, point beliefs and corner beliefs to test."""
+    model, with posteriors, point beliefs and corner beliefs to test. At
+    eps 5 the seeded bounds certify the root, so eps 0.5 makes it
+    explore."""
     model, b0 = desk_jopt_model
-    upper = solve_hsvi(model, b0, eps=5.0, max_iterations=3).bounds.upper
+    upper = solve_hsvi(model, b0, eps=0.5, max_iterations=3).bounds.upper
     assert model.n_states == 1600 and len(upper.points) >= 3
     points = np.array([p[0] for p in upper.points])
     wide = next(p for p in upper.points if p[2].size > 1)
@@ -397,6 +399,77 @@ class TestInitialBounds:
         assert (capped.lower.matrix() <= blind).all()
         assert (capped.upper.corner >= mdp).all()
         assert (capped.upper.corner - mdp).min() > 1.0
+
+
+def qmdp_policy_alphas(m):
+    """The solver's observation policy and its certified policy alphas,
+    one row per action."""
+    _corners, q = solver._mdp_corners(m, solver._blind_alphas(m))
+    pi = solver._observation_policy(m, q)
+    alphas = solver._policy_alphas(m, pi, q)
+    assert [a.action for a in alphas] == list(range(m.n_actions))
+    return pi, np.array([a.values for a in alphas])
+
+
+@pytest.fixture(params=["tiger", "chain", "hidden-pair", "positive-chain",
+                        "desk-jopt"] + [f"zoo-{i}" for i in
+                                        range(len(ZOO_DIMS))])
+def seed_model(request, desk_jopt_model):
+    """Every ``bound_model`` and every zoo member."""
+    if request.param.startswith("zoo-"):
+        return _zoo_pomdp(int(request.param[4:]))
+    if request.param == "desk-jopt":
+        return desk_jopt_model[0]
+    return {"tiger": tiger_model, "chain": chain_model,
+            "hidden-pair": hidden_pair_model,
+            "positive-chain": positive_chain_model}[request.param]()
+
+
+class TestPolicyAlphas:
+    """The alphas of "play a, then follow pi" against the exact value of
+    that policy on the (state, observation)-pair chain."""
+
+    def test_below_and_at_the_pair_chain_value(self, seed_model):
+        m = seed_model
+        pi, got = qmdp_policy_alphas(m)
+        exact = pair_policy_alphas(m, pi)
+        tol = value_tol(exact)
+        assert (got <= exact + tol).all()
+        # the Krylov solve got there; only the certificate's shift is left
+        assert (got >= exact - 1e3 * tol).all()
+
+    def test_any_observation_policy_gives_valid_alphas(self, seed_model):
+        m = seed_model
+        pi = np.random.default_rng(m.n_states).integers(m.n_actions,
+                                                        size=m.n_obs)
+        alphas = solver._policy_alphas(m, pi, np.zeros((m.n_states,
+                                                        m.n_actions)))
+        exact = pair_policy_alphas(m, pi)
+        assert (np.array([a.values for a in alphas])
+                <= exact + value_tol(exact)).all()
+
+    def test_certificates_alone_keep_the_alphas_valid(self, seed_model,
+                                                      monkeypatch):
+        m = seed_model
+        monkeypatch.setattr(solver, "bicgstab",
+                            functools.partial(solver.bicgstab, maxiter=1))
+        # pi comes from the capped MDP Q; the oracle evaluates the same pi
+        pi, capped = qmdp_policy_alphas(m)
+        exact = pair_policy_alphas(m, pi)
+        assert (capped <= exact + value_tol(exact)).all()
+
+    def test_seeded_only_above_eps(self, desk_jopt_model):
+        m, b0 = desk_jopt_model
+        blind = initial_bounds(m)
+        gap = blind.gap(b0)
+        assert len(initial_bounds(m, b0, gap).lower) == m.n_actions
+        seeded = initial_bounds(m, b0, 5.0)
+        assert len(seeded.lower) == 2 * m.n_actions
+        assert seeded.lower.value(b0) > blind.lower.value(b0) + 1.0
+        assert seeded.gap(b0) <= 5.0
+        # so the solve certifies at the root and explores nothing
+        res = solve_hsvi(m, b0, eps=5.0)
+        assert res.converged and res.iterations == 0 and res.log == []
 
 
 class TestSolverPieces:
@@ -611,7 +684,16 @@ class TestHsvi:
         res = solve_hsvi(m, np.array([0.5, 0.5]), eps=1e-3)
         gaps = [hi - lo for (_, lo, hi, _, _, _) in res.log]
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
-        assert gaps[-1] <= 1e-3
+        assert gaps[-1] <= 1e-3 < gaps[-2]
+        # one record per exploration run, numbered from 1
+        assert res.iterations == len(res.log)
+        assert [rec[0] for rec in res.log] == list(range(1, len(gaps) + 1))
+
+    def test_iteration_budget_counts_explorations(self):
+        m = tiger_model(discount=0.6)
+        res = solve_hsvi(m, np.array([0.5, 0.5]), eps=1e-9, max_iterations=3)
+        assert not res.converged
+        assert res.iterations == len(res.log) == 3
 
     def test_deterministic_reruns(self):
         m = tiger_model(discount=0.6)
