@@ -6,8 +6,7 @@ Subpackages / modules:
   closed-form SINR densities)
 * ``dynamics``  -- data-queue / energy-buffer recursions and the controlled
   transition kernel
-* ``pomdp``     -- finite POMDP machinery (beliefs, bound pairs, HSVI,
-  exact value-iteration oracle)
+* ``pomdp``     -- finite POMDP machinery (beliefs, bound pairs, HSVI)
 * ``control``   -- Lagrangian stage costs, multiplier adaptation and the
   two-layer beamforming / antenna-selection solve
 * ``scenario``  -- scenario configuration and compilation into POMDP models

@@ -6,17 +6,15 @@ envelope; the reward-maximizing action coincides with the cost-minimizing
 one. Reported metrics are converted back to costs by the callers.
 """
 
-from .model import (ImpossibleObservationError, OracleScaleError, PomdpModel,
-                    observation_prob, update_belief)
+from .model import (ImpossibleObservationError, PomdpModel, observation_prob,
+                    update_belief)
 from .bounds import AlphaVector, BoundPair, LowerBound, UpperBound
 from .solver import (HsviResult, backup, excess_uncertainty, explore,
                      initial_bounds, q_values, solve_hsvi)
-from .exact import ExactSolution, exact_value_iteration
 
 __all__ = [
-    "AlphaVector", "BoundPair", "ExactSolution", "HsviResult",
-    "ImpossibleObservationError", "LowerBound", "OracleScaleError",
-    "PomdpModel", "UpperBound", "backup", "excess_uncertainty",
-    "exact_value_iteration", "explore", "initial_bounds", "observation_prob",
-    "q_values", "solve_hsvi", "update_belief",
+    "AlphaVector", "BoundPair", "HsviResult", "ImpossibleObservationError",
+    "LowerBound", "PomdpModel", "UpperBound", "backup", "excess_uncertainty",
+    "explore", "initial_bounds", "observation_prob", "q_values", "solve_hsvi",
+    "update_belief",
 ]

@@ -15,10 +15,6 @@ class ImpossibleObservationError(ValueError):
     """Bayes update conditioned on a zero-probability observation."""
 
 
-class OracleScaleError(ValueError):
-    """Exact value-iteration oracle called beyond its scale limits."""
-
-
 def _as_csr(m) -> sparse.csr_matrix:
     return m.tocsr() if sparse.issparse(m) else sparse.csr_matrix(np.asarray(m, dtype=float))
 

@@ -123,19 +123,136 @@ def _policy_alphas(model: PomdpModel, pi: np.ndarray,
     return [AlphaVector(values=v[a], action=a) for a in range(n_a)]
 
 
+def _fib_sweep(model: PomdpModel, q: np.ndarray, prev):
+    """One sweep of the fast informed bound (FIB) operator H from the
+    (n_states, n_actions) table q:
+    (Hq)(s, a) = r(s, a) + gamma sum_o max_b sum_s' T_a(s, s') Z_a(s', o)
+    q(s', b).
+
+    Returns Hq, per action the pattern (indptr, indices) of T_a Z_a and the
+    best next action at each of its stored (s, o) entries, and whether any
+    entry switched. ``prev(a, obs)`` gives the previous choice at the
+    entries whose observation ids are ``obs``; an entry keeps it unless
+    another action gains more than SWITCH_GAIN, so that round-off cannot
+    make policy iteration cycle."""
+    hq = np.empty_like(q)
+    patterns, choice, switched = [], [], False
+    for a in range(model.n_actions):
+        hq[:, a], indptr, indices, pick, moved = _fib_action(model, a, q,
+                                                             prev)
+        patterns.append((indptr, indices))
+        choice.append(pick)
+        switched = switched or moved
+    return hq, patterns, choice, switched
+
+
+def _fib_action(model: PomdpModel, a: int, q: np.ndarray, prev):
+    """Column a of the sweep of :func:`_fib_sweep`, with the pattern of
+    T_a Z_a, the choices and whether one switched.
+
+    Each product T_a (Z_a * (q_b + c)) takes q_b + c > 0, so no entry
+    cancels to 0 and every b stores the same entries in the same order;
+    a running maximum over b reads one product at a time, the lowest b
+    winning ties. Every row of T_a Z_a sums to 1, so c adds c to each row
+    sum of the maximum, and every row has an entry to sum."""
+    t, z, rows = model.transitions[a], model.observations[a], \
+        model.obs_rows[a]
+    c = 1.0 - min(q.min(), 0.0)
+    for b in range(model.n_actions):
+        prod = t @ sparse.csr_matrix((z.data * (q[rows, b] + c), z.indices,
+                                      z.indptr), shape=z.shape)
+        if b == 0:
+            indptr, indices = prod.indptr, prod.indices
+            last = prev(a, indices)
+            top, pick = prod.data.copy(), np.zeros(prod.nnz, dtype=np.intp)
+            at_last = np.where(last == 0, top, 0.0)
+            continue
+        np.copyto(pick, b, where=prod.data > top)
+        np.maximum(top, prod.data, out=top)
+        np.copyto(at_last, prod.data, where=last == b)
+    keep = top <= at_last + SWITCH_GAIN
+    pick[keep] = last[keep]
+    return (model.reward[:, a]
+            + model.discount * (np.add.reduceat(top, indptr[:-1]) - c),
+            indptr, indices, pick, not keep.all())
+
+
+def _fixed_choice_step(model: PomdpModel, patterns: list, choice: list):
+    """Matvec of the stacked (n_actions * n_states) operator that plays the
+    next action ``choice[a][i]`` after action a at the i-th stored (s, o)
+    entry of ``patterns[a]``. Its (a, b) block is T_a * (M_ab Z_a^T), M_ab
+    marking the entries that choose b; the blocks sum to a row-stochastic
+    matrix, and the matvec applies them one by one."""
+    n, n_a = model.n_states, model.n_actions
+    blocks = []
+    for (indptr, indices), pick, t, z in zip(patterns, choice,
+                                             model.transitions,
+                                             model.observations):
+        row = []
+        for b in range(n_a):
+            # eliminate_zeros compacts the index arrays in place: copy them
+            mark = sparse.csr_matrix(((pick == b).astype(float),
+                                      indices.copy(), indptr.copy()),
+                                     shape=(n, z.shape[1]))
+            mark.eliminate_zeros()
+            if mark.nnz:
+                row.append((b, t.multiply(mark @ z.T).tocsr()))
+        blocks.append(row)
+
+    def step(x):
+        x = x.reshape(n_a, n)
+        return np.concatenate([sum(k.dot(x[b]) for b, k in row)
+                               for row in blocks])
+    return step
+
+
+def _fib_q(model: PomdpModel, pi: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Fixed point of the FIB operator (Hauskrecht, JAIR 2000), an upper
+    bound on the POMDP's Q-values, by policy iteration over the next-action
+    choices: start at the observation policy ``pi`` (next action pi(o)
+    after every (s, a)) with its values ``q``, improve each (s, a, o)
+    choice by one sweep, evaluate the new choices with one stacked Krylov
+    solve, and repeat until no choice changes. H is a gamma-contraction,
+    so the result is shifted up by ||Hq - q||_inf / (1 - gamma), as the
+    MDP corners are: valid however far a solve got."""
+    g, n, n_a = model.discount, model.n_states, model.n_actions
+    r = model.reward.T.ravel()
+    hq, patterns, choice, switched = _fib_sweep(model, q,
+                                                lambda a, obs: pi[obs])
+    for _ in range(MAX_POLICY_ROUNDS):
+        if not switched:
+            break
+        q = _evaluate(_fixed_choice_step(model, patterns, choice), r, g,
+                      q.T.ravel()).reshape(n_a, n).T
+        hq, patterns, choice, switched = _fib_sweep(
+            model, q, lambda a, obs, last=choice: last[a])
+    return q + np.abs(hq - q).max() / (1.0 - g)
+
+
 def initial_bounds(model: PomdpModel, b0: np.ndarray | None = None,
                    eps: float = 0.0) -> BoundPair:
     """Blind-policy alpha set below, fully-observed MDP corners above, both
     from certified matrix-free solves (HSVI2 seeds its bounds from policy
     evaluations too). Given a root belief ``b0`` where these leave a gap
     above ``eps``, the lower bound also takes the alphas of "play a, then
-    follow the QMDP observation policy", with the MDP Q as the guess."""
+    follow the QMDP observation policy", with the MDP Q as the guess. If
+    the gap at ``b0`` is still above ``eps``, the fast informed bound,
+    started from that policy and its alphas, replaces the upper bound: its
+    best Q per state at the corners, and its best action's value at ``b0``
+    as a point."""
     blind = _blind_alphas(model)
     corners, q = _mdp_corners(model, blind)
     bounds = BoundPair(lower=LowerBound(blind), upper=UpperBound(corners))
-    if b0 is not None and bounds.gap(b0) > eps:
-        for alpha in _policy_alphas(model, _observation_policy(model, q), q):
-            bounds.lower.add(alpha)
+    if b0 is None or bounds.gap(b0) <= eps:
+        return bounds
+    pi = _observation_policy(model, q)
+    alphas = _policy_alphas(model, pi, q)
+    for alpha in alphas:
+        bounds.lower.add(alpha)
+    if bounds.gap(b0) > eps:
+        fib = _fib_q(model, pi, np.array([a.values for a in alphas]).T)
+        bounds.upper = UpperBound(fib.max(axis=1))
+        bounds.upper.add(b0, float((b0 @ fib).max()))
     return bounds
 
 

@@ -6,6 +6,7 @@ the three qualitative sweep shapes, constraint activation, and CLI
 reproducibility — and prints a single PASS line with the measured numbers.
 """
 
+import functools
 import json
 import time
 
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import InadmissibleActionError, step_energy, step_queue
+from oracles import (InadmissibleActionError, exact_value_iteration,
+                     step_energy, step_queue)
 from swiptctl.channel import (AntennaSelection, BeamformerSet, ChannelPair,
                               Dims, beta2_moment_match, crandn, downlink_sinr,
                               draw_channel, uplink_equalizer, uplink_eta,
@@ -24,7 +26,6 @@ from swiptctl.dynamics import ActionTable, StateSpace, user_action_table
 from swiptctl.harness import (default_constraints, full_solve, monte_carlo,
                               sweep_antennas, sweep_power)
 from swiptctl.pomdp.model import PomdpModel
-from swiptctl.pomdp.exact import exact_value_iteration
 from swiptctl.pomdp.solver import solve_hsvi
 from swiptctl.scenario import compile_scenario, desk_scenario
 
@@ -42,6 +43,8 @@ ZOO_DIMS = [(4, 4, 4), (5, 3, 3), (6, 2, 4), (7, 3, 2), (8, 2, 2), (6, 3, 3)]
 # an observation cannot occur that other states emit
 SPARSE_Z_MEMBER = 5
 ZOO_EPS = 1e-3
+# the exact oracle's horizon and prune margin on the zoo
+ZOO_HORIZON, ZOO_PRUNE_MARGIN = 75, 1e-5
 
 
 def _zoo_pomdp(i: int) -> PomdpModel:
@@ -64,15 +67,23 @@ def _zoo_pomdp(i: int) -> PomdpModel:
                       discount=0.95)
 
 
+@functools.cache
+def zoo_exact(i: int):
+    """Exact horizon-75 solution of zoo member i and the seconds it took,
+    computed once per session: the other test modules reuse it."""
+    t0 = time.perf_counter()
+    exact = exact_value_iteration(_zoo_pomdp(i), ZOO_HORIZON,
+                                  prune_margin=ZOO_PRUNE_MARGIN)
+    return exact, time.perf_counter() - t0
+
+
 @pytest.fixture(scope="module")
 def zoo_results():
     out = []
     for i in range(len(ZOO_DIMS)):
         model = _zoo_pomdp(i)
         b0 = np.full(model.n_states, 1.0 / model.n_states)
-        t0 = time.perf_counter()
-        exact = exact_value_iteration(model, 75, prune_margin=1e-5)
-        t_exact = time.perf_counter() - t0
+        exact, t_exact = zoo_exact(i)
         t0 = time.perf_counter()
         res = solve_hsvi(model, b0, eps=ZOO_EPS, max_iterations=2000,
                          depth_cap=50)

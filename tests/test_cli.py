@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from oracles import root_seeds_off
 from swiptctl.cli import main
+from swiptctl.pomdp import solve_hsvi
 from swiptctl.scenario import compile_scenario, desk_scenario
 
 
@@ -169,9 +171,11 @@ def test_time_budget_option_is_gone(tiny, tmp_path, capsys, command):
 
 def test_require_convergence_exits_3(cfg_file, tmp_path, capsys):
     out = tmp_path / "pol.json"
-    assert run("solve", "--config", cfg_file, "--kind", "j-opt",
-               "--out", str(out), "--eps", "1e-9", "--max-iterations", "1",
-               "--require-convergence") == 3
+    # the root seeds certify this root even at eps 1e-9
+    with root_seeds_off():
+        assert run("solve", "--config", cfg_file, "--kind", "j-opt",
+                   "--out", str(out), "--eps", "1e-9", "--max-iterations",
+                   "1", "--require-convergence") == 3
     assert "budget" in capsys.readouterr().err
 
 
@@ -208,10 +212,12 @@ def test_sweep_warns_on_unconverged_solves(tmp_path, capsys):
     cfg = tmp_path / "tiny.json"
     cfg.write_text(desk_scenario(calib_draws=80, q_max=1, e_max=1).to_json())
     out = tmp_path / "sweep.csv"
-    assert run("sweep-power", "--config", str(cfg), "--budgets", "1.05",
-               "--policies", "j-opt", "--out", str(out), "--episodes", "2",
-               "--horizon", "10", "--eps", "1e-9",
-               "--max-iterations", "1") == 0
+    # the root seeds certify this root even at eps 1e-9
+    with root_seeds_off():
+        assert run("sweep-power", "--config", str(cfg), "--budgets", "1.05",
+                   "--policies", "j-opt", "--out", str(out), "--episodes",
+                   "2", "--horizon", "10", "--eps", "1e-9",
+                   "--max-iterations", "1") == 0
     warnings = [ln for ln in capsys.readouterr().err.splitlines()
                 if ln.startswith("warning: ")]
     assert len(warnings) == 1
@@ -227,3 +233,26 @@ def test_sweep_quiet_when_solves_converge(tmp_path, capsys):
                "--policies", "d-opt,p-opt", "--out", str(tmp_path / "s.csv"),
                "--episodes", "2", "--horizon", "10") == 0
     assert "warning" not in capsys.readouterr().err
+
+
+def test_benchmark_antenna_sweep_certifies_every_solve_at_the_root(
+        tmp_path, capsys, monkeypatch):
+    # the benchmark's sweep-antennas run at seed 0: every HSVI solve closes
+    # its root gap from the seeded bounds, so none explores or warns
+    import swiptctl.control as control
+    results = []
+
+    def capture(*args, **kwargs):
+        res = solve_hsvi(*args, **kwargs)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(control, "solve_hsvi", capture)
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(desk_scenario(q_max=4, e_max=3).to_json())
+    assert run("sweep-antennas", "--config", str(cfg), "--n-r", "16",
+               "--seed", "0", "--out", str(tmp_path / "ant.csv")) == 0
+    assert not [ln for ln in capsys.readouterr().err.splitlines()
+                if ln.startswith("warning:")]
+    assert len(results) == 5
+    assert all(res.converged and res.iterations == 0 for res in results)

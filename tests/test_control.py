@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from oracles import ClosureError, ObservationMdp, effective_effect
+from oracles import (DEFAULT_PRUNE_MARGIN, ClosureError, ObservationMdp,
+                     effective_effect, exact_value_iteration, root_seeds_off)
 from swiptctl.control import (FAMILIES, ConstraintSpec, HashMismatchError,
                               Multipliers, Policy, _make_model,
                               _obs_posteriors, build_cost_table,
@@ -17,9 +18,7 @@ from swiptctl.control import (FAMILIES, ConstraintSpec, HashMismatchError,
 from swiptctl.dynamics import ActionTable
 from swiptctl.harness import (SWEEP_HSVI_KW, SolveReport, baseline_policy,
                               default_constraints, full_solve)
-from swiptctl.pomdp import (PomdpModel, exact_value_iteration, initial_bounds,
-                            solve_hsvi)
-from swiptctl.pomdp.exact import DEFAULT_PRUNE_MARGIN
+from swiptctl.pomdp import PomdpModel, initial_bounds, solve_hsvi
 from swiptctl.scenario import compile_scenario, desk_scenario
 
 
@@ -467,8 +466,12 @@ def test_hsvi_brackets_exact_oracle_on_compiled_jopt():
     b0 = uniform_initial_belief(compiled)
     assert (model.n_states, model.n_actions) == (8, 4)
     assert initial_bounds(model).gap(b0) > 1.0
-    # the seeded bounds certify the root at eps 1; eps 0.1 explores
-    res = solve_hsvi(model, b0, eps=0.1)
+    # the root seeds certify the root at any eps here; without them the
+    # solve explores
+    seeded = solve_hsvi(model, b0, eps=0.1)
+    assert seeded.converged and seeded.iterations == 0
+    with root_seeds_off():
+        res = solve_hsvi(model, b0, eps=0.1)
     assert res.converged and res.iterations > 1
     horizon = 100
     v_exact = exact_value_iteration(model, horizon).value(b0)
@@ -476,8 +479,9 @@ def test_hsvi_brackets_exact_oracle_on_compiled_jopt():
     # finite-horizon truncation plus the oracle's per-step prune margin
     delta = (g ** horizon * np.abs(cost).max()
              + DEFAULT_PRUNE_MARGIN) / (1.0 - g)
-    lo, hi = res.bounds.lower.value(b0), res.bounds.upper.value(b0)
-    assert lo - delta <= v_exact <= hi + delta
+    for bounds in (seeded.bounds, res.bounds):
+        lo, hi = bounds.lower.value(b0), bounds.upper.value(b0)
+        assert lo - delta <= v_exact <= hi + delta
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +493,8 @@ def test_hsvi_brackets_exact_oracle_on_compiled_jopt():
 SELECT_N16_BEFORE = 125.835
 
 
-def captured_jopt(compiled, **hsvi_kw):
-    """j-opt policy of ``compiled`` at eps 5, with each (model, result)
+def captured(kind, compiled, **hsvi_kw):
+    """``kind`` policy of ``compiled`` at eps 5, with each (model, result)
     pair that its HSVI solves saw."""
     import swiptctl.control as control
     solves = []
@@ -502,33 +506,54 @@ def captured_jopt(compiled, **hsvi_kw):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(control, "solve_hsvi", capture)
-        policy = baseline_policy("j-opt", compiled, eps=5.0, **hsvi_kw)
+        policy = baseline_policy(kind, compiled, eps=5.0, **hsvi_kw)
     return policy, solves
 
 
 @pytest.fixture(scope="module")
 def bench_solves():
     """The solve-jopt solve and the sweep-antennas selection solves (three
-    inner, one outer) of the benchmark at seed 0: per workload the compiled
-    scenario, the executed policy and the captured solves."""
+    inner, one outer) of the benchmark at seed 0, and a d-opt solve of the
+    solve-jopt config: per case the compiled scenario, the executed policy
+    and the captured solves."""
     cfg = desk_scenario(q_max=4, e_max=3, seed=0)
     jopt = compile_scenario(cfg)
     select = compile_scenario(replace(cfg, mask_sizes=(4, 8, 16)))
-    return {"solve-jopt": (jopt,) + captured_jopt(jopt),
-            "select-n16": (select,) + captured_jopt(select, **SWEEP_HSVI_KW)}
+    return {"solve-jopt": (jopt,) + captured("j-opt", jopt),
+            "d-opt": (jopt,) + captured("d-opt", jopt),
+            "select-n16": (select,)
+            + captured("j-opt", select, **SWEEP_HSVI_KW)}
 
 
-def test_hsvi_root_bounds_bracket_the_observation_mdp(bench_solves):
-    solves = [(compiled, model, res) for compiled, _pol, caught
-              in bench_solves.values() for model, res in caught]
-    assert len(solves) == 5
-    for compiled, model, res in solves:
+@pytest.fixture(scope="module")
+def bench_exact(bench_solves):
+    """Per captured solve: (result, root belief, exact observation MDP, its
+    optimal values over the observations, the exact root value)."""
+    out = []
+    for compiled, _pol, caught in bench_solves.values():
         b0 = uniform_initial_belief(compiled)
-        exact = ObservationMdp(compiled, model)
-        root = exact.root(b0, exact.solve()[0])
+        for model, res in caught:
+            exact = ObservationMdp(compiled, model)
+            v = exact.solve()[0]
+            out.append((res, b0, exact, v, exact.root(b0, v)))
+    return out
+
+
+def test_hsvi_root_bounds_bracket_the_observation_mdp(bench_exact):
+    assert len(bench_exact) == 6
+    for res, b0, _exact, _v, root in bench_exact:
         lo, hi = res.bounds.lower.value(b0), res.bounds.upper.value(b0)
         tol = 1e-9 * abs(root)
         assert lo - tol <= root <= hi + tol
+
+
+def test_bounds_hold_at_every_posterior(bench_exact):
+    # the belief after any observation o is row o of the posterior table,
+    # where the exact POMDP value is the observation MDP's value v(o)
+    for res, _b0, exact, v, _root in bench_exact:
+        tol = 1e-9 * np.abs(v).max()
+        assert (res.bounds.upper.value_many(exact.post) >= v - tol).all()
+        assert (res.bounds.lower.scores(exact.post) <= v[:, None] + tol).all()
 
 
 def test_executed_selection_policy_against_the_joint_optimum(bench_solves):

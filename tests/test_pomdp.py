@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from oracles import (dense_mdp_value, dense_policy_value, pair_policy_alphas,
-                     reference_backup, reference_initial_bounds,
-                     reference_propagate, reference_successor_posts)
-from test_acceptance import SPARSE_Z_MEMBER, ZOO_DIMS, _zoo_pomdp
+from oracles import (DEFAULT_PRUNE_MARGIN, ObservationMdp, OracleScaleError,
+                     dense_fib_q, dense_fib_sweep, dense_mdp_value,
+                     dense_policy_value, exact_value_iteration,
+                     pair_policy_alphas, reference_backup,
+                     reference_initial_bounds, reference_propagate,
+                     reference_successor_posts, root_seeds_off)
+from test_acceptance import (SPARSE_Z_MEMBER, ZOO_DIMS, ZOO_HORIZON,
+                             ZOO_PRUNE_MARGIN, _zoo_pomdp, zoo_exact)
 
 from swiptctl.pomdp import (AlphaVector, BoundPair, ImpossibleObservationError,
-                            LowerBound, OracleScaleError, PomdpModel,
-                            UpperBound, backup, exact_value_iteration,
+                            LowerBound, PomdpModel, UpperBound, backup,
                             excess_uncertainty, initial_bounds,
                             observation_prob, q_values, solve_hsvi,
                             update_belief)
@@ -57,6 +60,27 @@ def positive_chain_model(discount=0.9):
     m = chain_model(discount)
     return PomdpModel(transitions=m.transitions, observations=m.observations,
                       cost=m.cost - 3.0, discount=discount)
+
+
+SMALL_MODELS = {"tiger": tiger_model, "chain": chain_model,
+                "hidden-pair": hidden_pair_model,
+                "positive-chain": positive_chain_model}
+# exact value iteration per small model: (horizon, prune margin)
+EXACT_RUNS = {"tiger": (30, 1e-5), "chain": (100, DEFAULT_PRUNE_MARGIN),
+              "hidden-pair": (80, DEFAULT_PRUNE_MARGIN),
+              "positive-chain": (100, DEFAULT_PRUNE_MARGIN)}
+
+
+@functools.cache
+def exact_solution(name):
+    """Exact value iteration on a small model, once per session, with its
+    error allowance: the truncation of the horizon plus the prune margin
+    of every step."""
+    m = SMALL_MODELS[name]()
+    horizon, margin = EXACT_RUNS[name]
+    delta = (m.discount ** horizon * np.abs(m.cost).max() + margin) \
+        / (1.0 - m.discount)
+    return exact_value_iteration(m, horizon, prune_margin=margin), delta
 
 
 def value_tol(v) -> float:
@@ -252,12 +276,17 @@ def tiger_case():
 
 
 @pytest.fixture(scope="module")
-def desk_jopt_model():
-    """The 1600-state desk j-opt model and its uniform initial belief."""
+def desk_compiled_small():
+    """The 1600-state desk scenario."""
+    return compile_scenario(desk_scenario(q_max=4, e_max=3))
+
+
+def jopt_model(compiled):
+    """A j-opt model of ``compiled`` (power weight 2, the full array's
+    circuit cost) and its uniform initial belief."""
     from swiptctl.control import (Multipliers, _make_model, build_cost_table,
                                   uniform_initial_belief)
     from swiptctl.harness import default_constraints
-    compiled = compile_scenario(desk_scenario(q_max=4, e_max=3))
     cfg = compiled.config
     n = compiled.space.n_users
     nu = Multipliers(nu={"p_up": np.full(n, 2.0), "p_down": np.full(n, 2.0)},
@@ -271,13 +300,20 @@ def desk_jopt_model():
 
 
 @pytest.fixture(scope="module")
+def desk_jopt_model(desk_compiled_small):
+    """The 1600-state desk j-opt model and its uniform initial belief."""
+    return jopt_model(desk_compiled_small)
+
+
+@pytest.fixture(scope="module")
 def desk_jopt_case(desk_jopt_model):
     """Upper bound of a 3-iteration j-opt solve on the 1600-state desk
-    model, with posteriors, point beliefs and corner beliefs to test. At
-    eps 5 the seeded bounds certify the root, so eps 0.5 makes it
-    explore."""
+    model, with posteriors, point beliefs and corner beliefs to test. The
+    root seeds certify the root at any eps, so the solve starts without
+    them and explores."""
     model, b0 = desk_jopt_model
-    upper = solve_hsvi(model, b0, eps=0.5, max_iterations=3).bounds.upper
+    with root_seeds_off():
+        upper = solve_hsvi(model, b0, eps=0.5, max_iterations=3).bounds.upper
     assert model.n_states == 1600 and len(upper.points) >= 3
     points = np.array([p[0] for p in upper.points])
     wide = next(p for p in upper.points if p[2].size > 1)
@@ -355,14 +391,11 @@ class TestSawtoothAgainstPerPointLoop:
         assert removed >= len(points) // 2
 
 
-@pytest.fixture(params=["tiger", "chain", "hidden-pair", "positive-chain",
-                        "desk-jopt"])
+@pytest.fixture(params=list(SMALL_MODELS) + ["desk-jopt"])
 def bound_model(request, desk_jopt_model):
     if request.param == "desk-jopt":
         return desk_jopt_model[0]
-    return {"tiger": tiger_model, "chain": chain_model,
-            "hidden-pair": hidden_pair_model,
-            "positive-chain": positive_chain_model}[request.param]()
+    return SMALL_MODELS[request.param]()
 
 
 class TestInitialBounds:
@@ -411,18 +444,18 @@ def qmdp_policy_alphas(m):
     return pi, np.array([a.values for a in alphas])
 
 
-@pytest.fixture(params=["tiger", "chain", "hidden-pair", "positive-chain",
-                        "desk-jopt"] + [f"zoo-{i}" for i in
-                                        range(len(ZOO_DIMS))])
+SEED_MODELS = list(SMALL_MODELS) + ["desk-jopt"] + [
+    f"zoo-{i}" for i in range(len(ZOO_DIMS))]
+
+
+@pytest.fixture(params=SEED_MODELS)
 def seed_model(request, desk_jopt_model):
     """Every ``bound_model`` and every zoo member."""
     if request.param.startswith("zoo-"):
         return _zoo_pomdp(int(request.param[4:]))
     if request.param == "desk-jopt":
         return desk_jopt_model[0]
-    return {"tiger": tiger_model, "chain": chain_model,
-            "hidden-pair": hidden_pair_model,
-            "positive-chain": positive_chain_model}[request.param]()
+    return SMALL_MODELS[request.param]()
 
 
 class TestPolicyAlphas:
@@ -470,6 +503,160 @@ class TestPolicyAlphas:
         # so the solve certifies at the root and explores nothing
         res = solve_hsvi(m, b0, eps=5.0)
         assert res.converged and res.iterations == 0 and res.log == []
+
+
+def fib_seed(m):
+    """The solver's fast informed bound Q-table, started as
+    ``initial_bounds`` starts it: at the QMDP observation policy and its
+    certified alphas."""
+    _corners, q = solver._mdp_corners(m, solver._blind_alphas(m))
+    pi = solver._observation_policy(m, q)
+    alphas = np.array([a.values for a in solver._policy_alphas(m, pi, q)]).T
+    return solver._fib_q(m, pi, alphas)
+
+
+@pytest.fixture(params=SEED_MODELS)
+def fib_case(request, desk_jopt_model, desk_compiled_small):
+    """A seed model, its uniform root belief, and the exact POMDP value at
+    every corner belief and at the root, with an error allowance."""
+    name = request.param
+    if name == "desk-jopt":
+        m, b0 = desk_jopt_model
+        exact = ObservationMdp(desk_compiled_small, m)
+        v = exact.solve()[0]
+        corners, root = exact.corner_values(v), exact.root(b0, v)
+        return m, b0, corners, root, 1e-9 * np.abs(corners).max()
+    if name.startswith("zoo-"):
+        i = int(name[4:])
+        m, sol = _zoo_pomdp(i), zoo_exact(i)[0]
+        delta = (m.discount ** ZOO_HORIZON * np.abs(m.cost).max()
+                 + ZOO_PRUNE_MARGIN) / (1.0 - m.discount)
+    else:
+        m = SMALL_MODELS[name]()
+        sol, delta = exact_solution(name)
+    b0 = np.full(m.n_states, 1.0 / m.n_states)
+    return m, b0, sol.alphas.max(axis=0), sol.value(b0), delta
+
+
+@functools.cache
+def desk_tiny_model():
+    """An 8-state desk j-opt model (1 user, q_max = e_max = 1)."""
+    return jopt_model(compile_scenario(desk_scenario(k=1, q_max=1,
+                                                     e_max=1)))[0]
+
+
+def dense_sized_model(name):
+    """A model small enough for the dense FIB operator: a small model, the
+    8-state desk model or a zoo member."""
+    if name.startswith("zoo-"):
+        return _zoo_pomdp(int(name[4:]))
+    return desk_tiny_model() if name == "desk-tiny" else SMALL_MODELS[name]()
+
+
+DENSE_MODELS = list(SMALL_MODELS) + ["desk-tiny"] + [
+    f"zoo-{i}" for i in range(len(ZOO_DIMS))]
+
+
+def keep_zero(a, obs):
+    """A previous choice of action 0 at every entry."""
+    return np.zeros(obs.size, dtype=np.intp)
+
+
+class TestFibUpper:
+    """The fast informed bound (FIB) that seeds the upper bound, against the
+    exact POMDP value and the dense FIB operator."""
+
+    def test_between_the_exact_value_and_the_mdp_corners(self, fib_case):
+        m, b0, exact_corners, exact_root, delta = fib_case
+        fib = fib_seed(m)
+        mdp = solver._mdp_corners(m, solver._blind_alphas(m))[0]
+        corners = fib.max(axis=1)
+        assert (corners <= mdp + value_tol(mdp)).all()
+        assert (corners >= exact_corners - delta).all()
+        assert (b0 @ fib).max() >= exact_root - delta
+
+    def test_certificate_alone_keeps_the_seed_valid(self, fib_case,
+                                                    monkeypatch):
+        m, b0, exact_corners, exact_root, delta = fib_case
+        monkeypatch.setattr(solver, "bicgstab",
+                            functools.partial(solver.bicgstab, maxiter=1))
+        # the start, the policy alphas, is loose too: one Krylov step
+        fib = fib_seed(m)
+        assert (fib.max(axis=1) >= exact_corners - delta).all()
+        assert (b0 @ fib).max() >= exact_root - delta
+
+    @pytest.mark.parametrize("name", DENSE_MODELS)
+    def test_policy_iteration_reaches_the_dense_fixed_point(self, name):
+        m = dense_sized_model(name)
+        want, margin = dense_fib_q(m)
+        got = fib_seed(m)
+        tol = value_tol(want)
+        # above the fixed point, and at it up to the certificate's shift
+        assert (got >= want - margin - tol).all()
+        assert (got <= want + 1e3 * tol).all()
+
+    @pytest.mark.parametrize("name", DENSE_MODELS)
+    def test_sweep_matches_the_dense_operator(self, name):
+        m = dense_sized_model(name)
+        rng = np.random.default_rng(0)
+        shape = (m.n_states, m.n_actions)
+        # integer tables make zero and cancelling sums over s', which the
+        # sparse products would drop without the constant shift
+        tables = [np.zeros(shape), m.reward / (1.0 - m.discount)] + [
+            rng.integers(-1, 2, size=shape).astype(float) for _ in range(3)]
+        for q in tables:
+            got = solver._fib_sweep(m, q, keep_zero)[0]
+            np.testing.assert_allclose(got, dense_fib_sweep(m, q), rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(q).max(),
+                                                        np.abs(m.cost).max()))
+
+    @pytest.mark.parametrize("name", DENSE_MODELS)
+    def test_fixed_choice_step_matches_a_dense_loop(self, name):
+        m = dense_sized_model(name)
+        n, n_a = m.n_states, m.n_actions
+        _hq, patterns, _choice, _moved = solver._fib_sweep(
+            m, np.zeros((n, n_a)), keep_zero)
+        rng = np.random.default_rng(1)
+        choice = [rng.integers(n_a, size=indices.size)
+                  for _indptr, indices in patterns]
+        step = solver._fixed_choice_step(m, patterns, choice)
+        x = rng.standard_normal((n_a, n))
+        want = np.zeros((n_a, n))
+        for a, ((indptr, indices), pick) in enumerate(zip(patterns, choice)):
+            t, z = m.transitions[a].toarray(), m.observations[a].toarray()
+            for s in range(n):
+                for i in range(indptr[s], indptr[s + 1]):
+                    want[a, s] += t[s] @ (z[:, indices[i]] * x[pick[i]])
+        np.testing.assert_allclose(step(x.ravel()), want.ravel(), rtol=0,
+                                   atol=1e-13 * np.abs(x).max())
+        # every (s, o) that T_a Z_a reaches is in the pattern
+        np.testing.assert_allclose(step(np.ones(n_a * n)), 1.0, rtol=0,
+                                   atol=1e-13)
+
+    def test_seeded_only_above_eps(self, desk_jopt_model, monkeypatch):
+        m, b0 = desk_jopt_model
+        calls = []
+        fib_q = solver._fib_q
+
+        def counting(*args):
+            calls.append(args)
+            return fib_q(*args)
+
+        monkeypatch.setattr(solver, "_fib_q", counting)
+        mdp = initial_bounds(m).upper.corner
+        # the policy alphas leave a root gap above 0.5, at most 5
+        lower_seeded = initial_bounds(m, b0, 5.0)
+        assert not calls and not lower_seeded.upper.points
+        assert np.array_equal(lower_seeded.upper.corner, mdp)
+        assert 0.5 < lower_seeded.gap(b0) <= 5.0
+        seeded = initial_bounds(m, b0, 0.5)
+        assert len(calls) == 1
+        assert (seeded.upper.corner <= mdp + value_tol(mdp)).all()
+        assert (seeded.upper.corner < mdp - 1.0).any()
+        # the bound is exact at this root, so the solve certifies there
+        assert seeded.gap(b0) <= 1e-9 * abs(seeded.lower.value(b0))
+        res = solve_hsvi(m, b0, eps=0.5)
+        assert res.converged and res.iterations == 0 and len(calls) == 2
 
 
 class TestSolverPieces:
@@ -673,7 +860,8 @@ class TestHsvi:
     def test_matches_exact_oracle(self):
         m = tiger_model(discount=0.6)
         b0 = np.array([0.5, 0.5])
-        sol = exact_value_iteration(m, 30, prune_margin=1e-5)
+        # horizon 30, prune margin 1e-5
+        sol = exact_solution("tiger")[0]
         res = solve_hsvi(m, b0, eps=2e-4, max_iterations=300)
         assert res.converged
         assert abs(res.root_value - sol.value(b0)) < 1e-3
