@@ -78,12 +78,13 @@ class _UnconvergedWarnings:
 def cmd_validate(args) -> int:
     cfg = _load_config(args.config)
     compiled = compile_scenario(cfg)
-    # the kernel's rows were checked when it was built
+    # the kernel is built on first read, and the build checks its rows
+    n_actions = len(compiled.kernel.matrices)
     z = np.asarray(compiled.obs_matrix.sum(axis=1)).ravel()
     if not np.allclose(z, 1.0, atol=1e-9):
         raise ConfigError("observation rows do not sum to 1")
     print(f"ok {compiled.scenario_hash}: {compiled.space.size} states, "
-          f"{compiled.n_actions} actions")
+          f"{n_actions} actions")
     return EXIT_OK
 
 
@@ -91,10 +92,8 @@ def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
     compiled = compile_scenario(cfg)
     sink: list = []
-    kw = _hsvi_kw(args)
-    if args.kind != "p-opt":
-        kw["log_sink"] = sink
-    policy = baseline_policy(args.kind, compiled, eps=args.eps, **kw)
+    policy = baseline_policy(args.kind, compiled, eps=args.eps,
+                             log_sink=sink, **_hsvi_kw(args))
     _write_output(args.out, compiled.scenario_hash, policy.to_json())
     if args.log:
         lines = []
@@ -115,7 +114,6 @@ def cmd_evaluate(args) -> int:
     cfg = _load_config(args.config)
     compiled = compile_scenario(cfg)
     policy = Policy.from_json(_read_body(args.policy))
-    policy.check_hash(compiled)
     run = monte_carlo(policy, compiled, episodes=args.episodes,
                       horizon=args.horizon, base_seed=args.seed)
     body = json.dumps({

@@ -227,7 +227,6 @@ def user_action_table(space: StateSpace,
 class TransitionKernel:
     """Row-stochastic controlled kernel, one CSR matrix per action."""
 
-    space: StateSpace
     matrices: list = field(default_factory=list)  # csr_matrix per action
 
     def __post_init__(self):
@@ -284,7 +283,7 @@ def build_kernel(space: StateSpace, arrivals: ArrivalModel, level: LevelModel,
                                              shape=(space.per_user, n_qe)),
                            levels, format="coo")
 
-    return TransitionKernel(space=space, matrices=[
+    return TransitionKernel(matrices=[
         _kron_users([factor(u, a) for u in range(space.n_users)], "csr")
         for a in range(len(actions))])
 
@@ -299,13 +298,15 @@ def level_map_matrix(space: StateSpace, block, fmt: str):
     return _kron_users([per_user] * space.n_users, fmt)
 
 
-def build_observation_matrix(space: StateSpace, level: LevelModel) -> sparse.csc_matrix:
-    """Pr(O | S') with queue and energy observed exactly and the channel
-    level read through the estimation confusion matrix.
+def build_observation_matrix(space: StateSpace,
+                             level: LevelModel) -> sparse.csr_matrix:
+    """Pr(O | S') as a CSR matrix (the format ``PomdpModel`` reads, so every
+    action can share it), with queue and energy observed exactly and the
+    channel level read through the estimation confusion matrix.
 
     Observations share the state enumeration (the level digit indexes the
     observed level). Action-independent. The Kronecker product of per-user
     ``I_{(q, e)} ⊗ confusion`` (zeros dropped), bit-identical to the product
     form per joint state.
     """
-    return level_map_matrix(space, level.obs_confusion, "csc")
+    return level_map_matrix(space, level.obs_confusion, "csr")

@@ -3,8 +3,8 @@
 A scenario couples the physical link parameters (array sizes, bandwidth,
 powers, splitting ratio) with the slotted bookkeeping (queues, energy units,
 arrivals). Compilation runs a seeded Monte Carlo calibration of the link
-layer to produce per-level service/harvest tables, then assembles the
-factorized transition kernel and the observation matrix.
+layer to produce per-level service/harvest tables; the factorized transition
+kernel and the observation matrix are built from them on first use.
 
 Full-array dimensions are used for the link statistics; the solver-facing
 state space is kept at desk scale (small queue/energy/level counts).
@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,16 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # counts shape arrays and seed streams: a float or a bool fails there
+        counts = [(name, getattr(self, name)) for name in (
+            "n_r", "n_t", "k", "n_u", "q_max", "e_max", "n_levels",
+            "calib_draws", "seed")]
+        counts += [("mask size", sz) for sz in self.mask_sizes]
+        for name, v in counts:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.duplex not in ("fd", "hd"):
             raise ConfigError(f"unknown duplex mode {self.duplex!r}")
         positive = {
@@ -107,6 +118,10 @@ class ScenarioConfig:
     def dims(self) -> Dims:
         return Dims(n_r=self.n_r, n_t=self.n_t, n_u=self.n_u, k=self.k)
 
+    def state_space(self) -> StateSpace:
+        return StateSpace(n_users=self.k, q_max=self.q_max, e_max=self.e_max,
+                          n_levels=self.n_levels)
+
     @property
     def lam_slot(self) -> float:
         """Mean packet arrivals per slot."""
@@ -134,10 +149,11 @@ class ScenarioConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("power_levels_up", "power_levels_down", "mask_sizes"):
-            if key in d:
-                d[key] = tuple(d[key])
         try:
+            for key in ("power_levels_up", "power_levels_down",
+                        "mask_sizes"):
+                if key in d:
+                    d[key] = tuple(d[key])
             return cls(**d)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
@@ -295,22 +311,41 @@ def calibrate(cfg: ScenarioConfig) -> tuple:
 # compiled scenario
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CompiledScenario:
-    """Everything the solver and the rollout harness consume."""
+    """A configuration and what its calibration measured; everything the
+    solver and the rollout harness consume derives from these three.
+
+    The kernel and the observation matrix are built on first read, so a
+    path that never reads them (a rollout, p-opt) builds neither, and a
+    copy with another action table (``dataclasses.replace``) builds its
+    own kernel from that table."""
 
     config: ScenarioConfig
-    space: StateSpace
-    arrivals: ArrivalModel
     level: LevelModel
     actions: ActionTable
-    kernel: TransitionKernel
-    obs_matrix: object            # sparse, Pr(O | S'), action-independent
-    scenario_hash: str = ""
 
-    def __post_init__(self):
-        if not self.scenario_hash:
-            self.scenario_hash = self.config.scenario_hash()
+    @cached_property
+    def space(self) -> StateSpace:
+        return self.config.state_space()
+
+    @cached_property
+    def arrivals(self) -> ArrivalModel:
+        return ArrivalModel(self.config.lam_slot)
+
+    @cached_property
+    def scenario_hash(self) -> str:
+        return self.config.scenario_hash()
+
+    @cached_property
+    def kernel(self) -> TransitionKernel:
+        return build_kernel(self.space, self.arrivals, self.level,
+                            self.actions)
+
+    @cached_property
+    def obs_matrix(self):
+        """Pr(O | S'), CSR, action-independent."""
+        return build_observation_matrix(self.space, self.level)
 
     @property
     def n_actions(self) -> int:
@@ -318,18 +353,11 @@ class CompiledScenario:
 
 
 def compile_scenario(cfg: ScenarioConfig) -> CompiledScenario:
-    """Calibrate, then build the kernel and the observation matrix; a state
-    space above ``dynamics.MAX_STATES`` fails before the calibration runs."""
-    space = StateSpace(n_users=cfg.k, q_max=cfg.q_max, e_max=cfg.e_max,
-                       n_levels=cfg.n_levels)
-    check_state_budget(space)
-    level, actions = calibrate(cfg)
-    arrivals = ArrivalModel(cfg.lam_slot)
-    kernel = build_kernel(space, arrivals, level, actions)
-    z = build_observation_matrix(space, level)
-    return CompiledScenario(config=cfg, space=space, arrivals=arrivals,
-                            level=level, actions=actions, kernel=kernel,
-                            obs_matrix=z)
+    """Calibrate; a state space above ``dynamics.MAX_STATES`` fails before
+    the calibration runs (the cost table and p-opt allocate joint-size
+    arrays too, not only the kernel)."""
+    check_state_budget(cfg.state_space())
+    return CompiledScenario(cfg, *calibrate(cfg))
 
 
 def with_budget(cfg: ScenarioConfig, budget_w: float) -> ScenarioConfig:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, headers, determinism."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -42,6 +43,20 @@ def test_unpaired_power_grids_exit_2(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert run("validate", "--config", str(path)) == 2
     assert "equal length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("k", 2.0), ("q_max", 4.5), ("n_levels", 2.0), ("calib_draws", 10.5),
+    ("mask_sizes", [8.0]), ("mask_sizes", 8), ("k", True), ("seed", -1),
+    ("seed", 2 ** 64),
+])
+def test_config_with_a_bad_count_exits_2(tmp_path, capsys, key, value):
+    cfg = json.loads(desk_scenario().to_json())
+    cfg[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert run("validate", "--config", str(path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -91,6 +106,32 @@ def test_evaluate_refuses_foreign_policy(cfg_file, tmp_path, capsys):
                "--horizon", "10") == 2
     assert "hash" in capsys.readouterr().err
     assert not res.exists()
+
+
+def test_kernel_and_observations_are_built_by_their_readers(
+        cfg_file, tmp_path, monkeypatch):
+    # evaluate rolls out from the action table alone; validate audits the
+    # kernel and a solve reads both, each built once
+    import swiptctl.scenario as scenario
+    builds = Counter()
+    for name in ("build_kernel", "build_observation_matrix"):
+        def counted(*args, real=getattr(scenario, name), name=name):
+            builds[name] += 1
+            return real(*args)
+        monkeypatch.setattr(scenario, name, counted)
+
+    def builds_of(*argv):
+        builds.clear()
+        assert run(*argv) == 0
+        return builds["build_kernel"], builds["build_observation_matrix"]
+
+    pol = str(tmp_path / "pol.json")
+    assert builds_of("validate", "--config", cfg_file) == (1, 1)
+    assert builds_of("solve", "--config", cfg_file, "--kind", "j-opt",
+                     "--out", pol, "--max-iterations", "2") == (1, 1)
+    assert builds_of("evaluate", "--config", cfg_file, "--policy", pol,
+                     "--out", str(tmp_path / "res.json"), "--episodes", "2",
+                     "--horizon", "10") == (0, 0)
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ from swiptctl.control import (FAMILIES, ConstraintSpec, HashMismatchError,
                               constraint_violations, greedy_policy,
                               solve_inner_beamforming, solve_outer_selection,
                               uniform_initial_belief, update_multipliers)
-from swiptctl.dynamics import ActionTable
+from swiptctl.dynamics import ActionTable, build_kernel
 from swiptctl.harness import (SWEEP_HSVI_KW, SolveReport, baseline_policy,
                               default_constraints, full_solve)
 from swiptctl.pomdp import PomdpModel, initial_bounds, solve_hsvi
@@ -37,6 +37,22 @@ def hand_actions():
 def hand_spec():
     return ConstraintSpec(p_max_up=0.05, p_max_down=0.5, tau_up=100.0,
                           r_min_up=0.5, r_min_down=1.0)
+
+
+@pytest.mark.parametrize("case", ["unpayable", "hand-actions"])
+def test_replaced_action_table_brings_its_own_kernel(case, desk_compiled,
+                                                     unpayable):
+    compiled = (unpayable[1] if case == "unpayable"
+                else replace(desk_compiled, actions=hand_actions()))
+    want = build_kernel(compiled.space, compiled.arrivals, compiled.level,
+                        compiled.actions)
+
+    def arrays(kernel):
+        return [[(a.dtype, a.tolist()) for a in (m.data, m.indices, m.indptr)]
+                for m in kernel.matrices]
+
+    assert arrays(compiled.kernel) == arrays(want)
+    assert arrays(compiled.kernel) != arrays(desk_compiled.kernel)
 
 
 # ---------------------------------------------------------------------------

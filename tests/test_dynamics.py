@@ -13,7 +13,8 @@ from swiptctl.dynamics import (ActionTable, ArrivalModel, LevelModel,
                                StateSpace, StateSpaceBudgetError,
                                TransitionKernel, arrival_pmf, build_kernel,
                                build_observation_matrix, default_arrival_cap,
-                               user_action_table)
+                               level_map_matrix, user_action_table)
+from swiptctl.scenario import compile_scenario, desk_scenario
 
 
 class TestRecursions:
@@ -169,7 +170,7 @@ def enumerated_observations(space, level):
             rows.append(idx)
             cols.append(space.encode(tuple(c[0] for c in combo)))
             vals.append(p)
-    m = sparse.csc_matrix((vals, (rows, cols)), shape=(space.size, space.size))
+    m = sparse.csr_matrix((vals, (rows, cols)), shape=(space.size, space.size))
     m.sum_duplicates()
     return m
 
@@ -252,12 +253,11 @@ class TestKernel:
     ], ids=["row-off-by-2e-10", "negative-entry"])
     def test_refuses_a_matrix_that_is_not_stochastic(self, entries,
                                                      message):
-        sp = StateSpace(n_users=1, q_max=0, e_max=0, n_levels=2)
         good = sparse.csr_matrix(np.full((2, 2), 0.5))
         bad = sparse.csr_matrix(np.array([entries, [0.5, 0.5]]))
-        TransitionKernel(space=sp, matrices=[good])
+        TransitionKernel(matrices=[good])
         with pytest.raises(ValueError, match=message):
-            TransitionKernel(space=sp, matrices=[good, bad])
+            TransitionKernel(matrices=[good, bad])
 
 
 @pytest.fixture(params=["unpayable", "three-users"])
@@ -328,11 +328,26 @@ class TestObservations:
         assert (z.data > 0).all()
         assert_same_arrays(z, enumerated_observations(sp, level))
 
+    @pytest.mark.parametrize("fixture", ["desk_1600", "three_user_compiled"])
+    def test_csr_equals_the_converted_csc_product(self, fixture, request):
+        # the CSC build that PomdpModel converted per action, so that the
+        # solves read the same arrays
+        compiled = request.getfixturevalue(fixture)
+        space, level = compiled.space, compiled.level
+        z = build_observation_matrix(space, level)
+        assert_same_arrays(z, level_map_matrix(space, level.obs_confusion,
+                                               "csc").tocsr())
+
     def test_identity_confusion_is_identity(self):
         sp = StateSpace(n_users=1, q_max=2, e_max=1, n_levels=2)
         level = LevelModel(probs=np.array([0.5, 0.5]), obs_confusion=np.eye(2))
         z = build_observation_matrix(sp, level)
         np.testing.assert_array_equal(z.toarray(), np.eye(sp.size))
+
+
+@pytest.fixture(scope="module")
+def desk_1600():
+    return compile_scenario(desk_scenario(q_max=4, e_max=3))
 
 
 class TestLevelModel:
