@@ -2,11 +2,11 @@
 
 Subpackages / modules:
 
-* ``channel``   -- imperfect-CSI MIMO physical layer (ZF, SINR, harvesting,
-  closed-form SINR densities)
-* ``dynamics``  -- data-queue / energy-buffer recursions and the controlled
-  transition kernel
-* ``pomdp``     -- finite POMDP machinery (beliefs, bound pairs, HSVI)
+* ``channel``   -- imperfect-CSI MIMO physical layer (channel draws, ZF
+  uplink and MRT downlink SINR, harvesting, rates)
+* ``dynamics``  -- Poisson arrivals, the per-user queue / energy-buffer
+  action table and the controlled transition kernel
+* ``pomdp``     -- finite POMDP machinery (model, bound pairs, HSVI)
 * ``control``   -- Lagrangian stage costs, multiplier adaptation and the
   two-layer beamforming / antenna-selection solve
 * ``scenario``  -- scenario configuration and compilation into POMDP models

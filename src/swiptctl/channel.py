@@ -1,17 +1,17 @@
 """Imperfect-CSI MIMO physical layer.
 
 Channel draws tied by an uncertainty factor alpha, antenna selection,
-zero-forcing equalization, uplink/downlink SINR, power-splitting ID/EH
-branches, harvested energy and per-slot achievable rate, plus the
-closed-form SINR density evaluators used by the distribution checks.
+uplink/downlink SINR through zero forcing, harvested energy and per-slot
+achievable rate.
 
 The calibration uses the stacked forms: :func:`draw_channel_stack` and the
 power-independent link geometry of many draws at once
 (:func:`zf_noise_gains`, :func:`mrt_precoders`, :func:`link_gains`). The
-per-draw functions (:func:`draw_channel`, :func:`uplink_sinr`,
-:func:`downlink_sinr` and the equalizers) have no production caller; they
-are the reference that the stacked forms equal bit for bit. The
-closed-form densities are the sampler's goodness-of-fit oracles.
+per-draw functions (:func:`draw_channel`, :func:`uplink_sinr` and
+:func:`downlink_sinr`) have no production caller; they are the reference
+that the stacked forms equal bit for bit. The ZF equalizers, the power
+split and the closed-form SINR densities live with the tests, in
+``tests/oracles.py``.
 
 All randomness enters through explicit ``numpy.random.Generator`` handles;
 every function here is a pure function of its inputs.
@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 #: refuse ZF inversion above this 2-norm condition number
 COND_CAP = 1e8
@@ -31,10 +30,6 @@ COND_CAP = 1e8
 
 class ConditioningError(ValueError):
     """Stacked channel matrix is singular or too ill-conditioned for ZF."""
-
-
-class DegenerateParameterError(ValueError):
-    """Moment-matching chain hit a zero denominator."""
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +97,6 @@ class AntennaSelection:
         return np.ascontiguousarray(h[..., self.mask, :])
 
     @staticmethod
-    def all_on(n_r: int) -> "AntennaSelection":
-        return AntennaSelection(np.ones(n_r, dtype=bool))
-
-    @staticmethod
     def first(n_r: int, n_active: int) -> "AntennaSelection":
         mask = np.zeros(n_r, dtype=bool)
         mask[:n_active] = True
@@ -153,36 +144,6 @@ class SinrReport:
             d = np.asarray(self.downlink)
             if not np.all(np.isfinite(d)) or np.any(d < 0):
                 raise ValueError("SINR values must be finite and nonnegative")
-
-
-@dataclass(frozen=True)
-class BetaIIParams:
-    """Moment-matched matrix-variate Beta-II degrees of freedom and the
-    intermediates of the matching chain."""
-
-    eta_g: float
-    n_g: float
-    eta_q: float
-    n_q: float
-    eta_v: float
-    n_v: float
-    n1: float
-    n2: float
-
-    def __post_init__(self):
-        for name in ("eta_g", "n_g", "eta_q", "n_q", "eta_v", "n_v", "n1", "n2"):
-            if not getattr(self, name) > 0:
-                raise DegenerateParameterError(f"{name} must be positive")
-
-
-@dataclass(frozen=True)
-class SplitSignal:
-    """Power-split outcome at an SU receiver: rho goes to information
-    detection, 1 - rho to energy harvesting."""
-
-    id_power: float
-    eh_power: float
-    rho: float
 
 
 # ---------------------------------------------------------------------------
@@ -249,21 +210,6 @@ def draw_channel_stack(dims: Dims, alpha: float, rng: np.random.Generator,
 # zero forcing and SINR
 # ---------------------------------------------------------------------------
 
-def zf_equalizer(h_check: np.ndarray, d_k: int) -> np.ndarray:
-    """ZF receive filter [I_{d_k} 0] @ inv(h_check) for a square stacked channel.
-
-    Per-draw reference with no production caller."""
-    h_check = np.asarray(h_check)
-    if h_check.ndim != 2 or h_check.shape[0] != h_check.shape[1]:
-        raise ValueError("h_check must be square; use the stacked channel")
-    if d_k < 1 or d_k > h_check.shape[0]:
-        raise ValueError("invalid stream count")
-    _check_conditioning(h_check)
-    z = np.zeros((d_k, h_check.shape[0]), dtype=complex)
-    z[:, :d_k] = np.eye(d_k)
-    return z @ np.linalg.inv(h_check)
-
-
 def _check_conditioning(m: np.ndarray) -> None:
     """Raise :class:`ConditioningError` unless every matrix over the last two
     axes of ``m`` has a 2-norm condition number of at most ``COND_CAP``."""
@@ -294,23 +240,6 @@ def _stack_uplink(channels, sel: AntennaSelection, bf: BeamformerSet, k: int,
     if h_check.shape[1] > h_check.shape[0]:
         raise ValueError("ZF infeasible: more interference columns than active antennas")
     return h_check
-
-
-def uplink_equalizer(channels, sel: AntennaSelection, bf: BeamformerSet, k: int,
-                     si_column: np.ndarray | None = None) -> np.ndarray:
-    """ZF receive filter for user k's n_u desired streams.
-
-    Uses the square inverse when the stack is square, the left pseudo-inverse
-    otherwise; either way ``U @ h_check = [I 0]`` exactly. Per-draw
-    reference with no production caller.
-    """
-    h_check = _stack_uplink(channels, sel, bf, k, si_column)
-    n_u = channels[k].h_est.shape[1]
-    if h_check.shape[0] == h_check.shape[1]:
-        return zf_equalizer(h_check, n_u)
-    _check_conditioning(h_check)
-    gram_inv = np.linalg.inv(h_check.conj().T @ h_check)
-    return gram_inv[:n_u, :] @ h_check.conj().T
 
 
 def uplink_sinr(channels, sel: AntennaSelection, bf: BeamformerSet,
@@ -465,28 +394,16 @@ def zf_noise_gains(h_sel: np.ndarray, w_up: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# power splitting, harvesting, rate
+# harvesting, rate
 # ---------------------------------------------------------------------------
 
-def split_received(received_power: float, rho: float) -> SplitSignal:
-    """Split received power between the ID (rho) and EH (1 - rho) branches."""
-    if received_power < 0:
-        raise ValueError("received power must be nonnegative")
-    if not (0.0 < rho < 1.0):
-        raise ValueError("rho must lie in (0, 1)")
-    return SplitSignal(id_power=rho * received_power,
-                       eh_power=(1.0 - rho) * received_power, rho=rho)
-
-
 def harvested_energy(eh_power: float, efficiency: float, slot: float,
-                     delta_e: float, cap: int | None = None) -> int:
-    """Quantized harvested energy units: floor(eta * P_eh * slot / dE)."""
+                     delta_e: float, cap: int) -> int:
+    """Quantized harvested energy units: floor(eta * P_eh * slot / dE),
+    at most ``cap``."""
     if min(efficiency, slot, delta_e) <= 0 or eh_power < 0:
         raise ValueError("inputs must be positive (eh_power nonnegative)")
-    units = int(math.floor(efficiency * eh_power * slot / delta_e))
-    if cap is not None:
-        units = min(units, cap)
-    return units
+    return min(int(math.floor(efficiency * eh_power * slot / delta_e)), cap)
 
 
 def achievable_rate(sinr: float, bandwidth: float, slot: float,
@@ -495,122 +412,3 @@ def achievable_rate(sinr: float, bandwidth: float, slot: float,
     if sinr < 0:
         raise ValueError("SINR must be nonnegative")
     return int(math.floor(bandwidth * slot * math.log2(1.0 + sinr) / packet_bits))
-
-
-# ---------------------------------------------------------------------------
-# closed-form SINR densities
-# ---------------------------------------------------------------------------
-
-def beta2_moment_match(n_t: int, k: int, alpha: float, power_ratio: float,
-                       sigma_d0: float) -> BetaIIParams:
-    """Moment-matching chain producing the Beta-II degrees of freedom.
-
-    ``power_ratio`` is p_u / p_d before the (1 - alpha^2) normalization;
-    ``sigma_d0`` is the combined normalized noise constant. A goodness-of-fit
-    oracle for the sampler, with no production caller.
-    """
-    if n_t <= 0 or k <= 0 or sigma_d0 <= 0 or power_ratio < 0:
-        raise ValueError("inputs must be positive")
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError("alpha must lie in [0, 1)")
-    r = power_ratio / (1.0 - alpha ** 2)
-    a = alpha ** 2 / (1.0 - alpha ** 2)
-
-    den_g = k * (1.0 + r) - 1.0
-    if den_g == 0:
-        raise DegenerateParameterError("eta_g denominator K(1+r)-1 vanished")
-    eta_g = (k * (1.0 + r ** 2) - 1.0) / den_g
-    den_ng = r ** 2 * k + k - 1.0
-    if den_ng == 0:
-        raise DegenerateParameterError("N_g denominator vanished")
-    n_g = 2.0 * n_t * (r * k + k - 1.0) ** 2 / den_ng
-
-    den_q = n_g * eta_g + 2.0 * n_t * k * a
-    if den_q == 0:
-        raise DegenerateParameterError("eta_q denominator vanished")
-    eta_q = (n_g * eta_g ** 2 + 2.0 * n_t * k * a ** 2) / den_q
-    den_nq = 2.0 * n_t * k * a ** 2 + n_g * eta_g ** 2
-    if den_nq == 0:
-        raise DegenerateParameterError("N_q denominator vanished")
-    n_q = (2.0 * n_t * k * a + n_g * eta_g) ** 2 / den_nq
-
-    eta_v = eta_q * n_q / (n_q + sigma_d0)
-    n_v = n_q / 2.0 + sigma_d0 * (2.0 * n_q + sigma_d0) / (2.0 * n_q)
-
-    den_1 = eta_v * (n_t + n_v - 1.0)
-    if den_1 == 0:
-        raise DegenerateParameterError("N1 denominator vanished")
-    n1 = n_t * (n_t + (n_v - 2.0) * eta_v + 1.0) / den_1
-    n2 = (n_v * (n_t - 3.0 * eta_v + 2.0) + n_v ** 2 * eta_v
-          + 2.0 * (eta_v - 1.0)) / (n_t + n_v - 1.0)
-    return BetaIIParams(eta_g=eta_g, n_g=n_g, eta_q=eta_q, n_q=n_q,
-                        eta_v=eta_v, n_v=n_v, n1=n1, n2=n2)
-
-
-def _multigammaln(x: float, d: int) -> float:
-    return float(special.multigammaln(x, d))
-
-
-def beta2_pdf(gamma, params: BetaIIParams, n_u: int = 1) -> float:
-    """Matrix-variate Beta-II density (scalar Beta-prime for n_u = 1).
-
-    det(G)^{(2 N1 - n_u - 1)/2} det(I + G)^{-(N1+N2)} / beta(N1, N2) with the
-    multivariate-Gamma normalizer. A goodness-of-fit oracle for the
-    sampler, with no production caller.
-    """
-    n1, n2 = params.n1, params.n2
-    log_beta = _multigammaln(n1, n_u) + _multigammaln(n2, n_u) \
-        - _multigammaln(n1 + n2, n_u)
-    if n_u == 1:
-        g = float(gamma)
-        if g <= 0:
-            raise ValueError("gamma must be positive")
-        logp = (n1 - 1.0) * math.log(g) - (n1 + n2) * math.log1p(g) - log_beta
-        return math.exp(logp)
-    g = np.asarray(gamma)
-    sign, logdet_g = np.linalg.slogdet(g)
-    if sign <= 0:
-        raise ValueError("gamma must be positive definite")
-    _, logdet_ig = np.linalg.slogdet(np.eye(n_u) + g)
-    logp = (2.0 * n1 - n_u - 1.0) / 2.0 * logdet_g \
-        - (n1 + n2) * logdet_ig - log_beta
-    return math.exp(logp)
-
-
-def uplink_eta(dims: Dims, alpha: float, p_up: float, noise: float,
-               w_norm_sq: float = 1.0, d_k: int = 1,
-               err_power: float | None = None) -> float:
-    """Gamma-scale parameter for the ZF uplink SINR density.
-
-    Follows the Prop-style construction eta^2 = (1-a^2) p_u ||V w||^2 /
-    (d_k (a^2 P_err + sigma^2)) with an extra 1/2 reconciling the density's
-    real-Wishart normalization against unit-variance complex channel entries.
-    ``err_power`` defaults to the single-user trace term p_u ||w||^2.
-    A goodness-of-fit oracle for the sampler, with no production caller.
-    """
-    if err_power is None:
-        err_power = p_up * w_norm_sq
-    den = d_k * (alpha ** 2 * err_power + noise)
-    if den <= 0:
-        raise DegenerateParameterError("eta denominator vanished")
-    return math.sqrt((1.0 - alpha ** 2) * p_up * w_norm_sq / (2.0 * den))
-
-
-def uplink_sinr_pdf(gamma: float, eta: float, dims: Dims) -> float:
-    """ZF uplink SINR density for the scalar-stream (n_u = 1) marginal.
-
-    gamma^{(2 n_r - n_u - 1)/2} exp(-gamma / (2 eta^2)) over the
-    2^{n_r} Gamma(n_r) (eta^2)^{n_r} normalizer; a Gamma(n_r, 2 eta^2) law.
-    A goodness-of-fit oracle for the sampler, with no production caller.
-    """
-    if dims.n_u != 1:
-        raise NotImplementedError("density evaluator supports n_u = 1 only")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if eta <= 0:
-        raise DegenerateParameterError("eta must be positive")
-    n_r = dims.n_r
-    logp = (2 * n_r - dims.n_u - 1) / 2.0 * math.log(gamma) \
-        - gamma / (2.0 * eta ** 2) \
-        - n_r * math.log(2.0 * eta ** 2) - special.gammaln(n_r)
-    return math.exp(logp)

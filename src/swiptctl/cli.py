@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .control import HashMismatchError, Policy
-from .harness import (BASELINE_KINDS, CSV_COLUMNS, baseline_policy,
+from .harness import (ANTENNA_COLUMNS, BASELINE_KINDS, baseline_policy,
                       monte_carlo, rows_to_csv, sweep_antennas, sweep_power)
 from .scenario import ConfigError, ScenarioConfig, compile_scenario
 
@@ -155,19 +155,13 @@ def cmd_sweep_power(args) -> int:
 def cmd_sweep_antennas(args) -> int:
     cfg = _load_config(args.config)
     n_r_list = _int_list(args.n_r)
-    rows, results = sweep_antennas(cfg, n_r_list, episodes=args.episodes,
-                                   horizon=args.horizon, eps=args.eps,
-                                   seed=args.seed,
-                                   log_sink=_UnconvergedWarnings(),
-                                   **_hsvi_kw(args))
-    cols = CSV_COLUMNS + ("effective_power_w", "effective_power_ci")
-    lines = [",".join(cols)]
-    for row, run in zip(rows, results):
-        row = dict(row,
-                   effective_power_w=f"{run.effective_power_w:.6g}",
-                   effective_power_ci=f"{run.effective_power_ci:.6g}")
-        lines.append(",".join(row[c] for c in cols))
-    _write_output(args.out, cfg.scenario_hash(), "\n".join(lines))
+    rows, _results = sweep_antennas(cfg, n_r_list, episodes=args.episodes,
+                                    horizon=args.horizon, eps=args.eps,
+                                    seed=args.seed,
+                                    log_sink=_UnconvergedWarnings(),
+                                    **_hsvi_kw(args))
+    _write_output(args.out, cfg.scenario_hash(),
+                  rows_to_csv(rows, ANTENNA_COLUMNS))
     print(f"wrote {args.out}: {len(rows)} rows")
     return EXIT_OK
 

@@ -24,6 +24,7 @@ from scipy import sparse
 
 from .dynamics import level_map_matrix, user_action_table
 from .pomdp import PomdpModel, solve_hsvi
+from .pomdp.model import policy_rows
 from .scenario import CompiledScenario
 
 
@@ -232,14 +233,13 @@ def _make_model(compiled: CompiledScenario, cost_table: np.ndarray,
         discount=compiled.config.discount)
 
 
-def uniform_initial_belief(compiled: CompiledScenario,
-                           q0: int = 0, e0: int | None = None) -> np.ndarray:
+def uniform_initial_belief(compiled: CompiledScenario) -> np.ndarray:
     """Deterministic start (empty queue, full buffer) with levels drawn from
     the stationary level distribution."""
     space = compiled.space
-    e0 = space.e_max if e0 is None else e0
     q, e, lv = space.user_digits()
-    user = np.where((q == q0) & (e == e0), compiled.level.probs[lv], 0.0)
+    user = np.where((q == 0) & (e == space.e_max), compiled.level.probs[lv],
+                    0.0)
     return reduce(np.kron, [user] * space.n_users)
 
 
@@ -274,13 +274,8 @@ def solve_outer_selection(compiled: CompiledScenario, inner_policies: dict,
     mask_ids = sorted(inner_policies)
     states = np.arange(compiled.space.size)
     chosen = np.array([inner_policies[m].action_of for m in mask_ids])
-    outer_t = []
-    for acts in chosen:                  # state index == obs index proxy
-        used = np.unique(acts)
-        groups = [np.flatnonzero(acts == a) for a in used]
-        rows = sparse.vstack([compiled.kernel.matrices[a][g]
-                              for a, g in zip(used, groups)], format="csr")
-        outer_t.append(rows[np.argsort(np.concatenate(groups))])
+    # state index == obs index proxy
+    outer_t = [policy_rows(compiled.kernel.matrices, acts) for acts in chosen]
     model = PomdpModel(transitions=outer_t,
                        observations=[compiled.obs_matrix] * len(mask_ids),
                        cost=cost_table[states[:, None], chosen.T],

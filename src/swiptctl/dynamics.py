@@ -31,24 +31,7 @@ class StateSpaceBudgetError(ValueError):
 # arrivals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ArrivalModel:
-    """Truncated Poisson packet arrivals with per-slot mean ``lam``."""
-
-    lam: float
-    cap: int | None = None
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("arrival rate must be positive")
-
-    def resolved_cap(self) -> int:
-        if self.cap is not None:
-            return self.cap
-        return default_arrival_cap(self.lam)
-
-
-def default_arrival_cap(lam: float, tail: float = 1e-9) -> int:
+def arrival_cap(lam: float, tail: float = 1e-9) -> int:
     """Smallest n with P(A > n) < tail; ``pdtrc`` is the Poisson tail."""
     n = 0
     while special.pdtrc(n, lam) >= tail:
@@ -56,16 +39,18 @@ def default_arrival_cap(lam: float, tail: float = 1e-9) -> int:
     return n
 
 
-def arrival_pmf(model: ArrivalModel) -> np.ndarray:
-    """Truncated, renormalized Poisson pmf over {0, ..., cap}."""
-    cap = model.resolved_cap()
+def arrival_pmf(lam: float) -> np.ndarray:
+    """Poisson pmf with per-slot mean ``lam``, truncated at
+    :func:`arrival_cap` and renormalized."""
+    if not lam > 0:
+        raise ValueError("arrival rate must be positive")
+    cap = arrival_cap(lam)
     if cap == 0:
         return np.array([1.0])
     # the Poisson log-pmf as scipy.stats evaluates it, without importing
     # scipy.stats (most of the CLI's start-up time)
     k = np.arange(cap + 1)
-    pmf = np.exp(special.xlogy(k, model.lam) - special.gammaln(k + 1)
-                 - model.lam)
+    pmf = np.exp(special.xlogy(k, lam) - special.gammaln(k + 1) - lam)
     return pmf / pmf.sum()
 
 
@@ -93,28 +78,6 @@ class StateSpace:
     @property
     def size(self) -> int:
         return self.per_user ** self.n_users
-
-    def encode(self, users: tuple) -> int:
-        """Joint index of (q, e, level) triples; the tests' index reference."""
-        idx = 0
-        for (q, e, lv) in users:
-            idx = idx * self.per_user + ((q * (self.e_max + 1) + e) * self.n_levels + lv)
-        return idx
-
-    def decode(self, idx: int) -> tuple:
-        """(q, e, level) triples of a joint index; the tests' reference."""
-        out = []
-        for _ in range(self.n_users):
-            idx, rem = divmod(idx, self.per_user)
-            rem, lv = divmod(rem, self.n_levels)
-            q, e = divmod(rem, self.e_max + 1)
-            out.append((q, e, lv))
-        return tuple(reversed(out))
-
-    def states(self):
-        """Every (index, triples) pair; the tests' reference enumeration."""
-        for idx in range(self.size):
-            yield idx, self.decode(idx)
 
     def user_digits(self) -> tuple:
         """(q, e, level) integer arrays over one user's ``per_user`` states,
@@ -252,7 +215,7 @@ def _kron_users(factors, fmt: str):
                   factors).asformat(fmt)
 
 
-def build_kernel(space: StateSpace, arrivals: ArrivalModel, level: LevelModel,
+def build_kernel(space: StateSpace, pmf: np.ndarray, level: LevelModel,
                  actions: ActionTable) -> TransitionKernel:
     """Controlled kernel, per action the Kronecker product ``T_a^(1) ⊗ ...
     ⊗ T_a^(k)`` of per-user kernels.
@@ -261,9 +224,9 @@ def build_kernel(space: StateSpace, arrivals: ArrivalModel, level: LevelModel,
     l') with probability Pr(q') p(l'), read from :func:`user_action_table`;
     only reachable q' and levels with p(l') > 0 are stored. Bit-identical
     (CSR arrays) to multiplying the per-user probabilities of every joint
-    transition in user order."""
+    transition in user order. ``pmf`` is the arrival pmf over {0, ...,
+    cap}, as :func:`arrival_pmf` returns it."""
     check_state_budget(space)
-    pmf = arrival_pmf(arrivals)
     table = user_action_table(space, actions)
     n_qe = (space.q_max + 1) * (space.e_max + 1)
     q_next = np.minimum(table.q_post[..., None] + np.arange(pmf.size),

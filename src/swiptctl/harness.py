@@ -15,13 +15,14 @@ import numpy as np
 from .control import (ConstraintSpec, Multipliers, Policy, build_cost_table,
                       constraint_violations, solve_inner_beamforming,
                       solve_outer_selection, update_multipliers)
-from .dynamics import arrival_pmf, user_action_table
+from .dynamics import user_action_table
 from .scenario import (CompiledScenario, ScenarioConfig, compile_scenario,
                        with_budget)
 
 CSV_COLUMNS = ("scenario_hash", "policy", "budget_w", "delay_ms_mean",
                "delay_ms_ci", "p_up_w", "p_down_w", "rate_up", "rate_down",
                "episodes")
+ANTENNA_COLUMNS = CSV_COLUMNS + ("effective_power_w", "effective_power_ci")
 
 
 def episode_rng(base_seed: int, episode: int) -> np.random.Generator:
@@ -64,7 +65,7 @@ def run_episodes(policy: Policy, compiled: CompiledScenario, episodes: int,
                   for ep in range(episodes)])
     levels = _choice(compiled.level.probs, u[:, :, 0])
     obs_levels = _choice(compiled.level.obs_confusion[levels], u[:, :, 1])
-    arrived = _choice(arrival_pmf(compiled.arrivals), u[:, :, 2])
+    arrived = _choice(compiled.arrival_pmf, u[:, :, 2])
     place = space.per_user ** users[::-1]      # mixed-radix digit weights
     queues, energies, served, used, state = (np.empty(levels.shape, dtype=int)
                                              for _ in range(5))
@@ -165,6 +166,8 @@ def monte_carlo(policy: Policy, compiled: CompiledScenario, episodes: int,
 # ---------------------------------------------------------------------------
 
 BASELINE_KINDS = ("d-opt", "j-opt", "p-opt")
+# j-opt's multiplier on each user's transmit powers and on the circuit power
+J_POWER_WEIGHT = 2.0
 
 
 def solve_two_layer(compiled: CompiledScenario, nu: Multipliers,
@@ -251,7 +254,7 @@ def default_constraints(cfg: ScenarioConfig) -> ConstraintSpec:
 
 def baseline_policy(kind: str, compiled: CompiledScenario,
                     spec: ConstraintSpec | None = None, eps: float = 0.5,
-                    j_power_weight: float = 2.0, **hsvi_kw) -> Policy:
+                    **hsvi_kw) -> Policy:
     """Reference controllers.
 
     d-opt minimizes the delay proxy alone; j-opt adds fixed equal weights on
@@ -264,10 +267,10 @@ def baseline_policy(kind: str, compiled: CompiledScenario,
         return solve_two_layer(compiled, Multipliers.zeros(n_users), spec,
                                kind, eps, **hsvi_kw)
     if kind == "j-opt":
-        nu = Multipliers(nu={"p_up": np.full(n_users, j_power_weight),
-                             "p_down": np.full(n_users, j_power_weight)},
+        nu = Multipliers(nu={"p_up": np.full(n_users, J_POWER_WEIGHT),
+                             "p_down": np.full(n_users, J_POWER_WEIGHT)},
                          varrho=np.ones(n_users))
-        circuit = (j_power_weight * compiled.config.circuit_w_per_antenna
+        circuit = (J_POWER_WEIGHT * compiled.config.circuit_w_per_antenna
                    * compiled.actions.n_active)
         return solve_two_layer(compiled, nu, spec, kind, eps,
                                extra_action_cost=circuit, **hsvi_kw)
@@ -313,10 +316,10 @@ def _p_opt_policy(compiled: CompiledScenario, spec: ConstraintSpec) -> Policy:
 SWEEP_HSVI_KW = {"max_iterations": 8, "depth_cap": 25}
 
 
-def rows_to_csv(rows) -> str:
-    lines = [",".join(CSV_COLUMNS)]
+def rows_to_csv(rows, columns: tuple = CSV_COLUMNS) -> str:
+    lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(row[c] for c in CSV_COLUMNS))
+        lines.append(",".join(row[c] for c in columns))
     return "\n".join(lines) + "\n"
 
 
@@ -354,14 +357,16 @@ def sweep_power(cfg: ScenarioConfig, budgets, policies=("d-opt", "j-opt",
 
 def sweep_antennas(cfg: ScenarioConfig, n_r_list, episodes: int = 30,
                    horizon: int = 300, eps: float = 5.0, seed: int = 0,
-                   j_power_weight: float = 2.0, **hsvi_kw):
-    """Effective-power-versus-array-size table for selection on/off.
+                   **hsvi_kw):
+    """Effective power versus array size, with antenna selection on and
+    off: per array size n_r, one j-opt solve and rollout over a shortlist
+    of masks (``select-n<n_r>``) and one over the full array
+    (``full-n<n_r>``).
 
-    Effective power is average transmit power scaled by the active-antenna
-    fraction plus a per-active-antenna circuit cost; results carry CIs in
-    the delay columns' place semantics (rows keep the fixed CSV schema, the
-    effective power is reported through ``p_up_w``/``p_down_w`` aggregation
-    plus dedicated fields on the returned RunResults)."""
+    Effective power is the transmit power scaled by the active-antenna
+    fraction plus a circuit cost per active antenna. Returns the rows,
+    with the ``ANTENNA_COLUMNS`` (the ``budget_w`` column holds n_r), and
+    the RunResults they come from."""
     hsvi_kw = {**SWEEP_HSVI_KW, **hsvi_kw}
     rows = []
     results = []
@@ -381,12 +386,13 @@ def sweep_antennas(cfg: ScenarioConfig, n_r_list, episodes: int = 30,
             compiled = compile_scenario(sub)
             kind = f"{selection}-n{n_r}"
             policy = baseline_policy("j-opt", compiled, eps=eps,
-                                     j_power_weight=j_power_weight,
                                      log_prefix=f"{kind}: ", **hsvi_kw)
             policy.kind = kind
             run = monte_carlo(policy, compiled, episodes=episodes,
                               horizon=horizon, base_seed=seed)
-            row = run.to_row(budget_w=float(n_r))
-            rows.append(row)
+            rows.append(dict(
+                run.to_row(budget_w=float(n_r)),
+                effective_power_w=f"{run.effective_power_w:.6g}",
+                effective_power_ci=f"{run.effective_power_ci:.6g}"))
             results.append(run)
     return rows, results

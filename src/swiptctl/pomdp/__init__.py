@@ -6,15 +6,13 @@ envelope; the reward-maximizing action coincides with the cost-minimizing
 one. Reported metrics are converted back to costs by the callers.
 """
 
-from .model import (ImpossibleObservationError, PomdpModel, observation_prob,
-                    update_belief)
+from .model import PomdpModel
 from .bounds import AlphaVector, BoundPair, LowerBound, UpperBound
 from .solver import (HsviResult, backup, excess_uncertainty, explore,
                      initial_bounds, q_values, solve_hsvi)
 
 __all__ = [
-    "AlphaVector", "BoundPair", "HsviResult", "ImpossibleObservationError",
-    "LowerBound", "PomdpModel", "UpperBound", "backup", "excess_uncertainty",
-    "explore", "initial_bounds", "observation_prob", "q_values", "solve_hsvi",
-    "update_belief",
+    "AlphaVector", "BoundPair", "HsviResult", "LowerBound", "PomdpModel",
+    "UpperBound", "backup", "excess_uncertainty", "explore", "initial_bounds",
+    "q_values", "solve_hsvi",
 ]

@@ -1,4 +1,4 @@
-"""POMDP model container, belief updates and observation probabilities."""
+"""POMDP model container, belief check and sparse row gathers."""
 
 from __future__ import annotations
 
@@ -9,10 +9,6 @@ from scipy import sparse
 
 STOCH_TOL = 1e-10
 BELIEF_TOL = 1e-10
-
-
-class ImpossibleObservationError(ValueError):
-    """Bayes update conditioned on a zero-probability observation."""
 
 
 def _as_csr(m) -> sparse.csr_matrix:
@@ -28,6 +24,17 @@ def row_entries(m: sparse.csr_matrix, rows: np.ndarray):
     pos = np.arange(ends[-1] if ends.size else 0) \
         + np.repeat(starts - (ends - counts), counts)
     return pos, np.repeat(rows, counts)
+
+
+def policy_rows(transitions: list, pi: np.ndarray) -> sparse.csr_matrix:
+    """The CSR matrix whose row s is row s of ``transitions[pi[s]]``, its
+    entries in stored order, so that its matvec adds each row's terms as
+    ``transitions[pi[s]]``'s does."""
+    used = np.unique(pi)
+    groups = [np.flatnonzero(pi == a) for a in used]
+    rows = sparse.vstack([transitions[a][g] for a, g in zip(used, groups)],
+                         format="csr")
+    return rows[np.argsort(np.concatenate(groups))]
 
 
 @dataclass
@@ -98,30 +105,9 @@ class PomdpModel:
         return np.bincount(t.indices[pos], weights=t.data[pos] * b[src],
                            minlength=self.n_states)
 
-    def obs_column(self, a: int, o: int) -> np.ndarray:
-        """Pr(o | S', a) over the next states S', as a dense vector."""
-        return self.observations[a][:, [o]].toarray().ravel()
-
 
 def check_belief(b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if (b < -BELIEF_TOL).any() or abs(b.sum() - 1.0) > BELIEF_TOL:
         raise ValueError("belief must be a probability vector")
     return b
-
-
-def update_belief(b: np.ndarray, a: int, o: int, model: PomdpModel) -> np.ndarray:
-    """Bayes posterior b'(S') = Pr(o|S',a) sum_S Pr(S'|S,a) b(S), normalized."""
-    tau = model.propagate(check_belief(b), a)
-    post = model.obs_column(a, o) * tau
-    z = post.sum()
-    if z <= 0.0:
-        raise ImpossibleObservationError(
-            f"observation {o} has zero probability under action {a}")
-    return post / z
-
-
-def observation_prob(o: int, a: int, b: np.ndarray, model: PomdpModel) -> float:
-    """Pr(O=o | A=a, b) = sum_{S,S'} Pr(o|S',a) Pr(S'|S,a) b(S)."""
-    tau = model.propagate(check_belief(b), a)
-    return float(model.obs_column(a, o) @ tau)

@@ -21,7 +21,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .bounds import AlphaVector, BoundPair, LowerBound, UpperBound
-from .model import PomdpModel, check_belief, row_entries
+from .model import PomdpModel, check_belief, policy_rows, row_entries
 
 
 # bicgstab stops at this residual, relative to the right-hand side; the
@@ -69,16 +69,13 @@ def _mdp_corners(model: PomdpModel, blind: list):
     returns the (n_states, n_actions) Q-table of the final evaluation."""
     g, r = model.discount, model.reward
     states = np.arange(model.n_states)
-
-    def successors(v):
-        return np.column_stack([t.dot(v) for t in model.transitions])
-
     blind_vals = np.array([alpha.values for alpha in blind])
     pi = blind_vals.argmax(axis=0)
     v = blind_vals[pi, states]
     for _ in range(MAX_POLICY_ROUNDS):
-        v = _evaluate(lambda x: successors(x)[states, pi], r[states, pi], g, v)
-        q = r + g * successors(v)
+        v = _evaluate(policy_rows(model.transitions, pi).dot, r[states, pi],
+                      g, v)
+        q = r + g * np.column_stack([t.dot(v) for t in model.transitions])
         best = q.argmax(axis=1)
         switch = q[states, best] > q[states, pi] + SWITCH_GAIN
         if not switch.any():

@@ -26,9 +26,9 @@ from .channel import (AntennaSelection, Dims, achievable_rate, channel_stream,
                       zf_noise_gains)
 # no caller here: perfbench/spans.py traces these three names in this module
 from .channel import downlink_sinr, draw_channel, uplink_sinr  # noqa: F401
-from .dynamics import (ActionTable, ArrivalModel, LevelModel, StateSpace,
-                       TransitionKernel, build_kernel,
-                       build_observation_matrix, check_state_budget)
+from .dynamics import (ActionTable, LevelModel, StateSpace, TransitionKernel,
+                       arrival_pmf, build_kernel, build_observation_matrix,
+                       check_state_budget)
 
 
 class ConfigError(ValueError):
@@ -83,6 +83,16 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
+        # a NaN passes every range check below, and an infinity most
+        reals = [(name, getattr(self, name)) for name in (
+            "bandwidth_hz", "slot_s", "packet_bits", "arrival_rate_hz",
+            "delta_e_j", "battery_j", "alpha", "rho", "eta", "noise_w",
+            "si_power_w", "circuit_w_per_antenna", "discount")]
+        reals += [("power level", p) for p in (*self.power_levels_up,
+                                               *self.power_levels_down)]
+        for name, v in reals:
+            if not math.isfinite(v):
+                raise ConfigError(f"{name} must be finite, got {v!r}")
         if self.duplex not in ("fd", "hd"):
             raise ConfigError(f"unknown duplex mode {self.duplex!r}")
         positive = {
@@ -330,8 +340,9 @@ class CompiledScenario:
         return self.config.state_space()
 
     @cached_property
-    def arrivals(self) -> ArrivalModel:
-        return ArrivalModel(self.config.lam_slot)
+    def arrival_pmf(self) -> np.ndarray:
+        """Per-slot arrival pmf, read by the kernel and the rollout."""
+        return arrival_pmf(self.config.lam_slot)
 
     @cached_property
     def scenario_hash(self) -> str:
@@ -339,7 +350,7 @@ class CompiledScenario:
 
     @cached_property
     def kernel(self) -> TransitionKernel:
-        return build_kernel(self.space, self.arrivals, self.level,
+        return build_kernel(self.space, self.arrival_pmf, self.level,
                             self.actions)
 
     @cached_property

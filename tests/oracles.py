@@ -8,6 +8,13 @@ HSVI bounds and the sparse-matrix belief expansion and backup. Tests
 compare the production arrays with these, using exact equality where the
 arithmetic is the same.
 
+Helpers that only tests call live here too: the scalar joint-state index
+(``encode``, ``decode``, ``states``), the ZF equalizers and the power
+split, the Bayes belief update and observation probability, and the
+closed-form SINR densities (the Gamma law of the ZF uplink and the
+moment-matched Beta-II law of the downlink), which are the sampler's
+goodness-of-fit oracles.
+
 Exact evaluations check the solver's values from outside: alpha-vector
 value iteration on small POMDPs, the (state, observation)-pair chain of an
 observation-feedback policy, dense fast-informed-bound iteration, and the
@@ -21,15 +28,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import sparse, special
 from scipy.sparse.linalg import spsolve
 
 from swiptctl.channel import (AntennaSelection, BeamformerSet, Dims,
+                              _check_conditioning, _stack_uplink,
                               achievable_rate, channel_stream, crandn,
                               downlink_sinr, draw_channel, harvested_energy,
-                              split_received, uplink_sinr)
+                              uplink_sinr)
 from swiptctl.control import _obs_posteriors
-from swiptctl.dynamics import ActionTable, LevelModel, arrival_pmf
+from swiptctl.dynamics import ActionTable, LevelModel
 from swiptctl.harness import episode_rng
 from swiptctl.pomdp import (AlphaVector, BoundPair, LowerBound, UpperBound,
                             solver)
@@ -112,13 +120,43 @@ def effective_effect(actions, a: int, energies):
     return eff
 
 
+# ---------------------------------------------------------------------------
+# scalar state indexing
+# ---------------------------------------------------------------------------
+
+def encode(space, users: tuple) -> int:
+    """Joint index of (q, e, level) triples, user-major, as
+    ``StateSpace`` orders its states."""
+    idx = 0
+    for (q, e, lv) in users:
+        idx = idx * space.per_user + ((q * (space.e_max + 1) + e) * space.n_levels + lv)
+    return idx
+
+
+def decode(space, idx: int) -> tuple:
+    """(q, e, level) triples of a joint index."""
+    out = []
+    for _ in range(space.n_users):
+        idx, rem = divmod(idx, space.per_user)
+        rem, lv = divmod(rem, space.n_levels)
+        q, e = divmod(rem, space.e_max + 1)
+        out.append((q, e, lv))
+    return tuple(reversed(out))
+
+
+def states(space):
+    """Every (index, triples) pair of the joint state space."""
+    for idx in range(space.size):
+        yield idx, decode(space, idx)
+
+
 def reference_run_episode(policy, compiled, horizon, seed, episode=0):
     """One rollout slot by slot and user by user, with one
     ``Generator.choice`` call per draw; returns per-slot records."""
     space = compiled.space
     level = compiled.level
     rng = episode_rng(seed, episode)
-    pmf = arrival_pmf(compiled.arrivals)
+    pmf = compiled.arrival_pmf
     n_users = space.n_users
     q = np.zeros(n_users, dtype=int)
     e = np.full(n_users, space.e_max, dtype=int)
@@ -129,8 +167,8 @@ def reference_run_episode(policy, compiled, horizon, seed, episode=0):
         obs_levels = np.array([
             rng.choice(level.probs.size, p=level.obs_confusion[lv])
             for lv in levels])
-        obs = space.encode(tuple((int(q[u]), int(e[u]), int(obs_levels[u]))
-                                 for u in range(n_users)))
+        obs = encode(space, tuple((int(q[u]), int(e[u]), int(obs_levels[u]))
+                                  for u in range(n_users)))
         a = policy.action(obs)
         eff = effective_effect(actions, a, e)
         served = np.array([min(int(eff.served[u, levels[u]]), int(q[u]))
@@ -197,6 +235,204 @@ def reference_monte_carlo(policy, compiled, episodes, horizon, base_seed=0):
         "effective_power_w": float(eff_p.mean()),
         "effective_power_ci": float(half * eff_p.std(ddof=1)),
     }
+
+
+# ---------------------------------------------------------------------------
+# link-layer references: ZF equalizers, power split, SINR densities
+# ---------------------------------------------------------------------------
+
+class DegenerateParameterError(ValueError):
+    """Moment-matching chain hit a zero denominator."""
+
+
+@dataclass(frozen=True)
+class BetaIIParams:
+    """Moment-matched matrix-variate Beta-II degrees of freedom and the
+    intermediates of the matching chain."""
+
+    eta_g: float
+    n_g: float
+    eta_q: float
+    n_q: float
+    eta_v: float
+    n_v: float
+    n1: float
+    n2: float
+
+    def __post_init__(self):
+        for name in ("eta_g", "n_g", "eta_q", "n_q", "eta_v", "n_v", "n1", "n2"):
+            if not getattr(self, name) > 0:
+                raise DegenerateParameterError(f"{name} must be positive")
+
+
+@dataclass(frozen=True)
+class SplitSignal:
+    """Power-split outcome at an SU receiver: rho goes to information
+    detection, 1 - rho to energy harvesting."""
+
+    id_power: float
+    eh_power: float
+    rho: float
+
+
+def all_on(n_r: int) -> AntennaSelection:
+    """Every antenna of an n_r array active."""
+    return AntennaSelection(np.ones(n_r, dtype=bool))
+
+
+def zf_equalizer(h_check: np.ndarray, d_k: int) -> np.ndarray:
+    """ZF receive filter [I_{d_k} 0] @ inv(h_check) for a square stacked
+    channel."""
+    h_check = np.asarray(h_check)
+    if h_check.ndim != 2 or h_check.shape[0] != h_check.shape[1]:
+        raise ValueError("h_check must be square; use the stacked channel")
+    if d_k < 1 or d_k > h_check.shape[0]:
+        raise ValueError("invalid stream count")
+    _check_conditioning(h_check)
+    z = np.zeros((d_k, h_check.shape[0]), dtype=complex)
+    z[:, :d_k] = np.eye(d_k)
+    return z @ np.linalg.inv(h_check)
+
+
+def uplink_equalizer(channels, sel: AntennaSelection, bf: BeamformerSet, k: int,
+                     si_column: np.ndarray | None = None) -> np.ndarray:
+    """ZF receive filter for user k's n_u desired streams.
+
+    Uses the square inverse when the stack is square, the left pseudo-inverse
+    otherwise; either way ``U @ h_check = [I 0]`` exactly.
+    """
+    h_check = _stack_uplink(channels, sel, bf, k, si_column)
+    n_u = channels[k].h_est.shape[1]
+    if h_check.shape[0] == h_check.shape[1]:
+        return zf_equalizer(h_check, n_u)
+    _check_conditioning(h_check)
+    gram_inv = np.linalg.inv(h_check.conj().T @ h_check)
+    return gram_inv[:n_u, :] @ h_check.conj().T
+
+
+def split_received(received_power: float, rho: float) -> SplitSignal:
+    """Split received power between the ID (rho) and EH (1 - rho) branches."""
+    if received_power < 0:
+        raise ValueError("received power must be nonnegative")
+    if not (0.0 < rho < 1.0):
+        raise ValueError("rho must lie in (0, 1)")
+    return SplitSignal(id_power=rho * received_power,
+                       eh_power=(1.0 - rho) * received_power, rho=rho)
+
+
+def beta2_moment_match(n_t: int, k: int, alpha: float, power_ratio: float,
+                       sigma_d0: float) -> BetaIIParams:
+    """Moment-matching chain producing the Beta-II degrees of freedom.
+
+    ``power_ratio`` is p_u / p_d before the (1 - alpha^2) normalization;
+    ``sigma_d0`` is the combined normalized noise constant. A goodness-of-fit
+    oracle for the sampler.
+    """
+    if n_t <= 0 or k <= 0 or sigma_d0 <= 0 or power_ratio < 0:
+        raise ValueError("inputs must be positive")
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError("alpha must lie in [0, 1)")
+    r = power_ratio / (1.0 - alpha ** 2)
+    a = alpha ** 2 / (1.0 - alpha ** 2)
+
+    den_g = k * (1.0 + r) - 1.0
+    if den_g == 0:
+        raise DegenerateParameterError("eta_g denominator K(1+r)-1 vanished")
+    eta_g = (k * (1.0 + r ** 2) - 1.0) / den_g
+    den_ng = r ** 2 * k + k - 1.0
+    if den_ng == 0:
+        raise DegenerateParameterError("N_g denominator vanished")
+    n_g = 2.0 * n_t * (r * k + k - 1.0) ** 2 / den_ng
+
+    den_q = n_g * eta_g + 2.0 * n_t * k * a
+    if den_q == 0:
+        raise DegenerateParameterError("eta_q denominator vanished")
+    eta_q = (n_g * eta_g ** 2 + 2.0 * n_t * k * a ** 2) / den_q
+    den_nq = 2.0 * n_t * k * a ** 2 + n_g * eta_g ** 2
+    if den_nq == 0:
+        raise DegenerateParameterError("N_q denominator vanished")
+    n_q = (2.0 * n_t * k * a + n_g * eta_g) ** 2 / den_nq
+
+    eta_v = eta_q * n_q / (n_q + sigma_d0)
+    n_v = n_q / 2.0 + sigma_d0 * (2.0 * n_q + sigma_d0) / (2.0 * n_q)
+
+    den_1 = eta_v * (n_t + n_v - 1.0)
+    if den_1 == 0:
+        raise DegenerateParameterError("N1 denominator vanished")
+    n1 = n_t * (n_t + (n_v - 2.0) * eta_v + 1.0) / den_1
+    n2 = (n_v * (n_t - 3.0 * eta_v + 2.0) + n_v ** 2 * eta_v
+          + 2.0 * (eta_v - 1.0)) / (n_t + n_v - 1.0)
+    return BetaIIParams(eta_g=eta_g, n_g=n_g, eta_q=eta_q, n_q=n_q,
+                        eta_v=eta_v, n_v=n_v, n1=n1, n2=n2)
+
+
+def _multigammaln(x: float, d: int) -> float:
+    return float(special.multigammaln(x, d))
+
+
+def beta2_pdf(gamma, params: BetaIIParams, n_u: int = 1) -> float:
+    """Matrix-variate Beta-II density (scalar Beta-prime for n_u = 1).
+
+    det(G)^{(2 N1 - n_u - 1)/2} det(I + G)^{-(N1+N2)} / beta(N1, N2) with the
+    multivariate-Gamma normalizer. A goodness-of-fit oracle for the
+    sampler.
+    """
+    n1, n2 = params.n1, params.n2
+    log_beta = _multigammaln(n1, n_u) + _multigammaln(n2, n_u) \
+        - _multigammaln(n1 + n2, n_u)
+    if n_u == 1:
+        g = float(gamma)
+        if g <= 0:
+            raise ValueError("gamma must be positive")
+        logp = (n1 - 1.0) * math.log(g) - (n1 + n2) * math.log1p(g) - log_beta
+        return math.exp(logp)
+    g = np.asarray(gamma)
+    sign, logdet_g = np.linalg.slogdet(g)
+    if sign <= 0:
+        raise ValueError("gamma must be positive definite")
+    _, logdet_ig = np.linalg.slogdet(np.eye(n_u) + g)
+    logp = (2.0 * n1 - n_u - 1.0) / 2.0 * logdet_g \
+        - (n1 + n2) * logdet_ig - log_beta
+    return math.exp(logp)
+
+
+def uplink_eta(dims: Dims, alpha: float, p_up: float, noise: float,
+               w_norm_sq: float = 1.0, d_k: int = 1,
+               err_power: float | None = None) -> float:
+    """Gamma-scale parameter for the ZF uplink SINR density.
+
+    Follows the Prop-style construction eta^2 = (1-a^2) p_u ||V w||^2 /
+    (d_k (a^2 P_err + sigma^2)) with an extra 1/2 reconciling the density's
+    real-Wishart normalization against unit-variance complex channel entries.
+    ``err_power`` defaults to the single-user trace term p_u ||w||^2.
+    A goodness-of-fit oracle for the sampler.
+    """
+    if err_power is None:
+        err_power = p_up * w_norm_sq
+    den = d_k * (alpha ** 2 * err_power + noise)
+    if den <= 0:
+        raise DegenerateParameterError("eta denominator vanished")
+    return math.sqrt((1.0 - alpha ** 2) * p_up * w_norm_sq / (2.0 * den))
+
+
+def uplink_sinr_pdf(gamma: float, eta: float, dims: Dims) -> float:
+    """ZF uplink SINR density for the scalar-stream (n_u = 1) marginal.
+
+    gamma^{(2 n_r - n_u - 1)/2} exp(-gamma / (2 eta^2)) over the
+    2^{n_r} Gamma(n_r) (eta^2)^{n_r} normalizer; a Gamma(n_r, 2 eta^2) law.
+    A goodness-of-fit oracle for the sampler.
+    """
+    if dims.n_u != 1:
+        raise NotImplementedError("density evaluator supports n_u = 1 only")
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    if eta <= 0:
+        raise DegenerateParameterError("eta must be positive")
+    n_r = dims.n_r
+    logp = (2 * n_r - dims.n_u - 1) / 2.0 * math.log(gamma) \
+        - gamma / (2.0 * eta ** 2) \
+        - n_r * math.log(2.0 * eta ** 2) - special.gammaln(n_r)
+    return math.exp(logp)
 
 
 def _mrt_precoders(dims: Dims, sel: AntennaSelection, chans) -> tuple:
@@ -379,6 +615,32 @@ def dense_mdp_value(model):
         if not switch.any():
             return v
         pi = np.where(switch, best, pi)
+
+
+class ImpossibleObservationError(ValueError):
+    """Bayes update conditioned on a zero-probability observation."""
+
+
+def obs_column(model: PomdpModel, a: int, o: int) -> np.ndarray:
+    """Pr(o | S', a) over the next states S', as a dense vector."""
+    return model.observations[a][:, [o]].toarray().ravel()
+
+
+def update_belief(b: np.ndarray, a: int, o: int, model: PomdpModel) -> np.ndarray:
+    """Bayes posterior b'(S') = Pr(o|S',a) sum_S Pr(S'|S,a) b(S), normalized."""
+    tau = model.propagate(check_belief(b), a)
+    post = obs_column(model, a, o) * tau
+    z = post.sum()
+    if z <= 0.0:
+        raise ImpossibleObservationError(
+            f"observation {o} has zero probability under action {a}")
+    return post / z
+
+
+def observation_prob(o: int, a: int, b: np.ndarray, model: PomdpModel) -> float:
+    """Pr(O=o | A=a, b) = sum_{S,S'} Pr(o|S',a) Pr(S'|S,a) b(S)."""
+    tau = model.propagate(check_belief(b), a)
+    return float(obs_column(model, a, o) @ tau)
 
 
 def reference_propagate(model, b, a):

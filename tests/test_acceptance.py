@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import (InadmissibleActionError, exact_value_iteration,
-                     step_energy, step_queue)
-from swiptctl.channel import (AntennaSelection, BeamformerSet, ChannelPair,
-                              Dims, beta2_moment_match, crandn, downlink_sinr,
-                              draw_channel, uplink_equalizer, uplink_eta,
-                              uplink_sinr)
+from oracles import (InadmissibleActionError, all_on, beta2_moment_match,
+                     exact_value_iteration, step_energy, step_queue,
+                     uplink_equalizer, uplink_eta)
+from swiptctl.channel import (BeamformerSet, ChannelPair, Dims, crandn,
+                              downlink_sinr, draw_channel, uplink_sinr)
 from swiptctl.cli import main as cli_main
 from swiptctl.control import ConstraintSpec
 from swiptctl.dynamics import ActionTable, StateSpace, user_action_table
@@ -205,7 +204,7 @@ def _uplink_gof(alpha: float):
     num = np.sum(np.abs(h) ** 2, axis=1)
     samples = (1.0 - alpha ** 2) * num / (alpha ** 2 + 1.0)
     # the vectorized sampler must agree with the full evaluator exactly
-    sel = AntennaSelection.all_on(N_T_GOF)
+    sel = all_on(N_T_GOF)
     w = np.ones((1, 1), dtype=complex)
     bf = BeamformerSet(w_up=(w,), w_down=(w,), p_up=[1.0], p_down=[1.0])
     zero = np.zeros((N_T_GOF, 1), dtype=complex)
@@ -238,7 +237,7 @@ def _downlink_gof(alpha: float, noise_const: float = 1000.0,
     rho, p_d = 0.5, 1.0
     sigma_d = 0.5 * noise_const * (1.0 - alpha ** 2) * p_d
     sigma_s = rho * 0.5 * noise_const * (1.0 - alpha ** 2) * p_d
-    sel = AntennaSelection.all_on(N_T_GOF)
+    sel = all_on(N_T_GOF)
     for i in range(20):
         wdn = (f[i] / np.linalg.norm(f[i]))[:, None]
         pair = ChannelPair(
@@ -278,7 +277,7 @@ def test_sinr_densities_pass_goodness_of_fit():
 def test_perfect_csi_zero_forcing_nulls_interference():
     dims = Dims(16, 16, 2, 3)
     rng = np.random.default_rng(123)
-    sel = AntennaSelection.all_on(16)
+    sel = all_on(16)
     worst = 0.0
     for _ in range(100):
         chans = tuple(draw_channel(dims, 0.0, rng) for _ in range(dims.k))

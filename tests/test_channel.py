@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from oracles import (DegenerateParameterError, all_on, beta2_moment_match,
+                     beta2_pdf, split_received, uplink_equalizer, uplink_eta,
+                     uplink_sinr_pdf, zf_equalizer)
 from swiptctl import channel
 from swiptctl.channel import (AntennaSelection, BeamformerSet, ChannelPair,
-                              ConditioningError, DegenerateParameterError,
-                              Dims, achievable_rate, beta2_moment_match,
-                              beta2_pdf, channel_stream, crandn, downlink_sinr,
+                              ConditioningError, Dims, achievable_rate,
+                              channel_stream, crandn, downlink_sinr,
                               draw_channel, draw_channel_stack,
                               harvested_energy, link_gains, mrt_precoders,
-                              normalized, rewind_stream, split_received,
-                              sq_norms, uplink_equalizer, uplink_eta,
-                              uplink_sinr, uplink_sinr_pdf, zf_equalizer,
-                              zf_noise_gains)
+                              normalized, rewind_stream, sq_norms,
+                              uplink_sinr, zf_noise_gains)
 
 
 def unit_precoder(shape, rng=None, seed=0):
@@ -167,14 +167,14 @@ class TestUplinkSinr:
         bf = BeamformerSet(w_up=(np.eye(1, dtype=complex),),
                            w_down=(np.eye(1, dtype=complex),),
                            p_up=[1.0], p_down=[1.0])
-        rep = uplink_sinr((ch,), AntennaSelection.all_on(1), bf, noise=1.0)
+        rep = uplink_sinr((ch,), all_on(1), bf, noise=1.0)
         assert rep.uplink[0][0] == pytest.approx(1.0)
 
     def test_zero_power(self):
         dims = Dims(6, 6, 2, 2)
         rng = np.random.default_rng(7)
         chans = tuple(draw_channel(dims, 0.1, rng) for _ in range(2))
-        sel = AntennaSelection.all_on(6)
+        sel = all_on(6)
         bf = make_bf(dims, sel, rng, p_up=0.0)
         rep = uplink_sinr(chans, sel, bf, noise=1.0)
         assert all(np.all(u == 0.0) for u in rep.uplink)
@@ -206,7 +206,7 @@ class TestUplinkSinr:
         # alpha=0: equalizer applied to true interference is numerically null
         dims = Dims(16, 16, 2, 3)
         rng = np.random.default_rng(9)
-        sel = AntennaSelection.all_on(16)
+        sel = all_on(16)
         for _ in range(10):
             chans = tuple(draw_channel(dims, 0.0, rng) for _ in range(3))
             bf = make_bf(dims, sel, rng)
@@ -223,7 +223,7 @@ class TestDownlinkSinr:
         dims = Dims(8, 8, 2, 1)
         rng = np.random.default_rng(10)
         ch = draw_channel(dims, 0.0, rng)
-        sel = AntennaSelection.all_on(8)
+        sel = all_on(8)
         bf = make_bf(dims, sel, rng, p_up=0.0, p_down=2.0)
         rep = downlink_sinr((ch,), sel, bf, rho=0.4, noise_d=0.5, noise_s=0.2)
         num = np.linalg.norm(ch.h_est.conj().T @ bf.w_down[0]) ** 2
@@ -234,7 +234,7 @@ class TestDownlinkSinr:
         dims = Dims(8, 8, 2, 2)
         rng = np.random.default_rng(11)
         chans = tuple(draw_channel(dims, 0.2, rng) for _ in range(2))
-        sel = AntennaSelection.all_on(8)
+        sel = all_on(8)
         bf = make_bf(dims, sel, rng)
         hi = downlink_sinr(chans, sel, bf, rho=0.99, noise_d=1.0, noise_s=1.0)
         lo = downlink_sinr(chans, sel, bf, rho=0.5, noise_d=1.0, noise_s=1.0)
@@ -269,7 +269,7 @@ class TestDownlinkSinr:
         dims = Dims(4, 4, 1, 1)
         rng = np.random.default_rng(13)
         ch = draw_channel(dims, 0.1, rng)
-        sel = AntennaSelection.all_on(4)
+        sel = all_on(4)
         bf = make_bf(dims, sel, rng)
         for rho in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
@@ -293,9 +293,9 @@ class TestSplitAndUnits:
             split_received(-1.0, 0.5)
 
     def test_harvest_units(self):
-        assert harvested_energy(0.0, 0.4, 5e-3, 1e-3) == 0
+        assert harvested_energy(0.0, 0.4, 5e-3, 1e-3, cap=5) == 0
         # eta=0.4, 1 W, 5 ms slot, 1 mJ per unit -> floor(2.0) = 2
-        assert harvested_energy(1.0, 0.4, 5e-3, 1e-3) == 2
+        assert harvested_energy(1.0, 0.4, 5e-3, 1e-3, cap=5) == 2
         assert harvested_energy(100.0, 0.4, 5e-3, 1e-3, cap=5) == 5
 
     def test_rate(self):
@@ -381,7 +381,7 @@ class TestUplinkPdf:
         # two-sample agreement between sampled uplink SINR and the density
         dims = Dims(16, 16, 1, 1)
         rng = np.random.default_rng(14)
-        sel = AntennaSelection.all_on(16)
+        sel = all_on(16)
         w = np.ones((1, 1), dtype=complex)
         wd = unit_precoder((16, 1), rng)
         bf = BeamformerSet(w_up=(w,), w_down=(wd,), p_up=[1.0], p_down=[1.0])

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, headers, determinism."""
 
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -57,6 +58,24 @@ def test_config_with_a_bad_count_exits_2(tmp_path, capsys, key, value):
     path.write_text(json.dumps(cfg))
     assert run("validate", "--config", str(path)) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("power_levels_up", [0.0, math.inf, 0.01, 0.02]),
+    ("power_levels_down", [0.0, 0.125, math.nan, 0.5]),
+    ("circuit_w_per_antenna", math.nan), ("noise_w", math.nan),
+    ("slot_s", math.nan), ("bandwidth_hz", math.nan), ("slot_s", math.inf),
+    ("alpha", math.nan), ("discount", math.nan), ("si_power_w", math.inf),
+])
+def test_config_with_a_non_finite_float_exits_2(tmp_path, capsys, key,
+                                                value):
+    # json writes NaN and Infinity, and reads them back
+    cfg = json.loads(desk_scenario().to_json())
+    cfg[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert run("validate", "--config", str(path)) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse, stats
 
-from oracles import (InadmissibleActionError, effective_effect,
-                     step_energy, step_queue, user_next_pmf)
+from oracles import (InadmissibleActionError, decode, effective_effect,
+                     encode, states, step_energy, step_queue, user_next_pmf)
 from swiptctl import dynamics
-from swiptctl.dynamics import (ActionTable, ArrivalModel, LevelModel,
-                               StateSpace, StateSpaceBudgetError,
-                               TransitionKernel, arrival_pmf, build_kernel,
-                               build_observation_matrix, default_arrival_cap,
-                               level_map_matrix, user_action_table)
+from swiptctl.dynamics import (ActionTable, LevelModel, StateSpace,
+                               StateSpaceBudgetError, TransitionKernel,
+                               arrival_cap, arrival_pmf, build_kernel,
+                               build_observation_matrix, level_map_matrix,
+                               user_action_table)
 from swiptctl.scenario import compile_scenario, desk_scenario
 
 
@@ -68,28 +68,28 @@ class TestRecursions:
 
 class TestArrivals:
     def test_cap_tail_bound(self):
-        cap = default_arrival_cap(0.05)
+        cap = arrival_cap(0.05)
         assert stats.poisson.sf(cap, 0.05) < 1e-9
         assert stats.poisson.sf(cap - 1, 0.05) >= 1e-9
 
     def test_pmf_sums_to_one(self):
         for lam in (0.05, 0.5, 3.0):
-            pmf = arrival_pmf(ArrivalModel(lam))
+            pmf = arrival_pmf(lam)
             assert pmf.sum() == pytest.approx(1.0, abs=1e-14)
             assert (pmf >= 0).all()
 
     def test_truncation_renormalizes(self):
-        pmf = arrival_pmf(ArrivalModel(1.0, cap=2))
-        raw = stats.poisson.pmf([0, 1, 2], 1.0)
+        pmf = arrival_pmf(1.0)
+        raw = stats.poisson.pmf(np.arange(arrival_cap(1.0) + 1), 1.0)
         np.testing.assert_allclose(pmf, raw / raw.sum())
 
     def test_mean_close_to_lam(self):
-        pmf = arrival_pmf(ArrivalModel(0.05))
+        pmf = arrival_pmf(0.05)
         assert abs(np.dot(np.arange(pmf.size), pmf) - 0.05) < 1e-9
 
     def test_bad_rate(self):
         with pytest.raises(ValueError):
-            ArrivalModel(0.0)
+            arrival_pmf(0.0)
 
 
 class TestStateSpace:
@@ -101,11 +101,11 @@ class TestStateSpace:
     def test_encode_decode_roundtrip(self):
         sp = StateSpace(n_users=2, q_max=3, e_max=2, n_levels=3)
         for idx in range(sp.size):
-            assert sp.encode(sp.decode(idx)) == idx
+            assert encode(sp, decode(sp, idx)) == idx
 
     def test_enumeration_bijective(self):
         sp = StateSpace(n_users=2, q_max=2, e_max=1, n_levels=2)
-        seen = {idx for idx, _ in sp.states()}
+        seen = {idx for idx, _ in states(sp)}
         assert seen == set(range(sp.size))
 
 
@@ -113,7 +113,9 @@ def simple_setup(n_users=1, q_max=3, e_max=2, lam=0.5):
     sp = StateSpace(n_users=n_users, q_max=q_max, e_max=e_max, n_levels=2)
     level = LevelModel(probs=np.array([0.7, 0.3]),
                        obs_confusion=np.array([[0.9, 0.1], [0.2, 0.8]]))
-    arrivals = ArrivalModel(lam, cap=3)
+    # the Poisson pmf truncated at 3 arrivals, for a small kernel
+    pmf = stats.poisson.pmf(np.arange(4), lam)
+    pmf /= pmf.sum()
     # action 0 idles; action 1 pays one unit to serve 1 or 2 packets and
     # harvests 0 or 1 unit, at level 0 or 1
     idle, tx = np.zeros(n_users, int), np.ones(n_users, int)
@@ -126,17 +128,16 @@ def simple_setup(n_users=1, q_max=3, e_max=2, lam=0.5):
         p_down=np.array([idle, tx], float),
         rate_down=np.array([idle, tx], float),
         mask_id=np.zeros(2, int), n_active=np.full(2, 16))
-    return sp, arrivals, level, actions
+    return sp, pmf, level, actions
 
 
-def enumerated_kernel(space, arrivals, level, actions):
+def enumerated_kernel(space, pmf_arr, level, actions):
     """Reference kernel: every joint transition's probability as the product
     of the per-user factors, in user order, one joint state at a time."""
-    pmf_arr = arrival_pmf(arrivals)
     mats = []
     for a in range(len(actions)):
         rows, cols, vals = [], [], []
-        for idx, users in space.states():
+        for idx, users in states(space):
             supports = [
                 user_next_pmf(q, e, lv, actions, a, u, pmf_arr, level, space)
                 for u, (q, e, lv) in enumerate(users)
@@ -146,7 +147,7 @@ def enumerated_kernel(space, arrivals, level, actions):
                 for _, pu in combo:
                     p *= pu
                 rows.append(idx)
-                cols.append(space.encode(tuple(c[0] for c in combo)))
+                cols.append(encode(space, tuple(c[0] for c in combo)))
                 vals.append(p)
         m = sparse.csr_matrix((vals, (rows, cols)),
                               shape=(space.size, space.size))
@@ -159,7 +160,7 @@ def enumerated_observations(space, level):
     """Reference Pr(O | S'), one joint state at a time."""
     conf = level.obs_confusion
     rows, cols, vals = [], [], []
-    for idx, users in space.states():
+    for idx, users in states(space):
         choices = [[((q, e, ol), conf[lv, ol])
                     for ol in range(space.n_levels) if conf[lv, ol] > 0]
                    for (q, e, lv) in users]
@@ -168,7 +169,7 @@ def enumerated_observations(space, level):
             for _, pu in combo:
                 p *= pu
             rows.append(idx)
-            cols.append(space.encode(tuple(c[0] for c in combo)))
+            cols.append(encode(space, tuple(c[0] for c in combo)))
             vals.append(p)
     m = sparse.csr_matrix((vals, (rows, cols)), shape=(space.size, space.size))
     m.sum_duplicates()
@@ -195,13 +196,12 @@ class TestKernel:
         # state (q=2, e=1, l=0), action tx: served=1, used=1, harvested=0
         sp, arr, level, actions = simple_setup()
         kern = build_kernel(sp, arr, level, actions)
-        pmf = arrival_pmf(arr)
-        row = kern.matrices[1][sp.encode(((2, 1, 0),))].toarray().ravel()
+        row = kern.matrices[1][encode(sp, ((2, 1, 0),))].toarray().ravel()
         expected = np.zeros(sp.size)
-        for a_n, p_a in enumerate(pmf):
+        for a_n, p_a in enumerate(arr):
             qn = min(1 + a_n, 3)
             for ln, p_l in enumerate([0.7, 0.3]):
-                expected[sp.encode(((qn, 0, ln),))] += p_a * p_l
+                expected[encode(sp, ((qn, 0, ln),))] += p_a * p_l
         np.testing.assert_allclose(row, expected, atol=1e-14)
 
     def test_inadmissible_falls_back_to_idle(self):
@@ -210,7 +210,7 @@ class TestKernel:
         # so the whole row collapses onto the idle row)
         sp, arr, level, actions = simple_setup()
         kern = build_kernel(sp, arr, level, actions)
-        s = sp.encode(((2, 0, 0),))
+        s = encode(sp, ((2, 0, 0),))
         np.testing.assert_allclose(kern.matrices[1][s].toarray(),
                                    kern.matrices[0][s].toarray(), atol=1e-15)
 
@@ -280,7 +280,7 @@ def test_action_table_matches_scalar_recursions(table_case):
     one = StateSpace(n_users=1, q_max=space.q_max, e_max=space.e_max,
                      n_levels=space.n_levels)
     for (u, s, a), pays in np.ndenumerate(table.pays):
-        ((q, e, lv),) = one.decode(s)
+        ((q, e, lv),) = decode(one, s)
         energies = [space.e_max] * space.n_users
         energies[u] = e
         eff = effective_effect(actions, a, energies)
@@ -305,10 +305,10 @@ class TestObservations:
     def test_queue_energy_observed_exactly(self):
         sp, _, level, _ = simple_setup()
         z = build_observation_matrix(sp, level).tocsr()
-        for idx, ((q, e, lv),) in sp.states():
+        for idx, ((q, e, lv),) in states(sp):
             row = np.asarray(z.getrow(idx).todense()).ravel()
             for obs in np.nonzero(row)[0]:
-                oq, oe, ol = sp.decode(int(obs))[0]
+                oq, oe, ol = decode(sp, int(obs))[0]
                 assert (oq, oe) == (q, e)
                 assert row[obs] == pytest.approx(level.obs_confusion[lv, ol])
 

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import admissible, reference_monte_carlo, reference_run_episode
+from oracles import (admissible, decode, encode, reference_monte_carlo,
+                     reference_run_episode, states)
 from swiptctl.control import (HashMismatchError, Multipliers, Policy,
                               build_cost_table)
 from swiptctl.dynamics import StateSpace
@@ -145,14 +146,11 @@ def test_unpayable_action_falls_back_per_user(unpayable):
     np.testing.assert_array_equal(traj["used"][~broke], price[~broke])
 
 
-def test_compile_and_rollout_never_walk_joint_states(monkeypatch):
-    # the program works on per-user arrays; StateSpace's one-index-at-a-time
-    # walk is the tests' reference only
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("a program path walks the joint states")
-
+def test_compile_and_rollout_never_walk_joint_states():
+    # the program works on per-user arrays; the one-index-at-a-time walk
+    # is the tests' reference only (oracles.states), so StateSpace has none
     for name in ("states", "decode", "encode"):
-        monkeypatch.setattr(StateSpace, name, refuse)
+        assert not hasattr(StateSpace, name), name
     compiled = compile_scenario(desk_scenario(calib_draws=80, q_max=1,
                                               e_max=1))
     spec = default_constraints(compiled.config)
@@ -232,17 +230,17 @@ def test_unknown_baseline_rejected(desk_compiled):
 
 def test_p_opt_is_queue_blind(desk_compiled, p_opt):
     space = desk_compiled.space
-    base = space.decode(0)
+    base = decode(space, 0)
     for q in range(space.q_max + 1):
         users = tuple((q, e, lv) for (_q, e, lv) in base)
-        assert p_opt.action(space.encode(users)) == p_opt.action(0)
+        assert p_opt.action(encode(space, users)) == p_opt.action(0)
 
 
 def test_p_opt_meets_rate_floors_when_payable(desk_compiled, p_opt):
     space = desk_compiled.space
     spec = default_constraints(desk_compiled.config)
     full = tuple((0, space.e_max, 1) for _ in range(space.n_users))
-    a = p_opt.action(space.encode(full))
+    a = p_opt.action(encode(space, full))
     actions = desk_compiled.actions
     assert admissible(actions, a, [space.e_max] * space.n_users)
     assert np.all(actions.served[a, :, 1] >= spec.r_min_up)
@@ -257,7 +255,7 @@ def test_p_opt_prefers_cheapest_feasible(desk_compiled, p_opt):
     actions = desk_compiled.actions
     total = [float(np.sum(actions.p_up[a]) + np.sum(actions.p_down[a]))
              for a in range(desk_compiled.n_actions)]
-    price = total[p_opt.action(space.encode(full))]
+    price = total[p_opt.action(encode(space, full))]
     for a in range(desk_compiled.n_actions):
         meets = (admissible(actions, a, [space.e_max] * space.n_users)
                  and np.all(actions.served[a, :, 1] >= spec.r_min_up)
@@ -273,7 +271,7 @@ def reference_p_opt(compiled, spec):
                    key=lambda a: (float(np.sum(actions.p_up[a])
                                         + np.sum(actions.p_down[a])), a))
     table = np.empty(space.size, dtype=int)
-    for obs, users in space.states():
+    for obs, users in states(space):
         energies = [e for (_q, e, _l) in users]
         feas = [a for a in order if admissible(actions, a, energies)]
         meets = [a for a in feas

@@ -1,23 +1,23 @@
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from oracles import (DEFAULT_PRUNE_MARGIN, ObservationMdp, OracleScaleError,
-                     dense_fib_q, dense_fib_sweep, dense_mdp_value,
-                     dense_policy_value, exact_value_iteration,
+from oracles import (DEFAULT_PRUNE_MARGIN, ImpossibleObservationError,
+                     ObservationMdp, OracleScaleError, dense_fib_q,
+                     dense_fib_sweep, dense_mdp_value, dense_policy_value,
+                     exact_value_iteration, observation_prob,
                      pair_policy_alphas, reference_backup,
                      reference_initial_bounds, reference_propagate,
-                     reference_successor_posts, root_seeds_off)
+                     reference_successor_posts, root_seeds_off, update_belief)
 from test_acceptance import (SPARSE_Z_MEMBER, ZOO_DIMS, ZOO_HORIZON,
                              ZOO_PRUNE_MARGIN, _zoo_pomdp, zoo_exact)
 
-from swiptctl.pomdp import (AlphaVector, BoundPair, ImpossibleObservationError,
-                            LowerBound, PomdpModel, UpperBound, backup,
-                            excess_uncertainty, initial_bounds,
-                            observation_prob, q_values, solve_hsvi,
-                            update_belief)
+from swiptctl.pomdp import (AlphaVector, BoundPair, LowerBound, PomdpModel,
+                            UpperBound, backup, excess_uncertainty,
+                            initial_bounds, q_values, solve_hsvi)
 from swiptctl.pomdp import solver
 from swiptctl.scenario import compile_scenario, desk_scenario
 
@@ -413,6 +413,23 @@ class TestInitialBounds:
         # above the MDP value, where value iteration can stop below it
         assert (bounds.upper.corner >= mdp - tol).all()
         assert (bounds.upper.corner <= mdp + tol).all()
+
+    def test_corners_gather_the_policy_rows_bit_for_bit(self, seed_model,
+                                                        monkeypatch):
+        # one matvec of the gathered rows T_pi, against every action's
+        # T_a x with one entry kept per state
+        m = seed_model
+        got = solver._mdp_corners(m, solver._blind_alphas(m))
+        states = np.arange(m.n_states)
+
+        def per_action(transitions, pi):
+            return SimpleNamespace(dot=lambda x: np.column_stack(
+                [t.dot(x) for t in transitions])[states, pi])
+
+        monkeypatch.setattr(solver, "policy_rows", per_action)
+        want = solver._mdp_corners(m, solver._blind_alphas(m))
+        for g, w in zip(got, want):       # corners, then the Q-table
+            np.testing.assert_array_equal(g, w)
 
     def test_value_iteration_corners_undershoot_positive_values(self):
         m = positive_chain_model()

@@ -72,15 +72,28 @@ def test_traced_solve_and_evaluate_report_layer_metrics(tmp_path):
     assert metrics["scenario.compiles"] == 2
 
 
-def test_cli_import_leaves_out_slow_scipy_modules():
-    # scipy.stats alone once took about 0.7 s of a 1.3 s start-up; only
-    # the tests' exact oracle needs scipy.optimize
+def scipy_modules_loaded_by(module: str) -> list:
+    """The scipy modules that a fresh interpreter has loaded after
+    importing ``module``."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import json, sys, swiptctl.cli; print(json.dumps(sorted("
-            "{m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})))")
+    code = (f"import json, sys, {module}; print(json.dumps(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    loaded = json.loads(out)
-    assert "stats" not in loaded and "optimize" not in loaded, loaded
+    return json.loads(out)
+
+
+def test_cli_import_leaves_out_slow_scipy_modules():
+    # scipy.stats alone once took about 0.7 s of a 1.3 s start-up; only
+    # the tests' exact oracle needs scipy.optimize
+    loaded = scipy_modules_loaded_by("swiptctl.cli")
+    assert not {"scipy.stats", "scipy.optimize"} & set(loaded), loaded
+
+
+def test_channel_import_loads_no_scipy():
+    # the link layer is numpy only; the closed-form SINR densities, which
+    # need scipy.special, stay in tests/oracles.py
+    loaded = scipy_modules_loaded_by("swiptctl.channel")
+    assert loaded == [], loaded
