@@ -155,11 +155,9 @@ def cmd_sweep_power(args) -> int:
 def cmd_sweep_antennas(args) -> int:
     cfg = _load_config(args.config)
     n_r_list = _int_list(args.n_r)
-    rows, _results = sweep_antennas(cfg, n_r_list, episodes=args.episodes,
-                                    horizon=args.horizon, eps=args.eps,
-                                    seed=args.seed,
-                                    log_sink=_UnconvergedWarnings(),
-                                    **_hsvi_kw(args))
+    rows = sweep_antennas(cfg, n_r_list, episodes=args.episodes,
+                          horizon=args.horizon, eps=args.eps, seed=args.seed,
+                          log_sink=_UnconvergedWarnings(), **_hsvi_kw(args))
     _write_output(args.out, cfg.scenario_hash(),
                   rows_to_csv(rows, ANTENNA_COLUMNS))
     print(f"wrote {args.out}: {len(rows)} rows")

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy import sparse
 
 from .dynamics import level_map_matrix, user_action_table
 from .pomdp import PomdpModel, solve_hsvi
@@ -194,10 +193,10 @@ class Policy:
                    scenario_hash=d["scenario_hash"], kind=d.get("kind", ""))
 
 
-def _obs_posteriors(compiled: CompiledScenario) -> sparse.csr_matrix:
-    """Row o is the belief after observation o under the stationary level
-    prior: queue and energy are read exactly, each user's level via Bayes
-    through the confusion matrix (per user ``I_(q,e) ⊗ posterior``)."""
+def _obs_posteriors(compiled: CompiledScenario):
+    """CSR; row o is the belief after observation o under the stationary
+    level prior: queue and energy are read exactly, each user's level via
+    Bayes through the confusion matrix (per user ``I_(q,e) ⊗ posterior``)."""
     level = compiled.level
     posterior = np.array([w / w.sum()
                           for w in level.probs * level.obs_confusion.T])

@@ -11,12 +11,13 @@ never enumerated.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy import sparse, special
+from scipy import sparse
 
 ROW_SUM_TOL = 1e-10
 # largest joint state space that is compiled into a kernel
@@ -31,26 +32,21 @@ class StateSpaceBudgetError(ValueError):
 # arrivals
 # ---------------------------------------------------------------------------
 
-def arrival_cap(lam: float, tail: float = 1e-9) -> int:
-    """Smallest n with P(A > n) < tail; ``pdtrc`` is the Poisson tail."""
-    n = 0
-    while special.pdtrc(n, lam) >= tail:
-        n += 1
-    return n
-
-
 def arrival_pmf(lam: float) -> np.ndarray:
-    """Poisson pmf with per-slot mean ``lam``, truncated at
-    :func:`arrival_cap` and renormalized."""
+    """Poisson pmf with per-slot mean ``lam``, truncated at the smallest n
+    with P(A > n) < 1e-9 and renormalized. The log-pmf is scipy's bit for
+    bit up to k = 12, within a few ulps beyond; the tail, taken past the
+    mode down to e^-60, is summed from its smallest terms up."""
     if not lam > 0:
         raise ValueError("arrival rate must be positive")
-    cap = arrival_cap(lam)
-    if cap == 0:
-        return np.array([1.0])
-    # the Poisson log-pmf as scipy.stats evaluates it, without importing
-    # scipy.stats (most of the CLI's start-up time)
-    k = np.arange(cap + 1)
-    pmf = np.exp(special.xlogy(k, lam) - special.gammaln(k + 1) - lam)
+    log_pmf, factorial, k = [], 1, 0
+    while k <= lam or log_pmf[-1] > -60:
+        log_pmf.append(k * math.log(lam) - math.log(factorial) - lam)
+        k += 1
+        factorial *= k
+    at_least = np.cumsum(np.exp(log_pmf)[::-1])[::-1]   # P(A >= k)
+    cap = np.count_nonzero(at_least >= 1e-9) - 1
+    pmf = np.exp(log_pmf[:cap + 1])
     return pmf / pmf.sum()
 
 

@@ -357,19 +357,17 @@ def sweep_power(cfg: ScenarioConfig, budgets, policies=("d-opt", "j-opt",
 
 def sweep_antennas(cfg: ScenarioConfig, n_r_list, episodes: int = 30,
                    horizon: int = 300, eps: float = 5.0, seed: int = 0,
-                   **hsvi_kw):
+                   **hsvi_kw) -> list:
     """Effective power versus array size, with antenna selection on and
     off: per array size n_r, one j-opt solve and rollout over a shortlist
     of masks (``select-n<n_r>``) and one over the full array
     (``full-n<n_r>``).
 
     Effective power is the transmit power scaled by the active-antenna
-    fraction plus a circuit cost per active antenna. Returns the rows,
-    with the ``ANTENNA_COLUMNS`` (the ``budget_w`` column holds n_r), and
-    the RunResults they come from."""
+    fraction plus a circuit cost per active antenna. Returns the rows, with
+    the ``ANTENNA_COLUMNS`` (the ``budget_w`` column holds n_r)."""
     hsvi_kw = {**SWEEP_HSVI_KW, **hsvi_kw}
     rows = []
-    results = []
     for n_r in n_r_list:
         min_mask = cfg.k * cfg.n_u
         if n_r < min_mask:
@@ -394,5 +392,4 @@ def sweep_antennas(cfg: ScenarioConfig, n_r_list, episodes: int = 30,
                 run.to_row(budget_w=float(n_r)),
                 effective_power_w=f"{run.effective_power_w:.6g}",
                 effective_power_ci=f"{run.effective_power_ci:.6g}"))
-            results.append(run)
-    return rows, results
+    return rows

@@ -191,6 +191,7 @@ def desk_scenario(**overrides) -> ScenarioConfig:
 # link-layer calibration
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")   # refused below by name
 def calibrate(cfg: ScenarioConfig) -> tuple:
     """Seeded Monte Carlo pass over channel draws, in array passes; returns
     the ``(LevelModel, ActionTable)`` pair.
@@ -292,13 +293,22 @@ def calibrate(cfg: ScenarioConfig) -> tuple:
                 sinr = num[..., None] / ((up_err + cfg.noise_w)[:, None, None]
                                          * zf_gain)
                 sinr_up = level_means(np.maximum(sinr, 0.0).mean(axis=-1))
-                table.used_units[a] = math.ceil(p_up * slot_link
-                                                / cfg.delta_e_j)
             if p_down > 0:
                 den = dn_interf + cfg.noise_w / ((1.0 - a2) * p_down)
                 den = den + cfg.noise_w / (cfg.rho * (1.0 - a2) * p_down)
                 sinr_dn = level_means(dn_signal / den)
                 eh_power = level_means((1.0 - cfg.rho) * (p_down * rx_gain))
+            price = p_up * slot_link / cfg.delta_e_j
+            # integers below: x < limit fails on inf, NaN and past int64
+            for link, power, what, x, limit in (
+                    ("uplink", p_up, "energy price", price, 2 ** 63),
+                    ("uplink", p_up, "SINR", sinr_up, math.inf),
+                    ("downlink", p_down, "SINR", sinr_dn, math.inf),
+                    ("downlink", p_down, "harvest power", eh_power, math.inf)):
+                if not np.all(x < limit):
+                    raise ConfigError(f"{link} power level {power!r} W "
+                                      f"overflows the {what}")
+            table.used_units[a] = math.ceil(price)
             rate_dn = np.zeros((cfg.k, cfg.n_levels))
             for u in range(cfg.k):
                 for lv in range(cfg.n_levels):

@@ -348,25 +348,25 @@ def test_full_duplex_beats_half_duplex(power_sweep_rows):
 
 def test_antenna_selection_cuts_effective_power():
     t0 = time.perf_counter()
-    _rows, results = sweep_antennas(desk_scenario(), (4, 32), episodes=20,
-                                    horizon=300, seed=7)
+    rows = sweep_antennas(desk_scenario(), (4, 32), episodes=20,
+                          horizon=300, seed=7)
     elapsed = time.perf_counter() - t0
-    runs = {run.policy_kind: run for run in results}
-    sel4, full4 = runs["select-n4"], runs["full-n4"]
-    sel32, full32 = runs["select-n32"], runs["full-n32"]
+    # (effective power, its CI) per policy, read back from the six
+    # significant digits of the rows
+    runs = {row["policy"]: (float(row["effective_power_w"]),
+                            float(row["effective_power_ci"])) for row in rows}
+    (sel4, sel4_ci), (full4, full4_ci) = runs["select-n4"], runs["full-n4"]
+    (sel32, sel32_ci), (full32, full32_ci) = (runs["select-n32"],
+                                              runs["full-n32"])
     # small array: the two curves coincide (selection floor = full array)
-    assert abs(sel4.effective_power_w - full4.effective_power_w) <= (
-        sel4.effective_power_ci + full4.effective_power_ci)
+    assert abs(sel4 - full4) <= sel4_ci + full4_ci
     # large array: selection strictly lower, CIs disjoint
-    assert (sel32.effective_power_w + sel32.effective_power_ci
-            < full32.effective_power_w - full32.effective_power_ci)
+    assert sel32 + sel32_ci < full32 - full32_ci
     assert elapsed < 1200.0
     _report("antenna-selection saving",
-            f"n_r=4 curves within CI ({sel4.effective_power_w:.3f} vs "
-            f"{full4.effective_power_w:.3f}); n_r=32 selection "
-            f"{sel32.effective_power_w:.3f}+{sel32.effective_power_ci:.3f} < "
-            f"full {full32.effective_power_w:.3f}-"
-            f"{full32.effective_power_ci:.3f}; {elapsed:.0f}s < 1200s")
+            f"n_r=4 curves within CI ({sel4:.3f} vs {full4:.3f}); n_r=32 "
+            f"selection {sel32:.3f}+{sel32_ci:.3f} < full "
+            f"{full32:.3f}-{full32_ci:.3f}; {elapsed:.0f}s < 1200s")
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,26 @@ def test_config_with_a_non_finite_float_exits_2(tmp_path, capsys, key,
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,power", [
+    ("power_levels_up", 1e308), ("power_levels_down", 1e308),
+    ("power_levels_up", 1e306),
+])
+def test_config_with_an_overflowing_power_level_exits_2(tmp_path, capsys,
+                                                        key, power):
+    # finite, so the config accepts it; in the calibration the energy price
+    # and the harvest power overflow to infinity at 1e308, and at 1e306
+    # the price (1e308 units) is past the int64 price table
+    cfg = json.loads(desk_scenario().to_json())
+    cfg[key][1] = power
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    assert run("validate", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    link = "uplink" if key == "power_levels_up" else "downlink"
+    assert f"{link} power level {power!r} W overflows" in err
+
+
 def test_missing_config_exits_2(tmp_path):
     assert run("validate", "--config", str(tmp_path / "nope.json")) == 2
 

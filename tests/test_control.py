@@ -507,9 +507,9 @@ def test_hsvi_brackets_exact_oracle_on_compiled_jopt():
 SELECT_N16_BEFORE = 125.835
 
 
-def captured(kind, compiled, **hsvi_kw):
-    """``kind`` policy of ``compiled`` at eps 5, with each (model, result)
-    pair that its HSVI solves saw."""
+def captured(kind, compiled, eps=5.0, **hsvi_kw):
+    """``kind`` policy of ``compiled``, with each (model, result) pair that
+    its HSVI solves saw."""
     import swiptctl.control as control
     solves = []
 
@@ -520,7 +520,7 @@ def captured(kind, compiled, **hsvi_kw):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(control, "solve_hsvi", capture)
-        policy = baseline_policy(kind, compiled, eps=5.0, **hsvi_kw)
+        policy = baseline_policy(kind, compiled, eps=eps, **hsvi_kw)
     return policy, solves
 
 
@@ -539,35 +539,71 @@ def bench_solves():
             + captured("j-opt", select, **SWEEP_HSVI_KW)}
 
 
-@pytest.fixture(scope="module")
-def bench_exact(bench_solves):
+def with_exact(compiled, caught):
     """Per captured solve: (result, root belief, exact observation MDP, its
     optimal values over the observations, the exact root value)."""
+    b0 = uniform_initial_belief(compiled)
     out = []
-    for compiled, _pol, caught in bench_solves.values():
-        b0 = uniform_initial_belief(compiled)
-        for model, res in caught:
-            exact = ObservationMdp(compiled, model)
-            v = exact.solve()[0]
-            out.append((res, b0, exact, v, exact.root(b0, v)))
+    for model, res in caught:
+        exact = ObservationMdp(compiled, model)
+        v = exact.solve()[0]
+        out.append((res, b0, exact, v, exact.root(b0, v)))
     return out
+
+
+def assert_root_bracketed(res, b0, root):
+    lo, hi = res.bounds.lower.value(b0), res.bounds.upper.value(b0)
+    tol = 1e-9 * abs(root)
+    assert lo - tol <= root <= hi + tol
+
+
+def assert_posteriors_bracketed(res, exact, v):
+    # the belief after any observation o is row o of the posterior table,
+    # where the exact POMDP value is the observation MDP's value v(o)
+    tol = 1e-9 * np.abs(v).max()
+    assert (res.bounds.upper.value_many(exact.post) >= v - tol).all()
+    assert (res.bounds.lower.scores(exact.post) <= v[:, None] + tol).all()
+
+
+@pytest.fixture(scope="module")
+def bench_exact(bench_solves):
+    return [case for compiled, _pol, caught in bench_solves.values()
+            for case in with_exact(compiled, caught)]
 
 
 def test_hsvi_root_bounds_bracket_the_observation_mdp(bench_exact):
     assert len(bench_exact) == 6
     for res, b0, _exact, _v, root in bench_exact:
-        lo, hi = res.bounds.lower.value(b0), res.bounds.upper.value(b0)
-        tol = 1e-9 * abs(root)
-        assert lo - tol <= root <= hi + tol
+        assert_root_bracketed(res, b0, root)
 
 
 def test_bounds_hold_at_every_posterior(bench_exact):
-    # the belief after any observation o is row o of the posterior table,
-    # where the exact POMDP value is the observation MDP's value v(o)
     for res, _b0, exact, v, _root in bench_exact:
-        tol = 1e-9 * np.abs(v).max()
-        assert (res.bounds.upper.value_many(exact.post) >= v - tol).all()
-        assert (res.bounds.lower.scores(exact.post) <= v[:, None] + tol).all()
+        assert_posteriors_bracketed(res, exact, v)
+
+
+def test_bounds_bracket_the_oracle_where_energy_binds():
+    # the top action costs each user 2 units and harvests 1 at both
+    # levels, so with e_max 3 its price is paid only from stored energy
+    compiled = compile_scenario(desk_scenario(q_max=4, e_max=3, eta=0.03))
+    top = len(compiled.actions) - 1
+    assert compiled.actions.used_units[top].tolist() == [2, 2]
+    assert (compiled.actions.harvested[top] == 1).all()
+    b0 = uniform_initial_belief(compiled)
+    roots = {}
+    for kind in ("d-opt", "j-opt"):
+        _policy, caught = captured(kind, compiled, eps=0.1)
+        (model, res), = caught
+        if kind == "d-opt":
+            # about 0 in every desk variant where the top action pays for
+            # itself
+            assert initial_bounds(model).gap(b0) > 1.0
+        assert res.converged and res.iterations == 0
+        (_res, _b0, exact, v, roots[kind]), = with_exact(compiled, caught)
+        assert_root_bracketed(res, b0, roots[kind])
+        assert_posteriors_bracketed(res, exact, v)
+    assert roots["d-opt"] == pytest.approx(-55.5626406421, abs=1e-9)
+    assert roots["j-opt"] == pytest.approx(86.6899236946, abs=1e-9)
 
 
 def test_executed_selection_policy_against_the_joint_optimum(bench_solves):

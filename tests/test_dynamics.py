@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse, stats
+from scipy import sparse, special, stats
 
 from oracles import (InadmissibleActionError, decode, effective_effect,
                      encode, states, step_energy, step_queue, user_next_pmf)
 from swiptctl import dynamics
 from swiptctl.dynamics import (ActionTable, LevelModel, StateSpace,
                                StateSpaceBudgetError, TransitionKernel,
-                               arrival_cap, arrival_pmf, build_kernel,
+                               arrival_pmf, build_kernel,
                                build_observation_matrix, level_map_matrix,
                                user_action_table)
 from swiptctl.scenario import compile_scenario, desk_scenario
@@ -66,11 +66,39 @@ class TestRecursions:
         assert 0 <= nxt <= e_max
 
 
+def scipy_arrival_pmf(lam):
+    """The arrival pmf as scipy's Poisson functions give it: the cap is the
+    smallest n with ``pdtrc(n, lam)`` (P(A > n)) below 1e-9, and the log-pmf
+    is the one ``scipy.stats.poisson`` evaluates."""
+    cap = 0
+    while special.pdtrc(cap, lam) >= 1e-9:
+        cap += 1
+    k = np.arange(cap + 1)
+    pmf = np.exp(special.xlogy(k, lam) - special.gammaln(k + 1) - lam)
+    return pmf / pmf.sum()
+
+
 class TestArrivals:
     def test_cap_tail_bound(self):
-        cap = arrival_cap(0.05)
+        cap = arrival_pmf(0.05).size - 1
         assert stats.poisson.sf(cap, 0.05) < 1e-9
         assert stats.poisson.sf(cap - 1, 0.05) >= 1e-9
+
+    def test_matches_scipy_on_a_grid_of_rates(self):
+        # the log-pmf is bit for bit scipy's while log(k!) is exactly
+        # gammaln(k + 1), up to k = 12 (every rate below about 1.26,
+        # both presets included); beyond that the last bits may differ
+        lams = np.concatenate([np.geomspace(1e-4, 20, 600),
+                               np.linspace(1e-4, 20, 600)])
+        for lam in lams:
+            pmf, want = arrival_pmf(lam), scipy_arrival_pmf(lam)
+            cap = pmf.size - 1
+            assert stats.poisson.sf(cap, lam) < 1e-9, lam
+            assert cap == 0 or stats.poisson.sf(cap - 1, lam) >= 1e-9, lam
+            if cap <= 12:
+                assert pmf.tolist() == want.tolist(), lam
+            else:
+                np.testing.assert_allclose(pmf, want, rtol=1e-13, atol=0)
 
     def test_pmf_sums_to_one(self):
         for lam in (0.05, 0.5, 3.0):
@@ -80,7 +108,7 @@ class TestArrivals:
 
     def test_truncation_renormalizes(self):
         pmf = arrival_pmf(1.0)
-        raw = stats.poisson.pmf(np.arange(arrival_cap(1.0) + 1), 1.0)
+        raw = stats.poisson.pmf(np.arange(pmf.size), 1.0)
         np.testing.assert_allclose(pmf, raw / raw.sum())
 
     def test_mean_close_to_lam(self):
