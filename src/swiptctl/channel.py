@@ -400,15 +400,17 @@ def zf_noise_gains(h_sel: np.ndarray, w_up: np.ndarray) -> np.ndarray:
 def harvested_energy(eh_power: float, efficiency: float, slot: float,
                      delta_e: float, cap: int) -> int:
     """Quantized harvested energy units: floor(eta * P_eh * slot / dE),
-    at most ``cap``."""
+    at most ``cap`` (capped before the floor, so an overflow to infinity
+    gives ``cap``)."""
     if min(efficiency, slot, delta_e) <= 0 or eh_power < 0:
         raise ValueError("inputs must be positive (eh_power nonnegative)")
-    return min(int(math.floor(efficiency * eh_power * slot / delta_e)), cap)
+    return math.floor(min(efficiency * eh_power * slot / delta_e, cap))
 
 
 def achievable_rate(sinr: float, bandwidth: float, slot: float,
-                    packet_bits: float) -> int:
-    """Whole packets per slot under the Shannon mapping."""
+                    packet_bits: float) -> float:
+    """Whole packets per slot under the Shannon mapping, as a float, so
+    that a count past any integer type reads as it is (or as inf)."""
     if sinr < 0:
         raise ValueError("SINR must be nonnegative")
-    return int(math.floor(bandwidth * slot * math.log2(1.0 + sinr) / packet_bits))
+    return np.floor(bandwidth * slot * math.log2(1.0 + sinr) / packet_bits)

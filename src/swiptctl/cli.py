@@ -116,19 +116,10 @@ def cmd_evaluate(args) -> int:
     policy = Policy.from_json(_read_body(args.policy))
     run = monte_carlo(policy, compiled, episodes=args.episodes,
                       horizon=args.horizon, base_seed=args.seed)
-    body = json.dumps({
-        "scenario_hash": run.scenario_hash,
-        "policy": run.policy_kind,
-        "episodes": run.episodes,
-        "delay_ms_mean": run.delay_ms_mean,
-        "delay_ms_ci": run.delay_ms_ci,
-        "p_up_w": run.p_up_w.tolist(),
-        "p_down_w": run.p_down_w.tolist(),
-        "rate_up": run.rate_up.tolist(),
-        "rate_down": run.rate_down.tolist(),
-        "effective_power_w": run.effective_power_w,
-        "effective_power_ci": run.effective_power_ci,
-    }, sort_keys=True, indent=2)
+    record = {**vars(run), "policy": run.policy_kind}
+    del record["policy_kind"], record["delay_slots"]
+    body = json.dumps(record, sort_keys=True, indent=2,
+                      default=np.ndarray.tolist)
     _write_output(args.out, compiled.scenario_hash, body)
     print(f"wrote {args.out}: delay {run.delay_ms_mean:.4g} ms "
           f"± {run.delay_ms_ci:.4g}")

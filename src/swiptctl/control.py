@@ -3,14 +3,15 @@
 The stage cost is the per-user delay proxy plus multiplier-weighted
 constraint terms (power caps, minimum rates, delay cap). Multipliers adapt
 by projected subgradient ascent on measured rollout violations. Policies
-are solved in two layers: beamforming power levels with the antenna mask
-frozen, then mask selection with the power policy frozen.
+are solved in two layers by one routine (:func:`solve_layer`): beamforming
+power levels with the antenna mask frozen, then mask selection with the
+power policy frozen.
 
 Users are independent given the action, so the tables are built per user:
 the cost table spreads per-user terms over the joint states, the greedy
 policy scores the Kronecker-factored observation posteriors in one matrix
-product, and the outer layer gathers its kernel rows per action, with no
-loop over joint states.
+product, and a layer gathers its kernel rows per action, with no loop over
+joint states.
 """
 
 from __future__ import annotations
@@ -90,26 +91,25 @@ def build_cost_table(compiled: CompiledScenario, nu: Multipliers,
     neither transmits nor is served (the kernel's fallback, read from
     :func:`user_action_table`).
 
-    The cost sums per-user terms, and each user's terms depend only on that
-    user's (q, e, level) and the action. They are tabulated over one user's
-    states and spread over the joint states, added user by user in the
-    order varrho * delay, p_up, p_down, r_up, r_down, delay cap. The delay
-    proxy is q / mean-arrivals-per-slot. ``extra_action_cost`` is an
-    optional per-action constant (e.g. weighted circuit power of the active
-    mask) added to every state's cost."""
+    User by user, varrho * delay and then each family's multiplier times
+    its :func:`constraint_violations` term (``FAMILIES`` order) depend only
+    on that user's (q, e, level) and the action: they are tabulated over
+    one user's states and spread over the joint states. The delay proxy is
+    q / mean-arrivals-per-slot. ``extra_action_cost`` is an optional
+    per-action constant (e.g. weighted circuit power of the active mask)
+    added to every state's cost."""
     space, actions = compiled.space, compiled.actions
     acts = user_action_table(space, actions)
     delay = (space.user_digits()[0] / compiled.config.lam_slot)[:, None]
     shape = (space.per_user, compiled.n_actions)
     table = np.zeros((space.size, compiled.n_actions))
     for u in range(space.n_users):
-        terms = (nu.varrho[u] * delay,
-                 nu.nu["p_up"][u] * (acts.p_up[u] - spec.p_max_up),
-                 nu.nu["p_down"][u] * (actions.p_down[:, u] - spec.p_max_down),
-                 nu.nu["r_up"][u] * (spec.r_min_up - acts.served[u]),
-                 nu.nu["r_down"][u] * (spec.r_min_down
-                                       - actions.rate_down[:, u]),
-                 nu.nu["delay"][u] * (delay - spec.tau_up))
+        viol = constraint_violations(
+            {"p_up": acts.p_up[u], "p_down": actions.p_down[:, u],
+             "r_up": acts.served[u], "r_down": actions.rate_down[:, u],
+             "delay": delay}, spec)
+        terms = [nu.varrho[u] * delay] + [nu.nu[fam][u] * viol[fam]
+                                          for fam in FAMILIES]
         for term in terms:
             table += space.spread(u, np.broadcast_to(term, shape))
     if extra_action_cost is not None:
@@ -122,22 +122,24 @@ def build_cost_table(compiled: CompiledScenario, nu: Multipliers,
 # ---------------------------------------------------------------------------
 
 def constraint_violations(metrics: dict, spec: ConstraintSpec) -> dict:
-    """Signed violations, positive when the constraint is broken."""
+    """Signed violations, positive when the constraint is broken: the one
+    place that writes each family's sign. ``metrics`` holds, per family,
+    a measured average or a per-state quantity (``delay`` in slots)."""
     return {
         "p_up": metrics["p_up"] - spec.p_max_up,
         "p_down": metrics["p_down"] - spec.p_max_down,
         "r_up": spec.r_min_up - metrics["r_up"],
         "r_down": spec.r_min_down - metrics["r_down"],
-        "delay": metrics.get("delay_raw", metrics["delay"]) - spec.tau_up,
+        "delay": metrics["delay"] - spec.tau_up,
     }
 
 
-def update_multipliers(nu: Multipliers, metrics: dict, spec: ConstraintSpec,
+def update_multipliers(nu: Multipliers, viol: dict,
                        step: float) -> Multipliers:
-    """Projected subgradient ascent nu' = [nu + step * violation]^+."""
+    """Projected subgradient ascent nu' = [nu + step * violation]^+ on the
+    :func:`constraint_violations` of a measurement."""
     if step <= 0:
         raise ValueError("step must be positive")
-    viol = constraint_violations(metrics, spec)
     new = {fam: np.maximum(nu.nu[fam] + step * viol[fam], 0.0)
            for fam in FAMILIES}
     return Multipliers(nu=new, varrho=nu.varrho.copy())
@@ -203,34 +205,20 @@ def _obs_posteriors(compiled: CompiledScenario):
     return level_map_matrix(compiled.space, posterior, "csr")
 
 
-def greedy_policy(compiled: CompiledScenario, lower_bound,
-                  action_map=None) -> Policy:
+def greedy_policy(compiled: CompiledScenario, lower_bound) -> Policy:
     """Greedy policy of a PWLC lower bound, tabulated per observation.
 
     One product scores every alpha at every observation posterior; the
-    lowest index wins ties. ``action_map`` translates sub-model action
-    indices back to joint action indices when the bound was solved on an
-    action subset."""
+    lowest index wins ties. The table holds the bound's own action ids."""
     scores = _obs_posteriors(compiled) @ lower_bound.matrix().T
     actions = np.array([alpha.action for alpha in lower_bound.alphas])
-    table = actions[np.argmax(scores, axis=1)]
-    if action_map is not None:
-        table = np.asarray(action_map)[table]
-    return Policy(action_of=table, scenario_hash=compiled.scenario_hash)
+    return Policy(action_of=actions[np.argmax(scores, axis=1)],
+                  scenario_hash=compiled.scenario_hash)
 
 
 # ---------------------------------------------------------------------------
 # two-layer solve
 # ---------------------------------------------------------------------------
-
-def _make_model(compiled: CompiledScenario, cost_table: np.ndarray,
-                action_ids) -> PomdpModel:
-    return PomdpModel(
-        transitions=[compiled.kernel.matrices[a] for a in action_ids],
-        observations=[compiled.obs_matrix] * len(action_ids),
-        cost=cost_table[:, list(action_ids)],
-        discount=compiled.config.discount)
-
 
 def uniform_initial_belief(compiled: CompiledScenario) -> np.ndarray:
     """Deterministic start (empty queue, full buffer) with levels drawn from
@@ -242,46 +230,52 @@ def uniform_initial_belief(compiled: CompiledScenario) -> np.ndarray:
     return reduce(np.kron, [user] * space.n_users)
 
 
+def layer_model(compiled: CompiledScenario, chosen: np.ndarray,
+                cost_table: np.ndarray) -> PomdpModel:
+    """The model whose action i plays joint action ``chosen[i, s]`` at
+    state s, its kernel rows and costs gathered state by state; a constant
+    row of ``chosen`` shares that action's kernel matrix."""
+    states = np.arange(compiled.space.size)
+    return PomdpModel(
+        transitions=[policy_rows(compiled.kernel.matrices, acts)
+                     for acts in chosen],
+        observations=[compiled.obs_matrix] * len(chosen),
+        cost=cost_table[states[:, None], chosen.T],
+        discount=compiled.config.discount)
+
+
+def solve_layer(compiled: CompiledScenario, chosen: np.ndarray,
+                cost_table: np.ndarray, eps: float, **hsvi_kw):
+    """HSVI on :func:`layer_model` from the uniform initial belief; each
+    observation o, read as a state (levels as observed), plays
+    ``chosen[i, o]`` for its greedy layer action i.
+
+    Returns (joint policy, solver result)."""
+    if not len(chosen):
+        raise ValueError("a layer needs at least one action")
+    model = layer_model(compiled, chosen, cost_table)
+    result = solve_hsvi(model, uniform_initial_belief(compiled), eps=eps,
+                        **hsvi_kw)
+    pick = greedy_policy(compiled, result.bounds.lower).action_of
+    return Policy(action_of=chosen[pick, np.arange(pick.size)],
+                  scenario_hash=compiled.scenario_hash), result
+
+
 def solve_inner_beamforming(compiled: CompiledScenario, mask_id: int,
                             cost_table: np.ndarray, eps: float = 0.5,
                             **hsvi_kw):
-    """Power-level HSVI with the antenna mask frozen.
-
-    Returns (policy restricted to this mask's actions, solver result)."""
+    """Power layer: action i plays the mask's i-th joint action at every
+    state. Returns (joint policy, solver result)."""
     ids = np.flatnonzero(compiled.actions.mask_id == mask_id)
-    if not ids.size:
-        raise ValueError(f"no actions for mask {mask_id}")
-    model = _make_model(compiled, cost_table, ids)
-    result = solve_hsvi(model, uniform_initial_belief(compiled), eps=eps,
-                        **hsvi_kw)
-    policy = greedy_policy(compiled, result.bounds.lower, action_map=ids)
-    return policy, result
+    chosen = np.broadcast_to(ids[:, None], (ids.size, compiled.space.size))
+    return solve_layer(compiled, chosen, cost_table, eps, **hsvi_kw)
 
 
 def solve_outer_selection(compiled: CompiledScenario, inner_policies: dict,
                           cost_table: np.ndarray, eps: float = 0.5,
                           **hsvi_kw):
-    """Mask-level HSVI with the power policy frozen per mask.
-
-    Each outer action plays mask m with the power level the inner policy
-    prescribes at the state's own observation digitwise (exact queue/energy,
-    true level read as observed); rows of the outer kernel and cost are
-    gathered from the corresponding joint actions.
-    Returns (joint policy, solver result, mask ids)."""
-    if not inner_policies:
-        raise ValueError("need at least one inner policy")
-    mask_ids = sorted(inner_policies)
-    states = np.arange(compiled.space.size)
-    chosen = np.array([inner_policies[m].action_of for m in mask_ids])
-    # state index == obs index proxy
-    outer_t = [policy_rows(compiled.kernel.matrices, acts) for acts in chosen]
-    model = PomdpModel(transitions=outer_t,
-                       observations=[compiled.obs_matrix] * len(mask_ids),
-                       cost=cost_table[states[:, None], chosen.T],
-                       discount=compiled.config.discount)
-    result = solve_hsvi(model, uniform_initial_belief(compiled), eps=eps,
-                        **hsvi_kw)
-    mask_choice = greedy_policy(compiled, result.bounds.lower)
-    policy = Policy(action_of=chosen[mask_choice.action_of, states],
-                    scenario_hash=compiled.scenario_hash)
-    return policy, result, mask_ids
+    """Mask layer: action i plays the inner policy of the i-th mask id in
+    sorted order. Returns (joint policy, solver result)."""
+    chosen = np.array([inner_policies[m].action_of
+                       for m in sorted(inner_policies)])
+    return solve_layer(compiled, chosen, cost_table, eps, **hsvi_kw)

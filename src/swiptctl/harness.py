@@ -57,6 +57,8 @@ def run_episodes(policy: Policy, compiled: CompiledScenario, episodes: int,
     policy.check_hash(compiled)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    if not 0 <= seed < 2 ** 64:      # ScenarioConfig.seed's range
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     space = compiled.space
     users = np.arange(space.n_users)
     actions = compiled.actions
@@ -116,6 +118,7 @@ class RunResult:
     effective_power_ci: float = 0.0
 
     def to_row(self, budget_w: float = float("nan")) -> dict:
+        """The ``ANTENNA_COLUMNS``; :func:`rows_to_csv` picks a table's."""
         return {
             "scenario_hash": self.scenario_hash,
             "policy": self.policy_kind,
@@ -127,6 +130,8 @@ class RunResult:
             "rate_up": f"{float(np.sum(self.rate_up)):.6g}",
             "rate_down": f"{float(np.sum(self.rate_down)):.6g}",
             "episodes": str(self.episodes),
+            "effective_power_w": f"{self.effective_power_w:.6g}",
+            "effective_power_ci": f"{self.effective_power_ci:.6g}",
         }
 
 
@@ -190,7 +195,7 @@ def solve_two_layer(compiled: CompiledScenario, nu: Multipliers,
     if len(mask_ids) == 1:
         policy = inner[mask_ids[0]]
     else:
-        policy, res, _ = solve_outer_selection(
+        policy, res = solve_outer_selection(
             compiled, inner, cost_table, eps=eps, **hsvi_kw)
         if log_sink is not None:
             log_sink.append((f"{log_prefix}outer selection", res))
@@ -223,11 +228,10 @@ def full_solve(compiled: CompiledScenario, spec: ConstraintSpec,
         policy = solve_two_layer(compiled, nu, spec, "d-opt", eps, **hsvi_kw)
         run = monte_carlo(policy, compiled, episodes=episodes,
                           horizon=horizon, base_seed=seed)
-        metrics = {"delay_raw": run.delay_slots,
-                   "delay": run.delay_slots * nu.varrho,
-                   "p_up": run.p_up_w, "p_down": run.p_down_w,
-                   "r_up": run.rate_up, "r_down": run.rate_down}
-        viol = constraint_violations(metrics, spec)
+        viol = constraint_violations(
+            {"delay": run.delay_slots, "p_up": run.p_up_w,
+             "p_down": run.p_down_w, "r_up": run.rate_up,
+             "r_down": run.rate_down}, spec)
         worst = max(float(np.max(v)) for v in viol.values())
         trace.append(nu.copy())
         viols.append(viol)
@@ -236,7 +240,7 @@ def full_solve(compiled: CompiledScenario, spec: ConstraintSpec,
         if worst <= tol * max(spec.p_max_up, 1e-12):
             return SolveReport(policy=policy, multiplier_trace=trace,
                                violation_trace=viols, converged=True)
-        nu = update_multipliers(nu, metrics, spec, step0 / np.sqrt(n_round))
+        nu = update_multipliers(nu, viol, step0 / np.sqrt(n_round))
     return SolveReport(policy=best[1], multiplier_trace=trace,
                        violation_trace=viols, converged=False,
                        diagnostic=(f"worst residual {best[0]:.4g} after "
@@ -388,8 +392,5 @@ def sweep_antennas(cfg: ScenarioConfig, n_r_list, episodes: int = 30,
             policy.kind = kind
             run = monte_carlo(policy, compiled, episodes=episodes,
                               horizon=horizon, base_seed=seed)
-            rows.append(dict(
-                run.to_row(budget_w=float(n_r)),
-                effective_power_w=f"{run.effective_power_w:.6g}",
-                effective_power_ci=f"{run.effective_power_ci:.6g}"))
+            rows.append(run.to_row(budget_w=float(n_r)))
     return rows

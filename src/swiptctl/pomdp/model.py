@@ -29,8 +29,11 @@ def row_entries(m: sparse.csr_matrix, rows: np.ndarray):
 def policy_rows(transitions: list, pi: np.ndarray) -> sparse.csr_matrix:
     """The CSR matrix whose row s is row s of ``transitions[pi[s]]``, its
     entries in stored order, so that its matvec adds each row's terms as
-    ``transitions[pi[s]]``'s does."""
+    ``transitions[pi[s]]``'s does; for a constant ``pi``, that matrix
+    itself."""
     used = np.unique(pi)
+    if used.size == 1:
+        return transitions[used[0]]
     groups = [np.flatnonzero(pi == a) for a in used]
     rows = sparse.vstack([transitions[a][g] for a, g in zip(used, groups)],
                          format="csr")

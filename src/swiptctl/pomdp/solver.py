@@ -421,8 +421,8 @@ def solve_hsvi(model: PomdpModel, b0: np.ndarray, eps: float,
     """Repeat guided exploration from b0 until the root gap drops below eps
     or the iteration budget runs out (no wall-clock limit, so that the
     result does not depend on the host's speed)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:       # NaN fails too
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     b0 = check_belief(b0)
     bounds = initial_bounds(model, b0, eps)
     start = time.perf_counter()

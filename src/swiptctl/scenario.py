@@ -299,28 +299,24 @@ def calibrate(cfg: ScenarioConfig) -> tuple:
                 sinr_dn = level_means(dn_signal / den)
                 eh_power = level_means((1.0 - cfg.rho) * (p_down * rx_gain))
             price = p_up * slot_link / cfg.delta_e_j
+            served, rate_dn = (np.vectorize(achievable_rate, otypes=[float])(
+                sinr, cfg.bandwidth_hz, slot_link, cfg.packet_bits)
+                for sinr in (sinr_up, sinr_dn))
             # integers below: x < limit fails on inf, NaN and past int64
             for link, power, what, x, limit in (
                     ("uplink", p_up, "energy price", price, 2 ** 63),
                     ("uplink", p_up, "SINR", sinr_up, math.inf),
+                    ("uplink", p_up, "served packet count", served, 2 ** 63),
                     ("downlink", p_down, "SINR", sinr_dn, math.inf),
+                    ("downlink", p_down, "rate", rate_dn, 2 ** 63),
                     ("downlink", p_down, "harvest power", eh_power, math.inf)):
                 if not np.all(x < limit):
                     raise ConfigError(f"{link} power level {power!r} W "
                                       f"overflows the {what}")
             table.used_units[a] = math.ceil(price)
-            rate_dn = np.zeros((cfg.k, cfg.n_levels))
-            for u in range(cfg.k):
-                for lv in range(cfg.n_levels):
-                    table.served[a, u, lv] = achievable_rate(
-                        sinr_up[u, lv], cfg.bandwidth_hz, slot_link,
-                        cfg.packet_bits)
-                    table.harvested[a, u, lv] = harvested_energy(
-                        eh_power[u, lv], cfg.eta, slot_link, cfg.delta_e_j,
-                        cap=cfg.e_max)
-                    rate_dn[u, lv] = achievable_rate(
-                        sinr_dn[u, lv], cfg.bandwidth_hz, slot_link,
-                        cfg.packet_bits)
+            table.served[a] = served
+            table.harvested[a] = np.vectorize(harvested_energy, otypes=[int])(
+                eh_power, cfg.eta, slot_link, cfg.delta_e_j, cap=cfg.e_max)
             table.p_up[a] = p_up * duplex_frac
             table.p_down[a] = p_down * duplex_frac
             table.rate_down[a] = rate_dn @ level.probs

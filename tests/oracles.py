@@ -563,6 +563,14 @@ def reference_calibrate(cfg: ScenarioConfig) -> tuple:
                                  for name in rows[0]})
 
 
+def constant_layer(compiled, ids=None) -> np.ndarray:
+    """A ``control.layer_model`` table whose action i plays joint action
+    ``ids[i]`` (every action by default) at every state, as the power
+    layer's does."""
+    ids = np.arange(compiled.n_actions) if ids is None else np.asarray(ids)
+    return np.broadcast_to(ids[:, None], (ids.size, compiled.space.size))
+
+
 def reference_initial_bounds(model, tol=1e-9, max_iter=100000):
     """HSVI's initial bounds by plain value iteration, stopped at a
     ``tol * (1 - gamma)`` step: each blind alpha climbs from

@@ -297,6 +297,8 @@ class TestSplitAndUnits:
         # eta=0.4, 1 W, 5 ms slot, 1 mJ per unit -> floor(2.0) = 2
         assert harvested_energy(1.0, 0.4, 5e-3, 1e-3, cap=5) == 2
         assert harvested_energy(100.0, 0.4, 5e-3, 1e-3, cap=5) == 5
+        # the cap applies before the floor, so an overflow gives the cap
+        assert harvested_energy(1.0, 1e308, 5e-3, 1e-9, cap=5) == 5
 
     def test_rate(self):
         assert achievable_rate(0.0, 10e6, 5e-3, 20e3) == 0

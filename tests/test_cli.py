@@ -98,6 +98,41 @@ def test_config_with_an_overflowing_power_level_exits_2(tmp_path, capsys,
     assert f"{link} power level {power!r} W overflows" in err
 
 
+@pytest.mark.parametrize("overrides,message", [
+    ({"bandwidth_hz": 1e308}, "uplink power level 0.005 W overflows the "
+                              "served packet count"),
+    ({"packet_bits": 1e-300}, "uplink power level 0.005 W overflows the "
+                              "served packet count"),
+    ({"bandwidth_hz": 1e308, "power_levels_up": (0.0,) * 4},
+     "downlink power level 0.125 W overflows the rate"),
+])
+def test_config_with_an_overflowing_packet_count_exits_2(tmp_path, capsys,
+                                                         overrides, message):
+    # finite, so the config accepts it; the calibration's packet counts
+    # pass 2**63 before they fill the int64 tables
+    path = tmp_path / "huge.json"
+    path.write_text(desk_scenario(**overrides).to_json())
+    assert run("validate", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+
+
+def test_config_whose_harvest_overflows_fills_the_buffer(tmp_path, capsys):
+    # eta * P_eh * slot / dE reaches infinity; capped before its floor, it
+    # fills the buffer in one slot wherever the downlink transmits
+    cfg = desk_scenario(eta=1e308)
+    path = tmp_path / "huge.json"
+    path.write_text(cfg.to_json())
+    assert run("validate", "--config", str(path)) == 0
+    assert capsys.readouterr().err == ""
+    actions = compile_scenario(cfg).actions
+    transmits = actions.p_down > 0
+    assert transmits.any() and not transmits.all()
+    assert (actions.harvested[transmits] == cfg.e_max).all()
+    assert (actions.harvested[~transmits] == 0).all()
+
+
 def test_missing_config_exits_2(tmp_path):
     assert run("validate", "--config", str(tmp_path / "nope.json")) == 2
 
@@ -247,6 +282,49 @@ def test_time_budget_option_is_gone(tiny, tmp_path, capsys, command):
         run(name, "--config", tiny[0], *rest, "--time-budget-s", "60")
     assert exc.value.code == 2
     assert "--time-budget-s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize("command", [
+    ("solve", "--out", "pol.json"),
+    ("sweep-power", "--budgets", "1.05", "--out", "s.csv"),
+    ("sweep-antennas", "--n-r", "4", "--out", "a.csv"),
+])
+def test_eps_must_be_positive_and_finite(tiny, tmp_path, capsys, command,
+                                         eps):
+    # a NaN gap target never certifies, and an infinite one certifies any
+    name, *rest = command
+    rest = [str(tmp_path / arg) if arg.endswith((".json", ".csv")) else arg
+            for arg in rest]
+    assert run(name, "--config", tiny[0], *rest, f"--eps={eps}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: eps must be positive and finite")
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / rest[-1]).exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("command", [
+    ("evaluate", "--out", "res.json"),
+    ("sweep-power", "--budgets", "1.05", "--policies", "p-opt", "--out",
+     "s.csv"),
+])
+def test_rollout_seed_must_lie_in_the_config_seed_range(tiny, tmp_path,
+                                                        capsys, command,
+                                                        seed):
+    cfg_path, compiled = tiny
+    pol = write_policy(tmp_path / "pol.json", compiled,
+                       [0] * compiled.space.size)
+    name, *rest = command
+    rest = [str(tmp_path / arg) if arg.endswith((".json", ".csv")) else arg
+            for arg in rest]
+    if name == "evaluate":
+        rest = ["--policy", pol] + rest
+    assert run(name, "--config", cfg_path, *rest, "--episodes", "2",
+               "--horizon", "5", f"--seed={seed}") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: seed must lie in [0, 2**64), got {seed}\n"
+    assert not (tmp_path / rest[-1]).exists()
 
 
 def test_require_convergence_exits_3(cfg_file, tmp_path, capsys):

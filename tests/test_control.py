@@ -8,18 +8,19 @@ import pytest
 from scipy import sparse
 
 from oracles import (DEFAULT_PRUNE_MARGIN, ClosureError, ObservationMdp,
-                     decode, effective_effect, encode, exact_value_iteration,
-                     root_seeds_off, states)
+                     constant_layer, decode, effective_effect, encode,
+                     exact_value_iteration, root_seeds_off, states)
 from swiptctl.control import (FAMILIES, ConstraintSpec, HashMismatchError,
-                              Multipliers, Policy, _make_model,
-                              _obs_posteriors, build_cost_table,
-                              constraint_violations, greedy_policy,
+                              Multipliers, Policy, _obs_posteriors,
+                              build_cost_table, constraint_violations,
+                              greedy_policy, layer_model,
                               solve_inner_beamforming, solve_outer_selection,
                               uniform_initial_belief, update_multipliers)
 from swiptctl.dynamics import ActionTable, build_kernel
 from swiptctl.harness import (SWEEP_HSVI_KW, SolveReport, baseline_policy,
                               default_constraints, full_solve)
 from swiptctl.pomdp import PomdpModel, initial_bounds, solve_hsvi
+from swiptctl.pomdp.model import policy_rows
 from swiptctl.scenario import compile_scenario, desk_scenario
 
 
@@ -219,8 +220,7 @@ def test_build_cost_table_extra_action_cost(desk_compiled):
 def hand_metrics():
     # time averages of two slots: queues (2, 4) then (4, 0) at 0.5
     # arrivals per slot, and the per-slot powers and rates averaged
-    return {"delay_raw": np.array([6.0, 4.0]),
-            "delay": np.array([6.0, 4.0]),
+    return {"delay": np.array([6.0, 4.0]),
             "p_up": np.array([0.2, 0.1]), "p_down": np.array([0.5, 0.3]),
             "r_up": np.array([2.0, 1.0]), "r_down": np.array([1.0, 1.0])}
 
@@ -239,11 +239,12 @@ def test_update_multipliers_projected_ascent():
     m = hand_metrics()
     spec = ConstraintSpec(p_max_up=0.15, p_max_down=1.0, tau_up=5.0,
                           r_min_up=1.5, r_min_down=0.5)
-    new = update_multipliers(nu, m, spec, step=2.0)
+    viol = constraint_violations(m, spec)
+    new = update_multipliers(nu, viol, step=2.0)
     np.testing.assert_allclose(new.nu["p_up"], [0.1, 0.0])  # clipped at zero
     np.testing.assert_allclose(new.nu["delay"], [2.0, 0.0])
     with pytest.raises(ValueError):
-        update_multipliers(nu, m, spec, step=0.0)
+        update_multipliers(nu, viol, step=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +374,9 @@ def test_outer_selection_composes_inner_policies(two_mask_compiled,
         return solve_hsvi(model, *args, **kwargs)
 
     monkeypatch.setattr(control, "solve_hsvi", capture)
-    joint, _res, mask_ids = solve_outer_selection(
+    joint, _res = solve_outer_selection(
         compiled, inner, cost, eps=5.0, max_iterations=3)
-    assert mask_ids == [0, 1]
+    mask_ids = [0, 1]             # outer action i plays the i-th mask id
     for obs in range(0, compiled.space.size, 97):
         a = joint.action(obs)
         m = compiled.actions.mask_id[a]
@@ -396,7 +397,25 @@ def test_outer_selection_composes_inner_policies(two_mask_compiled,
             outer.cost[:, i], cost[np.arange(compiled.space.size), acts])
 
 
-def reference_greedy(compiled, lower, action_map=None):
+def test_policy_rows_of_a_constant_policy_is_the_action_matrix(
+        two_mask_compiled):
+    matrices = two_mask_compiled.kernel.matrices
+    pi = np.full(two_mask_compiled.space.size, 2)
+    assert policy_rows(matrices, pi) is matrices[2]
+
+
+def test_power_layer_model_holds_the_kernel_matrices(two_mask_compiled):
+    compiled = two_mask_compiled
+    ids = np.flatnonzero(compiled.actions.mask_id == 1)
+    cost = jopt_cost(compiled)
+    model = layer_model(compiled, constant_layer(compiled, ids), cost)
+    for t, a in zip(model.transitions, ids):
+        assert t is compiled.kernel.matrices[a]
+    assert all(z is compiled.obs_matrix for z in model.observations)
+    np.testing.assert_array_equal(model.cost, cost[:, ids])
+
+
+def reference_greedy(compiled, lower):
     """Greedy table one observation at a time: the enumerated posterior,
     then the bound's own best alpha."""
     space, level = compiled.space, compiled.level
@@ -407,7 +426,7 @@ def reference_greedy(compiled, lower, action_map=None):
         b = enumerated_level_product(space, [u[:2] for u in users_obs],
                                      [w / w.sum() for w in posts])
         _, a, _ = lower.best(b)
-        table[obs] = a if action_map is None else action_map[a]
+        table[obs] = a
     return table
 
 
@@ -427,14 +446,15 @@ def test_greedy_policy_matches_per_observation_loop(two_mask_compiled, mask):
     compiled = two_mask_compiled
     ids = [a for a in range(compiled.n_actions)
            if mask is None or compiled.actions.mask_id[a] == mask]
-    model = _make_model(compiled, jopt_cost(compiled), ids)
+    model = layer_model(compiled, constant_layer(compiled, ids),
+                        jopt_cost(compiled))
     res = solve_hsvi(model, uniform_initial_belief(compiled), eps=0.5,
                      max_iterations=3)
     lower = res.bounds.lower
     assert len(lower) > 2
-    action_map = None if mask is None else ids
-    got = greedy_policy(compiled, lower, action_map=action_map)
-    want = reference_greedy(compiled, lower, action_map)
+    # the table holds the layer's own action ids
+    got = greedy_policy(compiled, lower)
+    want = reference_greedy(compiled, lower)
     np.testing.assert_array_equal(got.action_of, want)
     assert len(np.unique(want)) > 1
 
@@ -476,7 +496,7 @@ def test_hsvi_brackets_exact_oracle_on_compiled_jopt():
     # 1 user, q_max = e_max = 1: 8 states, small enough for the exact oracle
     compiled = compile_scenario(desk_scenario(k=1, q_max=1, e_max=1))
     cost = jopt_cost(compiled)
-    model = _make_model(compiled, cost, range(compiled.n_actions))
+    model = layer_model(compiled, constant_layer(compiled), cost)
     b0 = uniform_initial_belief(compiled)
     assert (model.n_states, model.n_actions) == (8, 4)
     assert initial_bounds(model).gap(b0) > 1.0
@@ -608,8 +628,8 @@ def test_bounds_bracket_the_oracle_where_energy_binds():
 
 def test_executed_selection_policy_against_the_joint_optimum(bench_solves):
     compiled, policy, _caught = bench_solves["select-n16"]
-    model = _make_model(compiled, jopt_cost(compiled),
-                        range(compiled.n_actions))
+    model = layer_model(compiled, constant_layer(compiled),
+                        jopt_cost(compiled))
     exact = ObservationMdp(compiled, model)
     b0 = uniform_initial_belief(compiled)
     optimum = exact.root(b0, exact.solve()[0])
@@ -620,8 +640,8 @@ def test_executed_selection_policy_against_the_joint_optimum(bench_solves):
 def test_observation_mdp_refuses_a_model_without_closure(desk_compiled):
     # states observed exactly: the posterior is a point mass, not a row
     # of the level-posterior table
-    model = _make_model(desk_compiled, jopt_cost(desk_compiled),
-                        range(desk_compiled.n_actions))
+    model = layer_model(desk_compiled, constant_layer(desk_compiled),
+                        jopt_cost(desk_compiled))
     exact = PomdpModel(
         transitions=model.transitions,
         observations=[sparse.identity(model.n_states)] * model.n_actions,

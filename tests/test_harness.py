@@ -10,7 +10,7 @@ from oracles import (admissible, decode, encode, reference_monte_carlo,
 from swiptctl.control import (HashMismatchError, Multipliers, Policy,
                               build_cost_table)
 from swiptctl.dynamics import StateSpace
-from swiptctl.harness import (CSV_COLUMNS, baseline_policy,
+from swiptctl.harness import (ANTENNA_COLUMNS, CSV_COLUMNS, baseline_policy,
                               default_constraints, episode_rng, monte_carlo,
                               rows_to_csv, run_episodes, sweep_power)
 from swiptctl.scenario import compile_scenario, desk_scenario
@@ -203,7 +203,8 @@ def test_ci_shrinks_like_root_n(desk_compiled, p_opt):
 def test_run_result_row_schema(desk_compiled, p_opt):
     run = monte_carlo(p_opt, desk_compiled, episodes=3, horizon=50)
     row = run.to_row(budget_w=0.5)
-    assert tuple(row) == CSV_COLUMNS
+    # every column of either table; rows_to_csv picks the table's own
+    assert tuple(row) == ANTENNA_COLUMNS
     assert row["scenario_hash"] == desk_compiled.scenario_hash
     assert row["policy"] == "p-opt"
     assert row["episodes"] == "3"
@@ -311,7 +312,9 @@ def test_sweep_power_row_per_pair(desk_cfg):
                        horizon=30)
     assert len(rows) == 1
     assert rows[0]["policy"] == "p-opt"
-    assert tuple(rows[0]) == CSV_COLUMNS
+    # a row carries every column; the power table shows CSV_COLUMNS
+    assert tuple(rows[0]) == ANTENNA_COLUMNS
+    assert rows_to_csv(rows).split("\n")[0] == ",".join(CSV_COLUMNS)
 
 
 def test_sweep_power_compiles_each_config_once(monkeypatch):

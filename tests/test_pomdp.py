@@ -6,10 +6,10 @@ import pytest
 from scipy import sparse
 
 from oracles import (DEFAULT_PRUNE_MARGIN, ImpossibleObservationError,
-                     ObservationMdp, OracleScaleError, dense_fib_q,
-                     dense_fib_sweep, dense_mdp_value, dense_policy_value,
-                     exact_value_iteration, observation_prob,
-                     pair_policy_alphas, reference_backup,
+                     ObservationMdp, OracleScaleError, constant_layer,
+                     dense_fib_q, dense_fib_sweep, dense_mdp_value,
+                     dense_policy_value, exact_value_iteration,
+                     observation_prob, pair_policy_alphas, reference_backup,
                      reference_initial_bounds, reference_propagate,
                      reference_successor_posts, root_seeds_off, update_belief)
 from test_acceptance import (SPARSE_Z_MEMBER, ZOO_DIMS, ZOO_HORIZON,
@@ -284,7 +284,7 @@ def desk_compiled_small():
 def jopt_model(compiled):
     """A j-opt model of ``compiled`` (power weight 2, the full array's
     circuit cost) and its uniform initial belief."""
-    from swiptctl.control import (Multipliers, _make_model, build_cost_table,
+    from swiptctl.control import (Multipliers, build_cost_table, layer_model,
                                   uniform_initial_belief)
     from swiptctl.harness import default_constraints
     cfg = compiled.config
@@ -295,7 +295,7 @@ def jopt_model(compiled):
         compiled, nu, default_constraints(cfg),
         extra_action_cost=np.full(compiled.n_actions,
                                   2.0 * cfg.circuit_w_per_antenna * cfg.n_r))
-    model = _make_model(compiled, cost, range(compiled.n_actions))
+    model = layer_model(compiled, constant_layer(compiled), cost)
     return model, uniform_initial_belief(compiled)
 
 

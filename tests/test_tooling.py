@@ -72,6 +72,27 @@ def test_traced_solve_and_evaluate_report_layer_metrics(tmp_path):
     assert metrics["scenario.compiles"] == 2
 
 
+def test_traced_two_mask_solve_counts_both_layers(tmp_path):
+    # perfbench counts the two layers by the names harness calls
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(desk_scenario(q_max=1, e_max=1, calib_draws=20,
+                                      mask_sizes=(4, 16)).to_json())
+    tracer = spans.Tracer("tooling")
+    patches = spans.Patches()
+    spans.install_spans(patches, tracer, lambda *_args: None)
+    try:
+        code = cli.main(["solve", "--config", str(cfg_path), "--kind",
+                         "j-opt", "--out", str(tmp_path / "policy.json"),
+                         "--max-iterations", "2"])
+    finally:
+        patches.restore()
+    assert code == 0
+    metrics = spans.layer_metrics(tracer, untraced_wall_s=1.0)
+    assert metrics["control.inner_solves"] == 2
+    assert metrics["control.outer_solves"] == 1
+    assert metrics["pomdp.solves"] == 3
+
+
 def scipy_modules_loaded_by(module: str) -> list:
     """The scipy modules that a fresh interpreter has loaded after
     importing ``module``."""
