@@ -64,12 +64,8 @@ def _hsvi_kw(args) -> dict:
             else {"max_iterations": args.max_iterations})
 
 
-class _UnconvergedWarnings:
-    """Sweep log sink: one stderr line per solve that stopped above its gap
-    target, printed as the solve finishes; no solver result is kept."""
-
-    def append(self, entry) -> None:
-        label, res = entry
+def _warn_unconverged(solves) -> None:
+    for label, res in solves:
         if not res.converged:
             print(f"warning: {label} unconverged after {res.iterations} "
                   f"iterations, root gap {res.root_gap:.6g}", file=sys.stderr)
@@ -91,18 +87,17 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
     compiled = compile_scenario(cfg)
-    sink: list = []
-    policy = baseline_policy(args.kind, compiled, eps=args.eps,
-                             log_sink=sink, **_hsvi_kw(args))
+    policy, solves = baseline_policy(args.kind, compiled, eps=args.eps,
+                                     **_hsvi_kw(args))
     _write_output(args.out, compiled.scenario_hash, policy.to_json())
     if args.log:
         lines = []
-        for label, res in sink:
+        for label, res in solves:
             lines.append(f"## {label} converged={res.converged} "
                          f"iterations={res.iterations}")
             lines.extend(res.log_lines())
         _write_output(args.log, compiled.scenario_hash, "\n".join(lines))
-    if args.require_convergence and any(not r.converged for _, r in sink):
+    if args.require_convergence and any(not r.converged for _, r in solves):
         print("solver budget exhausted before the gap target was met",
               file=sys.stderr)
         return EXIT_BUDGET
@@ -134,10 +129,10 @@ def cmd_sweep_power(args) -> int:
     for kind in policies:
         if kind not in BASELINE_KINDS and kind != "hd":
             raise ConfigError(f"unknown policy kind {kind!r}")
-    rows = sweep_power(cfg, budgets, policies=policies,
-                       episodes=args.episodes, horizon=args.horizon,
-                       eps=args.eps, seed=args.seed,
-                       log_sink=_UnconvergedWarnings(), **_hsvi_kw(args))
+    rows, solves = sweep_power(cfg, budgets, policies=policies,
+                               episodes=args.episodes, horizon=args.horizon,
+                               eps=args.eps, seed=args.seed, **_hsvi_kw(args))
+    _warn_unconverged(solves)
     _write_output(args.out, cfg.scenario_hash(), rows_to_csv(rows))
     print(f"wrote {args.out}: {len(rows)} rows")
     return EXIT_OK
@@ -146,9 +141,10 @@ def cmd_sweep_power(args) -> int:
 def cmd_sweep_antennas(args) -> int:
     cfg = _load_config(args.config)
     n_r_list = _int_list(args.n_r)
-    rows = sweep_antennas(cfg, n_r_list, episodes=args.episodes,
-                          horizon=args.horizon, eps=args.eps, seed=args.seed,
-                          log_sink=_UnconvergedWarnings(), **_hsvi_kw(args))
+    rows, solves = sweep_antennas(cfg, n_r_list, episodes=args.episodes,
+                                  horizon=args.horizon, eps=args.eps,
+                                  seed=args.seed, **_hsvi_kw(args))
+    _warn_unconverged(solves)
     _write_output(args.out, cfg.scenario_hash(),
                   rows_to_csv(rows, ANTENNA_COLUMNS))
     print(f"wrote {args.out}: {len(rows)} rows")

@@ -84,8 +84,7 @@ class Multipliers:
 
 
 def build_cost_table(compiled: CompiledScenario, nu: Multipliers,
-                     spec: ConstraintSpec,
-                     extra_action_cost=None) -> np.ndarray:
+                     spec: ConstraintSpec) -> np.ndarray:
     """(n_states, n_actions) table of Lagrangian stage costs under the
     degraded action: a user who cannot pay the action's energy price
     neither transmits nor is served (the kernel's fallback, read from
@@ -95,9 +94,7 @@ def build_cost_table(compiled: CompiledScenario, nu: Multipliers,
     its :func:`constraint_violations` term (``FAMILIES`` order) depend only
     on that user's (q, e, level) and the action: they are tabulated over
     one user's states and spread over the joint states. The delay proxy is
-    q / mean-arrivals-per-slot. ``extra_action_cost`` is an optional
-    per-action constant (e.g. weighted circuit power of the active mask)
-    added to every state's cost."""
+    q / mean-arrivals-per-slot."""
     space, actions = compiled.space, compiled.actions
     acts = user_action_table(space, actions)
     delay = (space.user_digits()[0] / compiled.config.lam_slot)[:, None]
@@ -112,8 +109,6 @@ def build_cost_table(compiled: CompiledScenario, nu: Multipliers,
                                           for fam in FAMILIES]
         for term in terms:
             table += space.spread(u, np.broadcast_to(term, shape))
-    if extra_action_cost is not None:
-        table += np.asarray(extra_action_cost, dtype=float)[None, :]
     return table
 
 
@@ -262,8 +257,7 @@ def solve_layer(compiled: CompiledScenario, chosen: np.ndarray,
 
 
 def solve_inner_beamforming(compiled: CompiledScenario, mask_id: int,
-                            cost_table: np.ndarray, eps: float = 0.5,
-                            **hsvi_kw):
+                            cost_table: np.ndarray, eps: float, **hsvi_kw):
     """Power layer: action i plays the mask's i-th joint action at every
     state. Returns (joint policy, solver result)."""
     ids = np.flatnonzero(compiled.actions.mask_id == mask_id)
@@ -272,8 +266,7 @@ def solve_inner_beamforming(compiled: CompiledScenario, mask_id: int,
 
 
 def solve_outer_selection(compiled: CompiledScenario, inner_policies: dict,
-                          cost_table: np.ndarray, eps: float = 0.5,
-                          **hsvi_kw):
+                          cost_table: np.ndarray, eps: float, **hsvi_kw):
     """Mask layer: action i plays the inner policy of the i-th mask id in
     sorted order. Returns (joint policy, solver result)."""
     chosen = np.array([inner_policies[m].action_of

@@ -175,32 +175,41 @@ BASELINE_KINDS = ("d-opt", "j-opt", "p-opt")
 J_POWER_WEIGHT = 2.0
 
 
-def solve_two_layer(compiled: CompiledScenario, nu: Multipliers,
-                    spec: ConstraintSpec, kind: str, eps: float,
-                    extra_action_cost=None, log_sink=None,
-                    log_prefix: str = "", **hsvi_kw) -> Policy:
+def baseline_cost_table(kind: str, compiled: CompiledScenario,
+                        spec: ConstraintSpec) -> np.ndarray:
+    """Stage costs of an HSVI baseline: d-opt weighs the delay proxy alone;
+    j-opt adds ``J_POWER_WEIGHT`` times both transmit powers and the active
+    antennas' circuit power."""
+    n_users = compiled.space.n_users
+    if kind == "d-opt":
+        return build_cost_table(compiled, Multipliers.zeros(n_users), spec)
+    if kind != "j-opt":
+        raise ValueError(f"no HSVI cost table for baseline kind {kind!r}")
+    w = np.full(n_users, J_POWER_WEIGHT)
+    nu = Multipliers(nu={"p_up": w, "p_down": w}, varrho=np.ones(n_users))
+    table = build_cost_table(compiled, nu, spec)
+    table += (J_POWER_WEIGHT * compiled.config.circuit_w_per_antenna
+              * compiled.actions.n_active)[None, :]
+    return table
+
+
+def solve_two_layer(compiled: CompiledScenario, cost_table: np.ndarray,
+                    eps: float, **hsvi_kw):
     """Inner power-level solve per antenna mask, then, with more than one
-    mask, the outer mask-selection solve; each ``(label, HsviResult)`` goes
-    to ``log_sink``, its label prefixed with ``log_prefix``."""
-    cost_table = build_cost_table(compiled, nu, spec,
-                                  extra_action_cost=extra_action_cost)
+    mask, the outer mask-selection solve.
+
+    Returns (joint policy, [(label, HsviResult)]) in solve order."""
     mask_ids = np.unique(compiled.actions.mask_id).tolist()
-    inner = {}
+    inner, solves = {}, []
     for m in mask_ids:
-        pol, res = solve_inner_beamforming(
+        inner[m], res = solve_inner_beamforming(
             compiled, m, cost_table, eps=eps, **hsvi_kw)
-        inner[m] = pol
-        if log_sink is not None:
-            log_sink.append((f"{log_prefix}inner mask {m}", res))
+        solves.append((f"inner mask {m}", res))
     if len(mask_ids) == 1:
-        policy = inner[mask_ids[0]]
-    else:
-        policy, res = solve_outer_selection(
-            compiled, inner, cost_table, eps=eps, **hsvi_kw)
-        if log_sink is not None:
-            log_sink.append((f"{log_prefix}outer selection", res))
-    policy.kind = kind
-    return policy
+        return inner[mask_ids[0]], solves
+    policy, res = solve_outer_selection(
+        compiled, inner, cost_table, eps=eps, **hsvi_kw)
+    return policy, solves + [("outer selection", res)]
 
 
 @dataclass
@@ -212,9 +221,9 @@ class SolveReport:
     diagnostic: str = ""
 
 
-def full_solve(compiled: CompiledScenario, spec: ConstraintSpec,
+def full_solve(compiled: CompiledScenario, spec: ConstraintSpec, eps: float,
                varrho=None, rounds: int = 8, step0: float = 1.0,
-               eps: float = 0.5, episodes: int = 10, horizon: int = 200,
+               episodes: int = 10, horizon: int = 200,
                tol: float = 0.05, seed: int = 0, **hsvi_kw) -> SolveReport:
     """Alternate two-layer solves with projected multiplier ascent.
 
@@ -225,7 +234,8 @@ def full_solve(compiled: CompiledScenario, spec: ConstraintSpec,
     trace, viols = [], []
     best = None
     for n_round in range(1, rounds + 1):
-        policy = solve_two_layer(compiled, nu, spec, "d-opt", eps, **hsvi_kw)
+        cost_table = build_cost_table(compiled, nu, spec)
+        policy, _ = solve_two_layer(compiled, cost_table, eps, **hsvi_kw)
         run = monte_carlo(policy, compiled, episodes=episodes,
                           horizon=horizon, base_seed=seed)
         viol = constraint_violations(
@@ -258,29 +268,20 @@ def default_constraints(cfg: ScenarioConfig) -> ConstraintSpec:
 
 def baseline_policy(kind: str, compiled: CompiledScenario,
                     spec: ConstraintSpec | None = None, eps: float = 0.5,
-                    **hsvi_kw) -> Policy:
-    """Reference controllers.
+                    **hsvi_kw):
+    """Reference controllers: d-opt and j-opt solve their
+    :func:`baseline_cost_table` in two layers; p-opt is delay-blind — per
+    (energy, level) observation it plays the cheapest admissible action
+    meeting the minimum rates, independent of the queue.
 
-    d-opt minimizes the delay proxy alone; j-opt adds fixed equal weights on
-    both transmit power terms; p-opt is delay-blind — per (energy, level)
-    observation it plays the cheapest admissible action meeting the minimum
-    rates, independent of the queue."""
+    Returns (policy, [(label, HsviResult)]); p-opt's list is empty."""
     spec = default_constraints(compiled.config) if spec is None else spec
-    n_users = compiled.space.n_users
-    if kind == "d-opt":
-        return solve_two_layer(compiled, Multipliers.zeros(n_users), spec,
-                               kind, eps, **hsvi_kw)
-    if kind == "j-opt":
-        nu = Multipliers(nu={"p_up": np.full(n_users, J_POWER_WEIGHT),
-                             "p_down": np.full(n_users, J_POWER_WEIGHT)},
-                         varrho=np.ones(n_users))
-        circuit = (J_POWER_WEIGHT * compiled.config.circuit_w_per_antenna
-                   * compiled.actions.n_active)
-        return solve_two_layer(compiled, nu, spec, kind, eps,
-                               extra_action_cost=circuit, **hsvi_kw)
     if kind == "p-opt":
-        return _p_opt_policy(compiled, spec)
-    raise ValueError(f"unknown baseline kind {kind!r}")
+        return _p_opt_policy(compiled, spec), []
+    policy, solves = solve_two_layer(
+        compiled, baseline_cost_table(kind, compiled, spec), eps, **hsvi_kw)
+    policy.kind = kind
+    return policy, solves
 
 
 def _p_opt_policy(compiled: CompiledScenario, spec: ConstraintSpec) -> Policy:
@@ -330,16 +331,17 @@ def rows_to_csv(rows, columns: tuple = CSV_COLUMNS) -> str:
 def sweep_power(cfg: ScenarioConfig, budgets, policies=("d-opt", "j-opt",
                                                         "p-opt"),
                 episodes: int = 30, horizon: int = 300, eps: float = 5.0,
-                seed: int = 0, **hsvi_kw) -> list:
+                seed: int = 0, **hsvi_kw):
     """Delay-versus-power-budget table, one row per (budget, policy).
 
     The budget restricts the per-slot power grid; the special policy name
     ``hd`` runs the delay-optimal controller on the half-duplex variant of
-    the same configuration."""
+    the same configuration. Returns (rows, [(label, HsviResult)]), each
+    label prefixed with ``"<policy> <budget> W: "``."""
     if list(budgets) != sorted(budgets):
         raise ValueError("budgets must be increasing")
     hsvi_kw = {**SWEEP_HSVI_KW, **hsvi_kw}
-    rows = []
+    rows, solves = [], []
     for budget in budgets:
         models = {}             # compiled once per distinct config
         for kind in policies:
@@ -348,20 +350,20 @@ def sweep_power(cfg: ScenarioConfig, budgets, policies=("d-opt", "j-opt",
             if sub not in models:
                 models[sub] = compile_scenario(sub)
             compiled = models[sub]
-            policy = baseline_policy("d-opt" if kind == "hd" else kind,
-                                     compiled, eps=eps,
-                                     log_prefix=f"{kind} {budget:g} W: ",
-                                     **hsvi_kw)
+            policy, done = baseline_policy("d-opt" if kind == "hd" else kind,
+                                           compiled, eps=eps, **hsvi_kw)
             policy.kind = kind
+            solves += [(f"{kind} {budget:g} W: {label}", res)
+                       for label, res in done]
             run = monte_carlo(policy, compiled, episodes=episodes,
                               horizon=horizon, base_seed=seed)
             rows.append(run.to_row(budget_w=budget))
-    return rows
+    return rows, solves
 
 
 def sweep_antennas(cfg: ScenarioConfig, n_r_list, episodes: int = 30,
                    horizon: int = 300, eps: float = 5.0, seed: int = 0,
-                   **hsvi_kw) -> list:
+                   **hsvi_kw):
     """Effective power versus array size, with antenna selection on and
     off: per array size n_r, one j-opt solve and rollout over a shortlist
     of masks (``select-n<n_r>``) and one over the full array
@@ -369,9 +371,10 @@ def sweep_antennas(cfg: ScenarioConfig, n_r_list, episodes: int = 30,
 
     Effective power is the transmit power scaled by the active-antenna
     fraction plus a circuit cost per active antenna. Returns the rows, with
-    the ``ANTENNA_COLUMNS`` (the ``budget_w`` column holds n_r)."""
+    the ``ANTENNA_COLUMNS`` (the ``budget_w`` column holds n_r), and
+    [(label, HsviResult)], each label prefixed with ``"<policy>: "``."""
     hsvi_kw = {**SWEEP_HSVI_KW, **hsvi_kw}
-    rows = []
+    rows, solves = [], []
     for n_r in n_r_list:
         min_mask = cfg.k * cfg.n_u
         if n_r < min_mask:
@@ -387,10 +390,11 @@ def sweep_antennas(cfg: ScenarioConfig, n_r_list, episodes: int = 30,
             sub = replace(cfg, n_r=n_r, n_t=n_r, mask_sizes=masks)
             compiled = compile_scenario(sub)
             kind = f"{selection}-n{n_r}"
-            policy = baseline_policy("j-opt", compiled, eps=eps,
-                                     log_prefix=f"{kind}: ", **hsvi_kw)
+            policy, done = baseline_policy("j-opt", compiled, eps=eps,
+                                           **hsvi_kw)
             policy.kind = kind
+            solves += [(f"{kind}: {label}", res) for label, res in done]
             run = monte_carlo(policy, compiled, episodes=episodes,
                               horizon=horizon, base_seed=seed)
             rows.append(run.to_row(budget_w=float(n_r)))
-    return rows
+    return rows, solves

@@ -423,6 +423,9 @@ def solve_hsvi(model: PomdpModel, b0: np.ndarray, eps: float,
     result does not depend on the host's speed)."""
     if not 0 < eps < math.inf:       # NaN fails too
         raise ValueError(f"eps must be positive and finite, got {eps}")
+    if not max_iterations >= 0:
+        raise ValueError(
+            f"max_iterations must be non-negative, got {max_iterations}")
     b0 = check_belief(b0)
     bounds = initial_bounds(model, b0, eps)
     start = time.perf_counter()

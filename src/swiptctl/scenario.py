@@ -100,12 +100,14 @@ class ScenarioConfig:
             "packet_bits": self.packet_bits,
             "arrival_rate_hz": self.arrival_rate_hz,
             "delta_e_j": self.delta_e_j, "battery_j": self.battery_j,
-            "eta": self.eta, "noise_w": self.noise_w,
-            "calib_draws": self.calib_draws, "n_levels": self.n_levels,
+            "noise_w": self.noise_w, "calib_draws": self.calib_draws,
+            "n_levels": self.n_levels,
         }
         for name, v in positive.items():
             if v <= 0:
                 raise ConfigError(f"{name} must be positive, got {v}")
+        if not 0.0 < self.eta <= 1.0:
+            raise ConfigError(f"eta must lie in (0, 1], got {self.eta}")
         if not 0.0 < self.rho < 1.0:
             raise ConfigError("rho must lie strictly inside (0, 1)")
         if not 0.0 <= self.alpha < 1.0:

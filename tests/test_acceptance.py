@@ -309,9 +309,9 @@ SWEEP_BUDGETS = (0.55, 0.75, 0.9, 1.05, 1.3)
 
 @pytest.fixture(scope="module")
 def power_sweep_rows():
-    rows = sweep_power(desk_scenario(), budgets=SWEEP_BUDGETS,
-                       policies=("d-opt", "j-opt", "p-opt", "hd"),
-                       episodes=30, horizon=300, seed=0)
+    rows, _ = sweep_power(desk_scenario(), budgets=SWEEP_BUDGETS,
+                          policies=("d-opt", "j-opt", "p-opt", "hd"),
+                          episodes=30, horizon=300, seed=0)
     table = {}
     for row in rows:
         table[(float(row["budget_w"]), row["policy"])] = (
@@ -348,8 +348,8 @@ def test_full_duplex_beats_half_duplex(power_sweep_rows):
 
 def test_antenna_selection_cuts_effective_power():
     t0 = time.perf_counter()
-    rows = sweep_antennas(desk_scenario(), (4, 32), episodes=20,
-                          horizon=300, seed=7)
+    rows, _ = sweep_antennas(desk_scenario(), (4, 32), episodes=20,
+                             horizon=300, seed=7)
     elapsed = time.perf_counter() - t0
     # (effective power, its CI) per policy, read back from the six
     # significant digits of the rows

@@ -120,8 +120,9 @@ def test_config_with_an_overflowing_packet_count_exits_2(tmp_path, capsys,
 
 def test_config_whose_harvest_overflows_fills_the_buffer(tmp_path, capsys):
     # eta * P_eh * slot / dE reaches infinity; capped before its floor, it
-    # fills the buffer in one slot wherever the downlink transmits
-    cfg = desk_scenario(eta=1e308)
+    # fills the buffer in one slot wherever the downlink transmits (the
+    # uplink levels are all 0 W, so no action has an energy price)
+    cfg = desk_scenario(delta_e_j=5e-324, power_levels_up=(0.0,) * 4)
     path = tmp_path / "huge.json"
     path.write_text(cfg.to_json())
     assert run("validate", "--config", str(path)) == 0
@@ -131,6 +132,20 @@ def test_config_whose_harvest_overflows_fills_the_buffer(tmp_path, capsys):
     assert transmits.any() and not transmits.all()
     assert (actions.harvested[transmits] == cfg.e_max).all()
     assert (actions.harvested[~transmits] == 0).all()
+
+
+@pytest.mark.parametrize("eta,code", [(1.0, 0), (1.5, 2), (1e308, 2)])
+def test_harvester_efficiency_must_lie_in_the_unit_interval(tmp_path, capsys,
+                                                            eta, code):
+    # a harvester converts at most the power it receives
+    cfg = json.loads(desk_scenario(calib_draws=20, q_max=1, e_max=1).to_json())
+    cfg["eta"] = eta
+    path = tmp_path / "eta.json"
+    path.write_text(json.dumps(cfg))
+    assert run("validate", "--config", str(path)) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0
+                   else f"error: eta must lie in (0, 1], got {eta}\n")
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -303,6 +318,30 @@ def test_eps_must_be_positive_and_finite(tiny, tmp_path, capsys, command,
     assert not (tmp_path / rest[-1]).exists()
 
 
+@pytest.mark.parametrize("command", [
+    ("solve", "--out", "pol.json"),
+    ("sweep-power", "--budgets", "1.05", "--out", "s.csv"),
+    ("sweep-antennas", "--n-r", "4", "--out", "a.csv"),
+])
+def test_max_iterations_must_be_non_negative(tiny, tmp_path, capsys,
+                                             command):
+    name, *rest = command
+    rest = [str(tmp_path / arg) if arg.endswith((".json", ".csv")) else arg
+            for arg in rest]
+    assert run(name, "--config", tiny[0], *rest, "--max-iterations=-1") == 2
+    err = capsys.readouterr().err
+    assert err == "error: max_iterations must be non-negative, got -1\n"
+    assert not (tmp_path / rest[-1]).exists()
+
+
+def test_zero_max_iterations_is_a_seed_only_solve(tiny, tmp_path):
+    log = tmp_path / "solve.log"
+    assert run("solve", "--config", tiny[0], "--kind", "j-opt", "--out",
+               str(tmp_path / "pol.json"), "--log", str(log),
+               "--max-iterations", "0") == 0
+    assert "iterations=0" in log.read_text()
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 @pytest.mark.parametrize("command", [
     ("evaluate", "--out", "res.json"),
@@ -366,22 +405,31 @@ def test_sweep_antennas_csv(cfg_file, tmp_path):
     assert len(lines) == 4          # header + select + full rows
 
 
-def test_sweep_warns_on_unconverged_solves(tmp_path, capsys):
+@pytest.mark.parametrize("command,labels", [
+    (("sweep-power", "--budgets", "1.05", "--policies", "j-opt"),
+     ["j-opt 1.05 W: inner mask 0"]),
+    # one line per solve that stops above eps, in solve order
+    (("sweep-antennas", "--n-r", "8"),
+     ["select-n8: inner mask 1", "select-n8: outer selection",
+      "full-n8: inner mask 0"]),
+], ids=["sweep-power", "sweep-antennas"])
+def test_sweep_warns_on_unconverged_solves(tmp_path, capsys, command,
+                                           labels):
     cfg = tmp_path / "tiny.json"
     cfg.write_text(desk_scenario(calib_draws=80, q_max=1, e_max=1).to_json())
     out = tmp_path / "sweep.csv"
     # the root seeds certify this root even at eps 1e-9
     with root_seeds_off():
-        assert run("sweep-power", "--config", str(cfg), "--budgets", "1.05",
-                   "--policies", "j-opt", "--out", str(out), "--episodes",
-                   "2", "--horizon", "10", "--eps", "1e-9",
+        assert run(*command, "--config", str(cfg), "--out", str(out),
+                   "--episodes", "2", "--horizon", "10", "--eps", "1e-9",
                    "--max-iterations", "1") == 0
     warnings = [ln for ln in capsys.readouterr().err.splitlines()
                 if ln.startswith("warning: ")]
-    assert len(warnings) == 1
-    assert "j-opt 1.05 W: inner mask 0 unconverged after 1 iterations" \
-        in warnings[0]
-    assert float(warnings[0].rsplit("root gap ", 1)[1]) > 1e-9
+    assert len(warnings) == len(labels)
+    for label, line in zip(labels, warnings):
+        assert line.startswith(
+            f"warning: {label} unconverged after 1 iterations, root gap ")
+        assert float(line.rsplit("root gap ", 1)[1]) > 1e-9
 
 
 def test_sweep_quiet_when_solves_converge(tmp_path, capsys):

@@ -17,9 +17,10 @@ from swiptctl.control import (FAMILIES, ConstraintSpec, HashMismatchError,
                               solve_inner_beamforming, solve_outer_selection,
                               uniform_initial_belief, update_multipliers)
 from swiptctl.dynamics import ActionTable, build_kernel
-from swiptctl.harness import (SWEEP_HSVI_KW, SolveReport, baseline_policy,
+from swiptctl.harness import (J_POWER_WEIGHT, SWEEP_HSVI_KW, SolveReport,
+                              baseline_cost_table, baseline_policy,
                               default_constraints, full_solve)
-from swiptctl.pomdp import PomdpModel, initial_bounds, solve_hsvi
+from swiptctl.pomdp import HsviResult, PomdpModel, initial_bounds, solve_hsvi
 from swiptctl.pomdp.model import policy_rows
 from swiptctl.scenario import compile_scenario, desk_scenario
 
@@ -202,15 +203,31 @@ def test_build_cost_table_matches_pointwise_three_users(three_user_compiled):
                                   reference_cost_table(compiled, nu, spec))
 
 
-def test_build_cost_table_extra_action_cost(desk_compiled):
-    nu = Multipliers.zeros(desk_compiled.space.n_users)
-    spec = default_constraints(desk_compiled.config)
-    base = build_cost_table(desk_compiled, nu, spec)
-    extra = np.arange(desk_compiled.n_actions, dtype=float)
-    shifted = build_cost_table(desk_compiled, nu, spec,
-                               extra_action_cost=extra)
-    np.testing.assert_allclose(
-        shifted - base, np.broadcast_to(extra, base.shape))
+def test_baseline_cost_table_adds_the_circuit_power_to_j_opt(
+        two_mask_compiled, monkeypatch):
+    import swiptctl.harness as harness
+    compiled = two_mask_compiled
+    spec = default_constraints(compiled.config)
+    built = []          # the multiplier-only tables baseline_cost_table builds
+
+    def spy(*args):
+        built.append(build_cost_table(*args))
+        return built[-1].copy()
+
+    monkeypatch.setattr(harness, "build_cost_table", spy)
+    jopt = baseline_cost_table("j-opt", compiled, spec)
+    circuit = (J_POWER_WEIGHT * compiled.config.circuit_w_per_antenna
+               * compiled.actions.n_active)
+    assert len(np.unique(circuit)) == 2          # one value per mask size
+    np.testing.assert_allclose(jopt - built[0],
+                               np.broadcast_to(circuit, jopt.shape))
+    n = compiled.space.n_users
+    np.testing.assert_array_equal(
+        baseline_cost_table("d-opt", compiled, spec),
+        build_cost_table(compiled, Multipliers.zeros(n), spec))
+    for kind in ("p-opt", "mystery"):
+        with pytest.raises(ValueError):
+            baseline_cost_table(kind, compiled, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +447,10 @@ def reference_greedy(compiled, lower):
     return table
 
 
-def jopt_cost(compiled, w=2.0):
-    """j-opt costs, as baseline_policy builds them."""
-    n = compiled.space.n_users
-    nu = Multipliers(nu={"p_up": np.full(n, w), "p_down": np.full(n, w)},
-                     varrho=np.ones(n))
-    circuit = np.array([w * compiled.config.circuit_w_per_antenna * int(n)
-                        for n in compiled.actions.n_active])
-    return build_cost_table(compiled, nu, default_constraints(compiled.config),
-                            extra_action_cost=circuit)
+def jopt_cost(compiled):
+    """The j-opt baseline's cost table."""
+    return baseline_cost_table("j-opt", compiled,
+                               default_constraints(compiled.config))
 
 
 @pytest.mark.parametrize("mask", [None, 1])
@@ -464,11 +476,17 @@ def test_two_layer_solve_and_p_opt_decode_no_joint_state(two_mask_compiled):
 
     # the scalar decode is the tests' reference only (oracles.decode)
     assert not hasattr(StateSpace, "decode")
-    jopt = baseline_policy("j-opt", two_mask_compiled, eps=5.0,
-                           max_iterations=2)
-    popt = baseline_policy("p-opt", two_mask_compiled)
+    jopt, solves = baseline_policy("j-opt", two_mask_compiled, eps=5.0,
+                                   max_iterations=2)
+    popt, none = baseline_policy("p-opt", two_mask_compiled)
     assert jopt.action_of.shape == popt.action_of.shape \
         == (two_mask_compiled.space.size,)
+    assert (jopt.kind, popt.kind) == ("j-opt", "p-opt")
+    # one record per layer solve, in solve order; p-opt solves nothing
+    assert [label for label, _res in solves] == [
+        "inner mask 0", "inner mask 1", "outer selection"]
+    assert all(isinstance(res, HsviResult) for _label, res in solves)
+    assert none == []
 
 
 def test_full_solve_loose_constraints_converges(desk_compiled):
@@ -540,7 +558,7 @@ def captured(kind, compiled, eps=5.0, **hsvi_kw):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(control, "solve_hsvi", capture)
-        policy = baseline_policy(kind, compiled, eps=eps, **hsvi_kw)
+        policy, _ = baseline_policy(kind, compiled, eps=eps, **hsvi_kw)
     return policy, solves
 
 

@@ -24,7 +24,7 @@ def idle_policy(desk_compiled):
 
 @pytest.fixture(scope="module")
 def p_opt(desk_compiled):
-    return baseline_policy("p-opt", desk_compiled)
+    return baseline_policy("p-opt", desk_compiled)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +114,7 @@ def rollout_case(request, desk_compiled, idle_policy, p_opt,
     if request.param == "unpayable":
         return unpayable
     if request.param == "p-opt-3-users":
-        return baseline_policy("p-opt", three_user_compiled), \
+        return baseline_policy("p-opt", three_user_compiled)[0], \
             three_user_compiled
     return {"p-opt": p_opt, "idle": idle_policy}[request.param], \
         desk_compiled
@@ -156,7 +156,7 @@ def test_compile_and_rollout_never_walk_joint_states():
     spec = default_constraints(compiled.config)
     build_cost_table(compiled, Multipliers.zeros(compiled.space.n_users),
                      spec)
-    policy = baseline_policy("p-opt", compiled, spec=spec)
+    policy, _ = baseline_policy("p-opt", compiled, spec=spec)
     traj = run_episodes(policy, compiled, episodes=2, horizon=10, seed=0)
     assert traj["queues"].shape == (2, 10, compiled.space.n_users)
 
@@ -292,7 +292,7 @@ def reference_p_opt(compiled, spec):
 def test_p_opt_matches_per_observation_loop(desk_compiled, floors):
     spec = replace(default_constraints(desk_compiled.config),
                    r_min_up=floors[0], r_min_down=floors[1])
-    got = baseline_policy("p-opt", desk_compiled, spec=spec)
+    got, _ = baseline_policy("p-opt", desk_compiled, spec=spec)
     np.testing.assert_array_equal(got.action_of,
                                   reference_p_opt(desk_compiled, spec))
 
@@ -308,9 +308,9 @@ def test_sweep_power_requires_increasing_budgets(desk_cfg):
 
 
 def test_sweep_power_row_per_pair(desk_cfg):
-    rows = sweep_power(desk_cfg, [10.0], policies=("p-opt",), episodes=2,
-                       horizon=30)
-    assert len(rows) == 1
+    rows, solves = sweep_power(desk_cfg, [10.0], policies=("p-opt",),
+                               episodes=2, horizon=30)
+    assert len(rows) == 1 and solves == []
     assert rows[0]["policy"] == "p-opt"
     # a row carries every column; the power table shows CSV_COLUMNS
     assert tuple(rows[0]) == ANTENNA_COLUMNS
@@ -330,8 +330,12 @@ def test_sweep_power_compiles_each_config_once(monkeypatch):
 
     monkeypatch.setattr(harness, "compile_scenario", counting)
     cfg = desk_scenario(calib_draws=80, q_max=1, e_max=1)
-    rows = sweep_power(cfg, [0.55, 1.05], policies=("d-opt", "p-opt", "hd"),
-                       episodes=2, horizon=10, max_iterations=1)
+    rows, solves = sweep_power(cfg, [0.55, 1.05],
+                               policies=("d-opt", "p-opt", "hd"),
+                               episodes=2, horizon=10, max_iterations=1)
     assert [r["policy"] for r in rows] == ["d-opt", "p-opt", "hd"] * 2
+    assert [label for label, _res in solves] == [
+        f"{kind} {b} W: inner mask 0" for b in ("0.55", "1.05")
+        for kind in ("d-opt", "hd")]
     assert [c.duplex for c in compiled] == ["fd", "hd"] * 2
     assert len(set(compiled)) == 4

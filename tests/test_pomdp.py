@@ -282,19 +282,12 @@ def desk_compiled_small():
 
 
 def jopt_model(compiled):
-    """A j-opt model of ``compiled`` (power weight 2, the full array's
-    circuit cost) and its uniform initial belief."""
-    from swiptctl.control import (Multipliers, build_cost_table, layer_model,
-                                  uniform_initial_belief)
-    from swiptctl.harness import default_constraints
-    cfg = compiled.config
-    n = compiled.space.n_users
-    nu = Multipliers(nu={"p_up": np.full(n, 2.0), "p_down": np.full(n, 2.0)},
-                     varrho=np.ones(n))
-    cost = build_cost_table(
-        compiled, nu, default_constraints(cfg),
-        extra_action_cost=np.full(compiled.n_actions,
-                                  2.0 * cfg.circuit_w_per_antenna * cfg.n_r))
+    """The j-opt baseline's model of ``compiled`` and its uniform initial
+    belief."""
+    from swiptctl.control import layer_model, uniform_initial_belief
+    from swiptctl.harness import baseline_cost_table, default_constraints
+    cost = baseline_cost_table("j-opt", compiled,
+                               default_constraints(compiled.config))
     model = layer_model(compiled, constant_layer(compiled), cost)
     return model, uniform_initial_belief(compiled)
 

@@ -91,6 +91,9 @@ def test_traced_two_mask_solve_counts_both_layers(tmp_path):
     assert metrics["control.inner_solves"] == 2
     assert metrics["control.outer_solves"] == 1
     assert metrics["pomdp.solves"] == 3
+    # baseline_cost_table builds the table through the span site
+    # harness.build_cost_table
+    assert metrics["control.cost_table_s"] > 0
 
 
 def scipy_modules_loaded_by(module: str) -> list:
