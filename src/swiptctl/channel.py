@@ -86,10 +86,6 @@ class AntennaSelection:
         if m.ndim != 1 or not m.any():
             raise ValueError("mask must be a 1-d vector with >= 1 active antenna")
 
-    @property
-    def n_active(self) -> int:
-        return int(self.mask.sum())
-
     def select(self, h: np.ndarray) -> np.ndarray:
         """Apply the implied selection matrix V (row subset); a stack of
         channels keeps its leading axes. The result is C-contiguous, so a
@@ -155,30 +151,12 @@ def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def channel_stream(seed: int, slot: int, user: int, link: int) -> np.random.Generator:
-    """Counter-based (Philox) stream keyed by (seed, slot, user, link).
-
-    Parallel episodes drawing from disjoint (slot, user, link) triples are
-    reproducible regardless of evaluation order.
-    """
+def channel_stream(seed: int, link: int) -> np.random.Generator:
+    """Counter-based (Philox) stream keyed by (seed, link): the calibration
+    draws its channels from link 2 and its uplink precoders from link 3,
+    each array in one call, so the draws depend on the seed alone."""
     return np.random.Generator(np.random.Philox(key=np.uint64(seed),
-                                                counter=[0, slot, user, link]))
-
-
-def rewind_stream(gen: np.random.Generator, seed: int, slot: int, user: int,
-                  link: int) -> np.random.Generator:
-    """Set the Philox generator ``gen`` to the start of the
-    :func:`channel_stream` stream (seed, slot, user, link) and return it:
-    the draws are the same, and one generator serves many streams. A new
-    Philox reads OS entropy even when its key is given, and costs more
-    than a short draw."""
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.array([0, slot, user, link], dtype=np.uint64),
-                  "key": np.array([seed, 0], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
-    return gen
+                                                counter=[0, 0, 0, link]))
 
 
 def draw_channel(dims: Dims, alpha: float, rng: np.random.Generator) -> ChannelPair:

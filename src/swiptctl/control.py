@@ -156,9 +156,6 @@ class Policy:
     scenario_hash: str
     kind: str = "d-opt"
 
-    def action(self, obs: int) -> int:
-        return int(self.action_of[obs])
-
     def check_hash(self, compiled: CompiledScenario) -> None:
         """Refuse a policy solved for another scenario, or whose table is
         not one integer action id in [0, n_actions) per observation."""

@@ -16,6 +16,7 @@ from .control import (ConstraintSpec, Multipliers, Policy, build_cost_table,
                       constraint_violations, solve_inner_beamforming,
                       solve_outer_selection, update_multipliers)
 from .dynamics import user_action_table
+from .pomdp.solver import check_solver_args
 from .scenario import (CompiledScenario, ScenarioConfig, compile_scenario,
                        with_budget)
 
@@ -274,7 +275,9 @@ def baseline_policy(kind: str, compiled: CompiledScenario,
     (energy, level) observation it plays the cheapest admissible action
     meeting the minimum rates, independent of the queue.
 
-    Returns (policy, [(label, HsviResult)]); p-opt's list is empty."""
+    Returns (policy, [(label, HsviResult)]); p-opt's list is empty, but
+    its solver arguments are checked as the solvers' are."""
+    check_solver_args(eps, hsvi_kw.get("max_iterations", 0))
     spec = default_constraints(compiled.config) if spec is None else spec
     if kind == "p-opt":
         return _p_opt_policy(compiled, spec), []

@@ -415,17 +415,22 @@ class HsviResult:
             yield base + (f" {rec[5]:.1f}" if include_wall else "")
 
 
+def check_solver_args(eps: float, max_iterations: int) -> None:
+    """Raise ``ValueError`` unless 0 < eps < inf and max_iterations >= 0."""
+    if not 0 < eps < math.inf:       # NaN fails too
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if not max_iterations >= 0:
+        raise ValueError(
+            f"max_iterations must be non-negative, got {max_iterations}")
+
+
 def solve_hsvi(model: PomdpModel, b0: np.ndarray, eps: float,
                max_iterations: int = 1000,
                depth_cap: int | None = None) -> HsviResult:
     """Repeat guided exploration from b0 until the root gap drops below eps
     or the iteration budget runs out (no wall-clock limit, so that the
     result does not depend on the host's speed)."""
-    if not 0 < eps < math.inf:       # NaN fails too
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    if not max_iterations >= 0:
-        raise ValueError(
-            f"max_iterations must be non-negative, got {max_iterations}")
+    check_solver_args(eps, max_iterations)
     b0 = check_belief(b0)
     bounds = initial_bounds(model, b0, eps)
     start = time.perf_counter()

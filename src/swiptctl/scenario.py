@@ -22,8 +22,7 @@ import numpy as np
 
 from .channel import (AntennaSelection, Dims, achievable_rate, channel_stream,
                       crandn, draw_channel_stack, harvested_energy, link_gains,
-                      mrt_precoders, normalized, rewind_stream, sq_norms,
-                      zf_noise_gains)
+                      mrt_precoders, normalized, sq_norms, zf_noise_gains)
 # no caller here: perfbench/spans.py traces these three names in this module
 from .channel import downlink_sinr, draw_channel, uplink_sinr  # noqa: F401
 from .dynamics import (ActionTable, LevelModel, StateSpace, TransitionKernel,
@@ -143,11 +142,7 @@ class ScenarioConfig:
         return self.mask_sizes if self.mask_sizes else (self.n_r,)
 
     def to_json(self) -> str:
-        d = asdict(self)
-        d["power_levels_up"] = list(self.power_levels_up)
-        d["power_levels_down"] = list(self.power_levels_down)
-        d["mask_sizes"] = list(self.mask_sizes)
-        return json.dumps(d, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
@@ -211,7 +206,7 @@ def calibrate(cfg: ScenarioConfig) -> tuple:
     The result equals the per-draw ``uplink_sinr``/``downlink_sinr`` loop
     bit for bit: the same operations in the same order on the same values.
     """
-    rng = channel_stream(cfg.seed, slot=0, user=0, link=2)
+    rng = channel_stream(cfg.seed, link=2)
     dims = cfg.dims()
     a2 = cfg.alpha ** 2
     duplex_frac = 0.5 if cfg.duplex == "hd" else 1.0
@@ -241,13 +236,8 @@ def calibrate(cfg: ScenarioConfig) -> tuple:
     # are the same for every action
     hits = np.maximum([np.bincount(level_true[:, u], minlength=cfg.n_levels)
                        for u in range(cfg.k)], 1.0)
-    # one generator, rewound to the (draw, user) stream of each precoder
-    gen = channel_stream(cfg.seed, slot=0, user=0, link=3)
-    w_up = normalized(np.array([[crandn(rewind_stream(gen, cfg.seed,
-                                                      d_i, u, 3),
-                                        dims.n_u, dims.n_u)
-                                 for u in range(cfg.k)]
-                                for d_i in range(cfg.calib_draws)]))
+    w_up = normalized(crandn(channel_stream(cfg.seed, link=3),
+                             cfg.calib_draws, cfg.k, dims.n_u, dims.n_u))
     w_up_sq = sq_norms(w_up)
 
     def level_means(x):

@@ -169,7 +169,7 @@ def reference_run_episode(policy, compiled, horizon, seed, episode=0):
             for lv in levels])
         obs = encode(space, tuple((int(q[u]), int(e[u]), int(obs_levels[u]))
                                   for u in range(n_users)))
-        a = policy.action(obs)
+        a = int(policy.action_of[obs])
         eff = effective_effect(actions, a, e)
         served = np.array([min(int(eff.served[u, levels[u]]), int(q[u]))
                            for u in range(n_users)])
@@ -460,7 +460,7 @@ def reference_calibrate(cfg: ScenarioConfig) -> tuple:
     different bin. Service, harvest and rate tables are per-level sample
     means of the SINR maps, discretized to packets and energy units.
     """
-    rng = channel_stream(cfg.seed, slot=0, user=0, link=2)
+    rng = channel_stream(cfg.seed, link=2)
     dims = cfg.dims()
     duplex_frac = 0.5 if cfg.duplex == "hd" else 1.0
     slot_link = cfg.slot_s * duplex_frac
@@ -490,11 +490,9 @@ def reference_calibrate(cfg: ScenarioConfig) -> tuple:
     # are the same for every action
     hits = np.maximum([np.bincount(level_true[:, u], minlength=cfg.n_levels)
                        for u in range(cfg.k)], 1.0)
-    w_up = [tuple((lambda w: w / np.linalg.norm(w))(
-                crandn(channel_stream(cfg.seed, slot=d_i, user=u, link=3),
-                       dims.n_u, dims.n_u))
-                  for u in range(cfg.k))
-            for d_i in range(cfg.calib_draws)]
+    raw_up = crandn(channel_stream(cfg.seed, link=3), cfg.calib_draws,
+                    cfg.k, dims.n_u, dims.n_u)
+    w_up = [tuple(w / np.linalg.norm(w) for w in draw) for draw in raw_up]
 
     mask_sizes = cfg.resolved_mask_sizes()
     power_pairs = [(pu, pd) for pu, pd in zip(cfg.power_levels_up,

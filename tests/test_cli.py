@@ -299,12 +299,19 @@ def test_time_budget_option_is_gone(tiny, tmp_path, capsys, command):
     assert "--time-budget-s" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0"])
-@pytest.mark.parametrize("command", [
+SOLVER_COMMANDS = [
     ("solve", "--out", "pol.json"),
     ("sweep-power", "--budgets", "1.05", "--out", "s.csv"),
     ("sweep-antennas", "--n-r", "4", "--out", "a.csv"),
-])
+    # p-opt runs no solver, but its solver flags are checked all the same
+    ("solve", "--kind", "p-opt", "--out", "pol.json"),
+    ("sweep-power", "--budgets", "1.05", "--policies", "p-opt", "--out",
+     "s.csv"),
+]
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize("command", SOLVER_COMMANDS)
 def test_eps_must_be_positive_and_finite(tiny, tmp_path, capsys, command,
                                          eps):
     # a NaN gap target never certifies, and an infinite one certifies any
@@ -318,11 +325,7 @@ def test_eps_must_be_positive_and_finite(tiny, tmp_path, capsys, command,
     assert not (tmp_path / rest[-1]).exists()
 
 
-@pytest.mark.parametrize("command", [
-    ("solve", "--out", "pol.json"),
-    ("sweep-power", "--budgets", "1.05", "--out", "s.csv"),
-    ("sweep-antennas", "--n-r", "4", "--out", "a.csv"),
-])
+@pytest.mark.parametrize("command", SOLVER_COMMANDS)
 def test_max_iterations_must_be_non_negative(tiny, tmp_path, capsys,
                                              command):
     name, *rest = command

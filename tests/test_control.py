@@ -395,9 +395,9 @@ def test_outer_selection_composes_inner_policies(two_mask_compiled,
         compiled, inner, cost, eps=5.0, max_iterations=3)
     mask_ids = [0, 1]             # outer action i plays the i-th mask id
     for obs in range(0, compiled.space.size, 97):
-        a = joint.action(obs)
+        a = int(joint.action_of[obs])
         m = compiled.actions.mask_id[a]
-        assert a == inner[m].action(obs)
+        assert a == int(inner[m].action_of[obs])
     # outer action m plays inner[m] at every state: its kernel rows and
     # costs are that action's, state by state
     (outer,) = models

@@ -234,14 +234,14 @@ def test_p_opt_is_queue_blind(desk_compiled, p_opt):
     base = decode(space, 0)
     for q in range(space.q_max + 1):
         users = tuple((q, e, lv) for (_q, e, lv) in base)
-        assert p_opt.action(encode(space, users)) == p_opt.action(0)
+        assert p_opt.action_of[encode(space, users)] == p_opt.action_of[0]
 
 
 def test_p_opt_meets_rate_floors_when_payable(desk_compiled, p_opt):
     space = desk_compiled.space
     spec = default_constraints(desk_compiled.config)
     full = tuple((0, space.e_max, 1) for _ in range(space.n_users))
-    a = p_opt.action(encode(space, full))
+    a = int(p_opt.action_of[encode(space, full)])
     actions = desk_compiled.actions
     assert admissible(actions, a, [space.e_max] * space.n_users)
     assert np.all(actions.served[a, :, 1] >= spec.r_min_up)
@@ -256,7 +256,7 @@ def test_p_opt_prefers_cheapest_feasible(desk_compiled, p_opt):
     actions = desk_compiled.actions
     total = [float(np.sum(actions.p_up[a]) + np.sum(actions.p_down[a]))
              for a in range(desk_compiled.n_actions)]
-    price = total[p_opt.action(encode(space, full))]
+    price = total[int(p_opt.action_of[encode(space, full)])]
     for a in range(desk_compiled.n_actions):
         meets = (admissible(actions, a, [space.e_max] * space.n_users)
                  and np.all(actions.served[a, :, 1] >= spec.r_min_up)

@@ -84,6 +84,17 @@ def test_hash_sensitive_to_any_field():
     assert desk_scenario(seed=1).scenario_hash() != base.scenario_hash()
 
 
+@pytest.mark.parametrize("cfg, want", [
+    (desk_scenario(q_max=4, e_max=3), "668b2e2ec664a1af"),
+    (desk_scenario(q_max=4, e_max=3, seed=7), "afe34937dd7eb1bd"),
+    (desk_scenario(), "91b3ef8fd2026a36"),
+])
+def test_scenario_hash_is_pinned(cfg, want):
+    # every output file's header carries this hash, so a change to the
+    # config's JSON text (a new field, a reordered or retyped one) shows here
+    assert cfg.scenario_hash() == want
+
+
 def test_hash_is_short_hex():
     h = desk_scenario().scenario_hash()
     assert len(h) == 16

@@ -5,10 +5,12 @@ class) and attribute name; a refactor that moves or renames one of them
 would make the traced pass fail with ``AttributeError``, and one that
 changes a traced function's signature can break the notes that read its
 arguments. Every CLI call pays for the modules that ``swiptctl.cli``
-imports.
+imports. A function that no CLI command runs is named, with its owner, or
+deleted.
 """
 
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -94,6 +96,103 @@ def test_traced_two_mask_solve_counts_both_layers(tmp_path):
     # baseline_cost_table builds the table through the span site
     # harness.build_cost_table
     assert metrics["control.cost_table_s"] > 0
+
+
+SRC_PATH = Path(cli.__file__).resolve().parent
+
+EXPLORATION = "item 5: HSVI exploration and the prunes"
+#: the ``src/`` functions that no CLI command runs on the benchmark config,
+#: each with the ROADMAP item (or the reason) that keeps it
+UNREACHED = {
+    **dict.fromkeys([
+        "pomdp.solver.explore", "pomdp.solver.backup", "pomdp.solver._expand",
+        "pomdp.solver._successor_posts", "pomdp.solver.q_values",
+        "pomdp.solver.excess_uncertainty", "pomdp.bounds.BoundPair.audit",
+        "pomdp.bounds.LowerBound.scores", "pomdp.bounds.LowerBound.value_many",
+        "pomdp.bounds.UpperBound.value_many", "pomdp.bounds._dense_columns",
+        "pomdp.bounds.LowerBound.__len__", "pomdp.bounds.UpperBound.__len__",
+        "pomdp.model.PomdpModel.propagate", "pomdp.model.PomdpModel.n_obs",
+        "pomdp.model.row_entries", "pomdp.bounds.LowerBound.prune_pointwise",
+        "pomdp.bounds.LowerBound.prune_witness",
+        "pomdp.bounds.UpperBound.prune"], EXPLORATION),
+    **dict.fromkeys([
+        "pomdp.solver._fixed_choice_step",
+        "pomdp.solver._fixed_choice_step.<locals>.step"],
+        "item 4a: FIB's policy-iteration step switches nothing here"),
+    **dict.fromkeys([
+        "harness.full_solve", "control.update_multipliers",
+        "control.Multipliers.copy"],
+        "item 7: the constrained controller has no CLI path"),
+    **dict.fromkeys([
+        "channel.draw_channel", "channel.uplink_sinr", "channel.downlink_sinr",
+        "channel._stack_uplink", "channel.ChannelPair.__post_init__",
+        "channel.BeamformerSet.__post_init__",
+        "channel.SinrReport.__post_init__"],
+        "item 9: the per-draw SINR reference that perfbench traces"),
+    "scenario.desk_scenario": "preset: configs are built by hand or in tests",
+}
+
+
+def src_functions(code, qualname: str = "") -> dict:
+    """The named functions compiled into ``code`` (comprehensions and
+    lambdas left out), keyed by (file, first line, name), each mapped to
+    its qualified name under the ``qualname`` prefix; ``co_qualname``
+    needs Python 3.11, so the names are built here."""
+    out = {}
+    for const in code.co_consts:
+        if not hasattr(const, "co_code"):
+            continue
+        name = qualname + const.co_name
+        if const.co_flags & inspect.CO_NEWLOCALS:       # not a class body
+            if not const.co_name.startswith("<"):
+                out[const.co_filename, const.co_firstlineno,
+                    const.co_name] = name
+            name += ".<locals>"
+        out.update(src_functions(const, name + "."))
+    return out
+
+
+def test_cli_reaches_every_function_but_the_named_ones(tmp_path):
+    # new dead code shows up here: a function that no command runs must be
+    # deleted or named, with its owner, in UNREACHED
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(desk_scenario(q_max=4, e_max=3).to_json())
+    policy = str(tmp_path / "policy.json")
+    rollout = ["--episodes", "2", "--horizon", "20"]
+    commands = [["validate"]]
+    commands += [["solve", "--kind", kind, "--out", policy,
+                  "--log", str(tmp_path / "solve.log")]
+                 for kind in ("d-opt", "j-opt", "p-opt")]
+    commands += [
+        ["evaluate", "--policy", policy,
+         "--out", str(tmp_path / "results.json"), *rollout],
+        ["sweep-power", "--budgets", "0.5,1.05",
+         "--policies", "d-opt,j-opt,p-opt,hd",
+         "--out", str(tmp_path / "power.csv"), *rollout],
+        ["sweep-antennas", "--n-r", "4,32",
+         "--out", str(tmp_path / "antennas.csv"), *rollout]]
+    called = set()
+
+    def on_call(frame, _event, _arg):
+        called.add(frame.f_code)
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        codes = [cli.main([name, "--config", str(cfg), *rest])
+                 for name, *rest in commands]
+    finally:
+        sys.settrace(previous)
+    assert codes == [0] * len(commands)
+    defined = {}
+    for path in SRC_PATH.rglob("*.py"):
+        module = ".".join(path.relative_to(SRC_PATH).with_suffix("").parts)
+        defined.update(src_functions(
+            compile(path.read_text(), path.as_posix(), "exec"), module + "."))
+    ran = {(Path(code.co_filename).resolve().as_posix(), code.co_firstlineno,
+            code.co_name) for code in called}
+    unreached = {name for key, name in defined.items() if key not in ran}
+    assert unreached == set(UNREACHED)
 
 
 def scipy_modules_loaded_by(module: str) -> list:
