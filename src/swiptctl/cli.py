@@ -109,8 +109,8 @@ def cmd_evaluate(args) -> int:
     cfg = _load_config(args.config)
     compiled = compile_scenario(cfg)
     policy = Policy.from_json(_read_body(args.policy))
-    run = monte_carlo(policy, compiled, episodes=args.episodes,
-                      horizon=args.horizon, base_seed=args.seed)
+    [run] = monte_carlo([(policy, compiled)], episodes=args.episodes,
+                        horizon=args.horizon, base_seed=args.seed)
     record = {**vars(run), "policy": run.policy_kind}
     del record["policy_kind"], record["delay_slots"]
     body = json.dumps(record, sort_keys=True, indent=2,

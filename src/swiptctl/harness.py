@@ -2,8 +2,9 @@
 
 Episodes execute the exact integer queue/energy recursions under a policy,
 with per-episode counter-based random streams so results are reproducible
-and episode-order independent; all episodes are stepped together, slot by
-slot (:func:`run_episodes`). Sweeps emit fixed-column CSV rows.
+and episode-order independent; all episodes of every (policy, scenario)
+pair are stepped together, slot by slot (:func:`run_episodes`). Sweeps
+calibrate each link geometry once and emit fixed-column CSV rows.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .control import (ConstraintSpec, Multipliers, Policy, build_cost_table,
 from .dynamics import user_action_table
 from .pomdp.solver import check_solver_args
 from .scenario import (CompiledScenario, ScenarioConfig, compile_scenario,
-                       with_budget)
+                       restrict, with_budget)
 
 CSV_COLUMNS = ("scenario_hash", "policy", "budget_w", "delay_ms_mean",
                "delay_ms_ci", "p_up_w", "p_down_w", "rate_up", "rate_down",
@@ -39,66 +40,93 @@ def _choice(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cdf / cdf[..., -1:] <= u[..., None]).sum(axis=-1)
 
 
-def run_episodes(policy: Policy, compiled: CompiledScenario, episodes: int,
-                 horizon: int, seed: int) -> dict:
-    """Episodes 0..episodes-1 stepped side by side; returns per-slot arrays
-    shaped (episode, slot, user), or (episode, slot) for ``obs``,
-    ``action`` and ``n_active``.
+def run_episodes(pairs, episodes: int, horizon: int, seed: int):
+    """Episodes 0..episodes-1 of every ``(policy, compiled)`` pair, all
+    stepped side by side; returns an iterator over the pairs'
+    trajectories, in order, each derived from the stepped queues and
+    energies when it is reached. A trajectory holds per-slot arrays shaped
+    (episode, slot, user), or (episode, slot) for ``obs``, ``action`` and
+    ``n_active``.
 
-    ``Generator.choice`` draws one uniform per sample, so a per-user,
-    per-slot sampler reads 3 x n_users uniforms a slot, always in the
-    order true levels, observed levels, arrivals. One
+    The pairs share one state space, level model and arrival pmf, so one
+    draw serves them all. ``Generator.choice`` draws one uniform per
+    sample, so a per-user, per-slot sampler reads 3 x n_users uniforms a
+    slot, always in the order true levels, observed levels, arrivals. One
     ``random((horizon, 3, n_users))`` from ``episode_rng(seed, ep)``,
     inverted by :func:`_choice`, is that stream.
 
     Each user's slot, with the fallback for a user who cannot pay, is read
-    from :func:`user_action_table` at the user's own state index.
-    Conservation holds exactly per user: total harvested minus total spent
-    equals the buffer delta plus overflow-discarded units."""
-    policy.check_hash(compiled)
+    from :func:`user_action_table` at the user's own state index; the
+    pairs' tables are joined along the action axis, each policy's action
+    ids offset past the actions of the pairs before it. Conservation holds
+    exactly per user: total harvested minus total spent equals the buffer
+    delta plus overflow-discarded units."""
+    pairs = list(pairs)
+    for policy, compiled in pairs:
+        policy.check_hash(compiled)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if not 0 <= seed < 2 ** 64:      # ScenarioConfig.seed's range
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    space = compiled.space
+    first = pairs[0][1]
+    space, level, pmf = first.space, first.level, first.arrival_pmf
+    for _policy, compiled in pairs[1:]:
+        if (compiled.space != space
+                or not np.array_equal(compiled.level.probs, level.probs)
+                or not np.array_equal(compiled.level.obs_confusion,
+                                      level.obs_confusion)
+                or not np.array_equal(compiled.arrival_pmf, pmf)):
+            raise ValueError("stepped rollouts need one state space, level "
+                             "model and arrival pmf")
     users = np.arange(space.n_users)
-    actions = compiled.actions
-    acts = user_action_table(space, actions)
+    tables = [user_action_table(space, compiled.actions)
+              for _policy, compiled in pairs]
+    offsets = np.cumsum([0] + [len(c.actions) for _p, c in pairs[:-1]])
+    action_of = np.stack([np.asarray(policy.action_of, dtype=int) + offset
+                          for (policy, _c), offset in zip(pairs, offsets)])
+    q_post = np.concatenate([acts.q_post for acts in tables], axis=-1)
+    e_next = np.concatenate([acts.e_next for acts in tables], axis=-1)
     u = np.array([episode_rng(seed, ep).random((horizon, 3, space.n_users))
                   for ep in range(episodes)])
-    levels = _choice(compiled.level.probs, u[:, :, 0])
-    obs_levels = _choice(compiled.level.obs_confusion[levels], u[:, :, 1])
-    arrived = _choice(compiled.arrival_pmf, u[:, :, 2])
+    levels = _choice(level.probs, u[:, :, 0])
+    obs_levels = _choice(level.obs_confusion[levels], u[:, :, 1])
+    arrived = _choice(pmf, u[:, :, 2])
     place = space.per_user ** users[::-1]      # mixed-radix digit weights
-    queues, energies, served, used, state = (np.empty(levels.shape, dtype=int)
-                                             for _ in range(5))
-    obs = np.empty((episodes, horizon), dtype=int)
-    q = np.zeros((episodes, space.n_users), dtype=int)
+    queues, energies = (np.empty((len(pairs), *levels.shape), dtype=int)
+                        for _ in range(2))
+    q = np.zeros((len(pairs), episodes, space.n_users), dtype=int)
     e = np.full_like(q, space.e_max)
+    per_pair = np.arange(len(pairs))[:, None]
     for t in range(horizon):
-        queues[:, t], energies[:, t] = q, e
+        queues[:, :, t], energies[:, :, t] = q, e
         qe = (q * (space.e_max + 1) + e) * space.n_levels
-        obs[:, t] = (qe + obs_levels[:, t]) @ place
-        state[:, t] = qe + levels[:, t]        # each user's own state index
-        at = (users, state[:, t], policy.action_of[obs[:, t]][:, None])
-        q_post = acts.q_post[at]
-        served[:, t] = q - q_post
-        used[:, t] = acts.used[at]
-        q = np.minimum(q_post + arrived[:, t], space.q_max)
-        e = acts.e_next[at]
-    action = policy.action_of[obs]
-    at = (users, state, action[..., None])
-    harvested = acts.harvested[at]
-    return {
-        "queues": queues, "energies": energies, "levels": levels,
-        "obs": obs, "action": action, "arrived": arrived, "served": served,
-        "used": used, "harvested": harvested,
-        "discarded": np.maximum(energies - used + harvested - space.e_max, 0),
-        "p_up": acts.p_up[at],
-        "p_down": actions.p_down[action],
-        "rate_down": actions.rate_down[action],
-        "n_active": actions.n_active[action],
-    }
+        obs = (qe + obs_levels[:, t]) @ place
+        # each user's own state index, and the joint action on every user
+        at = (users, qe + levels[:, t], action_of[per_pair, obs][..., None])
+        q = np.minimum(q_post[at] + arrived[:, t], space.q_max)
+        e = e_next[at]
+
+    def trajectory(pair, acts, queues, energies):
+        policy, actions = pair[0], pair[1].actions
+        qe = (queues * (space.e_max + 1) + energies) * space.n_levels
+        obs = (qe + obs_levels) @ place
+        action = policy.action_of[obs]
+        at = (users, qe + levels, action[..., None])
+        used, harvested = acts.used[at], acts.harvested[at]
+        return {
+            "queues": queues, "energies": energies, "levels": levels,
+            "obs": obs, "action": action,
+            "arrived": arrived, "served": queues - acts.q_post[at],
+            "used": used, "harvested": harvested,
+            "discarded": np.maximum(energies - used + harvested
+                                    - space.e_max, 0),
+            "p_up": acts.p_up[at],
+            "p_down": actions.p_down[action],
+            "rate_down": actions.rate_down[action],
+            "n_active": actions.n_active[action],
+        }
+
+    return map(trajectory, pairs, tables, queues, energies)
 
 
 @dataclass
@@ -136,13 +164,24 @@ class RunResult:
         }
 
 
-def monte_carlo(policy: Policy, compiled: CompiledScenario, episodes: int,
-                horizon: int, base_seed: int = 0) -> RunResult:
-    """Means and 95% half-widths over independent seeded episodes."""
+def monte_carlo(pairs, episodes: int, horizon: int,
+                base_seed: int = 0) -> list:
+    """Means and 95% half-widths over independent seeded episodes, one
+    :class:`RunResult` per ``(policy, compiled)`` pair, in order; the
+    pairs' episodes are stepped together (:func:`run_episodes`), and each
+    pair's trajectory is aggregated as soon as it is derived."""
     if episodes < 2:
         raise ValueError("need at least 2 episodes")
+    pairs = list(pairs)
+    return [_run_result(policy, compiled, traj)
+            for (policy, compiled), traj in zip(
+                pairs, run_episodes(pairs, episodes, horizon, base_seed))]
+
+
+def _run_result(policy: Policy, compiled: CompiledScenario,
+                traj: dict) -> RunResult:
     cfg = compiled.config
-    traj = run_episodes(policy, compiled, episodes, horizon, base_seed)
+    episodes = traj["queues"].shape[0]
     # per-episode means over the slots, then means over the episodes
     delay_slots = traj["queues"].astype(float).mean(axis=1) / cfg.lam_slot
     delay_ms = delay_slots.sum(axis=1) * cfg.slot_s * 1e3
@@ -237,8 +276,8 @@ def full_solve(compiled: CompiledScenario, spec: ConstraintSpec, eps: float,
     for n_round in range(1, rounds + 1):
         cost_table = build_cost_table(compiled, nu, spec)
         policy, _ = solve_two_layer(compiled, cost_table, eps, **hsvi_kw)
-        run = monte_carlo(policy, compiled, episodes=episodes,
-                          horizon=horizon, base_seed=seed)
+        [run] = monte_carlo([(policy, compiled)], episodes=episodes,
+                            horizon=horizon, base_seed=seed)
         viol = constraint_violations(
             {"delay": run.delay_slots, "p_up": run.p_up_w,
              "p_down": run.p_down_w, "r_up": run.rate_up,
@@ -339,28 +378,43 @@ def sweep_power(cfg: ScenarioConfig, budgets, policies=("d-opt", "j-opt",
 
     The budget restricts the per-slot power grid; the special policy name
     ``hd`` runs the delay-optimal controller on the half-duplex variant of
-    the same configuration. Returns (rows, [(label, HsviResult)]), each
-    label prefixed with ``"<policy> <budget> W: "``."""
-    if list(budgets) != sorted(budgets):
+    the same configuration. Each duplex mode is calibrated once, at the
+    widest budget, and solved there first; every narrower budget's model
+    is :func:`restrict`-ed from it and shares its kernel. All rows'
+    episodes are stepped in one rollout. Returns (rows, [(label,
+    HsviResult)]) in (budget, policy) order, each label prefixed with
+    ``"<policy> <budget> W: "``."""
+    budgets, policies = list(budgets), list(policies)
+    if not budgets or not policies:
+        raise ValueError("a power sweep needs at least one budget and one "
+                         "policy")
+    if budgets != sorted(budgets):
         raise ValueError("budgets must be increasing")
     hsvi_kw = {**SWEEP_HSVI_KW, **hsvi_kw}
-    rows, solves = [], []
-    for budget in budgets:
-        models = {}             # compiled once per distinct config
-        for kind in policies:
-            sub = with_budget(replace(cfg, duplex="hd") if kind == "hd"
-                              else cfg, budget)
+    bases = [replace(cfg, duplex="hd") if kind == "hd" else cfg
+             for kind in policies]
+    # every budget's configs first: one that admits no level fails before
+    # any calibration
+    subs = [[with_budget(base, budget) for base in bases]
+            for budget in budgets]
+    models, cells = {}, {}      # one model per distinct config
+    for i in reversed(range(len(budgets))):
+        for j, kind in enumerate(policies):
+            sub = subs[i][j]
             if sub not in models:
-                models[sub] = compile_scenario(sub)
-            compiled = models[sub]
+                models[sub] = (compile_scenario(sub) if i == len(budgets) - 1
+                               else restrict(models[subs[-1][j]], sub))
             policy, done = baseline_policy("d-opt" if kind == "hd" else kind,
-                                           compiled, eps=eps, **hsvi_kw)
+                                           models[sub], eps=eps, **hsvi_kw)
             policy.kind = kind
-            solves += [(f"{kind} {budget:g} W: {label}", res)
-                       for label, res in done]
-            run = monte_carlo(policy, compiled, episodes=episodes,
-                              horizon=horizon, base_seed=seed)
-            rows.append(run.to_row(budget_w=budget))
+            cells[i, j] = (policy, models[sub]), done
+    order = sorted(cells)
+    solves = [(f"{policies[j]} {budgets[i]:g} W: {label}", res)
+              for i, j in order for label, res in cells[i, j][1]]
+    runs = monte_carlo([cells[ij][0] for ij in order], episodes=episodes,
+                       horizon=horizon, base_seed=seed)
+    rows = [run.to_row(budget_w=budgets[i])
+            for (i, _j), run in zip(order, runs)]
     return rows, solves
 
 
@@ -368,14 +422,20 @@ def sweep_antennas(cfg: ScenarioConfig, n_r_list, episodes: int = 30,
                    horizon: int = 300, eps: float = 5.0, seed: int = 0,
                    **hsvi_kw):
     """Effective power versus array size, with antenna selection on and
-    off: per array size n_r, one j-opt solve and rollout over a shortlist
-    of masks (``select-n<n_r>``) and one over the full array
-    (``full-n<n_r>``).
+    off: per array size n_r, one j-opt solve over a shortlist of masks
+    (``select-n<n_r>``) and one over the full array (``full-n<n_r>``),
+    then one rollout stepping both.
 
-    Effective power is the transmit power scaled by the active-antenna
-    fraction plus a circuit cost per active antenna. Returns the rows, with
-    the ``ANTENNA_COLUMNS`` (the ``budget_w`` column holds n_r), and
-    [(label, HsviResult)], each label prefixed with ``"<policy>: "``."""
+    The shortlist always holds the full array, so each n_r is calibrated
+    once and the full-array model is :func:`restrict`-ed from the
+    shortlist's. Effective power is the transmit power scaled by the
+    active-antenna fraction plus a circuit cost per active antenna. Returns
+    the rows, with the ``ANTENNA_COLUMNS`` (the ``budget_w`` column holds
+    n_r), and [(label, HsviResult)], each label prefixed with
+    ``"<policy>: "``."""
+    n_r_list = list(n_r_list)
+    if not n_r_list:
+        raise ValueError("an antenna sweep needs at least one array size")
     hsvi_kw = {**SWEEP_HSVI_KW, **hsvi_kw}
     rows, solves = [], []
     for n_r in n_r_list:
@@ -388,16 +448,20 @@ def sweep_antennas(cfg: ScenarioConfig, n_r_list, episodes: int = 30,
         floor = 2 * min_mask
         shortlist = sorted({m for m in (floor, n_r // 2, n_r)
                             if floor <= m <= n_r} | {n_r})
+        select = compile_scenario(replace(cfg, n_r=n_r, n_t=n_r,
+                                          mask_sizes=tuple(shortlist)))
+        pairs = []
         for selection, masks in (("select", tuple(shortlist)),
                                  ("full", (n_r,))):
-            sub = replace(cfg, n_r=n_r, n_t=n_r, mask_sizes=masks)
-            compiled = compile_scenario(sub)
+            compiled = restrict(select, replace(select.config,
+                                                mask_sizes=masks))
             kind = f"{selection}-n{n_r}"
             policy, done = baseline_policy("j-opt", compiled, eps=eps,
                                            **hsvi_kw)
             policy.kind = kind
             solves += [(f"{kind}: {label}", res) for label, res in done]
-            run = monte_carlo(policy, compiled, episodes=episodes,
-                              horizon=horizon, base_seed=seed)
-            rows.append(run.to_row(budget_w=float(n_r)))
+            pairs.append((policy, compiled))
+        runs = monte_carlo(pairs, episodes=episodes, horizon=horizon,
+                           base_seed=seed)
+        rows += [run.to_row(budget_w=float(n_r)) for run in runs]
     return rows, solves

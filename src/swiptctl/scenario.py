@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -367,6 +367,60 @@ def compile_scenario(cfg: ScenarioConfig) -> CompiledScenario:
     arrays too, not only the kernel)."""
     check_state_budget(cfg.state_space())
     return CompiledScenario(cfg, *calibrate(cfg))
+
+
+def _sub_list(wide: list, kept: list) -> list:
+    """Positions in ``wide`` of the order-preserving sub-list ``kept``, each
+    matched to the first free equal entry; ``ValueError`` if it is none."""
+    at, pos = [], 0
+    for item in kept:
+        while pos < len(wide) and wide[pos] != item:
+            pos += 1
+        if pos == len(wide):
+            raise ValueError(f"{kept} is not an ordered sub-list of {wide}")
+        at.append(pos)
+        pos += 1
+    return at
+
+
+def restrict(compiled: CompiledScenario,
+             cfg: ScenarioConfig) -> CompiledScenario:
+    """The compiled scenario of ``cfg``, read from ``compiled`` without a
+    calibration: ``cfg`` may differ from ``compiled.config`` only by keeping
+    an order-preserving sub-list of its power pairs and of its masks.
+
+    Calibration measures each (mask, power pair) on its own and the levels
+    from the channel draws alone, so the view equals ``compile_scenario(cfg)``
+    field for field: it shares ``level`` and keeps the action table's kept
+    rows, mask-major, with the masks renumbered from 0. The observation
+    matrix and the kept kernel matrices that ``compiled`` has already built
+    are shared, not built again; what it has not built, the view builds on
+    first read."""
+    wide = compiled.config
+    if cfg == wide:
+        return compiled
+    pairs = list(zip(wide.power_levels_up, wide.power_levels_down))
+    masks = list(wide.resolved_mask_sizes())
+    if replace(cfg, power_levels_up=wide.power_levels_up,
+               power_levels_down=wide.power_levels_down,
+               mask_sizes=wide.mask_sizes) != wide:
+        raise ValueError("restrict keeps power pairs and masks; every other "
+                         "config field must be equal")
+    kept_pairs = _sub_list(pairs, list(zip(cfg.power_levels_up,
+                                           cfg.power_levels_down)))
+    kept_masks = _sub_list(masks, list(cfg.resolved_mask_sizes()))
+    keep = [m * len(pairs) + p for m in kept_masks for p in kept_pairs]
+    rows = {f.name: getattr(compiled.actions, f.name)[keep]
+            for f in fields(ActionTable)}
+    rows["mask_id"] = np.repeat(np.arange(len(kept_masks)), len(kept_pairs))
+    view = CompiledScenario(cfg, compiled.level, ActionTable(**rows))
+    built = vars(compiled)      # the cached properties read so far
+    if "obs_matrix" in built:
+        vars(view)["obs_matrix"] = built["obs_matrix"]
+    if "kernel" in built:
+        vars(view)["kernel"] = TransitionKernel(
+            matrices=[built["kernel"].matrices[a] for a in keep])
+    return view
 
 
 def with_budget(cfg: ScenarioConfig, budget_w: float) -> ScenarioConfig:

@@ -392,8 +392,8 @@ def test_tight_power_cap_activates_multiplier(small_compiled):
                         max_iterations=6, depth_cap=20)
     nu_final = report.multiplier_trace[-1].nu["p_up"]
     assert float(np.max(nu_final)) > 0.0
-    run = monte_carlo(report.policy, small_compiled, episodes=20,
-                      horizon=300, base_seed=11)
+    [run] = monte_carlo([(report.policy, small_compiled)], episodes=20,
+                        horizon=300, base_seed=11)
     measured = float(np.max(run.p_up_w))
     assert measured - cap < 0.05 * cap, (measured, cap)
     _report("tight-cap activation",

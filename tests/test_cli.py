@@ -396,6 +396,21 @@ def test_sweep_power_rejects_unknown_policy(cfg_file, tmp_path, capsys):
     assert "q-opt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ("sweep-power", "--budgets", ","),
+    ("sweep-power", "--budgets", ""),
+    ("sweep-power", "--budgets", "1.05", "--policies", ","),
+    ("sweep-antennas", "--n-r", ""),
+], ids=["budgets-comma", "budgets-empty", "policies-comma", "n-r-empty"])
+def test_empty_sweep_list_exits_2(tiny, tmp_path, capsys, command):
+    out = tmp_path / "sweep.csv"
+    assert run(*command, "--config", tiny[0], "--out", str(out),
+               "--episodes", "2", "--horizon", "5") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
+
+
 def test_sweep_antennas_csv(cfg_file, tmp_path):
     out = tmp_path / "ant.csv"
     assert run("sweep-antennas", "--config", cfg_file, "--n-r", "4",

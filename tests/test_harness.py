@@ -12,8 +12,9 @@ from swiptctl.control import (HashMismatchError, Multipliers, Policy,
 from swiptctl.dynamics import StateSpace
 from swiptctl.harness import (ANTENNA_COLUMNS, CSV_COLUMNS, baseline_policy,
                               default_constraints, episode_rng, monte_carlo,
-                              rows_to_csv, run_episodes, sweep_power)
-from swiptctl.scenario import compile_scenario, desk_scenario
+                              rows_to_csv, run_episodes, sweep_antennas,
+                              sweep_power)
+from swiptctl.scenario import compile_scenario, desk_scenario, with_budget
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +45,9 @@ def test_episode_rng_reproducible_and_independent():
 # ---------------------------------------------------------------------------
 
 def test_run_episode_deterministic(desk_compiled, p_opt):
-    t1 = run_episodes(p_opt, desk_compiled, episodes=3, horizon=60, seed=1)
-    t2 = run_episodes(p_opt, desk_compiled, episodes=3, horizon=60, seed=1)
+    pairs = [(p_opt, desk_compiled)]
+    [t1] = run_episodes(pairs, episodes=3, horizon=60, seed=1)
+    [t2] = run_episodes(pairs, episodes=3, horizon=60, seed=1)
     assert t1.keys() == t2.keys()
     for key in t1:
         np.testing.assert_array_equal(t1[key], t2[key])
@@ -53,15 +55,15 @@ def test_run_episode_deterministic(desk_compiled, p_opt):
 
 def test_run_episode_guards(desk_compiled, p_opt):
     with pytest.raises(ValueError):
-        run_episodes(p_opt, desk_compiled, episodes=1, horizon=0, seed=0)
+        run_episodes([(p_opt, desk_compiled)], episodes=1, horizon=0, seed=0)
     alien = Policy(action_of=p_opt.action_of, scenario_hash="feedface")
     with pytest.raises(HashMismatchError):
-        run_episodes(alien, desk_compiled, episodes=1, horizon=10, seed=0)
+        run_episodes([(alien, desk_compiled)], episodes=1, horizon=10, seed=0)
 
 
 def test_idle_policy_drains_nothing(desk_compiled, idle_policy):
-    traj = run_episodes(idle_policy, desk_compiled, episodes=2, horizon=300,
-                        seed=0)
+    [traj] = run_episodes([(idle_policy, desk_compiled)], episodes=2,
+                          horizon=300, seed=0)
     assert np.all(traj["served"] == 0)
     assert np.all(traj["harvested"] == 0)
     # queue saturates at its cap under sustained arrivals
@@ -73,8 +75,8 @@ def test_idle_policy_drains_nothing(desk_compiled, idle_policy):
 
 def test_bookkeeping_recursions_hold_exactly(desk_compiled, p_opt):
     space = desk_compiled.space
-    traj = run_episodes(p_opt, desk_compiled, episodes=2, horizon=200,
-                        seed=3)
+    [traj] = run_episodes([(p_opt, desk_compiled)], episodes=2, horizon=200,
+                          seed=3)
     prev = {key: v[:, :-1] for key, v in traj.items()}
     want_q = np.minimum(prev["queues"] - prev["served"] + prev["arrived"],
                         space.q_max)
@@ -88,8 +90,8 @@ def test_bookkeeping_recursions_hold_exactly(desk_compiled, p_opt):
 
 def test_energy_conservation_identity(desk_compiled, p_opt):
     space = desk_compiled.space
-    traj = run_episodes(p_opt, desk_compiled, episodes=2, horizon=200,
-                        seed=4)
+    [traj] = run_episodes([(p_opt, desk_compiled)], episodes=2, horizon=200,
+                          seed=4)
     harvested, used, discarded = (traj[key].sum(axis=1)
                                   for key in ("harvested", "used",
                                               "discarded"))
@@ -101,8 +103,8 @@ def test_energy_conservation_identity(desk_compiled, p_opt):
 
 
 def test_served_never_exceeds_queue_or_energy(desk_compiled, p_opt):
-    traj = run_episodes(p_opt, desk_compiled, episodes=2, horizon=200,
-                        seed=5)
+    [traj] = run_episodes([(p_opt, desk_compiled)], episodes=2, horizon=200,
+                          seed=5)
     assert np.all(traj["served"] <= traj["queues"])
     assert np.all(traj["used"] <= traj["energies"])
 
@@ -123,7 +125,8 @@ def rollout_case(request, desk_compiled, idle_policy, p_opt,
 @pytest.mark.parametrize("seed", [0, 7])
 def test_run_episodes_match_per_slot_loop(rollout_case, seed):
     policy, compiled = rollout_case
-    traj = run_episodes(policy, compiled, episodes=4, horizon=80, seed=seed)
+    [traj] = run_episodes([(policy, compiled)], episodes=4, horizon=80,
+                          seed=seed)
     ref = [reference_run_episode(policy, compiled, 80, seed, ep)
            for ep in range(4)]
     assert set(traj) == set(ref[0][0]) - {"rate_up"}
@@ -135,7 +138,7 @@ def test_run_episodes_match_per_slot_loop(rollout_case, seed):
 
 def test_unpayable_action_falls_back_per_user(unpayable):
     policy, compiled = unpayable
-    traj = run_episodes(policy, compiled, episodes=4, horizon=80, seed=0)
+    [traj] = run_episodes([(policy, compiled)], episodes=4, horizon=80, seed=0)
     price = compiled.actions.used_units[traj["action"]]
     broke = price > traj["energies"]
     assert broke[..., 1].all()
@@ -157,15 +160,15 @@ def test_compile_and_rollout_never_walk_joint_states():
     build_cost_table(compiled, Multipliers.zeros(compiled.space.n_users),
                      spec)
     policy, _ = baseline_policy("p-opt", compiled, spec=spec)
-    traj = run_episodes(policy, compiled, episodes=2, horizon=10, seed=0)
+    [traj] = run_episodes([(policy, compiled)], episodes=2, horizon=10, seed=0)
     assert traj["queues"].shape == (2, 10, compiled.space.n_users)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_monte_carlo_matches_per_episode_loop(rollout_case, seed):
     policy, compiled = rollout_case
-    got = monte_carlo(policy, compiled, episodes=5, horizon=80,
-                      base_seed=seed)
+    [got] = monte_carlo([(policy, compiled)], episodes=5, horizon=80,
+                        base_seed=seed)
     want = reference_monte_carlo(policy, compiled, 5, 80, base_seed=seed)
     assert (got.scenario_hash, got.policy_kind, got.episodes) \
         == (compiled.scenario_hash, policy.kind, 5)
@@ -179,29 +182,29 @@ def test_monte_carlo_matches_per_episode_loop(rollout_case, seed):
 
 def test_monte_carlo_needs_two_episodes(desk_compiled, p_opt):
     with pytest.raises(ValueError):
-        monte_carlo(p_opt, desk_compiled, episodes=1, horizon=10)
+        monte_carlo([(p_opt, desk_compiled)], episodes=1, horizon=10)
 
 
 def test_monte_carlo_deterministic(desk_compiled, p_opt):
-    r1 = monte_carlo(p_opt, desk_compiled, episodes=5, horizon=50,
-                     base_seed=9)
-    r2 = monte_carlo(p_opt, desk_compiled, episodes=5, horizon=50,
-                     base_seed=9)
+    [r1] = monte_carlo([(p_opt, desk_compiled)], episodes=5, horizon=50,
+                       base_seed=9)
+    [r2] = monte_carlo([(p_opt, desk_compiled)], episodes=5, horizon=50,
+                       base_seed=9)
     assert r1.delay_ms_mean == r2.delay_ms_mean
     assert r1.delay_ms_ci == r2.delay_ms_ci
 
 
 def test_ci_shrinks_like_root_n(desk_compiled, p_opt):
-    small = monte_carlo(p_opt, desk_compiled, episodes=30, horizon=100,
-                        base_seed=0)
-    large = monte_carlo(p_opt, desk_compiled, episodes=120, horizon=100,
-                        base_seed=0)
+    [small] = monte_carlo([(p_opt, desk_compiled)], episodes=30, horizon=100,
+                          base_seed=0)
+    [large] = monte_carlo([(p_opt, desk_compiled)], episodes=120, horizon=100,
+                          base_seed=0)
     ratio = small.delay_ms_ci / large.delay_ms_ci
     assert 1.6 <= ratio <= 2.4          # fourfold episodes: about half the CI
 
 
 def test_run_result_row_schema(desk_compiled, p_opt):
-    run = monte_carlo(p_opt, desk_compiled, episodes=3, horizon=50)
+    [run] = monte_carlo([(p_opt, desk_compiled)], episodes=3, horizon=50)
     row = run.to_row(budget_w=0.5)
     # every column of either table; rows_to_csv picks the table's own
     assert tuple(row) == ANTENNA_COLUMNS
@@ -212,7 +215,7 @@ def test_run_result_row_schema(desk_compiled, p_opt):
 
 
 def test_rows_to_csv_layout(desk_compiled, p_opt):
-    run = monte_carlo(p_opt, desk_compiled, episodes=3, horizon=50)
+    [run] = monte_carlo([(p_opt, desk_compiled)], episodes=3, horizon=50)
     text = rows_to_csv([run.to_row(budget_w=1.0)])
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
@@ -317,9 +320,8 @@ def test_sweep_power_row_per_pair(desk_cfg):
     assert rows_to_csv(rows).split("\n")[0] == ",".join(CSV_COLUMNS)
 
 
-def test_sweep_power_compiles_each_config_once(monkeypatch):
-    # d-opt and p-opt share the full-duplex model of each budget; hd has its
-    # own half-duplex config
+def counting_compiles(monkeypatch):
+    """The configs that the sweeps compile, in order."""
     import swiptctl.harness as harness
     compiled = []
     real = harness.compile_scenario
@@ -329,13 +331,98 @@ def test_sweep_power_compiles_each_config_once(monkeypatch):
         return real(cfg, *args, **kwargs)
 
     monkeypatch.setattr(harness, "compile_scenario", counting)
+    return compiled
+
+
+def test_sweep_power_compiles_each_config_once(monkeypatch):
+    # one compile per duplex mode, at the widest budget; the narrower
+    # budget's models are restricted from those two, and the rows and the
+    # solve records keep their (budget, policy) order
+    compiled = counting_compiles(monkeypatch)
     cfg = desk_scenario(calib_draws=80, q_max=1, e_max=1)
     rows, solves = sweep_power(cfg, [0.55, 1.05],
                                policies=("d-opt", "p-opt", "hd"),
                                episodes=2, horizon=10, max_iterations=1)
     assert [r["policy"] for r in rows] == ["d-opt", "p-opt", "hd"] * 2
+    assert [r["budget_w"] for r in rows] == ["0.55"] * 3 + ["1.05"] * 3
     assert [label for label, _res in solves] == [
         f"{kind} {b} W: inner mask 0" for b in ("0.55", "1.05")
         for kind in ("d-opt", "hd")]
-    assert [c.duplex for c in compiled] == ["fd", "hd"] * 2
-    assert len(set(compiled)) == 4
+    assert compiled == [with_budget(cfg, 1.05),
+                        with_budget(replace(cfg, duplex="hd"), 1.05)]
+
+
+def test_sweep_antennas_compiles_each_array_size_once(monkeypatch):
+    # the full array's model is restricted from the shortlist's
+    compiled = counting_compiles(monkeypatch)
+    cfg = desk_scenario(calib_draws=80, q_max=1, e_max=1)
+    rows, _solves = sweep_antennas(cfg, (4, 8), episodes=2, horizon=10,
+                                   max_iterations=1)
+    assert [r["policy"] for r in rows] == ["select-n4", "full-n4",
+                                           "select-n8", "full-n8"]
+    assert [(c.n_r, c.mask_sizes) for c in compiled] == [(4, (4,)),
+                                                         (8, (4, 8))]
+
+
+@pytest.mark.parametrize("budgets,policies,n_r", [
+    ([], ("p-opt",), None), ([1.05], (), None), (None, None, [])],
+    ids=["no-budget", "no-policy", "no-array-size"])
+def test_empty_sweeps_are_refused(desk_cfg, budgets, policies, n_r):
+    with pytest.raises(ValueError):
+        if n_r is None:
+            sweep_power(desk_cfg, budgets, policies=policies, episodes=2,
+                        horizon=10)
+        else:
+            sweep_antennas(desk_cfg, n_r, episodes=2, horizon=10)
+
+
+# ---------------------------------------------------------------------------
+# one stepped rollout for several (policy, scenario) pairs
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def sweep_pairs():
+    """d-opt, p-opt and hd at two budgets, as sweep-power solves them: six
+    (policy, compiled scenario) pairs with 3 and 4 actions."""
+    cfg = desk_scenario(calib_draws=80, q_max=2, e_max=2)
+    pairs = []
+    for budget in (0.55, 1.05):
+        fd = compile_scenario(with_budget(cfg, budget))
+        hd = compile_scenario(with_budget(replace(cfg, duplex="hd"), budget))
+        for kind, compiled in (("d-opt", fd), ("p-opt", fd), ("d-opt", hd)):
+            policy, _ = baseline_policy(kind, compiled, max_iterations=2)
+            pairs.append((policy, compiled))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_stepped_rollout_matches_the_per_pair_reference(sweep_pairs, seed):
+    runs = monte_carlo(sweep_pairs, episodes=4, horizon=60, base_seed=seed)
+    assert len(runs) == len(sweep_pairs)
+    for (policy, compiled), got in zip(sweep_pairs, runs):
+        want = reference_monte_carlo(policy, compiled, 4, 60, base_seed=seed)
+        assert (got.scenario_hash, got.policy_kind) == (
+            compiled.scenario_hash, policy.kind)
+        for key, value in want.items():
+            assert np.array_equal(getattr(got, key), value), key
+    # and each pair's trajectory is the one it has when stepped alone
+    for pair, traj in zip(sweep_pairs, run_episodes(sweep_pairs, 4, 60, seed)):
+        [alone] = run_episodes([pair], 4, 60, seed)
+        assert traj.keys() == alone.keys()
+        for key, got in traj.items():
+            assert got.dtype == alone[key].dtype, key
+            np.testing.assert_array_equal(got, alone[key], err_msg=key)
+
+
+@pytest.mark.parametrize("change", [
+    {"calib_draws": 60}, {"arrival_rate_hz": 50.0}, {"q_max": 1}],
+    ids=["level-model", "arrival-pmf", "state-space"])
+def test_stepped_rollout_refuses_pairs_of_other_models(sweep_pairs, change):
+    cfg = replace(sweep_pairs[0][1].config, **change)
+    other = compile_scenario(cfg)
+    policy, _ = baseline_policy("p-opt", other)
+    pairs = sweep_pairs[:2] + [(policy, other)]
+    with pytest.raises(ValueError, match="stepped rollouts"):
+        monte_carlo(pairs, episodes=2, horizon=10)
+    with pytest.raises(ValueError, match="stepped rollouts"):
+        run_episodes(pairs, episodes=2, horizon=10, seed=0)

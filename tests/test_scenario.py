@@ -11,7 +11,8 @@ from oracles import reference_calibrate
 from swiptctl import channel, dynamics
 from swiptctl.dynamics import ActionTable, LevelModel, StateSpaceBudgetError
 from swiptctl.scenario import (ConfigError, ScenarioConfig, calibrate,
-                               compile_scenario, desk_scenario, with_budget)
+                               compile_scenario, desk_scenario, restrict,
+                               with_budget)
 
 
 @pytest.fixture(scope="module")
@@ -315,3 +316,98 @@ def test_state_count_guard_runs_before_calibration(cfg, monkeypatch):
     monkeypatch.setattr(scenario, "calibrate", no_calibration)
     with pytest.raises(StateSpaceBudgetError):
         compile_scenario(cfg)
+
+
+# ---------------------------------------------------------------------------
+# restricted views
+# ---------------------------------------------------------------------------
+
+def budget_grids(cfg):
+    """Every power grid that ``with_budget`` cuts from cfg's, narrowest
+    first: one budget at each pair's summed transmit power."""
+    return [with_budget(cfg, cfg.k * (up + down))
+            for up, down in zip(cfg.power_levels_up[1:],
+                                cfg.power_levels_down[1:])]
+
+
+def shortlist_config(cfg, n_r):
+    """sweep-antennas' select config at array size n_r."""
+    floor = 2 * cfg.k * cfg.n_u
+    masks = sorted({m for m in (floor, n_r // 2, n_r) if floor <= m <= n_r})
+    return dataclasses.replace(cfg, n_r=n_r, n_t=n_r, mask_sizes=tuple(masks))
+
+
+def assert_same_compile(got, want):
+    """Field for field, dtypes included, and the same CSR arrays."""
+    assert got.config == want.config
+    assert got.scenario_hash == want.scenario_hash
+    for owner in ("level", "actions"):
+        for field in dataclasses.fields(getattr(want, owner)):
+            a = getattr(getattr(got, owner), field.name)
+            b = getattr(getattr(want, owner), field.name)
+            assert a.dtype == b.dtype, (owner, field.name)
+            np.testing.assert_array_equal(a, b, err_msg=field.name)
+    mats = list(zip(got.kernel.matrices, want.kernel.matrices))
+    assert len(mats) == len(want.kernel.matrices)
+    for m, n in mats + [(got.obs_matrix, want.obs_matrix)]:
+        for part in ("data", "indices", "indptr"):
+            a, b = getattr(m, part), getattr(n, part)
+            assert a.dtype == b.dtype, part
+            np.testing.assert_array_equal(a, b, err_msg=part)
+
+
+def check_views(wide_cfg, subs):
+    """Views of subs cut before and after wide_cfg's kernel is built equal
+    fresh compiles; the later ones share the built matrices."""
+    wide = compile_scenario(wide_cfg)
+    early = [restrict(wide, sub) for sub in subs]
+    kernel, obs = wide.kernel.matrices, wide.obs_matrix
+    for sub, view in zip(subs, early):
+        late = restrict(wide, sub)
+        assert late.level is wide.level and late.obs_matrix is obs
+        assert all(any(m is k for k in kernel)
+                   for m in late.kernel.matrices)
+        want = compile_scenario(sub)
+        assert "kernel" not in vars(view)
+        assert_same_compile(view, want)
+        assert_same_compile(late, want)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("duplex", ["fd", "hd"])
+@pytest.mark.parametrize("preset", [{"q_max": 4, "e_max": 3}, {}],
+                         ids=["benchmark", "desk"])
+def test_restricted_budget_grid_equals_a_fresh_compile(preset, duplex, seed):
+    cfg = desk_scenario(**preset, duplex=duplex, seed=seed)
+    *subs, wide = budget_grids(cfg)
+    assert wide == cfg
+    check_views(wide, subs)
+
+
+@pytest.mark.parametrize("n_r", [8, 16, 32])
+def test_restricted_antenna_shortlist_equals_a_fresh_compile(n_r):
+    select = shortlist_config(desk_scenario(q_max=4, e_max=3), n_r)
+    full = dataclasses.replace(select, mask_sizes=(n_r,))
+    # masks and power pairs cut together
+    both = dataclasses.replace(budget_grids(select)[0],
+                               mask_sizes=select.mask_sizes[::2])
+    check_views(select, [full, both])
+
+
+def test_restrict_to_its_own_config_is_the_same_object(tiny_compiled):
+    assert restrict(tiny_compiled, tiny_compiled.config) is tiny_compiled
+
+
+@pytest.mark.parametrize("change", [
+    {"seed": 1}, {"eta": 0.3}, {"n_r": 32, "n_t": 32},
+    {"power_levels_up": (0.0, 0.01, 0.005),
+     "power_levels_down": (0.0, 0.25, 0.125)},
+    {"power_levels_up": (0.0, 0.03), "power_levels_down": (0.0, 0.5)},
+    {"mask_sizes": (16, 4)}, {"mask_sizes": (6,)},
+], ids=["seed", "eta", "n_r", "reordered-pairs", "new-pair",
+        "reordered-masks", "new-mask"])
+def test_restrict_refuses_anything_but_a_sub_list(change):
+    cfg = desk_scenario(calib_draws=80, q_max=1, e_max=1, mask_sizes=(4, 16))
+    compiled, other = compile_scenario(cfg), dataclasses.replace(cfg, **change)
+    with pytest.raises(ValueError):
+        restrict(compiled, other)
