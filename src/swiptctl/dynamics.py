@@ -108,11 +108,13 @@ class LevelModel:
         c = np.asarray(self.obs_confusion, dtype=float)
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "obs_confusion", c)
-        if abs(p.sum() - 1.0) > ROW_SUM_TOL or (p < 0).any():
+        # "not err <= tol" so that a NaN fails the check
+        if not abs(p.sum() - 1.0) <= ROW_SUM_TOL or (p < 0).any():
             raise ValueError("level pmf must be a distribution")
         if c.shape != (p.size, p.size):
             raise ValueError("confusion matrix shape mismatch")
-        if np.abs(c.sum(axis=1) - 1.0).max() > ROW_SUM_TOL or (c < 0).any():
+        if (not np.abs(c.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL
+                or (c < 0).any()):
             raise ValueError("confusion rows must be distributions")
 
 
@@ -191,7 +193,7 @@ class TransitionKernel:
     def __post_init__(self):
         for m in self.matrices:
             err = np.abs(np.asarray(m.sum(axis=1)).ravel() - 1.0).max()
-            if err > ROW_SUM_TOL:
+            if not err <= ROW_SUM_TOL:      # a NaN row fails too
                 raise ValueError(f"kernel row sums off by {err:.2e}")
             if (m.data < 0).any():
                 raise ValueError("negative transition probability")

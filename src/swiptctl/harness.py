@@ -4,7 +4,8 @@ Episodes execute the exact integer queue/energy recursions under a policy,
 with per-episode counter-based random streams so results are reproducible
 and episode-order independent; all episodes of every (policy, scenario)
 pair are stepped together, slot by slot (:func:`run_episodes`). Sweeps
-calibrate each link geometry once and emit fixed-column CSV rows.
+calibrate each link geometry once, and the antenna sweep solves each array
+size once; both emit fixed-column CSV rows.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .control import (ConstraintSpec, Multipliers, Policy, build_cost_table,
-                      constraint_violations, solve_inner_beamforming,
-                      solve_outer_selection, update_multipliers)
+                      constraint_violations, greedy_policy,
+                      solve_inner_beamforming, solve_outer_selection,
+                      update_multipliers)
 from .dynamics import user_action_table
 from .pomdp.solver import check_solver_args
 from .scenario import (CompiledScenario, ScenarioConfig, compile_scenario,
@@ -422,17 +424,18 @@ def sweep_antennas(cfg: ScenarioConfig, n_r_list, episodes: int = 30,
                    horizon: int = 300, eps: float = 5.0, seed: int = 0,
                    **hsvi_kw):
     """Effective power versus array size, with antenna selection on and
-    off: per array size n_r, one j-opt solve over a shortlist of masks
-    (``select-n<n_r>``) and one over the full array (``full-n<n_r>``),
-    then one rollout stepping both.
+    off: per array size n_r, one j-opt two-layer solve over a shortlist of
+    masks (``select-n<n_r>``), then one rollout of it and the full array.
 
-    The shortlist always holds the full array, so each n_r is calibrated
-    once and the full-array model is :func:`restrict`-ed from the
-    shortlist's. Effective power is the transmit power scaled by the
-    active-antenna fraction plus a circuit cost per active antenna. Returns
-    the rows, with the ``ANTENNA_COLUMNS`` (the ``budget_w`` column holds
-    n_r), and [(label, HsviResult)], each label prefixed with
-    ``"<policy>: "``."""
+    The shortlist's last mask is the full array, so each n_r is calibrated
+    once, the full-array model is :func:`restrict`-ed from the shortlist's
+    with that mask's actions in order, and that mask's inner solve is the
+    full array's solve: its greedy policy is the ``full-n<n_r>`` row, and
+    its record is relabelled ``full-n<n_r>: inner mask 0``. Effective power
+    is the transmit power scaled by the active-antenna fraction plus a
+    circuit cost per active antenna. Returns the rows, with the
+    ``ANTENNA_COLUMNS`` (the ``budget_w`` column holds n_r), and [(label,
+    HsviResult)], each label prefixed with ``"<policy>: "``."""
     n_r_list = list(n_r_list)
     if not n_r_list:
         raise ValueError("an antenna sweep needs at least one array size")
@@ -450,18 +453,15 @@ def sweep_antennas(cfg: ScenarioConfig, n_r_list, episodes: int = 30,
                             if floor <= m <= n_r} | {n_r})
         select = compile_scenario(replace(cfg, n_r=n_r, n_t=n_r,
                                           mask_sizes=tuple(shortlist)))
-        pairs = []
-        for selection, masks in (("select", tuple(shortlist)),
-                                 ("full", (n_r,))):
-            compiled = restrict(select, replace(select.config,
-                                                mask_sizes=masks))
-            kind = f"{selection}-n{n_r}"
-            policy, done = baseline_policy("j-opt", compiled, eps=eps,
-                                           **hsvi_kw)
-            policy.kind = kind
-            solves += [(f"{kind}: {label}", res) for label, res in done]
-            pairs.append((policy, compiled))
-        runs = monte_carlo(pairs, episodes=episodes, horizon=horizon,
-                           base_seed=seed)
+        full = restrict(select, replace(select.config, mask_sizes=(n_r,)))
+        policy, done = baseline_policy("j-opt", select, eps=eps, **hsvi_kw)
+        policy.kind = f"select-n{n_r}"
+        last = dict(done)[f"inner mask {len(shortlist) - 1}"]
+        full_policy = greedy_policy(full, last.bounds.lower)
+        full_policy.kind = f"full-n{n_r}"
+        solves += [(f"{policy.kind}: {label}", res) for label, res in done]
+        solves.append((f"{full_policy.kind}: inner mask 0", last))
+        runs = monte_carlo([(policy, select), (full_policy, full)],
+                           episodes=episodes, horizon=horizon, base_seed=seed)
         rows += [run.to_row(budget_w=float(n_r)) for run in runs]
     return rows, solves

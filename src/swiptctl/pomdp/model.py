@@ -71,7 +71,7 @@ class PomdpModel:
             if m.shape[0] != n:
                 raise ValueError("matrix row dimension mismatch")
             err = np.abs(np.asarray(m.sum(axis=1)).ravel() - 1.0).max()
-            if err > STOCH_TOL:
+            if not err <= STOCH_TOL:        # a NaN row fails too
                 raise ValueError(f"rows must be stochastic (off by {err:.2e})")
         # sorted column ids: a row's entries then run in observation order
         for z in self.observations:

@@ -90,6 +90,9 @@ class ScenarioConfig:
         reals += [("power level", p) for p in (*self.power_levels_up,
                                                *self.power_levels_down)]
         for name, v in reals:
+            # a bool is an int to Python, and hashes unlike the float it means
+            if isinstance(v, bool):
+                raise ConfigError(f"{name} must be a real number, got {v!r}")
             if not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v!r}")
         if self.duplex not in ("fd", "hd"):
@@ -228,6 +231,11 @@ def calibrate(cfg: ScenarioConfig) -> tuple:
     level_true = bins(gains_true)              # (calib_draws, k)
     counts = np.zeros((cfg.n_levels, cfg.n_levels))
     np.add.at(counts, (level_true.ravel(), bins(gains_est).ravel()), 1.0)
+    empty = np.flatnonzero(counts.sum(axis=1) == 0)
+    if empty.size:      # its level probability is 0 and its confusion row 0/0
+        raise ConfigError(f"channel level {empty[0]} holds none of the "
+                          f"{level_true.size} calibration gains; lower "
+                          "n_levels or raise calib_draws")
     conf = counts / counts.sum(axis=1, keepdims=True)
     probs = counts.sum(axis=1) / counts.sum()
     level = LevelModel(probs=probs, obs_confusion=conf)

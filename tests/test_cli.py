@@ -61,6 +61,22 @@ def test_config_with_a_bad_count_exits_2(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("key,value", [
+    ("eta", True), ("noise_w", True), ("discount", False),
+    ("power_levels_down", [False, 0.125, 0.25, True]),
+    ("power_levels_up", [0.0, 0.005, 0.01, True]),
+])
+def test_config_with_a_boolean_real_exits_2(tmp_path, capsys, key, value):
+    # JSON true would read as 1.0 but hash unlike it
+    cfg = json.loads(desk_scenario().to_json())
+    cfg[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert run("validate", "--config", str(path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "must be a real number" in err[0], err
+
+
+@pytest.mark.parametrize("key,value", [
     ("power_levels_up", [0.0, math.inf, 0.01, 0.02]),
     ("power_levels_down", [0.0, 0.125, math.nan, 0.5]),
     ("circuit_w_per_antenna", math.nan), ("noise_w", math.nan),
@@ -146,6 +162,34 @@ def test_harvester_efficiency_must_lie_in_the_unit_interval(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == ("" if code == 0
                    else f"error: eta must lie in (0, 1], got {eta}\n")
+
+
+ROLLOUT = ("--episodes", "2", "--horizon", "5")
+
+
+@pytest.mark.parametrize("command", [
+    ("validate",),
+    ("solve", "--kind", "d-opt", "--out", "pol.json"),
+    ("solve", "--kind", "j-opt", "--out", "pol.json"),
+    ("solve", "--kind", "p-opt", "--out", "pol.json"),
+    ("evaluate", "--policy", "pol.json", "--out", "res.json", *ROLLOUT),
+    ("sweep-power", "--budgets", "1.05", "--out", "s.csv", *ROLLOUT),
+    ("sweep-antennas", "--n-r", "4", "--out", "a.csv", *ROLLOUT),
+], ids=["validate", "solve-d-opt", "solve-j-opt", "solve-p-opt", "evaluate",
+        "sweep-power", "sweep-antennas"])
+def test_empty_channel_level_bin_exits_2(tmp_path, capsys, command):
+    # 5 calibration gains cannot fill 8 equal-mass level bins, and an empty
+    # bin's confusion row would be 0/0
+    cfg = tmp_path / "sparse.json"
+    cfg.write_text(desk_scenario(k=1, q_max=1, e_max=1, calib_draws=5,
+                                 n_levels=8).to_json())
+    name, *rest = command
+    rest = [str(tmp_path / arg) if arg.endswith((".json", ".csv")) else arg
+            for arg in rest]
+    assert run(name, "--config", str(cfg), *rest) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: channel level "), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sparse.json"]
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -478,5 +522,7 @@ def test_benchmark_antenna_sweep_certifies_every_solve_at_the_root(
                "--seed", "0", "--out", str(tmp_path / "ant.csv")) == 0
     assert not [ln for ln in capsys.readouterr().err.splitlines()
                 if ln.startswith("warning:")]
-    assert len(results) == 5
+    # 3 inner and 1 outer selection solve; the full row reads the last
+    # inner solve
+    assert len(results) == 4
     assert all(res.converged and res.iterations == 0 for res in results)

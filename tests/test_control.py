@@ -655,6 +655,37 @@ def test_executed_selection_policy_against_the_joint_optimum(bench_solves):
     assert SELECT_N16_BEFORE <= executed <= optimum + 1e-9 * abs(optimum)
 
 
+@pytest.fixture(scope="module")
+def antenna_sweep_models():
+    """sweep-antennas' selection models at n_r 8 (masks 4 and 8) and 16
+    (masks 4, 8 and 16) of the benchmark config."""
+    cfg = desk_scenario(q_max=4, e_max=3)
+    return {n_r: compile_scenario(replace(cfg, n_r=n_r, n_t=n_r,
+                                          mask_sizes=masks))
+            for n_r, masks in ((8, (4, 8)), (16, (4, 8, 16)))}
+
+
+@pytest.mark.parametrize("kind", ["j-opt", "d-opt"])
+@pytest.mark.parametrize("n_r", [8, 16])
+def test_two_layer_policy_attains_the_joint_optimum(antenna_sweep_models,
+                                                    n_r, kind):
+    # the paper's decomposition (power levels per mask, then the mask)
+    # loses nothing here: solved to eps 1e-6, the executed two-layer policy
+    # is worth the optimum over every (mask, power) action at once
+    compiled = antenna_sweep_models[n_r]
+    policy, solves = baseline_policy(kind, compiled, eps=1e-6,
+                                     **SWEEP_HSVI_KW)
+    assert all(res.converged for _label, res in solves)
+    cost = baseline_cost_table(kind, compiled,
+                               default_constraints(compiled.config))
+    exact = ObservationMdp(compiled, layer_model(
+        compiled, constant_layer(compiled), cost))
+    b0 = uniform_initial_belief(compiled)
+    optimum = exact.root(b0, exact.solve()[0])
+    executed = exact.executed_root(b0, policy.action_of)
+    assert executed == pytest.approx(optimum, rel=1e-9, abs=0)
+
+
 def test_observation_mdp_refuses_a_model_without_closure(desk_compiled):
     # states observed exactly: the posterior is a point mass, not a row
     # of the level-posterior table

@@ -278,7 +278,8 @@ class TestKernel:
     @pytest.mark.parametrize("entries,message", [
         ([0.6, 0.4 + 2e-10], "row sums"),
         ([1.2, -0.2], "negative"),
-    ], ids=["row-off-by-2e-10", "negative-entry"])
+        ([np.nan, 0.5], "row sums"),
+    ], ids=["row-off-by-2e-10", "negative-entry", "nan-row"])
     def test_refuses_a_matrix_that_is_not_stochastic(self, entries,
                                                      message):
         good = sparse.csr_matrix(np.full((2, 2), 0.5))
@@ -387,3 +388,11 @@ class TestLevelModel:
         with pytest.raises(ValueError):
             LevelModel(probs=np.array([0.5, 0.5]),
                        obs_confusion=np.array([[0.9, 0.2], [0.2, 0.8]]))
+
+    def test_rejects_nan_rows(self):
+        # an empty calibration bin gave a 0 probability and a 0/0 row
+        with pytest.raises(ValueError, match="pmf"):
+            LevelModel(probs=np.array([np.nan, 0.5]), obs_confusion=np.eye(2))
+        with pytest.raises(ValueError, match="confusion rows"):
+            LevelModel(probs=np.array([1.0, 0.0]),
+                       obs_confusion=np.array([[1.0, 0.0], [np.nan] * 2]))

@@ -10,11 +10,13 @@ from oracles import (admissible, decode, encode, reference_monte_carlo,
 from swiptctl.control import (HashMismatchError, Multipliers, Policy,
                               build_cost_table)
 from swiptctl.dynamics import StateSpace
-from swiptctl.harness import (ANTENNA_COLUMNS, CSV_COLUMNS, baseline_policy,
-                              default_constraints, episode_rng, monte_carlo,
-                              rows_to_csv, run_episodes, sweep_antennas,
-                              sweep_power)
-from swiptctl.scenario import compile_scenario, desk_scenario, with_budget
+from swiptctl.harness import (ANTENNA_COLUMNS, CSV_COLUMNS, SWEEP_HSVI_KW,
+                              baseline_policy, default_constraints,
+                              episode_rng, monte_carlo, rows_to_csv,
+                              run_episodes, sweep_antennas, sweep_power)
+from swiptctl.pomdp import solve_hsvi
+from swiptctl.scenario import (compile_scenario, desk_scenario, restrict,
+                               with_budget)
 
 
 @pytest.fixture(scope="module")
@@ -362,6 +364,69 @@ def test_sweep_antennas_compiles_each_array_size_once(monkeypatch):
                                            "select-n8", "full-n8"]
     assert [(c.n_r, c.mask_sizes) for c in compiled] == [(4, (4,)),
                                                          (8, (4, 8))]
+
+
+def captured_sweep(monkeypatch, cfg, n_r_list, **kwargs):
+    """``sweep_antennas``' records, the ``(policy, compiled)`` pairs it
+    rolls out, and the number of HSVI solves it runs."""
+    import swiptctl.control as control
+    import swiptctl.harness as harness
+    pairs, solves = [], []
+    real_rollout = harness.monte_carlo
+
+    def rollout(batch, *args, **kw):
+        pairs.extend(batch)
+        return real_rollout(batch, *args, **kw)
+
+    def solve(*args, **kw):
+        solves.append(None)
+        return solve_hsvi(*args, **kw)
+
+    monkeypatch.setattr(harness, "monte_carlo", rollout)
+    monkeypatch.setattr(control, "solve_hsvi", solve)
+    _rows, records = sweep_antennas(cfg, n_r_list, **kwargs)
+    return records, pairs, len(solves)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_full_row_is_the_full_arrays_own_solve(monkeypatch, seed):
+    # the full array's j-opt solve, run on its own as the sweep once did,
+    # gives the table and the record that the sweep reads from the
+    # selection solve's last inner layer
+    cfg = desk_scenario(q_max=4, e_max=3, seed=seed)
+    n_r_list = (4, 8, 16, 32)
+    records, pairs, _n = captured_sweep(monkeypatch, cfg, n_r_list,
+                                        episodes=2, horizon=10)
+    records = dict(records)
+    for n_r, (select, full) in zip(n_r_list, zip(pairs[::2], pairs[1::2])):
+        assert select[0].kind == f"select-n{n_r}"
+        assert full[0].kind == f"full-n{n_r}"
+        alone = restrict(select[1], replace(select[1].config,
+                                            mask_sizes=(n_r,)))
+        assert full[1].config == alone.config
+        want, [(label, res)] = baseline_policy("j-opt", alone, eps=5.0,
+                                               **SWEEP_HSVI_KW)
+        np.testing.assert_array_equal(full[0].action_of, want.action_of)
+        assert full[0].scenario_hash == want.scenario_hash
+        got = records[f"full-n{n_r}: {label}"]
+        assert (got.converged, got.iterations, got.root_gap) == (
+            res.converged, res.iterations, res.root_gap)
+        assert list(got.log_lines()) == list(res.log_lines())
+
+
+@pytest.mark.parametrize("n_r,masks", [(4, 1), (8, 2), (16, 3), (32, 3)])
+def test_sweep_antennas_solves_each_array_size_once(monkeypatch, n_r, masks):
+    # one inner solve per shortlist mask and, with more than one mask, the
+    # outer selection solve; the full row solves nothing of its own
+    cfg = desk_scenario(calib_draws=80, q_max=1, e_max=1)
+    records, _pairs, n_solves = captured_sweep(
+        monkeypatch, cfg, (n_r,), episodes=2, horizon=10, max_iterations=1)
+    assert n_solves == (masks + 1 if masks > 1 else 1)
+    select = [f"select-n{n_r}: inner mask {m}" for m in range(masks)]
+    select += [f"select-n{n_r}: outer selection"] if masks > 1 else []
+    assert [label for label, _res in records] == select + [
+        f"full-n{n_r}: inner mask 0"]
+    assert records[-1][1] is records[masks - 1][1]
 
 
 @pytest.mark.parametrize("budgets,policies,n_r", [

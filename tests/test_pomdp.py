@@ -110,6 +110,13 @@ class TestModel:
             PomdpModel(transitions=[np.eye(2)], observations=[np.eye(2)],
                        cost=np.full((2, 1), np.inf), discount=0.9)
 
+    @pytest.mark.parametrize("which", ["transitions", "observations"])
+    def test_refuses_a_nan_row(self, which):
+        mats = {"transitions": [np.eye(2)], "observations": [np.eye(2)]}
+        mats[which] = [np.array([[1.0, 0.0], [np.nan, 0.5]])]
+        with pytest.raises(ValueError, match="stochastic"):
+            PomdpModel(**mats, cost=np.zeros((2, 1)), discount=0.9)
+
     def test_reward_is_negated_cost(self):
         m = tiger_model()
         np.testing.assert_array_equal(m.reward, -m.cost)

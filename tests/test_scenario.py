@@ -120,6 +120,31 @@ def test_from_json_rejects_non_object():
         ScenarioConfig.from_json("[1, 2]")
 
 
+REAL_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)
+               if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("name", REAL_FIELDS + ["power_levels_up",
+                                                "power_levels_down"])
+def test_a_boolean_real_is_refused(name, value):
+    # a bool passes every range check as 0 or 1, and hashes unlike 0.0 or
+    # 1.0, so the same physical config would get two hashes
+    assert len(REAL_FIELDS) == 13
+    grid = (0.0, 0.005, 0.01, value)
+    kw = {name: grid if name.startswith("power_levels") else value}
+    with pytest.raises(ConfigError, match="must be a real number"):
+        desk_scenario(**kw)
+
+
+def test_calibrate_refuses_an_empty_level_bin():
+    # 5 gains cannot fill 8 equal-mass bins: levels 1, 3 and 5 would get
+    # probability 0 and a 0/0 confusion row
+    with pytest.raises(ConfigError, match="channel level 1 holds none"):
+        calibrate(desk_scenario(k=1, q_max=1, e_max=1, calib_draws=5,
+                                n_levels=8))
+
+
 # ---------------------------------------------------------------------------
 # budget restriction
 # ---------------------------------------------------------------------------

@@ -98,6 +98,28 @@ def test_traced_two_mask_solve_counts_both_layers(tmp_path):
     assert metrics["control.cost_table_s"] > 0
 
 
+def test_traced_antenna_sweep_solves_each_array_size_once(tmp_path):
+    # masks 4 and 8: two inner solves and one outer; the full row reads
+    # the mask-8 inner solve instead of solving it again
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(desk_scenario(q_max=1, e_max=1,
+                                      calib_draws=20).to_json())
+    tracer = spans.Tracer("tooling")
+    patches = spans.Patches()
+    spans.install_spans(patches, tracer, lambda *_args: None)
+    try:
+        code = cli.main(["sweep-antennas", "--config", str(cfg_path),
+                         "--n-r", "8", "--out", str(tmp_path / "ant.csv"),
+                         "--episodes", "2", "--horizon", "10"])
+    finally:
+        patches.restore()
+    assert code == 0
+    metrics = spans.layer_metrics(tracer, untraced_wall_s=1.0)
+    assert metrics["control.inner_solves"] == 2
+    assert metrics["control.outer_solves"] == 1
+    assert metrics["pomdp.solves"] == 3
+
+
 SRC_PATH = Path(cli.__file__).resolve().parent
 
 EXPLORATION = "item 5: HSVI exploration and the prunes"
