@@ -67,18 +67,22 @@ class PomdpModel:
             raise ValueError("cost table shape mismatch")
         if len(self.observations) != len(self.transitions):
             raise ValueError("need one observation matrix per action")
-        for m in self.transitions + self.observations:
+        # a matrix that several actions share is checked once
+        for m in {id(m): m for m in self.transitions
+                  + self.observations}.values():
             if m.shape[0] != n:
                 raise ValueError("matrix row dimension mismatch")
             err = np.abs(np.asarray(m.sum(axis=1)).ravel() - 1.0).max()
             if not err <= STOCH_TOL:        # a NaN row fails too
                 raise ValueError(f"rows must be stochastic (off by {err:.2e})")
-        # sorted column ids: a row's entries then run in observation order
+        # sorted column ids: a row's entries then run in observation order;
+        # the next-state id of each stored entry, one array per matrix
+        rows = {}
         for z in self.observations:
-            z.sort_indices()
-        # the next-state id of each stored entry
-        self.obs_rows = [np.repeat(np.arange(n), np.diff(z.indptr))
-                         for z in self.observations]
+            if id(z) not in rows:
+                z.sort_indices()
+                rows[id(z)] = np.repeat(np.arange(n), np.diff(z.indptr))
+        self.obs_rows = [rows[id(z)] for z in self.observations]
 
     @property
     def n_states(self) -> int:

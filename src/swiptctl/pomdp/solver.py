@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .bounds import AlphaVector, BoundPair, LowerBound, UpperBound
 from .model import PomdpModel, check_belief, policy_rows, row_entries
@@ -27,6 +26,9 @@ from .model import PomdpModel, check_belief, policy_rows, row_entries
 # bicgstab stops at this residual, relative to the right-hand side; the
 # residual certificate, not this tolerance, makes each bound valid
 KRYLOV_RTOL = 1e-14
+# bicgstab's rho and omega breakdown thresholds (scipy keeps the Fortran
+# original's eps**2)
+BREAKDOWN_TOL = np.finfo(float).eps ** 2
 # policy iteration switches a state's action only on a gain above this, so
 # that evaluation round-off cannot make it cycle
 SWITCH_GAIN = 1e-12
@@ -35,15 +37,66 @@ SWITCH_GAIN = 1e-12
 MAX_POLICY_ROUNDS = 100
 
 
+def bicgstab(matvec, b, x0, maxiter=None) -> np.ndarray:
+    """BiCGSTAB (van der Vorst, 1992) for A x = b, A given by ``matvec``,
+    started at ``x0``; stops once ||b - A x|| < KRYLOV_RTOL ||b||, on a
+    breakdown, or after ``maxiter`` (default 10 n) steps, and returns x.
+
+    The arithmetic is scipy 1.17's sparse-solver ``bicgstab`` with
+    ``rtol=KRYLOV_RTOL, atol=0``, no preconditioner: the same products and
+    norms in the same order and in place, so the result is the same bit
+    for bit."""
+    b = np.asarray(b, dtype=float).ravel()
+    x = np.array(x0, dtype=float).ravel()
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b
+    atol = KRYLOV_RTOL * bnrm2
+    if maxiter is None:
+        maxiter = 10 * b.size
+    r = b - matvec(x) if x.any() else b.copy()
+    rtilde = r.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x
+        rho = np.dot(rtilde, r)
+        if np.abs(rho) < BREAKDOWN_TOL:
+            return x
+        if iteration > 0:
+            if np.abs(omega) < BREAKDOWN_TOL:
+                return x
+            beta = (rho / rho_prev) * (alpha / omega)
+            p -= omega * v
+            p *= beta
+            p += r
+        else:
+            s = np.empty_like(r)
+            p = r.copy()
+        v = matvec(p)
+        rv = np.dot(rtilde, v)
+        if rv == 0:
+            return x
+        alpha = rho / rv
+        r -= alpha * v
+        s[:] = r[:]
+        if np.linalg.norm(s) < atol:
+            x += alpha * p
+            return x
+        t = matvec(s)
+        omega = np.dot(t, s) / np.dot(t, t)
+        x += alpha * p
+        x += omega * s
+        r -= omega * t
+        rho_prev = rho
+    return x
+
+
 def _evaluate(step, reward: np.ndarray, discount: float,
               x0: np.ndarray) -> np.ndarray:
     """Value of a stationary policy whose transition matvec is ``step``:
     one matrix-free Krylov solve of (I - discount P) v = reward, started at
     ``x0``. The solve may stop short; callers certify what it returns."""
-    n = reward.size
-    op = LinearOperator((n, n), dtype=float,
-                        matvec=lambda v: v - discount * step(v))
-    return bicgstab(op, reward, x0=x0, rtol=KRYLOV_RTOL, atol=0.0)[0]
+    return bicgstab(lambda v: v - discount * step(v), reward, x0)
 
 
 def _blind_alphas(model: PomdpModel) -> list:

@@ -242,8 +242,13 @@ def calibrate(cfg: ScenarioConfig) -> tuple:
 
     # the per-level sample counts, and the uplink precoders of each draw,
     # are the same for every action
-    hits = np.maximum([np.bincount(level_true[:, u], minlength=cfg.n_levels)
-                       for u in range(cfg.k)], 1.0)
+    hits = np.array([np.bincount(level_true[:, u], minlength=cfg.n_levels)
+                     for u in range(cfg.k)])
+    user, lv = np.unravel_index(np.argmin(hits), hits.shape)
+    if hits[user, lv] == 0:     # its service and harvest means would be 0/0
+        raise ConfigError(f"channel level {lv} holds none of user {user}'s "
+                          f"{cfg.calib_draws} calibration gains; lower "
+                          "n_levels or raise calib_draws")
     w_up = normalized(crandn(channel_stream(cfg.seed, link=3),
                              cfg.calib_draws, cfg.k, dims.n_u, dims.n_u))
     w_up_sq = sq_norms(w_up)

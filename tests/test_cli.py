@@ -134,6 +134,16 @@ def test_config_with_an_overflowing_packet_count_exits_2(tmp_path, capsys,
     assert message in err
 
 
+def test_config_with_a_users_empty_level_bin_exits_2(tmp_path, capsys):
+    path = tmp_path / "sparse.json"
+    path.write_text(desk_scenario(q_max=1, e_max=1, calib_draws=4,
+                                  n_levels=4).to_json())
+    assert run("validate", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "channel level 2 holds none of user 0's" in err
+
+
 def test_config_whose_harvest_overflows_fills_the_buffer(tmp_path, capsys):
     # eta * P_eh * slot / dE reaches infinity; capped before its floor, it
     # fills the buffer in one slot wherever the downlink transmits (the

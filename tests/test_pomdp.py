@@ -4,6 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import bicgstab as scipy_linalg_bicgstab
 
 from oracles import (DEFAULT_PRUNE_MARGIN, ImpossibleObservationError,
                      ObservationMdp, OracleScaleError, constant_layer,
@@ -116,6 +118,32 @@ class TestModel:
         mats[which] = [np.array([[1.0, 0.0], [np.nan, 0.5]])]
         with pytest.raises(ValueError, match="stochastic"):
             PomdpModel(**mats, cost=np.zeros((2, 1)), discount=0.9)
+
+    def test_a_shared_matrix_is_checked_and_indexed_once(self, monkeypatch):
+        t = sparse.csr_matrix(np.full((3, 3), 1.0 / 3.0))
+        # row 0 stores its columns out of order
+        z = sparse.csr_matrix(([0.5, 0.5, 1.0, 1.0], [1, 0, 2, 1],
+                               [0, 2, 3, 4]), shape=(3, 3))
+        sums = []
+        summed = sparse.csr_matrix.sum
+
+        def counted(m, *args, **kwargs):
+            sums.append(id(m))
+            return summed(m, *args, **kwargs)
+
+        monkeypatch.setattr(sparse.csr_matrix, "sum", counted)
+        m = PomdpModel(transitions=[t] * 4, observations=[z] * 4,
+                       cost=np.zeros((3, 4)), discount=0.9)
+        assert sorted(sums) == sorted([id(t), id(z)])
+        assert all(rows is m.obs_rows[0] for rows in m.obs_rows)
+        assert z.has_sorted_indices
+        np.testing.assert_array_equal(z.indices, [0, 1, 2, 1])
+        np.testing.assert_array_equal(m.obs_rows[0], [0, 0, 1, 2])
+        # and a shared matrix still fails the check
+        bad = sparse.csr_matrix(np.array([[0.5, 0.4], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="stochastic"):
+            PomdpModel(transitions=[np.eye(2)] * 2, observations=[bad] * 2,
+                       cost=np.zeros((2, 2)), discount=0.9)
 
     def test_reward_is_negated_cost(self):
         m = tiger_model()
@@ -396,6 +424,59 @@ def bound_model(request, desk_jopt_model):
     if request.param == "desk-jopt":
         return desk_jopt_model[0]
     return SMALL_MODELS[request.param]()
+
+
+def scipy_bicgstab(matvec, b, x0, maxiter=None):
+    """scipy's BiCGSTAB with the solver's stopping rule: the oracle that
+    ``solver.bicgstab`` ports."""
+    n = np.asarray(b).size
+    op = LinearOperator((n, n), matvec=matvec, dtype=float)
+    return scipy_linalg_bicgstab(op, b, x0=x0, rtol=solver.KRYLOV_RTOL,
+                                 atol=0.0, maxiter=maxiter)[0]
+
+
+class TestKrylovPort:
+    """The in-house BiCGSTAB returns scipy's array bit for bit."""
+
+    def test_every_seed_solve_on_the_desk_model(self, desk_jopt_model,
+                                                monkeypatch):
+        m, b0 = desk_jopt_model
+        own, sizes = solver.bicgstab, []
+
+        def both(matvec, b, x0, maxiter=None):
+            got = own(matvec, b, x0, maxiter=maxiter)
+            np.testing.assert_array_equal(
+                got, scipy_bicgstab(matvec, b, x0, maxiter=maxiter),
+                strict=True)
+            sizes.append(got.size)
+            return got
+
+        monkeypatch.setattr(solver, "bicgstab", both)
+        initial_bounds(m, b0, 0.0)
+        # the blind alphas, the corners' policy iteration, and the stacked
+        # operator of the policy alphas
+        assert sizes[:m.n_actions] == [m.n_states] * m.n_actions
+        assert m.n_actions * m.n_states in sizes
+
+    @pytest.mark.parametrize("case", ["zero-x0", "zero-rhs", "maxiter-1",
+                                      "singular"])
+    def test_edge_cases(self, desk_jopt_model, case):
+        m = desk_jopt_model[0]
+        t, g = m.transitions[0], m.discount
+        r = m.reward[:, 0]
+        x0, maxiter = r / (1.0 - g), None
+        matvec = lambda v: v - g * t.dot(v)       # noqa: E731
+        if case == "zero-x0":
+            x0 = np.zeros(m.n_states)
+        elif case == "zero-rhs":
+            r = np.zeros(m.n_states)
+        elif case == "maxiter-1":
+            maxiter = 1
+        else:       # v = A p = 0 in the first step: the rv == 0 breakdown
+            matvec = np.zeros_like
+        got = solver.bicgstab(matvec, r, x0, maxiter=maxiter)
+        np.testing.assert_array_equal(
+            got, scipy_bicgstab(matvec, r, x0, maxiter=maxiter), strict=True)
 
 
 class TestInitialBounds:

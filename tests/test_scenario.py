@@ -145,6 +145,16 @@ def test_calibrate_refuses_an_empty_level_bin():
                                 n_levels=8))
 
 
+def test_calibrate_refuses_a_users_empty_level_bin():
+    # 8 pooled gains fill all 4 levels, but user 0 draws none at level 2
+    # (and user 1 none at level 3): those users' service and harvest means
+    # would be 0/0, where a floor of one sample once read them as 0
+    cfg = desk_scenario(q_max=1, e_max=1, calib_draws=4, n_levels=4)
+    with pytest.raises(ConfigError,
+                       match="channel level 2 holds none of user 0's 4 "):
+        calibrate(cfg)
+
+
 # ---------------------------------------------------------------------------
 # budget restriction
 # ---------------------------------------------------------------------------

@@ -217,26 +217,42 @@ def test_cli_reaches_every_function_but_the_named_ones(tmp_path):
     assert unreached == set(UNREACHED)
 
 
-def scipy_modules_loaded_by(module: str) -> list:
+def scipy_modules_loaded_by(module: str, run: str = "pass") -> list:
     """The scipy modules that a fresh interpreter has loaded after
-    importing ``module``."""
+    importing ``module`` and then running the statement ``run``."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = (f"import json, sys, {module}; print(json.dumps(sorted("
-            "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    code = (f"import json, sys, {module}; {run}; print(json.dumps("
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    return json.loads(out)
+    return json.loads(out.splitlines()[-1])
+
+
+# scipy.stats alone once took about 0.7 s of a 1.3 s start-up, and
+# scipy.special 0.1 s; scipy.sparse.linalg, with the scipy.linalg it loads,
+# cost every command about 10 MB and 0.1 s for one BiCGSTAB call. Only the
+# tests' oracles need these modules
+SLOW_SCIPY = {"scipy.stats", "scipy.optimize", "scipy.special",
+              "scipy.sparse.linalg", "scipy.linalg"}
 
 
 def test_cli_import_leaves_out_slow_scipy_modules():
-    # scipy.stats alone once took about 0.7 s of a 1.3 s start-up, and
-    # scipy.special 0.1 s; only the tests' oracles need scipy.optimize or
-    # scipy.special
     loaded = scipy_modules_loaded_by("swiptctl.cli")
-    slow = {"scipy.stats", "scipy.optimize", "scipy.special"}
-    assert not slow & set(loaded), loaded
+    assert not SLOW_SCIPY & set(loaded), loaded
+
+
+def test_cli_solve_leaves_out_slow_scipy_modules(tmp_path):
+    # an import made inside a function would load only here
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(desk_scenario(q_max=1, e_max=1, calib_draws=20).to_json())
+    argv = ["solve", "--config", str(cfg), "--kind", "j-opt",
+            "--out", str(tmp_path / "policy.json")]
+    loaded = scipy_modules_loaded_by(
+        "swiptctl.cli", f"assert swiptctl.cli.main({argv!r}) == 0")
+    assert "scipy.sparse" in loaded
+    assert not SLOW_SCIPY & set(loaded), loaded
 
 
 def test_channel_import_loads_no_scipy():
