@@ -7,8 +7,8 @@ Subpackages / modules:
 * ``dynamics``  -- Poisson arrivals, the per-user queue / energy-buffer
   action table and the controlled transition kernel
 * ``pomdp``     -- finite POMDP machinery (model, bound pairs, HSVI)
-* ``control``   -- Lagrangian stage costs, multiplier adaptation and the
-  two-layer beamforming / antenna-selection solve
+* ``control``   -- power-weighted stage costs and the two-layer
+  beamforming / antenna-selection solve
 * ``scenario``  -- scenario configuration and compilation into POMDP models
 * ``harness``   -- Monte Carlo rollouts, baseline policies and the
   figure sweeps

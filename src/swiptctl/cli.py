@@ -97,6 +97,7 @@ def cmd_solve(args) -> int:
                          f"iterations={res.iterations}")
             lines.extend(res.log_lines())
         _write_output(args.log, compiled.scenario_hash, "\n".join(lines))
+    _warn_unconverged(solves)
     if args.require_convergence and any(not r.converged for _, r in solves):
         print("solver budget exhausted before the gap target was met",
               file=sys.stderr)

@@ -1,11 +1,10 @@
-"""Lagrangian constrained control on top of the compiled scenario.
+"""Power-weighted control on top of the compiled scenario.
 
-The stage cost is the per-user delay proxy plus multiplier-weighted
-constraint terms (power caps, minimum rates, delay cap). Multipliers adapt
-by projected subgradient ascent on measured rollout violations. Policies
-are solved in two layers by one routine (:func:`solve_layer`): beamforming
-power levels with the antenna mask frozen, then mask selection with the
-power policy frozen.
+The stage cost is the per-user delay proxy plus one power weight times the
+transmit powers' excess over their caps and the active antennas' circuit
+power; weight 0 prices delay alone. Policies are solved in two layers by
+one routine (:func:`solve_layer`): beamforming power levels with the
+antenna mask frozen, then mask selection with the power policy frozen.
 
 Users are independent given the action, so the tables are built per user:
 the cost table spreads per-user terms over the joint states, the greedy
@@ -34,12 +33,11 @@ class HashMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """Per-user operating limits: power caps (W), delay cap (slots) and
-    minimum sustained rates (packets/slot)."""
+    """Per-user operating limits: power caps (W) and minimum sustained
+    rates (packets/slot)."""
 
     p_max_up: float
     p_max_down: float
-    tau_up: float
     r_min_up: float
     r_min_down: float
 
@@ -49,95 +47,32 @@ class ConstraintSpec:
                 raise ValueError(f"{name} must be positive")
 
 
-FAMILIES = ("p_up", "p_down", "r_up", "r_down", "delay")
-
-
-@dataclass
-class Multipliers:
-    """Nonnegative multiplier per user for each constraint family, plus the
-    positive per-user delay weights."""
-
-    nu: dict                       # family -> (n_users,) array
-    varrho: np.ndarray             # (n_users,) positive
-
-    def __post_init__(self):
-        self.varrho = np.asarray(self.varrho, dtype=float)
-        if (self.varrho <= 0).any():
-            raise ValueError("delay weights must be positive")
-        clean = {}
-        for fam in FAMILIES:
-            v = np.asarray(self.nu.get(fam, np.zeros_like(self.varrho)),
-                           dtype=float)
-            if (v < 0).any():
-                raise ValueError(f"multiplier {fam} must be nonnegative")
-            clean[fam] = v
-        self.nu = clean
-
-    @classmethod
-    def zeros(cls, n_users: int, varrho=None) -> "Multipliers":
-        w = np.ones(n_users) if varrho is None else np.asarray(varrho, float)
-        return cls(nu={}, varrho=w)
-
-    def copy(self) -> "Multipliers":
-        return Multipliers(nu={f: v.copy() for f, v in self.nu.items()},
-                           varrho=self.varrho.copy())
-
-
-def build_cost_table(compiled: CompiledScenario, nu: Multipliers,
-                     spec: ConstraintSpec) -> np.ndarray:
-    """(n_states, n_actions) table of Lagrangian stage costs under the
-    degraded action: a user who cannot pay the action's energy price
-    neither transmits nor is served (the kernel's fallback, read from
+def build_cost_table(compiled: CompiledScenario, spec: ConstraintSpec,
+                     power_weight: float) -> np.ndarray:
+    """(n_states, n_actions) table of stage costs under the degraded
+    action: a user who cannot pay the action's energy price neither
+    transmits nor is served (the kernel's fallback, read from
     :func:`user_action_table`).
 
-    User by user, varrho * delay and then each family's multiplier times
-    its :func:`constraint_violations` term (``FAMILIES`` order) depend only
-    on that user's (q, e, level) and the action: they are tabulated over
-    one user's states and spread over the joint states. The delay proxy is
-    q / mean-arrivals-per-slot."""
+    User by user, the delay proxy q / mean-arrivals-per-slot and
+    ``power_weight`` times each transmit power's excess over its cap depend
+    only on that user's (q, e, level) and the action: they are tabulated
+    over one user's states and spread over the joint states, one term at a
+    time. Then ``power_weight`` times the active antennas' circuit power is
+    added per action."""
     space, actions = compiled.space, compiled.actions
     acts = user_action_table(space, actions)
     delay = (space.user_digits()[0] / compiled.config.lam_slot)[:, None]
     shape = (space.per_user, compiled.n_actions)
     table = np.zeros((space.size, compiled.n_actions))
     for u in range(space.n_users):
-        viol = constraint_violations(
-            {"p_up": acts.p_up[u], "p_down": actions.p_down[:, u],
-             "r_up": acts.served[u], "r_down": actions.rate_down[:, u],
-             "delay": delay}, spec)
-        terms = [nu.varrho[u] * delay] + [nu.nu[fam][u] * viol[fam]
-                                          for fam in FAMILIES]
-        for term in terms:
+        for term in (delay,
+                     power_weight * (acts.p_up[u] - spec.p_max_up),
+                     power_weight * (actions.p_down[:, u] - spec.p_max_down)):
             table += space.spread(u, np.broadcast_to(term, shape))
+    table += (power_weight * compiled.config.circuit_w_per_antenna
+              * actions.n_active)[None, :]
     return table
-
-
-# ---------------------------------------------------------------------------
-# measured metrics and multiplier adaptation
-# ---------------------------------------------------------------------------
-
-def constraint_violations(metrics: dict, spec: ConstraintSpec) -> dict:
-    """Signed violations, positive when the constraint is broken: the one
-    place that writes each family's sign. ``metrics`` holds, per family,
-    a measured average or a per-state quantity (``delay`` in slots)."""
-    return {
-        "p_up": metrics["p_up"] - spec.p_max_up,
-        "p_down": metrics["p_down"] - spec.p_max_down,
-        "r_up": spec.r_min_up - metrics["r_up"],
-        "r_down": spec.r_min_down - metrics["r_down"],
-        "delay": metrics["delay"] - spec.tau_up,
-    }
-
-
-def update_multipliers(nu: Multipliers, viol: dict,
-                       step: float) -> Multipliers:
-    """Projected subgradient ascent nu' = [nu + step * violation]^+ on the
-    :func:`constraint_violations` of a measurement."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    new = {fam: np.maximum(nu.nu[fam] + step * viol[fam], 0.0)
-           for fam in FAMILIES}
-    return Multipliers(nu=new, varrho=nu.varrho.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .control import (ConstraintSpec, Multipliers, Policy, build_cost_table,
-                      constraint_violations, greedy_policy,
-                      solve_inner_beamforming, solve_outer_selection,
-                      update_multipliers)
+from .control import (ConstraintSpec, Policy, build_cost_table,
+                      greedy_policy, solve_inner_beamforming,
+                      solve_outer_selection)
 from .dynamics import user_action_table
 from .pomdp.solver import check_solver_args
 from .scenario import (CompiledScenario, ScenarioConfig, compile_scenario,
@@ -213,26 +212,20 @@ def _run_result(policy: Policy, compiled: CompiledScenario,
 # ---------------------------------------------------------------------------
 
 BASELINE_KINDS = ("d-opt", "j-opt", "p-opt")
-# j-opt's multiplier on each user's transmit powers and on the circuit power
+# j-opt's weight on each user's transmit powers and on the circuit power
 J_POWER_WEIGHT = 2.0
+# the power weight of each HSVI baseline's cost table
+BASELINE_POWER_WEIGHTS = {"d-opt": 0.0, "j-opt": J_POWER_WEIGHT}
 
 
 def baseline_cost_table(kind: str, compiled: CompiledScenario,
                         spec: ConstraintSpec) -> np.ndarray:
-    """Stage costs of an HSVI baseline: d-opt weighs the delay proxy alone;
-    j-opt adds ``J_POWER_WEIGHT`` times both transmit powers and the active
-    antennas' circuit power."""
-    n_users = compiled.space.n_users
-    if kind == "d-opt":
-        return build_cost_table(compiled, Multipliers.zeros(n_users), spec)
-    if kind != "j-opt":
+    """Stage costs of an HSVI baseline: d-opt weighs the delay proxy alone
+    (power weight 0); j-opt weighs both transmit powers and the active
+    antennas' circuit power by ``J_POWER_WEIGHT``."""
+    if kind not in BASELINE_POWER_WEIGHTS:
         raise ValueError(f"no HSVI cost table for baseline kind {kind!r}")
-    w = np.full(n_users, J_POWER_WEIGHT)
-    nu = Multipliers(nu={"p_up": w, "p_down": w}, varrho=np.ones(n_users))
-    table = build_cost_table(compiled, nu, spec)
-    table += (J_POWER_WEIGHT * compiled.config.circuit_w_per_antenna
-              * compiled.actions.n_active)[None, :]
-    return table
+    return build_cost_table(compiled, spec, BASELINE_POWER_WEIGHTS[kind])
 
 
 def solve_two_layer(compiled: CompiledScenario, cost_table: np.ndarray,
@@ -254,57 +247,11 @@ def solve_two_layer(compiled: CompiledScenario, cost_table: np.ndarray,
     return policy, solves + [("outer selection", res)]
 
 
-@dataclass
-class SolveReport:
-    policy: Policy
-    multiplier_trace: list
-    violation_trace: list
-    converged: bool
-    diagnostic: str = ""
-
-
-def full_solve(compiled: CompiledScenario, spec: ConstraintSpec, eps: float,
-               varrho=None, rounds: int = 8, step0: float = 1.0,
-               episodes: int = 10, horizon: int = 200,
-               tol: float = 0.05, seed: int = 0, **hsvi_kw) -> SolveReport:
-    """Alternate two-layer solves with projected multiplier ascent.
-
-    Violations are measured by Monte Carlo rollouts; if no feasible iterate
-    appears within the budget, the least-violating policy is returned with
-    a diagnostic."""
-    nu = Multipliers.zeros(compiled.space.n_users, varrho)
-    trace, viols = [], []
-    best = None
-    for n_round in range(1, rounds + 1):
-        cost_table = build_cost_table(compiled, nu, spec)
-        policy, _ = solve_two_layer(compiled, cost_table, eps, **hsvi_kw)
-        [run] = monte_carlo([(policy, compiled)], episodes=episodes,
-                            horizon=horizon, base_seed=seed)
-        viol = constraint_violations(
-            {"delay": run.delay_slots, "p_up": run.p_up_w,
-             "p_down": run.p_down_w, "r_up": run.rate_up,
-             "r_down": run.rate_down}, spec)
-        worst = max(float(np.max(v)) for v in viol.values())
-        trace.append(nu.copy())
-        viols.append(viol)
-        if best is None or worst < best[0]:
-            best = (worst, policy)
-        if worst <= tol * max(spec.p_max_up, 1e-12):
-            return SolveReport(policy=policy, multiplier_trace=trace,
-                               violation_trace=viols, converged=True)
-        nu = update_multipliers(nu, viol, step0 / np.sqrt(n_round))
-    return SolveReport(policy=best[1], multiplier_trace=trace,
-                       violation_trace=viols, converged=False,
-                       diagnostic=(f"worst residual {best[0]:.4g} after "
-                                   f"{rounds} rounds"))
-
-
 def default_constraints(cfg: ScenarioConfig) -> ConstraintSpec:
     """Loose limits built from the configured grids (nothing binds)."""
     return ConstraintSpec(
         p_max_up=max(cfg.power_levels_up) + 1.0,
         p_max_down=max(cfg.power_levels_down) + 1.0,
-        tau_up=float(cfg.q_max) / cfg.lam_slot,
         r_min_up=1e-6, r_min_down=1e-6)
 
 

@@ -1,4 +1,4 @@
-"""Finite constrained-POMDP machinery.
+"""Finite POMDP machinery.
 
 Values are kept in reward orientation internally (reward = -cost), so the
 piecewise-linear-convex lower bound is the usual max-over-alpha-vectors

@@ -80,18 +80,18 @@ class LowerBound:
         self._matrix = None
 
     def prune_pointwise(self) -> int:
-        """Drop alphas pointwise-dominated by another; returns removed count."""
+        """Drop each alpha that another kept alpha dominates (at least as
+        large everywhere, larger somewhere); of exact duplicates the first
+        is kept. Returns the removed count. No margin: an additive one
+        rounds away at large values, and every alpha then drops itself."""
         m = self.matrix()
         keep = np.ones(len(self.alphas), dtype=bool)
-        for i in range(len(self.alphas)):
-            if not keep[i]:
-                continue
-            dom = (m[keep] >= m[i] + 1e-14).all(axis=1)
-            if dom.any():
-                keep[i] = False
-        # always keep at least one
-        if not keep.any():
-            keep[0] = True
+        index = np.arange(len(self.alphas))
+        for i in index:
+            others = keep & (index != i)
+            ge = (m[others] >= m[i]).all(axis=1)
+            gt = (m[others] > m[i]).any(axis=1)
+            keep[i] = not (ge & (gt | (index[others] < i))).any()
         removed = int((~keep).sum())
         if removed:
             self.alphas = [a for a, k in zip(self.alphas, keep) if k]

@@ -509,7 +509,8 @@ def solve_hsvi(model: PomdpModel, b0: np.ndarray, eps: float,
             bounds.lower.prune_witness(np.array(witnesses))
             bounds.upper.prune()
         lo, hi = bounds.lower.value(b0), bounds.upper.value(b0)
-        # root gap log is monotone non-increasing by construction
+        # the gap that decides convergence never rises; the logged bounds
+        # are raw
         last_gap = min(hi - lo, last_gap)
         log.append((it, lo, hi, len(bounds.lower), len(bounds.upper),
                     (time.perf_counter() - start) * 1e3))

@@ -2,8 +2,8 @@
 
 Each test covers one headline guarantee — solver-oracle agreement, bound
 sanity, slot-recursion exactness, SINR density fits, perfect-CSI nulling,
-the three qualitative sweep shapes, constraint activation, and CLI
-reproducibility — and prints a single PASS line with the measured numbers.
+the three qualitative sweep shapes, and CLI reproducibility — and prints a
+single PASS line with the measured numbers.
 """
 
 import functools
@@ -20,13 +20,11 @@ from oracles import (InadmissibleActionError, all_on, beta2_moment_match,
 from swiptctl.channel import (BeamformerSet, ChannelPair, Dims, crandn,
                               downlink_sinr, draw_channel, uplink_sinr)
 from swiptctl.cli import main as cli_main
-from swiptctl.control import ConstraintSpec
 from swiptctl.dynamics import ActionTable, StateSpace, user_action_table
-from swiptctl.harness import (default_constraints, full_solve, monte_carlo,
-                              sweep_antennas, sweep_power)
+from swiptctl.harness import sweep_antennas, sweep_power
 from swiptctl.pomdp.model import PomdpModel
 from swiptctl.pomdp.solver import solve_hsvi
-from swiptctl.scenario import compile_scenario, desk_scenario
+from swiptctl.scenario import desk_scenario
 
 
 def _report(name: str, detail: str) -> None:
@@ -367,52 +365,6 @@ def test_antenna_selection_cuts_effective_power():
             f"n_r=4 curves within CI ({sel4:.3f} vs {full4:.3f}); n_r=32 "
             f"selection {sel32:.3f}+{sel32_ci:.3f} < full "
             f"{full32:.3f}-{full32_ci:.3f}; {elapsed:.0f}s < 1200s")
-
-
-# ---------------------------------------------------------------------------
-# constraint machinery
-# ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def small_compiled():
-    return compile_scenario(desk_scenario(calib_draws=80, q_max=4, e_max=3))
-
-
-def test_tight_power_cap_activates_multiplier(small_compiled):
-    cfg = small_compiled.config
-    loose = default_constraints(cfg)
-    # the unconstrained controller settles at 0.02 W mean uplink power, so
-    # a 0.011 W cap genuinely binds while remaining attainable on the grid
-    cap = 0.011
-    spec = ConstraintSpec(p_max_up=cap, p_max_down=loose.p_max_down,
-                          tau_up=loose.tau_up, r_min_up=loose.r_min_up,
-                          r_min_down=loose.r_min_down)
-    report = full_solve(small_compiled, spec, rounds=10, step0=200.0,
-                        eps=0.5, episodes=10, horizon=200, seed=0,
-                        max_iterations=6, depth_cap=20)
-    nu_final = report.multiplier_trace[-1].nu["p_up"]
-    assert float(np.max(nu_final)) > 0.0
-    [run] = monte_carlo([(report.policy, small_compiled)], episodes=20,
-                        horizon=300, base_seed=11)
-    measured = float(np.max(run.p_up_w))
-    assert measured - cap < 0.05 * cap, (measured, cap)
-    _report("tight-cap activation",
-            f"uplink power multiplier {float(np.max(nu_final)):.3g} > 0, "
-            f"measured {measured:.4g} W vs cap {cap} W "
-            f"(excess {max(measured - cap, 0.0) / cap:.1%} < 5%)")
-
-
-def test_slack_caps_leave_multipliers_at_zero(small_compiled):
-    spec = default_constraints(small_compiled.config)
-    report = full_solve(small_compiled, spec, rounds=3, eps=0.5,
-                        episodes=8, horizon=150, seed=0,
-                        max_iterations=6, depth_cap=20)
-    assert report.converged
-    nus = report.multiplier_trace[-1].nu
-    worst = max(float(np.max(v)) for v in nus.values())
-    assert worst == 0.0
-    _report("slack-cap quiescence",
-            "all constraint multipliers returned to 0 under loose caps")
 
 
 # ---------------------------------------------------------------------------

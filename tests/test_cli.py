@@ -433,6 +433,29 @@ def test_require_convergence_exits_3(cfg_file, tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_solve_warns_on_unconverged_solves(tmp_path, capsys):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(desk_scenario(calib_draws=80, q_max=1, e_max=1,
+                                 mask_sizes=(4, 8)).to_json())
+    out, log = tmp_path / "pol.json", tmp_path / "solve.log"
+    # the root seeds certify this root even at eps 1e-9
+    with root_seeds_off():
+        assert run("solve", "--config", str(cfg), "--kind", "j-opt",
+                   "--out", str(out), "--log", str(log), "--eps", "1e-9",
+                   "--max-iterations", "0") == 0
+    # one warning per unconverged solve the log records, in solve order
+    labels = [line[3:].split(" converged=")[0]
+              for line in log.read_text().splitlines()
+              if line.startswith("## ") and "converged=False" in line]
+    assert labels[-2:] == ["inner mask 1", "outer selection"]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == len(labels)
+    for label, line in zip(labels, err):
+        assert line.startswith(
+            f"warning: {label} unconverged after 0 iterations, root gap ")
+        assert float(line.rsplit("root gap ", 1)[1]) > 1e-9
+
+
 def test_sweep_power_csv(cfg_file, tmp_path):
     out = tmp_path / "sweep.csv"
     assert run("sweep-power", "--config", cfg_file, "--budgets", "10.0",

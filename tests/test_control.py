@@ -1,4 +1,4 @@
-"""Lagrangian stage costs, multiplier updates, and the two-layer solve."""
+"""Power-weighted stage costs, policies, and the two-layer solve."""
 
 import itertools
 from dataclasses import replace
@@ -10,16 +10,15 @@ from scipy import sparse
 from oracles import (DEFAULT_PRUNE_MARGIN, ClosureError, ObservationMdp,
                      constant_layer, decode, effective_effect, encode,
                      exact_value_iteration, root_seeds_off, states)
-from swiptctl.control import (FAMILIES, ConstraintSpec, HashMismatchError,
-                              Multipliers, Policy, _obs_posteriors,
-                              build_cost_table, constraint_violations,
+from swiptctl.control import (ConstraintSpec, HashMismatchError, Policy,
+                              _obs_posteriors, build_cost_table,
                               greedy_policy, layer_model,
                               solve_inner_beamforming, solve_outer_selection,
-                              uniform_initial_belief, update_multipliers)
+                              uniform_initial_belief)
 from swiptctl.dynamics import ActionTable, build_kernel
-from swiptctl.harness import (J_POWER_WEIGHT, SWEEP_HSVI_KW, SolveReport,
+from swiptctl.harness import (J_POWER_WEIGHT, SWEEP_HSVI_KW,
                               baseline_cost_table, baseline_policy,
-                              default_constraints, full_solve)
+                              default_constraints)
 from swiptctl.pomdp import HsviResult, PomdpModel, initial_bounds, solve_hsvi
 from swiptctl.pomdp.model import policy_rows
 from swiptctl.scenario import compile_scenario, desk_scenario
@@ -38,8 +37,8 @@ def hand_actions():
 
 
 def hand_spec():
-    return ConstraintSpec(p_max_up=0.05, p_max_down=0.5, tau_up=100.0,
-                          r_min_up=0.5, r_min_down=1.0)
+    return ConstraintSpec(p_max_up=0.05, p_max_down=0.5, r_min_up=0.5,
+                          r_min_down=1.0)
 
 
 @pytest.mark.parametrize("case", ["unpayable", "hand-actions"])
@@ -59,29 +58,13 @@ def test_replaced_action_table_brings_its_own_kernel(case, desk_compiled,
 
 
 # ---------------------------------------------------------------------------
-# specs and multipliers
+# specs
 # ---------------------------------------------------------------------------
 
 def test_constraint_spec_rejects_nonpositive():
     with pytest.raises(ValueError):
-        ConstraintSpec(p_max_up=0.0, p_max_down=1.0, tau_up=1.0,
-                       r_min_up=1.0, r_min_down=1.0)
-
-
-def test_multipliers_zeros_and_copy():
-    nu = Multipliers.zeros(2)
-    assert all(np.all(v == 0) for v in nu.nu.values())
-    np.testing.assert_array_equal(nu.varrho, [1.0, 1.0])
-    other = nu.copy()
-    other.nu["p_up"][0] = 3.0
-    assert nu.nu["p_up"][0] == 0.0
-
-
-def test_multipliers_reject_negative():
-    with pytest.raises(ValueError):
-        Multipliers(nu={"p_up": np.array([-1.0])}, varrho=np.array([1.0]))
-    with pytest.raises(ValueError):
-        Multipliers.zeros(1, varrho=[0.0])
+        ConstraintSpec(p_max_up=0.0, p_max_down=1.0, r_min_up=1.0,
+                       r_min_down=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,156 +95,125 @@ def test_effective_effect_degrades_only_broke_users():
 # stage cost and cost table
 # ---------------------------------------------------------------------------
 
-def reference_stage_terms(nu, users, effect, spec, lam_slot):
-    """Lagrangian cost of one decoded joint state under ``effect``, one
-    user and one term at a time."""
+def reference_stage_terms(weight, users, effect, spec, lam_slot):
+    """Stage cost of one decoded joint state under ``effect``, one user
+    and one term at a time: the delay proxy plus ``weight`` times each
+    transmit power's excess over its cap."""
     total = 0.0
-    for u, (q, _e, lv) in enumerate(users):
-        delay = q / lam_slot
-        total += nu.varrho[u] * delay
-        total += nu.nu["p_up"][u] * (float(effect.p_up[u]) - spec.p_max_up)
-        total += nu.nu["p_down"][u] * (float(effect.p_down[u])
-                                       - spec.p_max_down)
-        total += nu.nu["r_up"][u] * (spec.r_min_up
-                                     - float(effect.served[u, lv]))
-        total += nu.nu["r_down"][u] * (spec.r_min_down
-                                       - float(effect.rate_down[u]))
-        total += nu.nu["delay"][u] * (delay - spec.tau_up)
+    for u, (q, _e, _lv) in enumerate(users):
+        total += q / lam_slot
+        total += weight * (float(effect.p_up[u]) - spec.p_max_up)
+        total += weight * (float(effect.p_down[u]) - spec.p_max_down)
     return total
 
 
-def reference_cost_table(compiled, nu, spec):
-    """The cost table state by state, each action degraded at the state's
-    own energies."""
+def reference_cost_table(compiled, weight, spec):
+    """The per-user terms state by state, each action degraded at the
+    state's own energies; the circuit power is not included."""
     space = compiled.space
     table = np.empty((space.size, compiled.n_actions))
     for s, users in states(space):
         for a in range(compiled.n_actions):
             eff = effective_effect(compiled.actions, a,
                                    [e for (_q, e, _l) in users])
-            table[s, a] = reference_stage_terms(nu, users, eff, spec,
+            table[s, a] = reference_stage_terms(weight, users, eff, spec,
                                                 compiled.config.lam_slot)
     return table
 
 
-def random_multipliers(n_users, seed):
-    rng = np.random.default_rng(seed)
-    return Multipliers(nu={f: rng.uniform(0.1, 3.0, n_users)
-                           for f in FAMILIES},
-                       varrho=rng.uniform(0.5, 2.0, n_users))
+def weighted_circuit(compiled, weight):
+    """(n_actions,) weighted circuit power of the active antennas."""
+    return (weight * compiled.config.circuit_w_per_antenna
+            * compiled.actions.n_active)
 
 
-def test_stage_cost_zero_multipliers_is_weighted_delay(desk_compiled):
+def test_stage_cost_at_weight_zero_is_the_delay_proxy(desk_compiled):
     compiled = replace(desk_compiled, actions=hand_actions())
     assert compiled.config.lam_slot == 0.5
-    nu = Multipliers.zeros(2, varrho=[1.0, 2.0])
     users = ((3, 2, 1), (4, 1, 0))
-    table = build_cost_table(compiled, nu, hand_spec())
-    got = table[encode(compiled.space, users), 0]
-    assert got == pytest.approx(1.0 * 3 / 0.5 + 2.0 * 4 / 0.5)
+    table = build_cost_table(compiled, hand_spec(), 0.0)
+    assert table[encode(compiled.space, users), 0] == 3 / 0.5 + 4 / 0.5
 
 
 def test_stage_cost_full_arithmetic(desk_compiled):
     compiled = replace(desk_compiled, actions=hand_actions())
     spec = hand_spec()
     lam = compiled.config.lam_slot
-    nu = Multipliers(
-        nu={"p_up": [1.0, 0.0], "p_down": [0.0, 2.0],
-            "r_up": [3.0, 0.0], "r_down": [0.0, 4.0],
-            "delay": [0.5, 0.0]},
-        varrho=np.array([1.0, 1.0]))
     users = ((3, 2, 1), (4, 1, 0))       # energies (2, 1) pay (2, 1)
-    got = build_cost_table(compiled, nu, spec)[
+    got = build_cost_table(compiled, spec, 3.0)[
         encode(compiled.space, users), 0]
     # independent term-by-term evaluation
-    want = 0.0
-    want += 3 / lam + 4 / lam                              # delay proxies
-    want += 1.0 * (0.01 - spec.p_max_up)                   # user 0 uplink cap
-    want += 2.0 * (0.3 - spec.p_max_down)                  # user 1 downlink cap
-    want += 3.0 * (spec.r_min_up - 2)                      # user 0 rate floor
-    want += 4.0 * (spec.r_min_down - 1.2)                  # user 1 rate floor
-    want += 0.5 * (3 / lam - spec.tau_up)                  # user 0 delay cap
+    want = 3 / lam + 4 / lam                                # delay proxies
+    want += 3.0 * (0.01 - spec.p_max_up + 0.02 - spec.p_max_up)   # uplinks
+    want += 3.0 * (0.2 - spec.p_max_down + 0.3 - spec.p_max_down)  # downlinks
+    want += 3.0 * compiled.config.circuit_w_per_antenna * 16  # 16 antennas
     assert got == pytest.approx(want)
 
 
+# d-opt's weight, j-opt's, and the weight model's
+WEIGHTS = (0.0, J_POWER_WEIGHT, 28.0)
+
+
+def assert_pointwise_at_every_weight(compiled):
+    spec = default_constraints(compiled.config)
+    for weight in WEIGHTS:
+        table = build_cost_table(compiled, spec, weight)
+        assert table.shape == (compiled.space.size, compiled.n_actions)
+        np.testing.assert_array_equal(
+            table, reference_cost_table(compiled, weight, spec)
+            + weighted_circuit(compiled, weight))
+
+
 def test_build_cost_table_matches_pointwise(desk_compiled):
-    nu = random_multipliers(desk_compiled.space.n_users, seed=0)
-    spec = default_constraints(desk_compiled.config)
-    table = build_cost_table(desk_compiled, nu, spec)
-    assert table.shape == (desk_compiled.space.size, desk_compiled.n_actions)
-    np.testing.assert_array_equal(
-        table, reference_cost_table(desk_compiled, nu, spec))
+    assert_pointwise_at_every_weight(desk_compiled)
+
+
+def test_build_cost_table_matches_pointwise_two_masks(two_mask_compiled):
+    assert len(np.unique(two_mask_compiled.actions.n_active)) == 2
+    assert_pointwise_at_every_weight(two_mask_compiled)
 
 
 def test_build_cost_table_matches_pointwise_three_users(three_user_compiled):
     compiled = three_user_compiled
-    nu = random_multipliers(3, seed=1)
-    spec = hand_spec()
     # the 2-unit top level is unaffordable below a full buffer
     assert compiled.actions.used_units.max() > compiled.space.e_max - 1
-    np.testing.assert_array_equal(build_cost_table(compiled, nu, spec),
-                                  reference_cost_table(compiled, nu, spec))
+    assert_pointwise_at_every_weight(compiled)
+
+
+@pytest.mark.parametrize("case", ["desk", "two-mask", "three-user"])
+def test_weight_zero_table_is_the_delay_proxy_table(request, case):
+    compiled = request.getfixturevalue(
+        {"desk": "desk_compiled", "two-mask": "two_mask_compiled",
+         "three-user": "three_user_compiled"}[case])
+    space = compiled.space
+    proxy = space.user_digits()[0] / compiled.config.lam_slot
+    delay = sum(space.spread(u, proxy) for u in range(space.n_users))
+    table = build_cost_table(compiled, default_constraints(compiled.config),
+                             0.0)
+    assert table.tobytes() == np.repeat(
+        delay[:, None], compiled.n_actions, axis=1).tobytes()
 
 
 def test_baseline_cost_table_adds_the_circuit_power_to_j_opt(
-        two_mask_compiled, monkeypatch):
-    import swiptctl.harness as harness
+        two_mask_compiled):
     compiled = two_mask_compiled
     spec = default_constraints(compiled.config)
-    built = []          # the multiplier-only tables baseline_cost_table builds
-
-    def spy(*args):
-        built.append(build_cost_table(*args))
-        return built[-1].copy()
-
-    monkeypatch.setattr(harness, "build_cost_table", spy)
-    jopt = baseline_cost_table("j-opt", compiled, spec)
-    circuit = (J_POWER_WEIGHT * compiled.config.circuit_w_per_antenna
-               * compiled.actions.n_active)
+    for kind, weight in (("d-opt", 0.0), ("j-opt", J_POWER_WEIGHT)):
+        assert baseline_cost_table(kind, compiled, spec).tobytes() \
+            == build_cost_table(compiled, spec, weight).tobytes()
+    # j-opt minus d-opt: the weighted transmit-power excess, which depends
+    # on the state, plus the weighted circuit power of each mask size
+    extra = (baseline_cost_table("j-opt", compiled, spec)
+             - baseline_cost_table("d-opt", compiled, spec))
+    transmit = (reference_cost_table(compiled, J_POWER_WEIGHT, spec)
+                - reference_cost_table(compiled, 0.0, spec))
+    circuit = weighted_circuit(compiled, J_POWER_WEIGHT)
     assert len(np.unique(circuit)) == 2          # one value per mask size
-    np.testing.assert_allclose(jopt - built[0],
-                               np.broadcast_to(circuit, jopt.shape))
-    n = compiled.space.n_users
-    np.testing.assert_array_equal(
-        baseline_cost_table("d-opt", compiled, spec),
-        build_cost_table(compiled, Multipliers.zeros(n), spec))
+    np.testing.assert_allclose(extra - transmit,
+                               np.broadcast_to(circuit, extra.shape))
     for kind in ("p-opt", "mystery"):
         with pytest.raises(ValueError):
             baseline_cost_table(kind, compiled, spec)
-
-
-# ---------------------------------------------------------------------------
-# measured metrics and updates
-# ---------------------------------------------------------------------------
-
-def hand_metrics():
-    # time averages of two slots: queues (2, 4) then (4, 0) at 0.5
-    # arrivals per slot, and the per-slot powers and rates averaged
-    return {"delay": np.array([6.0, 4.0]),
-            "p_up": np.array([0.2, 0.1]), "p_down": np.array([0.5, 0.3]),
-            "r_up": np.array([2.0, 1.0]), "r_down": np.array([1.0, 1.0])}
-
-
-def test_constraint_violation_signs():
-    spec = ConstraintSpec(p_max_up=0.15, p_max_down=1.0, tau_up=5.0,
-                          r_min_up=1.5, r_min_down=0.5)
-    v = constraint_violations(hand_metrics(), spec)
-    np.testing.assert_allclose(v["p_up"], [0.05, -0.05])   # broken iff > 0
-    np.testing.assert_allclose(v["r_up"], [-0.5, 0.5])
-    np.testing.assert_allclose(v["delay"], [1.0, -1.0])
-
-
-def test_update_multipliers_projected_ascent():
-    nu = Multipliers.zeros(2)
-    m = hand_metrics()
-    spec = ConstraintSpec(p_max_up=0.15, p_max_down=1.0, tau_up=5.0,
-                          r_min_up=1.5, r_min_down=0.5)
-    viol = constraint_violations(m, spec)
-    new = update_multipliers(nu, viol, step=2.0)
-    np.testing.assert_allclose(new.nu["p_up"], [0.1, 0.0])  # clipped at zero
-    np.testing.assert_allclose(new.nu["delay"], [2.0, 0.0])
-    with pytest.raises(ValueError):
-        update_multipliers(nu, viol, step=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +310,8 @@ def test_beliefs_match_enumeration_three_users(three_user_compiled):
 
 def test_inner_solve_stays_inside_mask(two_mask_compiled):
     compiled = two_mask_compiled
-    nu = Multipliers.zeros(compiled.space.n_users)
-    spec = default_constraints(compiled.config)
-    cost = build_cost_table(compiled, nu, spec)
+    cost = build_cost_table(compiled, default_constraints(compiled.config),
+                            0.0)
     policy, result = solve_inner_beamforming(
         compiled, 1, cost, eps=5.0, max_iterations=4)
     assert (compiled.actions.mask_id[policy.action_of] == 1).all()
@@ -487,27 +438,6 @@ def test_two_layer_solve_and_p_opt_decode_no_joint_state(two_mask_compiled):
         "inner mask 0", "inner mask 1", "outer selection"]
     assert all(isinstance(res, HsviResult) for _label, res in solves)
     assert none == []
-
-
-def test_full_solve_loose_constraints_converges(desk_compiled):
-    spec = default_constraints(desk_compiled.config)
-    report = full_solve(desk_compiled, spec, rounds=2, eps=5.0,
-                        episodes=4, horizon=100, max_iterations=4)
-    assert isinstance(report, SolveReport)
-    assert report.converged
-    assert len(report.multiplier_trace) == 1     # feasible on round one
-    assert all(np.all(v == 0)
-               for v in report.multiplier_trace[0].nu.values())
-
-
-def test_full_solve_tight_power_cap_raises_multiplier(desk_compiled):
-    spec = default_constraints(desk_compiled.config)
-    from dataclasses import replace
-    tight = replace(spec, p_max_up=1e-4)         # below any transmit level
-    report = full_solve(desk_compiled, tight, rounds=3, eps=5.0,
-                        episodes=4, horizon=100, max_iterations=4)
-    assert len(report.multiplier_trace) >= 2
-    assert np.all(report.multiplier_trace[1].nu["p_up"] > 0)
 
 
 def test_hsvi_brackets_exact_oracle_on_compiled_jopt():

@@ -7,8 +7,7 @@ import pytest
 
 from oracles import (admissible, decode, encode, reference_monte_carlo,
                      reference_run_episode, states)
-from swiptctl.control import (HashMismatchError, Multipliers, Policy,
-                              build_cost_table)
+from swiptctl.control import HashMismatchError, Policy, build_cost_table
 from swiptctl.dynamics import StateSpace
 from swiptctl.harness import (ANTENNA_COLUMNS, CSV_COLUMNS, SWEEP_HSVI_KW,
                               baseline_policy, default_constraints,
@@ -159,8 +158,7 @@ def test_compile_and_rollout_never_walk_joint_states():
     compiled = compile_scenario(desk_scenario(calib_draws=80, q_max=1,
                                               e_max=1))
     spec = default_constraints(compiled.config)
-    build_cost_table(compiled, Multipliers.zeros(compiled.space.n_users),
-                     spec)
+    build_cost_table(compiled, spec, 0.0)
     policy, _ = baseline_policy("p-opt", compiled, spec=spec)
     [traj] = run_episodes([(policy, compiled)], episodes=2, horizon=10, seed=0)
     assert traj["queues"].shape == (2, 10, compiled.space.n_users)

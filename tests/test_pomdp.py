@@ -208,6 +208,18 @@ class TestBounds:
         assert lb.prune_pointwise() == 1
         assert len(lb) == 2
 
+    @pytest.mark.parametrize("offset", [0.0, 1e2, 1e4, 1e8])
+    def test_lower_prune_pointwise_keeps_the_envelope_at_any_offset(
+            self, offset):
+        # an absolute margin rounds away above about 128, where every
+        # alpha would drop itself; dominance is tested against the others
+        rows = [[1.0, 0.0], [0.0, 1.0], [0.6, 0.6], [0.5, 0.6], [1.0, 0.0]]
+        lb = LowerBound([AlphaVector(offset + np.array(r), i)
+                         for i, r in enumerate(rows)])
+        # row 3 is dominated and row 4 repeats row 0: the first is kept
+        assert lb.prune_pointwise() == 2
+        assert [a.action for a in lb.alphas] == [0, 1, 2]
+
     def test_upper_corner_exact(self):
         ub = UpperBound(np.array([3.0, 7.0]))
         assert ub.value(np.array([1.0, 0.0])) == 3.0
@@ -1005,6 +1017,28 @@ class TestHsvi:
         res = solve_hsvi(m, np.array([1.0, 0.0, 0.0]), eps=1e-6)
         assert res.converged
         assert res.root_value == pytest.approx(-1.9, abs=1e-5)
+
+    def test_weight_28_lower_bound_survives_the_prune(self,
+                                                       desk_compiled_small):
+        # the j-opt weight model at power weight 28 reaches root values
+        # near 2194; 12 explorations run one prune, at iteration 10
+        from swiptctl.control import (build_cost_table, greedy_policy,
+                                      layer_model, uniform_initial_belief)
+        from swiptctl.harness import SWEEP_HSVI_KW, default_constraints
+        compiled = desk_compiled_small
+        cost = build_cost_table(compiled, default_constraints(compiled.config),
+                                28.0)
+        model = layer_model(compiled, constant_layer(compiled), cost)
+        b0 = uniform_initial_belief(compiled)
+        start = initial_bounds(model, b0, 1e-6).lower.value(b0)
+        res = solve_hsvi(model, b0, eps=1e-6,
+                         **{**SWEEP_HSVI_KW, "max_iterations": 12})
+        lows = [start] + [rec[1] for rec in res.log]
+        assert res.iterations == 12 and lows[0] > 2000.0
+        assert all(b >= a for a, b in zip(lows, lows[1:])), lows
+        exact = ObservationMdp(compiled, model)
+        policy = greedy_policy(compiled, res.bounds.lower)
+        assert exact.executed_root(b0, policy.action_of) >= start
 
     def test_each_backup_propagates_once_per_action(self, monkeypatch):
         m = tiger_model(discount=0.6)

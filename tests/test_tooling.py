@@ -142,10 +142,6 @@ UNREACHED = {
         "pomdp.solver._fixed_choice_step.<locals>.step"],
         "item 4a: FIB's policy-iteration step switches nothing here"),
     **dict.fromkeys([
-        "harness.full_solve", "control.update_multipliers",
-        "control.Multipliers.copy"],
-        "item 7: the constrained controller has no CLI path"),
-    **dict.fromkeys([
         "channel.draw_channel", "channel.uplink_sinr", "channel.downlink_sinr",
         "channel._stack_uplink", "channel.ChannelPair.__post_init__",
         "channel.BeamformerSet.__post_init__",
