@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "CSV row per (budget, policy)")
     common(p, solver=True, rollout=True)
     p.add_argument("--budgets", required=True,
-                   help="comma-separated increasing budgets in watts")
+                   help="comma-separated strictly increasing budgets in watts")
     p.add_argument("--policies", default="d-opt,j-opt,p-opt")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_sweep_power)

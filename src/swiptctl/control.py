@@ -9,8 +9,8 @@ antenna mask frozen, then mask selection with the power policy frozen.
 Users are independent given the action, so the tables are built per user:
 the cost table spreads per-user terms over the joint states, the greedy
 policy scores the Kronecker-factored observation posteriors in one matrix
-product, and a layer gathers its kernel rows per action, with no loop over
-joint states.
+product, and a layer reads its rows of the kernel's stacked matrix in place
+or with one gather, with no loop over joint states.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import reduce
 
 import numpy as np
 
-from .dynamics import level_map_matrix, user_action_table
+from .dynamics import user_action_table
 from .pomdp import PomdpModel, solve_hsvi
 from .pomdp.model import policy_rows
 from .scenario import CompiledScenario
@@ -122,22 +122,13 @@ class Policy:
                    scenario_hash=d["scenario_hash"], kind=d.get("kind", ""))
 
 
-def _obs_posteriors(compiled: CompiledScenario):
-    """CSR; row o is the belief after observation o under the stationary
-    level prior: queue and energy are read exactly, each user's level via
-    Bayes through the confusion matrix (per user ``I_(q,e) ⊗ posterior``)."""
-    level = compiled.level
-    posterior = np.array([w / w.sum()
-                          for w in level.probs * level.obs_confusion.T])
-    return level_map_matrix(compiled.space, posterior, "csr")
-
-
 def greedy_policy(compiled: CompiledScenario, lower_bound) -> Policy:
     """Greedy policy of a PWLC lower bound, tabulated per observation.
 
-    One product scores every alpha at every observation posterior; the
-    lowest index wins ties. The table holds the bound's own action ids."""
-    scores = _obs_posteriors(compiled) @ lower_bound.matrix().T
+    One product scores every alpha at every observation posterior (built
+    once per compiled scenario); the lowest index wins ties. The table
+    holds the bound's own action ids."""
+    scores = compiled.obs_posteriors @ lower_bound.matrix().T
     actions = np.array([alpha.action for alpha in lower_bound.alphas])
     return Policy(action_of=actions[np.argmax(scores, axis=1)],
                   scenario_hash=compiled.scenario_hash)
@@ -160,12 +151,14 @@ def uniform_initial_belief(compiled: CompiledScenario) -> np.ndarray:
 def layer_model(compiled: CompiledScenario, chosen: np.ndarray,
                 cost_table: np.ndarray) -> PomdpModel:
     """The model whose action i plays joint action ``chosen[i, s]`` at
-    state s, its kernel rows and costs gathered state by state; a constant
-    row of ``chosen`` shares that action's kernel matrix."""
+    state s, its costs gathered state by state and its transitions taken
+    from the kernel's stacked matrix: one row gather, or, when ``chosen``
+    is a run of consecutive actions each played everywhere (a power
+    layer: the action table is mask-major), a view of their blocks."""
     states = np.arange(compiled.space.size)
+    kernel = compiled.kernel
     return PomdpModel(
-        transitions=[policy_rows(compiled.kernel.matrices, acts)
-                     for acts in chosen],
+        transitions=policy_rows(kernel.stacked, kernel.blocks[chosen]),
         observations=[compiled.obs_matrix] * len(chosen),
         cost=cost_table[states[:, None], chosen.T],
         discount=compiled.config.discount)

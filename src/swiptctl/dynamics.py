@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 from scipy import sparse
+
+from .pomdp.model import row_block
 
 ROW_SUM_TOL = 1e-10
 # largest joint state space that is compiled into a kernel
@@ -186,17 +188,32 @@ def user_action_table(space: StateSpace,
 
 @dataclass
 class TransitionKernel:
-    """Row-stochastic controlled kernel, one CSR matrix per action."""
+    """Row-stochastic controlled kernel: (n, n) blocks stacked row-wise in
+    one CSR matrix, (n_blocks * n, n); action a is block ``blocks[a]``.
+    Given no blocks, action a is block a and the rows are checked; given
+    blocks, they are a checked kernel's."""
 
-    matrices: list = field(default_factory=list)  # csr_matrix per action
+    stacked: sparse.csr_matrix
+    blocks: np.ndarray = None
 
     def __post_init__(self):
-        for m in self.matrices:
-            err = np.abs(np.asarray(m.sum(axis=1)).ravel() - 1.0).max()
-            if not err <= ROW_SUM_TOL:      # a NaN row fails too
-                raise ValueError(f"kernel row sums off by {err:.2e}")
-            if (m.data < 0).any():
-                raise ValueError("negative transition probability")
+        if self.blocks is not None:
+            return
+        n_rows, n = self.stacked.shape
+        self.blocks = np.arange(n_rows // n)
+        err = np.abs(np.asarray(self.stacked.sum(axis=1)).ravel()
+                     - 1.0).max()
+        if not err <= ROW_SUM_TOL:          # a NaN row fails too
+            raise ValueError(f"kernel row sums off by {err:.2e}")
+        if (self.stacked.data < 0).any():
+            raise ValueError("negative transition probability")
+
+    @property
+    def matrices(self) -> list:
+        """Each action's CSR matrix, a view of its block's rows."""
+        n = self.stacked.shape[1]
+        return [row_block(self.stacked, b * n, (b + 1) * n)
+                for b in self.blocks]
 
 
 def check_state_budget(space: StateSpace) -> None:
@@ -216,7 +233,9 @@ def _kron_users(factors, fmt: str):
 def build_kernel(space: StateSpace, pmf: np.ndarray, level: LevelModel,
                  actions: ActionTable) -> TransitionKernel:
     """Controlled kernel, per action the Kronecker product ``T_a^(1) ⊗ ...
-    ⊗ T_a^(k)`` of per-user kernels.
+    ⊗ T_a^(k)`` of per-user kernels, each written into one preallocated
+    stacked CSR matrix once built (it stores every product of its factors'
+    entries, so its size is known before).
 
     User u moves from (q, e, l) to (min(q_post + arrivals, q_max), e_next,
     l') with probability Pr(q') p(l'), read from :func:`user_action_table`;
@@ -244,9 +263,22 @@ def build_kernel(space: StateSpace, pmf: np.ndarray, level: LevelModel,
                                              shape=(space.per_user, n_qe)),
                            levels, format="coo")
 
-    return TransitionKernel(matrices=[
-        _kron_users([factor(u, a) for u in range(space.n_users)], "csr")
-        for a in range(len(actions))])
+    factors = [[factor(u, a) for u in range(space.n_users)]
+               for a in range(len(actions))]
+    sizes = [math.prod(f.nnz for f in fs) for fs in factors]
+    ends, n, n_a = np.cumsum(sizes), space.size, len(actions)
+    # the int32 ids of a per-action CSR matrix, while the stacked ids fit
+    idx = np.int32 if max(ends[-1], n * n_a) < 2 ** 31 else np.int64
+    data, indices = np.empty(ends[-1]), np.empty(ends[-1], dtype=idx)
+    indptr = np.zeros(n * n_a + 1, dtype=idx)
+    for a, fs in enumerate(factors):
+        block = _kron_users(fs, "csr")
+        lo, hi = ends[a] - sizes[a], ends[a]
+        data[lo:hi], indices[lo:hi] = block.data, block.indices
+        indptr[a * n + 1:(a + 1) * n + 1] = block.indptr[1:] + lo
+        del block           # free it before the next one is built
+    return TransitionKernel(sparse.csr_matrix((data, indices, indptr),
+                                              shape=(n * n_a, n)))
 
 
 def level_map_matrix(space: StateSpace, block, fmt: str):

@@ -337,8 +337,10 @@ def sweep_power(cfg: ScenarioConfig, budgets, policies=("d-opt", "j-opt",
     if not budgets or not policies:
         raise ValueError("a power sweep needs at least one budget and one "
                          "policy")
-    if budgets != sorted(budgets):
-        raise ValueError("budgets must be increasing")
+    if budgets != sorted(set(budgets)):
+        raise ValueError("budgets must be strictly increasing")
+    if len(set(policies)) < len(policies):
+        raise ValueError(f"policies {policies} repeat a policy")
     hsvi_kw = {**SWEEP_HSVI_KW, **hsvi_kw}
     bases = [replace(cfg, duplex="hd") if kind == "hd" else cfg
              for kind in policies]
@@ -386,6 +388,8 @@ def sweep_antennas(cfg: ScenarioConfig, n_r_list, episodes: int = 30,
     n_r_list = list(n_r_list)
     if not n_r_list:
         raise ValueError("an antenna sweep needs at least one array size")
+    if len(set(n_r_list)) < len(n_r_list):
+        raise ValueError(f"array sizes {n_r_list} repeat a size")
     hsvi_kw = {**SWEEP_HSVI_KW, **hsvi_kw}
     rows, solves = [], []
     for n_r in n_r_list:
@@ -400,8 +404,9 @@ def sweep_antennas(cfg: ScenarioConfig, n_r_list, episodes: int = 30,
                             if floor <= m <= n_r} | {n_r})
         select = compile_scenario(replace(cfg, n_r=n_r, n_t=n_r,
                                           mask_sizes=tuple(shortlist)))
-        full = restrict(select, replace(select.config, mask_sizes=(n_r,)))
         policy, done = baseline_policy("j-opt", select, eps=eps, **hsvi_kw)
+        # cut after the solve, so that the view shares what it built
+        full = restrict(select, replace(select.config, mask_sizes=(n_r,)))
         policy.kind = f"select-n{n_r}"
         last = dict(done)[f"inner mask {len(shortlist) - 1}"]
         full_policy = greedy_policy(full, last.bounds.lower)

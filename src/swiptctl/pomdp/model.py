@@ -26,26 +26,38 @@ def row_entries(m: sparse.csr_matrix, rows: np.ndarray):
     return pos, np.repeat(rows, counts)
 
 
-def policy_rows(transitions: list, pi: np.ndarray) -> sparse.csr_matrix:
-    """The CSR matrix whose row s is row s of ``transitions[pi[s]]``, its
-    entries in stored order, so that its matvec adds each row's terms as
-    ``transitions[pi[s]]``'s does; for a constant ``pi``, that matrix
-    itself."""
-    used = np.unique(pi)
-    if used.size == 1:
-        return transitions[used[0]]
-    groups = [np.flatnonzero(pi == a) for a in used]
-    rows = sparse.vstack([transitions[a][g] for a, g in zip(used, groups)],
-                         format="csr")
-    return rows[np.argsort(np.concatenate(groups))]
+def row_block(m: sparse.csr_matrix, start: int, stop: int):
+    """Rows start..stop-1 of the CSR matrix ``m``, sharing its data and
+    column ids (scipy's constructor would copy them out of a much larger
+    array, so they are set on an empty matrix)."""
+    lo, hi = m.indptr[start], m.indptr[stop]
+    block = sparse.csr_matrix((stop - start, m.shape[1]), dtype=m.dtype)
+    block.indptr = m.indptr[start:stop + 1] - lo
+    block.indices, block.data = m.indices[lo:hi], m.data[lo:hi]
+    return block
+
+
+def policy_rows(stacked: sparse.csr_matrix,
+                pi: np.ndarray) -> sparse.csr_matrix:
+    """Row ``pi[s] * n + s`` of the row-stacked (n_actions * n, n) CSR
+    matrix ``stacked`` at row s, for each row of a (k, n) ``pi`` in turn:
+    one row gather, or a :func:`row_block` view when the rows run on."""
+    n = stacked.shape[1]
+    rows = (pi * n + np.arange(n)).ravel()
+    if (np.diff(rows) == 1).all():
+        return row_block(stacked, rows[0], rows[-1] + 1)
+    return stacked[rows]
 
 
 @dataclass
 class PomdpModel:
     """Finite POMDP with stage costs.
 
-    ``transitions[a]`` is row-stochastic over next states, ``observations[a]``
-    maps next state s' to Pr(O | S', A). Costs are finite; the solver works on
+    ``transitions`` is a list of per-action matrices or their row-stacked
+    (n_actions * n, n) CSR matrix; the model keeps the latter as
+    ``stacked``, and ``transitions[a]`` becomes the :func:`row_block` of
+    action a, row-stochastic over next states. ``observations[a]`` maps
+    next state s' to Pr(O | S', A). Costs are finite; the solver works on
     reward = -cost.
     """
 
@@ -55,34 +67,45 @@ class PomdpModel:
     discount: float
 
     def __post_init__(self):
-        self.transitions = [_as_csr(t) for t in self.transitions]
+        given = sparse.issparse(self.transitions)     # already stacked
+        mats = ([self.transitions.tocsr()] if given
+                else [_as_csr(t) for t in self.transitions])
         self.observations = [_as_csr(z) for z in self.observations]
         self.cost = np.asarray(self.cost, dtype=float)
-        n = self.transitions[0].shape[0]
+        n, n_a = mats[0].shape[1], len(self.observations)
         if not (0.0 < self.discount < 1.0):
             raise ValueError("discount must lie in (0, 1)")
         if not np.all(np.isfinite(self.cost)):
             raise ValueError("costs must be finite")
-        if self.cost.shape != (n, len(self.transitions)):
+        if self.cost.shape != (n, n_a):
             raise ValueError("cost table shape mismatch")
-        if len(self.observations) != len(self.transitions):
-            raise ValueError("need one observation matrix per action")
+        if any(m.shape[0] != n
+               for m in self.observations + ([] if given else mats)):
+            raise ValueError("matrix row dimension mismatch")
         # a matrix that several actions share is checked once
-        for m in {id(m): m for m in self.transitions
-                  + self.observations}.values():
-            if m.shape[0] != n:
-                raise ValueError("matrix row dimension mismatch")
+        for m in {id(m): m for m in mats + self.observations}.values():
             err = np.abs(np.asarray(m.sum(axis=1)).ravel() - 1.0).max()
             if not err <= STOCH_TOL:        # a NaN row fails too
                 raise ValueError(f"rows must be stochastic (off by {err:.2e})")
-        # sorted column ids: a row's entries then run in observation order;
-        # the next-state id of each stored entry, one array per matrix
-        rows = {}
+        self.stacked = (mats[0] if len(mats) == 1
+                        else sparse.vstack(mats, format="csr"))
+        if self.stacked.shape[0] != n_a * n:
+            raise ValueError("need one transition block per action")
+        self.transitions = [row_block(self.stacked, a * n, (a + 1) * n)
+                            for a in range(n_a)]
+        # the distinct observation matrices in first-use order, each with
+        # the next-state id of its stored entries (sorted column ids: a
+        # row's entries then run in observation order); action a reads
+        # obs_distinct[obs_group[a]]
+        group, self.obs_distinct = {}, []
         for z in self.observations:
-            if id(z) not in rows:
+            if id(z) not in group:
+                group[id(z)] = len(self.obs_distinct)
                 z.sort_indices()
-                rows[id(z)] = np.repeat(np.arange(n), np.diff(z.indptr))
-        self.obs_rows = [rows[id(z)] for z in self.observations]
+                self.obs_distinct.append(
+                    (z, np.repeat(np.arange(n), np.diff(z.indptr))))
+        self.obs_group = np.array([group[id(z)] for z in self.observations])
+        self.obs_rows = [self.obs_distinct[k][1] for k in self.obs_group]
 
     @property
     def n_states(self) -> int:

@@ -15,6 +15,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 from scipy import sparse
@@ -126,9 +127,9 @@ def _mdp_corners(model: PomdpModel, blind: list):
     pi = blind_vals.argmax(axis=0)
     v = blind_vals[pi, states]
     for _ in range(MAX_POLICY_ROUNDS):
-        v = _evaluate(policy_rows(model.transitions, pi).dot, r[states, pi],
-                      g, v)
-        q = r + g * np.column_stack([t.dot(v) for t in model.transitions])
+        v = _evaluate(policy_rows(model.stacked, pi).dot, r[states, pi], g,
+                      v)
+        q = r + g * model.stacked.dot(v).reshape(model.n_actions, -1).T
         best = q.argmax(axis=1)
         switch = q[states, best] > q[states, pi] + SWITCH_GAIN
         if not switch.any():
@@ -139,8 +140,13 @@ def _mdp_corners(model: PomdpModel, blind: list):
 
 def _observation_policy(model: PomdpModel, q: np.ndarray) -> np.ndarray:
     """QMDP action per observation: pi(o) = argmax_b sum_a sum_s Z_a(s, o)
-    Q(s, b), the lowest index winning ties."""
-    scores = sum(z.T for z in model.observations) @ q
+    Q(s, b), the lowest index winning ties. Each distinct Z is transposed
+    once, its entries added up once per action that reads it, in that
+    order, as adding those actions' matrices does."""
+    shares = np.bincount(model.obs_group)
+    scores = sum(sparse.csc_matrix((reduce(np.add, [z.data] * k), z.indices,
+                                    z.indptr), shape=z.shape[::-1])
+                 for (z, _rows), k in zip(model.obs_distinct, shares)) @ q
     return np.asarray(scores).argmax(axis=1)
 
 
@@ -154,17 +160,20 @@ def _policy_alphas(model: PomdpModel, pi: np.ndarray,
     stacked (n_actions * n_states) values, started at the columns of the
     (n_states, n_actions) table ``guess``. The stacked operator is
     row-stochastic, so the shift of :func:`_blind_alphas` certifies the
-    result, and every pi gives alphas below the POMDP value."""
+    result, and every pi gives alphas below the POMDP value. D_ab and its
+    sum against the values are formed once per distinct Z_a; one product
+    of the stacked kernel with those sums serves every action."""
     g, n, n_a = model.discount, model.n_states, model.n_actions
-    # d[a] is (n_actions, n_states): row b holds D_ab
+    # d[k] is (n_actions, n_states) for the k-th distinct Z: row b holds D_b
     d = np.array([np.bincount(pi[z.indices] * n + rows, weights=z.data,
                               minlength=n_a * n).reshape(n_a, n)
-                  for z, rows in zip(model.observations, model.obs_rows)])
+                  for z, rows in model.obs_distinct])
+    # entry (a, s) of the product's (n_actions * n, n_distinct) values
+    own = np.arange(n_a * n) * len(d) + np.repeat(model.obs_group, n)
 
     def step(x):
-        x = x.reshape(n_a, n)
-        return np.concatenate([t.dot((d_a * x).sum(axis=0))
-                               for t, d_a in zip(model.transitions, d)])
+        sums = (d * x.reshape(n_a, n)).sum(axis=1)
+        return (model.stacked @ sums.T).ravel()[own]
 
     r = model.reward.T.ravel()
     v = _evaluate(step, r, g, guess.T.ravel())
@@ -184,47 +193,41 @@ def _fib_sweep(model: PomdpModel, q: np.ndarray, prev):
     entry switched. ``prev(a, obs)`` gives the previous choice at the
     entries whose observation ids are ``obs``; an entry keeps it unless
     another action gains more than SWITCH_GAIN, so that round-off cannot
-    make policy iteration cycle."""
-    hq = np.empty_like(q)
-    patterns, choice, switched = [], [], False
-    for a in range(model.n_actions):
-        hq[:, a], indptr, indices, pick, moved = _fib_action(model, a, q,
-                                                             prev)
-        patterns.append((indptr, indices))
-        choice.append(pick)
-        switched = switched or moved
-    return hq, patterns, choice, switched
-
-
-def _fib_action(model: PomdpModel, a: int, q: np.ndarray, prev):
-    """Column a of the sweep of :func:`_fib_sweep`, with the pattern of
-    T_a Z_a, the choices and whether one switched.
+    make policy iteration cycle.
 
     Each product T_a (Z_a * (q_b + c)) takes q_b + c > 0, so no entry
     cancels to 0 and every b stores the same entries in the same order;
     a running maximum over b reads one product at a time, the lowest b
     winning ties. Every row of T_a Z_a sums to 1, so c adds c to each row
-    sum of the maximum, and every row has an entry to sum."""
-    t, z, rows = model.transitions[a], model.observations[a], \
-        model.obs_rows[a]
+    sum of the maximum, and every row has an entry to sum. Z_a * (q_b + c)
+    is built once per distinct Z_a."""
+    hq = np.empty_like(q)
+    patterns, choice, switched = [], [], False
     c = 1.0 - min(q.min(), 0.0)
-    for b in range(model.n_actions):
-        prod = t @ sparse.csr_matrix((z.data * (q[rows, b] + c), z.indices,
-                                      z.indptr), shape=z.shape)
-        if b == 0:
-            indptr, indices = prod.indptr, prod.indices
-            last = prev(a, indices)
-            top, pick = prod.data.copy(), np.zeros(prod.nnz, dtype=np.intp)
-            at_last = np.where(last == 0, top, 0.0)
-            continue
-        np.copyto(pick, b, where=prod.data > top)
-        np.maximum(top, prod.data, out=top)
-        np.copyto(at_last, prod.data, where=last == b)
-    keep = top <= at_last + SWITCH_GAIN
-    pick[keep] = last[keep]
-    return (model.reward[:, a]
-            + model.discount * (np.add.reduceat(top, indptr[:-1]) - c),
-            indptr, indices, pick, not keep.all())
+    weighted = [[sparse.csr_matrix((z.data * (q[rows, b] + c), z.indices,
+                                    z.indptr), shape=z.shape)
+                 for b in range(model.n_actions)]
+                for z, rows in model.obs_distinct]
+    for a, t in enumerate(model.transitions):
+        for b, z_b in enumerate(weighted[model.obs_group[a]]):
+            prod = t @ z_b
+            if b == 0:
+                indptr, indices = prod.indptr, prod.indices
+                last = prev(a, indices)
+                top, pick = prod.data.copy(), np.zeros(prod.nnz, np.intp)
+                at_last = np.where(last == 0, top, 0.0)
+                continue
+            np.copyto(pick, b, where=prod.data > top)
+            np.maximum(top, prod.data, out=top)
+            np.copyto(at_last, prod.data, where=last == b)
+        keep = top <= at_last + SWITCH_GAIN
+        pick[keep] = last[keep]
+        hq[:, a] = model.reward[:, a] + model.discount * (
+            np.add.reduceat(top, indptr[:-1]) - c)
+        patterns.append((indptr, indices))
+        choice.append(pick)
+        switched = switched or not keep.all()
+    return hq, patterns, choice, switched
 
 
 def _fixed_choice_step(model: PomdpModel, patterns: list, choice: list):
@@ -234,19 +237,21 @@ def _fixed_choice_step(model: PomdpModel, patterns: list, choice: list):
     marking the entries that choose b; the blocks sum to a row-stochastic
     matrix, and the matvec applies them one by one."""
     n, n_a = model.n_states, model.n_actions
+    # mark @ Z^T reads Z^T as CSR: transpose each distinct Z once
+    z_t = [z.T.tocsr() for z, _rows in model.obs_distinct]
     blocks = []
-    for (indptr, indices), pick, t, z in zip(patterns, choice,
+    for (indptr, indices), pick, t, k in zip(patterns, choice,
                                              model.transitions,
-                                             model.observations):
+                                             model.obs_group):
         row = []
         for b in range(n_a):
             # eliminate_zeros compacts the index arrays in place: copy them
             mark = sparse.csr_matrix(((pick == b).astype(float),
                                       indices.copy(), indptr.copy()),
-                                     shape=(n, z.shape[1]))
+                                     shape=(n, z_t[k].shape[0]))
             mark.eliminate_zeros()
             if mark.nnz:
-                row.append((b, t.multiply(mark @ z.T).tocsr()))
+                row.append((b, t.multiply(mark @ z_t[k]).tocsr()))
         blocks.append(row)
 
     def step(x):
@@ -497,7 +502,7 @@ def solve_hsvi(model: PomdpModel, b0: np.ndarray, eps: float,
     log = []
     converged = gap0 <= eps
     last_gap = gap0
-    witnesses = deque([b0], maxlen=WITNESS_SLOTS)
+    witnesses = deque(maxlen=WITNESS_SLOTS)
     it = 0
     while not converged and it < max_iterations:
         it += 1
@@ -506,7 +511,8 @@ def solve_hsvi(model: PomdpModel, b0: np.ndarray, eps: float,
         explore(b0, 0, bounds, model, eps, depth_cap, stats)
         if it % PRUNE_EVERY == 0:
             bounds.lower.prune_pointwise()
-            bounds.lower.prune_witness(np.array(witnesses))
+            # b0 is always a witness, however many beliefs followed it
+            bounds.lower.prune_witness(np.array([b0, *witnesses]))
             bounds.upper.prune()
         lo, hi = bounds.lower.value(b0), bounds.upper.value(b0)
         # the gap that decides convergence never rises; the logged bounds

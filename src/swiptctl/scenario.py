@@ -27,7 +27,7 @@ from .channel import (AntennaSelection, Dims, achievable_rate, channel_stream,
 from .channel import downlink_sinr, draw_channel, uplink_sinr  # noqa: F401
 from .dynamics import (ActionTable, LevelModel, StateSpace, TransitionKernel,
                        arrival_pmf, build_kernel, build_observation_matrix,
-                       check_state_budget)
+                       check_state_budget, level_map_matrix)
 
 
 class ConfigError(ValueError):
@@ -369,6 +369,15 @@ class CompiledScenario:
         """Pr(O | S'), CSR, action-independent."""
         return build_observation_matrix(self.space, self.level)
 
+    @cached_property
+    def obs_posteriors(self):
+        """CSR; row o is the belief after observation o under the stationary
+        level prior: queue and energy are read exactly, each user's level
+        via Bayes through the confusion matrix (``I_(q,e) ⊗ posterior``)."""
+        post = [w / w.sum() for w in self.level.probs
+                * self.level.obs_confusion.T]
+        return level_map_matrix(self.space, np.array(post), "csr")
+
     @property
     def n_actions(self) -> int:
         return len(self.actions)
@@ -406,9 +415,9 @@ def restrict(compiled: CompiledScenario,
     from the channel draws alone, so the view equals ``compile_scenario(cfg)``
     field for field: it shares ``level`` and keeps the action table's kept
     rows, mask-major, with the masks renumbered from 0. The observation
-    matrix and the kept kernel matrices that ``compiled`` has already built
-    are shared, not built again; what it has not built, the view builds on
-    first read."""
+    matrix, its posteriors and the stacked kernel that ``compiled`` has
+    already built are shared, not built again; what it has not built, the
+    view builds on first read."""
     wide = compiled.config
     if cfg == wide:
         return compiled
@@ -428,11 +437,12 @@ def restrict(compiled: CompiledScenario,
     rows["mask_id"] = np.repeat(np.arange(len(kept_masks)), len(kept_pairs))
     view = CompiledScenario(cfg, compiled.level, ActionTable(**rows))
     built = vars(compiled)      # the cached properties read so far
-    if "obs_matrix" in built:
-        vars(view)["obs_matrix"] = built["obs_matrix"]
+    for name in ("obs_matrix", "obs_posteriors"):
+        if name in built:
+            vars(view)[name] = built[name]
     if "kernel" in built:
-        vars(view)["kernel"] = TransitionKernel(
-            matrices=[built["kernel"].matrices[a] for a in keep])
+        vars(view)["kernel"] = TransitionKernel(built["kernel"].stacked,
+                                                built["kernel"].blocks[keep])
     return view
 
 

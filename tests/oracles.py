@@ -2,11 +2,12 @@
 
 Each function is the earlier, one-item-at-a-time form of a production
 routine: the scalar slot recursions and one user's next-state pmf, the
-per-action degraded effect, the per-slot rollout and its
-per-episode reduction, the per-draw link calibration, the value-iteration
-HSVI bounds and the sparse-matrix belief expansion and backup. Tests
-compare the production arrays with these, using exact equality where the
-arithmetic is the same.
+per-action degraded effect, the per-action kernel matrices, the per-slot
+rollout and its per-episode reduction, the per-draw link calibration, the
+value-iteration HSVI bounds, the per-action seed solves (row gather,
+Q-table, observation policy and policy alphas) and the sparse-matrix
+belief expansion and backup. Tests compare the production arrays with
+these, using exact equality where the arithmetic is the same.
 
 Helpers that only tests call live here too: the scalar joint-state index
 (``encode``, ``decode``, ``states``), the ZF equalizers and the power
@@ -36,8 +37,8 @@ from swiptctl.channel import (AntennaSelection, BeamformerSet, Dims,
                               achievable_rate, channel_stream, crandn,
                               downlink_sinr, draw_channel, harvested_energy,
                               uplink_sinr)
-from swiptctl.control import _obs_posteriors
-from swiptctl.dynamics import ActionTable, LevelModel
+from swiptctl.dynamics import (ActionTable, LevelModel, _kron_users,
+                               user_action_table)
 from swiptctl.harness import episode_rng
 from swiptctl.pomdp import (AlphaVector, BoundPair, LowerBound, UpperBound,
                             solver)
@@ -596,6 +597,91 @@ def reference_initial_bounds(model, tol=1e-9, max_iter=100000):
     return BoundPair(lower=LowerBound(blind), upper=UpperBound(v))
 
 
+def reference_kernel_matrices(space, pmf, level, actions) -> list:
+    """``dynamics.build_kernel`` one action at a time: each action's
+    Kronecker product of per-user factors is its own CSR matrix, as it was
+    before the blocks were written into one stacked matrix."""
+    table = user_action_table(space, actions)
+    n_qe = (space.q_max + 1) * (space.e_max + 1)
+    q_next = np.minimum(table.q_post[..., None] + np.arange(pmf.size),
+                        space.q_max)
+    bins = (np.arange(space.per_user)[:, None, None] * n_qe
+            + q_next * (space.e_max + 1) + table.e_next[..., None])
+    weights = np.tile(pmf, space.per_user)
+    levels = sparse.coo_matrix(level.probs[None, :])
+
+    def factor(u, a):
+        hit = np.flatnonzero(np.bincount(bins[u, :, a].ravel()))
+        p_q = np.bincount(bins[u, :, a].ravel(), weights)[hit]
+        return sparse.kron(sparse.coo_matrix((p_q, divmod(hit, n_qe)),
+                                             shape=(space.per_user, n_qe)),
+                           levels, format="coo")
+
+    return [_kron_users([factor(u, a) for u in range(space.n_users)], "csr")
+            for a in range(len(actions))]
+
+
+def reference_policy_rows(transitions: list, pi: np.ndarray):
+    """The CSR matrix whose row s is row s of ``transitions[pi[s]]``, by
+    the per-action gather that ``policy_rows`` replaced: each used
+    action's rows, stacked, then put back in state order; for a constant
+    ``pi``, that action's matrix itself."""
+    used = np.unique(pi)
+    if used.size == 1:
+        return transitions[used[0]]
+    groups = [np.flatnonzero(pi == a) for a in used]
+    rows = sparse.vstack([transitions[a][g] for a, g in zip(used, groups)],
+                         format="csr")
+    return rows[np.argsort(np.concatenate(groups))]
+
+
+def reference_mdp_corners(model, blind: list):
+    """``solver._mdp_corners`` one action at a time: the policy's rows by
+    :func:`reference_policy_rows` and the Q-table by one product per
+    action's matrix."""
+    g, r = model.discount, model.reward
+    states = np.arange(model.n_states)
+    blind_vals = np.array([alpha.values for alpha in blind])
+    pi = blind_vals.argmax(axis=0)
+    v = blind_vals[pi, states]
+    for _ in range(solver.MAX_POLICY_ROUNDS):
+        v = solver._evaluate(reference_policy_rows(model.transitions, pi).dot,
+                             r[states, pi], g, v)
+        q = r + g * np.column_stack([t.dot(v) for t in model.transitions])
+        best = q.argmax(axis=1)
+        switch = q[states, best] > q[states, pi] + solver.SWITCH_GAIN
+        if not switch.any():
+            break
+        pi = np.where(switch, best, pi)
+    return v + np.abs(q.max(axis=1) - v).max() / (1.0 - g), q
+
+
+def reference_observation_policy(model, q: np.ndarray) -> np.ndarray:
+    """``solver._observation_policy`` by adding every action's ``Z_a^T``."""
+    scores = sum(z.T for z in model.observations) @ q
+    return np.asarray(scores).argmax(axis=1)
+
+
+def reference_policy_alphas(model, pi: np.ndarray, guess: np.ndarray):
+    """``solver._policy_alphas`` one action at a time: one D block per
+    action, and in every Krylov step one sum and one product per action.
+    Returns the (n_actions, n_states) alpha values."""
+    g, n, n_a = model.discount, model.n_states, model.n_actions
+    d = np.array([np.bincount(pi[z.indices] * n + rows, weights=z.data,
+                              minlength=n_a * n).reshape(n_a, n)
+                  for z, rows in zip(model.observations, model.obs_rows)])
+
+    def step(x):
+        x = x.reshape(n_a, n)
+        return np.concatenate([t.dot((d_a * x).sum(axis=0))
+                               for t, d_a in zip(model.transitions, d)])
+
+    r = model.reward.T.ravel()
+    v = solver._evaluate(step, r, g, guess.T.ravel())
+    res = np.abs(r + g * step(v) - v).max()
+    return (v - res / (1.0 - g)).reshape(n_a, n)
+
+
 def dense_policy_value(model, policy):
     """Exact value of the fully-observed stationary policy that takes
     action ``policy[s]`` in state s: one dense ``numpy.linalg.solve``."""
@@ -917,7 +1003,7 @@ class ObservationMdp:
 
     Queue and energy are observed exactly and each user's next level is
     drawn afresh from the stationary prior, so the belief after
-    observation o is row o of ``control._obs_posteriors`` (P), whatever
+    observation o is row o of ``compiled.obs_posteriors`` (P), whatever
     the history. The construction checks that closure on every action,
     and refuses the model where it fails. The MDP moves by P T_a Z and
     pays P r_a; its values are those of the POMDP at the rows of P."""
@@ -925,7 +1011,7 @@ class ObservationMdp:
     def __init__(self, compiled, model, tol=1e-12):
         self.model = model
         self.first_obs = compiled.obs_matrix
-        self.post = _obs_posteriors(compiled).tocsr()
+        self.post = compiled.obs_posteriors
         for a in range(model.n_actions):
             self._check_closure(a, tol)
         self.trans = [(self.post @ t @ z).tocsr() for t, z

@@ -488,6 +488,24 @@ def test_empty_sweep_list_exits_2(tiny, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,message", [
+    (("sweep-antennas", "--n-r", "8,16,8"), "repeat a size"),
+    (("sweep-power", "--budgets", "1.05,1.05"), "strictly increasing"),
+    (("sweep-power", "--budgets", "0.55,1.05",
+      "--policies", "d-opt,p-opt,d-opt"), "repeat a policy"),
+], ids=["n-r", "budgets", "policies"])
+def test_repeated_sweep_entry_exits_2(tiny, tmp_path, capsys, command,
+                                      message):
+    # a repeated entry would solve again and repeat its rows
+    out = tmp_path / "sweep.csv"
+    assert run(*command, "--config", tiny[0], "--out", str(out),
+               "--episodes", "2", "--horizon", "5") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert message in err[0]
+    assert not out.exists()
+
+
 def test_sweep_antennas_csv(cfg_file, tmp_path):
     out = tmp_path / "ant.csv"
     assert run("sweep-antennas", "--config", cfg_file, "--n-r", "4",

@@ -11,8 +11,7 @@ from oracles import (DEFAULT_PRUNE_MARGIN, ClosureError, ObservationMdp,
                      constant_layer, decode, effective_effect, encode,
                      exact_value_iteration, root_seeds_off, states)
 from swiptctl.control import (ConstraintSpec, HashMismatchError, Policy,
-                              _obs_posteriors, build_cost_table,
-                              greedy_policy, layer_model,
+                              build_cost_table, greedy_policy, layer_model,
                               solve_inner_beamforming, solve_outer_selection,
                               uniform_initial_belief)
 from swiptctl.dynamics import ActionTable, build_kernel
@@ -258,7 +257,7 @@ def enumerated_level_product(space, qe_pairs, level_pmfs):
 
 def obs_belief(compiled, obs):
     """Row ``obs`` of the greedy policy's observation posteriors."""
-    return _obs_posteriors(compiled)[obs].toarray().ravel()
+    return compiled.obs_posteriors[obs].toarray().ravel()
 
 
 def test_obs_belief_is_consistent_posterior(desk_compiled):
@@ -365,20 +364,30 @@ def test_outer_selection_composes_inner_policies(two_mask_compiled,
             outer.cost[:, i], cost[np.arange(compiled.space.size), acts])
 
 
+def same_rows(got, want) -> bool:
+    """Equal CSR arrays, the data read in place from ``want``'s."""
+    return (all(np.array_equal(getattr(got, part), getattr(want, part))
+                for part in ("data", "indices", "indptr"))
+            and np.shares_memory(got.data, want.data))
+
+
 def test_policy_rows_of_a_constant_policy_is_the_action_matrix(
         two_mask_compiled):
-    matrices = two_mask_compiled.kernel.matrices
+    kernel = two_mask_compiled.kernel
     pi = np.full(two_mask_compiled.space.size, 2)
-    assert policy_rows(matrices, pi) is matrices[2]
+    assert same_rows(policy_rows(kernel.stacked, pi), kernel.matrices[2])
 
 
 def test_power_layer_model_holds_the_kernel_matrices(two_mask_compiled):
+    # a power layer's actions are one run of the mask-major action table:
+    # its model reads their blocks of the stacked kernel in place
     compiled = two_mask_compiled
     ids = np.flatnonzero(compiled.actions.mask_id == 1)
     cost = jopt_cost(compiled)
     model = layer_model(compiled, constant_layer(compiled, ids), cost)
     for t, a in zip(model.transitions, ids):
-        assert t is compiled.kernel.matrices[a]
+        assert same_rows(t, compiled.kernel.matrices[a])
+    assert np.shares_memory(model.stacked.data, compiled.kernel.stacked.data)
     assert all(z is compiled.obs_matrix for z in model.observations)
     np.testing.assert_array_equal(model.cost, cost[:, ids])
 

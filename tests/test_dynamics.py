@@ -284,9 +284,9 @@ class TestKernel:
                                                      message):
         good = sparse.csr_matrix(np.full((2, 2), 0.5))
         bad = sparse.csr_matrix(np.array([entries, [0.5, 0.5]]))
-        TransitionKernel(matrices=[good])
+        TransitionKernel(good)
         with pytest.raises(ValueError, match=message):
-            TransitionKernel(matrices=[good, bad])
+            TransitionKernel(sparse.vstack([good, bad], format="csr"))
 
 
 @pytest.fixture(params=["unpayable", "three-users"])

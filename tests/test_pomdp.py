@@ -12,8 +12,11 @@ from oracles import (DEFAULT_PRUNE_MARGIN, ImpossibleObservationError,
                      dense_fib_q, dense_fib_sweep, dense_mdp_value,
                      dense_policy_value, exact_value_iteration,
                      observation_prob, pair_policy_alphas, reference_backup,
-                     reference_initial_bounds, reference_propagate,
-                     reference_successor_posts, root_seeds_off, update_belief)
+                     reference_initial_bounds, reference_kernel_matrices,
+                     reference_mdp_corners, reference_observation_policy,
+                     reference_policy_alphas, reference_policy_rows,
+                     reference_propagate, reference_successor_posts,
+                     root_seeds_off, update_belief)
 from test_acceptance import (SPARSE_Z_MEMBER, ZOO_DIMS, ZOO_HORIZON,
                              ZOO_PRUNE_MARGIN, _zoo_pomdp, zoo_exact)
 
@@ -21,6 +24,7 @@ from swiptctl.pomdp import (AlphaVector, BoundPair, LowerBound, PomdpModel,
                             UpperBound, backup, excess_uncertainty,
                             initial_bounds, q_values, solve_hsvi)
 from swiptctl.pomdp import solver
+from swiptctl.pomdp.model import policy_rows
 from swiptctl.scenario import compile_scenario, desk_scenario
 
 
@@ -509,19 +513,23 @@ class TestInitialBounds:
 
     def test_corners_gather_the_policy_rows_bit_for_bit(self, seed_model,
                                                         monkeypatch):
-        # one matvec of the gathered rows T_pi, against every action's
-        # T_a x with one entry kept per state
+        # the rows gathered from the stacked matrix and its one Q-table
+        # product, against the per-action gather and products; then one
+        # matvec of T_pi against every action's T_a x with one entry kept
+        # per state
         m = seed_model
-        got = solver._mdp_corners(m, solver._blind_alphas(m))
+        blind = solver._blind_alphas(m)
+        got = solver._mdp_corners(m, blind)
+        for g, w in zip(got, reference_mdp_corners(m, blind)):
+            np.testing.assert_array_equal(g, w)       # corners, Q-table
         states = np.arange(m.n_states)
 
-        def per_action(transitions, pi):
+        def per_action(stacked, pi):
             return SimpleNamespace(dot=lambda x: np.column_stack(
-                [t.dot(x) for t in transitions])[states, pi])
+                [t.dot(x) for t in m.transitions])[states, pi])
 
         monkeypatch.setattr(solver, "policy_rows", per_action)
-        want = solver._mdp_corners(m, solver._blind_alphas(m))
-        for g, w in zip(got, want):       # corners, then the Q-table
+        for g, w in zip(got, solver._mdp_corners(m, blind)):
             np.testing.assert_array_equal(g, w)
 
     def test_value_iteration_corners_undershoot_positive_values(self):
@@ -566,6 +574,90 @@ def seed_model(request, desk_jopt_model):
     if request.param == "desk-jopt":
         return desk_jopt_model[0]
     return SMALL_MODELS[request.param]()
+
+
+@pytest.fixture(scope="module")
+def two_mask_small():
+    """The 1600-state desk scenario with two antenna masks."""
+    return compile_scenario(desk_scenario(q_max=4, e_max=3, calib_draws=80,
+                                          mask_sizes=(8, 16)))
+
+
+# the scenarios whose kernels the layout tests read, by fixture name
+LAYOUT_SCENARIOS = {"desk-jopt": "desk_compiled_small",
+                    "two-mask": "two_mask_small",
+                    "three-user": "three_user_compiled"}
+
+
+@pytest.fixture(params=list(LAYOUT_SCENARIOS))
+def layout_compiled(request):
+    return request.getfixturevalue(LAYOUT_SCENARIOS[request.param])
+
+
+@pytest.fixture(params=["tiger", *LAYOUT_SCENARIOS])
+def layout_model(request):
+    """Tiger, whose listen action has its own observation matrix, and the
+    j-opt model over every action of each layout scenario."""
+    if request.param == "tiger":
+        return tiger_model()
+    return jopt_model(
+        request.getfixturevalue(LAYOUT_SCENARIOS[request.param]))[0]
+
+
+def assert_same_csr(got, want):
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype, part
+        np.testing.assert_array_equal(a, b, err_msg=part)
+
+
+class TestStackedLayout:
+    """The stacked transition matrix and the seeds that read it give the
+    per-action build's and the per-action seeds' arrays bit for bit."""
+
+    def test_kernel_blocks_are_views_of_the_per_action_matrices(
+            self, layout_compiled):
+        compiled = layout_compiled
+        kernel = compiled.kernel
+        want = reference_kernel_matrices(compiled.space, compiled.arrival_pmf,
+                                         compiled.level, compiled.actions)
+        assert len(kernel.matrices) == len(want)
+        assert kernel.stacked.nnz == sum(m.nnz for m in want)
+        for got, ref in zip(kernel.matrices, want):
+            assert_same_csr(got, ref)
+            assert np.shares_memory(got.data, kernel.stacked.data)
+            assert np.shares_memory(got.indices, kernel.stacked.indices)
+        # the layer over every action is the kernel's rows themselves
+        model = jopt_model(compiled)[0]
+        assert np.shares_memory(model.stacked.data, kernel.stacked.data)
+        for t in model.transitions:
+            assert np.shares_memory(t.data, kernel.stacked.data)
+
+    def test_gathered_rows(self, layout_model):
+        m = layout_model
+        rng = np.random.default_rng(m.n_states)
+        for pi in (rng.integers(m.n_actions, size=m.n_states),
+                   np.full(m.n_states, m.n_actions - 1)):
+            got = policy_rows(m.stacked, pi)
+            assert_same_csr(got, reference_policy_rows(m.transitions, pi))
+        # a constant policy reads its action's rows in place
+        assert np.shares_memory(got.data, m.stacked.data)
+
+    def test_seeds_match_the_per_action_solves(self, layout_model):
+        m = layout_model
+        blind = solver._blind_alphas(m)
+        corners, q = solver._mdp_corners(m, blind)
+        want_corners, want_q = reference_mdp_corners(m, blind)
+        np.testing.assert_array_equal(corners, want_corners)
+        np.testing.assert_array_equal(q, want_q)
+        pi = solver._observation_policy(m, q)
+        np.testing.assert_array_equal(pi, reference_observation_policy(m, q))
+        rng = np.random.default_rng(m.n_states)
+        for policy in (pi, rng.integers(m.n_actions, size=m.n_obs)):
+            got = solver._policy_alphas(m, policy, q)
+            np.testing.assert_array_equal(
+                np.array([a.values for a in got]),
+                reference_policy_alphas(m, policy, q))
 
 
 class TestPolicyAlphas:
@@ -1039,6 +1131,34 @@ class TestHsvi:
         exact = ObservationMdp(compiled, model)
         policy = greedy_policy(compiled, res.bounds.lower)
         assert exact.executed_root(b0, policy.action_of) >= start
+
+    def test_the_root_stays_a_witness_past_the_witness_slots(self,
+                                                             monkeypatch):
+        # each exploration backs up more beliefs than the witness slots
+        # hold, so b0 has left them by the prune at iteration 10; the alpha
+        # that is best at b0 alone must survive it all the same
+        m, b0 = tiger_model(), np.array([0.5, 0.5])
+        sides = [np.array([0.99, 0.01]), np.array([0.01, 0.99])]
+        added = []
+
+        def explore(b, t, bounds, model, eps, depth_cap, stats):
+            if not added:
+                alpha = np.full(2, bounds.lower.value(b0) + 1.0)
+                assert bounds.upper.value(b0) > alpha @ b0 + 1.0
+                assert all(bounds.lower.value(w) > alpha @ w for w in sides)
+                assert (bounds.lower.matrix().max(axis=0) > alpha).all()
+                added.append(AlphaVector(values=alpha, action=0))
+                bounds.lower.add(added[0])
+            for i in range(solver.WITNESS_SLOTS):
+                stats.visited.append(sides[i % 2])
+            return bounds
+
+        monkeypatch.setattr(solver, "explore", explore)
+        res = solve_hsvi(m, b0, eps=1e-9, max_iterations=solver.PRUNE_EVERY)
+        assert res.iterations == solver.PRUNE_EVERY
+        assert any(a is added[0] for a in res.bounds.lower.alphas)
+        lows = [rec[1] for rec in res.log]
+        assert lows == [added[0].values @ b0] * len(lows)
 
     def test_each_backup_propagates_once_per_action(self, monkeypatch):
         m = tiger_model(discount=0.6)

@@ -393,14 +393,15 @@ def assert_same_compile(got, want):
 
 def check_views(wide_cfg, subs):
     """Views of subs cut before and after wide_cfg's kernel is built equal
-    fresh compiles; the later ones share the built matrices."""
+    fresh compiles; the later ones share the built stacked matrix."""
     wide = compile_scenario(wide_cfg)
     early = [restrict(wide, sub) for sub in subs]
-    kernel, obs = wide.kernel.matrices, wide.obs_matrix
+    kernel, obs = wide.kernel.stacked, wide.obs_matrix
     for sub, view in zip(subs, early):
         late = restrict(wide, sub)
         assert late.level is wide.level and late.obs_matrix is obs
-        assert all(any(m is k for k in kernel)
+        assert late.kernel.stacked is kernel
+        assert all(np.shares_memory(m.data, kernel.data)
                    for m in late.kernel.matrices)
         want = compile_scenario(sub)
         assert "kernel" not in vars(view)
