@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from .control import HashMismatchError, Policy
 from .harness import (ANTENNA_COLUMNS, BASELINE_KINDS, baseline_policy,
                       monte_carlo, rows_to_csv, sweep_antennas, sweep_power)
+from .pomdp.model import check_stochastic
 from .scenario import ConfigError, ScenarioConfig, compile_scenario
 
 EXIT_OK = 0
@@ -27,28 +29,33 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
 
-def _load_config(path: str) -> ScenarioConfig:
+def _read(path: str, what: str) -> str:
     try:
         with open(path) as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return ScenarioConfig.from_json(text)
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _load_config(path: str) -> ScenarioConfig:
+    return ScenarioConfig.from_json(_read(path, "config"))
 
 
 def _write_output(path: str, scenario_hash: str, body: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# scenario {scenario_hash}\n")
-        fh.write(body)
-        if not body.endswith("\n"):
-            fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(f"# scenario {scenario_hash}\n")
+            fh.write(body)
+            if not body.endswith("\n"):
+                fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _read_body(path: str) -> str:
     """Read a file written by :func:`_write_output`, dropping header lines."""
-    with open(path) as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    return "".join(lines)
+    return "\n".join(ln for ln in _read(path, "policy").split("\n")
+                     if not ln.startswith("#"))
 
 
 def _float_list(text: str) -> list:
@@ -76,9 +83,9 @@ def cmd_validate(args) -> int:
     compiled = compile_scenario(cfg)
     # the kernel is built on first read, and the build checks its rows
     n_actions = len(compiled.kernel.matrices)
-    z = np.asarray(compiled.obs_matrix.sum(axis=1)).ravel()
-    if not np.allclose(z, 1.0, atol=1e-9):
-        raise ConfigError("observation rows do not sum to 1")
+    check_stochastic(compiled.obs_matrix)
+    check_stochastic(compiled.obs_posteriors,
+                     compiled.obs_matrix.getnnz(axis=0) > 0)
     print(f"ok {compiled.scenario_hash}: {compiled.space.size} states, "
           f"{n_actions} actions")
     return EXIT_OK
@@ -215,6 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for path in filter(None, map(vars(args).get, ("out", "log"))):
+            if not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK):
+                raise ConfigError(f"cannot write {path}")
         return args.func(args)
     except (ConfigError, HashMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -161,7 +161,8 @@ def layer_model(compiled: CompiledScenario, chosen: np.ndarray,
         transitions=policy_rows(kernel.stacked, kernel.blocks[chosen]),
         observations=[compiled.obs_matrix] * len(chosen),
         cost=cost_table[states[:, None], chosen.T],
-        discount=compiled.config.discount)
+        discount=compiled.config.discount,
+        posteriors=compiled.obs_posteriors)
 
 
 def solve_layer(compiled: CompiledScenario, chosen: np.ndarray,

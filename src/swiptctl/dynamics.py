@@ -19,7 +19,7 @@ from functools import reduce
 import numpy as np
 from scipy import sparse
 
-from .pomdp.model import row_block
+from .pomdp.model import check_stochastic, row_block
 
 ROW_SUM_TOL = 1e-10
 # largest joint state space that is compiled into a kernel
@@ -201,10 +201,7 @@ class TransitionKernel:
             return
         n_rows, n = self.stacked.shape
         self.blocks = np.arange(n_rows // n)
-        err = np.abs(np.asarray(self.stacked.sum(axis=1)).ravel()
-                     - 1.0).max()
-        if not err <= ROW_SUM_TOL:          # a NaN row fails too
-            raise ValueError(f"kernel row sums off by {err:.2e}")
+        check_stochastic(self.stacked)
         if (self.stacked.data < 0).any():
             raise ValueError("negative transition probability")
 

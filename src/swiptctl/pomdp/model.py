@@ -15,6 +15,13 @@ def _as_csr(m) -> sparse.csr_matrix:
     return m.tocsr() if sparse.issparse(m) else sparse.csr_matrix(np.asarray(m, dtype=float))
 
 
+def check_stochastic(m, rows=slice(None)) -> None:
+    """Refuse ``m`` unless each of its ``rows`` sums to 1 (NaN fails too)."""
+    err = np.abs(np.asarray(m.sum(axis=1))[rows] - 1.0).max(initial=0.0)
+    if not err <= STOCH_TOL:
+        raise ValueError(f"not stochastic: row sums off by {err:.2e}")
+
+
 def row_entries(m: sparse.csr_matrix, rows: np.ndarray):
     """Positions in ``m.data`` of the stored entries of the CSR rows
     ``rows``, row after row in stored order, and the row id of each."""
@@ -58,13 +65,14 @@ class PomdpModel:
     ``stacked``, and ``transitions[a]`` becomes the :func:`row_block` of
     action a, row-stochastic over next states. ``observations[a]`` maps
     next state s' to Pr(O | S', A). Costs are finite; the solver works on
-    reward = -cost.
-    """
+    reward = -cost. ``posteriors``, if given, makes the model closed: row
+    o is the belief after o (one that Z emits) from every belief and action."""
 
     transitions: list
     observations: list
     cost: np.ndarray
     discount: float
+    posteriors: sparse.csr_matrix | None = None
 
     def __post_init__(self):
         given = sparse.issparse(self.transitions)     # already stacked
@@ -84,9 +92,7 @@ class PomdpModel:
             raise ValueError("matrix row dimension mismatch")
         # a matrix that several actions share is checked once
         for m in {id(m): m for m in mats + self.observations}.values():
-            err = np.abs(np.asarray(m.sum(axis=1)).ravel() - 1.0).max()
-            if not err <= STOCH_TOL:        # a NaN row fails too
-                raise ValueError(f"rows must be stochastic (off by {err:.2e})")
+            check_stochastic(m)
         self.stacked = (mats[0] if len(mats) == 1
                         else sparse.vstack(mats, format="csr"))
         if self.stacked.shape[0] != n_a * n:
@@ -106,6 +112,12 @@ class PomdpModel:
                     (z, np.repeat(np.arange(n), np.diff(z.indptr))))
         self.obs_group = np.array([group[id(z)] for z in self.observations])
         self.obs_rows = [self.obs_distinct[k][1] for k in self.obs_group]
+        if self.posteriors is not None:
+            post = self.posteriors = _as_csr(self.posteriors)
+            if post.shape != (self.n_obs, n) or not np.isfinite(post.sum()):
+                raise ValueError("posteriors: need a finite (n_obs, n) table")
+            check_stochastic(post, sum(z.getnnz(axis=0) for z, _rows
+                                       in self.obs_distinct) > 0)
 
     @property
     def n_states(self) -> int:
@@ -122,6 +134,12 @@ class PomdpModel:
     @property
     def reward(self) -> np.ndarray:
         return -self.cost
+
+    def after(self, values: np.ndarray) -> np.ndarray:
+        """(n_actions, n_states) table of T_a values[obs_group[a]]."""
+        prod = (self.stacked @ values.T).reshape(self.n_actions, -1,
+                                                 len(values))
+        return prod[np.arange(self.n_actions), :, self.obs_group]
 
     def propagate(self, b: np.ndarray, a: int) -> np.ndarray:
         """Predictive next-state distribution sum_S Pr(S'|S,a) b(S).

@@ -168,12 +168,9 @@ def _policy_alphas(model: PomdpModel, pi: np.ndarray,
     d = np.array([np.bincount(pi[z.indices] * n + rows, weights=z.data,
                               minlength=n_a * n).reshape(n_a, n)
                   for z, rows in model.obs_distinct])
-    # entry (a, s) of the product's (n_actions * n, n_distinct) values
-    own = np.arange(n_a * n) * len(d) + np.repeat(model.obs_group, n)
 
     def step(x):
-        sums = (d * x.reshape(n_a, n)).sum(axis=1)
-        return (model.stacked @ sums.T).ravel()[own]
+        return model.after((d * x.reshape(n_a, n)).sum(axis=1)).ravel()
 
     r = model.reward.T.ravel()
     v = _evaluate(step, r, g, guess.T.ravel())
@@ -261,26 +258,43 @@ def _fixed_choice_step(model: PomdpModel, patterns: list, choice: list):
     return step
 
 
+def _closed_sweep(model: PomdpModel, q: np.ndarray, last: np.ndarray):
+    """:func:`_fib_sweep` on a closed model (B = ``model.posteriors``):
+    sum_s' T_a(s, s') Z_a(s', o) q(s', b) = Pr(o | s, a) (B q)(o, b), so
+    (Hq)(., a) = r_a + gamma T_a Z_a max_b (B q)(., b), one choice per o."""
+    bq = np.asarray(model.posteriors @ q)
+    best, m = bq.argmax(axis=1), bq.max(axis=1)
+    keep = m <= bq[np.arange(m.size), last] + SWITCH_GAIN
+    zm = np.array([z @ m for z, _rows in model.obs_distinct])
+    hq = model.reward + model.discount * model.after(zm).T
+    return hq, np.where(keep, last, best), not keep.all()
+
+
 def _fib_q(model: PomdpModel, pi: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Fixed point of the FIB operator (Hauskrecht, JAIR 2000), an upper
+    """Fixed point of the FIB operator H (Hauskrecht, JAIR 2000), an upper
     bound on the POMDP's Q-values, by policy iteration over the next-action
-    choices: start at the observation policy ``pi`` (next action pi(o)
-    after every (s, a)) with its values ``q``, improve each (s, a, o)
-    choice by one sweep, evaluate the new choices with one stacked Krylov
-    solve, and repeat until no choice changes. H is a gamma-contraction,
-    so the result is shifted up by ||Hq - q||_inf / (1 - gamma), as the
-    MDP corners are: valid however far a solve got."""
+    choices from the observation policy ``pi`` and its values ``q``: one
+    sweep improves the choices, one stacked Krylov solve evaluates them (on
+    a closed model, which chooses per observation in :func:`_closed_sweep`,
+    by :func:`_policy_alphas`). H is a gamma-contraction, so the result is
+    shifted up by ||Hq - q||_inf / (1 - gamma): valid from any q."""
     g, n, n_a = model.discount, model.n_states, model.n_actions
     r = model.reward.T.ravel()
-    hq, patterns, choice, switched = _fib_sweep(model, q,
-                                                lambda a, obs: pi[obs])
+    if closed := model.posteriors is not None:
+        hq, c, moved = _closed_sweep(model, q, pi)
+    else:
+        hq, patterns, c, moved = _fib_sweep(model, q, lambda a, o: pi[o])
     for _ in range(MAX_POLICY_ROUNDS):
-        if not switched:
+        if not moved:
             break
-        q = _evaluate(_fixed_choice_step(model, patterns, choice), r, g,
-                      q.T.ravel()).reshape(n_a, n).T
-        hq, patterns, choice, switched = _fib_sweep(
-            model, q, lambda a, obs, last=choice: last[a])
+        if closed:
+            q = np.array([a.values for a in _policy_alphas(model, c, q)]).T
+            hq, c, moved = _closed_sweep(model, q, c)
+        else:
+            q = _evaluate(_fixed_choice_step(model, patterns, c), r, g,
+                          q.T.ravel()).reshape(n_a, n).T
+            hq, patterns, c, moved = _fib_sweep(
+                model, q, lambda a, o, last=c: last[a])
     return q + np.abs(hq - q).max() / (1.0 - g)
 
 
@@ -291,10 +305,10 @@ def initial_bounds(model: PomdpModel, b0: np.ndarray | None = None,
     evaluations too). Given a root belief ``b0`` where these leave a gap
     above ``eps``, the lower bound also takes the alphas of "play a, then
     follow the QMDP observation policy", with the MDP Q as the guess. If
-    the gap at ``b0`` is still above ``eps``, the fast informed bound,
-    started from that policy and its alphas, replaces the upper bound: its
-    best Q per state at the corners, and its best action's value at ``b0``
-    as a point."""
+    the gap at ``b0`` is still above ``eps``, the fast informed bound from
+    that policy and its alphas (:func:`_fib_q`, in closed form on a closed
+    model) replaces the upper bound: its best Q per state at the corners,
+    and its best action's value at ``b0`` as a point."""
     blind = _blind_alphas(model)
     corners, q = _mdp_corners(model, blind)
     bounds = BoundPair(lower=LowerBound(blind), upper=UpperBound(corners))

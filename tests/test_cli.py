@@ -206,6 +206,73 @@ def test_missing_config_exits_2(tmp_path):
     assert run("validate", "--config", str(tmp_path / "nope.json")) == 2
 
 
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+def test_missing_policy_file_exits_2(cfg_file, tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run("evaluate", "--config", cfg_file, "--policy", str(missing),
+               "--out", str(tmp_path / "res.json"), *ROLLOUT) == 2
+    assert str(missing) in one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ("solve", "--out", "{bad}"),
+    ("solve", "--out", "{ok}", "--log", "{bad}"),
+    ("evaluate", "--policy", "{ok}", "--out", "{bad}", *ROLLOUT),
+    ("sweep-power", "--budgets", "1.05", "--out", "{bad}", *ROLLOUT),
+    ("sweep-antennas", "--n-r", "4", "--out", "{bad}", *ROLLOUT),
+], ids=["solve-out", "solve-log", "evaluate", "sweep-power",
+        "sweep-antennas"])
+def test_unwritable_output_exits_2_before_any_work(cfg_file, tmp_path,
+                                                    capsys, monkeypatch,
+                                                    command):
+    import swiptctl.cli as cli
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("the command ran before checking its outputs")
+
+    for name in ("compile_scenario", "baseline_policy", "sweep_power",
+                 "sweep_antennas"):
+        monkeypatch.setattr(cli, name, no_work)
+    bad = tmp_path / "no-such-dir" / "out.txt"
+    name, *rest = command
+    rest = [arg.format(bad=bad, ok=tmp_path / "ok.txt") for arg in rest]
+    assert run(name, "--config", cfg_file, *rest) == 2
+    assert one_error_line(capsys) == f"error: cannot write {bad}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_that_fails_to_open_exits_2(cfg_file, tmp_path, capsys):
+    # the directory is writable, but the path names a directory
+    assert run("solve", "--config", cfg_file, "--kind", "d-opt",
+               "--out", str(tmp_path), "--max-iterations", "2") == 2
+    assert str(tmp_path) in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("builder", ["build_observation_matrix",
+                                     "level_map_matrix"])
+def test_validate_refuses_rows_off_by_1e_9(cfg_file, capsys, monkeypatch,
+                                           builder):
+    # the observation matrix and the posterior table (built by
+    # ``level_map_matrix``) get the solver's row tolerance, 1e-10
+    import swiptctl.scenario as scenario
+    real = getattr(scenario, builder)
+
+    def scaled(*args):
+        m = real(*args)
+        m.data *= 1.0 + 1e-9
+        return m
+
+    monkeypatch.setattr(scenario, builder, scaled)
+    assert run("validate", "--config", cfg_file) == 2
+    assert "stochastic" in one_error_line(capsys)
+
+
 def test_solve_output_has_hash_header_and_is_deterministic(cfg_file,
                                                            tmp_path):
     scenario_hash = desk_scenario(calib_draws=80, q_max=4, e_max=3).scenario_hash()

@@ -10,6 +10,7 @@ from scipy import sparse
 from oracles import (DEFAULT_PRUNE_MARGIN, ClosureError, ObservationMdp,
                      constant_layer, decode, effective_effect, encode,
                      exact_value_iteration, root_seeds_off, states)
+from test_pomdp import fib_seed
 from swiptctl.control import (ConstraintSpec, HashMismatchError, Policy,
                               build_cost_table, greedy_policy, layer_model,
                               solve_inner_beamforming, solve_outer_selection,
@@ -18,7 +19,8 @@ from swiptctl.dynamics import ActionTable, build_kernel
 from swiptctl.harness import (J_POWER_WEIGHT, SWEEP_HSVI_KW,
                               baseline_cost_table, baseline_policy,
                               default_constraints)
-from swiptctl.pomdp import HsviResult, PomdpModel, initial_bounds, solve_hsvi
+from swiptctl.pomdp import (HsviResult, PomdpModel, initial_bounds, solve_hsvi,
+                            solver)
 from swiptctl.pomdp.model import policy_rows
 from swiptctl.scenario import compile_scenario, desk_scenario
 
@@ -636,3 +638,68 @@ def test_observation_mdp_refuses_a_model_without_closure(desk_compiled):
         cost=model.cost, discount=model.discount)
     with pytest.raises(ClosureError):
         ObservationMdp(desk_compiled, exact)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form fast informed bound
+# ---------------------------------------------------------------------------
+
+def assert_fib_forms_agree(model, b0):
+    """The FIB Q-table of ``model``, which carries the posterior table, is
+    that of the same model without it (per-entry FIB), at every (s, a) and
+    at ``b0``."""
+    assert model.posteriors is not None
+    closed = fib_seed(model)
+    per_entry = fib_seed(PomdpModel(model.stacked, model.observations,
+                                    model.cost, model.discount))
+    tol = 1e-9 * np.abs(per_entry).max()
+    np.testing.assert_allclose(closed, per_entry, rtol=0, atol=tol)
+    assert abs((b0 @ closed).max() - (b0 @ per_entry).max()) <= tol
+
+
+def test_closed_form_fib_on_the_selection_models(bench_solves):
+    compiled, _policy, caught = bench_solves["select-n16"]
+    assert compiled.config.n_r == 16
+    # the inner models of masks 4, 8 and 16, then the outer selection
+    assert [m.n_actions for m, _res in caught] == [4, 4, 4, 3]
+    for model, _res in caught:
+        assert model.posteriors is compiled.obs_posteriors
+        assert_fib_forms_agree(model, uniform_initial_belief(compiled))
+
+
+def test_closed_form_fib_at_three_users(three_user_compiled):
+    compiled = three_user_compiled
+    assert compiled.config.k == 3
+    model = layer_model(compiled, constant_layer(compiled),
+                        jopt_cost(compiled))
+    assert_fib_forms_agree(model, uniform_initial_belief(compiled))
+
+
+def test_closed_form_fib_is_exact_on_the_weight_models(bench_solves,
+                                                       monkeypatch):
+    # at these power weights the QMDP start is not FIB's greedy policy, so
+    # the closed form switches choices and evaluates them; its root upper
+    # bound is the optimum of the observation MDP
+    compiled = bench_solves["solve-jopt"][0]
+    b0 = uniform_initial_belief(compiled)
+    sweeps = []
+    sweep = solver._closed_sweep
+
+    def counting(*args):
+        out = sweep(*args)
+        sweeps[-1].append(out[2])
+        return out
+
+    monkeypatch.setattr(solver, "_closed_sweep", counting)
+    for weight, optimum in ((28, 2194.594533), (32, 2519.971761),
+                            (40, 3177.350676)):
+        cost = build_cost_table(compiled,
+                                default_constraints(compiled.config), weight)
+        model = layer_model(compiled, constant_layer(compiled), cost)
+        sweeps.append([])
+        upper = initial_bounds(model, b0, 1e-6).upper.value(b0)
+        exact = ObservationMdp(compiled, model)
+        root = exact.root(b0, exact.solve()[0])
+        assert root == pytest.approx(optimum, rel=0, abs=1e-6)
+        assert upper == pytest.approx(root, rel=1e-9, abs=0)
+    assert any(moved for rounds in sweeps for moved in rounds)

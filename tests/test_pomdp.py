@@ -149,6 +149,23 @@ class TestModel:
             PomdpModel(transitions=[np.eye(2)] * 2, observations=[bad] * 2,
                        cost=np.zeros((2, 2)), discount=0.9)
 
+    def test_posterior_table_check(self):
+        # both states are read exactly, so the model is closed; Z never
+        # emits observation 2, so its row is never read and need not sum
+        # to 1, but it must be finite
+        kw = dict(transitions=[np.full((2, 2), 0.5)],
+                  observations=[np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])],
+                  cost=np.zeros((2, 1)), discount=0.9)
+        good = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.25]])
+        assert isinstance(PomdpModel(**kw, posteriors=good).posteriors,
+                          sparse.csr_matrix)
+        off, nan, inf = good.copy(), good.copy(), good.copy()
+        off[0, 1] = 1e-9                    # 1e-9 above a stochastic row
+        nan[2, 1], inf[2, 0] = np.nan, np.inf
+        for post in (good[:2], good.T, off, nan, inf):
+            with pytest.raises(ValueError):
+                PomdpModel(**kw, posteriors=post)
+
     def test_reward_is_negated_cost(self):
         m = tiger_model()
         np.testing.assert_array_equal(m.reward, -m.cost)

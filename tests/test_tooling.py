@@ -133,14 +133,14 @@ UNREACHED = {
         "pomdp.bounds.LowerBound.scores", "pomdp.bounds.LowerBound.value_many",
         "pomdp.bounds.UpperBound.value_many", "pomdp.bounds._dense_columns",
         "pomdp.bounds.LowerBound.__len__", "pomdp.bounds.UpperBound.__len__",
-        "pomdp.model.PomdpModel.propagate", "pomdp.model.PomdpModel.n_obs",
-        "pomdp.model.row_entries", "pomdp.bounds.LowerBound.prune_pointwise",
+        "pomdp.model.PomdpModel.propagate", "pomdp.model.row_entries",
+        "pomdp.bounds.LowerBound.prune_pointwise",
         "pomdp.bounds.LowerBound.prune_witness",
         "pomdp.bounds.UpperBound.prune"], EXPLORATION),
     **dict.fromkeys([
-        "pomdp.solver._fixed_choice_step",
+        "pomdp.solver._fib_sweep", "pomdp.solver._fixed_choice_step",
         "pomdp.solver._fixed_choice_step.<locals>.step"],
-        "item 4a: FIB's policy-iteration step switches nothing here"),
+        "item 5: per-entry FIB, for models without closure"),
     **dict.fromkeys([
         "channel.draw_channel", "channel.uplink_sinr", "channel.downlink_sinr",
         "channel._stack_uplink", "channel.ChannelPair.__post_init__",
