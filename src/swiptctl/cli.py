@@ -21,7 +21,6 @@ import numpy as np
 from .control import HashMismatchError, Policy
 from .harness import (ANTENNA_COLUMNS, BASELINE_KINDS, baseline_policy,
                       monte_carlo, rows_to_csv, sweep_antennas, sweep_power)
-from .pomdp.model import check_stochastic
 from .scenario import ConfigError, ScenarioConfig, compile_scenario
 
 EXIT_OK = 0
@@ -58,12 +57,8 @@ def _read_body(path: str) -> str:
                      if not ln.startswith("#"))
 
 
-def _float_list(text: str) -> list:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _int_list(text: str) -> list:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _list(text: str, kind) -> list:
+    return [kind(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _hsvi_kw(args) -> dict:
@@ -81,11 +76,9 @@ def _warn_unconverged(solves) -> None:
 def cmd_validate(args) -> int:
     cfg = _load_config(args.config)
     compiled = compile_scenario(cfg)
-    # the kernel is built on first read, and the build checks its rows
+    # each is built on first read, and each build checks its rows
     n_actions = len(compiled.kernel.matrices)
-    check_stochastic(compiled.obs_matrix)
-    check_stochastic(compiled.obs_posteriors,
-                     compiled.obs_matrix.getnnz(axis=0) > 0)
+    compiled.obs_posteriors     # and the observation matrix it reads
     print(f"ok {compiled.scenario_hash}: {compiled.space.size} states, "
           f"{n_actions} actions")
     return EXIT_OK
@@ -131,7 +124,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep_power(args) -> int:
     cfg = _load_config(args.config)
-    budgets = _float_list(args.budgets)
+    budgets = _list(args.budgets, float)
     policies = tuple(tok.strip() for tok in args.policies.split(",")
                      if tok.strip())
     for kind in policies:
@@ -148,7 +141,7 @@ def cmd_sweep_power(args) -> int:
 
 def cmd_sweep_antennas(args) -> int:
     cfg = _load_config(args.config)
-    n_r_list = _int_list(args.n_r)
+    n_r_list = _list(args.n_r, int)
     rows, solves = sweep_antennas(cfg, n_r_list, episodes=args.episodes,
                                   horizon=args.horizon, eps=args.eps,
                                   seed=args.seed, **_hsvi_kw(args))

@@ -19,9 +19,8 @@ from functools import reduce
 import numpy as np
 from scipy import sparse
 
-from .pomdp.model import check_stochastic, row_block
+from .pomdp.model import STOCH_TOL, check_stochastic, row_block
 
-ROW_SUM_TOL = 1e-10
 # largest joint state space that is compiled into a kernel
 MAX_STATES = 20000
 
@@ -111,11 +110,11 @@ class LevelModel:
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "obs_confusion", c)
         # "not err <= tol" so that a NaN fails the check
-        if not abs(p.sum() - 1.0) <= ROW_SUM_TOL or (p < 0).any():
+        if not abs(p.sum() - 1.0) <= STOCH_TOL or (p < 0).any():
             raise ValueError("level pmf must be a distribution")
         if c.shape != (p.size, p.size):
             raise ValueError("confusion matrix shape mismatch")
-        if (not np.abs(c.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL
+        if (not np.abs(c.sum(axis=1) - 1.0).max() <= STOCH_TOL
                 or (c < 0).any()):
             raise ValueError("confusion rows must be distributions")
 

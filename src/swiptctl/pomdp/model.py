@@ -15,11 +15,17 @@ def _as_csr(m) -> sparse.csr_matrix:
     return m.tocsr() if sparse.issparse(m) else sparse.csr_matrix(np.asarray(m, dtype=float))
 
 
-def check_stochastic(m, rows=slice(None)) -> None:
-    """Refuse ``m`` unless each of its ``rows`` sums to 1 (NaN fails too)."""
+def check_stochastic(m, rows=slice(None)):
+    """``m``, refused unless each of its ``rows`` sums to 1 (NaN fails too)."""
     err = np.abs(np.asarray(m.sum(axis=1))[rows] - 1.0).max(initial=0.0)
     if not err <= STOCH_TOL:
         raise ValueError(f"not stochastic: row sums off by {err:.2e}")
+    return m
+
+
+def emitted(observations) -> np.ndarray:
+    """Mask of the observations some Z in ``observations`` can emit."""
+    return sum(z.getnnz(axis=0) for z in observations) > 0
 
 
 def row_entries(m: sparse.csr_matrix, rows: np.ndarray):
@@ -66,7 +72,7 @@ class PomdpModel:
     action a, row-stochastic over next states. ``observations[a]`` maps
     next state s' to Pr(O | S', A). Costs are finite; the solver works on
     reward = -cost. ``posteriors``, if given, makes the model closed: row
-    o is the belief after o (one that Z emits) from every belief and action."""
+    o, for each o that Z emits (``emitted``), is the belief after o."""
 
     transitions: list
     observations: list
@@ -112,12 +118,11 @@ class PomdpModel:
                     (z, np.repeat(np.arange(n), np.diff(z.indptr))))
         self.obs_group = np.array([group[id(z)] for z in self.observations])
         self.obs_rows = [self.obs_distinct[k][1] for k in self.obs_group]
-        if self.posteriors is not None:
-            post = self.posteriors = _as_csr(self.posteriors)
-            if post.shape != (self.n_obs, n) or not np.isfinite(post.sum()):
-                raise ValueError("posteriors: need a finite (n_obs, n) table")
-            check_stochastic(post, sum(z.getnnz(axis=0) for z, _rows
-                                       in self.obs_distinct) > 0)
+        if self.posteriors is not None:     # its rows are checked where built
+            self.posteriors = _as_csr(self.posteriors)
+            if self.posteriors.shape != (self.n_obs, n):
+                raise ValueError("posteriors: need an (n_obs, n_states) table")
+            self.emitted = emitted(z for z, _rows in self.obs_distinct)
 
     @property
     def n_states(self) -> int:

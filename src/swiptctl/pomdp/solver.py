@@ -264,7 +264,7 @@ def _closed_sweep(model: PomdpModel, q: np.ndarray, last: np.ndarray):
     (Hq)(., a) = r_a + gamma T_a Z_a max_b (B q)(., b), one choice per o."""
     bq = np.asarray(model.posteriors @ q)
     best, m = bq.argmax(axis=1), bq.max(axis=1)
-    keep = m <= bq[np.arange(m.size), last] + SWITCH_GAIN
+    keep = ~model.emitted | (m <= bq[np.arange(m.size), last] + SWITCH_GAIN)
     zm = np.array([z @ m for z, _rows in model.obs_distinct])
     hq = model.reward + model.discount * model.after(zm).T
     return hq, np.where(keep, last, best), not keep.all()

@@ -28,6 +28,7 @@ from .channel import downlink_sinr, draw_channel, uplink_sinr  # noqa: F401
 from .dynamics import (ActionTable, LevelModel, StateSpace, TransitionKernel,
                        arrival_pmf, build_kernel, build_observation_matrix,
                        check_state_budget, level_map_matrix)
+from .pomdp.model import check_stochastic, emitted
 
 
 class ConfigError(ValueError):
@@ -367,16 +368,18 @@ class CompiledScenario:
     @cached_property
     def obs_matrix(self):
         """Pr(O | S'), CSR, action-independent."""
-        return build_observation_matrix(self.space, self.level)
+        return check_stochastic(build_observation_matrix(self.space,
+                                                         self.level))
 
     @cached_property
     def obs_posteriors(self):
         """CSR; row o is the belief after observation o under the stationary
         level prior: queue and energy are read exactly, each user's level
         via Bayes through the confusion matrix (``I_(q,e) ⊗ posterior``)."""
-        post = [w / w.sum() for w in self.level.probs
-                * self.level.obs_confusion.T]
-        return level_map_matrix(self.space, np.array(post), "csr")
+        post = [w / s if (s := w.sum()) > 0 else w      # 0: never observed
+                for w in self.level.probs * self.level.obs_confusion.T]
+        post = level_map_matrix(self.space, np.array(post), "csr")
+        return check_stochastic(post, emitted([self.obs_matrix]))
 
     @property
     def n_actions(self) -> int:

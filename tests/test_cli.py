@@ -202,6 +202,21 @@ def test_empty_channel_level_bin_exits_2(tmp_path, capsys, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sparse.json"]
 
 
+def test_never_observed_level_solves(tmp_path, capsys):
+    # these 6 calibration gains fill every true level bin but leave
+    # estimated level 2 empty: its confusion column is 0, and Z never
+    # emits its observations
+    cfg = desk_scenario(k=1, q_max=1, e_max=1, calib_draws=6, n_levels=5)
+    assert not compile_scenario(cfg).level.obs_confusion[:, 2].any()
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg.to_json())
+    assert run("validate", "--config", str(path)) == 0
+    for kind in ("d-opt", "j-opt"):
+        assert run("solve", "--config", str(path), "--kind", kind,
+                   "--out", str(tmp_path / f"{kind}.json")) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_missing_config_exits_2(tmp_path):
     assert run("validate", "--config", str(tmp_path / "nope.json")) == 2
 

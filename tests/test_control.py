@@ -15,13 +15,13 @@ from swiptctl.control import (ConstraintSpec, HashMismatchError, Policy,
                               build_cost_table, greedy_policy, layer_model,
                               solve_inner_beamforming, solve_outer_selection,
                               uniform_initial_belief)
-from swiptctl.dynamics import ActionTable, build_kernel
+from swiptctl.dynamics import ActionTable, LevelModel, build_kernel
 from swiptctl.harness import (J_POWER_WEIGHT, SWEEP_HSVI_KW,
                               baseline_cost_table, baseline_policy,
                               default_constraints)
 from swiptctl.pomdp import (HsviResult, PomdpModel, initial_bounds, solve_hsvi,
                             solver)
-from swiptctl.pomdp.model import policy_rows
+from swiptctl.pomdp.model import emitted, policy_rows
 from swiptctl.scenario import compile_scenario, desk_scenario
 
 
@@ -703,3 +703,36 @@ def test_closed_form_fib_is_exact_on_the_weight_models(bench_solves,
         assert root == pytest.approx(optimum, rel=0, abs=1e-6)
         assert upper == pytest.approx(root, rel=1e-9, abs=0)
     assert any(moved for rounds in sweeps for moved in rounds)
+
+
+def test_closed_form_fib_with_a_level_never_observed(bench_solves,
+                                                     monkeypatch):
+    # a small calibration can leave an estimated level without a gain: its
+    # confusion column is 0, Z never emits its observations, and their
+    # posterior rows are 0, not 0/0. The layer model builds, its closed
+    # form FIB (which switches a choice here) is the per-entry one, and
+    # HSVI solves it.
+    jopt = bench_solves["solve-jopt"][0]
+    conf = np.array([[1.0, 0.0], [1.0, 0.0]])
+    compiled = replace(jopt, level=LevelModel(jopt.level.probs, conf))
+    live = emitted([compiled.obs_matrix])
+    assert 0 < live.sum() < live.size
+    np.testing.assert_allclose(compiled.obs_posteriors.sum(axis=1).A1, live,
+                               rtol=0, atol=1e-12)
+    cost = build_cost_table(compiled, default_constraints(compiled.config),
+                            32)
+    model = layer_model(compiled, constant_layer(compiled), cost)
+    b0 = uniform_initial_belief(compiled)
+    moves = []
+    sweep = solver._closed_sweep
+
+    def counting(*args):
+        out = sweep(*args)
+        moves.append(out[2])
+        return out
+
+    monkeypatch.setattr(solver, "_closed_sweep", counting)
+    assert_fib_forms_agree(model, b0)
+    assert any(moves)
+    res = solve_hsvi(model, b0, eps=5.0)
+    assert res.converged and np.isfinite(res.bounds.upper.value(b0))

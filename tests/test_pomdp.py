@@ -24,7 +24,7 @@ from swiptctl.pomdp import (AlphaVector, BoundPair, LowerBound, PomdpModel,
                             UpperBound, backup, excess_uncertainty,
                             initial_bounds, q_values, solve_hsvi)
 from swiptctl.pomdp import solver
-from swiptctl.pomdp.model import policy_rows
+from swiptctl.pomdp.model import check_stochastic, emitted, policy_rows
 from swiptctl.scenario import compile_scenario, desk_scenario
 
 
@@ -151,20 +151,35 @@ class TestModel:
 
     def test_posterior_table_check(self):
         # both states are read exactly, so the model is closed; Z never
-        # emits observation 2, so its row is never read and need not sum
-        # to 1, but it must be finite
-        kw = dict(transitions=[np.full((2, 2), 0.5)],
-                  observations=[np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])],
+        # emits observation 2, so its row is never read and may hold
+        # anything, NaN included. The model checks the table's shape; the
+        # row check, run where a table is built, covers the emitted rows.
+        z = sparse.csr_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        kw = dict(transitions=[np.full((2, 2), 0.5)], observations=[z],
                   cost=np.zeros((2, 1)), discount=0.9)
-        good = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.25]])
-        assert isinstance(PomdpModel(**kw, posteriors=good).posteriors,
-                          sparse.csr_matrix)
+        good = np.array([[1.0, 0.0], [0.0, 1.0], [np.nan, 0.25]])
+        m = PomdpModel(**kw, posteriors=good)
+        assert isinstance(m.posteriors, sparse.csr_matrix)
+        np.testing.assert_array_equal(m.emitted, [True, True, False])
+        for post in (good[:2], good.T):
+            with pytest.raises(ValueError, match="posteriors"):
+                PomdpModel(**kw, posteriors=post)
+        live = emitted([z])
+        np.testing.assert_array_equal(live, m.emitted)
+        assert check_stochastic(good, live) is good
         off, nan, inf = good.copy(), good.copy(), good.copy()
         off[0, 1] = 1e-9                    # 1e-9 above a stochastic row
-        nan[2, 1], inf[2, 0] = np.nan, np.inf
-        for post in (good[:2], good.T, off, nan, inf):
-            with pytest.raises(ValueError):
-                PomdpModel(**kw, posteriors=post)
+        nan[1, 0], inf[0, 0] = np.nan, np.inf
+        for post in (off, nan, inf):
+            with pytest.raises(ValueError, match="stochastic"):
+                check_stochastic(post, live)
+        # the closed sweep reads no row that Z never emits: the NaN row
+        # switches no choice, and FIB is the per-entry one
+        _hq, c, moved = solver._closed_sweep(m, np.zeros((2, 1)),
+                                             np.zeros(3, dtype=int))
+        assert not moved and not c.any()
+        np.testing.assert_allclose(fib_seed(m), fib_seed(PomdpModel(**kw)),
+                                   rtol=0, atol=1e-12)
 
     def test_reward_is_negated_cost(self):
         m = tiger_model()
