@@ -77,10 +77,10 @@ def cmd_validate(args) -> int:
     cfg = _load_config(args.config)
     compiled = compile_scenario(cfg)
     # each is built on first read, and each build checks its rows
-    n_actions = len(compiled.kernel.matrices)
+    compiled.kernel
     compiled.obs_posteriors     # and the observation matrix it reads
     print(f"ok {compiled.scenario_hash}: {compiled.space.size} states, "
-          f"{n_actions} actions")
+          f"{compiled.n_actions} actions")
     return EXIT_OK
 
 
@@ -216,7 +216,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         for path in filter(None, map(vars(args).get, ("out", "log"))):
-            if not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK):
+            if (os.path.isdir(path) or not os.access(
+                    os.path.dirname(os.path.abspath(path)), os.W_OK)):
                 raise ConfigError(f"cannot write {path}")
         return args.func(args)
     except (ConfigError, HashMismatchError, ValueError) as exc:

@@ -9,8 +9,8 @@ antenna mask frozen, then mask selection with the power policy frozen.
 Users are independent given the action, so the tables are built per user:
 the cost table spreads per-user terms over the joint states, the greedy
 policy scores the Kronecker-factored observation posteriors in one matrix
-product, and a layer reads its rows of the kernel's stacked matrix in place
-or with one gather, with no loop over joint states.
+product, and a layer model applies the kernel's per-user factors, with no
+loop over joint states and no joint transition matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import user_action_table
 from .pomdp import PomdpModel, solve_hsvi
-from .pomdp.model import policy_rows
+from .pomdp.model import KroneckerTransitions
 from .scenario import CompiledScenario
 
 
@@ -151,14 +151,15 @@ def uniform_initial_belief(compiled: CompiledScenario) -> np.ndarray:
 def layer_model(compiled: CompiledScenario, chosen: np.ndarray,
                 cost_table: np.ndarray) -> PomdpModel:
     """The model whose action i plays joint action ``chosen[i, s]`` at
-    state s, its costs gathered state by state and its transitions taken
-    from the kernel's stacked matrix: one row gather, or, when ``chosen``
-    is a run of consecutive actions each played everywhere (a power
-    layer: the action table is mask-major), a view of their blocks."""
+    state s, its costs gathered state by state and its transitions the
+    kernel's factors with ``chosen`` (:class:`KroneckerTransitions`); a
+    power layer, a run of actions each played everywhere (the action table
+    is mask-major), shares the kernel's factor array."""
     states = np.arange(compiled.space.size)
     kernel = compiled.kernel
     return PomdpModel(
-        transitions=policy_rows(kernel.stacked, kernel.blocks[chosen]),
+        transitions=KroneckerTransitions(kernel.factors, kernel.levels,
+                                         chosen),
         observations=[compiled.obs_matrix] * len(chosen),
         cost=cost_table[states[:, None], chosen.T],
         discount=compiled.config.discount,

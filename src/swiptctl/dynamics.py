@@ -4,9 +4,11 @@ The per-slot recursions are exact integer maps. Users evolve independently
 given the joint action, with levels drawn i.i.d. each slot (block fading), so
 each user's slot under each action is tabulated once over one user's
 (queue, energy, level) triples (:func:`user_action_table`, the one place the
-energy-causality fallback is applied). The joint kernel and the observation
-matrix are Kronecker products of per-user matrices; the joint state space is
-never enumerated.
+energy-causality fallback is applied). The kernel is kept as those per-user
+factors, (q, e) part and level pmf apart (:class:`TransitionKernel`); the
+solver applies their Kronecker product by mode products, and no joint
+transition matrix is built. The observation matrix is the Kronecker product
+of per-user matrices; the joint state space is never enumerated.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from functools import reduce
 import numpy as np
 from scipy import sparse
 
-from .pomdp.model import STOCH_TOL, check_stochastic, row_block
+from .pomdp.model import STOCH_TOL, check_stochastic
 
-# largest joint state space that is compiled into a kernel
+# largest joint state space that is compiled: the cost table, the beliefs,
+# the observation matrix and p-opt hold joint-size arrays (the kernel holds
+# only per-user factors)
 MAX_STATES = 20000
 
 
@@ -187,29 +191,30 @@ def user_action_table(space: StateSpace,
 
 @dataclass
 class TransitionKernel:
-    """Row-stochastic controlled kernel: (n, n) blocks stacked row-wise in
-    one CSR matrix, (n_blocks * n, n); action a is block ``blocks[a]``.
-    Given no blocks, action a is block a and the rows are checked; given
-    blocks, they are a checked kernel's."""
+    """Controlled kernel in Kronecker form, no joint matrix built: under
+    action a, user u moves from its own state (q, e, l) to (q', e') with
+    probability ``factors[u, a]`` ((per_user, n_qe), rows stochastic), and
+    its next level is drawn from ``levels``, independently of the other
+    users, so T_a = ⊗_u (factors[u, a] ⊗ levels) over the ``StateSpace``
+    order. A Kronecker product of stochastic rows is stochastic, so the
+    check made here, factor rows at ``STOCH_TOL``, no negative entry and
+    the levels a distribution, is the joint one."""
 
-    stacked: sparse.csr_matrix
-    blocks: np.ndarray = None
+    factors: np.ndarray
+    levels: np.ndarray
 
     def __post_init__(self):
-        if self.blocks is not None:
-            return
-        n_rows, n = self.stacked.shape
-        self.blocks = np.arange(n_rows // n)
-        check_stochastic(self.stacked)
-        if (self.stacked.data < 0).any():
+        check_stochastic(self.factors)
+        check_stochastic(self.levels[None])
+        if (self.factors < 0).any() or (self.levels < 0).any():
             raise ValueError("negative transition probability")
 
     @property
     def matrices(self) -> list:
-        """Each action's CSR matrix, a view of its block's rows."""
-        n = self.stacked.shape[1]
-        return [row_block(self.stacked, b * n, (b + 1) * n)
-                for b in self.blocks]
+        """Each stored factor as a CSR matrix, action by action, user by
+        user."""
+        return [sparse.csr_matrix(f) for f in self.factors.swapaxes(0, 1)
+                .reshape(-1, *self.factors.shape[2:])]
 
 
 def check_state_budget(space: StateSpace) -> None:
@@ -228,53 +233,29 @@ def _kron_users(factors, fmt: str):
 
 def build_kernel(space: StateSpace, pmf: np.ndarray, level: LevelModel,
                  actions: ActionTable) -> TransitionKernel:
-    """Controlled kernel, per action the Kronecker product ``T_a^(1) ⊗ ...
-    ⊗ T_a^(k)`` of per-user kernels, each written into one preallocated
-    stacked CSR matrix once built (it stores every product of its factors'
-    entries, so its size is known before).
-
-    User u moves from (q, e, l) to (min(q_post + arrivals, q_max), e_next,
-    l') with probability Pr(q') p(l'), read from :func:`user_action_table`;
-    only reachable q' and levels with p(l') > 0 are stored. Bit-identical
-    (CSR arrays) to multiplying the per-user probabilities of every joint
-    transition in user order. ``pmf`` is the arrival pmf over {0, ...,
-    cap}, as :func:`arrival_pmf` returns it."""
+    """Controlled kernel from each user's (q, e) factor under each action:
+    user u moves from (q, e, l) to (min(q_post + arrivals, q_max), e_next)
+    with the arrivals' probability, read from :func:`user_action_table`,
+    and to level l' with p(l'). One ``bincount`` adds each factor entry's
+    arrival probabilities in arrival order from 0.0, so the materialized
+    product is bit-identical to multiplying the per-user probabilities of
+    every joint transition in user order. ``pmf`` is the arrival pmf over
+    {0, ..., cap}, as :func:`arrival_pmf` returns it."""
     check_state_budget(space)
     table = user_action_table(space, actions)
     n_qe = (space.q_max + 1) * (space.e_max + 1)
     q_next = np.minimum(table.q_post[..., None] + np.arange(pmf.size),
                         space.q_max)
-    # (state, next (q, e)) bin per user, state, action and arrival count;
-    # raveled row-major over (state, arrival), so that bincount adds each
-    # bin's probabilities in arrival order from 0.0
-    bins = (np.arange(space.per_user)[:, None, None] * n_qe
-            + q_next * (space.e_max + 1) + table.e_next[..., None])
-    weights = np.tile(pmf, space.per_user)
-    levels = sparse.coo_matrix(level.probs[None, :])   # p(l') = 0 dropped
-
-    def factor(u, a):
-        hit = np.flatnonzero(np.bincount(bins[u, :, a].ravel()))
-        p_q = np.bincount(bins[u, :, a].ravel(), weights)[hit]
-        return sparse.kron(sparse.coo_matrix((p_q, divmod(hit, n_qe)),
-                                             shape=(space.per_user, n_qe)),
-                           levels, format="coo")
-
-    factors = [[factor(u, a) for u in range(space.n_users)]
-               for a in range(len(actions))]
-    sizes = [math.prod(f.nnz for f in fs) for fs in factors]
-    ends, n, n_a = np.cumsum(sizes), space.size, len(actions)
-    # the int32 ids of a per-action CSR matrix, while the stacked ids fit
-    idx = np.int32 if max(ends[-1], n * n_a) < 2 ** 31 else np.int64
-    data, indices = np.empty(ends[-1]), np.empty(ends[-1], dtype=idx)
-    indptr = np.zeros(n * n_a + 1, dtype=idx)
-    for a, fs in enumerate(factors):
-        block = _kron_users(fs, "csr")
-        lo, hi = ends[a] - sizes[a], ends[a]
-        data[lo:hi], indices[lo:hi] = block.data, block.indices
-        indptr[a * n + 1:(a + 1) * n + 1] = block.indptr[1:] + lo
-        del block           # free it before the next one is built
-    return TransitionKernel(sparse.csr_matrix((data, indices, indptr),
-                                              shape=(n * n_a, n)))
+    # (user, action, state) row of each next (q, e) per arrival count,
+    # raveled row-major over the arrivals
+    rows = np.arange(space.n_users * len(actions) * space.per_user).reshape(
+        space.n_users, len(actions), space.per_user, 1)
+    bins = rows * n_qe + (q_next * (space.e_max + 1)
+                          + table.e_next[..., None]).swapaxes(1, 2)
+    factors = np.bincount(bins.ravel(), np.tile(pmf, rows.size),
+                          minlength=rows.size * n_qe)
+    return TransitionKernel(factors.reshape(*rows.shape[:3], n_qe),
+                            level.probs)
 
 
 def level_map_matrix(space: StateSpace, block, fmt: str):

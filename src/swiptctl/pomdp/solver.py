@@ -11,6 +11,7 @@ so identical inputs yield identical iteration logs.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import deque
@@ -21,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .bounds import AlphaVector, BoundPair, LowerBound, UpperBound
-from .model import PomdpModel, check_belief, policy_rows, row_entries
+from .model import PomdpModel, check_belief, row_entries
 
 
 # bicgstab stops at this residual, relative to the right-hand side; the
@@ -108,9 +109,10 @@ def _blind_alphas(model: PomdpModel) -> list:
     g = model.discount
     out = []
     for a in range(model.n_actions):
-        r_a, t_a = model.reward[:, a], model.transitions[a]
-        v = _evaluate(t_a.dot, r_a, g, r_a / (1.0 - g))
-        res = np.abs(r_a + g * t_a.dot(v) - v).max()
+        r_a = model.reward[:, a]
+        step = functools.partial(model.apply, a)
+        v = _evaluate(step, r_a, g, r_a / (1.0 - g))
+        res = np.abs(r_a + g * step(v) - v).max()
         out.append(AlphaVector(values=v - res / (1.0 - g), action=a))
     return out
 
@@ -120,16 +122,18 @@ def _mdp_corners(model: PomdpModel, blind: list):
     POMDP, by policy iteration from the best blind action per state. The
     result is V + ||BV - V||_inf / (1 - gamma), B the Bellman operator: a
     certified upper bound on the MDP value, however inexact V is. Also
-    returns the (n_states, n_actions) Q-table of the final evaluation."""
+    returns the (n_states, n_actions) Q-table of the final evaluation.
+    Each policy matvec applies every action and keeps row pi[s] at state
+    s."""
     g, r = model.discount, model.reward
     states = np.arange(model.n_states)
     blind_vals = np.array([alpha.values for alpha in blind])
     pi = blind_vals.argmax(axis=0)
     v = blind_vals[pi, states]
     for _ in range(MAX_POLICY_ROUNDS):
-        v = _evaluate(policy_rows(model.stacked, pi).dot, r[states, pi], g,
-                      v)
-        q = r + g * model.stacked.dot(v).reshape(model.n_actions, -1).T
+        v = _evaluate(lambda x: model.after(x)[pi, states], r[states, pi],
+                      g, v)
+        q = r + g * model.after(v).T
         best = q.argmax(axis=1)
         switch = q[states, best] > q[states, pi] + SWITCH_GAIN
         if not switch.any():
@@ -161,8 +165,8 @@ def _policy_alphas(model: PomdpModel, pi: np.ndarray,
     (n_states, n_actions) table ``guess``. The stacked operator is
     row-stochastic, so the shift of :func:`_blind_alphas` certifies the
     result, and every pi gives alphas below the POMDP value. D_ab and its
-    sum against the values are formed once per distinct Z_a; one product
-    of the stacked kernel with those sums serves every action."""
+    sum against the values are formed once per distinct Z_a; one
+    ``model.after`` of those sums serves every action."""
     g, n, n_a = model.discount, model.n_states, model.n_actions
     # d[k] is (n_actions, n_states) for the k-th distinct Z: row b holds D_b
     d = np.array([np.bincount(pi[z.indices] * n + rows, weights=z.data,
@@ -180,8 +184,8 @@ def _policy_alphas(model: PomdpModel, pi: np.ndarray,
 
 
 def _fib_sweep(model: PomdpModel, q: np.ndarray, prev):
-    """One sweep of the fast informed bound (FIB) operator H from the
-    (n_states, n_actions) table q:
+    """One sweep of the fast informed bound (FIB) operator H, on a model of
+    explicit matrices, from the (n_states, n_actions) table q:
     (Hq)(s, a) = r(s, a) + gamma sum_o max_b sum_s' T_a(s, s') Z_a(s', o)
     q(s', b).
 
@@ -403,7 +407,7 @@ def backup(b: np.ndarray, bounds: BoundPair, model: PomdpModel,
         terms = z.data * alpha_mat[pick[z.indices], model.obs_rows[a]]
         g = np.bincount(model.obs_rows[a], weights=terms,
                         minlength=model.n_states)
-        vec = model.reward[:, a] + model.discount * model.transitions[a].dot(g)
+        vec = model.reward[:, a] + model.discount * model.apply(a, g)
         val = float(vec @ b)
         if val > best_val + 1e-15:
             best_val, best_vec, best_a = val, vec, a

@@ -3,8 +3,9 @@
 A scenario couples the physical link parameters (array sizes, bandwidth,
 powers, splitting ratio) with the slotted bookkeeping (queues, energy units,
 arrivals). Compilation runs a seeded Monte Carlo calibration of the link
-layer to produce per-level service/harvest tables; the factorized transition
-kernel and the observation matrix are built from them on first use.
+layer to produce per-level service/harvest tables; the per-user factors of
+the transition kernel and the observation matrix are built from them on first
+use.
 
 Full-array dimensions are used for the link statistics; the solver-facing
 state space is kept at desk scale (small queue/energy/level counts).
@@ -28,7 +29,7 @@ from .channel import downlink_sinr, draw_channel, uplink_sinr  # noqa: F401
 from .dynamics import (ActionTable, LevelModel, StateSpace, TransitionKernel,
                        arrival_pmf, build_kernel, build_observation_matrix,
                        check_state_budget, level_map_matrix)
-from .pomdp.model import check_stochastic, emitted
+from .pomdp.model import check_stochastic, emitted, take_actions
 
 
 class ConfigError(ValueError):
@@ -418,9 +419,10 @@ def restrict(compiled: CompiledScenario,
     from the channel draws alone, so the view equals ``compile_scenario(cfg)``
     field for field: it shares ``level`` and keeps the action table's kept
     rows, mask-major, with the masks renumbered from 0. The observation
-    matrix, its posteriors and the stacked kernel that ``compiled`` has
-    already built are shared, not built again; what it has not built, the
-    view builds on first read."""
+    matrix and its posteriors that ``compiled`` has already built are
+    shared, and its kernel's kept factors are taken (a view when the kept
+    actions run on), not built again; what it has not built, the view
+    builds on first read."""
     wide = compiled.config
     if cfg == wide:
         return compiled
@@ -444,8 +446,9 @@ def restrict(compiled: CompiledScenario,
         if name in built:
             vars(view)[name] = built[name]
     if "kernel" in built:
-        vars(view)["kernel"] = TransitionKernel(built["kernel"].stacked,
-                                                built["kernel"].blocks[keep])
+        kernel = built["kernel"]
+        vars(view)["kernel"] = TransitionKernel(
+            take_actions(kernel.factors, keep), kernel.levels)
     return view
 
 

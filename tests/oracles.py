@@ -5,9 +5,11 @@ routine: the scalar slot recursions and one user's next-state pmf, the
 per-action degraded effect, the per-action kernel matrices, the per-slot
 rollout and its per-episode reduction, the per-draw link calibration, the
 value-iteration HSVI bounds, the per-action seed solves (row gather,
-Q-table, observation policy and policy alphas) and the sparse-matrix
-belief expansion and backup. Tests compare the production arrays with
-these, using exact equality where the arithmetic is the same.
+Q-table, observation policy and policy alphas), the sparse-matrix belief
+expansion and backup, and the joint CSR matrices of a Kronecker-factored
+kernel (:func:`kernel_matrices`, :func:`explicit_model`). Tests compare
+the production arrays with these, using exact equality where the
+arithmetic is the same.
 
 Helpers that only tests call live here too: the scalar joint-state index
 (``encode``, ``decode``, ``states``), the ZF equalizers and the power
@@ -581,14 +583,14 @@ def reference_initial_bounds(model, tol=1e-9, max_iter=100000):
     for a in range(model.n_actions):
         v = np.full(model.n_states, r[:, a].min() / (1.0 - g))
         for _ in range(max_iter):
-            v_new = r[:, a] + g * model.transitions[a].dot(v)
+            v_new = r[:, a] + g * model.apply(a, v)
             if np.abs(v_new - v).max() < tol * (1.0 - g):
                 break
             v = v_new
         blind.append(AlphaVector(values=v, action=a))
     v = np.zeros(model.n_states)
     for _ in range(max_iter):
-        v_new = np.column_stack([r[:, a] + g * model.transitions[a].dot(v)
+        v_new = np.column_stack([r[:, a] + g * model.apply(a, v)
                                  for a in range(model.n_actions)]).max(axis=1)
         if np.abs(v_new - v).max() < tol * (1.0 - g):
             v = v_new
@@ -621,11 +623,46 @@ def reference_kernel_matrices(space, pmf, level, actions) -> list:
             for a in range(len(actions))]
 
 
+def kernel_matrices(kernel) -> list:
+    """Each action's joint CSR matrix, materialized from ``kernel``'s
+    per-user factors: the Kronecker product over users of ``factors[u, a]
+    ⊗ levels``, entries multiplied left to right, zeros dropped. This is
+    the build that ``dynamics.build_kernel`` ran before it kept the
+    factors, bit for bit."""
+    levels = sparse.coo_matrix(kernel.levels[None, :])
+    n_users, n_actions = kernel.factors.shape[:2]
+    return [_kron_users([sparse.kron(sparse.coo_matrix(kernel.factors[u, a]),
+                                     levels, format="coo")
+                         for u in range(n_users)], "csr")
+            for a in range(n_actions)]
+
+
+def layer_matrices(transitions) -> list:
+    """The CSR matrices of a ``KroneckerTransitions`` layer: row s of
+    layer action i is row s of the materialized kernel action
+    ``chosen[i, s]``."""
+    mats = kernel_matrices(transitions)
+    if transitions.chosen is None:
+        return mats
+    stacked = sparse.vstack(mats, format="csr")
+    return [stacked[c * transitions.n_states + transitions.states]
+            for c in transitions.chosen]
+
+
+def explicit_model(model):
+    """``model`` with explicit CSR transition matrices, the materialized
+    :func:`layer_matrices` of a Kronecker model; an explicit model as it
+    is."""
+    if not model.factored:
+        return model
+    return PomdpModel(layer_matrices(model.transitions), model.observations,
+                      model.cost, model.discount, model.posteriors)
+
+
 def reference_policy_rows(transitions: list, pi: np.ndarray):
-    """The CSR matrix whose row s is row s of ``transitions[pi[s]]``, by
-    the per-action gather that ``policy_rows`` replaced: each used
-    action's rows, stacked, then put back in state order; for a constant
-    ``pi``, that action's matrix itself."""
+    """The CSR matrix whose row s is row s of ``transitions[pi[s]]``, by a
+    per-action gather: each used action's rows, stacked, then put back in
+    state order; for a constant ``pi``, that action's matrix itself."""
     used = np.unique(pi)
     if used.size == 1:
         return transitions[used[0]]
@@ -636,18 +673,23 @@ def reference_policy_rows(transitions: list, pi: np.ndarray):
 
 
 def reference_mdp_corners(model, blind: list):
-    """``solver._mdp_corners`` one action at a time: the policy's rows by
-    :func:`reference_policy_rows` and the Q-table by one product per
-    action's matrix."""
+    """``solver._mdp_corners`` one action at a time: the policy matvec is
+    the rows of :func:`reference_policy_rows` on explicit matrices, and
+    keeps row pi[s] of one ``model.apply`` per action on Kronecker ones;
+    the Q-table takes one product per action."""
     g, r = model.discount, model.reward
     states = np.arange(model.n_states)
     blind_vals = np.array([alpha.values for alpha in blind])
     pi = blind_vals.argmax(axis=0)
     v = blind_vals[pi, states]
     for _ in range(solver.MAX_POLICY_ROUNDS):
-        v = solver._evaluate(reference_policy_rows(model.transitions, pi).dot,
-                             r[states, pi], g, v)
-        q = r + g * np.column_stack([t.dot(v) for t in model.transitions])
+        step = (reference_policy_rows(model.transitions, pi).dot
+                if not model.factored else
+                lambda x, pi=pi: np.array([model.apply(a, x) for a in range(
+                    model.n_actions)])[pi, states])
+        v = solver._evaluate(step, r[states, pi], g, v)
+        q = r + g * np.column_stack([model.apply(a, v)
+                                     for a in range(model.n_actions)])
         best = q.argmax(axis=1)
         switch = q[states, best] > q[states, pi] + solver.SWITCH_GAIN
         if not switch.any():
@@ -673,8 +715,8 @@ def reference_policy_alphas(model, pi: np.ndarray, guess: np.ndarray):
 
     def step(x):
         x = x.reshape(n_a, n)
-        return np.concatenate([t.dot((d_a * x).sum(axis=0))
-                               for t, d_a in zip(model.transitions, d)])
+        return np.concatenate([model.apply(a, (d_a * x).sum(axis=0))
+                               for a, d_a in enumerate(d)])
 
     r = model.reward.T.ravel()
     v = solver._evaluate(step, r, g, guess.T.ravel())
@@ -685,7 +727,7 @@ def reference_policy_alphas(model, pi: np.ndarray, guess: np.ndarray):
 def dense_policy_value(model, policy):
     """Exact value of the fully-observed stationary policy that takes
     action ``policy[s]`` in state s: one dense ``numpy.linalg.solve``."""
-    policy = np.asarray(policy)
+    model, policy = explicit_model(model), np.asarray(policy)
     p = sum(sparse.diags((policy == a).astype(float)) @ t
             for a, t in enumerate(model.transitions))
     return np.linalg.solve(
@@ -696,6 +738,7 @@ def dense_policy_value(model, policy):
 def dense_mdp_value(model):
     """Exact fully-observed MDP value by policy iteration on dense
     evaluations (reward orientation)."""
+    model = explicit_model(model)
     g, r = model.discount, model.reward
     states = np.arange(model.n_states)
     pi = np.zeros(model.n_states, dtype=int)
@@ -736,8 +779,9 @@ def observation_prob(o: int, a: int, b: np.ndarray, model: PomdpModel) -> float:
 
 
 def reference_propagate(model, b, a):
-    """Predictive next-state distribution by scipy's matvec with T.T."""
-    return model.transitions[a].T.dot(b)
+    """Predictive next-state distribution by scipy's matvec with T.T, on
+    the explicit matrices of :func:`explicit_model`."""
+    return explicit_model(model).transitions[a].T.dot(b)
 
 
 def reference_successor_posts(model, a, tau):
@@ -766,7 +810,7 @@ def reference_backup(b, bounds, model, expansion):
         terms = z.data * alpha_mat[pick[z.indices], model.obs_rows[a]]
         g = sparse.csr_matrix((terms, z.indices, z.indptr),
                               shape=z.shape) @ ones
-        vec = model.reward[:, a] + model.discount * model.transitions[a].dot(g)
+        vec = model.reward[:, a] + model.discount * model.apply(a, g)
         val = float(vec @ b)
         if val > best_val + 1e-15:
             best_val, best_vec, best_a = val, vec, a
@@ -780,8 +824,8 @@ def pair_policy_alphas(model, pi):
     T_pi(o)(s, s') Z_pi(o)(s', o'). Only the pairs that some action emits
     are kept; one direct sparse solve gives the pairs' values W, and
     alpha_a = r_a + gamma T_a (Z_a * W summed over o')."""
+    model, pi = explicit_model(model), np.asarray(pi)
     n, g = model.n_states, model.discount
-    pi = np.asarray(pi)
     s_of, o_of = sum(z for z in model.observations).nonzero()
     # (n_states, n_pairs) matrices: Z_a(s', o') at pair (s', o')
     emit = [sparse.csr_matrix((np.asarray(z[s_of, o_of]).ravel(),
@@ -816,6 +860,7 @@ def dense_fib_sweep(model, q):
     """The fast informed bound operator on dense arrays:
     (Hq)(s, a) = r(s, a) + gamma sum_o max_b sum_s' T_a(s, s') Z_a(s', o)
     q(s', b)."""
+    model = explicit_model(model)
     out = np.empty_like(q)
     for a, (t, z) in enumerate(zip(model.transitions, model.observations)):
         paths = np.einsum("sp,po,pb->sob", t.toarray(), z.toarray(), q)
@@ -830,6 +875,7 @@ def dense_fib_q(model, tol=1e-14):
     above Q*; iteration stops at a step below ``tol`` times the largest
     value, and the last iterate q then satisfies
     q - gamma / (1 - gamma) * step <= Q* <= q. Returns (q, that margin)."""
+    model = explicit_model(model)
     g = model.discount
     v = dense_mdp_value(model)
     q = model.reward + g * np.column_stack([t.dot(v)
@@ -964,7 +1010,8 @@ def exact_value_iteration(model: PomdpModel, horizon: int,
         raise OracleScaleError(f"|S|={model.n_states} exceeds oracle cap {MAX_STATES}")
     if horizon > MAX_HORIZON:
         raise OracleScaleError(f"horizon {horizon} exceeds oracle cap {MAX_HORIZON}")
-    t_dense = [np.asarray(t.todense()) for t in model.transitions]
+    t_dense = [np.asarray(t.todense())
+               for t in explicit_model(model).transitions]
     z_dense = [np.asarray(z.todense()) for z in model.observations]
     r = model.reward
     n, n_a, n_o = model.n_states, model.n_actions, model.n_obs
@@ -1009,7 +1056,7 @@ class ObservationMdp:
     pays P r_a; its values are those of the POMDP at the rows of P."""
 
     def __init__(self, compiled, model, tol=1e-12):
-        self.model = model
+        self.model = model = explicit_model(model)
         self.first_obs = compiled.obs_matrix
         self.post = compiled.obs_posteriors
         for a in range(model.n_actions):

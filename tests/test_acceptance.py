@@ -15,8 +15,8 @@ import pytest
 from scipy import stats
 
 from oracles import (InadmissibleActionError, all_on, beta2_moment_match,
-                     exact_value_iteration, step_energy, step_queue,
-                     uplink_equalizer, uplink_eta)
+                     exact_value_iteration, kernel_matrices, step_energy,
+                     step_queue, uplink_equalizer, uplink_eta)
 from swiptctl.channel import (BeamformerSet, ChannelPair, Dims, crandn,
                               downlink_sinr, draw_channel, uplink_sinr)
 from swiptctl.cli import main as cli_main
@@ -179,7 +179,7 @@ def test_slot_recursions_match_exhaustive_enumeration(desk_compiled):
                                                 q_bound)
                 checked += 1
     row_err = 0.0
-    for mat in desk_compiled.kernel.matrices:
+    for mat in kernel_matrices(desk_compiled.kernel):
         rows = np.asarray(mat.sum(axis=1)).ravel()
         row_err = max(row_err, float(np.abs(rows - 1.0).max()))
     assert row_err <= 1e-10

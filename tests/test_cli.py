@@ -269,6 +269,19 @@ def test_output_that_fails_to_open_exits_2(cfg_file, tmp_path, capsys):
     assert str(tmp_path) in one_error_line(capsys)
 
 
+def test_log_that_is_a_directory_exits_2_before_any_output(cfg_file,
+                                                           tmp_path, capsys):
+    # the log path is checked with the policy path, before the solve: no
+    # policy file is left behind
+    out, log = tmp_path / "p.json", tmp_path / "logs"
+    log.mkdir()
+    assert run("solve", "--config", cfg_file, "--kind", "d-opt",
+               "--out", str(out), "--log", str(log),
+               "--max-iterations", "2") == 2
+    assert one_error_line(capsys) == f"error: cannot write {log}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("builder", ["build_observation_matrix",
                                      "level_map_matrix"])
 def test_validate_refuses_rows_off_by_1e_9(cfg_file, capsys, monkeypatch,

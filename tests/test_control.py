@@ -9,7 +9,8 @@ from scipy import sparse
 
 from oracles import (DEFAULT_PRUNE_MARGIN, ClosureError, ObservationMdp,
                      constant_layer, decode, effective_effect, encode,
-                     exact_value_iteration, root_seeds_off, states)
+                     exact_value_iteration, explicit_model, kernel_matrices,
+                     layer_matrices, root_seeds_off, states)
 from test_pomdp import fib_seed
 from swiptctl.control import (ConstraintSpec, HashMismatchError, Policy,
                               build_cost_table, greedy_policy, layer_model,
@@ -21,7 +22,7 @@ from swiptctl.harness import (J_POWER_WEIGHT, SWEEP_HSVI_KW,
                               default_constraints)
 from swiptctl.pomdp import (HsviResult, PomdpModel, initial_bounds, solve_hsvi,
                             solver)
-from swiptctl.pomdp.model import emitted, policy_rows
+from swiptctl.pomdp.model import emitted
 from swiptctl.scenario import compile_scenario, desk_scenario
 
 
@@ -353,12 +354,13 @@ def test_outer_selection_composes_inner_policies(two_mask_compiled,
     # outer action m plays inner[m] at every state: its kernel rows and
     # costs are that action's, state by state
     (outer,) = models
+    kernel = kernel_matrices(compiled.kernel)
     for i, m in enumerate(mask_ids):
         acts = inner[m].action_of
         assert len(np.unique(acts)) > 1
-        want = sparse.vstack([compiled.kernel.matrices[acts[s]].getrow(s)
+        want = sparse.vstack([kernel[acts[s]].getrow(s)
                               for s in range(compiled.space.size)]).tocsr()
-        got = outer.transitions[i]
+        got = layer_matrices(outer.transitions)[i]
         for attr in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(got, attr),
                                           getattr(want, attr))
@@ -366,30 +368,44 @@ def test_outer_selection_composes_inner_policies(two_mask_compiled,
             outer.cost[:, i], cost[np.arange(compiled.space.size), acts])
 
 
-def same_rows(got, want) -> bool:
-    """Equal CSR arrays, the data read in place from ``want``'s."""
-    return (all(np.array_equal(getattr(got, part), getattr(want, part))
-                for part in ("data", "indices", "indptr"))
-            and np.shares_memory(got.data, want.data))
-
-
 def test_policy_rows_of_a_constant_policy_is_the_action_matrix(
         two_mask_compiled):
-    kernel = two_mask_compiled.kernel
-    pi = np.full(two_mask_compiled.space.size, 2)
-    assert same_rows(policy_rows(kernel.stacked, pi), kernel.matrices[2])
+    # the corners' policy matvec keeps row pi[s] of every action's product:
+    # for a constant pi that is the action's own product, bit for bit, and
+    # the materialized action matrix's to round-off
+    compiled = two_mask_compiled
+    model = layer_model(compiled, constant_layer(compiled),
+                        jopt_cost(compiled))
+    states = np.arange(model.n_states)
+    pi = np.full(model.n_states, 2)
+    x = np.random.default_rng(2).normal(size=model.n_states)
+    got = model.after(x)[pi, states]
+    np.testing.assert_array_equal(got, model.apply(2, x), strict=True)
+    want = kernel_matrices(compiled.kernel)[2] @ x
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-14 * np.abs(x).max())
 
 
 def test_power_layer_model_holds_the_kernel_matrices(two_mask_compiled):
     # a power layer's actions are one run of the mask-major action table:
-    # its model reads their blocks of the stacked kernel in place
+    # its model reads their factors of the kernel's array in place, and
+    # its matrices are the kernel's
     compiled = two_mask_compiled
     ids = np.flatnonzero(compiled.actions.mask_id == 1)
     cost = jopt_cost(compiled)
     model = layer_model(compiled, constant_layer(compiled, ids), cost)
-    for t, a in zip(model.transitions, ids):
-        assert same_rows(t, compiled.kernel.matrices[a])
-    assert np.shares_memory(model.stacked.data, compiled.kernel.stacked.data)
+    assert model.transitions.chosen is None
+    kernel = kernel_matrices(compiled.kernel)
+    for t, a in zip(layer_matrices(model.transitions), ids):
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(t, part),
+                                          getattr(kernel[a], part))
+    assert np.shares_memory(model.transitions.factors,
+                            compiled.kernel.factors)
+    # and a second layer model over the same run shares that one array
+    again = layer_model(compiled, constant_layer(compiled, ids), cost)
+    assert np.shares_memory(again.transitions.factors,
+                            model.transitions.factors)
     assert all(z is compiled.obs_matrix for z in model.observations)
     np.testing.assert_array_equal(model.cost, cost[:, ids])
 
@@ -633,7 +649,7 @@ def test_observation_mdp_refuses_a_model_without_closure(desk_compiled):
     model = layer_model(desk_compiled, constant_layer(desk_compiled),
                         jopt_cost(desk_compiled))
     exact = PomdpModel(
-        transitions=model.transitions,
+        transitions=explicit_model(model).transitions,
         observations=[sparse.identity(model.n_states)] * model.n_actions,
         cost=model.cost, discount=model.discount)
     with pytest.raises(ClosureError):
@@ -650,8 +666,9 @@ def assert_fib_forms_agree(model, b0):
     at ``b0``."""
     assert model.posteriors is not None
     closed = fib_seed(model)
-    per_entry = fib_seed(PomdpModel(model.stacked, model.observations,
-                                    model.cost, model.discount))
+    per_entry = fib_seed(PomdpModel(explicit_model(model).transitions,
+                                    model.observations, model.cost,
+                                    model.discount))
     tol = 1e-9 * np.abs(per_entry).max()
     np.testing.assert_allclose(closed, per_entry, rtol=0, atol=tol)
     assert abs((b0 @ closed).max() - (b0 @ per_entry).max()) <= tol

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy import sparse, special, stats
 
 from oracles import (InadmissibleActionError, decode, effective_effect,
-                     encode, states, step_energy, step_queue, user_next_pmf)
+                     encode, kernel_matrices, states, step_energy, step_queue,
+                     user_next_pmf)
 from swiptctl import dynamics
 from swiptctl.dynamics import (ActionTable, LevelModel, StateSpace,
                                StateSpaceBudgetError, TransitionKernel,
@@ -216,7 +217,7 @@ class TestKernel:
     def test_rows_stochastic(self):
         sp, arr, level, actions = simple_setup(n_users=2)
         kern = build_kernel(sp, arr, level, actions)
-        for m in kern.matrices:
+        for m in kernel_matrices(kern):
             np.testing.assert_allclose(
                 np.asarray(m.sum(axis=1)).ravel(), 1.0, atol=1e-12)
 
@@ -224,7 +225,8 @@ class TestKernel:
         # state (q=2, e=1, l=0), action tx: served=1, used=1, harvested=0
         sp, arr, level, actions = simple_setup()
         kern = build_kernel(sp, arr, level, actions)
-        row = kern.matrices[1][encode(sp, ((2, 1, 0),))].toarray().ravel()
+        row = kernel_matrices(kern)[1][encode(sp, ((2, 1, 0),))]
+        row = row.toarray().ravel()
         expected = np.zeros(sp.size)
         for a_n, p_a in enumerate(arr):
             qn = min(1 + a_n, 3)
@@ -239,18 +241,21 @@ class TestKernel:
         sp, arr, level, actions = simple_setup()
         kern = build_kernel(sp, arr, level, actions)
         s = encode(sp, ((2, 0, 0),))
-        np.testing.assert_allclose(kern.matrices[1][s].toarray(),
-                                   kern.matrices[0][s].toarray(), atol=1e-15)
+        mats = kernel_matrices(kern)
+        np.testing.assert_allclose(mats[1][s].toarray(), mats[0][s].toarray(),
+                                   atol=1e-15)
 
     def test_factorization_product_form(self):
-        # the Kronecker build equals the joint enumeration bit for bit
+        # the Kronecker product of the factors equals the joint enumeration
+        # bit for bit
         for n_users, q_max in ((2, 3), (3, 1)):
             sp, arr, level, actions = simple_setup(n_users=n_users,
                                                    q_max=q_max)
             kern = build_kernel(sp, arr, level, actions)
             ref = enumerated_kernel(sp, arr, level, actions)
-            assert len(kern.matrices) == len(ref)
-            for got, want in zip(kern.matrices, ref):
+            mats = kernel_matrices(kern)
+            assert len(mats) == len(ref)
+            for got, want in zip(mats, ref):
                 assert_same_arrays(got, want)
 
     def test_factorization_per_user_effects(self):
@@ -265,7 +270,7 @@ class TestKernel:
                               mask_id=np.zeros(1, int),
                               n_active=np.full(1, 16))
         kern = build_kernel(sp, arr, level, actions)
-        assert_same_arrays(kern.matrices[0],
+        assert_same_arrays(kernel_matrices(kern)[0],
                            enumerated_kernel(sp, arr, level, actions)[0])
 
     def test_budget_guard(self, monkeypatch):
@@ -282,11 +287,36 @@ class TestKernel:
     ], ids=["row-off-by-2e-10", "negative-entry", "nan-row"])
     def test_refuses_a_matrix_that_is_not_stochastic(self, entries,
                                                      message):
-        good = sparse.csr_matrix(np.full((2, 2), 0.5))
-        bad = sparse.csr_matrix(np.array([entries, [0.5, 0.5]]))
-        TransitionKernel(good)
+        # (user, action, state, next (q, e)) factors: user 1's second
+        # action holds the bad row
+        good = np.full((2, 2, 2, 2), 0.5)
+        bad = good.copy()
+        bad[1, 1, 0] = entries
+        TransitionKernel(good, np.array([0.3, 0.7]))
         with pytest.raises(ValueError, match=message):
-            TransitionKernel(sparse.vstack([good, bad], format="csr"))
+            TransitionKernel(bad, np.array([0.3, 0.7]))
+
+    @pytest.mark.parametrize("levels,message", [
+        ([0.3, 0.7 + 2e-10], "row sums"), ([1.2, -0.2], "negative"),
+        ([np.nan, 0.5], "row sums")])
+    def test_refuses_a_level_pmf_that_is_not_a_distribution(self, levels,
+                                                            message):
+        with pytest.raises(ValueError, match=message):
+            TransitionKernel(np.full((1, 1, 2, 2), 0.5), np.array(levels))
+
+    def test_stores_per_user_factors_only(self):
+        # (user, action, per-user state, next (q, e)), and the factors as
+        # the sparse matrices that the benchmark counts
+        sp, arr, level, actions = simple_setup(n_users=3, q_max=1)
+        kern = build_kernel(sp, arr, level, actions)
+        n_qe = (sp.q_max + 1) * (sp.e_max + 1)
+        assert kern.factors.shape == (3, len(actions), sp.per_user, n_qe)
+        assert kern.levels is level.probs
+        mats = kern.matrices
+        assert len(mats) == 3 * len(actions)
+        for (a, u), m in zip(itertools.product(range(len(actions)),
+                                               range(3)), mats):
+            np.testing.assert_array_equal(m.toarray(), kern.factors[u, a])
 
 
 @pytest.fixture(params=["unpayable", "three-users"])

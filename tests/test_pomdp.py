@@ -1,5 +1,4 @@
 import functools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from oracles import (DEFAULT_PRUNE_MARGIN, ImpossibleObservationError,
                      ObservationMdp, OracleScaleError, constant_layer,
                      dense_fib_q, dense_fib_sweep, dense_mdp_value,
                      dense_policy_value, exact_value_iteration,
+                     explicit_model, kernel_matrices, layer_matrices,
                      observation_prob, pair_policy_alphas, reference_backup,
                      reference_initial_bounds, reference_kernel_matrices,
                      reference_mdp_corners, reference_observation_policy,
@@ -24,7 +24,7 @@ from swiptctl.pomdp import (AlphaVector, BoundPair, LowerBound, PomdpModel,
                             UpperBound, backup, excess_uncertainty,
                             initial_bounds, q_values, solve_hsvi)
 from swiptctl.pomdp import solver
-from swiptctl.pomdp.model import check_stochastic, emitted, policy_rows
+from swiptctl.pomdp.model import check_stochastic, emitted
 from swiptctl.scenario import compile_scenario, desk_scenario
 
 
@@ -510,10 +510,9 @@ class TestKrylovPort:
                                       "singular"])
     def test_edge_cases(self, desk_jopt_model, case):
         m = desk_jopt_model[0]
-        t, g = m.transitions[0], m.discount
-        r = m.reward[:, 0]
+        g, r = m.discount, m.reward[:, 0]
         x0, maxiter = r / (1.0 - g), None
-        matvec = lambda v: v - g * t.dot(v)       # noqa: E731
+        matvec = lambda v: v - g * m.apply(0, v)       # noqa: E731
         if case == "zero-x0":
             x0 = np.zeros(m.n_states)
         elif case == "zero-rhs":
@@ -543,26 +542,16 @@ class TestInitialBounds:
         assert (bounds.upper.corner >= mdp - tol).all()
         assert (bounds.upper.corner <= mdp + tol).all()
 
-    def test_corners_gather_the_policy_rows_bit_for_bit(self, seed_model,
-                                                        monkeypatch):
-        # the rows gathered from the stacked matrix and its one Q-table
-        # product, against the per-action gather and products; then one
-        # matvec of T_pi against every action's T_a x with one entry kept
-        # per state
+    def test_corners_gather_the_policy_rows_bit_for_bit(self, seed_model):
+        # the policy matvec keeps row pi[s] of every action's product, and
+        # the Q-table is one ``after``: against the per-action gather of
+        # explicit rows and one product per action (on a Kronecker model,
+        # one ``apply`` per action, row pi[s] kept)
         m = seed_model
         blind = solver._blind_alphas(m)
         got = solver._mdp_corners(m, blind)
         for g, w in zip(got, reference_mdp_corners(m, blind)):
             np.testing.assert_array_equal(g, w)       # corners, Q-table
-        states = np.arange(m.n_states)
-
-        def per_action(stacked, pi):
-            return SimpleNamespace(dot=lambda x: np.column_stack(
-                [t.dot(x) for t in m.transitions])[states, pi])
-
-        monkeypatch.setattr(solver, "policy_rows", per_action)
-        for g, w in zip(got, solver._mdp_corners(m, blind)):
-            np.testing.assert_array_equal(g, w)
 
     def test_value_iteration_corners_undershoot_positive_values(self):
         m = positive_chain_model()
@@ -644,8 +633,8 @@ def assert_same_csr(got, want):
 
 
 class TestStackedLayout:
-    """The stacked transition matrix and the seeds that read it give the
-    per-action build's and the per-action seeds' arrays bit for bit."""
+    """The kernel's factors materialize to the per-action build bit for
+    bit, and the seeds give the per-action seeds' arrays bit for bit."""
 
     def test_kernel_blocks_are_views_of_the_per_action_matrices(
             self, layout_compiled):
@@ -653,27 +642,37 @@ class TestStackedLayout:
         kernel = compiled.kernel
         want = reference_kernel_matrices(compiled.space, compiled.arrival_pmf,
                                          compiled.level, compiled.actions)
-        assert len(kernel.matrices) == len(want)
-        assert kernel.stacked.nnz == sum(m.nnz for m in want)
-        for got, ref in zip(kernel.matrices, want):
-            assert_same_csr(got, ref)
-            assert np.shares_memory(got.data, kernel.stacked.data)
-            assert np.shares_memory(got.indices, kernel.stacked.indices)
-        # the layer over every action is the kernel's rows themselves
+        got = kernel_matrices(kernel)
+        assert len(got) == len(want)
+        for mat, ref in zip(got, want):
+            assert_same_csr(mat, ref)
+        # the layer over every action reads the kernel's factors in place
         model = jopt_model(compiled)[0]
-        assert np.shares_memory(model.stacked.data, kernel.stacked.data)
-        for t in model.transitions:
-            assert np.shares_memory(t.data, kernel.stacked.data)
+        assert np.shares_memory(model.transitions.factors, kernel.factors)
+        for mat, ref in zip(layer_matrices(model.transitions), want):
+            assert_same_csr(mat, ref)
 
     def test_gathered_rows(self, layout_model):
+        # the policy matvec keeps row pi[s] of every action's product: the
+        # rows of the per-action gather, bit for bit on explicit matrices,
+        # to round-off on Kronecker factors (and there bit for bit the
+        # per-action products' rows)
         m = layout_model
         rng = np.random.default_rng(m.n_states)
+        states = np.arange(m.n_states)
+        x = rng.normal(size=m.n_states)
+        every = m.after(x)
+        explicit = explicit_model(m).transitions
         for pi in (rng.integers(m.n_actions, size=m.n_states),
                    np.full(m.n_states, m.n_actions - 1)):
-            got = policy_rows(m.stacked, pi)
-            assert_same_csr(got, reference_policy_rows(m.transitions, pi))
-        # a constant policy reads its action's rows in place
-        assert np.shares_memory(got.data, m.stacked.data)
+            got = every[pi, states]
+            want = reference_policy_rows(explicit, pi) @ x
+            if m.factored:
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-14 * np.abs(x).max())
+                want = np.array([m.apply(a, x)
+                                 for a in range(m.n_actions)])[pi, states]
+            np.testing.assert_array_equal(got, want)
 
     def test_seeds_match_the_per_action_solves(self, layout_model):
         m = layout_model
@@ -690,6 +689,69 @@ class TestStackedLayout:
             np.testing.assert_array_equal(
                 np.array([a.values for a in got]),
                 reference_policy_alphas(m, policy, q))
+
+
+@pytest.fixture(scope="module")
+def one_user_small():
+    """A 36-state desk scenario with one user."""
+    return compile_scenario(desk_scenario(k=1, q_max=2, e_max=2,
+                                          calib_draws=80))
+
+
+# one compiled scenario per user count, by fixture name
+KRONECKER_SCENARIOS = {1: "one_user_small", 2: "two_mask_small",
+                       3: "three_user_compiled"}
+
+
+class TestKroneckerProducts:
+    """A layer model's mode products against the CSR matrices materialized
+    from the kernel's factors, to within 1e-14 of scale."""
+
+    @pytest.mark.parametrize("layer", ["inner", "outer"])
+    @pytest.mark.parametrize("k", list(KRONECKER_SCENARIOS))
+    def test_match_the_materialized_kernel(self, request, k, layer):
+        from swiptctl.control import layer_model
+        from swiptctl.harness import baseline_cost_table, default_constraints
+        compiled = request.getfixturevalue(KRONECKER_SCENARIOS[k])
+        assert compiled.config.k == k
+        n, n_a = compiled.space.size, compiled.n_actions
+        rng = np.random.default_rng(k)
+        # a power layer plays each action everywhere (here not a run of the
+        # table); a selection layer gathers rows of several actions
+        chosen = (constant_layer(compiled, np.arange(n_a)[::-1])
+                  if layer == "inner" else rng.integers(n_a, size=(3, n)))
+        cost = baseline_cost_table("j-opt", compiled,
+                                   default_constraints(compiled.config))
+        model = layer_model(compiled, chosen, cost)
+        assert (model.transitions.chosen is None) == (layer == "inner")
+        stacked = sparse.vstack(kernel_matrices(compiled.kernel),
+                                format="csr")
+        mats = [stacked[row * n + np.arange(n)] for row in chosen]
+        v = 100.0 * rng.normal(size=n)
+        b = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.3)
+        b /= b.sum()
+        after = model.after(v)
+        np.testing.assert_array_equal(model.after(v[None]), after)
+        for i, t in enumerate(mats):
+            np.testing.assert_allclose(after[i], t @ v, rtol=0,
+                                       atol=1e-14 * np.abs(v).max())
+            # one action's product is its row of every action's, bit for bit
+            np.testing.assert_array_equal(model.apply(i, v), after[i])
+            tau = model.propagate(b, i)
+            np.testing.assert_allclose(tau, t.T @ b, rtol=0, atol=1e-14)
+            assert tau.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_model_without_posteriors_is_refused(self, desk_jopt_model):
+        # the per-entry fast informed bound, which an unclosed model runs,
+        # reads explicit matrices
+        m = desk_jopt_model[0]
+        with pytest.raises(ValueError, match="ROADMAP item 5"):
+            PomdpModel(m.transitions, m.observations, m.cost, m.discount)
+        # with them, or with the materialized matrices, it is built
+        PomdpModel(m.transitions, m.observations, m.cost, m.discount,
+                   m.posteriors)
+        PomdpModel(explicit_model(m).transitions, m.observations, m.cost,
+                   m.discount)
 
 
 class TestPolicyAlphas:
@@ -831,7 +893,8 @@ class TestFibUpper:
 
     @pytest.mark.parametrize("name", DENSE_MODELS)
     def test_sweep_matches_the_dense_operator(self, name):
-        m = dense_sized_model(name)
+        # the per-entry sweep reads explicit matrices
+        m = explicit_model(dense_sized_model(name))
         rng = np.random.default_rng(0)
         shape = (m.n_states, m.n_actions)
         # integer tables make zero and cancelling sums over s', which the
@@ -846,7 +909,7 @@ class TestFibUpper:
 
     @pytest.mark.parametrize("name", DENSE_MODELS)
     def test_fixed_choice_step_matches_a_dense_loop(self, name):
-        m = dense_sized_model(name)
+        m = explicit_model(dense_sized_model(name))
         n, n_a = m.n_states, m.n_actions
         _hq, patterns, _choice, _moved = solver._fib_sweep(
             m, np.zeros((n, n_a)), keep_zero)
@@ -973,11 +1036,19 @@ class TestSolverPieces:
 def assert_expansion_matches_chain(model, b, bounds):
     """At belief b, per action: the propagation, the successor posteriors
     and the backup equal the sparse-matrix chain of ``oracles`` bit for
-    bit."""
+    bit. A Kronecker model's mode products sum in another order than the
+    materialized matrix's matvec: there the propagation has the same
+    support and agrees to round-off, and the chain starts from it."""
     expansion = solver._expand(b, model)
+    explicit = explicit_model(model)
     for a, (_r, active, p_act, posts) in enumerate(expansion):
         tau = model.propagate(b, a)
-        assert np.array_equal(tau, reference_propagate(model, b, a))
+        want = reference_propagate(explicit, b, a)
+        if model.factored:
+            np.testing.assert_array_equal(tau != 0.0, want != 0.0)
+            np.testing.assert_allclose(tau, want, rtol=0, atol=1e-14)
+        else:
+            assert np.array_equal(tau, want)
         ref_active, ref_p, ref_posts = reference_successor_posts(model, a, tau)
         # the chain stores Z(s', o) * 0 for the next states outside tau's
         # support; the gather never reads those rows

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import reference_calibrate
+from oracles import kernel_matrices, reference_calibrate
 
 from swiptctl import channel, dynamics
 from swiptctl.dynamics import ActionTable, LevelModel, StateSpaceBudgetError
@@ -320,7 +320,7 @@ def test_calibrate_keeps_the_conditioning_check(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_compiled_kernel_rows_stochastic(tiny_compiled):
-    for mat in tiny_compiled.kernel.matrices:
+    for mat in kernel_matrices(tiny_compiled.kernel):
         rows = np.asarray(mat.sum(axis=1)).ravel()
         np.testing.assert_allclose(rows, 1.0, atol=1e-9)
 
@@ -373,7 +373,8 @@ def shortlist_config(cfg, n_r):
 
 
 def assert_same_compile(got, want):
-    """Field for field, dtypes included, and the same CSR arrays."""
+    """Field for field, dtypes included, the same kernel factors, and the
+    same CSR arrays of the materialized kernel and observation matrix."""
     assert got.config == want.config
     assert got.scenario_hash == want.scenario_hash
     for owner in ("level", "actions"):
@@ -382,8 +383,12 @@ def assert_same_compile(got, want):
             b = getattr(getattr(want, owner), field.name)
             assert a.dtype == b.dtype, (owner, field.name)
             np.testing.assert_array_equal(a, b, err_msg=field.name)
-    mats = list(zip(got.kernel.matrices, want.kernel.matrices))
-    assert len(mats) == len(want.kernel.matrices)
+    np.testing.assert_array_equal(got.kernel.factors, want.kernel.factors,
+                                  strict=True)
+    assert got.kernel.levels is got.level.probs
+    want_mats = kernel_matrices(want.kernel)
+    mats = list(zip(kernel_matrices(got.kernel), want_mats))
+    assert len(mats) == len(want_mats)
     for m, n in mats + [(got.obs_matrix, want.obs_matrix)]:
         for part in ("data", "indices", "indptr"):
             a, b = getattr(m, part), getattr(n, part)
@@ -391,18 +396,18 @@ def assert_same_compile(got, want):
             np.testing.assert_array_equal(a, b, err_msg=part)
 
 
-def check_views(wide_cfg, subs):
+def check_views(wide_cfg, subs, shared):
     """Views of subs cut before and after wide_cfg's kernel is built equal
-    fresh compiles; the later ones share the built stacked matrix."""
+    fresh compiles; the later ones take the built kernel's factors, a view
+    of its array where ``shared`` says the kept actions run on."""
     wide = compile_scenario(wide_cfg)
     early = [restrict(wide, sub) for sub in subs]
-    kernel, obs = wide.kernel.stacked, wide.obs_matrix
-    for sub, view in zip(subs, early):
+    factors, obs = wide.kernel.factors, wide.obs_matrix
+    for sub, view, run in zip(subs, early, shared):
         late = restrict(wide, sub)
         assert late.level is wide.level and late.obs_matrix is obs
-        assert late.kernel.stacked is kernel
-        assert all(np.shares_memory(m.data, kernel.data)
-                   for m in late.kernel.matrices)
+        assert "kernel" in vars(late)       # taken, not built on read
+        assert np.shares_memory(late.kernel.factors, factors) == run
         want = compile_scenario(sub)
         assert "kernel" not in vars(view)
         assert_same_compile(view, want)
@@ -417,7 +422,8 @@ def test_restricted_budget_grid_equals_a_fresh_compile(preset, duplex, seed):
     cfg = desk_scenario(**preset, duplex=duplex, seed=seed)
     *subs, wide = budget_grids(cfg)
     assert wide == cfg
-    check_views(wide, subs)
+    # one mask and a prefix of the power pairs: a run of actions
+    check_views(wide, subs, [True] * len(subs))
 
 
 @pytest.mark.parametrize("n_r", [8, 16, 32])
@@ -427,7 +433,9 @@ def test_restricted_antenna_shortlist_equals_a_fresh_compile(n_r):
     # masks and power pairs cut together
     both = dataclasses.replace(budget_grids(select)[0],
                                mask_sizes=select.mask_sizes[::2])
-    check_views(select, [full, both])
+    # the full array's mask is the last run of actions; a prefix of the
+    # pairs of more than one mask is not
+    check_views(select, [full, both], [True, len(both.mask_sizes) == 1])
 
 
 def test_restrict_to_its_own_config_is_the_same_object(tiny_compiled):

@@ -134,6 +134,7 @@ UNREACHED = {
         "pomdp.bounds.UpperBound.value_many", "pomdp.bounds._dense_columns",
         "pomdp.bounds.LowerBound.__len__", "pomdp.bounds.UpperBound.__len__",
         "pomdp.model.PomdpModel.propagate", "pomdp.model.row_entries",
+        "pomdp.model.KroneckerTransitions.propagate",
         "pomdp.bounds.LowerBound.prune_pointwise",
         "pomdp.bounds.LowerBound.prune_witness",
         "pomdp.bounds.UpperBound.prune"], EXPLORATION),
@@ -148,6 +149,8 @@ UNREACHED = {
         "channel.SinrReport.__post_init__"],
         "item 9: the per-draw SINR reference that perfbench traces"),
     "scenario.desk_scenario": "preset: configs are built by hand or in tests",
+    "dynamics.TransitionKernel.matrices":
+        "item 1: perfbench's kernel note counts the stored factors",
 }
 
 
