@@ -128,7 +128,7 @@ def greedy_policy(compiled: CompiledScenario, lower_bound) -> Policy:
     One product scores every alpha at every observation posterior (built
     once per compiled scenario); the lowest index wins ties. The table
     holds the bound's own action ids."""
-    scores = compiled.obs_posteriors @ lower_bound.matrix().T
+    scores = lower_bound.scores(compiled.obs_posteriors)
     actions = np.array([alpha.action for alpha in lower_bound.alphas])
     return Policy(action_of=actions[np.argmax(scores, axis=1)],
                   scenario_hash=compiled.scenario_hash)

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy import sparse
 
-from .pomdp.model import STOCH_TOL, check_stochastic
+from .pomdp.model import STOCH_TOL, Csr, check_stochastic
 
 # largest joint state space that is compiled: the cost table, the beliefs,
 # the observation matrix and p-opt hold joint-size arrays (the kernel holds
@@ -211,9 +210,9 @@ class TransitionKernel:
 
     @property
     def matrices(self) -> list:
-        """Each stored factor as a CSR matrix, action by action, user by
-        user."""
-        return [sparse.csr_matrix(f) for f in self.factors.swapaxes(0, 1)
+        """Each stored factor as a :class:`Csr` record, action by action,
+        user by user."""
+        return [Csr.of(f) for f in self.factors.swapaxes(0, 1)
                 .reshape(-1, *self.factors.shape[2:])]
 
 
@@ -221,14 +220,6 @@ def check_state_budget(space: StateSpace) -> None:
     if space.size > MAX_STATES:
         raise StateSpaceBudgetError(
             f"state space size {space.size} exceeds budget {MAX_STATES}")
-
-
-def _kron_users(factors, fmt: str):
-    """Kronecker product of per-user matrices, user 0 most significant (the
-    StateSpace digit order), entries multiplied left to right. Converting
-    from COO leaves the result canonical: sorted indices, no duplicates."""
-    return reduce(lambda a, b: sparse.kron(a, b, format="coo"),
-                  factors).asformat(fmt)
 
 
 def build_kernel(space: StateSpace, pmf: np.ndarray, level: LevelModel,
@@ -258,25 +249,28 @@ def build_kernel(space: StateSpace, pmf: np.ndarray, level: LevelModel,
                             level.probs)
 
 
-def level_map_matrix(space: StateSpace, block, fmt: str):
+def level_map_matrix(space: StateSpace, block) -> Csr:
     """Joint matrix of a per-user (level x level) map that leaves queue and
-    energy alone: the Kronecker product over users of ``I_{(q, e)} ⊗ block``,
-    zeros dropped."""
-    per_user = sparse.kron(sparse.identity((space.q_max + 1)
-                                           * (space.e_max + 1)),
-                           sparse.coo_matrix(block), format="coo")
-    return _kron_users([per_user] * space.n_users, fmt)
+    energy alone: the Kronecker product over users of ``I_{(q, e)} ⊗
+    block``, zeros dropped, user 0 most significant (the StateSpace digit
+    order), entries multiplied left to right."""
+    n_qe = (space.q_max + 1) * (space.e_max + 1)
+    lv, lv_next = np.nonzero(block)
+    own = np.arange(n_qe)[:, None] * block.shape[0]
+    per_user = Csr.from_entries((own + lv).ravel(), (own + lv_next).ravel(),
+                                np.tile(block[lv, lv_next], n_qe),
+                                (space.per_user, space.per_user))
+    return reduce(Csr.kron, [per_user] * space.n_users)
 
 
-def build_observation_matrix(space: StateSpace,
-                             level: LevelModel) -> sparse.csr_matrix:
-    """Pr(O | S') as a CSR matrix (the format ``PomdpModel`` reads, so every
-    action can share it), with queue and energy observed exactly and the
-    channel level read through the estimation confusion matrix.
+def build_observation_matrix(space: StateSpace, level: LevelModel) -> Csr:
+    """Pr(O | S') as a :class:`Csr` record (the form ``PomdpModel`` reads,
+    so every action can share it), with queue and energy observed exactly
+    and the channel level read through the estimation confusion matrix.
 
     Observations share the state enumeration (the level digit indexes the
     observed level). Action-independent. The Kronecker product of per-user
     ``I_{(q, e)} ⊗ confusion`` (zeros dropped), bit-identical to the product
     form per joint state.
     """
-    return level_map_matrix(space, level.obs_confusion, "csr")
+    return level_map_matrix(space, level.obs_confusion)

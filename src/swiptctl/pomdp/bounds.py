@@ -36,23 +36,31 @@ class LowerBound:
         if not self.alphas:
             raise ValueError("alpha set must be nonempty")
         self._matrix = None
-        self._by_state = None
+        # the first _synced alphas as the columns of a (states x capacity)
+        # buffer; add() appends, a prune resets _synced
+        self._by_state, self._synced = None, 0
 
     def matrix(self) -> np.ndarray:
         if self._matrix is None or self._matrix.shape[0] != len(self.alphas):
             self._matrix = np.array([a.values for a in self.alphas])
-            self._by_state = None
         return self._matrix
 
     def scores(self, posts) -> np.ndarray:
-        """(m, n_alphas) values of every alpha at the rows of the sparse
-        (m, n_states) matrix ``posts``. The product reads a C-contiguous
-        transpose of the alpha matrix, kept until the alphas change, so no
-        call copies the matrix."""
+        """(m, n_alphas) values of every alpha at the rows of the
+        (m, n_states) ``Csr`` record ``posts``. The product reads the
+        alphas as columns of a (states x capacity) buffer, so a call copies
+        only the alphas added since the last; the capacity doubles when
+        they do not fit."""
         m = self.matrix()
-        if self._by_state is None:
-            self._by_state = np.ascontiguousarray(m.T)
-        return np.asarray(posts @ self._by_state)
+        n_a, done = len(m), self._synced
+        if self._by_state is None or self._by_state.shape[1] < n_a:
+            grown = np.empty((m.shape[1], 2 * n_a if done else n_a))
+            if done:
+                grown[:, :done] = self._by_state[:, :done]
+            self._by_state = grown
+        self._by_state[:, done:n_a] = m[done:].T
+        self._synced = n_a
+        return posts.dot(self._by_state[:, :n_a])
 
     def __len__(self):
         return len(self.alphas)
@@ -72,7 +80,7 @@ class LowerBound:
         return self.best(b)[0]
 
     def value_many(self, posts) -> np.ndarray:
-        """Envelope values at many beliefs (rows of a sparse matrix)."""
+        """Envelope values at many beliefs (rows of a ``Csr`` record)."""
         return self.scores(posts).max(axis=1)
 
     def add(self, alpha: AlphaVector) -> None:
@@ -95,7 +103,7 @@ class LowerBound:
         removed = int((~keep).sum())
         if removed:
             self.alphas = [a for a, k in zip(self.alphas, keep) if k]
-            self._matrix = None
+            self._matrix, self._synced = None, 0
         return removed
 
     def prune_witness(self, witnesses: np.ndarray) -> int:
@@ -110,7 +118,7 @@ class LowerBound:
         removed = int((~useful).sum())
         if removed:
             self.alphas = [a for a, k in zip(self.alphas, useful) if k]
-            self._matrix = None
+            self._matrix, self._synced = None, 0
         return removed
 
 
@@ -150,14 +158,13 @@ def _sawtooth(base: np.ndarray, beliefs: np.ndarray, groups,
 
 
 def _dense_columns(rows, cols: np.ndarray) -> np.ndarray:
-    """Dense (m, cols.size) block of the sparse CSR matrix ``rows`` at the
+    """Dense (m, cols.size) block of the ``Csr`` record ``rows`` at the
     sorted column ids ``cols``; the other columns are never made dense."""
-    idx = rows.indices
+    idx = rows.cols
     j = np.minimum(np.searchsorted(cols, idx), cols.size - 1)
     hit = cols[j] == idx
-    row_of = np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr))
     out = np.zeros((rows.shape[0], cols.size))
-    out[row_of[hit], j[hit]] = rows.data[hit]
+    out[rows.rows[hit], j[hit]] = rows.data[hit]
     return out
 
 
@@ -201,12 +208,12 @@ class UpperBound:
         return self._value_against(b, self._groups)
 
     def value_many(self, posts) -> np.ndarray:
-        """Sawtooth values at the rows of the sparse (m, n_states) belief
-        matrix ``posts``; only the points' support columns are gathered."""
-        base = np.asarray(posts @ self.corner).ravel()
+        """Sawtooth values at the rows of the (m, n_states) ``Csr`` belief
+        record ``posts``; only the points' support columns are gathered."""
+        base = posts.dot(self.corner)
         if self._cols is None:
             return base
-        return _sawtooth(base, _dense_columns(posts.tocsr(), self._cols),
+        return _sawtooth(base, _dense_columns(posts, self._cols),
                          self._groups, self._cols)
 
     def add(self, b: np.ndarray, v: float) -> bool:

@@ -7,20 +7,132 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy import sparse
 
 STOCH_TOL = 1e-10
 BELIEF_TOL = 1e-10
 
 
-def _as_csr(m) -> sparse.csr_matrix:
-    return m.tocsr() if sparse.issparse(m) else sparse.csr_matrix(np.asarray(m, dtype=float))
+class Csr:
+    """A sparse matrix in compressed rows: row i stores ``data[indptr[i]:
+    indptr[i + 1]]`` at the sorted columns ``indices[indptr[i]:indptr[i +
+    1]]``. The index arrays take the type that scipy picks, int32 when
+    every index and the entry count fit. Built once with them: ``rows``,
+    the row id of each stored entry, and ``cols``, its column id as
+    ``intp``, the type that numpy gathers with unconverted.
+
+    ``dot`` and ``tdot`` add each output entry's terms from 0.0 in stored
+    order, the order of scipy's CSR and CSC kernels, and ``row_sums`` and
+    ``kron`` compute as scipy's ``sum`` and ``kron`` do, so every value
+    equals scipy's bit for bit."""
+
+    def __init__(self, data, indices, indptr, shape, rows=None):
+        self.shape = tuple(int(n) for n in shape)
+        self.data = np.asarray(data, dtype=float)
+        idx = (np.int32 if max(*self.shape, self.data.size)
+               <= np.iinfo(np.int32).max else np.int64)
+        self.indices = np.asarray(indices).astype(idx, copy=False)
+        self.indptr = np.asarray(indptr).astype(idx, copy=False)
+        self.rows = (np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+                     if rows is None else rows)
+        self.cols = self.indices.astype(np.intp)
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    @classmethod
+    def from_entries(cls, rows, cols, vals, shape) -> "Csr":
+        """The matrix of the entries (rows[i], cols[i], vals[i]), given
+        sorted by row, then column."""
+        counts = np.bincount(rows, minlength=shape[0])
+        return cls(vals, cols, np.concatenate(([0], np.cumsum(counts))),
+                   shape, rows)
+
+    @classmethod
+    def of(cls, m) -> "Csr":
+        """``m`` itself if a record; else the record of a dense array, or of
+        any object with ``tocsr()`` (a scipy sparse matrix), zeros
+        dropped and each row's columns sorted."""
+        if isinstance(m, Csr):
+            return m
+        if hasattr(m, "tocsr"):
+            m = m.tocsr()
+            rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+            cols, vals = m.indices, m.data
+        else:
+            m = np.asarray(m, dtype=float)
+            rows, cols = np.nonzero(m)
+            vals = m[rows, cols]
+        keep = np.flatnonzero(vals != 0)
+        keep = keep[np.lexsort((cols[keep], rows[keep]))]
+        return cls.from_entries(rows[keep], cols[keep], vals[keep], m.shape)
+
+    def kron(self, other: "Csr") -> "Csr":
+        """``self ⊗ other``, entries ``self`` times ``other``: row (i, j)
+        holds row i's entries outer row j's, in column order."""
+        (m_a, n_a), (m_b, n_b) = self.shape, other.shape
+        per_b = np.diff(other.indptr)
+        indptr = np.concatenate(([0], np.cumsum(np.outer(
+            np.diff(self.indptr), per_b).ravel())))
+        # each product's place: its row's start, plus the rank of self's
+        # entry in its row times the entry count of other's row, plus the
+        # rank of other's entry in its row
+        pos = (indptr[self.rows[:, None] * m_b + other.rows]
+               + (np.arange(self.nnz) - self.indptr[self.rows])[:, None]
+               * per_b[other.rows]
+               + (np.arange(other.nnz) - other.indptr[other.rows]))
+        data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.int64)
+        data[pos] = self.data[:, None] * other.data
+        indices[pos] = (self.indices.astype(np.int64)[:, None] * n_b
+                        + other.indices)
+        return Csr(data, indices, indptr, (m_a * m_b, n_a * n_b))
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """A x, x a vector or a matrix (whose rows may be strided). A
+        matrix is read one entry rank at a time: every row adds its r-th
+        entry times a row of x, so no temporary holds more than the
+        result."""
+        if x.ndim == 1:
+            return np.bincount(self.rows, weights=self.data * x[self.cols],
+                               minlength=self.shape[0])
+        out = np.zeros((self.shape[0], x.shape[1]))
+        counts = np.diff(self.indptr)
+        for r in range(counts.max(initial=0)):
+            at = np.flatnonzero(counts > r)
+            pos = self.indptr[at] + r
+            term = x[self.cols[pos]]
+            term *= self.data[pos, None]
+            if at.size == out.shape[0]:
+                out += term
+            else:
+                out[at] += term
+        return out
+
+    def tdot(self, x: np.ndarray) -> np.ndarray:
+        """A^T x, x a vector or a matrix (a column at a time)."""
+        if x.ndim == 2:
+            return np.column_stack([self.tdot(col) for col in x.T])
+        return np.bincount(self.cols, weights=self.data * x[self.rows],
+                           minlength=self.shape[1])
+
+    def row_sums(self) -> np.ndarray:
+        """Each row's entries added by ``np.add.reduceat``, as scipy's
+        ``sum(axis=1)`` adds them."""
+        out = np.zeros(self.shape[0])
+        full = np.flatnonzero(np.diff(self.indptr))
+        out[full] = np.add.reduceat(self.data, self.indptr[full])
+        return out
+
+    def col_counts(self) -> np.ndarray:
+        """Stored entries per column."""
+        return np.bincount(self.cols, minlength=self.shape[1])
 
 
 def check_stochastic(m, rows=slice(None)):
     """``m``, refused unless each of its ``rows`` sums to 1 (NaN fails too);
     a dense array's rows run along its last axis."""
-    err = np.abs(np.asarray(m.sum(axis=-1))[rows] - 1.0).max(initial=0.0)
+    sums = m.row_sums() if isinstance(m, Csr) else np.sum(m, axis=-1)
+    err = np.abs(sums[rows] - 1.0).max(initial=0.0)
     if not err <= STOCH_TOL:
         raise ValueError(f"not stochastic: row sums off by {err:.2e}")
     return m
@@ -28,10 +140,10 @@ def check_stochastic(m, rows=slice(None)):
 
 def emitted(observations) -> np.ndarray:
     """Mask of the observations some Z in ``observations`` can emit."""
-    return sum(z.getnnz(axis=0) for z in observations) > 0
+    return sum(z.col_counts() for z in observations) > 0
 
 
-def row_entries(m: sparse.csr_matrix, rows: np.ndarray):
+def row_entries(m: Csr, rows: np.ndarray):
     """Positions in ``m.data`` of the stored entries of the CSR rows
     ``rows``, row after row in stored order, and the row id of each."""
     starts = m.indptr[rows]
@@ -148,6 +260,13 @@ class KroneckerTransitions:
                 * self.grid).ravel()
 
 
+def _records(mats: list) -> list:
+    """:meth:`Csr.of` of each matrix, one record per distinct object, so
+    that a matrix several actions share stays one matrix."""
+    made = {id(m): Csr.of(m) for m in mats}
+    return [made[id(m)] for m in mats]
+
+
 @dataclass
 class PomdpModel:
     """Finite POMDP with stage costs.
@@ -167,7 +286,7 @@ class PomdpModel:
     observations: list
     cost: np.ndarray
     discount: float
-    posteriors: sparse.csr_matrix | None = None
+    posteriors: Csr | None = None
 
     def __post_init__(self):
         self.factored = isinstance(self.transitions, KroneckerTransitions)
@@ -178,9 +297,9 @@ class PomdpModel:
                     "informed bound reads explicit matrices (ROADMAP item 5)")
             n, mats = self.transitions.n_states, []
         else:
-            mats = self.transitions = [_as_csr(t) for t in self.transitions]
+            mats = self.transitions = _records(self.transitions)
             n = mats[0].shape[1]
-        self.observations = [_as_csr(z) for z in self.observations]
+        self.observations = _records(self.observations)
         self.cost = np.asarray(self.cost, dtype=float)
         n_a = len(self.observations)
         if not (0.0 < self.discount < 1.0):
@@ -196,24 +315,19 @@ class PomdpModel:
         # a matrix that several actions share is checked once
         for m in {id(m): m for m in mats + self.observations}.values():
             check_stochastic(m)
-        # the distinct observation matrices in first-use order, each with
-        # the next-state id of its stored entries (sorted column ids: a
-        # row's entries then run in observation order); action a reads
-        # obs_distinct[obs_group[a]]
+        # the distinct observation matrices in first-use order; action a
+        # reads obs_distinct[obs_group[a]]
         group, self.obs_distinct = {}, []
         for z in self.observations:
             if id(z) not in group:
                 group[id(z)] = len(self.obs_distinct)
-                z.sort_indices()
-                self.obs_distinct.append(
-                    (z, np.repeat(np.arange(n), np.diff(z.indptr))))
+                self.obs_distinct.append(z)
         self.obs_group = np.array([group[id(z)] for z in self.observations])
-        self.obs_rows = [self.obs_distinct[k][1] for k in self.obs_group]
         if self.posteriors is not None:     # its rows are checked where built
-            self.posteriors = _as_csr(self.posteriors)
+            self.posteriors = Csr.of(self.posteriors)
             if self.posteriors.shape != (self.n_obs, n):
                 raise ValueError("posteriors: need an (n_obs, n_states) table")
-            self.emitted = emitted(z for z, _rows in self.obs_distinct)
+            self.emitted = emitted(self.obs_distinct)
 
     @property
     def n_states(self) -> int:
@@ -259,7 +373,7 @@ class PomdpModel:
             return self.transitions.propagate(b, a)
         t = self.transitions[a]
         pos, src = row_entries(t, np.flatnonzero(b))
-        return np.bincount(t.indices[pos], weights=t.data[pos] * b[src],
+        return np.bincount(t.cols[pos], weights=t.data[pos] * b[src],
                            minlength=self.n_states)
 
 

@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy import sparse
 
 from .bounds import AlphaVector, BoundPair, LowerBound, UpperBound
-from .model import PomdpModel, check_belief, row_entries
+from .model import Csr, PomdpModel, check_belief, row_entries
 
 
 # bicgstab stops at this residual, relative to the right-hand side; the
@@ -37,6 +36,9 @@ SWITCH_GAIN = 1e-12
 # policy iteration ends in a few rounds on every model tried; should a
 # round-off cycle ever reach this cap, the certificate keeps the corners valid
 MAX_POLICY_ROUNDS = 100
+# the per-entry FIB expands at most this many (s, s', o) paths of T_a Z_a,
+# or this many (s, o) cells, at once
+FIB_CHUNK = 1 << 18
 
 
 def bicgstab(matvec, b, x0, maxiter=None) -> np.ndarray:
@@ -144,14 +146,19 @@ def _mdp_corners(model: PomdpModel, blind: list):
 
 def _observation_policy(model: PomdpModel, q: np.ndarray) -> np.ndarray:
     """QMDP action per observation: pi(o) = argmax_b sum_a sum_s Z_a(s, o)
-    Q(s, b), the lowest index winning ties. Each distinct Z is transposed
-    once, its entries added up once per action that reads it, in that
-    order, as adding those actions' matrices does."""
+    Q(s, b), the lowest index winning ties. Each distinct Z's entries are
+    added up once per action that reads it, the distinct sums then entry by
+    entry in first-use order, as adding those actions' matrices does."""
     shares = np.bincount(model.obs_group)
-    scores = sum(sparse.csc_matrix((reduce(np.add, [z.data] * k), z.indices,
-                                    z.indptr), shape=z.shape[::-1])
-                 for (z, _rows), k in zip(model.obs_distinct, shares)) @ q
-    return np.asarray(scores).argmax(axis=1)
+    s, o, w = (np.concatenate(part) for part in zip(*[
+        (z.rows, z.cols, reduce(np.add, [z.data] * k))
+        for z, k in zip(model.obs_distinct, shares)]))
+    if shares.size > 1:
+        cell, at = np.unique(s * model.n_obs + o, return_inverse=True)
+        s, o, w = (cell // model.n_obs, cell % model.n_obs,
+                   np.bincount(at, weights=w))
+    total = Csr.from_entries(s, o, w, model.observations[0].shape)
+    return total.tdot(q).argmax(axis=1)
 
 
 def _policy_alphas(model: PomdpModel, pi: np.ndarray,
@@ -169,9 +176,9 @@ def _policy_alphas(model: PomdpModel, pi: np.ndarray,
     ``model.after`` of those sums serves every action."""
     g, n, n_a = model.discount, model.n_states, model.n_actions
     # d[k] is (n_actions, n_states) for the k-th distinct Z: row b holds D_b
-    d = np.array([np.bincount(pi[z.indices] * n + rows, weights=z.data,
+    d = np.array([np.bincount(pi[z.cols] * n + z.rows, weights=z.data,
                               minlength=n_a * n).reshape(n_a, n)
-                  for z, rows in model.obs_distinct])
+                  for z in model.obs_distinct])
 
     def step(x):
         return model.after((d * x.reshape(n_a, n)).sum(axis=1)).ravel()
@@ -181,6 +188,41 @@ def _policy_alphas(model: PomdpModel, pi: np.ndarray,
     res = np.abs(r + g * step(v) - v).max()
     v = (v - res / (1.0 - g)).reshape(n_a, n)
     return [AlphaVector(values=v[a], action=a) for a in range(n_a)]
+
+
+def _paths(model: PomdpModel, a: int):
+    """The (s, s', o) paths of T_a Z_a, in chunks of whole rows of T_a (at
+    most FIB_CHUNK paths or (s, o) cells, but one row at least). Per chunk:
+    each path's T_a entry and Z_a entry, in T_a's then Z_a's stored order
+    (the order of scipy's sparse product), the stored (s, o) entry of
+    T_a Z_a that it adds to, counted from the chunk's first, and those
+    entries' rows and observation ids, grouped by row.
+
+    One path of each (s, o) cell stands for it: the one whose id a scatter
+    over the cells leaves there, whichever write wins. The cell array is
+    reused by every chunk and never cleared, since each chunk writes every
+    cell that it reads."""
+    t, z = model.transitions[a], model.observations[a]
+    n_obs = z.shape[1]
+    per = np.diff(z.indptr)[t.cols]      # paths per T_a entry
+    before = np.concatenate(([0], np.cumsum(per)))[t.indptr]    # per row
+    step = max(1, FIB_CHUNK // n_obs)
+    slot = np.empty(min(step, t.shape[0]) * n_obs, dtype=np.intp)
+    lo = 0
+    while lo < t.shape[0]:
+        hi = np.searchsorted(before, before[lo] + FIB_CHUNK, "right") - 1
+        hi = max(lo + 1, min(hi, lo + step, t.shape[0]))
+        te = np.arange(t.indptr[lo], t.indptr[hi])
+        ze, _ = row_entries(z, t.cols[te])
+        te = np.repeat(te, per[te])
+        cell = (t.rows[te] - lo) * n_obs + z.cols[ze]
+        path = np.arange(cell.size)
+        slot[cell] = path
+        first = slot[cell]
+        lead = first == path
+        yield te, ze, (np.cumsum(lead) - 1)[first], t.rows[te[lead]], \
+            z.cols[ze[lead]]
+        lo = hi
 
 
 def _fib_sweep(model: PomdpModel, q: np.ndarray, prev):
@@ -196,69 +238,63 @@ def _fib_sweep(model: PomdpModel, q: np.ndarray, prev):
     another action gains more than SWITCH_GAIN, so that round-off cannot
     make policy iteration cycle.
 
-    Each product T_a (Z_a * (q_b + c)) takes q_b + c > 0, so no entry
-    cancels to 0 and every b stores the same entries in the same order;
-    a running maximum over b reads one product at a time, the lowest b
-    winning ties. Every row of T_a Z_a sums to 1, so c adds c to each row
-    sum of the maximum, and every row has an entry to sum. Z_a * (q_b + c)
-    is built once per distinct Z_a."""
+    Each entry of T_a (Z_a * (q_b + c)) is summed over its :func:`_paths`
+    by ``bincount``; q_b + c > 0, so no entry cancels to 0 and every b has
+    the same entries. Every row of T_a Z_a sums to 1, so c adds c to each
+    row sum of the maximum, and every row has an entry to sum.
+    Z_a * (q_b + c) is formed once per distinct Z_a. The lowest b wins
+    ties."""
+    n = model.n_states
     hq = np.empty_like(q)
     patterns, choice, switched = [], [], False
     c = 1.0 - min(q.min(), 0.0)
-    weighted = [[sparse.csr_matrix((z.data * (q[rows, b] + c), z.indices,
-                                    z.indptr), shape=z.shape)
-                 for b in range(model.n_actions)]
-                for z, rows in model.obs_distinct]
+    weighted = [z.data * (q[z.rows] + c).T for z in model.obs_distinct]
     for a, t in enumerate(model.transitions):
-        for b, z_b in enumerate(weighted[model.obs_group[a]]):
-            prod = t @ z_b
-            if b == 0:
-                indptr, indices = prod.indptr, prod.indices
-                last = prev(a, indices)
-                top, pick = prod.data.copy(), np.zeros(prod.nnz, np.intp)
-                at_last = np.where(last == 0, top, 0.0)
-                continue
-            np.copyto(pick, b, where=prod.data > top)
-            np.maximum(top, prod.data, out=top)
-            np.copyto(at_last, prod.data, where=last == b)
-        keep = top <= at_last + SWITCH_GAIN
+        w = weighted[model.obs_group[a]]
+        parts = [(rows, obs, np.array([
+            np.bincount(at, weights=x, minlength=obs.size)
+            for x in t.data[te] * w[:, ze]]))
+            for te, ze, at, rows, obs in _paths(model, a)]
+        rows, indices, prods = (np.concatenate(part, axis=-1)
+                                for part in zip(*parts))
+        entries = np.arange(indices.size)
+        last = prev(a, indices)
+        pick = prods.argmax(axis=0)
+        top = prods[pick, entries]
+        keep = top <= prods[last, entries] + SWITCH_GAIN
         pick[keep] = last[keep]
         hq[:, a] = model.reward[:, a] + model.discount * (
-            np.add.reduceat(top, indptr[:-1]) - c)
-        patterns.append((indptr, indices))
+            np.bincount(rows, weights=top, minlength=n) - c)
+        patterns.append((np.concatenate(([0], np.cumsum(
+            np.bincount(rows, minlength=n)))), indices))
         choice.append(pick)
         switched = switched or not keep.all()
     return hq, patterns, choice, switched
 
 
-def _fixed_choice_step(model: PomdpModel, patterns: list, choice: list):
+def _fixed_choice_step(model: PomdpModel, choice: list):
     """Matvec of the stacked (n_actions * n_states) operator that plays the
     next action ``choice[a][i]`` after action a at the i-th stored (s, o)
-    entry of ``patterns[a]``. Its (a, b) block is T_a * (M_ab Z_a^T), M_ab
-    marking the entries that choose b; the blocks sum to a row-stochastic
-    matrix, and the matvec applies them one by one."""
+    entry of T_a Z_a (in :func:`_fib_sweep`'s pattern order). Its (a, b)
+    block is T_a * (M_ab Z_a^T), M_ab marking the entries that choose b;
+    the blocks sum to a row-stochastic matrix. Per action, the (T_a entry,
+    b) table of the blocks' entries is summed over the :func:`_paths`."""
     n, n_a = model.n_states, model.n_actions
-    # mark @ Z^T reads Z^T as CSR: transpose each distinct Z once
-    z_t = [z.T.tocsr() for z, _rows in model.obs_distinct]
     blocks = []
-    for (indptr, indices), pick, t, k in zip(patterns, choice,
-                                             model.transitions,
-                                             model.obs_group):
-        row = []
-        for b in range(n_a):
-            # eliminate_zeros compacts the index arrays in place: copy them
-            mark = sparse.csr_matrix(((pick == b).astype(float),
-                                      indices.copy(), indptr.copy()),
-                                     shape=(n, z_t[k].shape[0]))
-            mark.eliminate_zeros()
-            if mark.nnz:
-                row.append((b, t.multiply(mark @ z_t[k]).tocsr()))
-        blocks.append(row)
+    for a, (t, pick) in enumerate(zip(model.transitions, choice)):
+        d, done = np.zeros(t.nnz * n_a), 0
+        for te, ze, at, _rows, obs in _paths(model, a):
+            np.add.at(d, te * n_a + pick[done + at],
+                      model.observations[a].data[ze])
+            done += obs.size
+        blocks.append(t.data[:, None] * d.reshape(t.nnz, n_a))
 
     def step(x):
         x = x.reshape(n_a, n)
-        return np.concatenate([sum(k.dot(x[b]) for b, k in row)
-                               for row in blocks])
+        return np.concatenate([
+            np.bincount(t.rows, weights=(k * x[:, t.cols].T).sum(axis=1),
+                        minlength=n)
+            for t, k in zip(model.transitions, blocks)])
     return step
 
 
@@ -266,10 +302,10 @@ def _closed_sweep(model: PomdpModel, q: np.ndarray, last: np.ndarray):
     """:func:`_fib_sweep` on a closed model (B = ``model.posteriors``):
     sum_s' T_a(s, s') Z_a(s', o) q(s', b) = Pr(o | s, a) (B q)(o, b), so
     (Hq)(., a) = r_a + gamma T_a Z_a max_b (B q)(., b), one choice per o."""
-    bq = np.asarray(model.posteriors @ q)
+    bq = model.posteriors.dot(q)
     best, m = bq.argmax(axis=1), bq.max(axis=1)
     keep = ~model.emitted | (m <= bq[np.arange(m.size), last] + SWITCH_GAIN)
-    zm = np.array([z @ m for z, _rows in model.obs_distinct])
+    zm = np.array([z.dot(m) for z in model.obs_distinct])
     hq = model.reward + model.discount * model.after(zm).T
     return hq, np.where(keep, last, best), not keep.all()
 
@@ -287,7 +323,7 @@ def _fib_q(model: PomdpModel, pi: np.ndarray, q: np.ndarray) -> np.ndarray:
     if closed := model.posteriors is not None:
         hq, c, moved = _closed_sweep(model, q, pi)
     else:
-        hq, patterns, c, moved = _fib_sweep(model, q, lambda a, o: pi[o])
+        hq, _patterns, c, moved = _fib_sweep(model, q, lambda a, o: pi[o])
     for _ in range(MAX_POLICY_ROUNDS):
         if not moved:
             break
@@ -295,9 +331,9 @@ def _fib_q(model: PomdpModel, pi: np.ndarray, q: np.ndarray) -> np.ndarray:
             q = np.array([a.values for a in _policy_alphas(model, c, q)]).T
             hq, c, moved = _closed_sweep(model, q, c)
         else:
-            q = _evaluate(_fixed_choice_step(model, patterns, c), r, g,
+            q = _evaluate(_fixed_choice_step(model, c), r, g,
                           q.T.ravel()).reshape(n_a, n).T
-            hq, patterns, c, moved = _fib_sweep(
+            hq, _patterns, c, moved = _fib_sweep(
                 model, q, lambda a, o, last=c: last[a])
     return q + np.abs(hq - q).max() / (1.0 - g)
 
@@ -332,14 +368,15 @@ def initial_bounds(model: PomdpModel, b0: np.ndarray | None = None,
 def _successor_posts(model: PomdpModel, a: int, tau: np.ndarray):
     """All Bayes posteriors reachable under action a from the propagated
     belief tau: (active observation ids, their probabilities, posterior rows
-    as a sparse (m, n_states) matrix).
+    as an (m, n_states) ``Csr`` record, whose row ids every bound
+    evaluation reads).
 
     Only the rows of Z at tau's support are read. A stable sort groups the
     weighted entries by observation, each group in next-state order, and
     ``np.add.reduceat`` sums each group as scipy sums a CSC column."""
     z = model.observations[a]
     pos, nxt = row_entries(z, np.flatnonzero(tau))
-    obs = z.indices[pos]
+    obs = z.cols[pos]
     order = np.argsort(obs, kind="stable")
     pos, nxt, obs = pos[order], nxt[order], obs[order]
     w = z.data[pos] * tau[nxt]
@@ -351,13 +388,10 @@ def _successor_posts(model: PomdpModel, a: int, tau: np.ndarray):
     sizes = np.diff(edge)
     keep = np.repeat(live, sizes)
     p_act, sizes = p_o[live], sizes[live]
-    # Z's index type holds every state id, as Z stores an entry in every
-    # row; index arrays of that type spare the constructor a range scan
-    idx = z.indices.dtype
-    posts = sparse.csr_matrix(
-        (w[keep] / np.repeat(p_act, sizes), nxt[keep].astype(idx),
-         np.concatenate(([0], np.cumsum(sizes))).astype(idx)),
-        shape=(p_act.size, model.n_states))
+    rows = np.repeat(np.arange(p_act.size), sizes)
+    posts = Csr(w[keep] / p_act[rows], nxt[keep],
+                np.concatenate(([0], np.cumsum(sizes))),
+                (p_act.size, model.n_states), rows)
     return obs[edge[:-1][live]], p_act, posts
 
 
@@ -404,9 +438,8 @@ def backup(b: np.ndarray, bounds: BoundPair, model: PomdpModel,
         pick = np.zeros(model.n_obs, dtype=np.intp)
         # argmax is invariant to the positive per-row normalization
         pick[active] = bounds.lower.scores(posts).argmax(axis=1)
-        terms = z.data * alpha_mat[pick[z.indices], model.obs_rows[a]]
-        g = np.bincount(model.obs_rows[a], weights=terms,
-                        minlength=model.n_states)
+        terms = z.data * alpha_mat[pick[z.cols], z.rows]
+        g = np.bincount(z.rows, weights=terms, minlength=model.n_states)
         vec = model.reward[:, a] + model.discount * model.apply(a, g)
         val = float(vec @ b)
         if val > best_val + 1e-15:

@@ -368,18 +368,19 @@ class CompiledScenario:
 
     @cached_property
     def obs_matrix(self):
-        """Pr(O | S'), CSR, action-independent."""
+        """Pr(O | S'), a ``Csr`` record, action-independent."""
         return check_stochastic(build_observation_matrix(self.space,
                                                          self.level))
 
     @cached_property
     def obs_posteriors(self):
-        """CSR; row o is the belief after observation o under the stationary
-        level prior: queue and energy are read exactly, each user's level
-        via Bayes through the confusion matrix (``I_(q,e) ⊗ posterior``)."""
+        """A ``Csr`` record; row o is the belief after observation o under
+        the stationary level prior: queue and energy are read exactly, each
+        user's level via Bayes through the confusion matrix (``I_(q,e) ⊗
+        posterior``)."""
         post = [w / s if (s := w.sum()) > 0 else w      # 0: never observed
                 for w in self.level.probs * self.level.obs_confusion.T]
-        post = level_map_matrix(self.space, np.array(post), "csr")
+        post = level_map_matrix(self.space, np.array(post))
         return check_stochastic(post, emitted([self.obs_matrix]))
 
     @property

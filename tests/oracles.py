@@ -6,10 +6,15 @@ per-action degraded effect, the per-action kernel matrices, the per-slot
 rollout and its per-episode reduction, the per-draw link calibration, the
 value-iteration HSVI bounds, the per-action seed solves (row gather,
 Q-table, observation policy and policy alphas), the sparse-matrix belief
-expansion and backup, and the joint CSR matrices of a Kronecker-factored
-kernel (:func:`kernel_matrices`, :func:`explicit_model`). Tests compare
-the production arrays with these, using exact equality where the
-arithmetic is the same.
+expansion and backup, the joint CSR matrices of a Kronecker-factored
+kernel (:func:`kernel_matrices`, :func:`explicit_model`), the
+``sparse.kron`` build of the observation matrix and the posterior table
+(:func:`reference_level_map_matrix`) and the per-entry fast informed
+bound on scipy's sparse products (:func:`scipy_fib_q`). The production
+code holds its sparse matrices as ``pomdp.model.Csr`` records;
+:func:`scipy_csr` reads one as a scipy matrix. Tests compare the
+production arrays with these, using exact equality where the arithmetic
+is the same.
 
 Helpers that only tests call live here too: the scalar joint-state index
 (``encode``, ``decode``, ``states``), the ZF equalizers and the power
@@ -27,6 +32,7 @@ observation MDP that a compiled scenario's POMDP reduces to.
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,12 +45,11 @@ from swiptctl.channel import (AntennaSelection, BeamformerSet, Dims,
                               achievable_rate, channel_stream, crandn,
                               downlink_sinr, draw_channel, harvested_energy,
                               uplink_sinr)
-from swiptctl.dynamics import (ActionTable, LevelModel, _kron_users,
-                               user_action_table)
+from swiptctl.dynamics import ActionTable, LevelModel, user_action_table
 from swiptctl.harness import episode_rng
 from swiptctl.pomdp import (AlphaVector, BoundPair, LowerBound, UpperBound,
                             solver)
-from swiptctl.pomdp.model import PomdpModel, check_belief
+from swiptctl.pomdp.model import Csr, PomdpModel, check_belief
 from swiptctl.scenario import ScenarioConfig
 
 
@@ -599,6 +604,33 @@ def reference_initial_bounds(model, tol=1e-9, max_iter=100000):
     return BoundPair(lower=LowerBound(blind), upper=UpperBound(v))
 
 
+def scipy_csr(m) -> sparse.csr_matrix:
+    """The scipy CSR matrix of a ``Csr`` record, on the record's arrays;
+    any other matrix as ``sparse.csr_matrix`` reads it."""
+    if isinstance(m, Csr):
+        return sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+    return sparse.csr_matrix(m)
+
+
+def kron_users(factors, fmt: str):
+    """Kronecker product of per-user scipy matrices, user 0 most
+    significant (the StateSpace digit order), entries multiplied left to
+    right. Converting from COO leaves the result canonical: sorted
+    indices, no duplicates."""
+    return reduce(lambda a, b: sparse.kron(a, b, format="coo"),
+                  factors).asformat(fmt)
+
+
+def reference_level_map_matrix(space, block, fmt: str = "csr"):
+    """``dynamics.level_map_matrix`` by scipy's ``sparse.kron``, as it was
+    built before the record: the Kronecker product over users of
+    ``I_{(q, e)} ⊗ block``, zeros dropped, in scipy format ``fmt``."""
+    per_user = sparse.kron(sparse.identity((space.q_max + 1)
+                                           * (space.e_max + 1)),
+                           sparse.coo_matrix(block), format="coo")
+    return kron_users([per_user] * space.n_users, fmt)
+
+
 def reference_kernel_matrices(space, pmf, level, actions) -> list:
     """``dynamics.build_kernel`` one action at a time: each action's
     Kronecker product of per-user factors is its own CSR matrix, as it was
@@ -619,7 +651,7 @@ def reference_kernel_matrices(space, pmf, level, actions) -> list:
                                              shape=(space.per_user, n_qe)),
                            levels, format="coo")
 
-    return [_kron_users([factor(u, a) for u in range(space.n_users)], "csr")
+    return [kron_users([factor(u, a) for u in range(space.n_users)], "csr")
             for a in range(len(actions))]
 
 
@@ -631,9 +663,9 @@ def kernel_matrices(kernel) -> list:
     factors, bit for bit."""
     levels = sparse.coo_matrix(kernel.levels[None, :])
     n_users, n_actions = kernel.factors.shape[:2]
-    return [_kron_users([sparse.kron(sparse.coo_matrix(kernel.factors[u, a]),
-                                     levels, format="coo")
-                         for u in range(n_users)], "csr")
+    return [kron_users([sparse.kron(sparse.coo_matrix(kernel.factors[u, a]),
+                                    levels, format="coo")
+                        for u in range(n_users)], "csr")
             for a in range(n_actions)]
 
 
@@ -663,6 +695,7 @@ def reference_policy_rows(transitions: list, pi: np.ndarray):
     """The CSR matrix whose row s is row s of ``transitions[pi[s]]``, by a
     per-action gather: each used action's rows, stacked, then put back in
     state order; for a constant ``pi``, that action's matrix itself."""
+    transitions = [scipy_csr(t) for t in transitions]
     used = np.unique(pi)
     if used.size == 1:
         return transitions[used[0]]
@@ -700,7 +733,7 @@ def reference_mdp_corners(model, blind: list):
 
 def reference_observation_policy(model, q: np.ndarray) -> np.ndarray:
     """``solver._observation_policy`` by adding every action's ``Z_a^T``."""
-    scores = sum(z.T for z in model.observations) @ q
+    scores = sum(scipy_csr(z).T for z in model.observations) @ q
     return np.asarray(scores).argmax(axis=1)
 
 
@@ -709,9 +742,9 @@ def reference_policy_alphas(model, pi: np.ndarray, guess: np.ndarray):
     action, and in every Krylov step one sum and one product per action.
     Returns the (n_actions, n_states) alpha values."""
     g, n, n_a = model.discount, model.n_states, model.n_actions
-    d = np.array([np.bincount(pi[z.indices] * n + rows, weights=z.data,
+    d = np.array([np.bincount(pi[z.indices] * n + z.rows, weights=z.data,
                               minlength=n_a * n).reshape(n_a, n)
-                  for z, rows in zip(model.observations, model.obs_rows)])
+                  for z in model.observations])
 
     def step(x):
         x = x.reshape(n_a, n)
@@ -728,7 +761,7 @@ def dense_policy_value(model, policy):
     """Exact value of the fully-observed stationary policy that takes
     action ``policy[s]`` in state s: one dense ``numpy.linalg.solve``."""
     model, policy = explicit_model(model), np.asarray(policy)
-    p = sum(sparse.diags((policy == a).astype(float)) @ t
+    p = sum(sparse.diags((policy == a).astype(float)) @ scipy_csr(t)
             for a, t in enumerate(model.transitions))
     return np.linalg.solve(
         np.eye(model.n_states) - model.discount * p.toarray(),
@@ -758,7 +791,7 @@ class ImpossibleObservationError(ValueError):
 
 def obs_column(model: PomdpModel, a: int, o: int) -> np.ndarray:
     """Pr(o | S', a) over the next states S', as a dense vector."""
-    return model.observations[a][:, [o]].toarray().ravel()
+    return scipy_csr(model.observations[a])[:, [o]].toarray().ravel()
 
 
 def update_belief(b: np.ndarray, a: int, o: int, model: PomdpModel) -> np.ndarray:
@@ -781,7 +814,7 @@ def observation_prob(o: int, a: int, b: np.ndarray, model: PomdpModel) -> float:
 def reference_propagate(model, b, a):
     """Predictive next-state distribution by scipy's matvec with T.T, on
     the explicit matrices of :func:`explicit_model`."""
-    return explicit_model(model).transitions[a].T.dot(b)
+    return scipy_csr(explicit_model(model).transitions[a]).T.dot(b)
 
 
 def reference_successor_posts(model, a, tau):
@@ -789,7 +822,7 @@ def reference_successor_posts(model, a, tau):
     tau, sum its columns, keep the observations of positive probability
     and normalize their columns. Scaling keeps Z(s', o) * 0 as a stored
     zero for every next state s' outside tau's support."""
-    w = model.observations[a].multiply(tau.reshape(-1, 1)).tocsc()
+    w = scipy_csr(model.observations[a]).multiply(tau.reshape(-1, 1)).tocsc()
     p_o = np.asarray(w.sum(axis=0)).ravel()
     active = np.flatnonzero(p_o > 0.0)
     posts = w[:, active].T.tocsr()
@@ -807,7 +840,7 @@ def reference_backup(b, bounds, model, expansion):
         z = model.observations[a]
         pick = np.zeros(model.n_obs, dtype=np.intp)
         pick[active] = bounds.lower.scores(posts).argmax(axis=1)
-        terms = z.data * alpha_mat[pick[z.indices], model.obs_rows[a]]
+        terms = z.data * alpha_mat[pick[z.indices], z.rows]
         g = sparse.csr_matrix((terms, z.indices, z.indptr),
                               shape=z.shape) @ ones
         vec = model.reward[:, a] + model.discount * model.apply(a, g)
@@ -826,20 +859,21 @@ def pair_policy_alphas(model, pi):
     alpha_a = r_a + gamma T_a (Z_a * W summed over o')."""
     model, pi = explicit_model(model), np.asarray(pi)
     n, g = model.n_states, model.discount
-    s_of, o_of = sum(z for z in model.observations).nonzero()
+    trans = [scipy_csr(t) for t in model.transitions]
+    obs = [scipy_csr(z) for z in model.observations]
+    s_of, o_of = sum(obs).nonzero()
     # (n_states, n_pairs) matrices: Z_a(s', o') at pair (s', o')
     emit = [sparse.csr_matrix((np.asarray(z[s_of, o_of]).ravel(),
                                (s_of, np.arange(s_of.size))),
                               shape=(n, s_of.size))
-            for z in model.observations]
+            for z in obs]
     plays = pi[o_of]
     chain = sum(sparse.diags((plays == a).astype(float)) @ (t @ e)[s_of]
-                for a, (t, e) in enumerate(zip(model.transitions, emit)))
+                for a, (t, e) in enumerate(zip(trans, emit)))
     w = spsolve(sparse.identity(s_of.size, format="csc")
                 - g * chain.tocsc(), model.reward[s_of, plays])
     return np.array([model.reward[:, a] + g * (t @ (e @ w))
-                     for a, (t, e) in enumerate(zip(model.transitions,
-                                                    emit))])
+                     for a, (t, e) in enumerate(zip(trans, emit))])
 
 
 @contextmanager
@@ -863,10 +897,92 @@ def dense_fib_sweep(model, q):
     model = explicit_model(model)
     out = np.empty_like(q)
     for a, (t, z) in enumerate(zip(model.transitions, model.observations)):
-        paths = np.einsum("sp,po,pb->sob", t.toarray(), z.toarray(), q)
+        paths = np.einsum("sp,po,pb->sob", scipy_csr(t).toarray(),
+                          scipy_csr(z).toarray(), q)
         out[:, a] = model.reward[:, a] \
             + model.discount * paths.max(axis=2).sum(axis=1)
     return out
+
+
+def scipy_fib_sweep(model, q, prev):
+    """``solver._fib_sweep`` on scipy's sparse products, as it ran before
+    the solver formed them itself: per (a, b) one product
+    T_a (Z_a * (q_b + c)), a running maximum over b, each row summed by
+    ``np.add.reduceat``. The patterns' columns come in scipy's product
+    order, not sorted."""
+    hq = np.empty_like(q)
+    patterns, choice, switched = [], [], False
+    c = 1.0 - min(q.min(), 0.0)
+    weighted = [[sparse.csr_matrix((z.data * (q[z.rows, b] + c), z.indices,
+                                    z.indptr), shape=z.shape)
+                 for b in range(model.n_actions)]
+                for z in model.obs_distinct]
+    for a, t in enumerate(model.transitions):
+        t = scipy_csr(t)
+        for b, z_b in enumerate(weighted[model.obs_group[a]]):
+            prod = t @ z_b
+            if b == 0:
+                indptr, indices = prod.indptr, prod.indices
+                last = prev(a, indices)
+                top, pick = prod.data.copy(), np.zeros(prod.nnz, np.intp)
+                at_last = np.where(last == 0, top, 0.0)
+                continue
+            np.copyto(pick, b, where=prod.data > top)
+            np.maximum(top, prod.data, out=top)
+            np.copyto(at_last, prod.data, where=last == b)
+        keep = top <= at_last + solver.SWITCH_GAIN
+        pick[keep] = last[keep]
+        hq[:, a] = model.reward[:, a] + model.discount * (
+            np.add.reduceat(top, indptr[:-1]) - c)
+        patterns.append((indptr, indices))
+        choice.append(pick)
+        switched = switched or not keep.all()
+    return hq, patterns, choice, switched
+
+
+def scipy_fixed_choice_step(model, patterns, choice):
+    """``solver._fixed_choice_step`` on scipy's sparse products: the (a, b)
+    block T_a * (M_ab Z_a^T) as one sparse matrix, applied one by one."""
+    n, n_a = model.n_states, model.n_actions
+    z_t = [scipy_csr(z).T.tocsr() for z in model.obs_distinct]
+    blocks = []
+    for (indptr, indices), pick, t, k in zip(patterns, choice,
+                                             model.transitions,
+                                             model.obs_group):
+        row = []
+        for b in range(n_a):
+            # eliminate_zeros compacts the index arrays in place: copy them
+            mark = sparse.csr_matrix(((pick == b).astype(float),
+                                      indices.copy(), indptr.copy()),
+                                     shape=(n, z_t[k].shape[0]))
+            mark.eliminate_zeros()
+            if mark.nnz:
+                row.append((b, scipy_csr(t).multiply(mark @ z_t[k]).tocsr()))
+        blocks.append(row)
+
+    def step(x):
+        x = x.reshape(n_a, n)
+        return np.concatenate([sum(k.dot(x[b]) for b, k in row)
+                               for row in blocks])
+    return step
+
+
+def scipy_fib_q(model, pi, q):
+    """``solver._fib_q`` per entry (a model without ``posteriors``) on
+    scipy's sparse products: the policy iteration over the next-action
+    choices from the observation policy ``pi`` and its values ``q``,
+    shifted up by its certificate."""
+    g, n, n_a = model.discount, model.n_states, model.n_actions
+    r = model.reward.T.ravel()
+    hq, patterns, c, moved = scipy_fib_sweep(model, q, lambda a, o: pi[o])
+    for _ in range(solver.MAX_POLICY_ROUNDS):
+        if not moved:
+            break
+        q = solver._evaluate(scipy_fixed_choice_step(model, patterns, c), r,
+                             g, q.T.ravel()).reshape(n_a, n).T
+        hq, patterns, c, moved = scipy_fib_sweep(
+            model, q, lambda a, o, last=c: last[a])
+    return q + np.abs(hq - q).max() / (1.0 - g)
 
 
 def dense_fib_q(model, tol=1e-14):
@@ -1010,9 +1126,9 @@ def exact_value_iteration(model: PomdpModel, horizon: int,
         raise OracleScaleError(f"|S|={model.n_states} exceeds oracle cap {MAX_STATES}")
     if horizon > MAX_HORIZON:
         raise OracleScaleError(f"horizon {horizon} exceeds oracle cap {MAX_HORIZON}")
-    t_dense = [np.asarray(t.todense())
+    t_dense = [scipy_csr(t).toarray()
                for t in explicit_model(model).transitions]
-    z_dense = [np.asarray(z.todense()) for z in model.observations]
+    z_dense = [scipy_csr(z).toarray() for z in model.observations]
     r = model.reward
     n, n_a, n_o = model.n_states, model.n_actions, model.n_obs
 
@@ -1057,13 +1173,14 @@ class ObservationMdp:
 
     def __init__(self, compiled, model, tol=1e-12):
         self.model = model = explicit_model(model)
-        self.first_obs = compiled.obs_matrix
+        self.first_obs = scipy_csr(compiled.obs_matrix)
         self.post = compiled.obs_posteriors
+        post = scipy_csr(self.post)
         for a in range(model.n_actions):
             self._check_closure(a, tol)
-        self.trans = [(self.post @ t @ z).tocsr() for t, z
-                      in zip(model.transitions, model.observations)]
-        self.reward = np.asarray(self.post @ model.reward)
+        self.trans = [(post @ scipy_csr(t) @ scipy_csr(z)).tocsr()
+                      for t, z in zip(model.transitions, model.observations)]
+        self.reward = np.asarray(post @ model.reward)
 
     def _check_closure(self, a, tol):
         """Every Bayes posterior after (P row o, action a, observation o')
@@ -1071,10 +1188,11 @@ class ObservationMdp:
         Z_a(s', o'), over their product (P_o T_a Z_a)(o, o'), must equal
         P(o', s'); these ratios sum to 1 over s' for each (o, o'), so P
         row o' then has no mass off the posterior's support."""
-        z = self.model.observations[a]
-        reach = (self.post @ self.model.transitions[a]).tocsr()
+        z = scipy_csr(self.model.observations[a])
+        post = scipy_csr(self.post)
+        reach = (post @ scipy_csr(self.model.transitions[a])).tocsr()
         norm = (reach @ z).toarray()
-        post = self.post.toarray()
+        post = post.toarray()
         o_of = np.repeat(np.arange(reach.shape[0]), np.diff(reach.indptr))
         s_of, w = reach.indices, reach.data
         # positions in z.data of the row entries of each s_of, in order
@@ -1128,7 +1246,7 @@ class ObservationMdp:
         optimal v: one step, then the observations that follow it."""
         m = self.model
         return np.max([m.reward[:, a] + m.discount
-                       * (m.transitions[a] @ (m.observations[a] @ v))
+                       * m.transitions[a].dot(m.observations[a].dot(v))
                        for a in range(m.n_actions)], axis=0)
 
     def root(self, b0, v):
@@ -1137,5 +1255,6 @@ class ObservationMdp:
         optimal v."""
         m = self.model
         return max(float(b0 @ (m.reward[:, a] + m.discount
-                               * (m.transitions[a] @ (m.observations[a] @ v))))
+                               * m.transitions[a].dot(
+                                   m.observations[a].dot(v))))
                    for a in range(m.n_actions))

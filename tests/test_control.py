@@ -10,8 +10,8 @@ from scipy import sparse
 from oracles import (DEFAULT_PRUNE_MARGIN, ClosureError, ObservationMdp,
                      constant_layer, decode, effective_effect, encode,
                      exact_value_iteration, explicit_model, kernel_matrices,
-                     layer_matrices, root_seeds_off, states)
-from test_pomdp import fib_seed
+                     layer_matrices, root_seeds_off, scipy_csr, states)
+from test_pomdp import assert_per_entry_fib_matches_scipy, fib_seed
 from swiptctl.control import (ConstraintSpec, HashMismatchError, Policy,
                               build_cost_table, greedy_policy, layer_model,
                               solve_inner_beamforming, solve_outer_selection,
@@ -260,7 +260,7 @@ def enumerated_level_product(space, qe_pairs, level_pmfs):
 
 def obs_belief(compiled, obs):
     """Row ``obs`` of the greedy policy's observation posteriors."""
-    return compiled.obs_posteriors[obs].toarray().ravel()
+    return scipy_csr(compiled.obs_posteriors)[obs].toarray().ravel()
 
 
 def test_obs_belief_is_consistent_posterior(desk_compiled):
@@ -684,6 +684,15 @@ def test_closed_form_fib_on_the_selection_models(bench_solves):
         assert_fib_forms_agree(model, uniform_initial_belief(compiled))
 
 
+def test_per_entry_fib_matches_the_scipy_form(bench_solves):
+    # the per-entry FIB runs on the selection models' explicit matrices
+    _compiled, _policy, caught = bench_solves["select-n16"]
+    for model, _res in caught:
+        assert_per_entry_fib_matches_scipy(PomdpModel(
+            explicit_model(model).transitions, model.observations,
+            model.cost, model.discount))
+
+
 def test_closed_form_fib_at_three_users(three_user_compiled):
     compiled = three_user_compiled
     assert compiled.config.k == 3
@@ -734,7 +743,7 @@ def test_closed_form_fib_with_a_level_never_observed(bench_solves,
     compiled = replace(jopt, level=LevelModel(jopt.level.probs, conf))
     live = emitted([compiled.obs_matrix])
     assert 0 < live.sum() < live.size
-    np.testing.assert_allclose(compiled.obs_posteriors.sum(axis=1).A1, live,
+    np.testing.assert_allclose(compiled.obs_posteriors.row_sums(), live,
                                rtol=0, atol=1e-12)
     cost = build_cost_table(compiled, default_constraints(compiled.config),
                             32)

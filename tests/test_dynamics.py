@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from scipy import sparse, special, stats
 
 from oracles import (InadmissibleActionError, decode, effective_effect,
-                     encode, kernel_matrices, states, step_energy, step_queue,
+                     encode, kernel_matrices, reference_level_map_matrix,
+                     scipy_csr, states, step_energy, step_queue,
                      user_next_pmf)
 from swiptctl import dynamics
 from swiptctl.dynamics import (ActionTable, LevelModel, StateSpace,
                                StateSpaceBudgetError, TransitionKernel,
                                arrival_pmf, build_kernel,
-                               build_observation_matrix, level_map_matrix,
-                               user_action_table)
+                               build_observation_matrix, user_action_table)
 from swiptctl.scenario import compile_scenario, desk_scenario
 
 
@@ -206,7 +206,7 @@ def enumerated_observations(space, level):
 
 
 def assert_same_arrays(got, ref):
-    assert got.format == ref.format
+    assert got.shape == ref.shape
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.dtype == b.dtype, name
@@ -316,7 +316,8 @@ class TestKernel:
         assert len(mats) == 3 * len(actions)
         for (a, u), m in zip(itertools.product(range(len(actions)),
                                                range(3)), mats):
-            np.testing.assert_array_equal(m.toarray(), kern.factors[u, a])
+            np.testing.assert_array_equal(scipy_csr(m).toarray(),
+                                          kern.factors[u, a])
 
 
 @pytest.fixture(params=["unpayable", "three-users"])
@@ -358,12 +359,11 @@ class TestObservations:
     def test_rows_stochastic(self):
         sp, _, level, _ = simple_setup(n_users=2)
         z = build_observation_matrix(sp, level)
-        np.testing.assert_allclose(
-            np.asarray(z.sum(axis=1)).ravel(), 1.0, atol=1e-12)
+        np.testing.assert_allclose(z.row_sums(), 1.0, atol=1e-12)
 
     def test_queue_energy_observed_exactly(self):
         sp, _, level, _ = simple_setup()
-        z = build_observation_matrix(sp, level).tocsr()
+        z = scipy_csr(build_observation_matrix(sp, level))
         for idx, ((q, e, lv),) in states(sp):
             row = np.asarray(z.getrow(idx).todense()).ravel()
             for obs in np.nonzero(row)[0]:
@@ -389,19 +389,25 @@ class TestObservations:
 
     @pytest.mark.parametrize("fixture", ["desk_1600", "three_user_compiled"])
     def test_csr_equals_the_converted_csc_product(self, fixture, request):
-        # the CSC build that PomdpModel converted per action, so that the
-        # solves read the same arrays
+        # the scipy ``sparse.kron`` builds, CSR and converted from CSC, of
+        # the observation matrix and the posterior table
         compiled = request.getfixturevalue(fixture)
         space, level = compiled.space, compiled.level
         z = build_observation_matrix(space, level)
-        assert_same_arrays(z, level_map_matrix(space, level.obs_confusion,
-                                               "csc").tocsr())
+        for fmt in ("csr", "csc"):
+            assert_same_arrays(z, reference_level_map_matrix(
+                space, level.obs_confusion, fmt).tocsr())
+        post = compiled.obs_posteriors
+        block = [w / s if (s := w.sum()) > 0 else w
+                 for w in level.probs * level.obs_confusion.T]
+        assert_same_arrays(post, reference_level_map_matrix(
+            space, np.array(block)))
 
     def test_identity_confusion_is_identity(self):
         sp = StateSpace(n_users=1, q_max=2, e_max=1, n_levels=2)
         level = LevelModel(probs=np.array([0.5, 0.5]), obs_confusion=np.eye(2))
         z = build_observation_matrix(sp, level)
-        np.testing.assert_array_equal(z.toarray(), np.eye(sp.size))
+        np.testing.assert_array_equal(scipy_csr(z).toarray(), np.eye(sp.size))
 
 
 @pytest.fixture(scope="module")

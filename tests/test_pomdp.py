@@ -16,7 +16,8 @@ from oracles import (DEFAULT_PRUNE_MARGIN, ImpossibleObservationError,
                      reference_mdp_corners, reference_observation_policy,
                      reference_policy_alphas, reference_policy_rows,
                      reference_propagate, reference_successor_posts,
-                     root_seeds_off, update_belief)
+                     root_seeds_off, scipy_csr, scipy_fib_q,
+                     scipy_fib_sweep, update_belief)
 from test_acceptance import (SPARSE_Z_MEMBER, ZOO_DIMS, ZOO_HORIZON,
                              ZOO_PRUNE_MARGIN, _zoo_pomdp, zoo_exact)
 
@@ -24,7 +25,7 @@ from swiptctl.pomdp import (AlphaVector, BoundPair, LowerBound, PomdpModel,
                             UpperBound, backup, excess_uncertainty,
                             initial_bounds, q_values, solve_hsvi)
 from swiptctl.pomdp import solver
-from swiptctl.pomdp.model import check_stochastic, emitted
+from swiptctl.pomdp.model import Csr, check_stochastic, emitted
 from swiptctl.scenario import compile_scenario, desk_scenario
 
 
@@ -129,20 +130,25 @@ class TestModel:
         z = sparse.csr_matrix(([0.5, 0.5, 1.0, 1.0], [1, 0, 2, 1],
                                [0, 2, 3, 4]), shape=(3, 3))
         sums = []
-        summed = sparse.csr_matrix.sum
+        summed = Csr.row_sums
 
-        def counted(m, *args, **kwargs):
+        def counted(m):
             sums.append(id(m))
-            return summed(m, *args, **kwargs)
+            return summed(m)
 
-        monkeypatch.setattr(sparse.csr_matrix, "sum", counted)
+        monkeypatch.setattr(Csr, "row_sums", counted)
         m = PomdpModel(transitions=[t] * 4, observations=[z] * 4,
                        cost=np.zeros((3, 4)), discount=0.9)
-        assert sorted(sums) == sorted([id(t), id(z)])
-        assert all(rows is m.obs_rows[0] for rows in m.obs_rows)
-        assert z.has_sorted_indices
-        np.testing.assert_array_equal(z.indices, [0, 1, 2, 1])
-        np.testing.assert_array_equal(m.obs_rows[0], [0, 0, 1, 2])
+        assert all(x is m.transitions[0] for x in m.transitions)
+        assert all(x is m.observations[0] for x in m.observations)
+        assert sorted(sums) == sorted([id(m.transitions[0]),
+                                       id(m.observations[0])])
+        assert m.obs_distinct == [m.observations[0]]
+        # the record sorts the columns; the matrix given is left as it is
+        np.testing.assert_array_equal(m.observations[0].indices,
+                                      [0, 1, 2, 1])
+        np.testing.assert_array_equal(m.observations[0].rows, [0, 0, 1, 2])
+        np.testing.assert_array_equal(z.indices, [1, 0, 2, 1])
         # and a shared matrix still fails the check
         bad = sparse.csr_matrix(np.array([[0.5, 0.4], [0.5, 0.5]]))
         with pytest.raises(ValueError, match="stochastic"):
@@ -159,12 +165,12 @@ class TestModel:
                   cost=np.zeros((2, 1)), discount=0.9)
         good = np.array([[1.0, 0.0], [0.0, 1.0], [np.nan, 0.25]])
         m = PomdpModel(**kw, posteriors=good)
-        assert isinstance(m.posteriors, sparse.csr_matrix)
+        assert isinstance(m.posteriors, Csr)
         np.testing.assert_array_equal(m.emitted, [True, True, False])
         for post in (good[:2], good.T):
             with pytest.raises(ValueError, match="posteriors"):
                 PomdpModel(**kw, posteriors=post)
-        live = emitted([z])
+        live = emitted([Csr.of(z)])
         np.testing.assert_array_equal(live, m.emitted)
         assert check_stochastic(good, live) is good
         off, nan, inf = good.copy(), good.copy(), good.copy()
@@ -224,6 +230,82 @@ class TestModel:
         for a in range(3):
             total = sum(observation_prob(o, a, b, m) for o in range(2))
             assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.fixture(params=["tiger", *[f"zoo-{i}" for i in range(len(ZOO_DIMS))],
+                        "desk-k1", "desk-k2", "desk-k3", "empty-rows"])
+def records(request):
+    """``Csr`` records as the solver holds them: a small model's matrices;
+    a desk scenario's observation matrix, posterior table, kernel factors
+    and one explicit layer matrix at k = 1, 2 and 3 users; and a matrix
+    with empty rows."""
+    name = request.param
+    if name == "empty-rows":
+        return [Csr.of(np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.0],
+                                 [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))]
+    if name.startswith("desk-"):
+        compiled = request.getfixturevalue({
+            "desk-k1": "one_user_small", "desk-k2": "desk_compiled_small",
+            "desk-k3": "three_user_compiled"}[name])
+        model = explicit_model(jopt_model(compiled)[0])
+        return [compiled.obs_matrix, compiled.obs_posteriors,
+                *compiled.kernel.matrices[:2], model.transitions[-1]]
+    m = (tiger_model() if name == "tiger"
+         else _zoo_pomdp(int(name.split("-")[1])))
+    return m.transitions + m.observations
+
+
+class TestCsrAgainstScipy:
+    """The ``Csr`` record's products against scipy's on the record's
+    arrays, bit for bit."""
+
+    def test_products(self, records):
+        rng = np.random.default_rng(3)
+        for m in records:
+            s = scipy_csr(m)
+            v, u = rng.normal(size=m.shape[1]), rng.normal(size=m.shape[0])
+            x = rng.normal(size=(m.shape[1], 5))
+            y = rng.normal(size=(m.shape[0], 3))
+            for got, want in [(m.dot(v), s @ v), (m.dot(x), s @ x),
+                              (m.dot(np.asfortranarray(x)), s @ x),
+                              (m.tdot(u), s.T @ u), (m.tdot(y), s.T @ y),
+                              (m.row_sums(),
+                               np.asarray(s.sum(axis=1)).ravel())]:
+                np.testing.assert_array_equal(got, want, strict=True)
+            np.testing.assert_array_equal(m.col_counts(), s.getnnz(axis=0))
+
+    def test_layout(self, records):
+        # the arrays, index type included, of the canonical CSR matrix that
+        # scipy builds from the same entries (sorted columns, no stored
+        # zero); the row and column id of every entry; and the record of
+        # its scipy matrix has the same arrays
+        for m in records:
+            coo = scipy_csr(m).tocoo()
+            ref = sparse.csr_matrix((coo.data, (coo.row, coo.col)),
+                                    shape=m.shape)
+            ref.sum_duplicates()
+            assert (m.data != 0).all() and m.nnz == ref.nnz
+            again = Csr.of(ref)
+            for part in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(m, part),
+                                              getattr(ref, part), strict=True)
+            for part in ("data", "indices", "indptr", "rows", "cols"):
+                np.testing.assert_array_equal(getattr(again, part),
+                                              getattr(m, part), strict=True)
+            np.testing.assert_array_equal(
+                m.rows, np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)))
+            np.testing.assert_array_equal(m.cols, m.indices)
+            assert m.cols.dtype == np.intp
+
+    def test_of_sorts_the_columns_and_drops_zeros(self):
+        s = sparse.csr_matrix(([0.5, 0.0, 0.5, 1.0], [2, 1, 0, 0],
+                               [0, 3, 4]), shape=(2, 3))
+        for given in (s, s.tocsc(), s.toarray()):
+            m = Csr.of(given)
+            np.testing.assert_array_equal(m.indptr, [0, 2, 3])
+            np.testing.assert_array_equal(m.indices, [0, 2, 0])
+            np.testing.assert_array_equal(m.data, [0.5, 0.5, 1.0])
+        assert Csr.of(m) is m
 
 
 class TestBounds:
@@ -304,6 +386,32 @@ class TestBounds:
         assert [a.action for a in lb.alphas] == sorted(set(best))
         assert removed == 12 - len(set(best))
 
+    def test_scores_follow_adds_and_prunes(self):
+        # scores keep the alphas as columns of a buffer that adds append to
+        # and prunes rewrite: after each change they equal scipy's product
+        # with the current alpha matrix
+        rng = np.random.default_rng(4)
+        posts = Csr.of(rng.dirichlet(np.ones(6), size=5)
+                       * (rng.random((5, 6)) < 0.6) + 1e-3 * np.eye(5, 6))
+        lb = LowerBound([AlphaVector(v, 0) for v in rng.normal(size=(3, 6))])
+
+        def check():
+            want = scipy_csr(posts) @ np.ascontiguousarray(lb.matrix().T)
+            np.testing.assert_array_equal(lb.scores(posts), want,
+                                          strict=True)
+
+        check()
+        for v in rng.normal(size=(9, 6)):   # past the first capacity
+            lb.add(AlphaVector(v, 1))
+            check()
+        lb.add(AlphaVector(lb.matrix().min(axis=0) - 1.0, 2))
+        assert lb.prune_pointwise() >= 1
+        check()
+        assert lb.prune_witness(rng.dirichlet(np.ones(6), size=2)) >= 1
+        check()
+        lb.add(AlphaVector(rng.normal(size=6), 3))
+        check()
+
 
 def reference_value(ub, b, points):
     """Sawtooth value at b, one point at a time."""
@@ -320,11 +428,11 @@ def reference_value(ub, b, points):
 
 
 def reference_value_many(ub, posts):
-    """Sawtooth values at the rows of sparse ``posts``, one dense
-    (rows, support) block per point."""
-    base = np.asarray(posts @ ub.corner).ravel()
+    """Sawtooth values at the rows of the record ``posts``, one dense
+    (rows, support) block per point, by scipy."""
+    base = np.asarray(scipy_csr(posts) @ ub.corner).ravel()
     best = base.copy()
-    pc = posts.tocsc()
+    pc = scipy_csr(posts).tocsc()
     for (bp, _vp, sup, gain) in ub.points:
         if gain >= 0.0:
             continue
@@ -395,7 +503,7 @@ def desk_jopt_case(desk_jopt_model):
     wide = next(p for p in upper.points if p[2].size > 1)
     # corners inside a multi-state support: coefficient 0 for that point
     corners = np.eye(model.n_states)[wide[2][:3]]
-    posts = [rows for b in (b0, points[0], points[-1])
+    posts = [scipy_csr(rows) for b in (b0, points[0], points[-1])
              for (_r, _a, _p, rows) in solver._expand(b, model)]
     beliefs = sparse.vstack(posts + [sparse.csr_matrix(points),
                                      sparse.csr_matrix(corners)]).tocsr()
@@ -421,7 +529,7 @@ def mixed_support_case():
 def sawtooth_case(request, tiger_case, desk_jopt_case, mixed_support_case):
     upper, beliefs = {"tiger": tiger_case, "desk-jopt": desk_jopt_case,
                       "mixed-supports": mixed_support_case}[request.param]
-    return upper, sparse.csr_matrix(beliefs)
+    return upper, Csr.of(beliefs)
 
 
 class TestSawtoothAgainstPerPointLoop:
@@ -431,17 +539,18 @@ class TestSawtoothAgainstPerPointLoop:
         np.testing.assert_array_equal(got,
                                       reference_value_many(upper, beliefs))
         # some rows gain from a point, some sit on the corner baseline
-        base = beliefs @ upper.corner
+        base = beliefs.dot(upper.corner)
         assert (got < base).any() and (got == base).any()
-        # the support columns are gathered from any sparse format
-        np.testing.assert_array_equal(upper.value_many(beliefs.tocsc()), got)
+        # the record of the beliefs in another scipy format is the same
+        np.testing.assert_array_equal(
+            upper.value_many(Csr.of(scipy_csr(beliefs).tocsc())), got)
         # without an improving point every row sits on the baseline
         np.testing.assert_array_equal(
             UpperBound(upper.corner).value_many(beliefs), base)
 
     def test_value(self, sawtooth_case):
         upper, beliefs = sawtooth_case
-        for b in beliefs.toarray():
+        for b in scipy_csr(beliefs).toarray():
             assert upper.value(b) == reference_value(upper, b, upper.points)
 
     def test_prune_keeps_the_same_points_in_order(self, sawtooth_case):
@@ -811,6 +920,34 @@ def fib_seed(m):
     return solver._fib_q(m, pi, alphas)
 
 
+def assert_per_entry_fib_matches_scipy(m):
+    """The per-entry FIB of ``m``, a model of explicit matrices without
+    posteriors, against its form on scipy's sparse products: one sweep
+    from the MDP Q-table (values, and the choice at each (s, o) entry,
+    whose patterns store the columns in other orders), and the Q-table
+    from :func:`fib_seed`'s start, within 1e-9 of scale."""
+    assert m.posteriors is None and not m.factored
+    _corners, q = solver._mdp_corners(m, solver._blind_alphas(m))
+    got, want = (sweep(m, q, keep_zero) for sweep in (solver._fib_sweep,
+                                                      scipy_fib_sweep))
+    np.testing.assert_allclose(got[0], want[0], rtol=0,
+                               atol=1e-12 * np.abs(want[0]).max())
+    for (ptr, idx, pick), (ref_ptr, ref_idx, ref_pick) in zip(
+            [(*p, c) for p, c in zip(got[1], got[2])],
+            [(*p, c) for p, c in zip(want[1], want[2])]):
+        np.testing.assert_array_equal(ptr, ref_ptr)
+        rows = np.repeat(np.arange(m.n_states), np.diff(ptr))
+        order = np.lexsort((idx, rows))
+        ref_order = np.lexsort((ref_idx, rows))
+        np.testing.assert_array_equal(idx[order], ref_idx[ref_order])
+        np.testing.assert_array_equal(pick[order], ref_pick[ref_order])
+    pi = solver._observation_policy(m, q)
+    alphas = np.array([a.values for a in solver._policy_alphas(m, pi, q)]).T
+    fib, ref = solver._fib_q(m, pi, alphas), scipy_fib_q(m, pi, alphas)
+    np.testing.assert_allclose(fib, ref, rtol=0,
+                               atol=1e-9 * np.abs(ref).max())
+
+
 @pytest.fixture(params=SEED_MODELS)
 def fib_case(request, desk_jopt_model, desk_compiled_small):
     """A seed model, its uniform root belief, and the exact POMDP value at
@@ -916,11 +1053,12 @@ class TestFibUpper:
         rng = np.random.default_rng(1)
         choice = [rng.integers(n_a, size=indices.size)
                   for _indptr, indices in patterns]
-        step = solver._fixed_choice_step(m, patterns, choice)
+        step = solver._fixed_choice_step(m, choice)
         x = rng.standard_normal((n_a, n))
         want = np.zeros((n_a, n))
         for a, ((indptr, indices), pick) in enumerate(zip(patterns, choice)):
-            t, z = m.transitions[a].toarray(), m.observations[a].toarray()
+            t, z = (scipy_csr(x[a]).toarray()
+                    for x in (m.transitions, m.observations))
             for s in range(n):
                 for i in range(indptr[s], indptr[s + 1]):
                     want[a, s] += t[s] @ (z[:, indices[i]] * x[pick[i]])
@@ -929,6 +1067,10 @@ class TestFibUpper:
         # every (s, o) that T_a Z_a reaches is in the pattern
         np.testing.assert_allclose(step(np.ones(n_a * n)), 1.0, rtol=0,
                                    atol=1e-13)
+
+    @pytest.mark.parametrize("name", ["tiger", "zoo-0", "zoo-5"])
+    def test_per_entry_form_matches_the_scipy_form(self, name):
+        assert_per_entry_fib_matches_scipy(dense_sized_model(name))
 
     def test_seeded_only_above_eps(self, desk_jopt_model, monkeypatch):
         m, b0 = desk_jopt_model
@@ -1124,7 +1266,8 @@ class TestSupportGatherExpansion:
             expansion = assert_expansion_matches_chain(m, b, bounds)
             _r, active, p_act, posts = expansion[rng.integers(m.n_actions)]
             assert active.size < m.n_obs
-            b = posts[rng.choice(active.size, p=p_act / p_act.sum())] \
+            b = scipy_csr(posts)[rng.choice(active.size,
+                                            p=p_act / p_act.sum())] \
                 .toarray().ravel()
 
 

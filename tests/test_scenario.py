@@ -326,8 +326,8 @@ def test_compiled_kernel_rows_stochastic(tiny_compiled):
 
 
 def test_compiled_observation_rows_stochastic(tiny_compiled):
-    rows = np.asarray(tiny_compiled.obs_matrix.sum(axis=1)).ravel()
-    np.testing.assert_allclose(rows, 1.0, atol=1e-9)
+    np.testing.assert_allclose(tiny_compiled.obs_matrix.row_sums(), 1.0,
+                               atol=1e-9)
 
 
 def test_compiled_hash_matches_config(tiny_cfg, tiny_compiled):

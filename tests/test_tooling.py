@@ -130,7 +130,7 @@ UNREACHED = {
         "pomdp.solver.explore", "pomdp.solver.backup", "pomdp.solver._expand",
         "pomdp.solver._successor_posts", "pomdp.solver.q_values",
         "pomdp.solver.excess_uncertainty", "pomdp.bounds.BoundPair.audit",
-        "pomdp.bounds.LowerBound.scores", "pomdp.bounds.LowerBound.value_many",
+        "pomdp.bounds.LowerBound.value_many",
         "pomdp.bounds.UpperBound.value_many", "pomdp.bounds._dense_columns",
         "pomdp.bounds.LowerBound.__len__", "pomdp.bounds.UpperBound.__len__",
         "pomdp.model.PomdpModel.propagate", "pomdp.model.row_entries",
@@ -140,7 +140,8 @@ UNREACHED = {
         "pomdp.bounds.UpperBound.prune"], EXPLORATION),
     **dict.fromkeys([
         "pomdp.solver._fib_sweep", "pomdp.solver._fixed_choice_step",
-        "pomdp.solver._fixed_choice_step.<locals>.step"],
+        "pomdp.solver._fixed_choice_step.<locals>.step",
+        "pomdp.solver._paths"],
         "item 5: per-entry FIB, for models without closure"),
     **dict.fromkeys([
         "channel.draw_channel", "channel.uplink_sinr", "channel.downlink_sinr",
@@ -173,25 +174,33 @@ def src_functions(code, qualname: str = "") -> dict:
     return out
 
 
+def every_command(cfg, out) -> list:
+    """argv lists that run every CLI command on the config file ``cfg``,
+    writing into the directory ``out``: validate, the three solves,
+    evaluate and both sweeps."""
+    policy = str(out / "policy.json")
+    rollout = ["--episodes", "2", "--horizon", "20"]
+    commands = [["validate"]]
+    commands += [["solve", "--kind", kind, "--out", policy,
+                  "--log", str(out / "solve.log")]
+                 for kind in ("d-opt", "j-opt", "p-opt")]
+    commands += [
+        ["evaluate", "--policy", policy,
+         "--out", str(out / "results.json"), *rollout],
+        ["sweep-power", "--budgets", "0.5,1.05",
+         "--policies", "d-opt,j-opt,p-opt,hd",
+         "--out", str(out / "power.csv"), *rollout],
+        ["sweep-antennas", "--n-r", "4,32",
+         "--out", str(out / "antennas.csv"), *rollout]]
+    return [[name, "--config", str(cfg), *rest] for name, *rest in commands]
+
+
 def test_cli_reaches_every_function_but_the_named_ones(tmp_path):
     # new dead code shows up here: a function that no command runs must be
     # deleted or named, with its owner, in UNREACHED
     cfg = tmp_path / "cfg.json"
     cfg.write_text(desk_scenario(q_max=4, e_max=3).to_json())
-    policy = str(tmp_path / "policy.json")
-    rollout = ["--episodes", "2", "--horizon", "20"]
-    commands = [["validate"]]
-    commands += [["solve", "--kind", kind, "--out", policy,
-                  "--log", str(tmp_path / "solve.log")]
-                 for kind in ("d-opt", "j-opt", "p-opt")]
-    commands += [
-        ["evaluate", "--policy", policy,
-         "--out", str(tmp_path / "results.json"), *rollout],
-        ["sweep-power", "--budgets", "0.5,1.05",
-         "--policies", "d-opt,j-opt,p-opt,hd",
-         "--out", str(tmp_path / "power.csv"), *rollout],
-        ["sweep-antennas", "--n-r", "4,32",
-         "--out", str(tmp_path / "antennas.csv"), *rollout]]
+    commands = every_command(cfg, tmp_path)
     called = set()
 
     def on_call(frame, _event, _arg):
@@ -200,8 +209,7 @@ def test_cli_reaches_every_function_but_the_named_ones(tmp_path):
     previous = sys.gettrace()
     sys.settrace(on_call)
     try:
-        codes = [cli.main([name, "--config", str(cfg), *rest])
-                 for name, *rest in commands]
+        codes = [cli.main(argv) for argv in commands]
     finally:
         sys.settrace(previous)
     assert codes == [0] * len(commands)
@@ -225,33 +233,33 @@ def scipy_modules_loaded_by(module: str, run: str = "pass") -> list:
     code = (f"import json, sys, {module}; {run}; print(json.dumps("
             "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
+                         capture_output=True, text=True, timeout=300).stdout
     return json.loads(out.splitlines()[-1])
 
 
-# scipy.stats alone once took about 0.7 s of a 1.3 s start-up, and
-# scipy.special 0.1 s; scipy.sparse.linalg, with the scipy.linalg it loads,
-# cost every command about 10 MB and 0.1 s for one BiCGSTAB call. Only the
-# tests' oracles need these modules
-SLOW_SCIPY = {"scipy.stats", "scipy.optimize", "scipy.special",
-              "scipy.sparse.linalg", "scipy.linalg"}
+# src/ is numpy only: scipy.sparse once took half of a fresh
+# ``import swiptctl.cli`` (0.25 s and 22 MB of 0.50 s and 51 MB). Both
+# guards below want no scipy module at all, not only the slow ones
 
 
 def test_cli_import_leaves_out_slow_scipy_modules():
-    loaded = scipy_modules_loaded_by("swiptctl.cli")
-    assert not SLOW_SCIPY & set(loaded), loaded
+    # every swiptctl module, not only the CLI's import path
+    run = ("[importlib.import_module(m.name) for m in pkgutil.walk_packages("
+           "swiptctl.__path__, 'swiptctl.')]")
+    loaded = scipy_modules_loaded_by("importlib, pkgutil, swiptctl", run)
+    assert loaded == [], loaded
 
 
 def test_cli_solve_leaves_out_slow_scipy_modules(tmp_path):
-    # an import made inside a function would load only here
+    # every command runs (the three solves, evaluate and both sweeps), so
+    # an import made inside a function would show here
     cfg = tmp_path / "cfg.json"
     cfg.write_text(desk_scenario(q_max=1, e_max=1, calib_draws=20).to_json())
-    argv = ["solve", "--config", str(cfg), "--kind", "j-opt",
-            "--out", str(tmp_path / "policy.json")]
-    loaded = scipy_modules_loaded_by(
-        "swiptctl.cli", f"assert swiptctl.cli.main({argv!r}) == 0")
-    assert "scipy.sparse" in loaded
-    assert not SLOW_SCIPY & set(loaded), loaded
+    commands = every_command(cfg, tmp_path)
+    run = (f"codes = [swiptctl.cli.main(argv) for argv in {commands!r}]; "
+           f"assert codes == [0] * {len(commands)}, codes")
+    loaded = scipy_modules_loaded_by("swiptctl.cli", run)
+    assert loaded == [], loaded
 
 
 def test_channel_import_loads_no_scipy():
