@@ -19,8 +19,9 @@ import sys
 import numpy as np
 
 from .control import HashMismatchError, Policy
-from .harness import (ANTENNA_COLUMNS, BASELINE_KINDS, baseline_policy,
-                      monte_carlo, rows_to_csv, sweep_antennas, sweep_power)
+from .harness import (ANTENNA_COLUMNS, BASELINE_KINDS, DEFAULT_EPS,
+                      baseline_policy, monte_carlo, rows_to_csv,
+                      sweep_antennas, sweep_power)
 from .scenario import ConfigError, ScenarioConfig, compile_scenario
 
 EXIT_OK = 0
@@ -163,8 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True,
                        help="scenario configuration JSON file")
         if solver:
-            p.add_argument("--eps", type=float, default=5.0,
-                           help="target root bound gap")
+            p.add_argument("--eps", type=float, default=DEFAULT_EPS,
+                           help="root gap at which HSVI exploration stops; "
+                                "the seeds always run")
             p.add_argument("--max-iterations", type=int, default=None)
         if rollout:
             p.add_argument("--episodes", type=int, default=30)

@@ -1,10 +1,10 @@
 """Power-weighted control on top of the compiled scenario.
 
 The stage cost is the per-user delay proxy plus one power weight times the
-transmit powers' excess over their caps and the active antennas' circuit
-power; weight 0 prices delay alone. Policies are solved in two layers by
-one routine (:func:`solve_layer`): beamforming power levels with the
-antenna mask frozen, then mask selection with the power policy frozen.
+transmit powers and the active antennas' circuit power; weight 0 prices
+delay alone. Policies are solved in two layers by one routine
+(:func:`solve_layer`): beamforming power levels with the antenna mask
+frozen, then mask selection with the power policy frozen.
 
 Users are independent given the action, so the tables are built per user:
 the cost table spreads per-user terms over the joint states, the greedy
@@ -31,23 +31,7 @@ class HashMismatchError(ValueError):
     """Policy applied to a scenario other than the one it was solved for."""
 
 
-@dataclass(frozen=True)
-class ConstraintSpec:
-    """Per-user operating limits: power caps (W) and minimum sustained
-    rates (packets/slot)."""
-
-    p_max_up: float
-    p_max_down: float
-    r_min_up: float
-    r_min_down: float
-
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-def build_cost_table(compiled: CompiledScenario, spec: ConstraintSpec,
+def build_cost_table(compiled: CompiledScenario,
                      power_weight: float) -> np.ndarray:
     """(n_states, n_actions) table of stage costs under the degraded
     action: a user who cannot pay the action's energy price neither
@@ -55,20 +39,19 @@ def build_cost_table(compiled: CompiledScenario, spec: ConstraintSpec,
     :func:`user_action_table`).
 
     User by user, the delay proxy q / mean-arrivals-per-slot and
-    ``power_weight`` times each transmit power's excess over its cap depend
-    only on that user's (q, e, level) and the action: they are tabulated
-    over one user's states and spread over the joint states, one term at a
-    time. Then ``power_weight`` times the active antennas' circuit power is
-    added per action."""
+    ``power_weight`` times each transmit power depend only on that user's
+    (q, e, level) and the action: they are tabulated over one user's
+    states and spread over the joint states, one term at a time. Then
+    ``power_weight`` times the active antennas' circuit power is added per
+    action."""
     space, actions = compiled.space, compiled.actions
     acts = user_action_table(space, actions)
     delay = (space.user_digits()[0] / compiled.config.lam_slot)[:, None]
     shape = (space.per_user, compiled.n_actions)
     table = np.zeros((space.size, compiled.n_actions))
     for u in range(space.n_users):
-        for term in (delay,
-                     power_weight * (acts.p_up[u] - spec.p_max_up),
-                     power_weight * (actions.p_down[:, u] - spec.p_max_down)):
+        for term in (delay, power_weight * acts.p_up[u],
+                     power_weight * actions.p_down[:, u]):
             table += space.spread(u, np.broadcast_to(term, shape))
     table += (power_weight * compiled.config.circuit_w_per_antenna
               * actions.n_active)[None, :]

@@ -14,9 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .control import (ConstraintSpec, Policy, build_cost_table,
-                      greedy_policy, solve_inner_beamforming,
-                      solve_outer_selection)
+from .control import (Policy, build_cost_table, greedy_policy,
+                      solve_inner_beamforming, solve_outer_selection)
 from .dynamics import user_action_table
 from .pomdp.solver import check_solver_args
 from .scenario import (CompiledScenario, ScenarioConfig, compile_scenario,
@@ -216,16 +215,19 @@ BASELINE_KINDS = ("d-opt", "j-opt", "p-opt")
 J_POWER_WEIGHT = 2.0
 # the power weight of each HSVI baseline's cost table
 BASELINE_POWER_WEIGHTS = {"d-opt": 0.0, "j-opt": J_POWER_WEIGHT}
+# p-opt's minimum rate per user on each link (packets/slot): any service
+P_OPT_RATE_FLOOR = 1e-6
+# root gap at which HSVI exploration stops, for the baselines and the sweeps
+DEFAULT_EPS = 5.0
 
 
-def baseline_cost_table(kind: str, compiled: CompiledScenario,
-                        spec: ConstraintSpec) -> np.ndarray:
+def baseline_cost_table(kind: str, compiled: CompiledScenario) -> np.ndarray:
     """Stage costs of an HSVI baseline: d-opt weighs the delay proxy alone
     (power weight 0); j-opt weighs both transmit powers and the active
     antennas' circuit power by ``J_POWER_WEIGHT``."""
     if kind not in BASELINE_POWER_WEIGHTS:
         raise ValueError(f"no HSVI cost table for baseline kind {kind!r}")
-    return build_cost_table(compiled, spec, BASELINE_POWER_WEIGHTS[kind])
+    return build_cost_table(compiled, BASELINE_POWER_WEIGHTS[kind])
 
 
 def solve_two_layer(compiled: CompiledScenario, cost_table: np.ndarray,
@@ -247,49 +249,39 @@ def solve_two_layer(compiled: CompiledScenario, cost_table: np.ndarray,
     return policy, solves + [("outer selection", res)]
 
 
-def default_constraints(cfg: ScenarioConfig) -> ConstraintSpec:
-    """Loose limits built from the configured grids (nothing binds)."""
-    return ConstraintSpec(
-        p_max_up=max(cfg.power_levels_up) + 1.0,
-        p_max_down=max(cfg.power_levels_down) + 1.0,
-        r_min_up=1e-6, r_min_down=1e-6)
-
-
 def baseline_policy(kind: str, compiled: CompiledScenario,
-                    spec: ConstraintSpec | None = None, eps: float = 0.5,
-                    **hsvi_kw):
+                    eps: float = DEFAULT_EPS, **hsvi_kw):
     """Reference controllers: d-opt and j-opt solve their
     :func:`baseline_cost_table` in two layers; p-opt is delay-blind — per
     (energy, level) observation it plays the cheapest admissible action
-    meeting the minimum rates, independent of the queue.
+    meeting ``P_OPT_RATE_FLOOR`` on each link, independent of the queue.
 
     Returns (policy, [(label, HsviResult)]); p-opt's list is empty, but
     its solver arguments are checked as the solvers' are."""
     check_solver_args(eps, hsvi_kw.get("max_iterations", 0))
-    spec = default_constraints(compiled.config) if spec is None else spec
     if kind == "p-opt":
-        return _p_opt_policy(compiled, spec), []
+        return _p_opt_policy(compiled), []
     policy, solves = solve_two_layer(
-        compiled, baseline_cost_table(kind, compiled, spec), eps, **hsvi_kw)
+        compiled, baseline_cost_table(kind, compiled), eps, **hsvi_kw)
     policy.kind = kind
     return policy, solves
 
 
-def _p_opt_policy(compiled: CompiledScenario, spec: ConstraintSpec) -> Policy:
+def _p_opt_policy(compiled: CompiledScenario) -> Policy:
     """CSI/ESI-only minimum-power controller, constant across queue states.
 
     Per observation: the cheapest payable action (total power ascending,
-    ties by index) that meets every user's rate floors at its observed
-    level; failing that, the payable action with the most service (ties by
-    index); failing that, action 0."""
+    ties by index) that gives every user ``P_OPT_RATE_FLOOR`` on both links
+    at its observed level; failing that, the payable action with the most
+    service (ties by index); failing that, action 0."""
     space, actions = compiled.space, compiled.actions
     acts = user_action_table(space, actions)
     pays = meets = True
     for u in range(space.n_users):
         pays = pays & space.spread(u, acts.pays[u])
-        meets = meets & space.spread(u, (acts.served[u] >= spec.r_min_up)
+        meets = meets & space.spread(u, (acts.served[u] >= P_OPT_RATE_FLOOR)
                                      & (actions.rate_down[:, u]
-                                        >= spec.r_min_down))
+                                        >= P_OPT_RATE_FLOOR))
     by_power = np.argsort(actions.p_up.sum(axis=1)
                           + actions.p_down.sum(axis=1), kind="stable")
     by_service = np.argsort(-actions.served.sum(axis=(1, 2)), kind="stable")
@@ -321,8 +313,8 @@ def rows_to_csv(rows, columns: tuple = CSV_COLUMNS) -> str:
 
 def sweep_power(cfg: ScenarioConfig, budgets, policies=("d-opt", "j-opt",
                                                         "p-opt"),
-                episodes: int = 30, horizon: int = 300, eps: float = 5.0,
-                seed: int = 0, **hsvi_kw):
+                episodes: int = 30, horizon: int = 300,
+                eps: float = DEFAULT_EPS, seed: int = 0, **hsvi_kw):
     """Delay-versus-power-budget table, one row per (budget, policy).
 
     The budget restricts the per-slot power grid; the special policy name
@@ -370,8 +362,8 @@ def sweep_power(cfg: ScenarioConfig, budgets, policies=("d-opt", "j-opt",
 
 
 def sweep_antennas(cfg: ScenarioConfig, n_r_list, episodes: int = 30,
-                   horizon: int = 300, eps: float = 5.0, seed: int = 0,
-                   **hsvi_kw):
+                   horizon: int = 300, eps: float = DEFAULT_EPS,
+                   seed: int = 0, **hsvi_kw):
     """Effective power versus array size, with antenna selection on and
     off: per array size n_r, one j-opt two-layer solve over a shortlist of
     masks (``select-n<n_r>``), then one rollout of it and the full array.

@@ -338,30 +338,28 @@ def _fib_q(model: PomdpModel, pi: np.ndarray, q: np.ndarray) -> np.ndarray:
     return q + np.abs(hq - q).max() / (1.0 - g)
 
 
-def initial_bounds(model: PomdpModel, b0: np.ndarray | None = None,
-                   eps: float = 0.0) -> BoundPair:
+def initial_bounds(model: PomdpModel,
+                   b0: np.ndarray | None = None) -> BoundPair:
     """Blind-policy alpha set below, fully-observed MDP corners above, both
     from certified matrix-free solves (HSVI2 seeds its bounds from policy
-    evaluations too). Given a root belief ``b0`` where these leave a gap
-    above ``eps``, the lower bound also takes the alphas of "play a, then
-    follow the QMDP observation policy", with the MDP Q as the guess. If
-    the gap at ``b0`` is still above ``eps``, the fast informed bound from
-    that policy and its alphas (:func:`_fib_q`, in closed form on a closed
+    evaluations too). Given a root belief ``b0``, the lower bound also
+    takes the alphas of "play a, then follow the QMDP observation policy",
+    with the MDP Q as the guess, and the fast informed bound from that
+    policy and its alphas (:func:`_fib_q`, in closed form on a closed
     model) replaces the upper bound: its best Q per state at the corners,
-    and its best action's value at ``b0`` as a point."""
+    and its best action's value at ``b0`` as a point where that is lower."""
     blind = _blind_alphas(model)
     corners, q = _mdp_corners(model, blind)
     bounds = BoundPair(lower=LowerBound(blind), upper=UpperBound(corners))
-    if b0 is None or bounds.gap(b0) <= eps:
+    if b0 is None:
         return bounds
     pi = _observation_policy(model, q)
     alphas = _policy_alphas(model, pi, q)
     for alpha in alphas:
         bounds.lower.add(alpha)
-    if bounds.gap(b0) > eps:
-        fib = _fib_q(model, pi, np.array([a.values for a in alphas]).T)
-        bounds.upper = UpperBound(fib.max(axis=1))
-        bounds.upper.add(b0, float((b0 @ fib).max()))
+    fib = _fib_q(model, pi, np.array([a.values for a in alphas]).T)
+    bounds.upper = UpperBound(fib.max(axis=1))
+    bounds.upper.add(b0, float((b0 @ fib).max()))
     return bounds
 
 
@@ -541,7 +539,7 @@ def solve_hsvi(model: PomdpModel, b0: np.ndarray, eps: float,
     result does not depend on the host's speed)."""
     check_solver_args(eps, max_iterations)
     b0 = check_belief(b0)
-    bounds = initial_bounds(model, b0, eps)
+    bounds = initial_bounds(model, b0)
     start = time.perf_counter()
     gap0 = bounds.gap(b0)
     if depth_cap is None:

@@ -886,7 +886,7 @@ def root_seeds_off():
     plain = solver.initial_bounds
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "initial_bounds",
-                   lambda model, b0=None, eps=0.0: plain(model))
+                   lambda model, b0=None: plain(model))
         yield
 
 

@@ -12,14 +12,14 @@ from oracles import (DEFAULT_PRUNE_MARGIN, ClosureError, ObservationMdp,
                      exact_value_iteration, explicit_model, kernel_matrices,
                      layer_matrices, root_seeds_off, scipy_csr, states)
 from test_pomdp import assert_per_entry_fib_matches_scipy, fib_seed
-from swiptctl.control import (ConstraintSpec, HashMismatchError, Policy,
-                              build_cost_table, greedy_policy, layer_model,
+from swiptctl.control import (HashMismatchError, Policy, build_cost_table,
+                              greedy_policy, layer_model,
                               solve_inner_beamforming, solve_outer_selection,
                               uniform_initial_belief)
 from swiptctl.dynamics import ActionTable, LevelModel, build_kernel
 from swiptctl.harness import (J_POWER_WEIGHT, SWEEP_HSVI_KW,
                               baseline_cost_table, baseline_policy,
-                              default_constraints)
+                              sweep_antennas)
 from swiptctl.pomdp import (HsviResult, PomdpModel, initial_bounds, solve_hsvi,
                             solver)
 from swiptctl.pomdp.model import emitted
@@ -38,11 +38,6 @@ def hand_actions():
         mask_id=np.zeros(1, int), n_active=np.full(1, 16))
 
 
-def hand_spec():
-    return ConstraintSpec(p_max_up=0.05, p_max_down=0.5, r_min_up=0.5,
-                          r_min_down=1.0)
-
-
 @pytest.mark.parametrize("case", ["unpayable", "hand-actions"])
 def test_replaced_action_table_brings_its_own_kernel(case, desk_compiled,
                                                      unpayable):
@@ -57,16 +52,6 @@ def test_replaced_action_table_brings_its_own_kernel(case, desk_compiled,
 
     assert arrays(compiled.kernel) == arrays(want)
     assert arrays(compiled.kernel) != arrays(desk_compiled.kernel)
-
-
-# ---------------------------------------------------------------------------
-# specs
-# ---------------------------------------------------------------------------
-
-def test_constraint_spec_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        ConstraintSpec(p_max_up=0.0, p_max_down=1.0, r_min_up=1.0,
-                       r_min_down=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -97,19 +82,19 @@ def test_effective_effect_degrades_only_broke_users():
 # stage cost and cost table
 # ---------------------------------------------------------------------------
 
-def reference_stage_terms(weight, users, effect, spec, lam_slot):
+def reference_stage_terms(weight, users, effect, lam_slot):
     """Stage cost of one decoded joint state under ``effect``, one user
     and one term at a time: the delay proxy plus ``weight`` times each
-    transmit power's excess over its cap."""
+    transmit power."""
     total = 0.0
     for u, (q, _e, _lv) in enumerate(users):
         total += q / lam_slot
-        total += weight * (float(effect.p_up[u]) - spec.p_max_up)
-        total += weight * (float(effect.p_down[u]) - spec.p_max_down)
+        total += weight * float(effect.p_up[u])
+        total += weight * float(effect.p_down[u])
     return total
 
 
-def reference_cost_table(compiled, weight, spec):
+def reference_cost_table(compiled, weight):
     """The per-user terms state by state, each action degraded at the
     state's own energies; the circuit power is not included."""
     space = compiled.space
@@ -118,7 +103,7 @@ def reference_cost_table(compiled, weight, spec):
         for a in range(compiled.n_actions):
             eff = effective_effect(compiled.actions, a,
                                    [e for (_q, e, _l) in users])
-            table[s, a] = reference_stage_terms(weight, users, eff, spec,
+            table[s, a] = reference_stage_terms(weight, users, eff,
                                                 compiled.config.lam_slot)
     return table
 
@@ -133,21 +118,19 @@ def test_stage_cost_at_weight_zero_is_the_delay_proxy(desk_compiled):
     compiled = replace(desk_compiled, actions=hand_actions())
     assert compiled.config.lam_slot == 0.5
     users = ((3, 2, 1), (4, 1, 0))
-    table = build_cost_table(compiled, hand_spec(), 0.0)
+    table = build_cost_table(compiled, 0.0)
     assert table[encode(compiled.space, users), 0] == 3 / 0.5 + 4 / 0.5
 
 
 def test_stage_cost_full_arithmetic(desk_compiled):
     compiled = replace(desk_compiled, actions=hand_actions())
-    spec = hand_spec()
     lam = compiled.config.lam_slot
     users = ((3, 2, 1), (4, 1, 0))       # energies (2, 1) pay (2, 1)
-    got = build_cost_table(compiled, spec, 3.0)[
-        encode(compiled.space, users), 0]
+    got = build_cost_table(compiled, 3.0)[encode(compiled.space, users), 0]
     # independent term-by-term evaluation
     want = 3 / lam + 4 / lam                                # delay proxies
-    want += 3.0 * (0.01 - spec.p_max_up + 0.02 - spec.p_max_up)   # uplinks
-    want += 3.0 * (0.2 - spec.p_max_down + 0.3 - spec.p_max_down)  # downlinks
+    want += 3.0 * (0.01 + 0.02)                             # uplinks
+    want += 3.0 * (0.2 + 0.3)                               # downlinks
     want += 3.0 * compiled.config.circuit_w_per_antenna * 16  # 16 antennas
     assert got == pytest.approx(want)
 
@@ -157,12 +140,11 @@ WEIGHTS = (0.0, J_POWER_WEIGHT, 28.0)
 
 
 def assert_pointwise_at_every_weight(compiled):
-    spec = default_constraints(compiled.config)
     for weight in WEIGHTS:
-        table = build_cost_table(compiled, spec, weight)
+        table = build_cost_table(compiled, weight)
         assert table.shape == (compiled.space.size, compiled.n_actions)
         np.testing.assert_array_equal(
-            table, reference_cost_table(compiled, weight, spec)
+            table, reference_cost_table(compiled, weight)
             + weighted_circuit(compiled, weight))
 
 
@@ -190,8 +172,7 @@ def test_weight_zero_table_is_the_delay_proxy_table(request, case):
     space = compiled.space
     proxy = space.user_digits()[0] / compiled.config.lam_slot
     delay = sum(space.spread(u, proxy) for u in range(space.n_users))
-    table = build_cost_table(compiled, default_constraints(compiled.config),
-                             0.0)
+    table = build_cost_table(compiled, 0.0)
     assert table.tobytes() == np.repeat(
         delay[:, None], compiled.n_actions, axis=1).tobytes()
 
@@ -199,23 +180,22 @@ def test_weight_zero_table_is_the_delay_proxy_table(request, case):
 def test_baseline_cost_table_adds_the_circuit_power_to_j_opt(
         two_mask_compiled):
     compiled = two_mask_compiled
-    spec = default_constraints(compiled.config)
     for kind, weight in (("d-opt", 0.0), ("j-opt", J_POWER_WEIGHT)):
-        assert baseline_cost_table(kind, compiled, spec).tobytes() \
-            == build_cost_table(compiled, spec, weight).tobytes()
-    # j-opt minus d-opt: the weighted transmit-power excess, which depends
-    # on the state, plus the weighted circuit power of each mask size
-    extra = (baseline_cost_table("j-opt", compiled, spec)
-             - baseline_cost_table("d-opt", compiled, spec))
-    transmit = (reference_cost_table(compiled, J_POWER_WEIGHT, spec)
-                - reference_cost_table(compiled, 0.0, spec))
+        assert baseline_cost_table(kind, compiled).tobytes() \
+            == build_cost_table(compiled, weight).tobytes()
+    # j-opt minus d-opt: the weighted transmit power, which depends on the
+    # state, plus the weighted circuit power of each mask size
+    extra = (baseline_cost_table("j-opt", compiled)
+             - baseline_cost_table("d-opt", compiled))
+    transmit = (reference_cost_table(compiled, J_POWER_WEIGHT)
+                - reference_cost_table(compiled, 0.0))
     circuit = weighted_circuit(compiled, J_POWER_WEIGHT)
     assert len(np.unique(circuit)) == 2          # one value per mask size
     np.testing.assert_allclose(extra - transmit,
                                np.broadcast_to(circuit, extra.shape))
     for kind in ("p-opt", "mystery"):
         with pytest.raises(ValueError):
-            baseline_cost_table(kind, compiled, spec)
+            baseline_cost_table(kind, compiled)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +292,7 @@ def test_beliefs_match_enumeration_three_users(three_user_compiled):
 
 def test_inner_solve_stays_inside_mask(two_mask_compiled):
     compiled = two_mask_compiled
-    cost = build_cost_table(compiled, default_constraints(compiled.config),
-                            0.0)
+    cost = build_cost_table(compiled, 0.0)
     policy, result = solve_inner_beamforming(
         compiled, 1, cost, eps=5.0, max_iterations=4)
     assert (compiled.actions.mask_id[policy.action_of] == 1).all()
@@ -427,8 +406,7 @@ def reference_greedy(compiled, lower):
 
 def jopt_cost(compiled):
     """The j-opt baseline's cost table."""
-    return baseline_cost_table("j-opt", compiled,
-                               default_constraints(compiled.config))
+    return baseline_cost_table("j-opt", compiled)
 
 
 @pytest.mark.parametrize("mask", [None, 1])
@@ -499,7 +477,7 @@ def test_hsvi_brackets_exact_oracle_on_compiled_jopt():
 
 # the executed select-n16 policy's exact value before the policy alphas
 # seeded the lower bound (seed 0)
-SELECT_N16_BEFORE = 125.835
+SELECT_N16_BEFORE = -75.765
 
 
 def captured(kind, compiled, eps=5.0, **hsvi_kw):
@@ -598,7 +576,7 @@ def test_bounds_bracket_the_oracle_where_energy_binds():
         assert_root_bracketed(res, b0, roots[kind])
         assert_posteriors_bracketed(res, exact, v)
     assert roots["d-opt"] == pytest.approx(-55.5626406421, abs=1e-9)
-    assert roots["j-opt"] == pytest.approx(86.6899236946, abs=1e-9)
+    assert roots["j-opt"] == pytest.approx(-114.9100763054, abs=1e-9)
 
 
 def test_executed_selection_policy_against_the_joint_optimum(bench_solves):
@@ -627,20 +605,26 @@ def antenna_sweep_models():
 def test_two_layer_policy_attains_the_joint_optimum(antenna_sweep_models,
                                                     n_r, kind):
     # the paper's decomposition (power levels per mask, then the mask)
-    # loses nothing here: solved to eps 1e-6, the executed two-layer policy
+    # loses nothing here: at the default eps, the executed two-layer policy
     # is worth the optimum over every (mask, power) action at once
     compiled = antenna_sweep_models[n_r]
-    policy, solves = baseline_policy(kind, compiled, eps=1e-6,
-                                     **SWEEP_HSVI_KW)
+    policy, solves = baseline_policy(kind, compiled, **SWEEP_HSVI_KW)
     assert all(res.converged for _label, res in solves)
-    cost = baseline_cost_table(kind, compiled,
-                               default_constraints(compiled.config))
+    cost = baseline_cost_table(kind, compiled)
     exact = ObservationMdp(compiled, layer_model(
         compiled, constant_layer(compiled), cost))
     b0 = uniform_initial_belief(compiled)
     optimum = exact.root(b0, exact.solve()[0])
     executed = exact.executed_root(b0, policy.action_of)
     assert executed == pytest.approx(optimum, rel=1e-9, abs=0)
+
+
+def test_selection_cuts_effective_power_at_n_r_8():
+    # with the n_r 8 j-opt table at the joint optimum, selecting among masks
+    # 4 and 8 saves power over the full array (0.974 against 1.032 W)
+    rows, _solves = sweep_antennas(desk_scenario(q_max=4, e_max=3), [8])
+    power = {row["policy"]: float(row["effective_power_w"]) for row in rows}
+    assert power["select-n8"] < power["full-n8"]
 
 
 def test_observation_mdp_refuses_a_model_without_closure(desk_compiled):
@@ -717,13 +701,12 @@ def test_closed_form_fib_is_exact_on_the_weight_models(bench_solves,
         return out
 
     monkeypatch.setattr(solver, "_closed_sweep", counting)
-    for weight, optimum in ((28, 2194.594533), (32, 2519.971761),
-                            (40, 3177.350676)):
-        cost = build_cost_table(compiled,
-                                default_constraints(compiled.config), weight)
+    for weight, optimum in ((28, -627.805467), (32, -705.628239),
+                            (40, -854.649324)):
+        cost = build_cost_table(compiled, weight)
         model = layer_model(compiled, constant_layer(compiled), cost)
         sweeps.append([])
-        upper = initial_bounds(model, b0, 1e-6).upper.value(b0)
+        upper = initial_bounds(model, b0).upper.value(b0)
         exact = ObservationMdp(compiled, model)
         root = exact.root(b0, exact.solve()[0])
         assert root == pytest.approx(optimum, rel=0, abs=1e-6)
@@ -745,8 +728,7 @@ def test_closed_form_fib_with_a_level_never_observed(bench_solves,
     assert 0 < live.sum() < live.size
     np.testing.assert_allclose(compiled.obs_posteriors.row_sums(), live,
                                rtol=0, atol=1e-12)
-    cost = build_cost_table(compiled, default_constraints(compiled.config),
-                            32)
+    cost = build_cost_table(compiled, 32)
     model = layer_model(compiled, constant_layer(compiled), cost)
     b0 = uniform_initial_belief(compiled)
     moves = []

@@ -476,9 +476,8 @@ def jopt_model(compiled):
     """The j-opt baseline's model of ``compiled`` and its uniform initial
     belief."""
     from swiptctl.control import layer_model, uniform_initial_belief
-    from swiptctl.harness import baseline_cost_table, default_constraints
-    cost = baseline_cost_table("j-opt", compiled,
-                               default_constraints(compiled.config))
+    from swiptctl.harness import baseline_cost_table
+    cost = baseline_cost_table("j-opt", compiled)
     model = layer_model(compiled, constant_layer(compiled), cost)
     return model, uniform_initial_belief(compiled)
 
@@ -609,7 +608,7 @@ class TestKrylovPort:
             return got
 
         monkeypatch.setattr(solver, "bicgstab", both)
-        initial_bounds(m, b0, 0.0)
+        initial_bounds(m, b0)
         # the blind alphas, the corners' policy iteration, and the stacked
         # operator of the policy alphas
         assert sizes[:m.n_actions] == [m.n_states] * m.n_actions
@@ -820,7 +819,7 @@ class TestKroneckerProducts:
     @pytest.mark.parametrize("k", list(KRONECKER_SCENARIOS))
     def test_match_the_materialized_kernel(self, request, k, layer):
         from swiptctl.control import layer_model
-        from swiptctl.harness import baseline_cost_table, default_constraints
+        from swiptctl.harness import baseline_cost_table
         compiled = request.getfixturevalue(KRONECKER_SCENARIOS[k])
         assert compiled.config.k == k
         n, n_a = compiled.space.size, compiled.n_actions
@@ -829,8 +828,7 @@ class TestKroneckerProducts:
         # table); a selection layer gathers rows of several actions
         chosen = (constant_layer(compiled, np.arange(n_a)[::-1])
                   if layer == "inner" else rng.integers(n_a, size=(3, n)))
-        cost = baseline_cost_table("j-opt", compiled,
-                                   default_constraints(compiled.config))
+        cost = baseline_cost_table("j-opt", compiled)
         model = layer_model(compiled, chosen, cost)
         assert (model.transitions.chosen is None) == (layer == "inner")
         stacked = sparse.vstack(kernel_matrices(compiled.kernel),
@@ -896,18 +894,28 @@ class TestPolicyAlphas:
         exact = pair_policy_alphas(m, pi)
         assert (capped <= exact + value_tol(exact)).all()
 
-    def test_seeded_only_above_eps(self, desk_jopt_model):
-        m, b0 = desk_jopt_model
-        blind = initial_bounds(m)
-        gap = blind.gap(b0)
-        assert len(initial_bounds(m, b0, gap).lower) == m.n_actions
-        seeded = initial_bounds(m, b0, 5.0)
+    def test_seeds_run_below_any_eps(self, desk_compiled, monkeypatch):
+        # the desk d-opt model's blind bounds already meet at the root;
+        # given the root, both seeds run all the same
+        from swiptctl.control import layer_model, uniform_initial_belief
+        from swiptctl.harness import baseline_cost_table
+        m = layer_model(desk_compiled, constant_layer(desk_compiled),
+                        baseline_cost_table("d-opt", desk_compiled))
+        b0 = uniform_initial_belief(desk_compiled)
+        assert initial_bounds(m).gap(b0) < 1e-8
+        calls = []
+        fib_q = solver._fib_q
+
+        def counting(*args):
+            calls.append(args)
+            return fib_q(*args)
+
+        monkeypatch.setattr(solver, "_fib_q", counting)
+        seeded = initial_bounds(m, b0)
         assert len(seeded.lower) == 2 * m.n_actions
-        assert seeded.lower.value(b0) > blind.lower.value(b0) + 1.0
-        assert seeded.gap(b0) <= 5.0
-        # so the solve certifies at the root and explores nothing
-        res = solve_hsvi(m, b0, eps=5.0)
-        assert res.converged and res.iterations == 0 and res.log == []
+        # the upper bound is FIB's: its corners are FIB's best Q per state
+        assert len(calls) == 1
+        assert np.array_equal(seeded.upper.corner, fib_seed(m).max(axis=1))
 
 
 def fib_seed(m):
@@ -1071,31 +1079,6 @@ class TestFibUpper:
     @pytest.mark.parametrize("name", ["tiger", "zoo-0", "zoo-5"])
     def test_per_entry_form_matches_the_scipy_form(self, name):
         assert_per_entry_fib_matches_scipy(dense_sized_model(name))
-
-    def test_seeded_only_above_eps(self, desk_jopt_model, monkeypatch):
-        m, b0 = desk_jopt_model
-        calls = []
-        fib_q = solver._fib_q
-
-        def counting(*args):
-            calls.append(args)
-            return fib_q(*args)
-
-        monkeypatch.setattr(solver, "_fib_q", counting)
-        mdp = initial_bounds(m).upper.corner
-        # the policy alphas leave a root gap above 0.5, at most 5
-        lower_seeded = initial_bounds(m, b0, 5.0)
-        assert not calls and not lower_seeded.upper.points
-        assert np.array_equal(lower_seeded.upper.corner, mdp)
-        assert 0.5 < lower_seeded.gap(b0) <= 5.0
-        seeded = initial_bounds(m, b0, 0.5)
-        assert len(calls) == 1
-        assert (seeded.upper.corner <= mdp + value_tol(mdp)).all()
-        assert (seeded.upper.corner < mdp - 1.0).any()
-        # the bound is exact at this root, so the solve certifies there
-        assert seeded.gap(b0) <= 1e-9 * abs(seeded.lower.value(b0))
-        res = solve_hsvi(m, b0, eps=0.5)
-        assert res.converged and res.iterations == 0 and len(calls) == 2
 
 
 class TestSolverPieces:
@@ -1359,20 +1342,20 @@ class TestHsvi:
     def test_weight_28_lower_bound_survives_the_prune(self,
                                                        desk_compiled_small):
         # the j-opt weight model at power weight 28 reaches root values
-        # near 2194; 12 explorations run one prune, at iteration 10
+        # near -628, past the 128 where the pointwise prune once emptied the
+        # lower bound; 12 explorations run one prune, at iteration 10
         from swiptctl.control import (build_cost_table, greedy_policy,
                                       layer_model, uniform_initial_belief)
-        from swiptctl.harness import SWEEP_HSVI_KW, default_constraints
+        from swiptctl.harness import SWEEP_HSVI_KW
         compiled = desk_compiled_small
-        cost = build_cost_table(compiled, default_constraints(compiled.config),
-                                28.0)
+        cost = build_cost_table(compiled, 28.0)
         model = layer_model(compiled, constant_layer(compiled), cost)
         b0 = uniform_initial_belief(compiled)
-        start = initial_bounds(model, b0, 1e-6).lower.value(b0)
+        start = initial_bounds(model, b0).lower.value(b0)
         res = solve_hsvi(model, b0, eps=1e-6,
                          **{**SWEEP_HSVI_KW, "max_iterations": 12})
         lows = [start] + [rec[1] for rec in res.log]
-        assert res.iterations == 12 and lows[0] > 2000.0
+        assert res.iterations == 12 and abs(lows[0]) > 128.0
         assert all(b >= a for a, b in zip(lows, lows[1:])), lows
         exact = ObservationMdp(compiled, model)
         policy = greedy_policy(compiled, res.bounds.lower)
