@@ -299,8 +299,9 @@ def _p_opt_policy(compiled: CompiledScenario) -> Policy:
 # sweeps
 # ---------------------------------------------------------------------------
 
-# light solver budget for the qualitative sweeps; policies stabilize well
-# before full convergence at desk scale
+# solver budget for the sweeps' solves. The seeds certify every solve of
+# the desk presets at iteration 0, so the cap bounds only a solve that
+# explores
 SWEEP_HSVI_KW = {"max_iterations": 8, "depth_cap": 25}
 
 

@@ -278,9 +278,9 @@ class PomdpModel:
     :meth:`propagate` only. ``observations[a]`` maps next state s' to
     Pr(O | S', A). Costs are finite; the solver works on reward = -cost.
     ``posteriors``, if given, makes the model closed: row o, for each o
-    that Z emits (``emitted``), is the belief after o. A Kronecker model
-    must be closed, since the per-entry fast informed bound reads explicit
-    matrices."""
+    that Z emits (``emitted``), is the belief after o, and the solver
+    seeds its upper bound with the fast informed bound. Without it, the
+    upper bound starts at the MDP corners."""
 
     transitions: list
     observations: list
@@ -291,10 +291,6 @@ class PomdpModel:
     def __post_init__(self):
         self.factored = isinstance(self.transitions, KroneckerTransitions)
         if self.factored:
-            if self.posteriors is None:
-                raise ValueError(
-                    "a Kronecker model needs posteriors: the per-entry fast "
-                    "informed bound reads explicit matrices (ROADMAP item 5)")
             n, mats = self.transitions.n_states, []
         else:
             mats = self.transitions = _records(self.transitions)

@@ -36,9 +36,6 @@ SWITCH_GAIN = 1e-12
 # policy iteration ends in a few rounds on every model tried; should a
 # round-off cycle ever reach this cap, the certificate keeps the corners valid
 MAX_POLICY_ROUNDS = 100
-# the per-entry FIB expands at most this many (s, s', o) paths of T_a Z_a,
-# or this many (s, o) cells, at once
-FIB_CHUNK = 1 << 18
 
 
 def bicgstab(matvec, b, x0, maxiter=None) -> np.ndarray:
@@ -190,118 +187,18 @@ def _policy_alphas(model: PomdpModel, pi: np.ndarray,
     return [AlphaVector(values=v[a], action=a) for a in range(n_a)]
 
 
-def _paths(model: PomdpModel, a: int):
-    """The (s, s', o) paths of T_a Z_a, in chunks of whole rows of T_a (at
-    most FIB_CHUNK paths or (s, o) cells, but one row at least). Per chunk:
-    each path's T_a entry and Z_a entry, in T_a's then Z_a's stored order
-    (the order of scipy's sparse product), the stored (s, o) entry of
-    T_a Z_a that it adds to, counted from the chunk's first, and those
-    entries' rows and observation ids, grouped by row.
-
-    One path of each (s, o) cell stands for it: the one whose id a scatter
-    over the cells leaves there, whichever write wins. The cell array is
-    reused by every chunk and never cleared, since each chunk writes every
-    cell that it reads."""
-    t, z = model.transitions[a], model.observations[a]
-    n_obs = z.shape[1]
-    per = np.diff(z.indptr)[t.cols]      # paths per T_a entry
-    before = np.concatenate(([0], np.cumsum(per)))[t.indptr]    # per row
-    step = max(1, FIB_CHUNK // n_obs)
-    slot = np.empty(min(step, t.shape[0]) * n_obs, dtype=np.intp)
-    lo = 0
-    while lo < t.shape[0]:
-        hi = np.searchsorted(before, before[lo] + FIB_CHUNK, "right") - 1
-        hi = max(lo + 1, min(hi, lo + step, t.shape[0]))
-        te = np.arange(t.indptr[lo], t.indptr[hi])
-        ze, _ = row_entries(z, t.cols[te])
-        te = np.repeat(te, per[te])
-        cell = (t.rows[te] - lo) * n_obs + z.cols[ze]
-        path = np.arange(cell.size)
-        slot[cell] = path
-        first = slot[cell]
-        lead = first == path
-        yield te, ze, (np.cumsum(lead) - 1)[first], t.rows[te[lead]], \
-            z.cols[ze[lead]]
-        lo = hi
-
-
-def _fib_sweep(model: PomdpModel, q: np.ndarray, prev):
-    """One sweep of the fast informed bound (FIB) operator H, on a model of
-    explicit matrices, from the (n_states, n_actions) table q:
-    (Hq)(s, a) = r(s, a) + gamma sum_o max_b sum_s' T_a(s, s') Z_a(s', o)
-    q(s', b).
-
-    Returns Hq, per action the pattern (indptr, indices) of T_a Z_a and the
-    best next action at each of its stored (s, o) entries, and whether any
-    entry switched. ``prev(a, obs)`` gives the previous choice at the
-    entries whose observation ids are ``obs``; an entry keeps it unless
-    another action gains more than SWITCH_GAIN, so that round-off cannot
-    make policy iteration cycle.
-
-    Each entry of T_a (Z_a * (q_b + c)) is summed over its :func:`_paths`
-    by ``bincount``; q_b + c > 0, so no entry cancels to 0 and every b has
-    the same entries. Every row of T_a Z_a sums to 1, so c adds c to each
-    row sum of the maximum, and every row has an entry to sum.
-    Z_a * (q_b + c) is formed once per distinct Z_a. The lowest b wins
-    ties."""
-    n = model.n_states
-    hq = np.empty_like(q)
-    patterns, choice, switched = [], [], False
-    c = 1.0 - min(q.min(), 0.0)
-    weighted = [z.data * (q[z.rows] + c).T for z in model.obs_distinct]
-    for a, t in enumerate(model.transitions):
-        w = weighted[model.obs_group[a]]
-        parts = [(rows, obs, np.array([
-            np.bincount(at, weights=x, minlength=obs.size)
-            for x in t.data[te] * w[:, ze]]))
-            for te, ze, at, rows, obs in _paths(model, a)]
-        rows, indices, prods = (np.concatenate(part, axis=-1)
-                                for part in zip(*parts))
-        entries = np.arange(indices.size)
-        last = prev(a, indices)
-        pick = prods.argmax(axis=0)
-        top = prods[pick, entries]
-        keep = top <= prods[last, entries] + SWITCH_GAIN
-        pick[keep] = last[keep]
-        hq[:, a] = model.reward[:, a] + model.discount * (
-            np.bincount(rows, weights=top, minlength=n) - c)
-        patterns.append((np.concatenate(([0], np.cumsum(
-            np.bincount(rows, minlength=n)))), indices))
-        choice.append(pick)
-        switched = switched or not keep.all()
-    return hq, patterns, choice, switched
-
-
-def _fixed_choice_step(model: PomdpModel, choice: list):
-    """Matvec of the stacked (n_actions * n_states) operator that plays the
-    next action ``choice[a][i]`` after action a at the i-th stored (s, o)
-    entry of T_a Z_a (in :func:`_fib_sweep`'s pattern order). Its (a, b)
-    block is T_a * (M_ab Z_a^T), M_ab marking the entries that choose b;
-    the blocks sum to a row-stochastic matrix. Per action, the (T_a entry,
-    b) table of the blocks' entries is summed over the :func:`_paths`."""
-    n, n_a = model.n_states, model.n_actions
-    blocks = []
-    for a, (t, pick) in enumerate(zip(model.transitions, choice)):
-        d, done = np.zeros(t.nnz * n_a), 0
-        for te, ze, at, _rows, obs in _paths(model, a):
-            np.add.at(d, te * n_a + pick[done + at],
-                      model.observations[a].data[ze])
-            done += obs.size
-        blocks.append(t.data[:, None] * d.reshape(t.nnz, n_a))
-
-    def step(x):
-        x = x.reshape(n_a, n)
-        return np.concatenate([
-            np.bincount(t.rows, weights=(k * x[:, t.cols].T).sum(axis=1),
-                        minlength=n)
-            for t, k in zip(model.transitions, blocks)])
-    return step
-
-
 def _closed_sweep(model: PomdpModel, q: np.ndarray, last: np.ndarray):
-    """:func:`_fib_sweep` on a closed model (B = ``model.posteriors``):
-    sum_s' T_a(s, s') Z_a(s', o) q(s', b) = Pr(o | s, a) (B q)(o, b), so
-    (Hq)(., a) = r_a + gamma T_a Z_a max_b (B q)(., b), one choice per o."""
+    """One sweep of the fast informed bound (FIB) operator H on a closed
+    model (B = ``model.posteriors``), from the (n_states, n_actions) table
+    q: (Hq)(s, a) = r(s, a) + gamma sum_o max_b sum_s' T_a(s, s') Z_a(s', o)
+    q(s', b). Closure makes sum_s' T_a(s, s') Z_a(s', o) q(s', b) =
+    Pr(o | s, a) (B q)(o, b), so (Hq)(., a) = r_a + gamma T_a Z_a max_b
+    (B q)(., b), one choice per o.
+
+    Returns Hq, the next action chosen per observation, and whether any
+    choice switched. An observation keeps its ``last`` choice unless
+    another action gains more than SWITCH_GAIN, so that round-off cannot
+    make policy iteration cycle; one that Z never emits keeps it always."""
     bq = model.posteriors.dot(q)
     best, m = bq.argmax(axis=1), bq.max(axis=1)
     keep = ~model.emitted | (m <= bq[np.arange(m.size), last] + SWITCH_GAIN)
@@ -311,31 +208,20 @@ def _closed_sweep(model: PomdpModel, q: np.ndarray, last: np.ndarray):
 
 
 def _fib_q(model: PomdpModel, pi: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Fixed point of the FIB operator H (Hauskrecht, JAIR 2000), an upper
-    bound on the POMDP's Q-values, by policy iteration over the next-action
-    choices from the observation policy ``pi`` and its values ``q``: one
-    sweep improves the choices, one stacked Krylov solve evaluates them (on
-    a closed model, which chooses per observation in :func:`_closed_sweep`,
-    by :func:`_policy_alphas`). H is a gamma-contraction, so the result is
-    shifted up by ||Hq - q||_inf / (1 - gamma): valid from any q."""
-    g, n, n_a = model.discount, model.n_states, model.n_actions
-    r = model.reward.T.ravel()
-    if closed := model.posteriors is not None:
-        hq, c, moved = _closed_sweep(model, q, pi)
-    else:
-        hq, _patterns, c, moved = _fib_sweep(model, q, lambda a, o: pi[o])
+    """Fixed point of the FIB operator H (Hauskrecht, JAIR 2000) on a
+    closed model, an upper bound on the POMDP's Q-values, by policy
+    iteration over the next action per observation from the observation
+    policy ``pi`` and its values ``q``: one :func:`_closed_sweep` improves
+    the choices, one :func:`_policy_alphas` solve evaluates them. H is a
+    gamma-contraction, so the result is shifted up by
+    ||Hq - q||_inf / (1 - gamma): valid from any q."""
+    hq, c, moved = _closed_sweep(model, q, pi)
     for _ in range(MAX_POLICY_ROUNDS):
         if not moved:
             break
-        if closed:
-            q = np.array([a.values for a in _policy_alphas(model, c, q)]).T
-            hq, c, moved = _closed_sweep(model, q, c)
-        else:
-            q = _evaluate(_fixed_choice_step(model, c), r, g,
-                          q.T.ravel()).reshape(n_a, n).T
-            hq, _patterns, c, moved = _fib_sweep(
-                model, q, lambda a, o, last=c: last[a])
-    return q + np.abs(hq - q).max() / (1.0 - g)
+        q = np.array([a.values for a in _policy_alphas(model, c, q)]).T
+        hq, c, moved = _closed_sweep(model, q, c)
+    return q + np.abs(hq - q).max() / (1.0 - model.discount)
 
 
 def initial_bounds(model: PomdpModel,
@@ -344,10 +230,11 @@ def initial_bounds(model: PomdpModel,
     from certified matrix-free solves (HSVI2 seeds its bounds from policy
     evaluations too). Given a root belief ``b0``, the lower bound also
     takes the alphas of "play a, then follow the QMDP observation policy",
-    with the MDP Q as the guess, and the fast informed bound from that
-    policy and its alphas (:func:`_fib_q`, in closed form on a closed
-    model) replaces the upper bound: its best Q per state at the corners,
-    and its best action's value at ``b0`` as a point where that is lower."""
+    with the MDP Q as the guess. On a closed model the fast informed bound
+    from that policy and its alphas (:func:`_fib_q`) then replaces the
+    upper bound: its best Q per state at the corners, and its best
+    action's value at ``b0`` as a point where that is lower. A model
+    without ``posteriors`` keeps the MDP corners above."""
     blind = _blind_alphas(model)
     corners, q = _mdp_corners(model, blind)
     bounds = BoundPair(lower=LowerBound(blind), upper=UpperBound(corners))
@@ -357,6 +244,8 @@ def initial_bounds(model: PomdpModel,
     alphas = _policy_alphas(model, pi, q)
     for alpha in alphas:
         bounds.lower.add(alpha)
+    if model.posteriors is None:
+        return bounds
     fib = _fib_q(model, pi, np.array([a.values for a in alphas]).T)
     bounds.upper = UpperBound(fib.max(axis=1))
     bounds.upper.add(b0, float((b0 @ fib).max()))

@@ -9,8 +9,11 @@ Q-table, observation policy and policy alphas), the sparse-matrix belief
 expansion and backup, the joint CSR matrices of a Kronecker-factored
 kernel (:func:`kernel_matrices`, :func:`explicit_model`), the
 ``sparse.kron`` build of the observation matrix and the posterior table
-(:func:`reference_level_map_matrix`) and the per-entry fast informed
-bound on scipy's sparse products (:func:`scipy_fib_q`). The production
+(:func:`reference_level_map_matrix`). The per-entry fast informed bound
+on scipy's sparse products (:func:`scipy_fib_q`, with its sweep and its
+fixed-choice operator) is the one per-entry form left: no production
+routine computes it, and it is the reference for the solver's closed
+form on closed models. The production
 code holds its sparse matrices as ``pomdp.model.Csr`` records;
 :func:`scipy_csr` reads one as a scipy matrix. Tests compare the
 production arrays with these, using exact equality where the arithmetic
@@ -905,11 +908,21 @@ def dense_fib_sweep(model, q):
 
 
 def scipy_fib_sweep(model, q, prev):
-    """``solver._fib_sweep`` on scipy's sparse products, as it ran before
-    the solver formed them itself: per (a, b) one product
+    """One sweep of the fast informed bound (FIB) operator H per entry, on
+    a model of explicit matrices, from the (n_states, n_actions) table q:
+    (Hq)(s, a) = r(s, a) + gamma sum_o max_b sum_s' T_a(s, s') Z_a(s', o)
+    q(s', b), on scipy's sparse products: per (a, b) one product
     T_a (Z_a * (q_b + c)), a running maximum over b, each row summed by
-    ``np.add.reduceat``. The patterns' columns come in scipy's product
-    order, not sorted."""
+    ``np.add.reduceat``. c = 1 - min(q, 0) > 0 keeps every entry positive,
+    so every b has the same pattern; each row of T_a Z_a sums to 1, so the
+    shift adds c to each row's sum of maxima, which is taken back.
+
+    Returns Hq, per action the pattern (indptr, indices) of T_a Z_a, whose
+    columns come in scipy's product order, not sorted, the best next
+    action at each of its stored (s, o) entries, and whether any entry
+    switched. ``prev(a, obs)`` gives the previous choice at the entries
+    whose observation ids are ``obs``; an entry keeps it unless another
+    action gains more than ``solver.SWITCH_GAIN``."""
     hq = np.empty_like(q)
     patterns, choice, switched = [], [], False
     c = 1.0 - min(q.min(), 0.0)
@@ -941,8 +954,12 @@ def scipy_fib_sweep(model, q, prev):
 
 
 def scipy_fixed_choice_step(model, patterns, choice):
-    """``solver._fixed_choice_step`` on scipy's sparse products: the (a, b)
-    block T_a * (M_ab Z_a^T) as one sparse matrix, applied one by one."""
+    """Matvec of the stacked (n_actions * n_states) operator that plays the
+    next action ``choice[a][i]`` after action a at the i-th stored (s, o)
+    entry of T_a Z_a (in :func:`scipy_fib_sweep`'s pattern order): the
+    (a, b) block T_a * (M_ab Z_a^T), M_ab marking the entries that choose
+    b, as one sparse matrix, applied one by one. The blocks sum to a
+    row-stochastic matrix."""
     n, n_a = model.n_states, model.n_actions
     z_t = [scipy_csr(z).T.tocsr() for z in model.obs_distinct]
     blocks = []
@@ -968,10 +985,12 @@ def scipy_fixed_choice_step(model, patterns, choice):
 
 
 def scipy_fib_q(model, pi, q):
-    """``solver._fib_q`` per entry (a model without ``posteriors``) on
-    scipy's sparse products: the policy iteration over the next-action
-    choices from the observation policy ``pi`` and its values ``q``,
-    shifted up by its certificate."""
+    """The FIB fixed point per entry, on a model of explicit matrices
+    (``posteriors`` is not read), on scipy's sparse products: the policy
+    iteration over the next-action choices at every (s, a, o) from the
+    observation policy ``pi`` and its values ``q``, shifted up by its
+    certificate, as ``solver._fib_q`` shifts its closed form. On a closed
+    model it is the closed form's reference."""
     g, n, n_a = model.discount, model.n_states, model.n_actions
     r = model.reward.T.ravel()
     hq, patterns, c, moved = scipy_fib_sweep(model, q, lambda a, o: pi[o])

@@ -10,8 +10,9 @@ from scipy import sparse
 from oracles import (DEFAULT_PRUNE_MARGIN, ClosureError, ObservationMdp,
                      constant_layer, decode, effective_effect, encode,
                      exact_value_iteration, explicit_model, kernel_matrices,
-                     layer_matrices, root_seeds_off, scipy_csr, states)
-from test_pomdp import assert_per_entry_fib_matches_scipy, fib_seed
+                     layer_matrices, root_seeds_off, scipy_csr, scipy_fib_q,
+                     states)
+from test_pomdp import fib_seed, fib_start
 from swiptctl.control import (HashMismatchError, Policy, build_cost_table,
                               greedy_policy, layer_model,
                               solve_inner_beamforming, solve_outer_selection,
@@ -645,14 +646,13 @@ def test_observation_mdp_refuses_a_model_without_closure(desk_compiled):
 # ---------------------------------------------------------------------------
 
 def assert_fib_forms_agree(model, b0):
-    """The FIB Q-table of ``model``, which carries the posterior table, is
-    that of the same model without it (per-entry FIB), at every (s, a) and
-    at ``b0``."""
+    """The closed-form FIB Q-table of ``model``, which carries the
+    posterior table, is the per-entry reference's on its explicit
+    matrices, both started from the same policy and alphas, at every
+    (s, a) and at ``b0``."""
     assert model.posteriors is not None
     closed = fib_seed(model)
-    per_entry = fib_seed(PomdpModel(explicit_model(model).transitions,
-                                    model.observations, model.cost,
-                                    model.discount))
+    per_entry = scipy_fib_q(explicit_model(model), *fib_start(model))
     tol = 1e-9 * np.abs(per_entry).max()
     np.testing.assert_allclose(closed, per_entry, rtol=0, atol=tol)
     assert abs((b0 @ closed).max() - (b0 @ per_entry).max()) <= tol
@@ -666,15 +666,6 @@ def test_closed_form_fib_on_the_selection_models(bench_solves):
     for model, _res in caught:
         assert model.posteriors is compiled.obs_posteriors
         assert_fib_forms_agree(model, uniform_initial_belief(compiled))
-
-
-def test_per_entry_fib_matches_the_scipy_form(bench_solves):
-    # the per-entry FIB runs on the selection models' explicit matrices
-    _compiled, _policy, caught = bench_solves["select-n16"]
-    for model, _res in caught:
-        assert_per_entry_fib_matches_scipy(PomdpModel(
-            explicit_model(model).transitions, model.observations,
-            model.cost, model.discount))
 
 
 def test_closed_form_fib_at_three_users(three_user_compiled):
@@ -719,8 +710,8 @@ def test_closed_form_fib_with_a_level_never_observed(bench_solves,
     # a small calibration can leave an estimated level without a gain: its
     # confusion column is 0, Z never emits its observations, and their
     # posterior rows are 0, not 0/0. The layer model builds, its closed
-    # form FIB (which switches a choice here) is the per-entry one, and
-    # HSVI solves it.
+    # form FIB (which switches a choice here) is the per-entry reference's,
+    # and HSVI solves it.
     jopt = bench_solves["solve-jopt"][0]
     conf = np.array([[1.0, 0.0], [1.0, 0.0]])
     compiled = replace(jopt, level=LevelModel(jopt.level.probs, conf))

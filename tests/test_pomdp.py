@@ -1,4 +1,5 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from oracles import (DEFAULT_PRUNE_MARGIN, ImpossibleObservationError,
                      reference_policy_alphas, reference_policy_rows,
                      reference_propagate, reference_successor_posts,
                      root_seeds_off, scipy_csr, scipy_fib_q,
-                     scipy_fib_sweep, update_belief)
+                     scipy_fib_sweep, scipy_fixed_choice_step,
+                     update_belief)
 from test_acceptance import (SPARSE_Z_MEMBER, ZOO_DIMS, ZOO_HORIZON,
                              ZOO_PRUNE_MARGIN, _zoo_pomdp, zoo_exact)
 
@@ -25,6 +27,7 @@ from swiptctl.pomdp import (AlphaVector, BoundPair, LowerBound, PomdpModel,
                             UpperBound, backup, excess_uncertainty,
                             initial_bounds, q_values, solve_hsvi)
 from swiptctl.pomdp import solver
+from swiptctl.pomdp.bounds import SANDWICH_TOL
 from swiptctl.pomdp.model import Csr, check_stochastic, emitted
 from swiptctl.scenario import compile_scenario, desk_scenario
 
@@ -180,11 +183,13 @@ class TestModel:
             with pytest.raises(ValueError, match="stochastic"):
                 check_stochastic(post, live)
         # the closed sweep reads no row that Z never emits: the NaN row
-        # switches no choice, and FIB is the per-entry one
+        # switches no choice, and FIB is the per-entry reference's
         _hq, c, moved = solver._closed_sweep(m, np.zeros((2, 1)),
                                              np.zeros(3, dtype=int))
         assert not moved and not c.any()
-        np.testing.assert_allclose(fib_seed(m), fib_seed(PomdpModel(**kw)),
+        pi, alphas = fib_start(m)
+        np.testing.assert_allclose(solver._fib_q(m, pi, alphas),
+                                   scipy_fib_q(m, pi, alphas),
                                    rtol=0, atol=1e-12)
 
     def test_reward_is_negated_cost(self):
@@ -848,17 +853,37 @@ class TestKroneckerProducts:
             np.testing.assert_allclose(tau, t.T @ b, rtol=0, atol=1e-14)
             assert tau.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_a_model_without_posteriors_is_refused(self, desk_jopt_model):
-        # the per-entry fast informed bound, which an unclosed model runs,
-        # reads explicit matrices
-        m = desk_jopt_model[0]
-        with pytest.raises(ValueError, match="ROADMAP item 5"):
-            PomdpModel(m.transitions, m.observations, m.cost, m.discount)
-        # with them, or with the materialized matrices, it is built
-        PomdpModel(m.transitions, m.observations, m.cost, m.discount,
-                   m.posteriors)
-        PomdpModel(explicit_model(m).transitions, m.observations, m.cost,
-                   m.discount)
+    def test_a_model_without_posteriors_starts_at_the_mdp_corners(
+            self, monkeypatch):
+        # a Kronecker model without posteriors builds; its seeds skip the
+        # fast informed bound, so its upper bound starts at the MDP
+        # corners, and HSVI brackets the closed model's certified root
+        closed, b0 = jopt_model(compile_scenario(desk_scenario(q_max=1,
+                                                               e_max=1)))
+        seeded = initial_bounds(closed, b0)
+        lo, hi = seeded.lower.value(b0), seeded.upper.value(b0)
+        tol = 1e-9 * abs(lo)
+        assert hi - lo <= tol
+        m = replace(closed, posteriors=None)
+        assert m.factored and m.n_states == 64
+
+        def no_fib(*args):
+            raise AssertionError("FIB ran on a model without posteriors")
+
+        monkeypatch.setattr(solver, "_fib_q", no_fib)
+        bounds = initial_bounds(m, b0)
+        assert len(bounds.lower) == 2 * m.n_actions
+        np.testing.assert_array_equal(bounds.upper.corner,
+                                      initial_bounds(m).upper.corner)
+        assert not bounds.upper.points
+        converged = solve_hsvi(m, b0, eps=5.0)
+        assert converged.converged
+        explored = solve_hsvi(m, b0, eps=1e-2, max_iterations=3)
+        assert explored.iterations > 0 and explored.bounds.audits > 0
+        assert explored.bounds.worst_violation <= SANDWICH_TOL
+        for res in (converged, explored):
+            assert res.bounds.lower.value(b0) <= hi + tol
+            assert res.bounds.upper.value(b0) >= lo - tol
 
 
 class TestPolicyAlphas:
@@ -918,42 +943,23 @@ class TestPolicyAlphas:
         assert np.array_equal(seeded.upper.corner, fib_seed(m).max(axis=1))
 
 
+def fib_start(m):
+    """Where ``initial_bounds`` starts the fast informed bound: the QMDP
+    observation policy and its certified alphas, as a Q-table."""
+    _corners, q = solver._mdp_corners(m, solver._blind_alphas(m))
+    pi = solver._observation_policy(m, q)
+    return pi, np.array([a.values
+                         for a in solver._policy_alphas(m, pi, q)]).T
+
+
 def fib_seed(m):
-    """The solver's fast informed bound Q-table, started as
-    ``initial_bounds`` starts it: at the QMDP observation policy and its
-    certified alphas."""
-    _corners, q = solver._mdp_corners(m, solver._blind_alphas(m))
-    pi = solver._observation_policy(m, q)
-    alphas = np.array([a.values for a in solver._policy_alphas(m, pi, q)]).T
+    """The fast informed bound Q-table from :func:`fib_start`: the
+    solver's closed form on a closed model, the per-entry reference on a
+    model of explicit matrices without posteriors."""
+    pi, alphas = fib_start(m)
+    if m.posteriors is None:
+        return scipy_fib_q(m, pi, alphas)
     return solver._fib_q(m, pi, alphas)
-
-
-def assert_per_entry_fib_matches_scipy(m):
-    """The per-entry FIB of ``m``, a model of explicit matrices without
-    posteriors, against its form on scipy's sparse products: one sweep
-    from the MDP Q-table (values, and the choice at each (s, o) entry,
-    whose patterns store the columns in other orders), and the Q-table
-    from :func:`fib_seed`'s start, within 1e-9 of scale."""
-    assert m.posteriors is None and not m.factored
-    _corners, q = solver._mdp_corners(m, solver._blind_alphas(m))
-    got, want = (sweep(m, q, keep_zero) for sweep in (solver._fib_sweep,
-                                                      scipy_fib_sweep))
-    np.testing.assert_allclose(got[0], want[0], rtol=0,
-                               atol=1e-12 * np.abs(want[0]).max())
-    for (ptr, idx, pick), (ref_ptr, ref_idx, ref_pick) in zip(
-            [(*p, c) for p, c in zip(got[1], got[2])],
-            [(*p, c) for p, c in zip(want[1], want[2])]):
-        np.testing.assert_array_equal(ptr, ref_ptr)
-        rows = np.repeat(np.arange(m.n_states), np.diff(ptr))
-        order = np.lexsort((idx, rows))
-        ref_order = np.lexsort((ref_idx, rows))
-        np.testing.assert_array_equal(idx[order], ref_idx[ref_order])
-        np.testing.assert_array_equal(pick[order], ref_pick[ref_order])
-    pi = solver._observation_policy(m, q)
-    alphas = np.array([a.values for a in solver._policy_alphas(m, pi, q)]).T
-    fib, ref = solver._fib_q(m, pi, alphas), scipy_fib_q(m, pi, alphas)
-    np.testing.assert_allclose(fib, ref, rtol=0,
-                               atol=1e-9 * np.abs(ref).max())
 
 
 @pytest.fixture(params=SEED_MODELS)
@@ -1005,7 +1011,9 @@ def keep_zero(a, obs):
 
 class TestFibUpper:
     """The fast informed bound (FIB) that seeds the upper bound, against the
-    exact POMDP value and the dense FIB operator."""
+    exact POMDP value and the dense FIB operator: the solver's closed form
+    on closed models, the per-entry reference (``scipy_fib_q``, which the
+    closed form is checked against) on the others."""
 
     def test_between_the_exact_value_and_the_mdp_corners(self, fib_case):
         m, b0, exact_corners, exact_root, delta = fib_case
@@ -1038,8 +1046,13 @@ class TestFibUpper:
 
     @pytest.mark.parametrize("name", DENSE_MODELS)
     def test_sweep_matches_the_dense_operator(self, name):
-        # the per-entry sweep reads explicit matrices
+        # the reference sweep reads explicit matrices; a closed model's
+        # closed sweep is checked too
         m = explicit_model(dense_sized_model(name))
+        sweeps = [lambda q: scipy_fib_sweep(m, q, keep_zero)[0]]
+        if m.posteriors is not None:
+            last = np.zeros(m.n_obs, dtype=np.intp)
+            sweeps.append(lambda q: solver._closed_sweep(m, q, last)[0])
         rng = np.random.default_rng(0)
         shape = (m.n_states, m.n_actions)
         # integer tables make zero and cancelling sums over s', which the
@@ -1047,21 +1060,21 @@ class TestFibUpper:
         tables = [np.zeros(shape), m.reward / (1.0 - m.discount)] + [
             rng.integers(-1, 2, size=shape).astype(float) for _ in range(3)]
         for q in tables:
-            got = solver._fib_sweep(m, q, keep_zero)[0]
-            np.testing.assert_allclose(got, dense_fib_sweep(m, q), rtol=0,
-                                       atol=1e-12 * max(1.0, np.abs(q).max(),
-                                                        np.abs(m.cost).max()))
+            tol = 1e-12 * max(1.0, np.abs(q).max(), np.abs(m.cost).max())
+            for sweep in sweeps:
+                np.testing.assert_allclose(sweep(q), dense_fib_sweep(m, q),
+                                           rtol=0, atol=tol)
 
     @pytest.mark.parametrize("name", DENSE_MODELS)
     def test_fixed_choice_step_matches_a_dense_loop(self, name):
         m = explicit_model(dense_sized_model(name))
         n, n_a = m.n_states, m.n_actions
-        _hq, patterns, _choice, _moved = solver._fib_sweep(
+        _hq, patterns, _choice, _moved = scipy_fib_sweep(
             m, np.zeros((n, n_a)), keep_zero)
         rng = np.random.default_rng(1)
         choice = [rng.integers(n_a, size=indices.size)
                   for _indptr, indices in patterns]
-        step = solver._fixed_choice_step(m, choice)
+        step = scipy_fixed_choice_step(m, patterns, choice)
         x = rng.standard_normal((n_a, n))
         want = np.zeros((n_a, n))
         for a, ((indptr, indices), pick) in enumerate(zip(patterns, choice)):
@@ -1075,10 +1088,6 @@ class TestFibUpper:
         # every (s, o) that T_a Z_a reaches is in the pattern
         np.testing.assert_allclose(step(np.ones(n_a * n)), 1.0, rtol=0,
                                    atol=1e-13)
-
-    @pytest.mark.parametrize("name", ["tiger", "zoo-0", "zoo-5"])
-    def test_per_entry_form_matches_the_scipy_form(self, name):
-        assert_per_entry_fib_matches_scipy(dense_sized_model(name))
 
 
 class TestSolverPieces:

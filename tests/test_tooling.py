@@ -139,11 +139,6 @@ UNREACHED = {
         "pomdp.bounds.LowerBound.prune_witness",
         "pomdp.bounds.UpperBound.prune"], EXPLORATION),
     **dict.fromkeys([
-        "pomdp.solver._fib_sweep", "pomdp.solver._fixed_choice_step",
-        "pomdp.solver._fixed_choice_step.<locals>.step",
-        "pomdp.solver._paths"],
-        "item 5: per-entry FIB, for models without closure"),
-    **dict.fromkeys([
         "channel.draw_channel", "channel.uplink_sinr", "channel.downlink_sinr",
         "channel._stack_uplink", "channel.ChannelPair.__post_init__",
         "channel.BeamformerSet.__post_init__",
