@@ -112,8 +112,7 @@ def greedy_policy(compiled: CompiledScenario, lower_bound) -> Policy:
     once per compiled scenario); the lowest index wins ties. The table
     holds the bound's own action ids."""
     scores = lower_bound.scores(compiled.obs_posteriors)
-    actions = np.array([alpha.action for alpha in lower_bound.alphas])
-    return Policy(action_of=actions[np.argmax(scores, axis=1)],
+    return Policy(action_of=lower_bound.actions[np.argmax(scores, axis=1)],
                   scenario_hash=compiled.scenario_hash)
 
 

@@ -7,12 +7,12 @@ one. Reported metrics are converted back to costs by the callers.
 """
 
 from .model import PomdpModel
-from .bounds import AlphaVector, BoundPair, LowerBound, UpperBound
+from .bounds import BoundPair, LowerBound, UpperBound
 from .solver import (HsviResult, backup, excess_uncertainty, explore,
                      initial_bounds, q_values, solve_hsvi)
 
 __all__ = [
-    "AlphaVector", "BoundPair", "HsviResult", "LowerBound", "PomdpModel",
-    "UpperBound", "backup", "excess_uncertainty", "explore", "initial_bounds",
-    "q_values", "solve_hsvi",
+    "BoundPair", "HsviResult", "LowerBound", "PomdpModel", "UpperBound",
+    "backup", "excess_uncertainty", "explore", "initial_bounds", "q_values",
+    "solve_hsvi",
 ]

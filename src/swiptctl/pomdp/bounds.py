@@ -14,112 +14,108 @@ import numpy as np
 SANDWICH_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class AlphaVector:
-    """Linear value function over states with the action that generated it."""
-
-    values: np.ndarray
-    action: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("alpha vector entries must be finite")
+def _finite(values) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("alpha vector entries must be finite")
+    return v
 
 
 class LowerBound:
-    """Max-over-alphas PWLC lower bound on the (reward) value function."""
+    """Max-over-alphas PWLC lower bound on the (reward) value function.
 
-    def __init__(self, alphas):
-        self.alphas = list(alphas)
-        if not self.alphas:
+    The alphas are the first ``len(self)`` columns of one (n_states x
+    capacity) buffer, the layout that :meth:`scores` reads, and
+    ``actions`` holds the action that generated each, in the same order.
+    :meth:`add` writes one column, and the capacity doubles when it is
+    full; the prunes compact the columns in place, in order."""
+
+    def __init__(self, values, actions):
+        """The (n_alphas, n_states) alphas ``values`` with their
+        ``actions``; refused if empty or not finite."""
+        values = _finite(values)
+        if not len(values):
             raise ValueError("alpha set must be nonempty")
-        self._matrix = None
-        # the first _synced alphas as the columns of a (states x capacity)
-        # buffer; add() appends, a prune resets _synced
-        self._by_state, self._synced = None, 0
+        self._by_state = values.T.copy()
+        self._actions = np.array(actions, dtype=np.intp)
+        self._n = len(values)
+
+    @property
+    def actions(self) -> np.ndarray:
+        return self._actions[:self._n]
 
     def matrix(self) -> np.ndarray:
-        if self._matrix is None or self._matrix.shape[0] != len(self.alphas):
-            self._matrix = np.array([a.values for a in self.alphas])
-        return self._matrix
+        """(n_alphas, n_states) view of the buffer; copies nothing."""
+        return self._by_state[:, :self._n].T
 
     def scores(self, posts) -> np.ndarray:
         """(m, n_alphas) values of every alpha at the rows of the
-        (m, n_states) ``Csr`` record ``posts``. The product reads the
-        alphas as columns of a (states x capacity) buffer, so a call copies
-        only the alphas added since the last; the capacity doubles when
-        they do not fit."""
-        m = self.matrix()
-        n_a, done = len(m), self._synced
-        if self._by_state is None or self._by_state.shape[1] < n_a:
-            grown = np.empty((m.shape[1], 2 * n_a if done else n_a))
-            if done:
-                grown[:, :done] = self._by_state[:, :done]
-            self._by_state = grown
-        self._by_state[:, done:n_a] = m[done:].T
-        self._synced = n_a
-        return posts.dot(self._by_state[:, :n_a])
+        (m, n_states) ``Csr`` record ``posts``."""
+        return posts.dot(self._by_state[:, :self._n])
 
     def __len__(self):
-        return len(self.alphas)
+        return self._n
 
-    def best(self, b: np.ndarray):
-        """(value, action, index) of the maximizing alpha; lowest index wins ties."""
+    def value(self, b: np.ndarray) -> float:
+        """The envelope at b: a row-major product of the (alphas x
+        support) block, or of the whole matrix when b is dense."""
         m = self.matrix()
         sup = np.flatnonzero(b)
         if sup.size * 8 < b.size:
-            scores = m[:, sup] @ b[sup]
-        else:
-            scores = m @ b
-        i = int(np.argmax(scores))
-        return float(scores[i]), self.alphas[i].action, i
-
-    def value(self, b: np.ndarray) -> float:
-        return self.best(b)[0]
+            m, b = m[:, sup], b[sup]
+        return float((np.ascontiguousarray(m) @ b).max())
 
     def value_many(self, posts) -> np.ndarray:
         """Envelope values at many beliefs (rows of a ``Csr`` record)."""
         return self.scores(posts).max(axis=1)
 
-    def add(self, alpha: AlphaVector) -> None:
-        self.alphas.append(alpha)
-        self._matrix = None
+    def add(self, values, action: int) -> None:
+        """Append one alpha (refused unless finite) and its action."""
+        n, cap = self._n, self._by_state.shape[1]
+        if n == cap:
+            grown = np.empty((self._by_state.shape[0], 2 * cap))
+            grown[:, :n] = self._by_state
+            self._by_state = grown
+            self._actions = np.concatenate([self._actions,
+                                            np.empty(cap, np.intp)])
+        self._by_state[:, n] = _finite(values)
+        self._actions[n] = action
+        self._n = n + 1
+
+    def _keep(self, keep: np.ndarray) -> int:
+        """Compact the buffer to the alphas where ``keep`` holds, in order;
+        returns the removed count."""
+        idx = np.flatnonzero(keep)
+        self._by_state[:, :idx.size] = self._by_state[:, idx]
+        self._actions[:idx.size] = self._actions[idx]
+        removed, self._n = self._n - idx.size, idx.size
+        return removed
 
     def prune_pointwise(self) -> int:
         """Drop each alpha that another kept alpha dominates (at least as
         large everywhere, larger somewhere); of exact duplicates the first
         is kept. Returns the removed count. No margin: an additive one
         rounds away at large values, and every alpha then drops itself."""
-        m = self.matrix()
-        keep = np.ones(len(self.alphas), dtype=bool)
-        index = np.arange(len(self.alphas))
+        m = np.ascontiguousarray(self.matrix())
+        keep = np.ones(self._n, dtype=bool)
+        index = np.arange(self._n)
         for i in index:
             others = keep & (index != i)
             ge = (m[others] >= m[i]).all(axis=1)
             gt = (m[others] > m[i]).any(axis=1)
             keep[i] = not (ge & (gt | (index[others] < i))).any()
-        removed = int((~keep).sum())
-        if removed:
-            self.alphas = [a for a, k in zip(self.alphas, keep) if k]
-            self._matrix, self._synced = None, 0
-        return removed
+        return self._keep(keep)
 
     def prune_witness(self, witnesses: np.ndarray) -> int:
         """Keep alphas achieving the max at some corner belief or at some
         row of ``witnesses`` (sampled beliefs); returns removed count. An
         alpha's score at corner s is its entry s, so the corners need no
         belief rows."""
-        m = self.matrix()
-        useful = np.zeros(len(self.alphas), dtype=bool)
+        m = np.ascontiguousarray(self.matrix())
+        useful = np.zeros(self._n, dtype=bool)
         useful[np.argmax(m, axis=0)] = True
         useful[np.argmax(m @ witnesses.T, axis=0)] = True
-        removed = int((~useful).sum())
-        if removed:
-            self.alphas = [a for a, k in zip(self.alphas, useful) if k]
-            self._matrix, self._synced = None, 0
-        return removed
+        return self._keep(useful)
 
 
 def _group(points) -> list:

@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .bounds import AlphaVector, BoundPair, LowerBound, UpperBound
+from .bounds import BoundPair, LowerBound, UpperBound
 from .model import Csr, PomdpModel, check_belief, row_entries
 
 
@@ -100,23 +100,23 @@ def _evaluate(step, reward: np.ndarray, discount: float,
     return bicgstab(lambda v: v - discount * step(v), reward, x0)
 
 
-def _blind_alphas(model: PomdpModel) -> list:
-    """Stationary single-action policy values, each shifted down by its
-    residual certificate: for stochastic T the error of v is at most
-    ||r + gamma T v - v||_inf / (1 - gamma), so the shifted v is a valid
-    lower bound however far the solver got."""
+def _blind_alphas(model: PomdpModel) -> np.ndarray:
+    """Stationary single-action policy values, one (n_states,) row per
+    action, each shifted down by its residual certificate: for stochastic
+    T the error of v is at most ||r + gamma T v - v||_inf / (1 - gamma), so
+    the shifted v is a valid lower bound however far the solver got."""
     g = model.discount
-    out = []
+    out = np.empty((model.n_actions, model.n_states))
     for a in range(model.n_actions):
         r_a = model.reward[:, a]
         step = functools.partial(model.apply, a)
         v = _evaluate(step, r_a, g, r_a / (1.0 - g))
         res = np.abs(r_a + g * step(v) - v).max()
-        out.append(AlphaVector(values=v - res / (1.0 - g), action=a))
+        out[a] = v - res / (1.0 - g)
     return out
 
 
-def _mdp_corners(model: PomdpModel, blind: list):
+def _mdp_corners(model: PomdpModel, blind: np.ndarray):
     """Fully-observed MDP value (reward orientation), which upper-bounds the
     POMDP, by policy iteration from the best blind action per state. The
     result is V + ||BV - V||_inf / (1 - gamma), B the Bellman operator: a
@@ -126,9 +126,8 @@ def _mdp_corners(model: PomdpModel, blind: list):
     s."""
     g, r = model.discount, model.reward
     states = np.arange(model.n_states)
-    blind_vals = np.array([alpha.values for alpha in blind])
-    pi = blind_vals.argmax(axis=0)
-    v = blind_vals[pi, states]
+    pi = blind.argmax(axis=0)
+    v = blind[pi, states]
     for _ in range(MAX_POLICY_ROUNDS):
         v = _evaluate(lambda x: model.after(x)[pi, states], r[states, pi],
                       g, v)
@@ -159,9 +158,10 @@ def _observation_policy(model: PomdpModel, q: np.ndarray) -> np.ndarray:
 
 
 def _policy_alphas(model: PomdpModel, pi: np.ndarray,
-                   guess: np.ndarray) -> list:
-    """Values of "play a, then follow the observation policy pi", one alpha
-    per action, shifted down by their residual certificate.
+                   guess: np.ndarray) -> np.ndarray:
+    """Values of "play a, then follow the observation policy pi", one
+    (n_states,) row per action, shifted down by their residual
+    certificate.
 
     They solve alpha_a = r_a + gamma T_a sum_b (D_ab * alpha_b), with
     D_ab(s') = sum_{o: pi(o) = b} Z_a(s', o): one Krylov solve over the
@@ -183,8 +183,7 @@ def _policy_alphas(model: PomdpModel, pi: np.ndarray,
     r = model.reward.T.ravel()
     v = _evaluate(step, r, g, guess.T.ravel())
     res = np.abs(r + g * step(v) - v).max()
-    v = (v - res / (1.0 - g)).reshape(n_a, n)
-    return [AlphaVector(values=v[a], action=a) for a in range(n_a)]
+    return (v - res / (1.0 - g)).reshape(n_a, n)
 
 
 def _closed_sweep(model: PomdpModel, q: np.ndarray, last: np.ndarray):
@@ -219,7 +218,7 @@ def _fib_q(model: PomdpModel, pi: np.ndarray, q: np.ndarray) -> np.ndarray:
     for _ in range(MAX_POLICY_ROUNDS):
         if not moved:
             break
-        q = np.array([a.values for a in _policy_alphas(model, c, q)]).T
+        q = _policy_alphas(model, c, q).T
         hq, c, moved = _closed_sweep(model, q, c)
     return q + np.abs(hq - q).max() / (1.0 - model.discount)
 
@@ -237,16 +236,17 @@ def initial_bounds(model: PomdpModel,
     without ``posteriors`` keeps the MDP corners above."""
     blind = _blind_alphas(model)
     corners, q = _mdp_corners(model, blind)
-    bounds = BoundPair(lower=LowerBound(blind), upper=UpperBound(corners))
-    if b0 is None:
+    seeds = [blind]
+    if b0 is not None:
+        pi = _observation_policy(model, q)
+        seeds.append(_policy_alphas(model, pi, q))
+    bounds = BoundPair(
+        lower=LowerBound(np.vstack(seeds),
+                         np.tile(np.arange(model.n_actions), len(seeds))),
+        upper=UpperBound(corners))
+    if b0 is None or model.posteriors is None:
         return bounds
-    pi = _observation_policy(model, q)
-    alphas = _policy_alphas(model, pi, q)
-    for alpha in alphas:
-        bounds.lower.add(alpha)
-    if model.posteriors is None:
-        return bounds
-    fib = _fib_q(model, pi, np.array([a.values for a in alphas]).T)
+    fib = _fib_q(model, pi, seeds[1].T)
     bounds.upper = UpperBound(fib.max(axis=1))
     bounds.upper.add(b0, float((b0 @ fib).max()))
     return bounds
@@ -305,10 +305,10 @@ def q_values(expansion: list, bound, discount: float):
 
 
 def backup(b: np.ndarray, bounds: BoundPair, model: PomdpModel,
-           expansion: list) -> AlphaVector:
+           expansion: list):
     """Point-based backup at b from its expansion: per action, stage reward
     plus the discounted best-alpha cross-sum over observations; extremal
-    action at b wins.
+    action at b wins. Returns the new alpha's (values, action).
 
     The cross-sum is one pass over the stored entries of the observation
     matrix: entry (s', o) contributes Z[s',o] * alpha_pick(o)(s'), and
@@ -331,7 +331,7 @@ def backup(b: np.ndarray, bounds: BoundPair, model: PomdpModel,
         val = float(vec @ b)
         if val > best_val + 1e-15:
             best_val, best_vec, best_a = val, vec, a
-    return AlphaVector(values=best_vec, action=best_a)
+    return best_vec, best_a
 
 
 def excess_uncertainty(gap: float, t: int, eps: float,
@@ -385,7 +385,7 @@ def explore(b: np.ndarray, t: int, bounds: BoundPair, model: PomdpModel,
             succ = np.zeros(model.n_states)
             succ[posts.indices[lo_i:hi_i]] = posts.data[lo_i:hi_i]
             explore(succ, t + 1, bounds, model, eps, depth_cap, stats)
-    bounds.lower.add(backup(b, bounds, model, expansion))
+    bounds.lower.add(*backup(b, bounds, model, expansion))
     # the upper bound moved during the recursion; the posteriors did not
     q_up, _ = q_values(expansion, bounds.upper, model.discount)
     bounds.upper.add(b, float(q_up.max()))

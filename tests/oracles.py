@@ -4,7 +4,8 @@ Each function is the earlier, one-item-at-a-time form of a production
 routine: the scalar slot recursions and one user's next-state pmf, the
 per-action degraded effect, the per-action kernel matrices, the per-slot
 rollout and its per-episode reduction, the per-draw link calibration, the
-value-iteration HSVI bounds, the per-action seed solves (row gather,
+value-iteration HSVI bounds, the per-alpha list lower bound
+(:class:`ListLowerBound`), the per-action seed solves (row gather,
 Q-table, observation policy and policy alphas), the sparse-matrix belief
 expansion and backup, the joint CSR matrices of a Kronecker-factored
 kernel (:func:`kernel_matrices`, :func:`explicit_model`), the
@@ -50,8 +51,7 @@ from swiptctl.channel import (AntennaSelection, BeamformerSet, Dims,
                               uplink_sinr)
 from swiptctl.dynamics import ActionTable, LevelModel, user_action_table
 from swiptctl.harness import episode_rng
-from swiptctl.pomdp import (AlphaVector, BoundPair, LowerBound, UpperBound,
-                            solver)
+from swiptctl.pomdp import BoundPair, LowerBound, UpperBound, solver
 from swiptctl.pomdp.model import Csr, PomdpModel, check_belief
 from swiptctl.scenario import ScenarioConfig
 
@@ -587,7 +587,7 @@ def reference_initial_bounds(model, tol=1e-9, max_iter=100000):
     and the MDP corners climb from 0, so they stop below the MDP value
     where that is positive, which leaves them no upper bound there."""
     g, r = model.discount, model.reward
-    blind = []
+    blind = np.empty((model.n_actions, model.n_states))
     for a in range(model.n_actions):
         v = np.full(model.n_states, r[:, a].min() / (1.0 - g))
         for _ in range(max_iter):
@@ -595,7 +595,7 @@ def reference_initial_bounds(model, tol=1e-9, max_iter=100000):
             if np.abs(v_new - v).max() < tol * (1.0 - g):
                 break
             v = v_new
-        blind.append(AlphaVector(values=v, action=a))
+        blind[a] = v
     v = np.zeros(model.n_states)
     for _ in range(max_iter):
         v_new = np.column_stack([r[:, a] + g * model.apply(a, v)
@@ -604,7 +604,64 @@ def reference_initial_bounds(model, tol=1e-9, max_iter=100000):
             v = v_new
             break
         v = v_new
-    return BoundPair(lower=LowerBound(blind), upper=UpperBound(v))
+    return BoundPair(lower=LowerBound(blind, np.arange(model.n_actions)),
+                     upper=UpperBound(v))
+
+
+class ListLowerBound:
+    """``bounds.LowerBound`` as a plain list of (values, action) pairs: the
+    matrix is stacked from the list on every read, and each prune rebuilds
+    the list from a keep mask. The products and comparisons are those of
+    the store, so every value, score and removed count equals its own."""
+
+    def __init__(self, values, actions):
+        self.alphas = [(np.array(v, dtype=float), int(a))
+                       for v, a in zip(values, actions)]
+
+    def __len__(self):
+        return len(self.alphas)
+
+    @property
+    def actions(self) -> np.ndarray:
+        return np.array([a for _v, a in self.alphas], dtype=np.intp)
+
+    def matrix(self) -> np.ndarray:
+        return np.array([v for v, _a in self.alphas])
+
+    def scores(self, posts) -> np.ndarray:
+        return posts.dot(self.matrix().T)
+
+    def value(self, b: np.ndarray) -> float:
+        m = self.matrix()
+        sup = np.flatnonzero(b)
+        scores = m[:, sup] @ b[sup] if sup.size * 8 < b.size else m @ b
+        return float(scores[int(np.argmax(scores))])
+
+    def add(self, values, action: int) -> None:
+        self.alphas.append((np.array(values, dtype=float), int(action)))
+
+    def _keep(self, keep) -> int:
+        removed = len(self.alphas) - int(np.count_nonzero(keep))
+        self.alphas = [a for a, k in zip(self.alphas, keep) if k]
+        return removed
+
+    def prune_pointwise(self) -> int:
+        m = self.matrix()
+        keep = np.ones(len(m), dtype=bool)
+        index = np.arange(len(m))
+        for i in index:
+            others = keep & (index != i)
+            ge = (m[others] >= m[i]).all(axis=1)
+            gt = (m[others] > m[i]).any(axis=1)
+            keep[i] = not (ge & (gt | (index[others] < i))).any()
+        return self._keep(keep)
+
+    def prune_witness(self, witnesses: np.ndarray) -> int:
+        m = self.matrix()
+        useful = np.zeros(len(m), dtype=bool)
+        useful[np.argmax(m, axis=0)] = True
+        useful[np.argmax(m @ witnesses.T, axis=0)] = True
+        return self._keep(useful)
 
 
 def scipy_csr(m) -> sparse.csr_matrix:
@@ -708,16 +765,15 @@ def reference_policy_rows(transitions: list, pi: np.ndarray):
     return rows[np.argsort(np.concatenate(groups))]
 
 
-def reference_mdp_corners(model, blind: list):
+def reference_mdp_corners(model, blind: np.ndarray):
     """``solver._mdp_corners`` one action at a time: the policy matvec is
     the rows of :func:`reference_policy_rows` on explicit matrices, and
     keeps row pi[s] of one ``model.apply`` per action on Kronecker ones;
     the Q-table takes one product per action."""
     g, r = model.discount, model.reward
     states = np.arange(model.n_states)
-    blind_vals = np.array([alpha.values for alpha in blind])
-    pi = blind_vals.argmax(axis=0)
-    v = blind_vals[pi, states]
+    pi = blind.argmax(axis=0)
+    v = blind[pi, states]
     for _ in range(solver.MAX_POLICY_ROUNDS):
         step = (reference_policy_rows(model.transitions, pi).dot
                 if not model.factored else
@@ -835,7 +891,7 @@ def reference_successor_posts(model, a, tau):
 
 def reference_backup(b, bounds, model, expansion):
     """The one-pass backup with its row sums taken by a CSR product with
-    ones."""
+    ones; returns the new alpha's (values, action)."""
     alpha_mat = bounds.lower.matrix()
     ones = np.ones(model.n_obs)
     best_val, best_vec, best_a = -np.inf, None, 0
@@ -850,7 +906,7 @@ def reference_backup(b, bounds, model, expansion):
         val = float(vec @ b)
         if val > best_val + 1e-15:
             best_val, best_vec, best_a = val, vec, a
-    return AlphaVector(values=best_vec, action=best_a)
+    return best_vec, best_a
 
 
 def pair_policy_alphas(model, pi):

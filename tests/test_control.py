@@ -400,8 +400,8 @@ def reference_greedy(compiled, lower):
                  for _q, _e, ol in users_obs]
         b = enumerated_level_product(space, [u[:2] for u in users_obs],
                                      [w / w.sum() for w in posts])
-        _, a, _ = lower.best(b)
-        table[obs] = a
+        table[obs] = lower.actions[np.argmax(
+            np.ascontiguousarray(lower.matrix()) @ b)]
     return table
 
 

@@ -8,7 +8,8 @@ from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import bicgstab as scipy_linalg_bicgstab
 
 from oracles import (DEFAULT_PRUNE_MARGIN, ImpossibleObservationError,
-                     ObservationMdp, OracleScaleError, constant_layer,
+                     ListLowerBound, ObservationMdp, OracleScaleError,
+                     constant_layer,
                      dense_fib_q, dense_fib_sweep, dense_mdp_value,
                      dense_policy_value, exact_value_iteration,
                      explicit_model, kernel_matrices, layer_matrices,
@@ -23,9 +24,9 @@ from oracles import (DEFAULT_PRUNE_MARGIN, ImpossibleObservationError,
 from test_acceptance import (SPARSE_Z_MEMBER, ZOO_DIMS, ZOO_HORIZON,
                              ZOO_PRUNE_MARGIN, _zoo_pomdp, zoo_exact)
 
-from swiptctl.pomdp import (AlphaVector, BoundPair, LowerBound, PomdpModel,
-                            UpperBound, backup, excess_uncertainty,
-                            initial_bounds, q_values, solve_hsvi)
+from swiptctl.pomdp import (BoundPair, LowerBound, PomdpModel, UpperBound,
+                            backup, excess_uncertainty, initial_bounds,
+                            q_values, solve_hsvi)
 from swiptctl.pomdp import solver
 from swiptctl.pomdp.bounds import SANDWICH_TOL
 from swiptctl.pomdp.model import Csr, check_stochastic, emitted
@@ -315,19 +316,25 @@ class TestCsrAgainstScipy:
 
 class TestBounds:
     def test_alpha_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            AlphaVector(values=np.array([1.0, np.nan]), action=0)
+        lb = LowerBound(np.array([[1.0, 0.0]]), [0])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                LowerBound(np.array([[1.0, bad]]), [0])
+            with pytest.raises(ValueError):
+                lb.add(np.array([1.0, bad]), 1)
+        assert len(lb) == 1
+        np.testing.assert_array_equal(lb.matrix(), [[1.0, 0.0]])
 
     def test_lower_bound_ties_lowest_index(self):
-        lb = LowerBound([AlphaVector(np.array([1.0, 0.0]), action=2),
-                         AlphaVector(np.array([1.0, 0.0]), action=1)])
-        val, action, idx = lb.best(np.array([1.0, 0.0]))
-        assert (val, action, idx) == (1.0, 2, 0)
+        # the greedy choice at a tie is the first stored alpha's action
+        lb = LowerBound(np.array([[1.0, 0.0], [1.0, 0.0]]), [2, 1])
+        posts = Csr.of(np.array([[1.0, 0.0]]))
+        assert lb.value(np.array([1.0, 0.0])) == 1.0
+        assert lb.actions[lb.scores(posts).argmax(axis=1)].tolist() == [2]
 
     def test_lower_prune_pointwise(self):
-        lb = LowerBound([AlphaVector(np.array([1.0, 1.0]), 0),
-                         AlphaVector(np.array([0.5, 0.5]), 1),
-                         AlphaVector(np.array([2.0, 0.0]), 2)])
+        lb = LowerBound(np.array([[1.0, 1.0], [0.5, 0.5], [2.0, 0.0]]),
+                        [0, 1, 2])
         assert lb.prune_pointwise() == 1
         assert len(lb) == 2
 
@@ -337,11 +344,10 @@ class TestBounds:
         # an absolute margin rounds away above about 128, where every
         # alpha would drop itself; dominance is tested against the others
         rows = [[1.0, 0.0], [0.0, 1.0], [0.6, 0.6], [0.5, 0.6], [1.0, 0.0]]
-        lb = LowerBound([AlphaVector(offset + np.array(r), i)
-                         for i, r in enumerate(rows)])
+        lb = LowerBound(offset + np.array(rows), range(len(rows)))
         # row 3 is dominated and row 4 repeats row 0: the first is kept
         assert lb.prune_pointwise() == 2
-        assert [a.action for a in lb.alphas] == [0, 1, 2]
+        assert lb.actions.tolist() == [0, 1, 2]
 
     def test_upper_corner_exact(self):
         ub = UpperBound(np.array([3.0, 7.0]))
@@ -368,7 +374,7 @@ class TestBounds:
         assert ub.value(np.array([0.5, 0.5])) == pytest.approx(2.0)
 
     def test_sandwich_audit_raises(self):
-        pair = BoundPair(lower=LowerBound([AlphaVector(np.array([5.0, 5.0]), 0)]),
+        pair = BoundPair(lower=LowerBound(np.array([[5.0, 5.0]]), [0]),
                          upper=UpperBound(np.array([0.0, 0.0])))
         with pytest.raises(AssertionError):
             pair.audit(np.array([0.5, 0.5]))
@@ -385,37 +391,77 @@ class TestBounds:
         rng = np.random.default_rng(3)
         vals = rng.integers(0, 3, size=(12, 5)).astype(float)
         wit = rng.dirichlet(np.ones(5), size=4)
-        lb = LowerBound([AlphaVector(v, i) for i, v in enumerate(vals)])
+        lb = LowerBound(vals, range(len(vals)))
         best = np.argmax(vals @ np.vstack([np.eye(5), wit]).T, axis=0)
         removed = lb.prune_witness(wit)
-        assert [a.action for a in lb.alphas] == sorted(set(best))
+        assert lb.actions.tolist() == sorted(set(best))
         assert removed == 12 - len(set(best))
 
     def test_scores_follow_adds_and_prunes(self):
-        # scores keep the alphas as columns of a buffer that adds append to
-        # and prunes rewrite: after each change they equal scipy's product
-        # with the current alpha matrix
-        rng = np.random.default_rng(4)
-        posts = Csr.of(rng.dirichlet(np.ones(6), size=5)
-                       * (rng.random((5, 6)) < 0.6) + 1e-3 * np.eye(5, 6))
-        lb = LowerBound([AlphaVector(v, 0) for v in rng.normal(size=(3, 6))])
+        # the store writes one column per add, doubles its capacity when
+        # full and compacts on a prune: after each change every read equals
+        # the per-alpha list's bit for bit, and the scores scipy's product;
+        # a one-state belief takes value's support path, the others the
+        # whole matrix
+        n, rng = 10, np.random.default_rng(4)
+        posts = Csr.of(rng.dirichlet(np.ones(n), size=5)
+                       * (rng.random((5, n)) < 0.6) + 1e-3 * np.eye(5, n))
+        beliefs = [np.eye(n)[2], np.eye(n)[-1], rng.dirichlet(np.ones(n)),
+                   np.where(np.arange(n) % 3 == 1, 1.0 / 3, 0.0)]
+        first = rng.normal(size=(3, n))
+        lb, ref = LowerBound(first, [0, 0, 0]), ListLowerBound(first,
+                                                               [0, 0, 0])
 
         def check():
-            want = scipy_csr(posts) @ np.ascontiguousarray(lb.matrix().T)
-            np.testing.assert_array_equal(lb.scores(posts), want,
+            np.testing.assert_array_equal(lb.matrix(), ref.matrix(),
                                           strict=True)
+            np.testing.assert_array_equal(lb.actions, ref.actions,
+                                          strict=True)
+            assert len(lb) == len(ref)
+            for b in beliefs:
+                assert lb.value(b) == ref.value(b)
+            np.testing.assert_array_equal(lb.scores(posts), ref.scores(posts),
+                                          strict=True)
+            want = scipy_csr(posts) @ np.ascontiguousarray(ref.matrix().T)
+            np.testing.assert_array_equal(lb.scores(posts), want, strict=True)
+
+        def add(values, action):
+            lb.add(values, action)
+            ref.add(values, action)
+            check()
 
         check()
-        for v in rng.normal(size=(9, 6)):   # past the first capacity
-            lb.add(AlphaVector(v, 1))
-            check()
-        lb.add(AlphaVector(lb.matrix().min(axis=0) - 1.0, 2))
-        assert lb.prune_pointwise() >= 1
+        for i, v in enumerate(rng.normal(size=(9, n))):   # past 2 doublings
+            add(v, 1 + i % 2)
+        add(lb.matrix().min(axis=0) - 1.0, 2)
+        add(lb.matrix()[4], 3)                  # an exact duplicate
+        removed = lb.prune_pointwise()
+        assert removed >= 2 and removed == ref.prune_pointwise()
         check()
-        assert lb.prune_witness(rng.dirichlet(np.ones(6), size=2)) >= 1
+        wit = rng.dirichlet(np.ones(n), size=2)
+        removed = lb.prune_witness(wit)
+        assert removed >= 1 and removed == ref.prune_witness(wit)
         check()
-        lb.add(AlphaVector(rng.normal(size=6), 3))
+        for v in rng.normal(size=(2 * len(lb), n)):    # grows again
+            add(v, 3)
+        assert lb.prune_witness(wit) == ref.prune_witness(wit)
         check()
+        assert lb.prune_pointwise() == ref.prune_pointwise()
+        check()
+
+    def test_add_writes_one_column_and_matrix_is_a_view(self):
+        lb = LowerBound(np.array([[1.0, 2.0]]), [0])
+        lb.add(np.array([3.0, 4.0]), 1)
+        m = lb.matrix()
+        lb.add(np.array([5.0, 6.0]), 2)         # capacity 2 -> 4: a new buffer
+        grown = lb.matrix()
+        assert not np.shares_memory(m, grown)
+        lb.add(np.array([7.0, 8.0]), 3)         # fits: the same buffer
+        assert np.shares_memory(grown, lb.matrix())
+        np.testing.assert_array_equal(m, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(
+            lb.matrix(), [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+        assert lb.actions.tolist() == [0, 1, 2, 3]
 
 
 def reference_value(ub, b, points):
@@ -646,8 +692,7 @@ class TestInitialBounds:
         blind, mdp = exact_mdp_values(m)
         tol = value_tol(mdp)
         alphas = bounds.lower.matrix()
-        assert [a.action for a in bounds.lower.alphas] == \
-            list(range(m.n_actions))
+        assert bounds.lower.actions.tolist() == list(range(m.n_actions))
         # at least as tight as value iteration, and still below the values
         assert (alphas >= ref.lower.matrix() - tol).all()
         assert (alphas <= blind + tol).all()
@@ -691,9 +736,7 @@ def qmdp_policy_alphas(m):
     one row per action."""
     _corners, q = solver._mdp_corners(m, solver._blind_alphas(m))
     pi = solver._observation_policy(m, q)
-    alphas = solver._policy_alphas(m, pi, q)
-    assert [a.action for a in alphas] == list(range(m.n_actions))
-    return pi, np.array([a.values for a in alphas])
+    return pi, solver._policy_alphas(m, pi, q)
 
 
 SEED_MODELS = list(SMALL_MODELS) + ["desk-jopt"] + [
@@ -800,8 +843,7 @@ class TestStackedLayout:
         for policy in (pi, rng.integers(m.n_actions, size=m.n_obs)):
             got = solver._policy_alphas(m, policy, q)
             np.testing.assert_array_equal(
-                np.array([a.values for a in got]),
-                reference_policy_alphas(m, policy, q))
+                got, reference_policy_alphas(m, policy, q))
 
 
 @pytest.fixture(scope="module")
@@ -906,8 +948,7 @@ class TestPolicyAlphas:
         alphas = solver._policy_alphas(m, pi, np.zeros((m.n_states,
                                                         m.n_actions)))
         exact = pair_policy_alphas(m, pi)
-        assert (np.array([a.values for a in alphas])
-                <= exact + value_tol(exact)).all()
+        assert (alphas <= exact + value_tol(exact)).all()
 
     def test_certificates_alone_keep_the_alphas_valid(self, seed_model,
                                                       monkeypatch):
@@ -937,7 +978,7 @@ class TestPolicyAlphas:
 
         monkeypatch.setattr(solver, "_fib_q", counting)
         seeded = initial_bounds(m, b0)
-        assert len(seeded.lower) == 2 * m.n_actions
+        assert seeded.lower.actions.tolist() == 2 * list(range(m.n_actions))
         # the upper bound is FIB's: its corners are FIB's best Q per state
         assert len(calls) == 1
         assert np.array_equal(seeded.upper.corner, fib_seed(m).max(axis=1))
@@ -948,8 +989,7 @@ def fib_start(m):
     observation policy and its certified alphas, as a Q-table."""
     _corners, q = solver._mdp_corners(m, solver._blind_alphas(m))
     pi = solver._observation_policy(m, q)
-    return pi, np.array([a.values
-                         for a in solver._policy_alphas(m, pi, q)]).T
+    return pi, solver._policy_alphas(m, pi, q).T
 
 
 def fib_seed(m):
@@ -1112,8 +1152,8 @@ class TestSolverPieces:
         bounds = initial_bounds(m)
         b = np.array([0.5, 0.5])
         before = bounds.lower.value(b)
-        alpha = backup(b, bounds, m, solver._expand(b, m))
-        after = float(alpha.values @ b)
+        values, _action = backup(b, bounds, m, solver._expand(b, m))
+        after = float(values @ b)
         assert after >= before - 1e-12
         assert after <= bounds.upper.value(b) + 1e-8
 
@@ -1193,10 +1233,10 @@ def assert_expansion_matches_chain(model, b, bounds):
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(posts, part),
                                   getattr(ref_posts, part)), part
-    alpha = backup(b, bounds, model, expansion)
-    ref = reference_backup(b, bounds, model, expansion)
-    assert alpha.action == ref.action
-    assert np.array_equal(alpha.values, ref.values)
+    values, action = backup(b, bounds, model, expansion)
+    ref_values, ref_action = reference_backup(b, bounds, model, expansion)
+    assert action == ref_action
+    assert np.array_equal(values, ref_values)
     return expansion
 
 
@@ -1330,6 +1370,31 @@ class TestHsvi:
         assert list(r1.log_lines()) == list(r2.log_lines())
         assert r1.root_value == r2.root_value
 
+    def test_exploring_log_is_pinned(self):
+        # 15 explorations and one prune pass (at iteration 10), 53 alphas at
+        # the end: every backup, add, prune and root evaluation of the lower
+        # bound is in these bytes
+        res = solve_hsvi(tiger_model(0.6), np.array([0.5, 0.5]), eps=1e-9,
+                         max_iterations=25)
+        assert list(res.log_lines()) == [
+            "1 -1.36784030035 6.21956264223 54 50",
+            "2 -0.235680600705 1.75070593989 101 71",
+            "3 -0.0926209010576 1.11712313804 147 92",
+            "4 0.0918220311511 0.379125500852 189 134",
+            "5 0.139190778646 0.180745270693 228 173",
+            "6 0.146042015921 0.152052301183 264 209",
+            "7 0.147032953083 0.147902258114 297 242",
+            "8 0.147176278502 0.147302011515 324 269",
+            "9 0.14719700855 0.147215194112 348 293",
+            "10 0.147200006865 0.147202637172 5 43",
+            "11 0.14720044053 0.147200820985 23 61",
+            "12 0.147200503239 0.147200558359 35 73",
+            "13 0.147200512293 0.147200520443 44 82",
+            "14 0.147200513597 0.14720051498 50 88",
+            "15 0.147200513778 0.147200514223 53 91",
+        ]
+        assert res.converged and len(res.bounds.lower) == 53
+
     def test_log_lines_exclude_wall_clock(self):
         m = tiger_model(discount=0.6)
         res = solve_hsvi(m, np.array([0.5, 0.5]), eps=1e-2)
@@ -1385,8 +1450,8 @@ class TestHsvi:
                 assert bounds.upper.value(b0) > alpha @ b0 + 1.0
                 assert all(bounds.lower.value(w) > alpha @ w for w in sides)
                 assert (bounds.lower.matrix().max(axis=0) > alpha).all()
-                added.append(AlphaVector(values=alpha, action=0))
-                bounds.lower.add(added[0])
+                added.append(alpha)
+                bounds.lower.add(alpha, 0)
             for i in range(solver.WITNESS_SLOTS):
                 stats.visited.append(sides[i % 2])
             return bounds
@@ -1394,9 +1459,11 @@ class TestHsvi:
         monkeypatch.setattr(solver, "explore", explore)
         res = solve_hsvi(m, b0, eps=1e-9, max_iterations=solver.PRUNE_EVERY)
         assert res.iterations == solver.PRUNE_EVERY
-        assert any(a is added[0] for a in res.bounds.lower.alphas)
+        kept = np.flatnonzero((res.bounds.lower.matrix() == added[0])
+                              .all(axis=1))
+        assert kept.size == 1 and res.bounds.lower.actions[kept[0]] == 0
         lows = [rec[1] for rec in res.log]
-        assert lows == [added[0].values @ b0] * len(lows)
+        assert lows == [added[0] @ b0] * len(lows)
 
     def test_each_backup_propagates_once_per_action(self, monkeypatch):
         m = tiger_model(discount=0.6)

@@ -135,8 +135,10 @@ UNREACHED = {
         "pomdp.bounds.LowerBound.__len__", "pomdp.bounds.UpperBound.__len__",
         "pomdp.model.PomdpModel.propagate", "pomdp.model.row_entries",
         "pomdp.model.KroneckerTransitions.propagate",
+        "pomdp.bounds.LowerBound.add",
         "pomdp.bounds.LowerBound.prune_pointwise",
         "pomdp.bounds.LowerBound.prune_witness",
+        "pomdp.bounds.LowerBound._keep",
         "pomdp.bounds.UpperBound.prune"], EXPLORATION),
     **dict.fromkeys([
         "channel.draw_channel", "channel.uplink_sinr", "channel.downlink_sinr",
